@@ -31,6 +31,17 @@ class BlockedScope {
  private:
   obs::ProcessStats* owner_;
 };
+
+/// Byte access to a channel whose typed ring is live would wait on (or
+/// feed) a pipe the typed peer never touches.  Demotion is permanent, so
+/// the endpoint stops checking once it sees one.
+void check_byte_plane(io::TypedRingBase*& typed) {
+  if (!typed->demoted()) {
+    throw UsageError{"byte access to a typed channel whose ring is live "
+                     "(use TypedReader/TypedWriter)"};
+  }
+  typed = nullptr;
+}
 }  // namespace
 
 std::uint64_t next_channel_id() {
@@ -64,6 +75,7 @@ ChannelInputStream::ChannelInputStream(
 }
 
 std::size_t ChannelInputStream::read_some(MutableByteSpan out) {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
   const std::size_t n = source_->read_some(out);
   if (n > 0) {
@@ -75,6 +87,7 @@ std::size_t ChannelInputStream::read_some(MutableByteSpan out) {
 }
 
 int ChannelInputStream::read() {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
   const int b = source_->read();
   if (b >= 0) {
@@ -94,6 +107,7 @@ void ChannelInputStream::close() {
 }
 
 void ChannelInputStream::read_fully(MutableByteSpan out) {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
   io::read_fully(*source_, out);
   metrics_->on_read(out.size());
@@ -136,6 +150,7 @@ ChannelOutputStream::ChannelOutputStream(
 }
 
 void ChannelOutputStream::write(ByteSpan data) {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write(data);
   metrics_->on_write(data.size());
@@ -143,6 +158,7 @@ void ChannelOutputStream::write(ByteSpan data) {
 }
 
 void ChannelOutputStream::write_byte(std::uint8_t b) {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write_byte(b);
   metrics_->on_write(1);
@@ -150,6 +166,7 @@ void ChannelOutputStream::write_byte(std::uint8_t b) {
 }
 
 void ChannelOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
+  if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write_vectored(a, b);
   metrics_->on_write(a.size() + b.size());

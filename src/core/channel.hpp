@@ -166,6 +166,12 @@ class ChannelInputStream final
     owner_ = std::move(owner);
   }
 
+  /// Installed by make_typed_channel.  While `ring` is live, the values
+  /// travel through it and the pipe stays empty, so a byte read here
+  /// (a DataInputStream instead of a TypedReader) throws UsageError
+  /// rather than wait forever.
+  void bind_typed(io::TypedRingBase* ring) { typed_ = ring; }
+
   // --- serial::Serializable (serialization ships the endpoint) ---
   std::string type_name() const override { return "dpn.ChannelInputStream"; }
   void write_fields(serial::ObjectOutputStream&) const override;
@@ -182,6 +188,8 @@ class ChannelInputStream final
   /// state_->metrics.get(), cached: the metrics object lives and dies
   /// with state_, and the extra pointer chase is measurable per-token.
   obs::ChannelMetrics* metrics_ = nullptr;
+  /// state_->typed.get() until the ring demotes (see bind_typed).
+  io::TypedRingBase* typed_ = nullptr;
   std::shared_ptr<obs::ProcessStats> owner_;
 };
 
@@ -227,6 +235,10 @@ class ChannelOutputStream final
     owner_ = std::move(owner);
   }
 
+  /// See ChannelInputStream::bind_typed: byte writes throw UsageError
+  /// while the ring is live (the typed reader would never see them).
+  void bind_typed(io::TypedRingBase* ring) { typed_ = ring; }
+
   // --- serial::Serializable ---
   std::string type_name() const override { return "dpn.ChannelOutputStream"; }
   void write_fields(serial::ObjectOutputStream&) const override;
@@ -242,6 +254,7 @@ class ChannelOutputStream final
   io::OutputStream* sink_ = nullptr;
   /// state_->metrics.get(), cached (see ChannelInputStream::metrics_).
   obs::ChannelMetrics* metrics_ = nullptr;
+  io::TypedRingBase* typed_ = nullptr;
   std::shared_ptr<obs::ProcessStats> owner_;
 };
 

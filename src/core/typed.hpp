@@ -72,7 +72,11 @@ std::shared_ptr<Channel> make_typed_channel(ChannelOptions options = {}) {
   auto channel = std::make_shared<Channel>(options);
   std::size_t slots = options.capacity / C::kWireSize;
   if (slots == 0) slots = 1;
-  channel->state()->typed = std::make_shared<io::TypedRing<T, C>>(slots);
+  auto ring = std::make_shared<io::TypedRing<T, C>>(slots);
+  ring->set_flight_id(channel->state()->id);
+  channel->input()->bind_typed(ring.get());
+  channel->output()->bind_typed(ring.get());
+  channel->state()->typed = std::move(ring);
   return channel;
 }
 

@@ -8,9 +8,11 @@
 
 namespace dpn::io {
 
-Pipe::Pipe(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
-  buffer_.resize(capacity_);
-}
+// No storage yet: put_locked allocates on the first write and grows it
+// geometrically, so a pipe that never carries bytes (the idle byte plane
+// under a live typed ring) costs nothing.
+Pipe::Pipe(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 void Pipe::notify_readers_locked() {
   // Wakeup elision: the counters are exact under mutex_, so when nobody is
@@ -196,7 +198,6 @@ void Pipe::abort() {
 void Pipe::grow(std::size_t new_capacity) {
   std::scoped_lock lock{mutex_};
   if (new_capacity <= capacity_) return;
-  ensure_storage_locked(new_capacity);
   capacity_ = new_capacity;
   notify_writers_locked();
 }

@@ -13,8 +13,8 @@
 
 #include "io/memory.hpp"
 #include "io/stream.hpp"
+#include "obs/flight.hpp"
 #include "sched/fiber.hpp"
-#include "support/asym_barrier.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -72,7 +72,7 @@ class TypedRingBase {
   virtual Stats stats() const = 0;
   virtual std::size_t blocked_readers() const = 0;
   virtual std::size_t blocked_writers() const = 0;
-  /// Capacity in slots (values, not bytes).
+  /// Capacity in slots (values, not bytes): the bound a writer parks at.
   virtual std::size_t capacity() const = 0;
   /// Wire bytes one value encodes to; the monitor uses it to compare ring
   /// and pipe capacities in one unit and obs to keep byte totals
@@ -102,6 +102,14 @@ class TypedRingBase {
   /// exception propagates to the shipper.  `sink` must not block: the
   /// callers unbound the pipe first.
   virtual void demote_into(OutputStream& sink) = 0;
+
+  /// Tags flight-recorder block/unblock events with the owning channel's
+  /// id, as Pipe::set_flight_id does.  Set once, before the ring is
+  /// shared.
+  void set_flight_id(std::uint64_t id) { flight_id_ = id; }
+
+ protected:
+  std::uint64_t flight_id_ = 0;
 };
 
 /// The SPSC ring.  Codec provides
@@ -113,15 +121,18 @@ class TypedRingBase {
 /// Concurrency design: one producer, one consumer (Kahn discipline), both
 /// lock-free while the ring is neither empty nor full.  head_/tail_ are
 /// monotonic counters; a slot is counter & mask_.  The rare transitions
-/// (demote/grow/abort/close) must observe a quiescent ring: they set
-/// gate_ and spin until the in_push_/in_pop_ in-flight flags clear --
-/// Dekker-style -- while fast-path entries that see gate_ back off onto
-/// the mutex.  Empty/full parking uses the mutex + cv, or the scheduler's
-/// WaitQueue on an M:N fiber (same protocol as io::Pipe).  Both Dekker
-/// pairs (gate handshake, sleeper wake-up check) are asymmetric: the
-/// per-token side runs with compiler-only ordering and the rare side
-/// (transition, park) issues a process-wide membarrier -- see
-/// support/asym_barrier.hpp for the scheme and its fence fallback.
+/// (demote/grow/abort/close, and storage growth) must observe a quiescent
+/// ring: they set gate_ and spin until the in_push_/in_pop_ in-flight
+/// flags clear -- Dekker-style -- while fast-path entries that see gate_
+/// back off onto the mutex.  Empty/full parking uses the mutex + cv, or
+/// the scheduler's WaitQueue on an M:N fiber (same protocol as
+/// io::Pipe).  Both Dekker pairs (gate handshake, sleeper wake-up check)
+/// are symmetric: each side publishes its flag with a seq_cst exchange
+/// (one locked instruction, cheaper here than store + fence), then loads
+/// the other side's flag seq_cst, so at least one of the two sees the
+/// other.  Storage is allocated on demand: it starts small and doubles,
+/// through a transition, up to the slot bound, so a ring that never
+/// fills never pays for its bound.
 template <typename T, typename Codec>
 class TypedRing final : public TypedRingBase {
   static_assert(std::is_nothrow_move_constructible_v<T>,
@@ -130,11 +141,14 @@ class TypedRing final : public TypedRingBase {
                 "ring transit requires a nothrow move");
 
  public:
+  /// The bound is `slots` rounded up to a power of two, at least
+  /// kMinSlots; that many slots' storage is only allocated once needed.
   explicit TypedRing(std::size_t slots) {
-    std::size_t cap = 16;
-    while (cap < slots) cap *= 2;
-    storage_ = std::allocator<T>{}.allocate(cap);
-    mask_ = cap - 1;
+    std::size_t bound = kMinSlots;
+    while (bound < slots) bound *= 2;
+    bound_ = bound;
+    storage_ = std::allocator<T>{}.allocate(kMinSlots);
+    mask_ = kMinSlots - 1;
   }
 
   TypedRing(const TypedRing&) = delete;
@@ -144,16 +158,16 @@ class TypedRing final : public TypedRingBase {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     const std::uint64_t t = tail_.load(std::memory_order_relaxed);
     for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
-    std::allocator<T>{}.deallocate(storage_, mask_ + 1);
+    release_storage();
   }
 
   /// Blocks while full.  Throws ChannelClosed once the read end closed,
   /// Interrupted on abort.
   PushResult push(T&& value) {
     for (;;) {
-      in_push_.store(true, std::memory_order_relaxed);
-      support::light_barrier();
-      if (gate_.load(std::memory_order_relaxed)) {
+      // Gate handshake, our half (the transition's is in transition()).
+      in_push_.exchange(true, std::memory_order_seq_cst);
+      if (gate_.load(std::memory_order_seq_cst)) {
         in_push_.store(false, std::memory_order_release);
         wait_gate();
         continue;
@@ -166,23 +180,30 @@ class TypedRing final : public TypedRingBase {
       const std::uint64_t t = tail_.load(std::memory_order_relaxed);
       // head_cache_ is a stale lower bound of head_ (it only grows), so a
       // pass on the cached value is always safe; reload only when the
-      // ring looks full.  This keeps the consumer's head_ line out of the
-      // producer's steady-state loop -- the classic SPSC anti-ping-pong.
+      // storage looks full.  This keeps the consumer's head_ line out of
+      // the producer's steady-state loop -- the classic SPSC anti-ping-pong.
       if (t - head_cache_ > mask_) {
         head_cache_ = head_.load(std::memory_order_acquire);
       }
-      if (t - head_cache_ <= mask_) {
+      const std::uint64_t used = t - head_cache_;
+      if (used <= mask_) {
         new (slot(t)) T(std::move(value));
-        tail_.store(t + 1, std::memory_order_release);
+        // Sleeper handshake, our half (park_reader has the other).
+        tail_.exchange(t + 1, std::memory_order_seq_cst);
         in_push_.store(false, std::memory_order_release);
-        support::light_barrier();
-        if (sleeping_readers_.load(std::memory_order_relaxed) != 0) {
+        if (sleeping_readers_.load(std::memory_order_seq_cst) != 0) {
           wake_readers();
         }
         return PushResult::kOk;
       }
+      // Storage is full; below the bound it grows instead of parking.
+      const bool below_bound = used < bound_;
       in_push_.store(false, std::memory_order_release);
-      park_writer();
+      if (below_bound) {
+        expand_storage();
+      } else {
+        park_writer();
+      }
     }
   }
 
@@ -190,9 +211,8 @@ class TypedRing final : public TypedRingBase {
   /// demotion failed mid-encode (the stream has a hole, not an end).
   PopResult pop(T& out) {
     for (;;) {
-      in_pop_.store(true, std::memory_order_relaxed);
-      support::light_barrier();
-      if (gate_.load(std::memory_order_relaxed)) {
+      in_pop_.exchange(true, std::memory_order_seq_cst);
+      if (gate_.load(std::memory_order_seq_cst)) {
         in_pop_.store(false, std::memory_order_release);
         wait_gate();
         continue;
@@ -210,10 +230,9 @@ class TypedRing final : public TypedRingBase {
         T* s = slot(h);
         out = std::move(*s);
         s->~T();
-        head_.store(h + 1, std::memory_order_release);
+        head_.exchange(h + 1, std::memory_order_seq_cst);
         in_pop_.store(false, std::memory_order_release);
-        support::light_barrier();
-        if (sleeping_writers_.load(std::memory_order_relaxed) != 0) {
+        if (sleeping_writers_.load(std::memory_order_seq_cst) != 0) {
           wake_writers();
         }
         return PopResult::kOk;
@@ -240,7 +259,6 @@ class TypedRing final : public TypedRingBase {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     const std::uint64_t t = tail_.load(std::memory_order_relaxed);
     s.size = static_cast<std::size_t>(t - h);
-    s.capacity = mask_ + 1;
     s.pushed = t;
     s.popped = h;
     const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
@@ -248,6 +266,7 @@ class TypedRing final : public TypedRingBase {
     s.write_closed = (flags & kWriteClosed) != 0;
     s.read_closed = (flags & kReadClosed) != 0;
     std::scoped_lock lock{mutex_};
+    s.capacity = bound_;
     s.blocked_readers = blocked_readers_;
     s.blocked_writers = blocked_writers_;
     return s;
@@ -265,28 +284,15 @@ class TypedRing final : public TypedRingBase {
 
   std::size_t capacity() const override {
     std::scoped_lock lock{mutex_};
-    return mask_ + 1;
+    return bound_;
   }
 
   std::size_t value_bytes() const override { return Codec::kWireSize; }
 
+  /// Raises the bound only; storage follows on demand.
   void grow(std::size_t new_slots) override {
     transition([&] {
-      std::size_t cap = mask_ + 1;
-      if (new_slots <= cap) return;
-      while (cap < new_slots) cap *= 2;
-      T* fresh = std::allocator<T>{}.allocate(cap);
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      const std::size_t new_mask = cap - 1;
-      for (std::uint64_t i = h; i != t; ++i) {
-        new (fresh + static_cast<std::size_t>(i & new_mask))
-            T(std::move(*slot(i)));
-        slot(i)->~T();
-      }
-      std::allocator<T>{}.deallocate(storage_, mask_ + 1);
-      storage_ = fresh;
-      mask_ = new_mask;
+      while (bound_ < new_slots) bound_ *= 2;
     });
   }
 
@@ -323,10 +329,12 @@ class TypedRing final : public TypedRingBase {
         for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
         head_.store(t, std::memory_order_release);
         set_flag(kPoisoned);
+        release_storage();
         throw;
       }
       for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
       head_.store(t, std::memory_order_release);
+      release_storage();
       // Publish the bytes while the ring is still gated: once kDemoted is
       // visible the producer may encode new values straight to the byte
       // stream, and those must land *after* the ring's backlog.
@@ -337,13 +345,15 @@ class TypedRing final : public TypedRingBase {
 
   /// The consumer closed its endpoint: discard buffered values (the
   /// reader is gone) and fail the producer's next push with
-  /// ChannelClosed -- cascading termination, same as Pipe::close_read.
+  /// ChannelClosed -- cascading termination, same as Pipe::close_read,
+  /// which likewise releases its storage.
   void close_read() override {
     transition([&] {
       const std::uint64_t h = head_.load(std::memory_order_relaxed);
       const std::uint64_t t = tail_.load(std::memory_order_relaxed);
       for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
       head_.store(t, std::memory_order_release);
+      release_storage();
       set_flag(kReadClosed);
     });
   }
@@ -354,6 +364,8 @@ class TypedRing final : public TypedRingBase {
   }
 
  private:
+  static constexpr std::size_t kMinSlots = 16;
+
   static constexpr std::uint8_t kDemoted = 1;
   static constexpr std::uint8_t kPoisoned = 2;
   static constexpr std::uint8_t kWriteClosed = 4;
@@ -387,6 +399,43 @@ class TypedRing final : public TypedRingBase {
     return std::nullopt;
   }
 
+  /// The producer found the storage full below the bound: double it,
+  /// relinking the live values in FIFO order.  The consumer may have
+  /// drained meanwhile, in which case nothing happens and the push simply
+  /// retries.
+  void expand_storage() {
+    transition([&] {
+      const std::uint64_t h = head_.load(std::memory_order_relaxed);
+      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+      const std::size_t slots = mask_ + 1;
+      if (t - h < slots || slots >= bound_ ||
+          flags_.load(std::memory_order_relaxed) != 0) {
+        return;
+      }
+      const std::size_t fresh_slots = slots * 2;  // both powers of two
+      T* fresh = std::allocator<T>{}.allocate(fresh_slots);
+      const std::size_t fresh_mask = fresh_slots - 1;
+      for (std::uint64_t i = h; i != t; ++i) {
+        new (fresh + static_cast<std::size_t>(i & fresh_mask))
+            T(std::move(*slot(i)));
+        slot(i)->~T();
+      }
+      std::allocator<T>{}.deallocate(storage_, slots);
+      storage_ = fresh;
+      mask_ = fresh_mask;
+    });
+  }
+
+  /// Frees the slots of a ring that can never carry a value again (read
+  /// end closed, or demoted).  Callers hold the ring quiescent and have
+  /// destroyed every live value; slot() must not be called afterwards.
+  void release_storage() {
+    if (storage_ == nullptr) return;
+    std::allocator<T>{}.deallocate(storage_, mask_ + 1);
+    storage_ = nullptr;
+    mask_ = 0;
+  }
+
   /// A fast-path entry saw gate_: a transition is in progress.  Block on
   /// the mutex until it finishes (the transition holds it throughout).
   void wait_gate() {
@@ -400,14 +449,13 @@ class TypedRing final : public TypedRingBase {
   template <typename F>
   void transition(F&& f) {
     std::unique_lock lock{mutex_};
-    gate_.store(true, std::memory_order_relaxed);
-    // Heavy half of the gate handshake: after this barrier every thread
-    // has either retired its in_push_/in_pop_ store (we will see it
-    // below) or will see gate_ and back off.  The acquire loads in the
-    // spin also pull in the slot writes of any push we waited out.
-    support::heavy_barrier();
-    while (in_push_.load(std::memory_order_acquire) ||
-           in_pop_.load(std::memory_order_acquire)) {
+    // Our half of the gate handshake: either an entering push/pop sees
+    // gate_ and backs off, or we see its in-flight flag and wait it out.
+    // The acquire half of these loads also pulls in the slot writes of
+    // any push we waited out.
+    gate_.exchange(true, std::memory_order_seq_cst);
+    while (in_push_.load(std::memory_order_seq_cst) ||
+           in_pop_.load(std::memory_order_seq_cst)) {
       std::this_thread::yield();
     }
     try {
@@ -427,40 +475,46 @@ class TypedRing final : public TypedRingBase {
     writable_.notify_all();
   }
 
+  /// Park predicates; callers hold mutex_, which every transition holds
+  /// too, so only head_/tail_ can move underneath them.
+  bool reader_must_wait() const {
+    return head_.load(std::memory_order_seq_cst) ==
+               tail_.load(std::memory_order_seq_cst) &&
+           flags_.load(std::memory_order_relaxed) == 0 &&
+           !gate_.load(std::memory_order_relaxed);
+  }
+
+  bool writer_must_wait() const {
+    return tail_.load(std::memory_order_seq_cst) -
+                   head_.load(std::memory_order_seq_cst) >=
+               bound_ &&
+           flags_.load(std::memory_order_relaxed) == 0 &&
+           !gate_.load(std::memory_order_relaxed);
+  }
+
   void park_reader() {
     std::unique_lock lock{mutex_};
     // Re-check under the lock: a push, close or transition may have
     // slipped in between the fast-path probe and this acquire.
-    if (head_.load(std::memory_order_relaxed) !=
-            tail_.load(std::memory_order_relaxed) ||
-        flags_.load(std::memory_order_relaxed) != 0 ||
-        gate_.load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (!reader_must_wait()) return;
     ++blocked_readers_;
-    sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                            std::memory_order_relaxed);
-    support::heavy_barrier();
-    if (head_.load(std::memory_order_relaxed) !=
-        tail_.load(std::memory_order_relaxed)) {
-      // The producer published between our registration and the fence;
-      // its wake check may have missed us.
-      --blocked_readers_;
-      sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                              std::memory_order_relaxed);
-      return;
+    // Our half of the sleeper handshake (push's is its tail_ exchange).
+    sleeping_readers_.exchange(static_cast<std::uint32_t>(blocked_readers_),
+                               std::memory_order_seq_cst);
+    if (reader_must_wait()) {
+      // Slow path only: a non-blocking pop records nothing.
+      obs::flight_record(obs::FlightKind::kChanBlockRead, flight_id_, 0);
+      if (sched::on_fiber()) {
+        sched::suspend_current(reader_fibers_, lock);
+        lock.lock();
+      } else {
+        readable_.wait(lock, [&] { return !reader_must_wait(); });
+      }
+      obs::flight_record(obs::FlightKind::kChanUnblockRead, flight_id_,
+                         buffered_bytes());
     }
-    if (sched::on_fiber()) {
-      sched::suspend_current(reader_fibers_, lock);
-      lock.lock();
-    } else {
-      readable_.wait(lock, [&] {
-        return head_.load(std::memory_order_relaxed) !=
-                   tail_.load(std::memory_order_relaxed) ||
-               flags_.load(std::memory_order_relaxed) != 0 ||
-               gate_.load(std::memory_order_relaxed);
-      });
-    }
+    // else: the producer published between our probe and our
+    // registration; its wake check may have missed us, so do not sleep.
     --blocked_readers_;
     sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
                             std::memory_order_relaxed);
@@ -468,40 +522,32 @@ class TypedRing final : public TypedRingBase {
 
   void park_writer() {
     std::unique_lock lock{mutex_};
-    if (tail_.load(std::memory_order_relaxed) -
-                head_.load(std::memory_order_relaxed) <=
-            mask_ ||
-        flags_.load(std::memory_order_relaxed) != 0 ||
-        gate_.load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (!writer_must_wait()) return;
     ++blocked_writers_;
-    sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                            std::memory_order_relaxed);
-    support::heavy_barrier();
-    if (tail_.load(std::memory_order_relaxed) -
-            head_.load(std::memory_order_relaxed) <=
-        mask_) {
-      --blocked_writers_;
-      sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                              std::memory_order_relaxed);
-      return;
-    }
-    if (sched::on_fiber()) {
-      sched::suspend_current(writer_fibers_, lock);
-      lock.lock();
-    } else {
-      writable_.wait(lock, [&] {
-        return tail_.load(std::memory_order_relaxed) -
-                       head_.load(std::memory_order_relaxed) <=
-                   mask_ ||
-               flags_.load(std::memory_order_relaxed) != 0 ||
-               gate_.load(std::memory_order_relaxed);
-      });
+    sleeping_writers_.exchange(static_cast<std::uint32_t>(blocked_writers_),
+                               std::memory_order_seq_cst);
+    if (writer_must_wait()) {
+      obs::flight_record(obs::FlightKind::kChanBlockWrite, flight_id_,
+                         buffered_bytes());
+      if (sched::on_fiber()) {
+        sched::suspend_current(writer_fibers_, lock);
+        lock.lock();
+      } else {
+        writable_.wait(lock, [&] { return !writer_must_wait(); });
+      }
+      obs::flight_record(obs::FlightKind::kChanUnblockWrite, flight_id_,
+                         buffered_bytes());
     }
     --blocked_writers_;
     sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
                             std::memory_order_relaxed);
+  }
+
+  /// Occupancy in wire bytes, the unit the pipe's flight events use.
+  std::uint64_t buffered_bytes() const {
+    return (tail_.load(std::memory_order_relaxed) -
+            head_.load(std::memory_order_relaxed)) *
+           Codec::kWireSize;
   }
 
   void wake_readers() {
@@ -529,23 +575,26 @@ class TypedRing final : public TypedRingBase {
     }
   }
 
+  // Storage and bound: written only inside transitions (quiescent ring),
+  // so both sides read them plainly inside their in-flight window.
   T* storage_ = nullptr;
-  std::size_t mask_ = 0;
+  std::size_t mask_ = 0;   // allocated slots - 1
+  std::size_t bound_ = 0;  // slots a writer may fill before it parks
 
-  // Hot indices on their own cache lines: the producer writes tail_, the
-  // consumer writes head_, and each polls the other's with acquire --
-  // through a same-side cached lower bound, so the steady-state loop
-  // touches the other side's line only at the empty/full boundary.
+  // One line per side: the consumer writes head_, tail_cache_ and in_pop_;
+  // the producer writes tail_, head_cache_ and in_push_.  Each polls the
+  // other's index with acquire -- through its cached lower bound, so the
+  // steady-state loop touches the other side's line only at the
+  // empty/full boundary.
   alignas(64) std::atomic<std::uint64_t> head_{0};
-  std::uint64_t tail_cache_ = 0;  // consumer-owned
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t head_cache_ = 0;  // producer-owned
-  // In-flight flags for the transition gate (see class comment).  Each is
-  // written by exactly one side; sharing a line with that side's index
-  // keeps the fast path to two hot lines.
-  alignas(64) std::atomic<bool> in_push_{false};
+  std::uint64_t tail_cache_ = 0;
   std::atomic<bool> in_pop_{false};
-  std::atomic<bool> gate_{false};
+  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  std::uint64_t head_cache_ = 0;
+  std::atomic<bool> in_push_{false};
+  // Read on every operation by both sides, written only by transitions
+  // and parking.
+  alignas(64) std::atomic<bool> gate_{false};
   std::atomic<std::uint8_t> flags_{0};
   std::atomic<std::uint32_t> sleeping_readers_{0};
   std::atomic<std::uint32_t> sleeping_writers_{0};

@@ -1,6 +1,5 @@
 #include "processes/sieve.hpp"
 
-#include "io/data.hpp"
 #include "sched/scheduler.hpp"
 #include "support/log.hpp"
 
@@ -27,6 +26,15 @@ void spawn_inserted(std::shared_ptr<core::Process> process, const char* what,
   threads.emplace_back(std::move(body));
 }
 
+/// Reads the next value, or throws EndOfStream -- the byte path's
+/// DataInputStream::read_i64 contract, which the termination cascade
+/// relies on.
+std::int64_t next_value(I64Reader& in) {
+  const std::optional<std::int64_t> value = in.get();
+  if (!value) throw EndOfStream{"sieve input ended"};
+  return *value;
+}
+
 }  // namespace
 
 Modulo::Modulo(std::shared_ptr<ChannelInputStream> in,
@@ -38,11 +46,14 @@ Modulo::Modulo(std::shared_ptr<ChannelInputStream> in,
   track_output(std::move(out));
 }
 
+void Modulo::on_start() {
+  in_.emplace(input(0));
+  out_.emplace(output(0));
+}
+
 void Modulo::step() {
-  io::DataInputStream in{input(0)};
-  io::DataOutputStream out{output(0)};
-  const std::int64_t value = in.read_i64();
-  if (value % divisor_ != 0) out.write_i64(value);
+  const std::int64_t value = next_value(*in_);
+  if (value % divisor_ != 0) out_->put(value);
 }
 
 void Modulo::write_fields(serial::ObjectOutputStream& out) const {
@@ -70,20 +81,24 @@ Sift::~Sift() {
   // cascade (Section 3.4) has stopped every inserted Modulo.
 }
 
+void Sift::on_start() {
+  in_.emplace(input(0));
+  out_.emplace(output(0));
+}
+
 void Sift::step() {
-  io::DataInputStream in{input(0)};
-  io::DataOutputStream out{output(0)};
-  const std::int64_t prime = in.read_i64();
-  out.write_i64(prime);
+  const std::int64_t prime = next_value(*in_);
+  out_->put(prime);
 
   // Insert a Modulo between our upstream and ourselves (Figure 8).  The
   // Modulo takes over our current input channel mid-stream; we adopt a
   // fresh channel that it feeds.
-  auto channel = std::make_shared<core::Channel>(channel_capacity_);
+  auto channel = core::make_typed_channel<std::int64_t>(
+      {.capacity = channel_capacity_});
   auto upstream = release_input(0);
   auto filter =
       std::make_shared<Modulo>(std::move(upstream), channel->output(), prime);
-  track_input(channel->input());
+  in_.emplace(track_input(channel->input()));
 
   std::scoped_lock lock{spawn_mutex_};
   children_.push_back(filter);
@@ -124,22 +139,26 @@ RecursiveSift::RecursiveSift(std::shared_ptr<ChannelInputStream> in,
 }
 
 void RecursiveSift::step() {
-  io::DataInputStream in{input(0)};
-  io::DataOutputStream out{output(0)};
-  const std::int64_t prime = in.read_i64();
-  out.write_i64(prime);
+  // One step per instance: the process replaces itself after its first
+  // prime, so its typed endpoints are built here, once.
+  I64Reader in{input(0)};
+  const std::int64_t prime = next_value(in);
+  I64Writer{output(0)}.put(prime);
 
   // Replace ourselves (Figure 7): a Modulo filter takes over our input, a
   // fresh RecursiveSift takes over our output, and we step aside.  The
   // handed-off endpoints are released from tracking so our stop does not
   // close them; data flows through the successors without interruption.
-  auto filtered = std::make_shared<core::Channel>(channel_capacity_);
+  auto filtered = core::make_typed_channel<std::int64_t>(
+      {.capacity = channel_capacity_});
   auto upstream = release_input(0);
   auto downstream = release_output(0);
   auto filter = std::make_shared<Modulo>(std::move(upstream),
                                          filtered->output(), prime);
   auto successor = std::make_shared<RecursiveSift>(
       filtered->input(), std::move(downstream), channel_capacity_);
+  successor->filters_ = filters_;
+  filters_->fetch_add(1);
   successors_.push_back(filter);
   successors_.push_back(successor);
   spawn_inserted(std::move(filter), "Modulo filter", threads_);

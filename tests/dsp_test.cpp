@@ -199,20 +199,27 @@ std::vector<double> run_beam_bank(double true_bearing,
     network.add(std::make_shared<SpectralPower>(summed->input(),
                                                 power->output(), kFrame,
                                                 kBin));
+    // Each sink reads to end-of-stream.  A sink that stopped after
+    // kFrames would close its input early, and Duplicate would then cut
+    // every sibling beam short at a schedule-dependent point.
     auto sink = std::make_shared<CollectSink<double>>();
-    network.add(std::make_shared<CollectF64>(power->input(), sink, kFrames));
+    network.add(std::make_shared<CollectF64>(power->input(), sink));
     sinks.push_back(sink);
   }
   network.run();
 
+  // Average each beam's first kFrames powers: a fixed prefix of a
+  // determinate history.
+  constexpr auto kAveraged = static_cast<std::size_t>(kFrames);
   std::vector<double> averages;
   for (const auto& sink : sinks) {
     const auto values = sink->values();
+    EXPECT_GE(values.size(), kAveraged);
     double total = 0.0;
-    for (const double v : values) total += v;
-    averages.push_back(values.empty() ? 0.0
-                                      : total /
-                                            static_cast<double>(values.size()));
+    for (std::size_t i = 0; i < values.size() && i < kAveraged; ++i) {
+      total += values[i];
+    }
+    averages.push_back(total / static_cast<double>(kAveraged));
   }
   return averages;
 }

@@ -17,6 +17,7 @@
 #include "core/channel.hpp"
 #include "core/network.hpp"
 #include "core/process.hpp"
+#include "core/typed.hpp"
 #include "dist/node.hpp"
 #include "fault/fault.hpp"
 #include "io/data.hpp"
@@ -207,6 +208,32 @@ TEST(FlightWaitFor, QuietWindowSaysSo) {
   const std::string out = obs::flight_wait_for({});
   EXPECT_NE(out.find("no blocked processes in the recorded window"),
             std::string::npos);
+}
+
+TEST(FlightWaitFor, ConsumerParkedOnTypedChannelIsNamed) {
+  // A wait on a live typed ring leaves the same block event a pipe wait
+  // does, tagged with the channel's id, so the post-mortem names it.
+  obs::flight_reset();
+  auto ch = core::make_typed_channel<std::int64_t>(
+      {.capacity = 64, .label = "ring"});
+  std::jthread consumer{[&] {
+    obs::flight_set_actor("typed-sink");
+    core::TypedReader<std::int64_t> reader{ch->input()};
+    while (reader.get().has_value()) {
+    }
+  }};
+  // blocked_readers() takes the ring mutex, which the consumer releases
+  // only once parked -- after recording the block event.
+  while (ch->state()->typed->blocked_readers() == 0) {
+    std::this_thread::yield();
+  }
+  const std::string report =
+      obs::flight_report(obs::flight_export().events, "typed wait");
+  EXPECT_NE(report.find("typed-sink blocked reading ch" +
+                        std::to_string(ch->state()->id) + " 'ring'"),
+            std::string::npos)
+      << report;
+  ch->output()->close();
 }
 
 // --- End-to-end: deadlock dump on disk --------------------------------------

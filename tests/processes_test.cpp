@@ -13,7 +13,6 @@
 #include "processes/copy.hpp"
 #include "processes/merge.hpp"
 #include "processes/router.hpp"
-#include "processes/sieve.hpp"
 
 namespace dpn::processes {
 namespace {
@@ -32,22 +31,6 @@ std::vector<std::int64_t> first_fibonacci(std::size_t n) {
     b = next;
   }
   return fib;
-}
-
-std::vector<std::int64_t> primes_below(std::int64_t limit) {
-  std::vector<std::int64_t> primes;
-  for (std::int64_t candidate = 2; candidate < limit; ++candidate) {
-    bool prime = true;
-    for (std::int64_t p : primes) {
-      if (p * p > candidate) break;
-      if (candidate % p == 0) {
-        prime = false;
-        break;
-      }
-    }
-    if (prime) primes.push_back(candidate);
-  }
-  return primes;
 }
 
 /// Builds the Figure 2/6 Fibonacci graph, collecting `count` numbers.
@@ -192,73 +175,6 @@ TEST(Cons, DisabledSelfRemovalStillCorrect) {
   network.run();
   EXPECT_FALSE(cons->spliced_out());
   EXPECT_EQ(sink->size(), 11u);
-}
-
-// --- Sieve of Eratosthenes (Figures 7/8) -------------------------------------
-
-TEST(Sieve, AllPrimesBelowLimit) {
-  // Termination mode 2 (Section 3.4): the Sequence stops at 100; the
-  // sieve drains and every process terminates with all data consumed.
-  Network network;
-  auto numbers = network.make_channel({.capacity = 64, .label = "numbers"});
-  auto primes = network.make_channel({.capacity = 64, .label = "primes"});
-  auto sink = std::make_shared<CollectSink<std::int64_t>>();
-  auto sift = std::make_shared<Sift>(numbers->input(), primes->output());
-  network.add(std::make_shared<Sequence>(2, numbers->output(), 99));  // 2..100
-  network.add(sift);
-  network.add(std::make_shared<Collect>(primes->input(), sink));
-  network.run();
-  EXPECT_EQ(sink->values(), primes_below(101));
-  EXPECT_EQ(sift->filters_inserted(), primes_below(101).size());
-}
-
-TEST(Sieve, FirstHundredPrimes) {
-  // Termination mode 1: the consumer imposes the limit; the unbounded
-  // Sequence upstream is killed by the close cascade.
-  Network network;
-  auto numbers = network.make_channel({.capacity = 256, .label = "numbers"});
-  auto primes = network.make_channel({.capacity = 256, .label = "primes"});
-  auto sink = std::make_shared<CollectSink<std::int64_t>>();
-  network.add(std::make_shared<Sequence>(2, numbers->output()));  // unbounded
-  network.add(std::make_shared<Sift>(numbers->input(), primes->output()));
-  network.add(std::make_shared<Collect>(primes->input(), sink, 100));
-  network.run();
-  const auto expected = primes_below(542);  // first 100 primes end at 541
-  ASSERT_EQ(sink->size(), 100u);
-  EXPECT_EQ(sink->values(),
-            std::vector<std::int64_t>(expected.begin(), expected.begin() + 100));
-}
-
-TEST(Sieve, RecursiveDefinitionMatchesIterative) {
-  // Figure 7's recursive Sift: each prime spawns a Modulo and a fresh
-  // Sift, and the old one steps aside.  Same primes, same order.
-  Network network;
-  auto numbers = network.make_channel({.capacity = 256, .label = "numbers"});
-  auto primes = network.make_channel({.capacity = 256, .label = "primes"});
-  auto sink = std::make_shared<CollectSink<std::int64_t>>();
-  network.add(std::make_shared<Sequence>(2, numbers->output(), 199));
-  network.add(
-      std::make_shared<RecursiveSift>(numbers->input(), primes->output()));
-  network.add(std::make_shared<Collect>(primes->input(), sink));
-  network.run();
-  EXPECT_EQ(sink->values(), primes_below(201));
-}
-
-TEST(Sieve, RecursiveWithConsumerLimit) {
-  // Termination mode 1 through a chain of self-replaced processes.
-  Network network;
-  auto numbers = network.make_channel({.capacity = 256});
-  auto primes = network.make_channel({.capacity = 256});
-  auto sink = std::make_shared<CollectSink<std::int64_t>>();
-  network.add(std::make_shared<Sequence>(2, numbers->output()));  // unbounded
-  network.add(
-      std::make_shared<RecursiveSift>(numbers->input(), primes->output()));
-  network.add(std::make_shared<Collect>(primes->input(), sink, 40));
-  network.run();
-  const auto expected = primes_below(174);  // first 40 primes end at 173
-  ASSERT_EQ(sink->size(), 40u);
-  EXPECT_EQ(sink->values(), std::vector<std::int64_t>(expected.begin(),
-                                                      expected.begin() + 40));
 }
 
 // --- Newton's method (Figure 11) ----------------------------------------------

@@ -172,6 +172,51 @@ TEST(Typed, GrowUnblocksParkedWriter) {
   }
 }
 
+TEST(Typed, StorageGrowsOnDemandKeepingFifoAcrossWrap) {
+  // Bound 256 slots, storage starting at 16: offset head_ first so the
+  // backlog straddles the storage wrap point when each doubling relinks
+  // it, then push well past the first block without a consumer (no
+  // parking below the bound).
+  io::TypedRing<std::int64_t, Codec<std::int64_t>> ring{256};
+  std::int64_t next_in = 0;
+  std::int64_t next_out = 0;
+  std::int64_t value = 0;
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_EQ(ring.push(std::int64_t{next_in++}),
+              io::TypedRingBase::PushResult::kOk);
+  }
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_EQ(ring.pop(value), io::TypedRingBase::PopResult::kOk);
+    EXPECT_EQ(value, next_out++);
+  }
+  for (int i = 0; i < 250; ++i) {
+    ASSERT_EQ(ring.push(std::int64_t{next_in++}),
+              io::TypedRingBase::PushResult::kOk);
+  }
+  EXPECT_EQ(ring.capacity(), 256u);
+  EXPECT_EQ(ring.stats().size, 250u);
+  while (next_out < next_in) {
+    ASSERT_EQ(ring.pop(value), io::TypedRingBase::PopResult::kOk);
+    EXPECT_EQ(value, next_out++);
+  }
+}
+
+TEST(Typed, ByteAccessToLiveRingFailsInsteadOfHanging) {
+  // With the ring live the pipe carries nothing: a byte reader would wait
+  // forever and a byte writer's tokens would never reach a typed reader.
+  auto ch = make_typed_channel<std::int64_t>({.capacity = 256});
+  io::DataInputStream in{ch->input()};
+  io::DataOutputStream out{ch->output()};
+  EXPECT_THROW((void)in.read_i64(), UsageError);
+  EXPECT_THROW(out.write_i64(1), UsageError);
+
+  // Once demoted, the byte plane is the channel: both directions work.
+  io::LocalOutputStream sink{ch->pipe()};
+  ch->state()->typed->demote_into(sink);
+  out.write_i64(7);
+  EXPECT_EQ(in.read_i64(), 7);
+}
+
 // --- demotion --------------------------------------------------------------
 
 TEST(Typed, DemotionFlushesBacklogThenBothSidesFallBack) {
