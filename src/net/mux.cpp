@@ -44,6 +44,9 @@ constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 24;
 /// the timer wheel kills it -- half-open connections die by deadline,
 /// never hang (the PR 3 rule, enforced by the acceptor's EventLoop timer).
 constexpr std::chrono::milliseconds kHandshakeTimeout{10000};
+/// One flush gathers queued frames into a batch of about this many bytes
+/// and hands the whole batch to the socket in one write.
+constexpr std::size_t kFlushBatchBytes = 64 * 1024;
 
 enum class MuxFrame : std::uint8_t {
   kOpen = 0,
@@ -78,8 +81,8 @@ ByteVector encode_preface(std::uint32_t default_window) {
 
 // ---------------------------------------------------------------------------
 // Process-wide counters (read by mux_stats()/NetworkSnapshot).  Multi-writer
-// cold paths, so plain fetch_add -- the single-writer bump() idiom does not
-// apply here.
+// paths, so plain fetch_add -- the single-writer bump() idiom does not
+// apply here; the loop threads bump the flush counters once per batch.
 
 struct MuxCounters {
   std::atomic<std::uint64_t> connections{0};
@@ -87,6 +90,9 @@ struct MuxCounters {
   std::atomic<std::uint64_t> streams_total{0};
   std::atomic<std::uint64_t> credit_stalls{0};
   std::atomic<std::uint64_t> credit_stall_ns{0};
+  std::atomic<std::uint64_t> frames_sent{0};
+  std::atomic<std::uint64_t> credit_frames_sent{0};
+  std::atomic<std::uint64_t> socket_writes{0};
 };
 
 MuxCounters& counters() {
@@ -259,6 +265,7 @@ class MuxConnection final : public EventLoop::Handler,
   void register_with_loop();
   void request_flush();
   void flush();            // loop thread
+  void fill_batch();       // loop thread: refills out_buf_ from the queues
   void handle_readable();  // loop thread
   void parse_frames();     // loop thread
   void dispatch_frame(std::uint32_t stream_id, MuxFrame type, ByteSpan payload);
@@ -294,9 +301,6 @@ class MuxConnection final : public EventLoop::Handler,
   ByteVector out_buf_;
   std::size_t out_pos_ = 0;
   bool can_write_ = true;
-  /// Re-entrancy guard: mark_ready() during a flush posts an inline
-  /// flush on the loop thread; the outer loop already covers it.
-  bool in_flush_ = false;
   ByteVector in_buf_;
   bool preface_done_ = false;
   EventLoop::TimerId handshake_timer_ = 0;
@@ -465,13 +469,13 @@ std::size_t MuxStream::read_some(MutableByteSpan out) {
   if (front.pos == front.bytes.size()) inbound_.pop_front();
   inbound_bytes_ -= n;
   unacked_ += n;
-  // Grant credit at consumption: at half the window (amortized) and
-  // whenever the inbound buffer empties (liveness at window=1 -- the
-  // sender must never starve waiting for a grant we are sitting on).
+  // Grant credit at consumption, once half the window is consumed.  This
+  // is live at any window, 1 byte included: a blocked sender has the
+  // whole window outstanding, so once we have consumed it unacked_ equals
+  // the window and crosses the threshold.
   std::size_t grant = 0;
-  if (!dead_ && !remote_fin_ && unacked_ > 0 &&
-      (unacked_ >= std::max<std::size_t>(1, recv_window_ / 2) ||
-       inbound_bytes_ == 0)) {
+  if (!dead_ && !remote_fin_ &&
+      unacked_ >= std::max<std::size_t>(1, recv_window_ / 2)) {
     grant = unacked_;
     unacked_ = 0;
   }
@@ -572,14 +576,20 @@ bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
   // runs under mutex_, so either this fiber is already parked when it
   // fires (the kick wakes it) or the fiber's next deadline check is
   // ordered after the kick and observes the expiry -- no lost wakeup.
+  std::unique_lock lock{mutex_};
+  // Data already queued, or a zero-timeout probe: answer without arming
+  // a timer that would later wake this stream's readers for nothing.
+  if (ready()) return true;
+  if (timeout.count() <= 0) return false;
+  lock.unlock();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   conn_->loop().post([self = shared_from_this(), timeout] {
     self->conn_->loop().add_timer(timeout, [self] {
-      std::scoped_lock lock{self->mutex_};
+      std::scoped_lock guard{self->mutex_};
       self->wake_readers_locked();
     });
   });
-  std::unique_lock lock{mutex_};
+  lock.lock();
   for (;;) {
     if (ready()) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -829,6 +839,9 @@ void MuxConnection::request_flush() {
 }
 
 void MuxConnection::on_io(std::uint32_t events) {
+  // die() drops the transport's references; without this one, a
+  // connection no stream holds any more would be freed under our feet.
+  const auto self = shared_from_this();
   if (dead()) return;
   if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0) {
     handle_readable();
@@ -841,12 +854,7 @@ void MuxConnection::on_io(std::uint32_t events) {
 }
 
 void MuxConnection::flush() {
-  if (dead() || in_flush_) return;
-  in_flush_ = true;
-  struct Reset {
-    bool& flag;
-    ~Reset() { flag = false; }
-  } reset{in_flush_};
+  if (dead()) return;
   for (;;) {
     if (out_pos_ < out_buf_.size()) {
       if (!can_write_) return;  // awaiting the next EPOLLOUT edge
@@ -862,34 +870,52 @@ void MuxConnection::flush() {
         can_write_ = false;
         return;
       }
+      counters().socket_writes.fetch_add(1, std::memory_order_relaxed);
       out_pos_ += *n;
       continue;
     }
     out_buf_.clear();
     out_pos_ = 0;
-    // Refill: control frames first (credits/RSTs are tiny and latency
-    // sensitive), then one chunk from the next ready stream -- the
-    // round-robin quantum that keeps the shared connection fair.
+    fill_batch();
+    if (out_buf_.empty()) return;  // nothing left to send
+  }
+}
+
+void MuxConnection::fill_batch() {
+  // Every turn first takes all queued control frames -- credits and RSTs
+  // are tiny and latency sensitive, and a stream's OPEN must precede its
+  // first DATA -- then one chunk from the next ready stream: the
+  // round-robin quantum that keeps the shared connection fair.
+  std::uint64_t frames = 0;
+  std::uint64_t credit_frames = 0;
+  std::shared_ptr<MuxStream> requeue;
+  for (;;) {
     std::shared_ptr<MuxStream> stream;
     {
       std::scoped_lock lock{send_mutex_};
-      if (!control_.empty()) {
-        out_buf_ = std::move(control_.front());
-        control_.pop_front();
-        continue;
+      if (requeue && ready_ids_.insert(requeue->id()).second) {
+        ready_.push_back(std::move(requeue));  // behind its siblings
       }
-      if (!ready_.empty()) {
-        stream = std::move(ready_.front());
-        ready_.pop_front();
-        ready_ids_.erase(stream->id());
+      requeue.reset();
+      for (const ByteVector& frame : control_) {
+        if (static_cast<MuxFrame>(frame[4]) == MuxFrame::kCredit) {
+          ++credit_frames;
+        }
+        out_buf_.insert(out_buf_.end(), frame.begin(), frame.end());
       }
+      frames += control_.size();
+      control_.clear();
+      if (ready_.empty() || out_buf_.size() >= kFlushBatchBytes) break;
+      stream = std::move(ready_.front());
+      ready_.pop_front();
+      ready_ids_.erase(stream->id());
     }
-    if (!stream) return;  // nothing left to send
     MuxStream::Chunk chunk;
     bool more = false;
     const bool got = stream->take_chunk(chunk, more);
-    if (more) mark_ready(stream);
+    if (more) requeue = stream;
     if (!got) continue;
+    ++frames;
     if (chunk.fin) {
       append_header(out_buf_, stream->id(), MuxFrame::kFin, 0);
     } else if (chunk.traced) {
@@ -906,6 +932,13 @@ void MuxConnection::flush() {
                     static_cast<std::uint32_t>(chunk.bytes.size()));
       out_buf_.insert(out_buf_.end(), chunk.bytes.begin(), chunk.bytes.end());
     }
+  }
+  if (frames > 0) {
+    counters().frames_sent.fetch_add(frames, std::memory_order_relaxed);
+  }
+  if (credit_frames > 0) {
+    counters().credit_frames_sent.fetch_add(credit_frames,
+                                            std::memory_order_relaxed);
   }
 }
 
@@ -1274,6 +1307,11 @@ MuxStats mux_stats() {
       counters().credit_stalls.load(std::memory_order_relaxed);
   stats.credit_stall_ns =
       counters().credit_stall_ns.load(std::memory_order_relaxed);
+  stats.frames_sent = counters().frames_sent.load(std::memory_order_relaxed);
+  stats.credit_frames_sent =
+      counters().credit_frames_sent.load(std::memory_order_relaxed);
+  stats.socket_writes =
+      counters().socket_writes.load(std::memory_order_relaxed);
   return stats;
 }
 

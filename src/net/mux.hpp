@@ -38,12 +38,15 @@
 /// dialing between a host pair can never collide.  The dialer's initial
 /// send window comes from the acceptor's preface default_window; the
 /// acceptor's from the OPEN frame (DialOptions::stream_window).  Credit
-/// is granted by the consuming side as it reads, mirroring the channel
-/// layer's remote-credit machinery one level down.
+/// is granted by the consuming side as it reads, once half the window
+/// has been consumed: a blocked sender has the whole window outstanding,
+/// so the reader always reaches the threshold, even at a 1-byte window.
 ///
-/// Fairness: each connection flushes its ready streams round-robin, one
-/// chunk (<= NetworkOptions::coalesce_bytes) per turn, so one hot stream
-/// cannot starve its siblings on the shared connection.
+/// Fairness and batching: only the connection's loop thread writes the
+/// socket.  A flush gathers every queued control frame, then one chunk
+/// (<= NetworkOptions::coalesce_bytes) per ready stream per round-robin
+/// turn, up to about 64 KiB, and sends the batch with one write.  One
+/// hot stream cannot starve its siblings on the shared connection.
 namespace dpn::net {
 
 /// Aggregate counters of the mux backend (all zero when it is unused).
@@ -59,6 +62,13 @@ struct MuxStats {
   std::uint64_t credit_stalls = 0;
   /// Total nanoseconds spent in those stalls.
   std::uint64_t credit_stall_ns = 0;
+  /// Frames of every type put on the wire (not in NetworkSnapshot).
+  std::uint64_t frames_sent = 0;
+  /// Of those, CREDIT frames.
+  std::uint64_t credit_frames_sent = 0;
+  /// Socket writes the loop threads made to send them; one flush batches
+  /// many frames into one write.
+  std::uint64_t socket_writes = 0;
 };
 
 MuxStats mux_stats();

@@ -1,0 +1,403 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <future>
+#include <latch>
+#include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
+
+#include "net/mux.hpp"
+#include "net/reactor.hpp"
+#include "net/socket.hpp"
+#include "net/transport.hpp"
+#include "sched/scheduler.hpp"
+#include "support/bytes.hpp"
+
+// The mux transport's flow control and flush batching, driven through
+// the Transport API (mux against mux) and against a hand-rolled peer
+// that reads the wire format of docs/PROTOCOLS.md Section 8 directly.
+namespace dpn::net {
+namespace {
+
+Transport& mux() { return transport_for(TransportKind::kMux); }
+
+/// Reads exactly out.size() bytes from a Stream or a raw Socket.
+template <class Source>
+void read_exact(Source& source, MutableByteSpan out) {
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const std::size_t n = source.read_some(out.subspan(got));
+    ASSERT_GT(n, 0u) << "early end of stream";
+    got += n;
+  }
+}
+
+/// Holds every reactor() loop inside a posted closure until destroyed:
+/// frames queued meanwhile can only leave in the flushes that follow.
+class LoopHold {
+ public:
+  LoopHold() : state_(std::make_shared<State>(reactor().size())) {
+    for (std::size_t i = 0; i < reactor().size(); ++i) {
+      reactor().at(i).post([state = state_] {
+        state->entered.count_down();
+        state->release.wait();
+      });
+    }
+    state_->entered.wait();
+  }
+  ~LoopHold() { state_->release.count_down(); }
+
+  LoopHold(const LoopHold&) = delete;
+  LoopHold& operator=(const LoopHold&) = delete;
+
+ private:
+  struct State {
+    explicit State(std::size_t loops)
+        : entered(static_cast<std::ptrdiff_t>(loops)) {}
+    std::latch entered;
+    std::latch release{1};
+  };
+  std::shared_ptr<State> state_;
+};
+
+std::size_t armed_timers_in_pool() {
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i < reactor().size(); ++i) {
+    sum += reactor().at(i).armed_timers();
+  }
+  return sum;
+}
+
+// Frame types of the mux wire format.
+constexpr std::uint8_t kOpen = 0;
+constexpr std::uint8_t kData = 1;
+constexpr std::uint8_t kCredit = 3;
+constexpr std::uint8_t kFin = 4;
+
+/// A mux acceptor written against the wire format: it answers a real
+/// dialer's preface, grants it `window` bytes per stream, and hands the
+/// dialer's frames back in wire order.
+class RawPeer {
+ public:
+  struct Frame {
+    std::uint32_t stream = 0;
+    std::uint8_t type = 0;
+    ByteVector payload;
+  };
+
+  explicit RawPeer(std::uint32_t window)
+      : server_(0),
+        accepted_(std::async(std::launch::async, [this, window] {
+          Socket socket = server_.accept();
+          std::uint8_t preface[9];
+          read_exact(socket, {preface, sizeof preface});
+          put_u32(preface + 5, window);  // same magic and version back
+          socket.write_all({preface, sizeof preface});
+          return socket;
+        })) {}
+
+  /// Dials a new stream of the process's mux transport to this peer.
+  std::shared_ptr<Stream> dial() {
+    auto stream = mux().dial("127.0.0.1", server_.port());
+    if (accepted_.valid()) socket_ = accepted_.get();
+    return stream;
+  }
+
+  Frame next() {
+    Frame frame;
+    std::uint8_t header[9];
+    read_exact(socket_, {header, sizeof header});
+    frame.stream = get_u32(header);
+    frame.type = header[4];
+    frame.payload.resize(get_u32(header + 5));
+    read_exact(socket_, {frame.payload.data(), frame.payload.size()});
+    return frame;
+  }
+
+  /// The next frame that is not a CREDIT or OPEN.
+  Frame next_data_or_fin() {
+    for (;;) {
+      Frame frame = next();
+      if (frame.type != kCredit && frame.type != kOpen) return frame;
+    }
+  }
+
+ private:
+  ServerSocket server_;
+  std::future<Socket> accepted_;
+  Socket socket_;
+};
+
+ByteVector pattern(std::size_t size, std::uint32_t seed) {
+  ByteVector bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed * 31 + i * 7);
+  }
+  return bytes;
+}
+
+// --- Credit windows --------------------------------------------------------
+
+constexpr int kExchangeMessages = 10000;
+
+std::size_t message_size(int i) {
+  return 1 + 2 * static_cast<std::size_t>(i % 6);
+}
+
+/// Sends each request and checks its response: the request's bytes, each
+/// plus one.
+void run_client(Stream& stream, int messages) {
+  for (int i = 0; i < messages; ++i) {
+    const ByteVector request = pattern(message_size(i), i);
+    stream.write_all({request.data(), request.size()});
+    ByteVector response(request.size());
+    read_exact(stream, {response.data(), response.size()});
+    for (std::size_t b = 0; b < request.size(); ++b) {
+      ASSERT_EQ(response[b], static_cast<std::uint8_t>(request[b] + 1))
+          << "message " << i << " byte " << b;
+    }
+  }
+}
+
+void run_server(Stream& stream, int messages) {
+  for (int i = 0; i < messages; ++i) {
+    ByteVector message(message_size(i));
+    read_exact(stream, {message.data(), message.size()});
+    for (std::uint8_t& b : message) ++b;
+    stream.write_all({message.data(), message.size()});
+  }
+}
+
+class MuxWindow
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+// The server's responses travel on a stream whose window is a few bytes,
+// smaller than most messages: every message needs several grants, and
+// half-window grants must never leave the sender waiting on credit the
+// reader is sitting on.
+TEST_P(MuxWindow, RequestResponseCompletes) {
+  const auto [window, on_fibers] = GetParam();
+  auto listener = mux().listen(0);
+  DialOptions options;
+  options.stream_window = window;
+  auto client = mux().dial("127.0.0.1", listener->port(), options);
+  auto server = listener->accept();
+
+  if (on_fibers) {
+    sched::SchedulerOptions sched_options;
+    sched_options.mode = sched::SchedMode::kWorkSteal;
+    sched_options.workers = 1;
+    sched::Scheduler scheduler{sched_options};
+    scheduler.spawn([&] { run_server(*server, kExchangeMessages); },
+                    "server");
+    scheduler.spawn(
+        [&] {
+          run_client(*client, kExchangeMessages);
+          client->close();  // a failed client must not strand the server
+        },
+        "client");
+    scheduler.shutdown();
+  } else {
+    std::jthread server_thread{
+        [&] { run_server(*server, kExchangeMessages); }};
+    run_client(*client, kExchangeMessages);
+    client->close();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, MuxWindow,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{7}),
+                       ::testing::Bool()),
+    [](const auto& instance) {
+      return "w" + std::to_string(std::get<0>(instance.param)) +
+             (std::get<1>(instance.param) ? "_fibers" : "_threads");
+    });
+
+TEST(MuxCredit, NoCreditFramesBelowHalfWindow) {
+  auto listener = mux().listen(0);
+  auto client = mux().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  // 1 000 messages of 1..11 bytes each way: far below half the default
+  // window, so no reader ever owes a grant.
+  ASSERT_LT(std::size_t{11} * 1000, network_options().stream_window / 2);
+  const std::uint64_t before = mux_stats().credit_frames_sent;
+  std::jthread server_thread{[&] { run_server(*server, 1000); }};
+  run_client(*client, 1000);
+  server_thread.join();
+  EXPECT_EQ(mux_stats().credit_frames_sent - before, 0u);
+}
+
+// --- Flush batching --------------------------------------------------------
+
+TEST(MuxFlush, FinFollowsBatchedDataOnEveryStream) {
+  RawPeer peer{1u << 20};
+  constexpr std::size_t kStreams = 4;
+  constexpr std::size_t kBytes = 40000;  // a few coalesce chunks each
+  std::vector<std::shared_ptr<Stream>> streams;
+  for (std::size_t s = 0; s < kStreams; ++s) streams.push_back(peer.dial());
+  std::vector<std::uint32_t> ids;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    ids.push_back(peer.next().stream);  // the OPENs, in dial order
+  }
+  {
+    LoopHold hold;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      const ByteVector bytes = pattern(kBytes, static_cast<std::uint32_t>(s));
+      streams[s]->write_all({bytes.data(), bytes.size()});
+      streams[s]->shutdown_write();
+    }
+  }
+  std::vector<ByteVector> received(kStreams);
+  std::vector<bool> fin(kStreams, false);
+  std::size_t fins = 0;
+  while (fins < kStreams) {
+    RawPeer::Frame frame = peer.next_data_or_fin();
+    const auto it = std::find(ids.begin(), ids.end(), frame.stream);
+    ASSERT_NE(it, ids.end());
+    const auto s = static_cast<std::size_t>(it - ids.begin());
+    ASSERT_FALSE(fin[s]) << "frame after FIN on stream " << s;
+    if (frame.type == kFin) {
+      fin[s] = true;
+      ++fins;
+      EXPECT_EQ(received[s], pattern(kBytes, static_cast<std::uint32_t>(s)));
+    } else {
+      ASSERT_EQ(frame.type, kData);
+      received[s].insert(received[s].end(), frame.payload.begin(),
+                         frame.payload.end());
+    }
+  }
+}
+
+TEST(MuxFlush, SmallStreamOvertakesSiblingBacklog) {
+  RawPeer peer{16u << 20};
+  auto big = peer.dial();
+  auto small = peer.dial();
+  const std::uint32_t big_id = peer.next().stream;
+  const std::uint32_t small_id = peer.next().stream;
+  const ByteVector backlog = pattern(std::size_t{4} << 20, 1);
+  const std::string hello = "hello";
+  {
+    LoopHold hold;
+    big->write_all({backlog.data(), backlog.size()});
+    small->write_all(as_bytes(hello));
+  }
+  // Both streams were ready before the first flush: the small one gets
+  // the second round-robin turn, behind one chunk of the backlog.
+  std::size_t big_before = 0;
+  for (;;) {
+    RawPeer::Frame frame = peer.next_data_or_fin();
+    ASSERT_EQ(frame.type, kData);
+    if (frame.stream == small_id) {
+      EXPECT_EQ(dpn::to_string({frame.payload.data(), frame.payload.size()}),
+                hello);
+      break;
+    }
+    ASSERT_EQ(frame.stream, big_id);
+    big_before += frame.payload.size();
+  }
+  EXPECT_LE(big_before, network_options().coalesce_bytes);
+  std::size_t big_total = big_before;
+  while (big_total < backlog.size()) {
+    RawPeer::Frame frame = peer.next_data_or_fin();
+    ASSERT_EQ(frame.stream, big_id);
+    big_total += frame.payload.size();
+  }
+  EXPECT_EQ(big_total, backlog.size());
+}
+
+// Streams dialed and written while the flusher is busy batching a
+// sibling's backlog: each OPEN still reaches the wire before its stream's
+// first DATA (the peer drops DATA for a stream it has not seen opened).
+TEST(MuxFlush, OpenPrecedesDataWhileBatching) {
+  RawPeer peer{64u << 20};
+  auto big = peer.dial();
+  const std::uint32_t big_id = peer.next().stream;
+  const ByteVector backlog = pattern(std::size_t{8} << 20, 2);
+  constexpr int kLate = 64;
+  std::promise<void> read_all;
+  std::jthread reader{[&] {
+    std::vector<std::uint32_t> opened;
+    std::size_t big_bytes = 0;
+    int late_data = 0;
+    while (big_bytes < backlog.size() || late_data < kLate) {
+      RawPeer::Frame frame = peer.next();
+      if (frame.type == kOpen) {
+        opened.push_back(frame.stream);
+      } else if (frame.stream == big_id) {
+        big_bytes += frame.payload.size();
+      } else if (frame.type == kData) {
+        EXPECT_NE(std::find(opened.begin(), opened.end(), frame.stream),
+                  opened.end())
+            << "DATA before OPEN on stream " << frame.stream;
+        ++late_data;
+      }
+    }
+    read_all.set_value();
+  }};
+  std::jthread writer{
+      [&] { big->write_all({backlog.data(), backlog.size()}); }};
+  std::vector<std::shared_ptr<Stream>> late;
+  for (int i = 0; i < kLate; ++i) {
+    late.push_back(peer.dial());
+    late.back()->write_all(as_bytes(std::string{"late"}));
+  }
+  EXPECT_EQ(read_all.get_future().wait_for(std::chrono::seconds{30}),
+            std::future_status::ready);
+}
+
+TEST(MuxFlush, FramesQueuedWhileLoopsAreHeldShareWrites) {
+  RawPeer peer{1u << 20};
+  constexpr std::size_t kFrames = 32;
+  std::vector<std::shared_ptr<Stream>> streams;
+  for (std::size_t i = 0; i < kFrames; ++i) streams.push_back(peer.dial());
+  for (std::size_t i = 0; i < kFrames; ++i) peer.next();  // the OPENs
+  MuxStats before;
+  {
+    LoopHold hold;
+    before = mux_stats();
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      const ByteVector bytes =
+          pattern(1 + 2 * i, static_cast<std::uint32_t>(i));
+      streams[i]->write_all({bytes.data(), bytes.size()});
+    }
+  }
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(peer.next_data_or_fin().type, kData);
+  }
+  const MuxStats after = mux_stats();
+  EXPECT_GE(after.frames_sent - before.frames_sent, kFrames);
+  EXPECT_LT(after.socket_writes - before.socket_writes, kFrames);
+}
+
+// --- wait_readable ---------------------------------------------------------
+
+TEST(MuxWaitReadable, ZeroTimeoutProbeOnFiberArmsNoTimer) {
+  auto listener = mux().listen(0);
+  auto client = mux().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = 1;
+  sched::Scheduler scheduler{options};
+  const std::size_t timers_before = armed_timers_in_pool();
+  int readable = 0;
+  scheduler.spawn(
+      [&] {
+        for (int i = 0; i < 1000; ++i) {
+          if (server->wait_readable(std::chrono::milliseconds{0})) ++readable;
+        }
+      },
+      "prober");
+  scheduler.shutdown();
+  EXPECT_EQ(readable, 0);
+  EXPECT_EQ(armed_timers_in_pool(), timers_before);
+}
+
+}  // namespace
+}  // namespace dpn::net
