@@ -43,7 +43,10 @@
 /// so the reader always reaches the threshold, even at a 1-byte window.
 ///
 /// Fairness and batching: only the connection's loop thread writes the
-/// socket.  A flush gathers every queued control frame, then one chunk
+/// socket.  A stream joins its connection's ready ring once per pending
+/// batch: the write that finds its send queue empty marks it ready, and
+/// later writes only append until the flusher has drained the queue.  A
+/// flush gathers every queued control frame, then one chunk
 /// (<= NetworkOptions::coalesce_bytes) per ready stream per round-robin
 /// turn, up to about 64 KiB, and sends the batch with one write.  One
 /// hot stream cannot starve its siblings on the shared connection.
@@ -69,6 +72,9 @@ struct MuxStats {
   /// Socket writes the loop threads made to send them; one flush batches
   /// many frames into one write.
   std::uint64_t socket_writes = 0;
+  /// Times a stream joined its connection's ready ring: once per pending
+  /// batch, however many writes the batch gathers.
+  std::uint64_t ready_marks = 0;
 };
 
 MuxStats mux_stats();

@@ -66,6 +66,8 @@ bool is_channel_kind(FlightKind k) {
     case FlightKind::kChanReader:
     case FlightKind::kChanWriter:
     case FlightKind::kChanLabel:
+    case FlightKind::kRendezvousWait:
+    case FlightKind::kRendezvousResume:
       return true;
     default:
       return false;
@@ -97,6 +99,8 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kWorkerLost: return "fault.worker_lost";
     case FlightKind::kDeadlockAbort: return "ddm.abort";
     case FlightKind::kDump: return "flight.dump";
+    case FlightKind::kRendezvousWait: return "dist.rendezvous.wait";
+    case FlightKind::kRendezvousResume: return "dist.rendezvous.resume";
   }
   return "unknown";
 }
@@ -149,8 +153,9 @@ FlightExport FlightExport::decode(ByteSpan bytes) {
 std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   struct Wait {
     bool writing = false;
-    std::uint64_t ch = 0;
+    std::uint64_t ch = 0;  // the rendezvous token when `rendezvous`
     std::uint64_t buffered = 0;
+    bool rendezvous = false;
   };
   std::map<std::uint64_t, std::string> labels;
   std::map<std::uint64_t, std::set<std::string>> readers;
@@ -178,8 +183,12 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
         writers[ev.a].insert(who);
         blocked[who] = Wait{true, ev.a, ev.b};
         break;
+      case FlightKind::kRendezvousWait:
+        blocked[who] = Wait{false, ev.a, 0, true};
+        break;
       case FlightKind::kChanUnblockRead:
       case FlightKind::kChanUnblockWrite:
+      case FlightKind::kRendezvousResume:
         blocked.erase(who);
         break;
       default:
@@ -190,6 +199,10 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   const auto describe = [&](const std::string& who) {
     const Wait& w = blocked.at(who);
     std::string line = who;
+    if (w.rendezvous) {
+      return line + " blocked awaiting its remote peer (rendezvous token " +
+             std::to_string(w.ch) + ")";
+    }
     line += w.writing ? " blocked writing ch" : " blocked reading ch";
     line += std::to_string(w.ch);
     const auto label = labels.find(w.ch);
@@ -205,8 +218,11 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
     return out;
   }
   for (const auto& [who, wait] : blocked) {
-    out += "  " + describe(who) + " (" + std::to_string(wait.buffered) +
-           " bytes buffered)\n";
+    out += "  " + describe(who);
+    if (!wait.rendezvous) {
+      out += " (" + std::to_string(wait.buffered) + " bytes buffered)";
+    }
+    out += "\n";
   }
 
   // Edges: a blocked reader waits for the channel's writers; a blocked
@@ -215,6 +231,7 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   const auto successors = [&](const std::string& who) {
     std::vector<std::string> next;
     const Wait& w = blocked.at(who);
+    if (w.rendezvous) return next;  // its peer is on another host
     const auto& peers = w.writing ? readers[w.ch] : writers[w.ch];
     for (const std::string& peer : peers) {
       if (peer != who && blocked.count(peer) != 0) next.push_back(peer);

@@ -77,6 +77,10 @@ enum class FlightKind : std::uint8_t {
   kWorkerLost = 18,     // who = what was lost
   kDeadlockAbort = 19,  // who = why
   kDump = 20,           // a dump was taken (who = reason)
+  // A process parked until its channel's peer dials in to the rendezvous
+  // (a = token; resume: b = 1 fulfilled, 0 cancelled).  Who = the process.
+  kRendezvousWait = 21,
+  kRendezvousResume = 22,
 };
 
 const char* to_string(FlightKind kind);
