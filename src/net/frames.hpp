@@ -90,6 +90,39 @@ class FrameWriter {
   std::shared_ptr<io::OutputStream> out_;
 };
 
+/// Incremental frame parser for a receive path that hands out received
+/// bytes in pieces of any size (net::Stream::read_in_place).  DATA
+/// payload is copied straight into the caller's buffer; only a header
+/// cut across two pieces and a control payload are staged here, and
+/// nothing is kept between frames.
+class FrameParser {
+ public:
+  /// Consumes bytes of `in`, copying DATA payload to out[produced..] and
+  /// advancing `produced`, until `in` or `out` runs out or a control
+  /// frame completes.  Returns the bytes of `in` consumed.  A traced DATA
+  /// frame's context becomes the thread's ambient trace context as it
+  /// completes.  Throws IoError on an oversized or malformed frame.
+  std::size_t feed(ByteSpan in, MutableByteSpan out, std::size_t& produced);
+
+  /// A control frame (anything but DATA) is complete; feed() consumes
+  /// nothing until take_control() hands it over.
+  bool control_ready() const { return complete_; }
+  Frame take_control();
+
+  /// True between frames, where a transport end is a clean end.
+  bool between_frames() const { return header_len_ == 0; }
+
+ private:
+  static constexpr std::size_t kHeaderSize = 5;
+  std::uint8_t header_[kHeaderSize] = {};
+  std::size_t header_len_ = 0;
+  FrameType type_ = FrameType::kData;
+  std::size_t payload_left_ = 0;
+  /// A control payload, or a traced frame's context prefix, so far.
+  ByteVector control_;
+  bool complete_ = false;
+};
+
 class FrameReader {
  public:
   explicit FrameReader(std::shared_ptr<io::InputStream> in)

@@ -206,6 +206,55 @@ TEST(Frames, DataRoundTrip) {
   EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
 }
 
+// The in-place parser sees the same frames however the received bytes
+// are cut: headers, control payloads and a traced frame's context may
+// each be split across pieces, and a small output buffer splits DATA.
+TEST(Frames, ParserHandlesAnySplit) {
+  auto sink = std::make_shared<io::MemoryOutputStream>();
+  FrameWriter writer{sink};
+  const std::string first = "hello frames";
+  const std::string second = "traced bytes";
+  RedirectInfo redirect;
+  redirect.host = "10.0.0.7";
+  redirect.port = 4242;
+  redirect.token = 99;
+  obs::TraceContext ctx;
+  ctx.trace_id = 7;
+  ctx.span_id = 8;
+  ctx.flags = obs::TraceContext::kSampled;
+  writer.write_data(as_bytes(first));
+  writer.write_redirect(redirect);
+  writer.write_data_traced(ctx, as_bytes(second));
+  writer.write_fin();
+  const ByteVector wire = sink->take();
+
+  for (std::size_t piece = 1; piece <= 9; ++piece) {
+    FrameParser parser;
+    std::string data;
+    std::vector<Frame> controls;
+    std::size_t pos = 0;
+    while (pos < wire.size()) {
+      const ByteSpan in{wire.data() + pos,
+                        std::min(piece, wire.size() - pos)};
+      std::uint8_t out[3];
+      std::size_t produced = 0;
+      pos += parser.feed(in, {out, sizeof out}, produced);
+      data.append(reinterpret_cast<const char*>(out), produced);
+      if (parser.control_ready()) controls.push_back(parser.take_control());
+    }
+    EXPECT_TRUE(parser.between_frames()) << "piece " << piece;
+    EXPECT_EQ(data, first + second) << "piece " << piece;
+    ASSERT_EQ(controls.size(), 2u) << "piece " << piece;
+    EXPECT_EQ(controls[0].type, FrameType::kRedirect);
+    const RedirectInfo got = RedirectInfo::decode(
+        {controls[0].payload.data(), controls[0].payload.size()});
+    EXPECT_EQ(got.host, redirect.host);
+    EXPECT_EQ(got.token, redirect.token);
+    EXPECT_EQ(controls[1].type, FrameType::kFin);
+    EXPECT_EQ(obs::current_trace_context().span_id, ctx.span_id);
+  }
+}
+
 /// Counts discrete write operations -- each stands for one syscall when
 /// the underlying stream is a socket.
 class CountingOutputStream final : public io::OutputStream {
