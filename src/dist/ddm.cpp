@@ -279,8 +279,11 @@ AgentState MonitorAgent::snapshot() const {
       std::max<std::int64_t>(0, traffic.blocked_remote_readers.load()));
   state.blocked_remote_writers = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, traffic.blocked_remote_writers.load()));
-  state.bytes_sent = traffic.bytes_sent.load();
-  state.bytes_received = traffic.bytes_received.load();
+  // After the blocked counts: a wait is counted only after the bytes
+  // before it are in its endpoint's tally, so this read sees them.
+  const TrafficStats::Bytes bytes = traffic.bytes();
+  state.bytes_sent = bytes.sent;
+  state.bytes_received = bytes.received;
   return state;
 }
 

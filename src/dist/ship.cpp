@@ -123,7 +123,8 @@ class RemoteInputStub final : public serial::Serializable {
           ctx->node->address(), static_cast<std::size_t>(credit_window));
       auto segment = std::make_shared<FrameChannelInput>(
           std::move(stream), ctx->node,
-          static_cast<std::uint32_t>(coalesce_bytes),
+          static_cast<std::size_t>(coalesce_bytes),
+          static_cast<std::size_t>(credit_window),
           PeerAddress{host, static_cast<std::uint16_t>(port)}, token);
       segment->set_parent_sequence(sequence);
       ctx->node->register_remote_input(segment);
@@ -571,8 +572,8 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
       const std::uint64_t token = node.next_token();
       auto promise = node.rendezvous().expect(token);
       auto segment = std::make_shared<FrameChannelInput>(
-          promise, token, ctx->node,
-          static_cast<std::uint32_t>(state->remote.coalesce_bytes));
+          promise, token, ctx->node, state->remote.coalesce_bytes,
+          state->remote.credit_window);
       segment->set_parent_sequence(consumer->sequence_ptr());
       ctx->node->register_remote_input(segment);
       consumer->sequence().append(std::move(segment));

@@ -125,10 +125,9 @@ void ComputeServer::stop() {
 obs::NetworkSnapshot ComputeServer::snapshot() const {
   obs::NetworkSnapshot snap;
   const auto& traffic = *node_->traffic();
-  snap.remote_bytes_sent =
-      traffic.bytes_sent.load(std::memory_order_relaxed);
-  snap.remote_bytes_received =
-      traffic.bytes_received.load(std::memory_order_relaxed);
+  const dist::TrafficStats::Bytes bytes = traffic.bytes();
+  snap.remote_bytes_sent = bytes.sent;
+  snap.remote_bytes_received = bytes.received;
   snap.fill_fault_counters();
   // Trace/task-RTT/connect/mux counters are process-global; in an
   // in-process simulated fleet every server reports the same values

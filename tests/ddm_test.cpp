@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <thread>
 
 #include "core/network.hpp"
@@ -222,6 +223,97 @@ TEST(Coordinator, DetectsTrueDistributedDeadlock) {
   ::unsetenv("DPN_FLIGHT_DIR");
   std::error_code ignored;
   fs::remove_all(dump_dir, ignored);
+}
+
+TEST(Coordinator, BytesInFlightHoldBackTheDeadlockVerdict) {
+  // Node A's process writes one token to node B's echo and then waits for
+  // the reply.  For a while every process counts as blocked: A's waits on
+  // the reply, and B's echo still counts as parked on its empty input
+  // after the token has arrived, because a fiber holds B's only worker
+  // and delays its wakeup.  The fleet is live, and only the byte counters
+  // can tell: A's sent count must include the token although A's
+  // producer never parked, so no poll finds sent == received until the
+  // echo has run.
+  DeadlockCoordinator::Options options;
+  options.poll_interval = std::chrono::milliseconds{25};
+  DeadlockCoordinator coordinator{options};
+
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  auto ab = std::make_shared<Channel>(64, "ab");
+  auto ba = std::make_shared<Channel>(64, "ba");
+  const ByteVector shipment = ship_process(
+      node_a, std::make_shared<Identity>(ab->input(), ba->output()));
+
+  class PingOnce final : public core::IterativeProcess {
+   public:
+    PingOnce(std::shared_ptr<core::ChannelInputStream> in,
+             std::shared_ptr<core::ChannelOutputStream> out)
+        : IterativeProcess(1) {
+      track_input(std::move(in));
+      track_output(std::move(out));
+    }
+    std::string type_name() const override { return "test.PingOnce"; }
+    void write_fields(serial::ObjectOutputStream&) const override {
+      throw SerializationError{"local-only"};
+    }
+    std::atomic<std::int64_t> reply{0};
+
+   protected:
+    void step() override {
+      io::DataOutputStream out{output(0)};
+      out.write_i64(42);
+      io::DataInputStream in{input(0)};
+      reply.store(in.read_i64());
+    }
+  };
+  auto ping = std::make_shared<PingOnce>(ba->input(), ab->output());
+
+  Network network_b;
+  sched::SchedulerOptions one_worker;
+  one_worker.mode = sched::SchedMode::kWorkSteal;
+  one_worker.workers = 1;
+  network_b.set_scheduler(one_worker);
+  network_b.add(receive_process(node_b, {shipment.data(), shipment.size()}));
+  network_b.start();
+  while (node_b->traffic()->blocked_remote_readers.load() == 0) {
+    std::this_thread::yield();  // the echo parks on its empty input
+  }
+  std::latch holding{1};
+  network_b.scheduler()->spawn(
+      [&holding] {
+        holding.count_down();
+        std::this_thread::sleep_for(std::chrono::milliseconds{120});
+      },
+      "test.hold-worker");
+  holding.wait();
+
+  Network network_a;
+  network_a.add(ping);
+  network_a.start();
+  while (node_a->traffic()->blocked_remote_readers.load() == 0) {
+    std::this_thread::yield();  // the token is written; A awaits the echo
+  }
+  EXPECT_EQ(node_a->traffic()->bytes_sent.load(), 8u);
+
+  // Polls start now, several of them while B's worker is held: two would
+  // do for a verdict, the 8-poll fallback would take far longer.
+  MonitorAgent agent_a{"node-a", network_a, node_a, "127.0.0.1",
+                       coordinator.port()};
+  MonitorAgent agent_b{"node-b", network_b, node_b, "127.0.0.1",
+                       coordinator.port()};
+  network_a.join();
+  network_b.join();
+  agent_a.stop();
+  agent_b.stop();
+  coordinator.stop();
+
+  EXPECT_NE(coordinator.outcome(), FleetOutcome::kTrueDeadlock);
+  EXPECT_EQ(ping->reply.load(), 42);
+  EXPECT_EQ(node_a->traffic()->bytes_sent.load(),
+            node_b->traffic()->bytes_received.load());
+  EXPECT_EQ(node_b->traffic()->bytes_sent.load(),
+            node_a->traffic()->bytes_received.load());
 }
 
 }  // namespace
