@@ -111,6 +111,7 @@ struct FdWaiter final : EventLoop::Handler {
   sched::WaitQueue fibers;
   bool ready = false;
   bool expired = false;
+  bool unregistered = false;
 
   // Loop-thread-only state (written by the registration post, read by
   // the unregister post; the loop serializes them).
@@ -166,10 +167,25 @@ bool wait_fd_ready(int fd, bool want_write,
     }
     ready = waiter->ready;
   }
+  // Wait for the unregistration too: the caller may close the fd as
+  // soon as this returns, and a removal that reached epoll after the
+  // close could hit a reused descriptor.
   loop.post([&loop, waiter, fd] {
     if (waiter->timer != 0) loop.cancel_timer(waiter->timer);
     if (waiter->registered) loop.remove(fd);
+    std::scoped_lock lock{waiter->mutex};
+    waiter->unregistered = true;
+    waiter->wake_locked();
   });
+  std::unique_lock lock{waiter->mutex};
+  while (!waiter->unregistered) {
+    if (sched::on_fiber()) {
+      sched::suspend_current(waiter->fibers, lock);
+      lock.lock();
+    } else {
+      waiter->cv.wait(lock);
+    }
+  }
   return ready;
 }
 
