@@ -68,6 +68,7 @@ void ThrottledWorker::step() {
     std::this_thread::sleep_for(std::chrono::duration<double>(remaining));
   }
   ++tasks_processed_;
+  busy_seconds_ += watch.elapsed_seconds();
 
   io::DataOutputStream out{output(0)};
   par::write_task(out, result);

@@ -59,6 +59,9 @@ class ThrottledWorker final : public par::IterativeProcess {
 
   double speed() const { return speed_; }
   std::size_t tasks_processed() const { return tasks_processed_; }
+  /// Wall time spent running and throttling tasks, excluding the waits
+  /// for the next task.  Read it after the run.
+  double busy_seconds() const { return busy_seconds_; }
 
  protected:
   void step() override;
@@ -68,6 +71,7 @@ class ThrottledWorker final : public par::IterativeProcess {
   double speed_ = 1.0;
   double task_seconds_ = 0.0;
   std::size_t tasks_processed_ = 0;
+  double busy_seconds_ = 0.0;
 };
 
 /// Worker factory for par::meta_static / meta_dynamic: slot i gets

@@ -283,9 +283,13 @@ Channel::Channel(ChannelOptions options) {
   state_->label = std::move(options.label);
   // Flight-recorder identity: block/unblock events carry the channel id;
   // the id -> label bind recorded here lets a post-mortem print labels.
+  // An unlabelled channel records none (an empty `who` would take the
+  // thread's actor) and prints as ch<id>.
   state_->pipe->set_flight_id(state_->id);
-  obs::flight_record_named(obs::FlightKind::kChanLabel, state_->label,
-                           state_->id);
+  if (!state_->label.empty()) {
+    obs::flight_record_named(obs::FlightKind::kChanLabel, state_->label,
+                             state_->id);
+  }
   state_->write_buffer = options.write_buffer;
   state_->read_buffer = options.read_buffer;
   state_->remote = options.remote;

@@ -83,12 +83,12 @@ void Network::start() {
   obs::flight_install_crash_handler();
   for (const auto& process : processes_) {
     for (const auto& in : process->channel_inputs()) {
-      obs::flight_record_named(obs::FlightKind::kChanReader, process->name(),
-                               in->state()->id);
+      obs::flight_record_named(obs::FlightKind::kChanReader,
+                               process->actor_name(), in->state()->id);
     }
     for (const auto& out : process->channel_outputs()) {
-      obs::flight_record_named(obs::FlightKind::kChanWriter, process->name(),
-                               out->state()->id);
+      obs::flight_record_named(obs::FlightKind::kChanWriter,
+                               process->actor_name(), out->state()->id);
     }
   }
 
@@ -127,7 +127,7 @@ void Network::start() {
             live_.fetch_sub(1);
             graph_done_.done();
           },
-          process->name(),
+          process->actor_name(),
           [stats](sched::FiberPhase phase) {
             switch (phase) {
               case sched::FiberPhase::kReady:
@@ -147,7 +147,7 @@ void Network::start() {
     for (const auto& process : processes_) {
       threads_.emplace_back([this, process, node_tag] {
         obs::set_node_tag(node_tag);
-        obs::flight_set_actor(process->name());
+        obs::flight_set_actor(process->actor_name());
         try {
           process->run();
         } catch (const IoError&) {
@@ -216,84 +216,46 @@ obs::NetworkSnapshot Network::snapshot() const {
 
 std::string Network::channel_report() const { return snapshot().to_string(); }
 
-Network::BlockedCounts Network::blocked_counts() const {
-  BlockedCounts counts;
-  counts.live = live_.load();
-  std::scoped_lock lock{channels_mutex_};
-  for (const auto& state : channels_) {
-    if (!state->pipe) continue;
-    std::size_t readers = state->pipe->blocked_readers();
-    std::size_t writers = state->pipe->blocked_writers();
-    std::size_t capacity = state->pipe->capacity();
-    if (state->typed && !state->typed->demoted()) {
-      // Typed fast path live: processes park on the ring, the pipe idles.
-      // The ring's bound (in bytes, via the codec's wire size) is the
-      // channel's effective capacity for the growth arithmetic.
-      readers += state->typed->blocked_readers();
-      writers += state->typed->blocked_writers();
-      capacity = state->typed->capacity() * state->typed->value_bytes();
-    }
-    counts.blocked_readers += readers;
-    counts.blocked_writers += writers;
-    if (writers > 0) {
-      if (!counts.has_write_blocked ||
-          capacity < counts.smallest_blocked_capacity) {
-        counts.smallest_blocked_capacity = capacity;
-      }
-      counts.has_write_blocked = true;
-    }
+StallState Network::stall_state() const {
+  const obs::NetworkSnapshot snap = snapshot();
+  StallState state;
+  state.live = snap.live;
+  state.blocked_readers = snap.blocked_readers();
+  state.blocked_writers = snap.blocked_writers();
+  if (const obs::ChannelSnapshot* victim = snap.smallest_write_blocked()) {
+    state.smallest_blocked_capacity = victim->capacity;
   }
-  return counts;
+  for (const obs::ChannelSnapshot& c : snap.channels) {
+    state.progress += c.bytes_written + c.bytes_read + c.typed_popped;
+  }
+  return state;
 }
 
-bool Network::grow_smallest_blocked(double factor, std::size_t max_capacity) {
-  // The victim may be a byte pipe or a live typed ring; both are compared
-  // and grown in bytes (ring slots x wire size) so Parks' smallest-first
-  // rule treats mixed networks uniformly.
-  std::shared_ptr<io::Pipe> pipe_victim;
-  std::shared_ptr<io::TypedRingBase> ring_victim;
-  std::size_t victim_bytes = 0;
+bool Network::grow_smallest_blocked(std::uint64_t capacity) {
+  // The victim is chosen as stall_state() chose it: from a snapshot, in
+  // bytes (a live typed ring counts slots x wire size).
+  const obs::NetworkSnapshot snap = snapshot();
+  const obs::ChannelSnapshot* victim = snap.smallest_write_blocked();
+  if (victim == nullptr || capacity <= victim->capacity) return false;
+  std::shared_ptr<ChannelState> state;
   {
     std::scoped_lock lock{channels_mutex_};
-    for (const auto& state : channels_) {
-      if (!state->pipe) continue;
-      if (state->typed && !state->typed->demoted()) {
-        if (state->typed->blocked_writers() == 0) continue;
-        const std::size_t bytes =
-            state->typed->capacity() * state->typed->value_bytes();
-        if ((!pipe_victim && !ring_victim) || bytes < victim_bytes) {
-          ring_victim = state->typed;
-          pipe_victim = nullptr;
-          victim_bytes = bytes;
-        }
-        continue;
-      }
-      if (state->pipe->blocked_writers() == 0) continue;
-      const std::size_t bytes = state->pipe->capacity();
-      if ((!pipe_victim && !ring_victim) || bytes < victim_bytes) {
-        pipe_victim = state->pipe;
-        ring_victim = nullptr;
-        victim_bytes = bytes;
-      }
+    for (const auto& watched : channels_) {
+      if (watched->id == victim->id) state = watched;
     }
   }
-  if (!pipe_victim && !ring_victim) return false;
-  const std::size_t old_capacity = victim_bytes;
-  const auto grown =
-      static_cast<std::size_t>(static_cast<double>(old_capacity) * factor);
-  const std::size_t new_capacity =
-      std::min(std::max(grown, old_capacity + 1), max_capacity);
-  if (new_capacity <= old_capacity) return false;
-  if (ring_victim) {
-    const std::size_t vb = ring_victim->value_bytes();
-    ring_victim->grow(
-        std::max(new_capacity / vb, ring_victim->capacity() + 1));
+  if (state->typed && !state->typed->demoted()) {
+    io::TypedRingBase& ring = *state->typed;
+    ring.grow(std::max<std::size_t>(capacity / ring.value_bytes(),
+                                    ring.capacity() + 1));
   } else {
-    pipe_victim->grow(new_capacity);
+    state->pipe->grow(capacity);
   }
   growth_events_.fetch_add(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, "ddm", old_capacity,
-                  new_capacity);
+  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim->label,
+                  victim->capacity, capacity);
+  log::debug("network: grew channel '", victim->label, "' ",
+             victim->capacity, " -> ", capacity, " bytes");
   return true;
 }
 
@@ -306,125 +268,89 @@ void Network::abort() {
 }
 
 void Network::monitor_loop(std::stop_token stop) {
-  bool stalled_last_poll = false;
+  StallRule rule{options_};
   while (!stop.stop_requested() && live_.load() > 0) {
     std::this_thread::sleep_for(options_.poll_interval);
-
-    // One structured snapshot per poll: the same view an operator gets, so
-    // every monitor decision can be reproduced from snapshot data.
-    const obs::NetworkSnapshot snap = snapshot();
-    const std::uint64_t blocked = snap.blocked_readers() + snap.blocked_writers();
-    const bool stalled = snap.live > 0 && blocked >= snap.live;
-    if (stalled && stalled_last_poll) {
-      // Confirmed on two consecutive polls: act.
-      if (!resolve_stall(snap)) return;  // true deadlock handled
-      stalled_last_poll = false;
-    } else {
-      stalled_last_poll = stalled;
+    const StallVerdict verdict = rule.decide({stall_state()});
+    if (verdict.action == StallVerdict::Action::kGrow) {
+      if (!grow_smallest_blocked(verdict.capacity)) continue;
+      DeadlockOutcome none = DeadlockOutcome::kNone;
+      outcome_.compare_exchange_strong(none, DeadlockOutcome::kGrown);
+    } else if (verdict.action == StallVerdict::Action::kTrueDeadlock) {
+      outcome_.store(DeadlockOutcome::kTrueDeadlock);
+      report_true_deadlock(verdict, "deadlock");
+      if (options_.abort_on_true_deadlock) abort();
+      return;
     }
   }
 }
 
-bool Network::resolve_stall(const obs::NetworkSnapshot& stall) {
-  const obs::ChannelSnapshot* victim = stall.smallest_write_blocked();
-  if (victim == nullptr) {
-    // Everyone was blocked reading when the snapshot was taken -- but a
-    // process finishing in between (its final close wakes its neighbours)
-    // makes that evidence stale, not a deadlock.  Re-poll in that case.
-    if (live_.load() != stall.live) return true;
-    outcome_.store(DeadlockOutcome::kTrueDeadlock);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, "all-blocked-reading");
-    log::warn("network: true deadlock (all processes blocked reading)");
-    // Post-mortem before the abort wakes anyone: the block events still
-    // standing in the rings ARE the wait-for graph.
-    obs::flight_record_named(obs::FlightKind::kDeadlockAbort,
-                             "all-blocked-reading");
-    const std::string dump = obs::flight_dump("deadlock");
-    if (!dump.empty()) log::warn("network: flight dump written to ", dump);
-    if (options_.abort_on_true_deadlock) abort();
-    return false;
+StallVerdict StallRule::decide(std::vector<StallState> round) {
+  std::uint64_t live = 0, blocked = 0, sent = 0, received = 0;
+  std::uint64_t remote_writers = 0;
+  std::size_t victim = round.size();
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    const StallState& s = round[i];
+    live += s.live;
+    blocked += s.blocked_readers + s.blocked_writers +
+               s.blocked_remote_readers + s.blocked_remote_writers;
+    sent += s.sent;
+    received += s.received;
+    remote_writers += s.blocked_remote_writers;
+    const bool tighter =
+        victim == round.size() ||
+        s.smallest_blocked_capacity < round[victim].smallest_blocked_capacity;
+    if (s.blocked_writers > 0 && tighter) victim = i;
   }
-  const std::size_t old_capacity = victim->capacity;
-  const auto grown = static_cast<std::size_t>(
-      static_cast<double>(old_capacity) * options_.growth_factor);
-  const std::size_t new_capacity = std::max(grown, old_capacity + 1);
-  if (new_capacity > options_.max_channel_capacity) {
-    if (live_.load() != stall.live) return true;  // stale evidence
-    outcome_.store(DeadlockOutcome::kTrueDeadlock);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, victim->label,
-                    old_capacity);
-    log::warn("network: channel '", victim->label, "' hit the capacity cap (",
-              options_.max_channel_capacity, " bytes); treating as deadlock");
-    obs::flight_record_named(obs::FlightKind::kDeadlockAbort, victim->label,
-                             victim->id, old_capacity);
-    const std::string dump = obs::flight_dump("deadlock");
-    if (!dump.empty()) log::warn("network: flight dump written to ", dump);
-    if (options_.abort_on_true_deadlock) abort();
-    return false;
+  const bool stalled = live > 0 && blocked >= live;
+  stable_rounds_ = stalled && round == previous_ ? stable_rounds_ + 1 : 0;
+  previous_ = std::move(round);
+  if (stable_rounds_ == 0) return {};
+
+  StallVerdict verdict;
+  if (victim < previous_.size()) {
+    // Artificial deadlock: grow the tightest write-blocked channel, unless
+    // that passes the cap (unbounded accumulation).
+    const std::uint64_t old_capacity =
+        previous_[victim].smallest_blocked_capacity;
+    verdict.capacity = std::max(
+        static_cast<std::uint64_t>(static_cast<double>(old_capacity) *
+                                   options_.growth_factor),
+        old_capacity + 1);
+    verdict.node = victim;
+    verdict.action = verdict.capacity <= options_.max_channel_capacity
+                         ? StallVerdict::Action::kGrow
+                         : StallVerdict::Action::kTrueDeadlock;
+  } else if (remote_writers > 0) {
+    // A producer waits on an exhausted remote window: the distributed
+    // analogue of a full pipe.
+    verdict.action = StallVerdict::Action::kGrowRemote;
+  } else if (sent == received || stable_rounds_ >= 8) {
+    // Everyone waits to read and nothing that could wake a reader is in
+    // flight (or the stall outlived any frame still landing).
+    verdict.action = StallVerdict::Action::kTrueDeadlock;
+  } else {
+    return verdict;
   }
-  if (!apply_growth(stall, options_.growth_factor,
-                    options_.max_channel_capacity)) {
-    // The stall dissolved between snapshot and growth (process exited, or
-    // the victim's writer got unblocked).  Nothing to fix; keep watching.
-    return true;
-  }
-  if (outcome_.load() == DeadlockOutcome::kNone) {
-    outcome_.store(DeadlockOutcome::kGrown);
-  }
-  log::debug("network: grew channel '", victim->label, "' ", old_capacity,
-             " -> ", new_capacity, " bytes");
-  return true;
+  reset();
+  return verdict;
 }
 
-bool Network::apply_growth(const obs::NetworkSnapshot& stall, double factor,
-                           std::size_t max_capacity) {
-  const obs::ChannelSnapshot* victim_row = stall.smallest_write_blocked();
-  if (victim_row == nullptr) return false;
-  // Growth-after-finish guard: the snapshot deduced "everyone is blocked"
-  // from a live count that is no longer true.
-  if (live_.load() != stall.live) return false;
-  std::shared_ptr<io::Pipe> victim;
-  std::shared_ptr<io::TypedRingBase> ring;
-  {
-    std::scoped_lock lock{channels_mutex_};
-    for (const auto& state : channels_) {
-      if (state->id == victim_row->id && state->pipe) {
-        victim = state->pipe;
-        if (state->typed && !state->typed->demoted()) ring = state->typed;
-        break;
-      }
-    }
+void report_true_deadlock(const StallVerdict& verdict,
+                          std::string_view dump_reason) {
+  const bool capped = verdict.capacity != 0;
+  const std::string_view why = capped ? "capacity-cap" : "all-reading";
+  if (capped) {
+    log::warn("true deadlock: growth to ", verdict.capacity,
+              " bytes passes the capacity cap");
+  } else {
+    log::warn("true deadlock: every process is blocked reading");
   }
-  if (!victim) return false;  // channel went remote/away
-  if (ring) {
-    // Typed fast path: the writer is parked on the ring, so grow the ring
-    // (same byte arithmetic; slots = bytes / wire size).
-    if (ring->blocked_writers() == 0) return false;  // writer moved on
-    const std::size_t vb = ring->value_bytes();
-    const std::size_t old_capacity = ring->capacity() * vb;
-    const auto grown =
-        static_cast<std::size_t>(static_cast<double>(old_capacity) * factor);
-    const std::size_t new_capacity =
-        std::min(std::max(grown, old_capacity + 1), max_capacity);
-    if (new_capacity <= old_capacity) return false;
-    ring->grow(std::max(new_capacity / vb, ring->capacity() + 1));
-    growth_events_.fetch_add(1);
-    DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim_row->label,
-                    old_capacity, new_capacity);
-    return true;
-  }
-  if (victim->blocked_writers() == 0) return false;  // writer moved on
-  const std::size_t old_capacity = victim->capacity();
-  const auto grown =
-      static_cast<std::size_t>(static_cast<double>(old_capacity) * factor);
-  const std::size_t new_capacity =
-      std::min(std::max(grown, old_capacity + 1), max_capacity);
-  if (new_capacity <= old_capacity) return false;
-  victim->grow(new_capacity);
-  growth_events_.fetch_add(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim_row->label,
-                  old_capacity, new_capacity);
-  return true;
+  DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, why, verdict.capacity);
+  obs::flight_record_named(obs::FlightKind::kDeadlockAbort, why,
+                           verdict.capacity);
+  const std::string dump = obs::flight_dump(dump_reason);
+  if (!dump.empty()) log::warn("flight dump written to ", dump);
 }
 
 }  // namespace dpn::core

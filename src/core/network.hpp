@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -27,9 +29,11 @@ enum class DeadlockOutcome {
   kTrueDeadlock,  // every process was blocked reading: unresolvable
 };
 
+/// Knobs of Parks' rule, shared by the local monitor and
+/// dist::DeadlockCoordinator.
 struct MonitorOptions {
-  /// Polling cadence.  Detection needs two consecutive all-blocked
-  /// observations, so worst-case latency is ~2 polls.
+  /// Polling cadence.  A verdict needs two consecutive identical stalled
+  /// polls, so worst-case latency is ~2 polls.
   std::chrono::milliseconds poll_interval{2};
   /// Growth factor applied to the smallest write-blocked channel.
   double growth_factor = 2.0;
@@ -41,6 +45,71 @@ struct MonitorOptions {
   /// deadlock is found.  Otherwise the monitor just records it.
   bool abort_on_true_deadlock = true;
 };
+
+/// One node's stall state at one poll.  Blocked counts are exact: a
+/// waiter counts only while its wait condition holds (io::Pipe,
+/// io::TypedRing).  The remote fields stay zero on a node without a
+/// dist::NodeContext.
+struct StallState {
+  std::uint64_t live = 0;  // unfinished processes
+  std::uint64_t blocked_readers = 0;  // on local channels
+  std::uint64_t blocked_writers = 0;
+  std::uint64_t blocked_remote_readers = 0;
+  std::uint64_t blocked_remote_writers = 0;
+  /// Bytes of the smallest write-blocked local channel (0: none).
+  std::uint64_t smallest_blocked_capacity = 0;
+  /// Bytes written and read plus typed values popped, over every local
+  /// channel: moves whenever a token does.
+  std::uint64_t progress = 0;
+  /// Remote-channel traffic: bytes plus stream ends, each counted by
+  /// the producer when sent and by the consumer when taken.
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+
+  bool operator==(const StallState&) const = default;
+};
+
+/// What one poll round asks of its caller.
+struct StallVerdict {
+  enum class Action : std::uint8_t { kWait, kGrow, kGrowRemote, kTrueDeadlock };
+  Action action = Action::kWait;
+  /// kGrow: the node owning the victim.
+  std::size_t node = 0;
+  /// kGrow: the victim's new capacity in bytes.  kTrueDeadlock: the
+  /// growth the capacity cap refused, or 0 when everyone was reading.
+  std::uint64_t capacity = 0;
+};
+
+/// Parks' rule ([13], paper Section 3.5) over a fleet: the one decision
+/// procedure behind the local monitor, which is a fleet of one, and
+/// dist::DeadlockCoordinator, which polls one state per node.  A round is
+/// stalled when every live process is blocked; the rule acts only on two
+/// consecutive identical stalled rounds, so nothing moved in between.
+/// Then it grows the smallest write-blocked local channel, else grants
+/// remote credit to write-blocked remote channels, else -- once nothing
+/// is in flight -- declares a true deadlock.
+class StallRule {
+ public:
+  explicit StallRule(const MonitorOptions& options) : options_(options) {}
+
+  StallVerdict decide(std::vector<StallState> round);
+  /// Forgets the previous round (fleet membership changed).
+  void reset() {
+    previous_.clear();
+    stable_rounds_ = 0;
+  }
+
+ private:
+  MonitorOptions options_;
+  std::vector<StallState> previous_;
+  std::size_t stable_rounds_ = 0;
+};
+
+/// Logs a true-deadlock verdict and writes the flight post-mortem
+/// `dpn-flight-<dump_reason>-<pid>.txt` before any waiter is woken: the
+/// block events still standing in the rings are the wait-for graph.
+void report_true_deadlock(const StallVerdict& verdict,
+                          std::string_view dump_reason);
 
 /// Runs a set of processes -- one thread per process (the paper's model)
 /// or as fibers on the M:N work-stealing scheduler, per set_scheduler() /
@@ -138,41 +207,23 @@ class Network {
   /// relaxed atomics plus per-pipe mutex reads.
   obs::NetworkSnapshot snapshot() const;
 
-  /// Applies Parks' growth rule using a previously taken snapshot as the
-  /// stall evidence, re-validating it against the live network first: the
-  /// victim must still exist, still have blocked writers, and no process
-  /// may have finished since the snapshot (a finished process invalidates
-  /// the "everyone is blocked" deduction -- growing on stale evidence is
-  /// how phantom growth after process exit happens).  Returns true when a
-  /// channel was actually grown.
-  bool apply_growth(const obs::NetworkSnapshot& stall, double factor = 2.0,
-                    std::size_t max_capacity = 1u << 24);
-
   /// Human-readable snapshot of every watched channel: label, fill,
   /// capacity, and who is blocked on it.  The deadlock monitor's victim
   /// choice can be audited with this; tests and operators use it to see
   /// where a graph is stuck.  Rendered from snapshot().
   std::string channel_report() const;
 
-  /// Machine-readable stall state (used by the distributed deadlock
-  /// detector, paper Section 6.2).
-  struct BlockedCounts {
-    std::size_t live = 0;              // unfinished processes
-    std::size_t blocked_readers = 0;   // blocked on local pipes
-    std::size_t blocked_writers = 0;
-    bool has_write_blocked = false;
-    std::size_t smallest_blocked_capacity = 0;  // of a write-blocked pipe
-  };
-  BlockedCounts blocked_counts() const;
+  /// This node's input to StallRule, reduced from snapshot().
+  StallState stall_state() const;
 
-  /// Applies Parks' rule once: grows the smallest write-blocked local
-  /// channel.  Returns false when no local channel is write-blocked.
-  bool grow_smallest_blocked(double factor = 2.0,
-                             std::size_t max_capacity = 1u << 24);
+  /// Grows the smallest write-blocked local channel to `capacity` bytes
+  /// (Parks' rule, as a StallVerdict decided it).  Returns false when no
+  /// channel is write-blocked now -- e.g. the network finished since the
+  /// stall was observed -- or the victim already holds that much.
+  bool grow_smallest_blocked(std::uint64_t capacity);
 
  private:
   void monitor_loop(std::stop_token stop);
-  bool resolve_stall(const obs::NetworkSnapshot& stall);
 
   /// connect() plumbing: invoke the slot with the endpoint; a non-void
   /// result is a process to register.

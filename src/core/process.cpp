@@ -3,6 +3,7 @@
 #include <exception>
 #include <mutex>
 
+#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "support/log.hpp"
@@ -176,6 +177,23 @@ void IterativeProcess::read_base(serial::ObjectInputStream& in) {
   }
 }
 
+std::uint64_t Process::next_instance() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+std::string Process::actor_name() const {
+  std::string name = this->name();
+  if (name != type_name()) return name;
+  // Cut the type name, not the number that tells instances apart.
+  const std::string suffix = "#" + std::to_string(instance_);
+  constexpr std::size_t kChars = sizeof(obs::FlightEvent::who) - 1;
+  if (name.size() + suffix.size() > kChars) {
+    name.resize(kChars - std::min(kChars, suffix.size()));
+  }
+  return name + suffix;
+}
+
 void append_process_snapshots(const Process& process,
                               std::vector<obs::ProcessSnapshot>& out) {
   obs::ProcessSnapshot p;
@@ -231,7 +249,7 @@ void CompositeProcess::run() {
             body();
             done.done();
           },
-          process->name());
+          process->actor_name());
     }
     done.wait();
   } else {

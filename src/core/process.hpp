@@ -36,6 +36,12 @@ class Process : public serial::Serializable {
   /// Diagnostic name (thread tags, deadlock reports).
   virtual std::string name() const { return type_name(); }
 
+  /// Per-instance name for flight events and fibers, e.g. "dpn.Scale#14":
+  /// name() plus a process-wide instance number, cut to the 15 characters
+  /// an event keeps.  A name() other than type_name() already names the
+  /// instance and is used as is.
+  std::string actor_name() const;
+
   /// Channel endpoints this process reads from / writes to.  Used for
   /// auto-close on stop and for the internal/boundary channel cut when a
   /// process graph is shipped to another server.
@@ -63,6 +69,9 @@ class Process : public serial::Serializable {
  private:
   std::shared_ptr<obs::ProcessStats> stats_ =
       std::make_shared<obs::ProcessStats>();
+  std::uint64_t instance_ = next_instance();
+
+  static std::uint64_t next_instance();
 };
 
 /// Base class for the common iterative process shape: one-time setup, a

@@ -17,35 +17,26 @@ enum class Op : std::uint8_t {
   kGrowRemote = 5,
 };
 
-void write_state(io::DataOutputStream& out, const AgentState& state) {
-  out.write_u64(state.live);
-  out.write_u64(state.blocked_local_readers);
-  out.write_u64(state.blocked_local_writers);
-  out.write_u64(state.blocked_remote_readers);
-  out.write_u64(state.blocked_remote_writers);
-  out.write_bool(state.has_write_blocked);
-  out.write_u64(state.smallest_blocked_capacity);
-  out.write_u64(state.bytes_sent);
-  out.write_u64(state.bytes_received);
+void write_state(io::DataOutputStream& out, const core::StallState& state) {
+  for (const std::uint64_t field :
+       {state.live, state.blocked_readers, state.blocked_writers,
+        state.blocked_remote_readers, state.blocked_remote_writers,
+        state.smallest_blocked_capacity, state.progress, state.sent,
+        state.received}) {
+    out.write_u64(field);
+  }
 }
 
-AgentState read_state(io::DataInputStream& in) {
-  AgentState state;
-  state.live = in.read_u64();
-  state.blocked_local_readers = in.read_u64();
-  state.blocked_local_writers = in.read_u64();
-  state.blocked_remote_readers = in.read_u64();
-  state.blocked_remote_writers = in.read_u64();
-  state.has_write_blocked = in.read_bool();
-  state.smallest_blocked_capacity = in.read_u64();
-  state.bytes_sent = in.read_u64();
-  state.bytes_received = in.read_u64();
+core::StallState read_state(io::DataInputStream& in) {
+  core::StallState state;
+  for (std::uint64_t* field :
+       {&state.live, &state.blocked_readers, &state.blocked_writers,
+        &state.blocked_remote_readers, &state.blocked_remote_writers,
+        &state.smallest_blocked_capacity, &state.progress, &state.sent,
+        &state.received}) {
+    *field = in.read_u64();
+  }
   return state;
-}
-
-std::uint64_t blocked_total(const AgentState& state) {
-  return state.blocked_local_readers + state.blocked_local_writers +
-         state.blocked_remote_readers + state.blocked_remote_writers;
 }
 
 }  // namespace
@@ -58,7 +49,7 @@ struct DeadlockCoordinator::Agent {
   bool alive = true;
 };
 
-DeadlockCoordinator::DeadlockCoordinator(Options options)
+DeadlockCoordinator::DeadlockCoordinator(core::MonitorOptions options)
     : options_(options), listener_(net::default_transport().listen(0)) {
   acceptor_ = std::jthread{[this] { accept_loop(); }};
   poller_ = std::jthread{[this] { poll_loop(); }};
@@ -106,7 +97,7 @@ void DeadlockCoordinator::accept_loop() {
       agent->name = agent->in->read_string();
       std::scoped_lock lock{agents_mutex_};
       agents_.push_back(std::move(agent));
-      previous_valid_ = false;  // membership changed; restart stability
+      rule_.reset();  // membership changed; restart stability
       log::debug("coordinator: agent '", agents_.back()->name, "' joined");
     } catch (const std::exception& e) {
       log::warn("coordinator: agent handshake failed: ", e.what());
@@ -118,132 +109,68 @@ void DeadlockCoordinator::poll_loop() {
   while (!stopping_.load()) {
     std::this_thread::sleep_for(options_.poll_interval);
     if (stopping_.load()) return;
-    if (!poll_round()) return;
+    poll_round();
   }
 }
 
-bool DeadlockCoordinator::poll_round() {
+void DeadlockCoordinator::poll_round() {
   std::scoped_lock lock{agents_mutex_};
-  if (agents_.empty()) return true;
+  if (agents_.empty()) return;
 
-  std::vector<AgentState> states;
-  states.reserve(agents_.size());
-  for (const auto& agent : agents_) {
-    if (!agent->alive) {
-      states.push_back(AgentState{});
-      continue;
-    }
+  std::vector<core::StallState> round(agents_.size());
+  for (std::size_t i = 0; i < agents_.size(); ++i) {
+    Agent& agent = *agents_[i];
+    if (!agent.alive) continue;  // a lost agent reports an empty state
     try {
-      agent->out->write_u8(static_cast<std::uint8_t>(Op::kPoll));
-      states.push_back(read_state(*agent->in));
+      agent.out->write_u8(static_cast<std::uint8_t>(Op::kPoll));
+      round[i] = read_state(*agent.in);
     } catch (const IoError&) {
-      agent->alive = false;
-      states.push_back(AgentState{});
-      previous_valid_ = false;
+      agent.alive = false;
+      rule_.reset();
     }
   }
-
-  std::uint64_t live = 0, blocked = 0, sent = 0, received = 0;
-  std::uint64_t remote_writers = 0;
-  bool any_write_blocked = false;
-  std::size_t victim = agents_.size();
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const AgentState& state = states[i];
-    live += state.live;
-    blocked += blocked_total(state);
-    sent += state.bytes_sent;
-    received += state.bytes_received;
-    remote_writers += state.blocked_remote_writers;
-    if (state.has_write_blocked && agents_[i]->alive) {
-      if (victim == agents_.size() ||
-          state.smallest_blocked_capacity <
-              states[victim].smallest_blocked_capacity) {
-        victim = i;
-      }
-      any_write_blocked = true;
-    }
-  }
-
-  const bool stalled = live > 0 && blocked >= live;
-  const bool stable = previous_valid_ && states == previous_states_;
-  previous_states_ = std::move(states);
-  previous_valid_ = true;
-  stable_rounds_ = (stalled && stable) ? stable_rounds_ + 1 : 0;
-
-  if (stable_rounds_ < 1) return true;
-
-  if (any_write_blocked) {
-    // Artificial: apply Parks' rule on the node with the tightest
-    // write-blocked channel.
+  // Sends one command and returns the agent's reply; false, with the
+  // agent marked lost, when its stream fails.
+  const auto command = [this](Agent& agent, Op op, std::uint64_t arg = 0) {
+    if (!agent.alive) return false;
     try {
-      agents_[victim]->out->write_u8(static_cast<std::uint8_t>(Op::kGrow));
-      agents_[victim]->in->read_bool();
-      growth_commands_.fetch_add(1);
-      if (outcome_.load() == FleetOutcome::kNone) {
-        outcome_.store(FleetOutcome::kGrown);
-      }
-      log::debug("coordinator: told '", agents_[victim]->name,
-                 "' to grow its smallest blocked channel");
+      agent.out->write_u8(static_cast<std::uint8_t>(op));
+      if (op == Op::kGrow) agent.out->write_u64(arg);
+      return agent.in->read_bool();
     } catch (const IoError&) {
-      agents_[victim]->alive = false;
+      agent.alive = false;
+      rule_.reset();
+      return false;
     }
-    previous_valid_ = false;
-    stable_rounds_ = 0;
-    return true;
-  }
+  };
 
-  if (remote_writers > 0) {
-    // Someone is blocked writing into a *remote* channel whose window is
-    // exhausted: the distributed analogue of a full pipe.  Tell every
-    // node to grant bonus credits on its consumer-side segments (the
-    // producers' windows grow; over-granting is as harmless as
-    // over-growing a buffer).
-    for (const auto& agent : agents_) {
-      if (!agent->alive) continue;
-      try {
-        agent->out->write_u8(static_cast<std::uint8_t>(Op::kGrowRemote));
-        agent->in->read_bool();
-      } catch (const IoError&) {
-        agent->alive = false;
+  const core::StallVerdict verdict = rule_.decide(std::move(round));
+  using Action = core::StallVerdict::Action;
+  bool grown = false;
+  switch (verdict.action) {
+    case Action::kWait:
+      return;
+    case Action::kGrow:
+      grown = command(*agents_[verdict.node], Op::kGrow, verdict.capacity);
+      break;
+    case Action::kGrowRemote:
+      // Over-granting is as harmless as over-growing a buffer.
+      for (const auto& agent : agents_) {
+        grown = command(*agent, Op::kGrowRemote) || grown;
       }
-    }
-    growth_commands_.fetch_add(1);
-    if (outcome_.load() == FleetOutcome::kNone) {
-      outcome_.store(FleetOutcome::kGrown);
-    }
-    previous_valid_ = false;
-    stable_rounds_ = 0;
-    return true;
-  }
-
-  // Every blocked process is waiting to read.  Before declaring a true
-  // deadlock, make sure nothing that could wake a reader is in flight:
-  // either the fleet-wide byte counters balance, or the stall has
-  // persisted so long that any in-flight frame would have landed.
-  if (!(sent == received || stable_rounds_ >= 8)) return true;
-  outcome_.store(FleetOutcome::kTrueDeadlock);
-  log::warn("coordinator: true distributed deadlock across ",
-            agents_.size(), " node(s)");
-  obs::flight_record_named(obs::FlightKind::kDeadlockAbort, "fleet",
-                           agents_.size());
-  const std::string dump = obs::flight_dump("fleet-deadlock");
-  if (!dump.empty()) {
-    log::warn("coordinator: flight dump written to ", dump);
-  }
-  if (options_.abort_on_true_deadlock) {
-    for (const auto& agent : agents_) {
-      if (!agent->alive) continue;
-      try {
-        agent->out->write_u8(static_cast<std::uint8_t>(Op::kAbort));
-        agent->in->read_bool();
-      } catch (const IoError&) {
-        agent->alive = false;
+      break;
+    case Action::kTrueDeadlock:
+      outcome_.store(core::DeadlockOutcome::kTrueDeadlock);
+      core::report_true_deadlock(verdict, "fleet-deadlock");
+      if (options_.abort_on_true_deadlock) {
+        for (const auto& agent : agents_) command(*agent, Op::kAbort);
       }
-    }
+      return;
   }
-  previous_valid_ = false;
-  stable_rounds_ = 0;
-  return true;
+  if (!grown) return;
+  growth_commands_.fetch_add(1);
+  auto none = core::DeadlockOutcome::kNone;
+  outcome_.compare_exchange_strong(none, core::DeadlockOutcome::kGrown);
 }
 
 MonitorAgent::MonitorAgent(std::string name, core::Network& network,
@@ -266,14 +193,8 @@ void MonitorAgent::stop() {
   if (server_.joinable()) server_.join();
 }
 
-AgentState MonitorAgent::snapshot() const {
-  AgentState state;
-  const core::Network::BlockedCounts counts = network_.blocked_counts();
-  state.live = counts.live;
-  state.blocked_local_readers = counts.blocked_readers;
-  state.blocked_local_writers = counts.blocked_writers;
-  state.has_write_blocked = counts.has_write_blocked;
-  state.smallest_blocked_capacity = counts.smallest_blocked_capacity;
+core::StallState MonitorAgent::snapshot() const {
+  core::StallState state = network_.stall_state();
   const TrafficStats& traffic = *node_->traffic();
   state.blocked_remote_readers = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, traffic.blocked_remote_readers.load()));
@@ -282,8 +203,8 @@ AgentState MonitorAgent::snapshot() const {
   // After the blocked counts: a wait is counted only after the bytes
   // before it are in its endpoint's tally, so this read sees them.
   const TrafficStats::Bytes bytes = traffic.bytes();
-  state.bytes_sent = bytes.sent;
-  state.bytes_received = bytes.received;
+  state.sent = bytes.sent + traffic.ends_sent.load();
+  state.received = bytes.received + traffic.ends_received.load();
   return state;
 }
 
@@ -298,7 +219,7 @@ void MonitorAgent::serve() {
           write_state(out, snapshot());
           break;
         case Op::kGrow:
-          out.write_bool(network_.grow_smallest_blocked());
+          out.write_bool(network_.grow_smallest_blocked(in.read_u64()));
           break;
         case Op::kGrowRemote:
           node_->grant_remote_credits();

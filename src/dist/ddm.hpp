@@ -25,56 +25,25 @@
 ///  * every participating Network runs a MonitorAgent that keeps one
 ///    transport stream to the DeadlockCoordinator and answers polls with its
 ///    local stall state: live processes, processes blocked on local
-///    channels, processes blocked inside remote channel reads/writes, and
-///    the node's cumulative remote-channel bytes sent/received;
-///  * the coordinator declares a *global stall* when (a) every live
-///    process in the fleet is blocked, (b) fleet-wide bytes sent equal
-///    bytes received (no frame in flight that could unblock a reader --
-///    the Mattern-style quiescence test), and (c) the same state was
-///    observed on two consecutive polls;
-///  * a stall with at least one write-blocked *local* channel somewhere is
-///    artificial: the coordinator tells the node owning the smallest such
-///    channel to grow it (Parks' rule, applied fleet-wide);
-///  * a stall with only blocked readers is a true distributed deadlock:
-///    the coordinator tells every agent to abort its network, so the
-///    fleet terminates with Interrupted instead of hanging forever.
+///    channels, processes blocked inside remote channel reads/writes, its
+///    local progress count and its cumulative remote-channel traffic sent
+///    and received (bytes plus stream ends);
+///  * the coordinator feeds each round's states to core::StallRule, the
+///    rule the local monitor also runs: a stall needs every live process
+///    in the fleet blocked on two consecutive identical rounds; it is
+///    artificial when a local channel somewhere is write-blocked (the
+///    owning node grows its smallest one) or a remote window is exhausted
+///    (every node grants credit); it is a true distributed deadlock when
+///    everyone reads and the fleet received all it sent (no frame in
+///    flight -- the Mattern-style quiescence test), and then the
+///    coordinator tells every agent to abort its network, so the fleet
+///    terminates with Interrupted instead of hanging forever.
 namespace dpn::dist {
-
-enum class FleetOutcome : std::uint8_t {
-  kNone = 0,
-  kGrown = 1,         // at least one artificial stall was resolved
-  kTrueDeadlock = 2,  // a global read-only stall was detected
-};
-
-/// Per-node stall report (one poll reply).
-struct AgentState {
-  std::uint64_t live = 0;
-  std::uint64_t blocked_local_readers = 0;
-  std::uint64_t blocked_local_writers = 0;
-  std::uint64_t blocked_remote_readers = 0;
-  std::uint64_t blocked_remote_writers = 0;
-  bool has_write_blocked = false;
-  std::uint64_t smallest_blocked_capacity = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-
-  bool operator==(const AgentState&) const = default;
-};
 
 /// The fleet-wide detector.  Owns a transport listener; agents dial in.
 class DeadlockCoordinator {
  public:
-  struct Options {
-    std::chrono::milliseconds poll_interval{5};
-    double growth_factor = 2.0;
-    std::size_t max_channel_capacity = 1u << 24;
-    /// Abort the fleet when a true deadlock is found (otherwise just
-    /// record it).
-    bool abort_on_true_deadlock = true;
-  };
-
-  DeadlockCoordinator() : DeadlockCoordinator(Options{}) {}
-  explicit DeadlockCoordinator(Options options);
+  explicit DeadlockCoordinator(core::MonitorOptions options = {});
   ~DeadlockCoordinator();
 
   DeadlockCoordinator(const DeadlockCoordinator&) = delete;
@@ -82,7 +51,7 @@ class DeadlockCoordinator {
 
   std::uint16_t port() const { return listener_->port(); }
 
-  FleetOutcome outcome() const { return outcome_.load(); }
+  core::DeadlockOutcome outcome() const { return outcome_.load(); }
   std::size_t growth_commands() const { return growth_commands_.load(); }
   std::size_t agents_connected() const;
 
@@ -94,19 +63,17 @@ class DeadlockCoordinator {
 
   void accept_loop();
   void poll_loop();
-  bool poll_round();
+  void poll_round();
 
-  Options options_;
+  core::MonitorOptions options_;
   std::shared_ptr<net::Listener> listener_;
   std::atomic<bool> stopping_{false};
-  std::atomic<FleetOutcome> outcome_{FleetOutcome::kNone};
+  std::atomic<core::DeadlockOutcome> outcome_{core::DeadlockOutcome::kNone};
   std::atomic<std::size_t> growth_commands_{0};
 
   mutable std::mutex agents_mutex_;
   std::vector<std::shared_ptr<Agent>> agents_;
-  std::vector<AgentState> previous_states_;
-  bool previous_valid_ = false;
-  std::size_t stable_rounds_ = 0;
+  core::StallRule rule_{options_};
 
   std::jthread acceptor_;
   std::jthread poller_;
@@ -130,7 +97,7 @@ class MonitorAgent {
 
  private:
   void serve();
-  AgentState snapshot() const;
+  core::StallState snapshot() const;
 
   std::string name_;
   core::Network& network_;

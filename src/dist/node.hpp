@@ -229,6 +229,11 @@ class TrafficStats {
   /// Processes currently blocked inside a remote read / write.
   std::atomic<std::int64_t> blocked_remote_readers{0};
   std::atomic<std::int64_t> blocked_remote_writers{0};
+  /// Stream ends (FIN frames) producers sent and consumers took.  An end
+  /// wakes a blocked reader as a byte does, so the quiescence test counts
+  /// it as one; unlike bytes it comes once per segment, so a plain atomic.
+  std::atomic<std::uint64_t> ends_sent{0};
+  std::atomic<std::uint64_t> ends_received{0};
 
  private:
   mutable std::mutex mutex_;

@@ -174,7 +174,9 @@ void FrameChannelInput::handle_control_frame() {
   const net::Frame frame = parser_.take_control();
   switch (frame.type) {
     case net::FrameType::kFin:
-      eof_ = true;
+      if (!eof_.exchange(true) && stats_ != nullptr) {
+        stats_->ends_received.fetch_add(1);
+      }
       return;
     case net::FrameType::kRedirect:
       handle_redirect(net::RedirectInfo::decode(
@@ -461,6 +463,7 @@ void FrameChannelOutput::close() {
     // the consumer (see the drain in write()).
     drain_credits_locked(/*block=*/false);
     writer_->write_fin();
+    if (stats_ != nullptr) stats_->ends_sent.fetch_add(1);
     stream_->shutdown_write();
     // We will never read again either: our only inbound traffic is credit
     // frames, and the FIN above promises the consumer no more data, so any
@@ -541,6 +544,7 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
   }
   writer_->write_redirect(info);
   writer_->write_fin();
+  if (stats_ != nullptr) stats_->ends_sent.fetch_add(1);
   stream_->shutdown_write();
   // Same as close(): this segment never reads credits again; where the
   // transport can say so safely (mux), unpark a consumer mid-grant.

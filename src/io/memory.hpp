@@ -17,6 +17,7 @@ class MemoryInputStream final : public InputStream {
 
   std::size_t read_some(MutableByteSpan out) override {
     const std::size_t n = std::min(out.size(), data_.size() - pos_);
+    if (n == 0) return 0;  // either pointer may be null: no memcpy
     std::memcpy(out.data(), data_.data() + pos_, n);
     pos_ += n;
     return n;

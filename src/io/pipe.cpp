@@ -22,7 +22,9 @@ void Pipe::notify_readers_locked() {
   // Fiber waiters first: requeueing on the waker's own deque is the M:N
   // fast path (the bytes just written are cache-hot right here).  A
   // popped fiber stays counted in blocked_readers_ until it resumes, so
-  // the cv arithmetic below can only over-notify, never lose a waiter.
+  // the cv arithmetic below can only over-notify, never lose a waiter
+  // (blocked_readers() hides it from the monitor: the pipe is no longer
+  // empty).
   std::size_t fibers = 0;
   while (sched::Fiber* fiber = reader_fibers_.pop()) {
     sched::make_runnable(fiber);
@@ -237,14 +239,24 @@ bool Pipe::read_closed() const {
   return read_closed_;
 }
 
+std::size_t Pipe::waiting_readers_locked() const {
+  const bool open = !write_closed_ && !read_closed_ && !aborted_;
+  return count_ == 0 && open ? blocked_readers_ : 0;
+}
+
+std::size_t Pipe::waiting_writers_locked() const {
+  const bool open = !write_closed_ && !read_closed_ && !aborted_;
+  return !unbounded_ && count_ >= capacity_ && open ? blocked_writers_ : 0;
+}
+
 std::size_t Pipe::blocked_readers() const {
   std::scoped_lock lock{mutex_};
-  return blocked_readers_;
+  return waiting_readers_locked();
 }
 
 std::size_t Pipe::blocked_writers() const {
   std::scoped_lock lock{mutex_};
-  return blocked_writers_;
+  return waiting_writers_locked();
 }
 
 Pipe::Stats Pipe::stats() const {
@@ -257,8 +269,8 @@ Pipe::Stats Pipe::stats() const {
   s.blocked_write_ns = blocked_write_ns_;
   s.reader_wakeups = reader_wakeups_;
   s.writer_wakeups = writer_wakeups_;
-  s.blocked_readers = blocked_readers_;
-  s.blocked_writers = blocked_writers_;
+  s.blocked_readers = waiting_readers_locked();
+  s.blocked_writers = waiting_writers_locked();
   s.write_closed = write_closed_;
   s.read_closed = read_closed_;
   s.read_block = read_block_hist_.snapshot();

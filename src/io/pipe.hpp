@@ -71,7 +71,9 @@ class Pipe {
   bool write_closed() const;
   bool read_closed() const;
 
-  /// Instrumentation for the deadlock monitor (Section 3.5 / [13]).
+  /// Instrumentation for the deadlock monitor (Section 3.5 / [13]): the
+  /// waiters whose wait condition still holds.  A woken waiter that has
+  /// not run yet is not counted -- it is about to make progress.
   std::size_t blocked_readers() const;
   std::size_t blocked_writers() const;
 
@@ -150,6 +152,10 @@ class Pipe {
   // Requeues every suspended fiber (both directions); the close/abort
   // paths use it because a state flip can unblock either side.
   void wake_all_fibers_locked();
+  // The exact counts behind blocked_readers()/blocked_writers(): the
+  // wake-elision counters above, but only while their wait condition holds.
+  std::size_t waiting_readers_locked() const;
+  std::size_t waiting_writers_locked() const;
 };
 
 /// Read end of a Pipe as an InputStream.

@@ -267,19 +267,21 @@ class TypedRing final : public TypedRingBase {
     s.read_closed = (flags & kReadClosed) != 0;
     std::scoped_lock lock{mutex_};
     s.capacity = bound_;
-    s.blocked_readers = blocked_readers_;
-    s.blocked_writers = blocked_writers_;
+    s.blocked_readers = reader_must_wait() ? blocked_readers_ : 0;
+    s.blocked_writers = writer_must_wait() ? blocked_writers_ : 0;
     return s;
   }
 
+  /// Parked waiters whose wait condition still holds (as io::Pipe counts
+  /// them): a woken waiter that has not run yet is not blocked.
   std::size_t blocked_readers() const override {
     std::scoped_lock lock{mutex_};
-    return blocked_readers_;
+    return reader_must_wait() ? blocked_readers_ : 0;
   }
 
   std::size_t blocked_writers() const override {
     std::scoped_lock lock{mutex_};
-    return blocked_writers_;
+    return writer_must_wait() ? blocked_writers_ : 0;
   }
 
   std::size_t capacity() const override {

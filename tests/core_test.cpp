@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <thread>
 
 #include "core/channel.hpp"
@@ -323,6 +325,67 @@ TEST(Network, TrueDeadlockDetectedOnCycle) {
   network.enable_monitor(MonitorOptions{});
   network.run();
   EXPECT_EQ(network.outcome(), DeadlockOutcome::kTrueDeadlock);
+}
+
+TEST(Network, WokenReaderIsNotCountedBlocked) {
+  // A woken reader that has not run yet is about to make progress, so the
+  // monitor must not count it as blocked.  On one M:N worker a process
+  // wakes its reader with one token, spawns a fiber that holds the worker
+  // for 20 ms, and blocks reading the reply; meanwhile every process
+  // "waits", but only one of them really does.
+  class PingOnce final : public IterativeProcess {
+   public:
+    PingOnce(std::shared_ptr<ChannelInputStream> in,
+             std::shared_ptr<ChannelOutputStream> out,
+             std::function<void()> after_write)
+        : IterativeProcess(1), after_write_(std::move(after_write)) {
+      track_input(std::move(in));
+      track_output(std::move(out));
+    }
+    std::string type_name() const override { return "test.PingOnce"; }
+    void write_fields(serial::ObjectOutputStream&) const override {}
+    std::atomic<std::int64_t> reply{0};
+
+   protected:
+    void step() override {
+      io::DataOutputStream out{output(0)};
+      out.write_i64(42);
+      after_write_();
+      io::DataInputStream in{input(0)};
+      reply.store(in.read_i64());
+    }
+
+   private:
+    std::function<void()> after_write_;
+  };
+
+  sched::SchedulerOptions one_worker;
+  one_worker.mode = sched::SchedMode::kWorkSteal;
+  one_worker.workers = 1;
+  Network network;
+  network.set_scheduler(one_worker);
+  auto ping = network.make_channel({.capacity = 64, .label = "ping"});
+  auto pong = network.make_channel({.capacity = 64, .label = "pong"});
+  // Added first, so it runs first and parks on the empty ping channel.
+  network.add(std::make_shared<Identity>(ping->input(), pong->output()));
+  // The holder is spawned after the token woke the echo, so the worker's
+  // LIFO deque runs it first; it is not one of the network's processes.
+  auto pinger = std::make_shared<PingOnce>(
+      pong->input(), ping->output(), [&network] {
+        network.scheduler()->spawn(
+            [] {
+              const auto until = std::chrono::steady_clock::now() +
+                                 std::chrono::milliseconds{20};
+              while (std::chrono::steady_clock::now() < until) {
+              }
+            },
+            "test.hold-worker");
+      });
+  network.add(pinger);
+  network.enable_monitor(MonitorOptions{});
+  network.run();
+  EXPECT_EQ(network.outcome(), DeadlockOutcome::kNone);
+  EXPECT_EQ(pinger->reply.load(), 42);
 }
 
 // --- Determinacy ---------------------------------------------------------------

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <latch>
 #include <thread>
+#include <utility>
 
 #include "core/network.hpp"
 #include "dist/ddm.hpp"
@@ -24,6 +26,8 @@ namespace dpn::dist {
 namespace {
 
 using core::Channel;
+using core::DeadlockOutcome;
+using core::MonitorOptions;
 using core::Network;
 using processes::Add;
 using processes::Collect;
@@ -46,7 +50,7 @@ TEST(Coordinator, AgentsConnectAndDetach) {
     while (coordinator.agents_connected() < 1) std::this_thread::yield();
   }
   coordinator.stop();
-  EXPECT_EQ(coordinator.outcome(), FleetOutcome::kNone);
+  EXPECT_EQ(coordinator.outcome(), DeadlockOutcome::kNone);
 }
 
 TEST(Coordinator, HealthyFleetTriggersNothing) {
@@ -67,7 +71,122 @@ TEST(Coordinator, HealthyFleetTriggersNothing) {
   // A sampling race can very occasionally issue a (harmless) growth
   // command; what must never happen on a healthy fleet is a deadlock
   // verdict.
-  EXPECT_NE(coordinator.outcome(), FleetOutcome::kTrueDeadlock);
+  EXPECT_NE(coordinator.outcome(), DeadlockOutcome::kTrueDeadlock);
+}
+
+// --- One rule: the local monitor is a fleet of one ---------------------------
+
+/// Figure 13: route 1 of every 10 to one input of a merge, 9 to the other,
+/// whose 8-byte channel is far too small -- an artificial deadlock that
+/// growing "others" to 128 bytes resolves.
+using Sink = std::shared_ptr<CollectSink<std::int64_t>>;
+
+void build_figure_thirteen(Network& network, const Sink& sink) {
+  auto source = network.make_channel({.capacity = 64, .label = "source"});
+  auto multiples = network.make_channel({.capacity = 8, .label = "multiples"});
+  auto others = network.make_channel({.capacity = 8, .label = "others"});
+  auto merged = network.make_channel({.capacity = 64, .label = "merged"});
+  network.add(std::make_shared<Sequence>(1, source->output(), 200));
+  network.add(std::make_shared<processes::RouteByDivisibility>(
+      source->input(), multiples->output(), others->output(), 10));
+  network.add(std::make_shared<processes::OrderedMerge>(
+      std::vector{multiples->input(), others->input()}, merged->output(),
+      /*eliminate_duplicates=*/false));
+  network.add(std::make_shared<Collect>(merged->input(), sink));
+}
+
+/// Two processes that each read the other's output first: a true deadlock.
+void build_echo_cycle(Network& network) {
+  class Echo final : public core::IterativeProcess {
+   public:
+    Echo(std::shared_ptr<core::ChannelInputStream> in,
+         std::shared_ptr<core::ChannelOutputStream> out) {
+      track_input(std::move(in));
+      track_output(std::move(out));
+    }
+    std::string type_name() const override { return "test.Echo"; }
+    void write_fields(serial::ObjectOutputStream&) const override {}
+
+   protected:
+    void step() override {
+      io::DataInputStream in{input(0)};
+      io::DataOutputStream out{output(0)};
+      out.write_i64(in.read_i64());
+    }
+  };
+  auto ab = network.make_channel({.capacity = 16, .label = "ab"});
+  auto ba = network.make_channel({.capacity = 16, .label = "ba"});
+  network.add(std::make_shared<Echo>(ab->input(), ba->output()));
+  network.add(std::make_shared<Echo>(ba->input(), ab->output()));
+}
+
+struct Verdicts {
+  core::DeadlockOutcome outcome = core::DeadlockOutcome::kNone;
+  std::size_t growths = 0;
+  std::size_t collected = 0;
+};
+
+/// Runs the graph `build` makes once under the local monitor and once
+/// under a one-agent DeadlockCoordinator, with the same options.
+std::pair<Verdicts, Verdicts> run_both(
+    const std::function<void(Network&, const Sink&)>& build,
+    const MonitorOptions& options) {
+  Verdicts local;
+  {
+    auto sink = std::make_shared<CollectSink<std::int64_t>>();
+    Network network;
+    build(network, sink);
+    network.enable_monitor(options);
+    network.run();
+    local = {network.outcome(), network.growth_events(), sink->size()};
+  }
+  Verdicts fleet;
+  {
+    auto sink = std::make_shared<CollectSink<std::int64_t>>();
+    DeadlockCoordinator coordinator{options};
+    auto node = NodeContext::create();
+    Network network;
+    build(network, sink);
+    MonitorAgent agent{"solo", network, node, "127.0.0.1", coordinator.port()};
+    network.run();
+    agent.stop();
+    coordinator.stop();
+    fleet = {coordinator.outcome(), coordinator.growth_commands(),
+             sink->size()};
+    EXPECT_EQ(network.growth_events(), fleet.growths);
+  }
+  return {local, fleet};
+}
+
+TEST(OneRule, ArtificialStallGrowsAlikeLocallyAndFleetWide) {
+  const auto [local, fleet] = run_both(build_figure_thirteen, {});
+  EXPECT_EQ(local.outcome, DeadlockOutcome::kGrown);
+  EXPECT_EQ(local.collected, 200u);
+  EXPECT_EQ(fleet.outcome, local.outcome);
+  EXPECT_EQ(fleet.growths, local.growths);
+  EXPECT_EQ(fleet.collected, local.collected);
+}
+
+TEST(OneRule, TrueDeadlockIsDeclaredAlikeLocallyAndFleetWide) {
+  const auto [local, fleet] = run_both(
+      [](Network& network, const Sink&) { build_echo_cycle(network); }, {});
+  EXPECT_EQ(local.outcome, DeadlockOutcome::kTrueDeadlock);
+  EXPECT_EQ(local.growths, 0u);
+  EXPECT_EQ(fleet.outcome, local.outcome);
+  EXPECT_EQ(fleet.growths, local.growths);
+}
+
+TEST(OneRule, CapacityCapHoldsLocallyAndFleetWide) {
+  // "others" may grow 8 -> 16 -> 32 bytes, but Figure 13 needs 72: the
+  // growth to 64 passes the cap, which turns the stall into a verdict.
+  const auto [local, fleet] =
+      run_both(build_figure_thirteen, {.max_channel_capacity = 32});
+  EXPECT_EQ(local.outcome, DeadlockOutcome::kTrueDeadlock);
+  EXPECT_EQ(local.growths, 2u);
+  EXPECT_LT(local.collected, 200u);
+  EXPECT_EQ(fleet.outcome, local.outcome);
+  EXPECT_EQ(fleet.growths, local.growths);
+  EXPECT_EQ(fleet.collected, local.collected);
 }
 
 TEST(Coordinator, ResolvesDistributedArtificialDeadlock) {
@@ -78,9 +197,7 @@ TEST(Coordinator, ResolvesDistributedArtificialDeadlock) {
   // for the sparse one -- an artificial deadlock no single node can see.
   // The coordinator detects the fleet-wide stall and grows the remote
   // windows until the run completes.
-  DeadlockCoordinator::Options options;
-  options.poll_interval = std::chrono::milliseconds{2};
-  DeadlockCoordinator coordinator{options};
+  DeadlockCoordinator coordinator;
 
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
@@ -128,7 +245,7 @@ TEST(Coordinator, ResolvesDistributedArtificialDeadlock) {
   ASSERT_EQ(sink->size(), static_cast<std::size_t>(kTotal));
   const auto values = sink->values();
   for (long i = 0; i < kTotal; ++i) EXPECT_EQ(values[i], i + 1);
-  EXPECT_EQ(coordinator.outcome(), FleetOutcome::kGrown);
+  EXPECT_EQ(coordinator.outcome(), DeadlockOutcome::kGrown);
   EXPECT_GE(coordinator.growth_commands(), 1u);
 }
 
@@ -144,9 +261,7 @@ TEST(Coordinator, DetectsTrueDistributedDeadlock) {
   fs::create_directories(dump_dir);
   ::setenv("DPN_FLIGHT_DIR", dump_dir.c_str(), 1);
 
-  DeadlockCoordinator::Options options;
-  options.poll_interval = std::chrono::milliseconds{2};
-  DeadlockCoordinator coordinator{options};
+  DeadlockCoordinator coordinator;
 
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
@@ -198,7 +313,7 @@ TEST(Coordinator, DetectsTrueDistributedDeadlock) {
   agent_b.stop();
   coordinator.stop();
 
-  EXPECT_EQ(coordinator.outcome(), FleetOutcome::kTrueDeadlock);
+  EXPECT_EQ(coordinator.outcome(), DeadlockOutcome::kTrueDeadlock);
 
   // The verdict also produced a post-mortem with no flags set: the
   // coordinator's fleet-deadlock flight dump (in-process fleets share
@@ -234,9 +349,8 @@ TEST(Coordinator, BytesInFlightHoldBackTheDeadlockVerdict) {
   // can tell: A's sent count must include the token although A's
   // producer never parked, so no poll finds sent == received until the
   // echo has run.
-  DeadlockCoordinator::Options options;
-  options.poll_interval = std::chrono::milliseconds{25};
-  DeadlockCoordinator coordinator{options};
+  DeadlockCoordinator coordinator{
+      MonitorOptions{.poll_interval = std::chrono::milliseconds{25}}};
 
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
@@ -308,12 +422,85 @@ TEST(Coordinator, BytesInFlightHoldBackTheDeadlockVerdict) {
   agent_b.stop();
   coordinator.stop();
 
-  EXPECT_NE(coordinator.outcome(), FleetOutcome::kTrueDeadlock);
+  EXPECT_NE(coordinator.outcome(), DeadlockOutcome::kTrueDeadlock);
   EXPECT_EQ(ping->reply.load(), 42);
   EXPECT_EQ(node_a->traffic()->bytes_sent.load(),
             node_b->traffic()->bytes_received.load());
   EXPECT_EQ(node_b->traffic()->bytes_sent.load(),
             node_a->traffic()->bytes_received.load());
+}
+
+TEST(Coordinator, StreamEndInFlightHoldsBackTheDeadlockVerdict) {
+  // Node A closes its stream to node B's echo without writing a byte and
+  // waits for the echo's output to end.  The FIN reaches B while a fiber
+  // holds B's only worker, so the woken echo still counts as parked on
+  // its input, and no byte is unbalanced.  Only the end itself is in
+  // flight: it must hold the verdict back like a byte would.
+  DeadlockCoordinator coordinator{
+      MonitorOptions{.poll_interval = std::chrono::milliseconds{25}}};
+
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  auto ab = std::make_shared<Channel>(64, "ab");
+  auto ba = std::make_shared<Channel>(64, "ba");
+  const ByteVector shipment = ship_process(
+      node_a, std::make_shared<Identity>(ab->input(), ba->output()));
+
+  class CloseAtOnce final : public core::Process {
+   public:
+    explicit CloseAtOnce(std::shared_ptr<core::ChannelOutputStream> out)
+        : out_(std::move(out)) {}
+    void run() override { out_->close(); }
+    std::string type_name() const override { return "test.CloseAtOnce"; }
+    void write_fields(serial::ObjectOutputStream&) const override {
+      throw SerializationError{"local-only"};
+    }
+
+   private:
+    std::shared_ptr<core::ChannelOutputStream> out_;
+  };
+
+  Network network_b;
+  sched::SchedulerOptions one_worker;
+  one_worker.mode = sched::SchedMode::kWorkSteal;
+  one_worker.workers = 1;
+  network_b.set_scheduler(one_worker);
+  network_b.add(receive_process(node_b, {shipment.data(), shipment.size()}));
+  network_b.start();
+  while (node_b->traffic()->blocked_remote_readers.load() == 0) {
+    std::this_thread::yield();  // the echo parks on its empty input
+  }
+  std::latch holding{1};
+  network_b.scheduler()->spawn(
+      [&holding] {
+        holding.count_down();
+        std::this_thread::sleep_for(std::chrono::milliseconds{120});
+      },
+      "test.hold-worker");
+  holding.wait();
+
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  Network network_a;
+  network_a.add(std::make_shared<CloseAtOnce>(ab->output()));
+  network_a.add(std::make_shared<Collect>(ba->input(), sink));
+  network_a.start();
+  while (network_a.live_processes() > 1 ||
+         node_a->traffic()->blocked_remote_readers.load() == 0) {
+    std::this_thread::yield();  // FIN sent; A's collector awaits B's end
+  }
+
+  MonitorAgent agent_a{"node-a", network_a, node_a, "127.0.0.1",
+                       coordinator.port()};
+  MonitorAgent agent_b{"node-b", network_b, node_b, "127.0.0.1",
+                       coordinator.port()};
+  network_a.join();
+  network_b.join();
+  agent_a.stop();
+  agent_b.stop();
+  coordinator.stop();
+
+  EXPECT_EQ(coordinator.outcome(), DeadlockOutcome::kNone);
+  EXPECT_EQ(sink->size(), 0u);
 }
 
 }  // namespace

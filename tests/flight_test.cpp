@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,6 +298,76 @@ TEST(FlightDump, DeadlockDumpNamesCycleOnDisk) {
   EXPECT_NE(text.find("pong blocked reading"), std::string::npos) << text;
   EXPECT_NE(text.find("'ab'"), std::string::npos) << text;
   EXPECT_NE(text.find("'ba'"), std::string::npos) << text;
+
+  ::unsetenv("DPN_FLIGHT_DIR");
+  std::error_code ignored;
+  fs::remove_all(dir, ignored);
+}
+
+TEST(FlightDump, DeadlockDumpNamesEachInstanceAndChannel) {
+  // Two instances of one process type: the dump must keep them apart
+  // (actor names carry an instance number) and name each one's channel --
+  // by label, or as ch<id> when it has none.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("dpn-flight-instances-" + std::to_string(static_cast<long>(::getpid())));
+  fs::create_directories(dir);
+  ::setenv("DPN_FLIGHT_DIR", dir.c_str(), 1);
+  obs::flight_reset();
+
+  class Echo final : public core::IterativeProcess {
+   public:
+    Echo(std::shared_ptr<core::ChannelInputStream> in,
+         std::shared_ptr<core::ChannelOutputStream> out) {
+      track_input(std::move(in));
+      track_output(std::move(out));
+    }
+    std::string type_name() const override { return "test.Echo"; }
+    void write_fields(serial::ObjectOutputStream&) const override {}
+
+   protected:
+    void step() override {
+      io::DataInputStream in{input(0)};
+      io::DataOutputStream out{output(0)};
+      out.write_i64(in.read_i64());  // reads first: both block forever
+    }
+  };
+
+  core::Network network;
+  auto ab = network.make_channel({.capacity = 16, .label = "ab"});
+  auto ba = network.make_channel({.capacity = 16});
+  network.add(std::make_shared<Echo>(ab->input(), ba->output()));
+  network.add(std::make_shared<Echo>(ba->input(), ab->output()));
+  network.enable_monitor(core::MonitorOptions{});
+  network.run();
+  ASSERT_EQ(network.outcome(), core::DeadlockOutcome::kTrueDeadlock);
+
+  const fs::path dump =
+      dir / ("dpn-flight-deadlock-" +
+             std::to_string(static_cast<long>(::getpid())) + ".txt");
+  ASSERT_TRUE(fs::exists(dump)) << dump;
+  std::ifstream in{dump};
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  const std::string wait_for = text.substr(text.find("wait-for:"));
+  std::vector<std::string> rows;
+  std::istringstream lines{wait_for};
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  test.Echo#", 0) == 0) rows.push_back(line);
+  }
+  ASSERT_EQ(rows.size(), 2u) << text;
+  EXPECT_NE(rows[0].substr(0, rows[0].find(' ', 2)),
+            rows[1].substr(0, rows[1].find(' ', 2)));
+  const std::string ab_row =
+      "blocked reading ch" + std::to_string(ab->state()->id) + " 'ab' (";
+  const std::string ba_row =
+      "blocked reading ch" + std::to_string(ba->state()->id) + " (";
+  EXPECT_TRUE((rows[0].find(ab_row) != std::string::npos &&
+               rows[1].find(ba_row) != std::string::npos) ||
+              (rows[1].find(ab_row) != std::string::npos &&
+               rows[0].find(ba_row) != std::string::npos))
+      << wait_for;
 
   ::unsetenv("DPN_FLIGHT_DIR");
   std::error_code ignored;

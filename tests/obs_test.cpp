@@ -200,7 +200,7 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(d.write_buffered, 16u);
 }
 
-// --- apply_growth: growth needs live evidence -------------------------------
+// --- grow_smallest_blocked: growth needs live evidence ----------------------
 
 /// Consumer that holds its channel untouched until the test opens the
 /// gate, so the producer is observably write-blocked for as long as the
@@ -254,16 +254,18 @@ TEST(Snapshot, GrowthIsRefusedOnStaleStallEvidence) {
   ASSERT_NE(stall.smallest_write_blocked(), nullptr);
   EXPECT_EQ(stall.smallest_write_blocked()->label, "tiny");
 
-  // Live evidence: the same snapshot justifies growth right now.
-  EXPECT_TRUE(network.apply_growth(stall));
+  // Live evidence: the writer still waits, so growth happens right now.
+  const std::uint64_t doubled = 2 * stall.smallest_write_blocked()->capacity;
+  EXPECT_TRUE(network.grow_smallest_blocked(doubled));
   EXPECT_EQ(network.snapshot().channels[0].capacity, 32u);
 
   gate->store(true);
   network.join();
   EXPECT_EQ(network.live_processes(), 0u);
 
-  // Stale evidence: the old stall snapshot no longer describes reality.
-  EXPECT_FALSE(network.apply_growth(stall));
+  // Stale evidence: the old stall snapshot no longer describes reality,
+  // since no writer waits any more.
+  EXPECT_FALSE(network.grow_smallest_blocked(2 * doubled));
   EXPECT_EQ(network.snapshot().channels[0].capacity, 32u);
 }
 
