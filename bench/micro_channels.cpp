@@ -5,15 +5,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <thread>
 
 #include "core/channel.hpp"
+#include "core/network.hpp"
+#include "core/process.hpp"
 #include "io/blocking.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
 #include "net/socket.hpp"
+#include "processes/basic.hpp"
 
 namespace {
 
@@ -48,8 +52,8 @@ void BM_ChannelElementRoundTrip(benchmark::State& state) {
   // (Sequence layer included), alternating like a ping to measure
   // per-element latency of the stack.
   core::Channel channel{4096};
-  io::DataOutputStream out{channel.output()};
-  io::DataInputStream in{channel.input()};
+  io::DataOutputStream out{*channel.output()};
+  io::DataInputStream in{*channel.input()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value);
@@ -70,8 +74,8 @@ void BM_ChannelElementRoundTripBuffered(benchmark::State& state) {
   options.write_buffer = 8192;
   options.read_buffer = 8192;
   core::Channel channel{options};
-  io::DataOutputStream out{channel.output()};
-  io::DataInputStream in{channel.input()};
+  io::DataOutputStream out{*channel.output()};
+  io::DataInputStream in{*channel.input()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value);
@@ -101,7 +105,7 @@ void BM_ChannelWriteThroughput(benchmark::State& state) {
     } catch (const IoError&) {
     }
   }};
-  io::DataOutputStream out{channel.output()};
+  io::DataOutputStream out{*channel.output()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value++);
@@ -123,13 +127,13 @@ void BM_ChannelReadThroughput(benchmark::State& state) {
   options.read_buffer = static_cast<std::size_t>(state.range(0));
   core::Channel channel{options};
   std::jthread feed{[out = channel.output()] {
-    io::DataOutputStream data{out};
+    io::DataOutputStream data{*out};
     try {
       for (std::int64_t i = 0;; ++i) data.write_i64(i);
     } catch (const IoError&) {
     }
   }};
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(in.read_i64());
   }
@@ -142,10 +146,10 @@ void BM_DataStreamOverMemory(benchmark::State& state) {
   // The serialization layer alone, no synchronization.
   for (auto _ : state) {
     auto sink = std::make_shared<io::MemoryOutputStream>();
-    io::DataOutputStream out{sink};
+    io::DataOutputStream out{*sink};
     for (int i = 0; i < 64; ++i) out.write_i64(i);
-    io::DataInputStream in{
-        std::make_shared<io::MemoryInputStream>(sink->take())};
+    io::MemoryInputStream source{sink->take()};
+    io::DataInputStream in{source};
     std::int64_t sum = 0;
     for (int i = 0; i < 64; ++i) sum += in.read_i64();
     benchmark::DoNotOptimize(sum);
@@ -211,6 +215,56 @@ void BM_ChannelCreation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ChannelCreation);
+
+class EmptyStep final : public core::IterativeProcess {
+ public:
+  explicit EmptyStep(long iterations) : IterativeProcess(iterations) {}
+  std::string type_name() const override { return "bench.EmptyStep"; }
+  void write_fields(serial::ObjectOutputStream&) const override {}
+
+ protected:
+  void step() override {}
+};
+
+void BM_IterativeStepLoop(benchmark::State& state) {
+  // The cost of one turn of IterativeProcess::run's loop (paper Figure 4):
+  // the pause check at the step boundary, the step, the step counter.
+  // Arg 0: an empty step(), run on this thread.  Arg 1: one i64 per step
+  // from a Sequence to a Collect over a local byte channel, both fibers
+  // on one M:N worker, so the Data codec and the endpoint's write and
+  // read are in it but no cross-core handoff is.  ns_per_step is the wall
+  // time per step of one process (per token for arg 1).
+  constexpr long kSteps = 1 << 16;
+  double ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    if (state.range(0) == 0) {
+      EmptyStep{kSteps}.run();
+    } else {
+      core::Network network;
+      network.set_scheduler(
+          {.mode = sched::SchedMode::kWorkSteal, .workers = 1});
+      auto channel = network.make_channel();
+      auto sink = std::make_shared<processes::CollectSink<std::int64_t>>();
+      network.add(
+          std::make_shared<processes::Sequence>(0, channel->output(), kSteps));
+      network.add(std::make_shared<processes::Collect>(channel->input(), sink));
+      network.run();
+      benchmark::DoNotOptimize(sink->size());
+    }
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  }
+  const auto steps = static_cast<double>(state.iterations()) * kSteps;
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+  state.counters["ns_per_step"] = ns / steps;
+}
+BENCHMARK(BM_IterativeStepLoop)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

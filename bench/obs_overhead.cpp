@@ -47,7 +47,7 @@ void write_throughput(benchmark::State& state, bool traced) {
     } catch (const IoError&) {
     }
   }};
-  io::DataOutputStream out{channel.output()};
+  io::DataOutputStream out{*channel.output()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value++);
@@ -80,13 +80,13 @@ void read_throughput(benchmark::State& state, bool traced) {
   options.read_buffer = static_cast<std::size_t>(state.range(0));
   core::Channel channel{options};
   std::jthread feed{[out = channel.output()] {
-    io::DataOutputStream data{out};
+    io::DataOutputStream data{*out};
     try {
       for (std::int64_t i = 0;; ++i) data.write_i64(i);
     } catch (const IoError&) {
     }
   }};
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(in.read_i64());
   }
@@ -224,8 +224,8 @@ BENCHMARK(BM_ObsWriteThroughputFlightOff)->Arg(0)->Arg(8192);
 void BM_ObsElementRoundTrip(benchmark::State& state) {
   obs::Tracer::instance().disable();
   core::Channel channel{4096};
-  io::DataOutputStream out{channel.output()};
-  io::DataInputStream in{channel.input()};
+  io::DataOutputStream out{*channel.output()};
+  io::DataInputStream in{*channel.input()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value);

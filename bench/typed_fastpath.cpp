@@ -109,8 +109,8 @@ void BM_ByteStreamRoundTripBaseline(benchmark::State& state) {
   options.write_buffer = 8192;
   options.read_buffer = 8192;
   core::Channel channel{options};
-  io::DataOutputStream out{channel.output()};
-  io::DataInputStream in{channel.input()};
+  io::DataOutputStream out{*channel.output()};
+  io::DataInputStream in{*channel.input()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value);
@@ -136,7 +136,7 @@ void BM_ByteStreamWriteThroughputBaseline(benchmark::State& state) {
     } catch (const IoError&) {
     }
   }};
-  io::DataOutputStream out{channel.output()};
+  io::DataOutputStream out{*channel.output()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value++);
@@ -154,13 +154,13 @@ void BM_ByteStreamReadThroughputBaseline(benchmark::State& state) {
   options.read_buffer = 8192;
   core::Channel channel{options};
   std::jthread feed{[out = channel.output()] {
-    io::DataOutputStream data{out};
+    io::DataOutputStream data{*out};
     try {
       for (std::int64_t i = 0;; ++i) data.write_i64(i);
     } catch (const IoError&) {
     }
   }};
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(in.read_i64());
   }

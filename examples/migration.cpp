@@ -52,7 +52,7 @@ class SlowSource final : public dpn::core::IterativeProcess {
 
  protected:
   void step() override {
-    dpn::io::DataOutputStream out{output(0)};
+    dpn::io::DataOutputStream out{*output(0)};
     out.write_i64(next_++);
     std::this_thread::sleep_for(std::chrono::microseconds{delay_us_});
   }
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::int64_t received = 0;
   bool in_order = true;
   std::jthread consumer{[&] {
-    io::DataInputStream in{ch->input()};
+    io::DataInputStream in{*ch->input()};
     try {
       for (;;) {
         const std::int64_t value = in.read_i64();

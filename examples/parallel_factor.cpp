@@ -55,13 +55,13 @@ class ChaosWorker final : public dpn::core::IterativeProcess {
 
  protected:
   void step() override {
-    dpn::io::DataInputStream in{input(0)};
+    dpn::io::DataInputStream in{*input(0)};
     auto task = dpn::par::read_task(in);
     if (++completed_ > crash_after_) {
       throw std::runtime_error{"chaos: injected worker crash"};
     }
     auto result = task->run();
-    dpn::io::DataOutputStream out{output(0)};
+    dpn::io::DataOutputStream out{*output(0)};
     dpn::par::write_task(out, result);
   }
 

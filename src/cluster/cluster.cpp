@@ -56,7 +56,7 @@ ThrottledWorker::ThrottledWorker(std::shared_ptr<par::ChannelInputStream> in,
 }
 
 void ThrottledWorker::step() {
-  io::DataInputStream in{input(0)};
+  io::DataInputStream in{*input(0)};
   auto task = par::read_task(in);
   if (!task) throw SerializationError{"throttled worker got a null task"};
 
@@ -70,7 +70,7 @@ void ThrottledWorker::step() {
   ++tasks_processed_;
   busy_seconds_ += watch.elapsed_seconds();
 
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   par::write_task(out, result);
 }
 

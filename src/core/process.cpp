@@ -36,6 +36,8 @@ void IterativeProcess::run() {
   DPN_TRACE_EVENT(obs::TraceKind::kProcessStart, name());
   bool abandoned = false;
   StopGuard guard{[this, &abandoned] {
+    // First, so that await_pause() returns even if cleanup blocks.
+    finish();
     // Either way the local instance is done: a shipped process's successor
     // carries its own stats object.
     stats()->set_state(obs::ProcessState::kFinished);
@@ -75,34 +77,37 @@ void IterativeProcess::run() {
     // endpoints, continuing the cascade.
     log::debug("process ", name(), " stopped by I/O");
   }
+}
+
+void IterativeProcess::finish() {
   std::scoped_lock lock{state_mutex_};
-  state_ = RunState::kFinished;
+  state_.store(RunState::kFinished, std::memory_order_release);
   state_cv_.notify_all();
 }
 
 void IterativeProcess::request_pause() {
   std::scoped_lock lock{state_mutex_};
-  if (state_ == RunState::kIdle) {
-    state_ = RunState::kPauseRequested;
-    state_cv_.notify_all();
+  if (state_.load(std::memory_order_relaxed) == RunState::kIdle) {
+    state_.store(RunState::kPauseRequested, std::memory_order_release);
   }
 }
 
 bool IterativeProcess::await_pause() {
   std::unique_lock lock{state_mutex_};
   state_cv_.wait(lock, [&] {
-    return state_ == RunState::kPaused || state_ == RunState::kFinished;
+    const RunState state = state_.load(std::memory_order_relaxed);
+    return state == RunState::kPaused || state == RunState::kFinished;
   });
-  return state_ == RunState::kPaused;
+  return state_.load(std::memory_order_relaxed) == RunState::kPaused;
 }
 
 void IterativeProcess::resume() {
   {
     std::scoped_lock lock{state_mutex_};
-    if (state_ != RunState::kPaused) {
+    if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
       throw UsageError{"resume() on a process that is not paused"};
     }
-    state_ = RunState::kIdle;
+    state_.store(RunState::kIdle, std::memory_order_release);
   }
   state_cv_.notify_all();
 }
@@ -110,30 +115,33 @@ void IterativeProcess::resume() {
 void IterativeProcess::abandon() {
   {
     std::scoped_lock lock{state_mutex_};
-    if (state_ != RunState::kPaused) {
+    if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
       throw UsageError{"abandon() on a process that is not paused"};
     }
-    state_ = RunState::kAbandoned;
+    state_.store(RunState::kAbandoned, std::memory_order_release);
   }
   state_cv_.notify_all();
 }
 
 bool IterativeProcess::paused() const {
-  std::scoped_lock lock{state_mutex_};
-  return state_ == RunState::kPaused;
+  return state_.load(std::memory_order_acquire) == RunState::kPaused;
 }
 
-bool IterativeProcess::pause_point() {
+bool IterativeProcess::park() {
   std::unique_lock lock{state_mutex_};
-  if (state_ != RunState::kPauseRequested) return true;
-  state_ = RunState::kPaused;
-  stats()->set_state(obs::ProcessState::kPaused);
-  state_cv_.notify_all();
-  state_cv_.wait(lock, [&] {
-    return state_ == RunState::kIdle || state_ == RunState::kAbandoned;
-  });
-  stats()->set_state(obs::ProcessState::kRunning);
-  return state_ != RunState::kAbandoned;
+  // A resume() followed at once by a new request_pause() finds this
+  // process still waiting; it parks again without running a step.
+  while (state_.load(std::memory_order_relaxed) ==
+         RunState::kPauseRequested) {
+    state_.store(RunState::kPaused, std::memory_order_release);
+    stats()->set_state(obs::ProcessState::kPaused);
+    state_cv_.notify_all();
+    state_cv_.wait(lock, [&] {
+      return state_.load(std::memory_order_relaxed) != RunState::kPaused;
+    });
+    stats()->set_state(obs::ProcessState::kRunning);
+  }
+  return state_.load(std::memory_order_relaxed) != RunState::kAbandoned;
 }
 
 void IterativeProcess::close_all() {

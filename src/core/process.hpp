@@ -85,6 +85,17 @@ class Process : public serial::Serializable {
 /// ship with it), start it elsewhere, and abandon the local instance --
 /// whose run() then returns without closing the endpoints it no longer
 /// owns.  dpn::rmi::migrate() packages this sequence.
+///
+/// The pause handshake.  The run state is one atomic, and every write to
+/// it happens under state_mutex_ with release order: request_pause()
+/// (kIdle -> kPauseRequested), the parking process itself (kPauseRequested
+/// -> kPaused), resume() (kPaused -> kIdle), abandon() (kPaused ->
+/// kAbandoned) and run()'s exit (-> kFinished, on every path, exceptions
+/// included).  The step boundary reads it with one acquire load and no
+/// lock; only when that load sees kPauseRequested does the process take
+/// state_mutex_, re-check, and park on state_cv_ until resumed or
+/// abandoned.  A request made while a step is blocked inside a channel
+/// operation is seen at the next boundary, after that operation returns.
 class IterativeProcess : public Process {
  public:
   /// iterations <= 0 means "run until stopped by channel closure".
@@ -98,8 +109,8 @@ class IterativeProcess : public Process {
   /// completes.
   void request_pause();
 
-  /// Blocks until the process is parked (returns true) or it finished
-  /// first (returns false).
+  /// Blocks until the process is parked (returns true) or its run() exited
+  /// first, by any path, an exception included (returns false).
   bool await_pause();
 
   /// Continues a parked process in place.
@@ -212,17 +223,30 @@ class IterativeProcess : public Process {
     kFinished,        // run() completed
   };
 
-  /// Parks if a pause was requested; returns false when the process was
-  /// abandoned while parked (run() must exit silently).
-  bool pause_point();
+  /// The step boundary: one acquire load, and the slow path only when a
+  /// pause was requested.  Returns false when the process was abandoned
+  /// while parked (run() must exit silently).
+  bool pause_point() {
+    return state_.load(std::memory_order_acquire) !=
+               RunState::kPauseRequested ||
+           park();
+  }
+
+  /// pause_point's slow path: parks under state_mutex_ until resumed or
+  /// abandoned.
+  bool park();
+
+  /// Publishes the final state and wakes await_pause().
+  void finish();
 
   long iterations_;
   std::vector<std::shared_ptr<ChannelInputStream>> inputs_;
   std::vector<std::shared_ptr<ChannelOutputStream>> outputs_;
 
-  mutable std::mutex state_mutex_;
+  std::mutex state_mutex_;
   std::condition_variable state_cv_;
-  RunState state_ = RunState::kIdle;
+  /// Written only under state_mutex_ (release); see "The pause handshake".
+  std::atomic<RunState> state_{RunState::kIdle};
 };
 
 /// Appends the observability rows for a process and (recursively) its

@@ -42,10 +42,15 @@ core::StallState read_state(io::DataInputStream& in) {
 }  // namespace
 
 struct DeadlockCoordinator::Agent {
+  explicit Agent(std::shared_ptr<net::Stream> s)
+      : stream(std::move(s)), source(stream), sink(stream) {}
+
   std::string name;
   std::shared_ptr<net::Stream> stream;
-  std::unique_ptr<io::DataInputStream> in;
-  std::unique_ptr<io::DataOutputStream> out;
+  net::StreamInput source;
+  net::StreamOutput sink;
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   bool alive = true;
 };
 
@@ -71,7 +76,7 @@ void DeadlockCoordinator::stop() {
   for (const auto& agent : agents_) {
     if (!agent->alive) continue;
     try {
-      agent->out->write_u8(static_cast<std::uint8_t>(Op::kShutdown));
+      agent->out.write_u8(static_cast<std::uint8_t>(Op::kShutdown));
     } catch (const IoError&) {
     }
     agent->stream->close();
@@ -88,13 +93,8 @@ void DeadlockCoordinator::accept_loop() {
       return;
     }
     try {
-      auto agent = std::make_shared<Agent>();
-      agent->stream = std::move(stream);
-      agent->in = std::make_unique<io::DataInputStream>(
-          std::make_shared<net::StreamInput>(agent->stream));
-      agent->out = std::make_unique<io::DataOutputStream>(
-          std::make_shared<net::StreamOutput>(agent->stream));
-      agent->name = agent->in->read_string();
+      auto agent = std::make_shared<Agent>(std::move(stream));
+      agent->name = agent->in.read_string();
       std::scoped_lock lock{agents_mutex_};
       agents_.push_back(std::move(agent));
       rule_.reset();  // membership changed; restart stability
@@ -122,8 +122,8 @@ void DeadlockCoordinator::poll_round() {
     Agent& agent = *agents_[i];
     if (!agent.alive) continue;  // a lost agent reports an empty state
     try {
-      agent.out->write_u8(static_cast<std::uint8_t>(Op::kPoll));
-      round[i] = read_state(*agent.in);
+      agent.out.write_u8(static_cast<std::uint8_t>(Op::kPoll));
+      round[i] = read_state(agent.in);
     } catch (const IoError&) {
       agent.alive = false;
       rule_.reset();
@@ -134,9 +134,9 @@ void DeadlockCoordinator::poll_round() {
   const auto command = [this](Agent& agent, Op op, std::uint64_t arg = 0) {
     if (!agent.alive) return false;
     try {
-      agent.out->write_u8(static_cast<std::uint8_t>(op));
-      if (op == Op::kGrow) agent.out->write_u64(arg);
-      return agent.in->read_bool();
+      agent.out.write_u8(static_cast<std::uint8_t>(op));
+      if (op == Op::kGrow) agent.out.write_u64(arg);
+      return agent.in.read_bool();
     } catch (const IoError&) {
       agent.alive = false;
       rule_.reset();
@@ -180,7 +180,8 @@ MonitorAgent::MonitorAgent(std::string name, core::Network& network,
     : name_(std::move(name)), network_(network), node_(std::move(node)) {
   stream_ = net::dial_with_retry(net::default_transport(), coordinator_host,
                                  coordinator_port, {});
-  io::DataOutputStream out{std::make_shared<net::StreamOutput>(stream_)};
+  net::StreamOutput sink{stream_};
+  io::DataOutputStream out{sink};
   out.write_string(name_);
   server_ = std::jthread{[this] { serve(); }};
 }
@@ -209,8 +210,10 @@ core::StallState MonitorAgent::snapshot() const {
 }
 
 void MonitorAgent::serve() {
-  io::DataInputStream in{std::make_shared<net::StreamInput>(stream_)};
-  io::DataOutputStream out{std::make_shared<net::StreamOutput>(stream_)};
+  net::StreamInput source{stream_};
+  net::StreamOutput sink{stream_};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   try {
     for (;;) {
       const auto op = static_cast<Op>(in.read_u8());

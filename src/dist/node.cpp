@@ -21,13 +21,13 @@ constexpr std::uint32_t kCloseMagic = 0x44504e58;  // "DPNX"
 /// HELLO: magic, token, dialer rendezvous host + port.
 void write_hello(net::Stream& stream, std::uint64_t token,
                  const PeerAddress& self) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream data{sink};
   data.write_u32(kHelloMagic);
   data.write_u64(token);
   data.write_string(self.host);
   data.write_u16(self.port);
-  const ByteVector& bytes = sink->data();
+  const ByteVector& bytes = sink.data();
   stream.write_all({bytes.data(), bytes.size()});
 }
 
@@ -62,7 +62,7 @@ struct Hello {
   bool close = false;  // a CLOSE notification, not a channel handshake
 };
 
-Hello read_hello(const std::shared_ptr<StreamReader>& reader) {
+Hello read_hello(StreamReader& reader) {
   io::DataInputStream data{reader};
   const std::uint32_t magic = data.read_u32();
   Hello hello;
@@ -213,11 +213,11 @@ std::shared_ptr<net::Stream> RendezvousService::dial(const std::string& host,
 std::shared_ptr<net::Stream> RendezvousService::send_close(
     const std::string& host, std::uint16_t port, std::uint64_t token) {
   auto stream = net::default_transport().dial(host, port);
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream data{sink};
   data.write_u32(kCloseMagic);
   data.write_u64(token);
-  const ByteVector& bytes = sink->data();
+  const ByteVector& bytes = sink.data();
   stream->write_all({bytes.data(), bytes.size()});
   stream->shutdown_write();
   return stream;
@@ -247,7 +247,7 @@ void RendezvousService::accept_loop() {
       if (shutting_down_.load()) return;
       continue;
     }
-    const auto reader = std::make_shared<StreamReader>(*stream);
+    StreamReader reader{*stream};
     Hello hello;
     try {
       hello = read_hello(reader);
@@ -261,7 +261,7 @@ void RendezvousService::accept_loop() {
       // pending tokens, and nothing says which: fail them all, so their
       // endpoints see WorkerLost instead of waiting forever.
       if (shutting_down_.load() ||
-          (reader->bytes_read() == 0 &&
+          (reader.bytes_read() == 0 &&
            dynamic_cast<const EndOfStream*>(&e) != nullptr)) {
         continue;
       }

@@ -31,7 +31,7 @@ void PlaneWaveSource::step() {
   const double noise =
       noise_amplitude_ *
       (static_cast<double>(rng_->next() >> 11) * 0x1.0p-53 - 0.5) * 2.0;
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   out.write_f64(std::sin(phase) + noise);
   ++t_;
 }
@@ -73,7 +73,7 @@ void DelaySum::on_start() {
   if (aligned_) return;
   // Kahn-style delay: consume and discard each sensor's steering prefix.
   for (std::size_t i = 0; i < input_count(); ++i) {
-    io::DataInputStream in{input(i)};
+    io::DataInputStream in{*input(i)};
     for (std::uint32_t k = 0; k < delays_[i]; ++k) in.read_f64();
   }
   aligned_ = true;
@@ -82,10 +82,10 @@ void DelaySum::on_start() {
 void DelaySum::step() {
   double sum = 0.0;
   for (std::size_t i = 0; i < input_count(); ++i) {
-    io::DataInputStream in{input(i)};
+    io::DataInputStream in{*input(i)};
     sum += in.read_f64();
   }
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   out.write_f64(sum);
 }
 
@@ -121,10 +121,10 @@ SpectralPower::SpectralPower(std::shared_ptr<ChannelInputStream> in,
 
 void SpectralPower::step() {
   if (window_.size() != frame_size_) window_ = hann_window(frame_size_);
-  io::DataInputStream in{input(0)};
+  io::DataInputStream in{*input(0)};
   std::vector<double> frame(frame_size_);
   for (double& sample : frame) sample = in.read_f64();
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   out.write_f64(bin_power(frame, bin_, window_));
 }
 

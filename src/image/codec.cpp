@@ -209,7 +209,7 @@ ByteVector decompress_block(ByteSpan compressed, std::size_t* width_out,
 
 ByteVector assemble_archive(const Image& img, std::size_t block_size,
                             const std::vector<ByteVector>& blocks) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream out{sink};
   out.write_u32(kArchiveMagic);
   out.write_varint(img.width());
@@ -219,7 +219,7 @@ ByteVector assemble_archive(const Image& img, std::size_t block_size,
   for (const ByteVector& block : blocks) {
     out.write_bytes({block.data(), block.size()});
   }
-  return sink->take();
+  return sink.take();
 }
 
 ByteVector compress_image(const Image& img, std::size_t block_size) {
@@ -236,8 +236,7 @@ ByteVector compress_image(const Image& img, std::size_t block_size) {
 }
 
 Image decompress_image(ByteSpan archive) {
-  auto source = std::make_shared<io::MemoryInputStream>(
-      ByteVector{archive.begin(), archive.end()});
+  io::MemoryInputStream source{ByteVector{archive.begin(), archive.end()}};
   io::DataInputStream in{source};
   if (in.read_u32() != kArchiveMagic) {
     throw SerializationError{"not a dpn image archive"};

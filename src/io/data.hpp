@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "io/stream.hpp"
@@ -14,12 +13,17 @@
 /// In the paper's architecture this layering happens *inside* a process:
 /// channels only ever carry bytes, which is what lets type-agnostic
 /// processes (Duplicate, Cons, the splicing machinery) handle any traffic.
+///
+/// The codec borrows its stream: it holds a reference, not a share of
+/// ownership, so wrapping a channel endpoint for one step costs no
+/// reference count.  The stream must outlive the codec.  A codec kept
+/// longer than the stream's owner (a member, a long-lived pair) stores the
+/// owning shared_ptr next to it.
 namespace dpn::io {
 
 class DataOutputStream final : public OutputStream {
  public:
-  explicit DataOutputStream(std::shared_ptr<OutputStream> out)
-      : out_(std::move(out)) {}
+  explicit DataOutputStream(OutputStream& out) : out_(&out) {}
 
   void write(ByteSpan data) override { out_->write(data); }
   void write_byte(std::uint8_t b) override { out_->write_byte(b); }
@@ -48,16 +52,15 @@ class DataOutputStream final : public OutputStream {
   void write_bytes(ByteSpan data);
   void write_string(const std::string& s) { write_bytes(as_bytes(s)); }
 
-  const std::shared_ptr<OutputStream>& underlying() const { return out_; }
+  OutputStream& underlying() const { return *out_; }
 
  private:
-  std::shared_ptr<OutputStream> out_;
+  OutputStream* out_;
 };
 
 class DataInputStream final : public InputStream {
  public:
-  explicit DataInputStream(std::shared_ptr<InputStream> in)
-      : in_(std::move(in)) {}
+  explicit DataInputStream(InputStream& in) : in_(&in) {}
 
   std::size_t read_some(MutableByteSpan out) override {
     return in_->read_some(out);
@@ -86,10 +89,10 @@ class DataInputStream final : public InputStream {
 
   void read_fully(MutableByteSpan out) { io::read_fully(*in_, out); }
 
-  const std::shared_ptr<InputStream>& underlying() const { return in_; }
+  InputStream& underlying() const { return *in_; }
 
  private:
-  std::shared_ptr<InputStream> in_;
+  InputStream* in_;
 };
 
 }  // namespace dpn::io

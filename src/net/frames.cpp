@@ -35,7 +35,7 @@ FrameHeader decode_header(const std::uint8_t* header) {
 }  // namespace
 
 ByteVector RedirectInfo::encode() const {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream data{sink};
   data.write_string(host);
   data.write_u16(port);
@@ -48,12 +48,11 @@ ByteVector RedirectInfo::encode() const {
     trace.encode(ctx);
     data.write({ctx, sizeof ctx});
   }
-  return sink->take();
+  return sink.take();
 }
 
 RedirectInfo RedirectInfo::decode(ByteSpan payload) {
-  auto source = std::make_shared<io::MemoryInputStream>(
-      ByteVector{payload.begin(), payload.end()});
+  io::MemoryInputStream source{ByteVector{payload.begin(), payload.end()}};
   io::DataInputStream data{source};
   RedirectInfo info;
   info.host = data.read_string();

@@ -111,7 +111,7 @@ ByteVector NetworkSnapshot::encode() const { return encode_as(kVersion); }
 
 ByteVector NetworkSnapshot::encode_as(std::uint8_t want_version) const {
   const std::uint8_t v = std::clamp<std::uint8_t>(want_version, 1, kVersion);
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream out{sink};
   out.write_u8(v);
   out.write_u64(live);
@@ -223,7 +223,7 @@ ByteVector NetworkSnapshot::encode_as(std::uint8_t want_version) const {
     out.write_u64(trace_total_recorded);
     write_histogram(out, sched_runq);
   }
-  return sink->take();
+  return sink.take();
 }
 
 NetworkSnapshot NetworkSnapshot::decode(ByteSpan bytes) {
@@ -232,8 +232,8 @@ NetworkSnapshot NetworkSnapshot::decode(ByteSpan bytes) {
 
 NetworkSnapshot NetworkSnapshot::decode_prefix(ByteSpan bytes,
                                                std::uint8_t max_version) {
-  io::DataInputStream in{std::make_shared<io::MemoryInputStream>(
-      ByteVector{bytes.begin(), bytes.end()})};
+  io::MemoryInputStream source{ByteVector{bytes.begin(), bytes.end()}};
+  io::DataInputStream in{source};
   const std::uint8_t advertised = in.read_u8();
   if (advertised == 0) {
     throw SerializationError{"malformed NetworkSnapshot: version 0"};

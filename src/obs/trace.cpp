@@ -228,7 +228,7 @@ TraceExport Tracer::export_events(std::int64_t node_filter) const {
 }
 
 ByteVector TraceExport::encode() const {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
+  io::MemoryOutputStream sink;
   io::DataOutputStream out{sink};
   out.write_u32(node);
   out.write_u64(epoch_ns);
@@ -244,12 +244,12 @@ ByteVector TraceExport::encode() const {
     out.write_u64(event.arg0);
     out.write_u64(event.arg1);
   }
-  return sink->take();
+  return sink.take();
 }
 
 TraceExport TraceExport::decode(ByteSpan bytes) {
-  io::DataInputStream in{std::make_shared<io::MemoryInputStream>(
-      ByteVector{bytes.begin(), bytes.end()})};
+  io::MemoryInputStream source{ByteVector{bytes.begin(), bytes.end()}};
+  io::DataInputStream in{source};
   TraceExport exp;
   exp.node = in.read_u32();
   exp.epoch_ns = in.read_u64();

@@ -33,7 +33,7 @@ void Producer::step() {
   auto next = task_->run();
   if (!next) throw EndOfStream{"producer task exhausted"};
   DPN_TRACE_EVENT(obs::TraceKind::kTaskDispatch, next->type_name());
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   write_task(out, next);
 }
 
@@ -58,12 +58,12 @@ Worker::Worker(std::shared_ptr<ChannelInputStream> in,
 }
 
 void Worker::step() {
-  io::DataInputStream in{input(0)};
+  io::DataInputStream in{*input(0)};
   auto task = read_task(in);
   if (!task) throw SerializationError{"worker received a null task"};
   auto result = task->run();
   DPN_TRACE_EVENT(obs::TraceKind::kTaskComplete, task->type_name());
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   write_task(out, result);
 }
 
@@ -84,7 +84,7 @@ Consumer::Consumer(std::shared_ptr<ChannelInputStream> in, long iterations,
 }
 
 void Consumer::step() {
-  io::DataInputStream in{input(0)};
+  io::DataInputStream in{*input(0)};
   auto task = read_task(in);
   if (!task) return;  // null results are legal and ignored
   if (observer_) observer_(task);

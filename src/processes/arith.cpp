@@ -12,9 +12,9 @@ Add::Add(std::shared_ptr<ChannelInputStream> a,
 }
 
 void Add::step() {
-  io::DataInputStream a{input(0)};
-  io::DataInputStream b{input(1)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream a{*input(0)};
+  io::DataInputStream b{*input(1)};
+  io::DataOutputStream out{*output(0)};
   const std::int64_t x = a.read_i64();
   const std::int64_t y = b.read_i64();
   out.write_i64(x + y);
@@ -39,8 +39,8 @@ Scale::Scale(std::shared_ptr<ChannelInputStream> in,
 }
 
 void Scale::step() {
-  io::DataInputStream in{input(0)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream in{*input(0)};
+  io::DataOutputStream out{*output(0)};
   out.write_i64(factor_ * in.read_i64());
 }
 
@@ -66,9 +66,9 @@ Divide::Divide(std::shared_ptr<ChannelInputStream> a,
 }
 
 void Divide::step() {
-  io::DataInputStream a{input(0)};
-  io::DataInputStream b{input(1)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream a{*input(0)};
+  io::DataInputStream b{*input(1)};
+  io::DataOutputStream out{*output(0)};
   const double x = a.read_f64();
   const double y = b.read_f64();
   out.write_f64(x / y);
@@ -94,9 +94,9 @@ Average::Average(std::shared_ptr<ChannelInputStream> a,
 }
 
 void Average::step() {
-  io::DataInputStream a{input(0)};
-  io::DataInputStream b{input(1)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream a{*input(0)};
+  io::DataInputStream b{*input(1)};
+  io::DataOutputStream out{*output(0)};
   const double x = a.read_f64();
   const double y = b.read_f64();
   out.write_f64((x + y) / 2.0);
@@ -122,9 +122,9 @@ Equal::Equal(std::shared_ptr<ChannelInputStream> a,
 }
 
 void Equal::step() {
-  io::DataInputStream a{input(0)};
-  io::DataInputStream b{input(1)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream a{*input(0)};
+  io::DataInputStream b{*input(1)};
+  io::DataOutputStream out{*output(0)};
   const double x = a.read_f64();
   const double y = b.read_f64();
   out.write_bool(x == y);
@@ -151,9 +151,9 @@ Guard::Guard(std::shared_ptr<ChannelInputStream> data,
 }
 
 void Guard::step() {
-  io::DataInputStream data{input(0)};
-  io::DataInputStream control{input(1)};
-  io::DataOutputStream out{output(0)};
+  io::DataInputStream data{*input(0)};
+  io::DataInputStream control{*input(1)};
+  io::DataOutputStream out{*output(0)};
   const double value = data.read_f64();
   const bool pass = control.read_bool();
   if (!pass) return;

@@ -9,7 +9,7 @@ Constant::Constant(std::int64_t value,
 }
 
 void Constant::step() {
-  io::DataOutputStream data{output(0)};
+  io::DataOutputStream data{*output(0)};
   data.write_i64(value_);
 }
 
@@ -34,7 +34,7 @@ ConstantF64::ConstantF64(double value,
 }
 
 void ConstantF64::step() {
-  io::DataOutputStream data{output(0)};
+  io::DataOutputStream data{*output(0)};
   data.write_f64(value_);
 }
 
@@ -59,7 +59,7 @@ Sequence::Sequence(std::int64_t start,
 }
 
 void Sequence::step() {
-  io::DataOutputStream data{output(0)};
+  io::DataOutputStream data{*output(0)};
   data.write_i64(next_);
   next_ += stride_;
 }
@@ -86,7 +86,7 @@ Print::Print(std::shared_ptr<ChannelInputStream> in, long iterations,
 }
 
 void Print::step() {
-  io::DataInputStream data{input(0)};
+  io::DataInputStream data{*input(0)};
   const std::int64_t value = data.read_i64();
   if (label_.empty()) {
     std::fprintf(sink_, "%lld\n", static_cast<long long>(value));
@@ -117,7 +117,7 @@ PrintF64::PrintF64(std::shared_ptr<ChannelInputStream> in, long iterations,
 }
 
 void PrintF64::step() {
-  io::DataInputStream data{input(0)};
+  io::DataInputStream data{*input(0)};
   const double value = data.read_f64();
   if (label_.empty()) {
     std::fprintf(sink_, "%.17g\n", value);
@@ -149,7 +149,7 @@ Collect::Collect(std::shared_ptr<ChannelInputStream> in,
 }
 
 void Collect::step() {
-  io::DataInputStream data{input(0)};
+  io::DataInputStream data{*input(0)};
   sink_->push(data.read_i64());
 }
 
@@ -161,7 +161,7 @@ CollectF64::CollectF64(std::shared_ptr<ChannelInputStream> in,
 }
 
 void CollectF64::step() {
-  io::DataInputStream data{input(0)};
+  io::DataInputStream data{*input(0)};
   sink_->push(data.read_f64());
 }
 

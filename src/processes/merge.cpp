@@ -16,7 +16,7 @@ OrderedMerge::OrderedMerge(
 }
 
 void OrderedMerge::refill(std::size_t index) {
-  io::DataInputStream in{input(index)};
+  io::DataInputStream in{*input(index)};
   try {
     heads_[index] = in.read_i64();
   } catch (const EndOfStream&) {
@@ -38,7 +38,7 @@ void OrderedMerge::step() {
   }
   if (!least) throw EndOfStream{"all merge inputs ended"};
 
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   if (eliminate_duplicates_) {
     out.write_i64(*least);
     for (std::size_t i = 0; i < heads_.size(); ++i) {
@@ -103,9 +103,9 @@ RouteByDivisibility::RouteByDivisibility(
 }
 
 void RouteByDivisibility::step() {
-  io::DataInputStream in{input(0)};
-  io::DataOutputStream multiples{output(0)};
-  io::DataOutputStream others{output(1)};
+  io::DataInputStream in{*input(0)};
+  io::DataOutputStream multiples{*output(0)};
+  io::DataOutputStream others{*output(1)};
   const std::int64_t value = in.read_i64();
   if (value % divisor_ == 0) {
     multiples.write_i64(value);

@@ -16,10 +16,10 @@ Scatter::Scatter(std::shared_ptr<ChannelInputStream> in,
 }
 
 void Scatter::step() {
-  io::DataInputStream in{input(0)};
+  io::DataInputStream in{*input(0)};
   for (std::size_t i = 0; i < output_count(); ++i) {
     const ByteVector blob = in.read_bytes();
-    io::DataOutputStream out{output(i)};
+    io::DataOutputStream out{*output(i)};
     out.write_bytes({blob.data(), blob.size()});
   }
 }
@@ -43,9 +43,9 @@ Gather::Gather(std::vector<std::shared_ptr<ChannelInputStream>> ins,
 }
 
 void Gather::step() {
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   for (std::size_t i = 0; i < input_count(); ++i) {
-    io::DataInputStream in{input(i)};
+    io::DataInputStream in{*input(i)};
     const ByteVector blob = in.read_bytes();
     out.write_bytes({blob.data(), blob.size()});
   }
@@ -74,16 +74,16 @@ Direct::Direct(std::shared_ptr<ChannelInputStream> in,
 
 void Direct::step() {
   if (!ledger_) {
-    io::DataInputStream order{input(1)};
+    io::DataInputStream order{*input(1)};
     const std::int64_t index = order.read_i64();
     if (index < 0 || static_cast<std::size_t>(index) >= output_count()) {
       throw IoError{"Direct: index " + std::to_string(index) +
                     " out of range for " + std::to_string(output_count()) +
                     " outputs"};
     }
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     const ByteVector blob = in.read_bytes();
-    io::DataOutputStream out{output(static_cast<std::size_t>(index))};
+    io::DataOutputStream out{*output(static_cast<std::size_t>(index))};
     out.write_bytes({blob.data(), blob.size()});
     return;
   }
@@ -92,7 +92,7 @@ void Direct::step() {
   // elsewhere; serve them before waiting on the tag stream again.
   serve_reissues();
   finish_if_quiescent();
-  io::DataInputStream order{input(1)};
+  io::DataInputStream order{*input(1)};
   const std::int64_t index = order.read_i64();
   if (index == -1) {
     // Wake directive from the Turnstile: a worker died and its
@@ -114,7 +114,7 @@ void Direct::step() {
   }
   ByteVector blob;
   try {
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     blob = in.read_bytes();
   } catch (const EndOfStream&) {
     draining_ = true;
@@ -140,7 +140,7 @@ void Direct::dispatch(std::size_t target, std::uint64_t position,
     // concurrent fail_worker sweeping the record away.
     ledger_->record_dispatch(target, position, blob);
     try {
-      io::DataOutputStream out{output(target)};
+      io::DataOutputStream out{*output(target)};
       out.write_bytes({blob.data(), blob.size()});
       return;
     } catch (const IoError&) {
@@ -211,7 +211,7 @@ void Turnstile::on_start() {
     auto source = input(i);
     forwarders_.emplace_back([this, i, source] {
       try {
-        io::DataInputStream in{source};
+        io::DataInputStream in{*source};
         for (;;) {
           ByteVector blob = in.read_bytes();
           arrivals_.push({static_cast<std::int64_t>(i), std::move(blob)});
@@ -241,7 +241,7 @@ void Turnstile::step() {
   if (ledger_) ledger_->ack_result(static_cast<std::size_t>(arrival->tag));
   // The data path carries (worker index, blob) pairs; losing it means the
   // consumer is gone, so the IoError propagates and stops us.
-  io::DataOutputStream data{output(0)};
+  io::DataOutputStream data{*output(0)};
   data.write_i64(arrival->tag);
   data.write_bytes({arrival->blob.data(), arrival->blob.size()});
   // The tag path only requests future dispatch; once the dispatch side
@@ -249,7 +249,7 @@ void Turnstile::step() {
   // so the tail of the computation still reaches the consumer.
   if (!tags_dead_) {
     try {
-      io::DataOutputStream tags{output(1)};
+      io::DataOutputStream tags{*output(1)};
       tags.write_i64(arrival->tag);
     } catch (const IoError&) {
       tags_dead_ = true;
@@ -272,7 +272,7 @@ void Turnstile::handle_worker_eof(std::int64_t tag) {
   if (moved == 0) return;
   if (!tags_dead_) {
     try {
-      io::DataOutputStream tags{output(1)};
+      io::DataOutputStream tags{*output(1)};
       tags.write_i64(-1);  // wake the Direct: re-issues are queued
       return;
     } catch (const IoError&) {
@@ -319,7 +319,7 @@ Select::Select(std::shared_ptr<ChannelInputStream> pairs,
 }
 
 void Select::read_arrival() {
-  io::DataInputStream pairs{input(0)};
+  io::DataInputStream pairs{*input(0)};
   const std::int64_t tag = pairs.read_i64();
   ByteVector blob = pairs.read_bytes();
   if (ledger_) {
@@ -341,7 +341,7 @@ void Select::step_ledger() {
     for (;;) {
       const auto it = by_position_.find(next_task_);
       if (it != by_position_.end()) {
-        io::DataOutputStream out{output(0)};
+        io::DataOutputStream out{*output(0)};
         out.write_bytes({it->second.data(), it->second.size()});
         by_position_.erase(it);
         ++next_task_;
@@ -385,7 +385,7 @@ void Select::step() {
   }
   auto& queue = buffered_[need];
   while (queue.empty()) read_arrival();
-  io::DataOutputStream out{output(0)};
+  io::DataOutputStream out{*output(0)};
   out.write_bytes({queue.front().data(), queue.front().size()});
   queue.pop_front();
   ++next_task_;

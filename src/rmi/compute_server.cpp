@@ -50,14 +50,6 @@ std::uint64_t steady_now_ns() {
 constexpr std::uint8_t kReplyMarker = 0xB0;
 constexpr std::uint8_t kHeartbeatMarker = 0xB1;
 
-io::DataInputStream make_in(const std::shared_ptr<net::Stream>& stream) {
-  return io::DataInputStream{std::make_shared<net::StreamInput>(stream)};
-}
-
-io::DataOutputStream make_out(const std::shared_ptr<net::Stream>& stream) {
-  return io::DataOutputStream{std::make_shared<net::StreamOutput>(stream)};
-}
-
 /// Client side of the framing: consumes heartbeats until the reply
 /// marker.  Throws WorkerLost on lease expiry (no byte for `patience`)
 /// or a dropped connection -- fail fast instead of hanging forever.
@@ -222,8 +214,10 @@ void ComputeServer::handle(std::shared_ptr<net::Stream> stream) {
   // whose spawned threads inherit the tag -- records trace events under
   // this server's host tag.
   obs::set_node_tag(trace_tag_);
-  auto in = make_in(stream);
-  auto out = make_out(stream);
+  net::StreamInput source{stream};
+  io::DataInputStream in{source};
+  net::StreamOutput sink{stream};
+  io::DataOutputStream out{sink};
   const auto op = static_cast<Op>(in.read_u8());
   switch (op) {
     case Op::kRunProcess:
@@ -466,7 +460,8 @@ std::shared_ptr<core::Task> TaskFuture::get() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - submitted_)
           .count()));
-  auto in = make_in(socket);
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   if (!in.read_bool()) {
     throw IoError{"compute server task failed: " + in.read_string()};
   }
@@ -484,11 +479,13 @@ void ProcessHandle::join() {
   if (!valid()) throw UsageError{"ProcessHandle::join on an invalid handle"};
   auto socket = net::dial_with_retry(net::default_transport(), endpoint_.host,
                                      endpoint_.port, {});
-  auto out = make_out(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kJoinProcess));
   out.write_u64(id_);
   await_reply(*socket, lease_, "hosted process join");
-  auto in = make_in(socket);
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   if (!in.read_bool()) {
     throw IoError{"hosted process failed: " + in.read_string()};
   }
@@ -499,8 +496,10 @@ void ProcessHandle::abort() {
   if (!valid()) throw UsageError{"ProcessHandle::abort on an invalid handle"};
   auto socket = net::dial_with_retry(net::default_transport(), endpoint_.host,
                                      endpoint_.port, {});
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kAbortProcess));
   out.write_u64(id_);
   if (!in.read_bool()) {
@@ -563,8 +562,10 @@ ProcessHandle ServerHandle::submit(
   // unreachable server must fail before any of that happens.
   auto socket = connect_();
   const ByteVector shipment = dist::ship_process(local_, process);
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   if (obs::trace_enabled()) {
     // Stamp the handshake so this SHIP and the server's matching receive
     // form a causally-linked span pair in the merged trace.
@@ -597,7 +598,8 @@ ProcessHandle ServerHandle::submit(
 TaskFuture ServerHandle::submit(const std::shared_ptr<core::Task>& task) {
   const ByteVector shipment = dist::ship_object(local_, task);
   auto socket = connect_();
-  auto out = make_out(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kRunTask));
   out.write_bytes({shipment.data(), shipment.size()});
   return TaskFuture{socket, local_, lease_};
@@ -605,8 +607,10 @@ TaskFuture ServerHandle::submit(const std::shared_ptr<core::Task>& task) {
 
 obs::NetworkSnapshot ServerHandle::stats() {
   auto socket = connect_();
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kStats));
   if (!in.read_bool()) throw IoError{"compute server stats failed"};
   const ByteVector reply = in.read_bytes();
@@ -615,7 +619,8 @@ obs::NetworkSnapshot ServerHandle::stats() {
 
 std::optional<obs::NetworkSnapshot> StatsStream::next() {
   if (!stream_) return std::nullopt;
-  auto in = make_in(stream_);
+  net::StreamInput source{stream_};
+  io::DataInputStream in{source};
   try {
     if (!in.read_bool()) {
       stream_.reset();  // clean end-of-stream
@@ -632,7 +637,8 @@ std::optional<obs::NetworkSnapshot> StatsStream::next() {
 StatsStream ServerHandle::stats_stream(std::chrono::milliseconds interval,
                                        std::uint32_t count) {
   auto socket = connect_();
-  auto out = make_out(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kStatsStream));
   out.write_u32(static_cast<std::uint32_t>(
       std::max<std::chrono::milliseconds::rep>(interval.count(), 1)));
@@ -642,8 +648,10 @@ StatsStream ServerHandle::stats_stream(std::chrono::milliseconds interval,
 
 obs::TraceExport ServerHandle::trace_export() {
   auto socket = connect_();
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kTrace));
   if (!in.read_bool()) throw IoError{"compute server trace failed"};
   const ByteVector reply = in.read_bytes();
@@ -652,8 +660,10 @@ obs::TraceExport ServerHandle::trace_export() {
 
 obs::FlightExport ServerHandle::flight_export() {
   auto socket = connect_();
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kFlightDump));
   if (!in.read_bool()) throw IoError{"compute server flight dump failed"};
   const ByteVector reply = in.read_bytes();
@@ -662,8 +672,10 @@ obs::FlightExport ServerHandle::flight_export() {
 
 std::pair<std::int64_t, std::uint64_t> ServerHandle::probe_clock() {
   auto socket = connect_();
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   const std::uint64_t t0 = steady_now_ns();
   out.write_u8(static_cast<std::uint8_t>(Op::kTimeSync));
   if (!in.read_bool()) throw IoError{"compute server time sync failed"};
@@ -677,8 +689,10 @@ std::pair<std::int64_t, std::uint64_t> ServerHandle::probe_clock() {
 
 void ServerHandle::ping() {
   auto socket = connect_();
-  auto out = make_out(socket);
-  auto in = make_in(socket);
+  net::StreamOutput sink{socket};
+  io::DataOutputStream out{sink};
+  net::StreamInput source{socket};
+  io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kPing));
   if (!in.read_bool()) throw NetError{"ping failed"};
   in.read_string();

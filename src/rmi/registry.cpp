@@ -16,12 +16,6 @@ enum class Op : std::uint8_t {
   kReport = 5,  // NACK: client failed to reach a looked-up endpoint
 };
 
-std::pair<io::DataInputStream, io::DataOutputStream> wrap(
-    const std::shared_ptr<net::Stream>& stream) {
-  return {io::DataInputStream{std::make_shared<net::StreamInput>(stream)},
-          io::DataOutputStream{std::make_shared<net::StreamOutput>(stream)}};
-}
-
 }  // namespace
 
 Registry::Registry(std::uint16_t port)
@@ -59,7 +53,10 @@ void Registry::accept_loop() {
 }
 
 void Registry::handle(std::shared_ptr<net::Stream> stream) {
-  auto [in, out] = wrap(stream);
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   const auto op = static_cast<Op>(in.read_u8());
   switch (op) {
     case Op::kRegister: {
@@ -156,7 +153,10 @@ std::shared_ptr<net::Stream> RegistryClient::connect_() {
 void RegistryClient::register_name(const std::string& name,
                                    const Endpoint& endpoint) {
   auto socket = connect_();
-  auto [in, out] = wrap(socket);
+  net::StreamInput source{socket};
+  net::StreamOutput sink{socket};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kRegister));
   out.write_string(name);
   out.write_string(endpoint.host);
@@ -166,7 +166,10 @@ void RegistryClient::register_name(const std::string& name,
 
 void RegistryClient::unregister_name(const std::string& name) {
   auto socket = connect_();
-  auto [in, out] = wrap(socket);
+  net::StreamInput source{socket};
+  net::StreamOutput sink{socket};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kUnregister));
   out.write_string(name);
   in.read_bool();
@@ -174,7 +177,10 @@ void RegistryClient::unregister_name(const std::string& name) {
 
 std::optional<Endpoint> RegistryClient::lookup(const std::string& name) {
   auto socket = connect_();
-  auto [in, out] = wrap(socket);
+  net::StreamInput source{socket};
+  net::StreamOutput sink{socket};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kLookup));
   out.write_string(name);
   if (!in.read_bool()) return std::nullopt;
@@ -186,7 +192,10 @@ std::optional<Endpoint> RegistryClient::lookup(const std::string& name) {
 
 std::vector<std::string> RegistryClient::list() {
   auto socket = connect_();
-  auto [in, out] = wrap(socket);
+  net::StreamInput source{socket};
+  net::StreamOutput sink{socket};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kList));
   const std::uint64_t n = in.read_varint();
   std::vector<std::string> names;
@@ -198,7 +207,10 @@ std::vector<std::string> RegistryClient::list() {
 bool RegistryClient::report_unreachable(const std::string& name,
                                         const Endpoint& endpoint) {
   auto socket = connect_();
-  auto [in, out] = wrap(socket);
+  net::StreamInput source{socket};
+  net::StreamOutput sink{socket};
+  io::DataInputStream in{source};
+  io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kReport));
   out.write_string(name);
   out.write_string(endpoint.host);

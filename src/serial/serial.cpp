@@ -52,7 +52,7 @@ std::vector<std::string> TypeRegistry::names() const {
 }
 
 ObjectOutputStream::ObjectOutputStream(std::shared_ptr<io::OutputStream> out)
-    : data_(std::move(out)) {}
+    : out_(std::move(out)), data_(*out_) {}
 
 void ObjectOutputStream::write_object(
     const std::shared_ptr<Serializable>& object) {
@@ -95,7 +95,7 @@ void ObjectOutputStream::write_object(
 }
 
 ObjectInputStream::ObjectInputStream(std::shared_ptr<io::InputStream> in)
-    : data_(std::move(in)) {}
+    : in_(std::move(in)), data_(*in_) {}
 
 std::shared_ptr<Serializable> ObjectInputStream::read_object() {
   const std::uint8_t tag = data_.read_u8();

@@ -122,7 +122,8 @@ class ObjectOutputStream {
   const std::any& attachment() const { return attachment_; }
 
  private:
-  io::DataOutputStream data_;
+  std::shared_ptr<io::OutputStream> out_;
+  io::DataOutputStream data_;  // borrows *out_
   std::unordered_map<const Serializable*, std::uint64_t> handles_;
   std::uint64_t next_handle_ = 0;
   // Keeps replaced/original objects alive for the stream's lifetime so
@@ -168,7 +169,8 @@ class ObjectInputStream {
   const std::any& attachment() const { return attachment_; }
 
  private:
-  io::DataInputStream data_;
+  std::shared_ptr<io::InputStream> in_;
+  io::DataInputStream data_;  // borrows *in_
   std::vector<std::shared_ptr<Serializable>> objects_;  // handle -> object
   std::any attachment_;
 };

@@ -301,7 +301,7 @@ TEST(BigInt, RandomBelowUniformRange) {
 TEST(BigInt, WireRoundTrip) {
   Xoshiro256 rng{12};
   auto sink = std::make_shared<io::MemoryOutputStream>();
-  io::DataOutputStream out{sink};
+  io::DataOutputStream out{*sink};
   std::vector<BigInt> values;
   for (const std::size_t bits : {0u, 1u, 33u, 512u, 1024u}) {
     BigInt v = bits == 0 ? BigInt{} : BigInt::random_bits(rng, bits);
@@ -309,7 +309,8 @@ TEST(BigInt, WireRoundTrip) {
     values.push_back(v);
     v.write_to(out);
   }
-  io::DataInputStream in{std::make_shared<io::MemoryInputStream>(sink->take())};
+  io::MemoryInputStream source{sink->take()};
+  io::DataInputStream in{source};
   for (const BigInt& expected : values) {
     EXPECT_EQ(BigInt::read_from(in), expected);
   }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
 #include <functional>
+#include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/channel.hpp"
 #include "core/network.hpp"
@@ -27,8 +32,8 @@ using processes::Sequence;
 
 TEST(Channel, WriteReadThroughEndpoints) {
   Channel channel{16};
-  io::DataOutputStream out{channel.output()};
-  io::DataInputStream in{channel.input()};
+  io::DataOutputStream out{*channel.output()};
+  io::DataInputStream in{*channel.input()};
   out.write_i64(12345);
   EXPECT_EQ(in.read_i64(), 12345);
 }
@@ -37,10 +42,10 @@ TEST(Channel, ReaderBlocksOnEmpty) {
   Channel channel{16};
   std::jthread writer{[&] {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    io::DataOutputStream out{channel.output()};
+    io::DataOutputStream out{*channel.output()};
     out.write_i64(7);
   }};
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   EXPECT_EQ(in.read_i64(), 7);
 }
 
@@ -53,7 +58,7 @@ TEST(Channel, CloseOutputDeliversEof) {
 TEST(Channel, CloseInputMakesWritesThrow) {
   Channel channel{16};
   channel.input()->close();
-  io::DataOutputStream out{channel.output()};
+  io::DataOutputStream out{*channel.output()};
   EXPECT_THROW(out.write_i64(1), ChannelClosed);
 }
 
@@ -68,7 +73,7 @@ TEST(Channel, ReadFullyBlocksForCompleteElement) {
       std::this_thread::sleep_for(std::chrono::milliseconds{1});
     }
   }};
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   EXPECT_EQ(in.read_i64(), 42);
 }
 
@@ -147,9 +152,164 @@ TEST(IterativeProcess, StoppingClosesTrackedEndpoints) {
   source->run();
   // After the producer stopped, the consumer can drain 3 elements and
   // then sees end-of-stream (Section 3.4).
-  io::DataInputStream in{channel->input()};
+  io::DataInputStream in{*channel->input()};
   for (int i = 0; i < 3; ++i) EXPECT_EQ(in.read_i64(), 1);
   EXPECT_THROW(in.read_i64(), EndOfStream);
+}
+
+// --- Pause handshake -----------------------------------------------------------
+
+void wait_for_state(const Process& process, obs::ProcessState state) {
+  while (process.stats()->get_state() != state) std::this_thread::yield();
+}
+
+/// Reads i64 tokens and fails, with a non-I/O error, on the token 13.
+class RejectThirteen final : public IterativeProcess {
+ public:
+  explicit RejectThirteen(std::shared_ptr<ChannelInputStream> in) {
+    track_input(std::move(in));
+  }
+  std::string type_name() const override { return "test.RejectThirteen"; }
+  void write_fields(serial::ObjectOutputStream&) const override {}
+
+ protected:
+  void step() override {
+    io::DataInputStream in{*input(0)};
+    if (in.read_i64() == 13) throw std::runtime_error{"token 13"};
+  }
+};
+
+class FailingStart final : public IterativeProcess {
+ public:
+  std::string type_name() const override { return "test.FailingStart"; }
+  void write_fields(serial::ObjectOutputStream&) const override {}
+
+ protected:
+  void on_start() override { throw std::runtime_error{"no start"}; }
+  void step() override {}
+};
+
+TEST(PauseHandshake, AwaitPauseReturnsWhenStepThrows) {
+  // A step that fails with anything but IoError still ends run(), and a
+  // pending await_pause() (rmi::migrate's wait) must see that.
+  auto channel = std::make_shared<Channel>(64);
+  auto process = std::make_shared<RejectThirteen>(channel->input());
+  std::exception_ptr failure;
+  std::jthread runner{[&] {
+    try {
+      process->run();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+  }};
+  wait_for_state(*process, obs::ProcessState::kBlockedReading);
+  process->request_pause();
+  io::DataOutputStream out{*channel->output()};
+  out.write_i64(13);
+  EXPECT_FALSE(process->await_pause());
+  runner.join();
+  EXPECT_TRUE(failure != nullptr);
+
+  FailingStart failing;
+  failing.request_pause();
+  EXPECT_THROW(failing.run(), std::runtime_error);
+  EXPECT_FALSE(failing.await_pause());
+}
+
+TEST(PauseHandshake, PauseDuringBlockedReadParksAfterTheRead) {
+  auto channel = std::make_shared<Channel>(64);
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  auto consumer = std::make_shared<Collect>(channel->input(), sink);
+  std::jthread runner{[&] { consumer->run(); }};
+  wait_for_state(*consumer, obs::ProcessState::kBlockedReading);
+  consumer->request_pause();
+  // The request cannot reach a process inside a channel read.
+  std::this_thread::sleep_for(std::chrono::milliseconds{10});
+  EXPECT_FALSE(consumer->paused());
+  io::DataOutputStream out{*channel->output()};
+  out.write_i64(7);
+  ASSERT_TRUE(consumer->await_pause());
+  // Parked at the next boundary: the read and its step both completed.
+  EXPECT_EQ(sink->values(), std::vector<std::int64_t>{7});
+  EXPECT_EQ(consumer->stats()->steps.load(), 1u);
+  consumer->resume();
+  out.write_i64(8);
+  channel->output()->close();
+  runner.join();
+  EXPECT_EQ(sink->values(), (std::vector<std::int64_t>{7, 8}));
+  EXPECT_EQ(consumer->stats()->steps.load(), 2u);
+}
+
+struct PausedRun {
+  std::vector<std::int64_t> history;
+  std::uint64_t producer_steps = 0;
+  std::uint64_t consumer_steps = 0;
+  int parked = 0;  // cycles that found their process parked
+};
+
+constexpr long kPausedRunTokens = 20000;
+
+/// Sequence -> Collect over one local byte channel.  A driver thread runs
+/// `cycles` request_pause/await_pause/resume cycles, on the producer and
+/// the consumer in turn, while the stream flows.
+PausedRun run_paused(const sched::SchedulerOptions& options, int cycles) {
+  Network network;
+  network.set_scheduler(options);
+  auto channel = network.make_channel({.capacity = 64, .label = "paused"});
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  auto producer = std::make_shared<Sequence>(0, channel->output(),
+                                             kPausedRunTokens, 3);
+  auto consumer = std::make_shared<Collect>(channel->input(), sink);
+  network.add(producer);
+  network.add(consumer);
+  // Requested before start, so the first cycle always parks the producer
+  // at its first boundary.
+  if (cycles > 0) producer->request_pause();
+  PausedRun run;
+  network.start();
+  std::jthread driver{[&] {
+    for (int i = 0; i < cycles; ++i) {
+      IterativeProcess& target =
+          i % 2 == 0 ? static_cast<IterativeProcess&>(*producer) : *consumer;
+      target.request_pause();
+      if (!target.await_pause()) continue;  // it already finished
+      ++run.parked;
+      EXPECT_TRUE(target.paused());
+      target.resume();
+    }
+  }};
+  driver.join();
+  network.join();
+  run.history = sink->values();
+  run.producer_steps = producer->stats()->steps.load();
+  run.consumer_steps = consumer->stats()->steps.load();
+  return run;
+}
+
+TEST(PauseHandshake, PauseResumeCyclesKeepTheHistory) {
+  sched::SchedulerOptions threads;
+  threads.mode = sched::SchedMode::kThreadPerProcess;
+  sched::SchedulerOptions one_worker;
+  one_worker.mode = sched::SchedMode::kWorkSteal;
+  one_worker.workers = 1;
+  sched::SchedulerOptions four_workers = one_worker;
+  four_workers.workers = 4;
+  const PausedRun reference = run_paused(threads, 0);
+  ASSERT_EQ(reference.history.size(),
+            static_cast<std::size_t>(kPausedRunTokens));
+  for (const auto& [label, options] :
+       {std::pair{"thread-per-process", threads},
+        std::pair{"M:N, 1 worker", one_worker},
+        std::pair{"M:N, 4 workers", four_workers}}) {
+    SCOPED_TRACE(label);
+    const PausedRun run = run_paused(options, 200);
+    EXPECT_GE(run.parked, 1);
+    EXPECT_EQ(run.history, reference.history);
+    EXPECT_EQ(run.producer_steps,
+              static_cast<std::uint64_t>(kPausedRunTokens));
+    EXPECT_EQ(run.consumer_steps,
+              static_cast<std::uint64_t>(kPausedRunTokens));
+  }
 }
 
 // --- CompositeProcess ---------------------------------------------------------
@@ -314,8 +474,8 @@ TEST(Network, TrueDeadlockDetectedOnCycle) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
-      io::DataOutputStream out{output(0)};
+      io::DataInputStream in{*input(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(in.read_i64());  // reads first: both block forever
     }
   };
@@ -348,10 +508,10 @@ TEST(Network, WokenReaderIsNotCountedBlocked) {
 
    protected:
     void step() override {
-      io::DataOutputStream out{output(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(42);
       after_write_();
-      io::DataInputStream in{input(0)};
+      io::DataInputStream in{*input(0)};
       reply.store(in.read_i64());
     }
 

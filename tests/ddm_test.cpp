@@ -109,8 +109,8 @@ void build_echo_cycle(Network& network) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
-      io::DataOutputStream out{output(0)};
+      io::DataInputStream in{*input(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(in.read_i64());
     }
   };
@@ -290,8 +290,8 @@ TEST(Coordinator, DetectsTrueDistributedDeadlock) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
-      io::DataOutputStream out{output(0)};
+      io::DataInputStream in{*input(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(in.read_i64());
     }
   };
@@ -375,9 +375,9 @@ TEST(Coordinator, BytesInFlightHoldBackTheDeadlockVerdict) {
 
    protected:
     void step() override {
-      io::DataOutputStream out{output(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(42);
-      io::DataInputStream in{input(0)};
+      io::DataInputStream in{*input(0)};
       reply.store(in.read_i64());
     }
   };

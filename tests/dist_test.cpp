@@ -211,7 +211,7 @@ TEST(Ship, UnconsumedBytesTravelWithTheEndpoint) {
 
   // Pre-fill ch1 with unconsumed data *before* shipping its consumer.
   {
-    io::DataOutputStream out{ch1->output()};
+    io::DataOutputStream out{*ch1->output()};
     for (std::int64_t i = 0; i < 10; ++i) out.write_i64(i);
   }
   auto middle = std::make_shared<Identity>(ch1->input(), ch2->output());
@@ -223,7 +223,7 @@ TEST(Ship, UnconsumedBytesTravelWithTheEndpoint) {
   // More data flows after the reconnect, through the new socket.
   std::jthread host_b{[&] { remote->run(); }};
   std::jthread producer{[&] {
-    io::DataOutputStream out{ch1->output()};
+    io::DataOutputStream out{*ch1->output()};
     for (std::int64_t i = 10; i < 20; ++i) out.write_i64(i);
     ch1->output()->close();
   }};
@@ -245,7 +245,7 @@ TEST(Ship, InternalChannelStaysLocalPipe) {
 
   // Pre-fill the internal channel too: its buffered bytes must travel.
   {
-    io::DataOutputStream out{mid->output()};
+    io::DataOutputStream out{*mid->output()};
     out.write_i64(-1);
   }
 
@@ -369,7 +369,7 @@ TEST(Ship, RedirectWithTrafficInFlight) {
   std::jthread drainer{[&] { drain->run(); }};
   {
     // Run 100 iterations "manually" at B by writing through its endpoint.
-    io::DataOutputStream out{at_b->channel_outputs()[0]};
+    io::DataOutputStream out{*at_b->channel_outputs()[0]};
     for (std::int64_t i = 0; i < 100; ++i) out.write_i64(i);
   }
   while (sink->size() < 50) {
@@ -414,7 +414,7 @@ TEST(Ship, FinishedProducerShipsBufferOnly) {
   auto ch = std::make_shared<Channel>(256, "ch");
   auto out2 = std::make_shared<Channel>(256, "out2");
   {
-    io::DataOutputStream out{ch->output()};
+    io::DataOutputStream out{*ch->output()};
     for (std::int64_t i = 0; i < 5; ++i) out.write_i64(i * 11);
     ch->output()->close();  // producer done before the shipment
   }

@@ -269,8 +269,8 @@ TEST(DelaySum, AlignsIntegerDelays) {
   auto out = network.make_channel({.capacity = 4096});
   auto sink = std::make_shared<CollectSink<double>>();
   {
-    io::DataOutputStream da{a->output()};
-    io::DataOutputStream db{b->output()};
+    io::DataOutputStream da{*a->output()};
+    io::DataOutputStream db{*b->output()};
     for (int t = 0; t < 20; ++t) da.write_f64(t);        // x[t] = t
     for (int t = -3; t < 17; ++t) db.write_f64(t < 0 ? -1.0 : t);
     a->output()->close();
@@ -294,7 +294,7 @@ TEST(SpectralPower, ToneBeatsSilence) {
   auto out = network.make_channel({.capacity = 4096});
   auto sink = std::make_shared<CollectSink<double>>();
   {
-    io::DataOutputStream d{in->output()};
+    io::DataOutputStream d{*in->output()};
     // Frame 1: a bin-4 tone over 64 samples; frame 2: silence.
     for (int t = 0; t < 64; ++t) {
       d.write_f64(std::sin(2.0 * std::numbers::pi * 4.0 * t / 64.0));
@@ -326,7 +326,7 @@ TEST(PlaneWaveSource, NoiseReplaysExactlyAcrossMigration) {
   {
     auto ch = std::make_shared<core::Channel>(1 << 16);
     make_source(ch->output())->run();
-    io::DataInputStream in{ch->input()};
+    io::DataInputStream in{*ch->input()};
     for (long i = 0; i < kSamples; ++i) reference.push_back(in.read_f64());
   }
 
@@ -337,7 +337,7 @@ TEST(PlaneWaveSource, NoiseReplaysExactlyAcrossMigration) {
   auto source = make_source(ch->output());
   std::jthread runner{[&] { source->run(); }};
 
-  io::DataInputStream in{ch->input()};
+  io::DataInputStream in{*ch->input()};
   std::vector<double> combined;
   for (int i = 0; i < 10; ++i) combined.push_back(in.read_f64());
   source->request_pause();

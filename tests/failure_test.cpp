@@ -243,14 +243,14 @@ TEST(Failure, DoubleCloseIsIdempotent) {
 TEST(Failure, WriteAfterOwnCloseThrows) {
   Channel channel{64};
   channel.output()->close();
-  io::DataOutputStream out{channel.output()};
+  io::DataOutputStream out{*channel.output()};
   EXPECT_THROW(out.write_i64(1), IoError);
 }
 
 TEST(Failure, ReadAfterOwnCloseThrows) {
   Channel channel{64};
   channel.input()->close();
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   EXPECT_THROW(in.read_i64(), IoError);
 }
 
@@ -691,13 +691,13 @@ class FlakyWorker final : public core::IterativeProcess {
 
  protected:
   void step() override {
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     auto task = par::read_task(in);
     if (++seen_ > crash_after_) {
       throw std::runtime_error{"injected worker crash"};
     }
     auto result = task->run();
-    io::DataOutputStream out{output(0)};
+    io::DataOutputStream out{*output(0)};
     par::write_task(out, result);
   }
 

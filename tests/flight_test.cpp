@@ -268,8 +268,8 @@ TEST(FlightDump, DeadlockDumpNamesCycleOnDisk) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
-      io::DataOutputStream out{output(0)};
+      io::DataInputStream in{*input(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(in.read_i64());  // reads first: both block forever
     }
 
@@ -328,8 +328,8 @@ TEST(FlightDump, DeadlockDumpNamesEachInstanceAndChannel) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
-      io::DataOutputStream out{output(0)};
+      io::DataInputStream in{*input(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_i64(in.read_i64());  // reads first: both block forever
     }
   };

@@ -60,7 +60,7 @@ TEST(FlowControl, WriterBlocksOnExhaustedWindow) {
 
   std::atomic<long> written{0};
   std::jthread producer{[&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     try {
       for (long i = 0; i < 100000; ++i) {
         out.write_i64(i);
@@ -78,7 +78,7 @@ TEST(FlowControl, WriterBlocksOnExhaustedWindow) {
 
   // Unblock for teardown: drain the far side.
   std::jthread drain{[&] {
-    io::DataInputStream in{cut.out->input()};
+    io::DataInputStream in{*cut.out->input()};
     try {
       for (;;) (void)in.read_i64();
     } catch (const IoError&) {
@@ -144,7 +144,7 @@ TEST(FlowControl, BonusCreditsUnblockWriter) {
 
   std::atomic<long> written{0};
   std::jthread producer{[&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     try {
       for (long i = 0; i < 8; ++i) {
         out.write_i64(i);
@@ -170,7 +170,7 @@ TEST(FlowControl, BonusCreditsUnblockWriter) {
   EXPECT_EQ(written.load(), 8);
 
   cut.in->output()->close();
-  io::DataInputStream in{cut.out->input()};
+  io::DataInputStream in{*cut.out->input()};
   for (long i = 0; i < 8; ++i) EXPECT_EQ(in.read_i64(), i);
 }
 
@@ -189,7 +189,7 @@ TEST(FlowControl, BufferedChannelSurvivesLiveCut) {
   auto in = std::make_shared<Channel>(options);
   auto out = std::make_shared<Channel>(std::size_t{1} << 16, "plain.out");
 
-  io::DataOutputStream produce{in->output()};
+  io::DataOutputStream produce{*in->output()};
   for (long i = 0; i < 100; ++i) produce.write_i64(i);
   // 800 bytes written: 768 crossed into the pipe, 32 are still coalesced.
   EXPECT_LT(in->pipe()->size(), 800u);
@@ -202,7 +202,7 @@ TEST(FlowControl, BufferedChannelSurvivesLiveCut) {
   for (long i = 100; i < 200; ++i) produce.write_i64(i);
   in->output()->close();  // flush-on-close delivers the post-cut tail
 
-  io::DataInputStream consume{out->input()};
+  io::DataInputStream consume{*out->input()};
   for (long i = 0; i < 200; ++i) ASSERT_EQ(consume.read_i64(), i);
 }
 
@@ -221,7 +221,7 @@ TEST(FlowControl, BufferedProducerFlushedWhenConsumerStays) {
   options.write_buffer = 4096;
   auto out = std::make_shared<Channel>(options);
 
-  io::DataOutputStream direct{out->output()};
+  io::DataOutputStream direct{*out->output()};
   for (long i = 1000; i < 1005; ++i) direct.write_i64(i);
   EXPECT_EQ(out->pipe()->size(), 0u);  // all 40 bytes still coalesced
 
@@ -232,12 +232,12 @@ TEST(FlowControl, BufferedProducerFlushedWhenConsumerStays) {
   std::jthread host{[&] { remote->run(); }};
 
   std::jthread feeder{[&] {
-    io::DataOutputStream feed{in->output()};
+    io::DataOutputStream feed{*in->output()};
     for (long i = 1005; i < 1010; ++i) feed.write_i64(i);
     in->output()->close();
   }};
 
-  io::DataInputStream consume{out->input()};
+  io::DataInputStream consume{*out->input()};
   for (long i = 1000; i < 1010; ++i) ASSERT_EQ(consume.read_i64(), i);
 }
 
@@ -256,12 +256,12 @@ TEST(FlowControl, LargeSingleWriteChunksThroughWindow) {
   for (auto& b : blob) b = static_cast<std::uint8_t>(rng.next());
 
   std::jthread producer{[&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     out.write_bytes({blob.data(), blob.size()});
     cut.in->output()->close();
   }};
 
-  io::DataInputStream in{cut.out->input()};
+  io::DataInputStream in{*cut.out->input()};
   const ByteVector received = in.read_bytes();
   EXPECT_EQ(received, blob);
 }
@@ -278,7 +278,7 @@ TEST(FlowControl, DefaultWindowInvisibleToNormalGraphs) {
   constexpr std::size_t kChunk = 64 * 1024;
   constexpr int kChunks = 32;  // 2 MiB total
   std::jthread producer{[&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     ByteVector chunk(kChunk, 0x5a);
     for (int i = 0; i < kChunks; ++i) {
       out.write_bytes({chunk.data(), chunk.size()});
@@ -286,7 +286,7 @@ TEST(FlowControl, DefaultWindowInvisibleToNormalGraphs) {
     cut.in->output()->close();
   }};
 
-  io::DataInputStream in{cut.out->input()};
+  io::DataInputStream in{*cut.out->input()};
   std::size_t total = 0;
   for (int i = 0; i < kChunks; ++i) total += in.read_bytes().size();
   EXPECT_EQ(total, kChunk * kChunks);
@@ -324,7 +324,7 @@ TEST(FlowControl, MuxWindowStallCountsAsBlockedWriter) {
 
   std::atomic<long> written{0};
   std::jthread producer{[&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     try {
       for (long i = 0; i < (1L << 22); ++i) {
         out.write_i64(i);
@@ -374,8 +374,8 @@ TEST(FlowControl, ParkedReadersCountedAndTrafficBalancesWhenClosed) {
   CutChannel cut = make_cut(node_a, node_b);
   std::jthread host{[&] { cut.remote->run(); }};
 
-  io::DataOutputStream producer{cut.in->output()};
-  io::DataInputStream drain{cut.out->input()};
+  io::DataOutputStream producer{*cut.in->output()};
+  io::DataInputStream drain{*cut.out->input()};
   for (long i = 0; i < 10; ++i) producer.write_i64(i);
   for (long i = 0; i < 10; ++i) EXPECT_EQ(drain.read_i64(), i);
 
@@ -383,7 +383,7 @@ TEST(FlowControl, ParkedReadersCountedAndTrafficBalancesWhenClosed) {
   // this reader on B->A.
   std::vector<std::int64_t> rest;
   std::jthread reader{[&] {
-    io::DataInputStream in{cut.out->input()};
+    io::DataInputStream in{*cut.out->input()};
     try {
       for (;;) rest.push_back(in.read_i64());
     } catch (const EndOfStream&) {
@@ -429,9 +429,9 @@ TEST(FlowControl, ConsumerBlockedDownstreamStillReturnsWindow) {
   constexpr long kCount = 10;
   std::vector<std::int64_t> echoed;
   auto round_trip = std::async(std::launch::async, [&] {
-    io::DataOutputStream out{cut.in->output()};
+    io::DataOutputStream out{*cut.in->output()};
     for (long i = 0; i < kCount; ++i) out.write_i64(i);
-    io::DataInputStream in{cut.out->input()};
+    io::DataInputStream in{*cut.out->input()};
     for (long i = 0; i < kCount; ++i) echoed.push_back(in.read_i64());
     cut.in->output()->close();
   });

@@ -364,7 +364,7 @@ TEST(SequenceOutput, SwitchWaitsForInFlightWrite) {
 
 TEST(DataStreams, PrimitivesRoundTrip) {
   auto sink = std::make_shared<MemoryOutputStream>();
-  DataOutputStream out{sink};
+  DataOutputStream out{*sink};
   out.write_bool(true);
   out.write_u8(0xab);
   out.write_i16(-1234);
@@ -375,7 +375,8 @@ TEST(DataStreams, PrimitivesRoundTrip) {
   out.write_f64(-2.25e-100);
   out.write_string("kahn");
 
-  DataInputStream in{std::make_shared<MemoryInputStream>(sink->take())};
+  MemoryInputStream source{sink->take()};
+  DataInputStream in{source};
   EXPECT_TRUE(in.read_bool());
   EXPECT_EQ(in.read_u8(), 0xab);
   EXPECT_EQ(in.read_i16(), -1234);
@@ -388,7 +389,8 @@ TEST(DataStreams, PrimitivesRoundTrip) {
 }
 
 TEST(DataStreams, ReadPastEndThrows) {
-  DataInputStream in{std::make_shared<MemoryInputStream>(bytes_of({1}))};
+  MemoryInputStream source{bytes_of({1})};
+  DataInputStream in{source};
   EXPECT_THROW(in.read_u32(), EndOfStream);
 }
 
@@ -396,9 +398,10 @@ class VarintRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VarintRoundTrip, Value) {
   auto sink = std::make_shared<MemoryOutputStream>();
-  DataOutputStream out{sink};
+  DataOutputStream out{*sink};
   out.write_varint(GetParam());
-  DataInputStream in{std::make_shared<MemoryInputStream>(sink->take())};
+  MemoryInputStream source{sink->take()};
+  DataInputStream in{source};
   EXPECT_EQ(in.read_varint(), GetParam());
 }
 
@@ -409,21 +412,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DataStreams, BytesBlobRoundTrip) {
   auto sink = std::make_shared<MemoryOutputStream>();
-  DataOutputStream out{sink};
+  DataOutputStream out{*sink};
   Xoshiro256 rng{5};
   ByteVector blob(1000);
   for (auto& b : blob) b = static_cast<std::uint8_t>(rng.next());
   out.write_bytes({blob.data(), blob.size()});
   out.write_bytes({});  // empty blob is legal
-  DataInputStream in{std::make_shared<MemoryInputStream>(sink->take())};
+  MemoryInputStream source{sink->take()};
+  DataInputStream in{source};
   EXPECT_EQ(in.read_bytes(), blob);
   EXPECT_TRUE(in.read_bytes().empty());
 }
 
 TEST(DataStreams, OverChannelPipe) {
   auto pipe = std::make_shared<Pipe>(8);  // smaller than one i64 burst
-  DataOutputStream out{std::make_shared<LocalOutputStream>(pipe)};
-  DataInputStream in{std::make_shared<LocalInputStream>(pipe)};
+  LocalOutputStream sink{pipe};
+  LocalInputStream source{pipe};
+  DataOutputStream out{sink};
+  DataInputStream in{source};
   std::jthread writer{[&] {
     for (std::int64_t i = 0; i < 100; ++i) out.write_i64(i * i);
     out.close();

@@ -33,7 +33,7 @@ class SlowDrain final : public core::IterativeProcess {
 
  protected:
   void step() override {
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     const std::int64_t value = in.read_i64();
     std::this_thread::sleep_for(delay_);
     sink_->push(value);
@@ -73,7 +73,7 @@ class SlowSequence final : public core::IterativeProcess {
 
  protected:
   void step() override {
-    io::DataOutputStream out{output(0)};
+    io::DataOutputStream out{*output(0)};
     out.write_i64(next_++);
     std::this_thread::sleep_for(std::chrono::microseconds{delay_us_});
   }
@@ -144,7 +144,7 @@ TEST(Pause, AbandonReturnsWithoutClosingEndpoints) {
 
   // ... and the channel is untouched: still writable, not write-closed.
   EXPECT_FALSE(ch->pipe()->write_closed());
-  io::DataOutputStream out{ch->output()};
+  io::DataOutputStream out{*ch->output()};
   EXPECT_NO_THROW(out.write_i64(42));
 }
 

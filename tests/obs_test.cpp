@@ -60,11 +60,11 @@ TEST(Metrics, BufferedAndWriteThroughAgreeOnTotals) {
   auto run_stream = [](ChannelOptions options) {
     Channel channel{std::move(options)};
     std::jthread producer{[&] {
-      io::DataOutputStream out{channel.output()};
+      io::DataOutputStream out{*channel.output()};
       for (std::int64_t i = 0; i < 100; ++i) out.write_i64(i);
       channel.output()->close();
     }};
-    io::DataInputStream in{channel.input()};
+    io::DataInputStream in{*channel.input()};
     for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(in.read_i64(), i);
     producer.join();
     return core::snapshot_channel(*channel.state());
@@ -89,12 +89,12 @@ TEST(Metrics, BufferedAndWriteThroughAgreeOnTotals) {
 TEST(Metrics, BlockedTimeAndHighWaterMarkUnderBackpressure) {
   Channel channel{ChannelOptions{.capacity = 16, .label = "tiny"}};
   std::jthread producer{[&] {
-    io::DataOutputStream out{channel.output()};
+    io::DataOutputStream out{*channel.output()};
     for (std::int64_t i = 0; i < 16; ++i) out.write_i64(i);  // 128 B > 16
     channel.output()->close();
   }};
   std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(in.read_i64(), i);
   producer.join();
 
@@ -221,7 +221,7 @@ class GatedDrain final : public core::IterativeProcess {
     while (!gate_->load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds{1});
     }
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     for (;;) in.read_i64();  // until EndOfStream stops the process
   }
 
@@ -309,8 +309,8 @@ TEST(Tracer, ChannelOperationsLandInTheRing) {
   tracer.enable(64);
   {
     Channel channel{ChannelOptions{.capacity = 64, .label = "traced"}};
-    io::DataOutputStream out{channel.output()};
-    io::DataInputStream in{channel.input()};
+    io::DataOutputStream out{*channel.output()};
+    io::DataInputStream in{*channel.input()};
     out.write_i64(5);
     EXPECT_EQ(in.read_i64(), 5);
     channel.output()->close();
@@ -448,12 +448,12 @@ TEST(Histogram, RecordSnapshotPercentilesAndMerge) {
 TEST(Histogram, PipeRecordsWaitDistributionUnderBackpressure) {
   Channel channel{ChannelOptions{.capacity = 16, .label = "shaped"}};
   std::jthread producer{[&] {
-    io::DataOutputStream out{channel.output()};
+    io::DataOutputStream out{*channel.output()};
     for (std::int64_t i = 0; i < 16; ++i) out.write_i64(i);  // 128 B > 16
     channel.output()->close();
   }};
   std::this_thread::sleep_for(std::chrono::milliseconds{20});
-  io::DataInputStream in{channel.input()};
+  io::DataInputStream in{*channel.input()};
   for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(in.read_i64(), i);
   producer.join();
 
@@ -931,8 +931,14 @@ TEST(FleetTrace, TwoHostDynamicRunMergesOneCausalTimeline) {
 
   // Merged JSON: one timeline, per-host pid rows, flow arrows both ways.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("dpn host 0 (local)"), std::string::npos);
-  EXPECT_NE(json.find("dpn host 1"), std::string::npos);
+  EXPECT_NE(json.find("\"dpn host 0 (local)\""), std::string::npos);
+  // Server tags come from a process-wide counter, so each server's row is
+  // named after its own trace_tag(), whatever ran in this process before.
+  for (const auto& server : servers) {
+    const std::string label =
+        "\"dpn host " + std::to_string(server->trace_tag()) + "\"";
+    EXPECT_NE(json.find(label), std::string::npos) << label;
+  }
   EXPECT_NE(json.find("\"name\":\"ship.send\""), std::string::npos)
       << json.substr(0, 400);
   EXPECT_NE(json.find("\"name\":\"ship.recv\""), std::string::npos);

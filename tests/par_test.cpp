@@ -292,8 +292,8 @@ TEST(Consumer, StopSignalTerminatesEndlessNetwork) {
 
 TEST(Tasks, BlobCodecRoundTrip) {
   auto channel = std::make_shared<core::Channel>(4096);
-  io::DataOutputStream out{channel->output()};
-  io::DataInputStream in{channel->input()};
+  io::DataOutputStream out{*channel->output()};
+  io::DataInputStream in{*channel->input()};
   write_task(out, std::make_shared<WorkItem>(17));
   write_task(out, nullptr);
   auto restored = std::dynamic_pointer_cast<WorkItem>(read_task(in));

@@ -197,8 +197,8 @@ TEST(ProcessSerial, RestoredProcessActuallyRuns) {
                                                   5);
   auto restored = roundtrip(scale);
   std::jthread host{[&] { restored->run(); }};
-  io::DataOutputStream writer{in->output()};
-  io::DataInputStream reader{out->input()};
+  io::DataOutputStream writer{*in->output()};
+  io::DataInputStream reader{*out->input()};
   for (int i = 0; i < 20; ++i) {
     writer.write_i64(i);
     EXPECT_EQ(reader.read_i64(), 5 * i);

@@ -274,13 +274,14 @@ TEST(Hamming, SequenceUnderDeadlockMonitor) {
 
 ByteVector blob_of(std::int64_t value) {
   auto sink = std::make_shared<io::MemoryOutputStream>();
-  io::DataOutputStream data{sink};
+  io::DataOutputStream data{*sink};
   data.write_i64(value);
   return sink->take();
 }
 
 std::int64_t blob_value(const ByteVector& blob) {
-  io::DataInputStream data{std::make_shared<io::MemoryInputStream>(blob)};
+  io::MemoryInputStream source{blob};
+  io::DataInputStream data{source};
   return data.read_i64();
 }
 
@@ -296,7 +297,7 @@ class BlobSource final : public IterativeProcess {
 
  protected:
   void step() override {
-    io::DataOutputStream out{output(0)};
+    io::DataOutputStream out{*output(0)};
     const ByteVector blob = blob_of(next_++);
     out.write_bytes({blob.data(), blob.size()});
   }
@@ -318,7 +319,7 @@ class BlobSink final : public IterativeProcess {
 
  protected:
   void step() override {
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     sink_->push(blob_value(in.read_bytes()));
   }
 
@@ -367,7 +368,7 @@ TEST(Direct, RoutesByIndexStream) {
   network.add(std::make_shared<BlobSource>(in->output(), 6));
   // Route blobs 0..5 to outputs 1,0,0,1,1,0.
   {
-    io::DataOutputStream idx{order->output()};
+    io::DataOutputStream idx{*order->output()};
     for (const std::int64_t i : {1, 0, 0, 1, 1, 0}) idx.write_i64(i);
     order->output()->close();
   }
@@ -390,7 +391,7 @@ TEST(Direct, OutOfRangeIndexStopsCleanly) {
   auto sink0 = std::make_shared<CollectSink<std::int64_t>>();
   network.add(std::make_shared<BlobSource>(in->output(), 2));
   {
-    io::DataOutputStream idx{order->output()};
+    io::DataOutputStream idx{*order->output()};
     idx.write_i64(0);
     idx.write_i64(5);  // out of range
     order->output()->close();
@@ -430,10 +431,10 @@ TEST(TurnstileSelect, IndexedMergeReordersToTaskOrder) {
 
    protected:
     void step() override {
-      io::DataInputStream in{input(0)};
+      io::DataInputStream in{*input(0)};
       const ByteVector blob = in.read_bytes();
       std::this_thread::sleep_for(std::chrono::milliseconds{delay_ms_});
-      io::DataOutputStream out{output(0)};
+      io::DataOutputStream out{*output(0)};
       out.write_bytes({blob.data(), blob.size()});
     }
 
@@ -479,10 +480,10 @@ TEST(OrderedMerge, MergesAndDeduplicates) {
   auto out = network.make_channel({.capacity = 4096});
   auto sink = std::make_shared<CollectSink<std::int64_t>>();
   {
-    io::DataOutputStream da{a->output()};
+    io::DataOutputStream da{*a->output()};
     for (const std::int64_t v : {1, 3, 5, 7}) da.write_i64(v);
     a->output()->close();
-    io::DataOutputStream db{b->output()};
+    io::DataOutputStream db{*b->output()};
     for (const std::int64_t v : {1, 2, 3, 8}) db.write_i64(v);
     b->output()->close();
   }
@@ -500,10 +501,10 @@ TEST(Guard, DiscardsUntilControlTrue) {
   auto out = network.make_channel({.capacity = 4096});
   auto sink = std::make_shared<CollectSink<double>>();
   {
-    io::DataOutputStream d{data->output()};
+    io::DataOutputStream d{*data->output()};
     for (const double v : {1.0, 2.0, 3.0, 4.0}) d.write_f64(v);
     data->output()->close();
-    io::DataOutputStream c{control->output()};
+    io::DataOutputStream c{*control->output()};
     for (const bool b : {false, false, true, false}) c.write_bool(b);
     control->output()->close();
   }

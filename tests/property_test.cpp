@@ -21,7 +21,7 @@ using core::Network;
 /// Feeds pre-serialized i64s into a channel from a vector, then closes.
 void fill_channel(const std::shared_ptr<core::Channel>& channel,
                   const std::vector<std::int64_t>& values) {
-  io::DataOutputStream out{channel->output()};
+  io::DataOutputStream out{*channel->output()};
   for (const std::int64_t v : values) out.write_i64(v);
   channel->output()->close();
 }
@@ -136,7 +136,7 @@ TEST_P(ScatterGatherFuzz, RoundRobinIsIdentityOnBlobs) {
     auto in = network.make_channel({.capacity = 1 << 16});
     auto out = network.make_channel({.capacity = 1 << 16});
     {
-      io::DataOutputStream writer{in->output()};
+      io::DataOutputStream writer{*in->output()};
       for (const auto& blob : blobs) {
         writer.write_bytes({blob.data(), blob.size()});
       }
@@ -153,7 +153,7 @@ TEST_P(ScatterGatherFuzz, RoundRobinIsIdentityOnBlobs) {
     network.add(std::make_shared<Gather>(result_ins, out->output()));
     network.start();
 
-    io::DataInputStream reader{out->input()};
+    io::DataInputStream reader{*out->input()};
     for (std::size_t i = 0; i < blobs.size(); ++i) {
       EXPECT_EQ(reader.read_bytes(), blobs[i]) << "blob " << i;
     }
@@ -210,12 +210,12 @@ TEST_P(SelectFuzz, ReordersAnyArrivalOrderToTaskOrder) {
     auto pairs = network.make_channel({.capacity = 1 << 16});
     auto out = network.make_channel({.capacity = 1 << 16});
     {
-      io::DataOutputStream writer{pairs->output()};
+      io::DataOutputStream writer{*pairs->output()};
       for (const Arrival& arrival : arrivals) {
         writer.write_i64(static_cast<std::int64_t>(arrival.worker));
         // The blob payload encodes the task id.
         auto sink = std::make_shared<io::MemoryOutputStream>();
-        io::DataOutputStream blob{sink};
+        io::DataOutputStream blob{*sink};
         blob.write_i64(static_cast<std::int64_t>(arrival.task));
         const ByteVector bytes = sink->take();
         writer.write_bytes({bytes.data(), bytes.size()});
@@ -226,11 +226,11 @@ TEST_P(SelectFuzz, ReordersAnyArrivalOrderToTaskOrder) {
                                          workers));
     network.start();
 
-    io::DataInputStream reader{out->input()};
+    io::DataInputStream reader{*out->input()};
     for (std::size_t expected = 0; expected < tasks; ++expected) {
       const ByteVector blob = reader.read_bytes();
-      io::DataInputStream decoder{
-          std::make_shared<io::MemoryInputStream>(blob)};
+      io::MemoryInputStream source{blob};
+      io::DataInputStream decoder{source};
       EXPECT_EQ(decoder.read_i64(), static_cast<std::int64_t>(expected));
     }
     out->input()->close();

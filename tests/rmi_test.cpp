@@ -225,8 +225,10 @@ TEST(ComputeServer, RunAsyncHostsProcessGraph) {
 TEST(ComputeServer, RejectsCorruptShipment) {
   ComputeServer server{"corrupt"};
   auto stream = net::default_transport().dial("127.0.0.1", server.port(), {});
-  io::DataOutputStream out{std::make_shared<net::StreamOutput>(stream)};
-  io::DataInputStream in{std::make_shared<net::StreamInput>(stream)};
+  net::StreamOutput sink{stream};
+  net::StreamInput source{stream};
+  io::DataOutputStream out{sink};
+  io::DataInputStream in{source};
   out.write_u8(1);  // kRunProcess
   const ByteVector junk{9, 9, 9};
   out.write_bytes({junk.data(), junk.size()});

@@ -205,8 +205,8 @@ TEST(Typed, ByteAccessToLiveRingFailsInsteadOfHanging) {
   // With the ring live the pipe carries nothing: a byte reader would wait
   // forever and a byte writer's tokens would never reach a typed reader.
   auto ch = make_typed_channel<std::int64_t>({.capacity = 256});
-  io::DataInputStream in{ch->input()};
-  io::DataOutputStream out{ch->output()};
+  io::DataInputStream in{*ch->input()};
+  io::DataOutputStream out{*ch->output()};
   EXPECT_THROW((void)in.read_i64(), UsageError);
   EXPECT_THROW(out.write_i64(1), UsageError);
 
@@ -712,7 +712,7 @@ class DiscardN final : public core::IterativeProcess {
 
  protected:
   void step() override {
-    io::DataInputStream in{input(0)};
+    io::DataInputStream in{*input(0)};
     (void)in.read_i64();
   }
 };
