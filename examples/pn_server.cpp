@@ -7,17 +7,27 @@
 // Without registry arguments it just prints its own endpoint.  Stop with
 // SIGINT/SIGTERM.
 
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "rmi/compute_server.hpp"
-#include "support/sync.hpp"
 
 namespace {
-dpn::Event g_stop;
-void handle_signal(int) { g_stop.set(); }
+/// SIGINT/SIGTERM, blocked in every thread (threads inherit the mask of
+/// the thread that starts them) and taken synchronously by main's
+/// sigwait: no handler runs, so nothing async-signal-unsafe can.
+sigset_t stop_signals() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  return set;
+}
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -28,6 +38,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const char* name = argv[1];
+  const sigset_t stop = stop_signals();
 
   dpn::rmi::ComputeServer server{name};
   std::printf("compute server '%s' listening on port %u (rendezvous %u)\n",
@@ -40,9 +51,8 @@ int main(int argc, char** argv) {
     std::printf("registered with registry %s:%u\n", host, port);
   }
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-  g_stop.wait();
+  int signal = 0;
+  sigwait(&stop, &signal);
   std::printf("shutting down '%s' (%zu processes hosted, %zu tasks run)\n",
               name, server.processes_hosted(), server.tasks_run());
   server.stop();

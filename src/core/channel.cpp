@@ -222,10 +222,11 @@ obs::ChannelSnapshot snapshot_channel(const ChannelState& state) {
     c.capacity = s.capacity;
     c.buffered = s.size;
     c.occupancy_hwm = s.occupancy_hwm;
-    c.blocked_read_ns = s.blocked_read_ns;
-    c.blocked_write_ns = s.blocked_write_ns;
-    c.reader_wakeups = s.reader_wakeups;
-    c.writer_wakeups = s.writer_wakeups;
+    // One histogram sample per wait: its sum and count are the totals.
+    c.blocked_read_ns = s.read_block.sum_ns;
+    c.blocked_write_ns = s.write_block.sum_ns;
+    c.reader_wakeups = s.read_block.count;
+    c.writer_wakeups = s.write_block.count;
     c.blocked_readers = static_cast<std::uint32_t>(s.blocked_readers);
     c.blocked_writers = static_cast<std::uint32_t>(s.blocked_writers);
     c.write_closed = s.write_closed;

@@ -82,7 +82,7 @@ void IterativeProcess::run() {
 void IterativeProcess::finish() {
   std::scoped_lock lock{state_mutex_};
   state_.store(RunState::kFinished, std::memory_order_release);
-  state_cv_.notify_all();
+  state_waiters_.wake_all();
 }
 
 void IterativeProcess::request_pause() {
@@ -94,33 +94,30 @@ void IterativeProcess::request_pause() {
 
 bool IterativeProcess::await_pause() {
   std::unique_lock lock{state_mutex_};
-  state_cv_.wait(lock, [&] {
+  for (;;) {
     const RunState state = state_.load(std::memory_order_relaxed);
-    return state == RunState::kPaused || state == RunState::kFinished;
-  });
+    if (state == RunState::kPaused || state == RunState::kFinished) break;
+    state_waiters_.wait(lock);
+  }
   return state_.load(std::memory_order_relaxed) == RunState::kPaused;
 }
 
 void IterativeProcess::resume() {
-  {
-    std::scoped_lock lock{state_mutex_};
-    if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
-      throw UsageError{"resume() on a process that is not paused"};
-    }
-    state_.store(RunState::kIdle, std::memory_order_release);
+  std::scoped_lock lock{state_mutex_};
+  if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
+    throw UsageError{"resume() on a process that is not paused"};
   }
-  state_cv_.notify_all();
+  state_.store(RunState::kIdle, std::memory_order_release);
+  state_waiters_.wake_all();
 }
 
 void IterativeProcess::abandon() {
-  {
-    std::scoped_lock lock{state_mutex_};
-    if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
-      throw UsageError{"abandon() on a process that is not paused"};
-    }
-    state_.store(RunState::kAbandoned, std::memory_order_release);
+  std::scoped_lock lock{state_mutex_};
+  if (state_.load(std::memory_order_relaxed) != RunState::kPaused) {
+    throw UsageError{"abandon() on a process that is not paused"};
   }
-  state_cv_.notify_all();
+  state_.store(RunState::kAbandoned, std::memory_order_release);
+  state_waiters_.wake_all();
 }
 
 bool IterativeProcess::paused() const {
@@ -135,10 +132,10 @@ bool IterativeProcess::park() {
          RunState::kPauseRequested) {
     state_.store(RunState::kPaused, std::memory_order_release);
     stats()->set_state(obs::ProcessState::kPaused);
-    state_cv_.notify_all();
-    state_cv_.wait(lock, [&] {
-      return state_.load(std::memory_order_relaxed) != RunState::kPaused;
-    });
+    state_waiters_.wake_all();
+    while (state_.load(std::memory_order_relaxed) == RunState::kPaused) {
+      state_waiters_.wait(lock);
+    }
     stats()->set_state(obs::ProcessState::kRunning);
   }
   return state_.load(std::memory_order_relaxed) != RunState::kAbandoned;

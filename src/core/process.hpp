@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "core/channel.hpp"
+#include "sched/waiters.hpp"
 #include "serial/serial.hpp"
 
 /// Processes (paper Section 3.2).
@@ -93,9 +93,10 @@ class Process : public serial::Serializable {
 /// kAbandoned) and run()'s exit (-> kFinished, on every path, exceptions
 /// included).  The step boundary reads it with one acquire load and no
 /// lock; only when that load sees kPauseRequested does the process take
-/// state_mutex_, re-check, and park on state_cv_ until resumed or
-/// abandoned.  A request made while a step is blocked inside a channel
-/// operation is seen at the next boundary, after that operation returns.
+/// state_mutex_, re-check, and park on state_waiters_ until resumed or
+/// abandoned -- a fiber parks, so a paused process holds no M:N worker.
+/// A request made while a step is blocked inside a channel operation is
+/// seen at the next boundary, after that operation returns.
 class IterativeProcess : public Process {
  public:
   /// iterations <= 0 means "run until stopped by channel closure".
@@ -244,7 +245,9 @@ class IterativeProcess : public Process {
   std::vector<std::shared_ptr<ChannelOutputStream>> outputs_;
 
   std::mutex state_mutex_;
-  std::condition_variable state_cv_;
+  /// The parked process and await_pause() callers; every state change
+  /// wakes them all to re-check.
+  sched::Waiters state_waiters_;
   /// Written only under state_mutex_ (release); see "The pause handshake".
   std::atomic<RunState> state_{RunState::kIdle};
 };

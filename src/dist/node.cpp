@@ -7,7 +7,6 @@
 
 #include "io/data.hpp"
 #include "io/memory.hpp"
-#include "obs/flight.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
 
@@ -88,17 +87,12 @@ Hello read_hello(StreamReader& reader) {
 
 }  // namespace
 
-void StreamPromise::wake_locked() {
-  while (sched::Fiber* fiber = fibers_.pop()) sched::make_runnable(fiber);
-  cv_.notify_all();
-}
-
 void StreamPromise::fail(std::string reason) {
   std::scoped_lock lock{mutex_};
   if (cancelled_ || fulfilled_) return;
   cancelled_ = true;
   failure_ = std::move(reason);
-  wake_locked();
+  waiters_.wake_all();
 }
 
 bool StreamPromise::fulfill(std::shared_ptr<net::Stream> stream,
@@ -108,7 +102,7 @@ bool StreamPromise::fulfill(std::shared_ptr<net::Stream> stream,
   stream_ = std::move(stream);
   dialer_ = std::move(dialer);
   fulfilled_ = true;
-  wake_locked();
+  waiters_.wake_all();
   return true;
 }
 
@@ -117,20 +111,9 @@ std::shared_ptr<net::Stream> StreamPromise::wait(
   std::unique_lock lock{mutex_};
   if (!fulfilled_ && !cancelled_) {
     if (blocked != nullptr) blocked->fetch_add(1);
-    obs::flight_record(obs::FlightKind::kRendezvousWait, token_);
     while (!fulfilled_ && !cancelled_) {
-      if (sched::on_fiber()) {
-        // Run-to-block: a condvar wait would pin this fiber's worker
-        // until the peer dials in -- possibly forever if the peer is a
-        // fiber queued behind us on that same worker.
-        sched::suspend_current(fibers_, lock);
-        lock.lock();
-      } else {
-        cv_.wait(lock);
-      }
+      waiters_.wait(lock, sched::WaitTag::rendezvous(token_));
     }
-    obs::flight_record(obs::FlightKind::kRendezvousResume, token_,
-                       fulfilled_ ? 1 : 0);
     if (blocked != nullptr) blocked->fetch_sub(1);
   }
   if (cancelled_ && !fulfilled_) {
@@ -143,7 +126,7 @@ std::shared_ptr<net::Stream> StreamPromise::wait(
 void StreamPromise::cancel() {
   std::scoped_lock lock{mutex_};
   cancelled_ = true;
-  wake_locked();
+  waiters_.wake_all();
 }
 
 bool StreamPromise::fulfilled() const {
@@ -358,7 +341,7 @@ NodeContext::NodeContext(std::string advertised_host)
   // NodeContext is being destroyed.
   rendezvous_.set_close_handler(
       [registry = credit_waiters_](std::uint64_t token) {
-        std::shared_ptr<FrameChannelOutput> waiter;
+        std::shared_ptr<PeerCloseSignal> waiter;
         {
           std::scoped_lock lock{registry->mutex};
           const auto it = registry->waiters.find(token);
@@ -370,7 +353,7 @@ NodeContext::NodeContext(std::string advertised_host)
         if (waiter) {
           log::debug("rendezvous: CLOSE wakes credit waiter for token ",
                      token);
-          waiter->peer_closed();
+          waiter->fire();
         } else {
           log::debug("rendezvous: CLOSE for unknown token ", token);
         }
@@ -425,7 +408,7 @@ void NodeContext::register_credit_waiter(
   std::erase_if(credit_waiters_->waiters, [](const auto& entry) {
     return entry.second.expired();
   });
-  credit_waiters_->waiters[token] = output;
+  credit_waiters_->waiters[token] = output->close_signal();
 }
 
 void NodeContext::register_remote_input(

@@ -10,8 +10,7 @@
 #include <unordered_map>
 
 #include "net/transport.hpp"
-#include "sched/fiber.hpp"
-#include "support/sync.hpp"
+#include "sched/waiters.hpp"
 
 /// Per-server infrastructure for distributed channels.
 ///
@@ -61,10 +60,10 @@ class StreamPromise {
   bool fulfill(std::shared_ptr<net::Stream> stream, PeerAddress dialer);
 
   /// Blocks until fulfilled or cancelled; throws NetError on cancel() and
-  /// WorkerLost on fail().  A fiber parks on the scheduler instead of pinning its worker.  While
-  /// the wait actually parks it counts in `blocked` (may be null) and is
-  /// bracketed by kRendezvousWait/kRendezvousResume flight events that
-  /// name the waiting process.
+  /// WorkerLost on fail().  A fiber parks on the scheduler instead of
+  /// pinning its worker.  While the wait actually parks it counts in
+  /// `blocked` (may be null) and is bracketed by kRendezvousWait /
+  /// kRendezvousResume flight events that name the waiting process.
   std::shared_ptr<net::Stream> wait(
       std::atomic<std::int64_t>* blocked = nullptr);
 
@@ -81,12 +80,9 @@ class StreamPromise {
   bool fulfilled() const;
 
  private:
-  void wake_locked();
-
   const std::uint64_t token_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  sched::WaitQueue fibers_;
+  sched::Waiters waiters_;
   std::shared_ptr<net::Stream> stream_;
   PeerAddress dialer_;
   bool fulfilled_ = false;
@@ -298,10 +294,11 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   void register_remote_input(const std::shared_ptr<class FrameChannelInput>&
                                  input);
 
-  /// Registers the producer side of a remote segment under its rendezvous
-  /// token so a consumer-side CLOSE notification (delivered out-of-band
-  /// through this node's rendezvous listener) can wake a writer parked in
-  /// its credit wait.  Entries are weak; dead ones are pruned.
+  /// Registers the close signal of a remote segment's producer side under
+  /// its rendezvous token so a consumer-side CLOSE notification (delivered
+  /// out-of-band through this node's rendezvous listener) can wake a
+  /// writer parked in its credit wait.  Entries are weak; dead ones are
+  /// pruned.
   void register_credit_waiter(
       std::uint64_t token,
       const std::shared_ptr<class FrameChannelOutput>& output);
@@ -314,15 +311,17 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
  private:
   explicit NodeContext(std::string advertised_host);
 
-  /// token -> producer endpoint awaiting that token's consumer.  Lives in
-  /// a shared_ptr because the rendezvous acceptor's close handler captures
-  /// it by value: the handler may still run while the NodeContext's later
-  /// members are being destroyed (the acceptor joins only when rendezvous_
-  /// itself is destroyed).
+  /// token -> close signal of the producer endpoint awaiting that token's
+  /// consumer.  Lives in a shared_ptr because the rendezvous acceptor's
+  /// close handler captures it by value: the handler may still run while
+  /// the NodeContext's later members are being destroyed (the acceptor
+  /// joins only when rendezvous_ itself is destroyed).  It holds signals,
+  /// not endpoints, so the acceptor never owns anything that owns this
+  /// node (see PeerCloseSignal).
   struct CreditWaiters {
     std::mutex mutex;
-    std::unordered_map<std::uint64_t,
-                       std::weak_ptr<class FrameChannelOutput>> waiters;
+    std::unordered_map<std::uint64_t, std::weak_ptr<class PeerCloseSignal>>
+        waiters;
   };
   std::shared_ptr<CreditWaiters> credit_waiters_ =
       std::make_shared<CreditWaiters>();

@@ -213,6 +213,7 @@ void FrameChannelInput::handle_redirect(const net::RedirectInfo& info) {
   auto successor = std::make_shared<FrameChannelInput>(promise, info.token,
                                                        node_, credit_batch_);
   successor->set_parent_sequence(parent_);
+  successor->set_flight_id(flight_id_);
   if (node_) node_->register_remote_input(successor);
   parent->append(successor);
   log::debug("channel segment redirected; awaiting token ", info.token);
@@ -319,10 +320,7 @@ void FrameChannelOutput::attach_locked(std::shared_ptr<net::Stream> stream) {
   stream_ = std::move(stream);
   stream_->set_wait_observer(this);
   if (node_) node_->register_remote_stream(stream_);
-  {
-    std::scoped_lock wake_lock{wake_mutex_};
-    wake_stream_ = stream_;
-  }
+  close_signal_->set_stream(stream_);
   writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
 }
 
@@ -353,7 +351,7 @@ void FrameChannelOutput::write(ByteSpan data) {
   // consumer credits -- the cross-machine equivalent of a full pipe.
   std::size_t offset = 0;
   while (offset < data.size()) {
-    if (peer_closed_.load(std::memory_order_acquire)) {
+    if (close_signal_->fired()) {
       // Out-of-band CLOSE already told us the consumer is gone; don't
       // push more bytes at a receive queue nobody will drain.
       throw ChannelClosed{"remote reader closed the channel"};
@@ -420,11 +418,11 @@ void FrameChannelOutput::drain_credits_locked(bool block) {
       try {
         return credit_reader_->read_frame();
       } catch (const IoError&) {
-        // peer_closed() wakes this read by shutting down our receive
+        // close_signal_ wakes this read by shutting down our receive
         // side; an end-of-stream that lands mid-frame surfaces as
         // IoError rather than the synthetic FIN.  Either way the meaning
         // is the consumer's: it is gone.
-        if (peer_closed_.load(std::memory_order_acquire)) {
+        if (close_signal_->fired()) {
           throw ChannelClosed{
               "remote reader closed while writer awaited credit"};
         }
@@ -486,20 +484,17 @@ void FrameChannelOutput::close() {
   }
 }
 
-void FrameChannelOutput::peer_closed() {
-  // Out-of-band CLOSE from the consumer's teardown.  mutex_ may be held
-  // by a writer parked inside await_credit_locked's blocking credit read,
-  // so only the separately-locked wake handle is touched here: shutting
-  // down our receive side makes that read return end-of-stream, which the
-  // frame reader turns into a synthetic FIN -> ChannelClosed.  The RST
-  // hazard that keeps Stream::abandon_read a no-op on the blocking
-  // backend does not apply: anything a SHUT_RD here could destroy was
-  // addressed to a consumer that already stopped reading for good.
-  peer_closed_.store(true, std::memory_order_release);
+void PeerCloseSignal::set_stream(std::shared_ptr<net::Stream> stream) {
+  std::scoped_lock lock{mutex_};
+  stream_ = std::move(stream);
+}
+
+void PeerCloseSignal::fire() {
+  fired_.store(true, std::memory_order_release);
   std::shared_ptr<net::Stream> stream;
   {
-    std::scoped_lock lock{wake_mutex_};
-    stream = wake_stream_;
+    std::scoped_lock lock{mutex_};
+    stream = stream_;
   }
   if (stream) stream->shutdown_read();
 }

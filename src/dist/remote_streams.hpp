@@ -77,6 +77,10 @@ class FrameChannelInput final : public io::InputStream,
     parent_ = std::move(parent);
   }
 
+  /// Names the consuming channel (core::ChannelState::id) in the flight
+  /// events of this segment's receive parks.  Set before the first read.
+  void set_flight_id(std::uint64_t id) { flight_id_ = id; }
+
   std::size_t read_some(MutableByteSpan out) override;
   void close() override;
 
@@ -99,9 +103,11 @@ class FrameChannelInput final : public io::InputStream,
   // WaitObserver: parks of this segment's stream.
   void on_park() override;
   void on_unpark() override;
+  std::uint64_t flight_id() const override { return flight_id_; }
 
   std::shared_ptr<NodeContext> node_;
   TrafficStats* const stats_;
+  std::uint64_t flight_id_ = 0;
   TrafficStats::Tally received_{stats_,
                                 TrafficStats::Tally::Direction::kReceived};
   std::weak_ptr<io::SequenceInputStream> parent_;
@@ -134,6 +140,30 @@ class FrameChannelInput final : public io::InputStream,
   // thread to decide whether the producer still needs a CLOSE nudge.
   std::atomic<bool> eof_{false};
   std::atomic<bool> closed_{false};
+};
+
+/// The part of a producer segment that a consumer's out-of-band CLOSE
+/// (delivered by the node's rendezvous acceptor) reaches.  It holds the
+/// segment's stream and nothing that holds a node: releasing the last
+/// reference on the acceptor must never run ~RendezvousService, which
+/// joins the acceptor (a thread cannot join itself).
+class PeerCloseSignal {
+ public:
+  /// The consumer will never read or grant again: shuts down the stream's
+  /// receive side, so a writer parked in its credit read sees
+  /// end-of-stream (ChannelClosed).  Takes no segment lock: the parked
+  /// writer holds it.  The RST hazard that keeps Stream::abandon_read a
+  /// no-op on the blocking backend does not apply: a SHUT_RD here can
+  /// only destroy bytes addressed to a consumer that stopped reading.
+  void fire();
+  bool fired() const { return fired_.load(std::memory_order_acquire); }
+  /// The stream to shut down; set once the segment connects.
+  void set_stream(std::shared_ptr<net::Stream> stream);
+
+ private:
+  std::atomic<bool> fired_{false};
+  std::mutex mutex_;
+  std::shared_ptr<net::Stream> stream_;
 };
 
 /// Producer side of a remote channel segment.  Its traffic accounting
@@ -181,12 +211,11 @@ class FrameChannelOutput final : public io::OutputStream,
   /// then ends this segment with a FIN.  The endpoint is unusable after.
   void redirect_and_finish(std::uint64_t successor_token);
 
-  /// Out-of-band notification (dist CLOSE frame, delivered through the
-  /// node's rendezvous): the consumer of this segment entered teardown
-  /// and will never read or grant again.  Wakes a writer parked in
-  /// await_credit_locked by surfacing end-of-stream on its credit read.
-  /// Deliberately does NOT take mutex_ -- the parked writer holds it.
-  void peer_closed();
+  /// What the node's rendezvous fires when this segment's consumer sends
+  /// its out-of-band CLOSE: wakes a writer parked in await_credit_locked.
+  const std::shared_ptr<PeerCloseSignal>& close_signal() const {
+    return close_signal_;
+  }
 
  private:
   void ensure_connected_locked();
@@ -209,11 +238,10 @@ class FrameChannelOutput final : public io::OutputStream,
   TrafficStats* const stats_;
   TrafficStats::Tally sent_{stats_, TrafficStats::Tally::Direction::kSent};
   std::shared_ptr<net::Stream> stream_;
-  // Duplicate handle for peer_closed(), under its own lock: the wake must
-  // not contend for mutex_ (held across the parked credit read).
-  std::mutex wake_mutex_;
-  std::shared_ptr<net::Stream> wake_stream_;
-  std::atomic<bool> peer_closed_{false};
+  // Its own lock and its own stream handle: the wake must not contend
+  // for mutex_ (held across the parked credit read).
+  const std::shared_ptr<PeerCloseSignal> close_signal_ =
+      std::make_shared<PeerCloseSignal>();
   std::shared_ptr<StreamPromise> promise_;
   std::uint64_t pending_token_ = 0;
   std::optional<net::FrameWriter> writer_;

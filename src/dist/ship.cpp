@@ -100,6 +100,11 @@ class RemoteInputStub final : public serial::Serializable {
     state->pipe = nullptr;  // the producer is on another server
     state->capacity = static_cast<std::size_t>(capacity);
     state->label = label;
+    // The reconstructed consumer's id names the channel in this host's
+    // flight events (its receive parks are tagged with it below).
+    if (!label.empty()) {
+      obs::flight_record_named(obs::FlightKind::kChanLabel, label, state->id);
+    }
     state->read_buffer = static_cast<std::size_t>(read_buffer);
     state->output_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
@@ -127,6 +132,7 @@ class RemoteInputStub final : public serial::Serializable {
           static_cast<std::size_t>(credit_window),
           PeerAddress{host, static_cast<std::uint16_t>(port)}, token);
       segment->set_parent_sequence(sequence);
+      segment->set_flight_id(state->id);
       ctx->node->register_remote_input(segment);
       sequence->append(std::move(segment));
     }
@@ -575,6 +581,7 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
           promise, token, ctx->node, state->remote.coalesce_bytes,
           state->remote.credit_window);
       segment->set_parent_sequence(consumer->sequence_ptr());
+      segment->set_flight_id(state->id);
       ctx->node->register_remote_input(segment);
       consumer->sequence().append(std::move(segment));
       state->pipe->close_write();

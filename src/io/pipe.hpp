@@ -1,11 +1,10 @@
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 
 #include "io/stream.hpp"
-#include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 #include "support/bytes.hpp"
 #include "support/histogram.hpp"
 
@@ -72,31 +71,26 @@ class Pipe {
   bool read_closed() const;
 
   /// Instrumentation for the deadlock monitor (Section 3.5 / [13]): the
-  /// waiters whose wait condition still holds.  A woken waiter that has
-  /// not run yet is not counted -- it is about to make progress.
+  /// parked waiters not yet woken.  A woken waiter that has not run yet
+  /// is not counted -- it is about to make progress.
   std::size_t blocked_readers() const;
   std::size_t blocked_writers() const;
 
-  /// One consistent view of the pipe's occupancy and pressure counters
-  /// (dpn::obs feeds channel snapshots from this).  Blocked time is only
-  /// accumulated while a caller actually waits, so the fast path never
-  /// touches a clock.  Each wait also lands in a log2 histogram
-  /// (read_block / write_block) so the snapshot can report wait-time
-  /// percentiles, not just totals.
   /// Tags flight-recorder block/unblock events with the owning channel's
   /// process-wide id (core::ChannelState::id).  Set once right after
   /// construction, before the pipe is shared.
   void set_flight_id(std::uint64_t id) { flight_id_ = id; }
   std::uint64_t flight_id() const { return flight_id_; }
 
+  /// One consistent view of the pipe's occupancy and pressure counters
+  /// (dpn::obs feeds channel snapshots from this).  Each wait, and only a
+  /// wait, lands in a log2 histogram (read_block / write_block), so the
+  /// fast path never touches a clock; a histogram's sum and count are the
+  /// blocked time and the wakeups, its buckets the wait-time percentiles.
   struct Stats {
     std::size_t size = 0;
     std::size_t capacity = 0;
     std::size_t occupancy_hwm = 0;
-    std::uint64_t blocked_read_ns = 0;
-    std::uint64_t blocked_write_ns = 0;
-    std::uint64_t reader_wakeups = 0;
-    std::uint64_t writer_wakeups = 0;
     std::size_t blocked_readers = 0;
     std::size_t blocked_writers = 0;
     bool write_closed = false;
@@ -108,16 +102,11 @@ class Pipe {
 
  private:
   mutable std::mutex mutex_;
-  std::condition_variable readable_;
-  std::condition_variable writable_;
-  // Fibers suspended on this pipe (M:N scheduler).  A blocked read/write
-  // on a scheduler worker parks here instead of on the cv; the
-  // counterpart operation requeues the fiber on the waker's deque.  Both
-  // kinds of waiter are counted in blocked_readers_/blocked_writers_, so
-  // the deadlock monitor sees one unified picture.  Non-worker threads
-  // (socket relays, tests) keep using the cvs -- the two coexist.
-  sched::WaitQueue reader_fibers_;
-  sched::WaitQueue writer_fibers_;
+  // Blocked readers and writers, fibers and threads alike; their sizes
+  // are the exact blocked counts the deadlock monitor reads, and every
+  // change to a wait condition wakes the side it can unblock.
+  sched::Waiters readers_;
+  sched::Waiters writers_;
   ByteVector buffer_;      // ring storage
   std::size_t head_ = 0;   // index of first unread byte
   std::size_t count_ = 0;  // bytes stored
@@ -126,16 +115,10 @@ class Pipe {
   bool write_closed_ = false;
   bool read_closed_ = false;
   bool aborted_ = false;
-  std::size_t blocked_readers_ = 0;
-  std::size_t blocked_writers_ = 0;
   std::size_t occupancy_hwm_ = 0;
-  std::uint64_t blocked_read_ns_ = 0;
-  std::uint64_t blocked_write_ns_ = 0;
-  std::uint64_t reader_wakeups_ = 0;
-  std::uint64_t writer_wakeups_ = 0;
   std::uint64_t flight_id_ = 0;
-  // Written only under mutex_ (single-writer record()); atomic buckets so
-  // stats() copies are tear-free even if a reader ever goes lock-free.
+  // Every wait's duration, recorded by the waiter under mutex_ (single
+  // writer); the sums and counts are the blocked-ns and wakeup totals.
   LatencyHistogram read_block_hist_;
   LatencyHistogram write_block_hist_;
 
@@ -143,19 +126,8 @@ class Pipe {
   std::size_t take_locked(MutableByteSpan out);
   void put_locked(ByteSpan data);
   void ensure_storage_locked(std::size_t needed);
-  // Condition notification with wakeup elision: no-ops when the exact
-  // waiter counters (valid under mutex_) say nobody is blocked, and uses
-  // notify_one for a single waiter.  Callers may hold mutex_; a waiter
-  // woken before we release it just blocks briefly on the mutex.
-  void notify_readers_locked();
-  void notify_writers_locked();
-  // Requeues every suspended fiber (both directions); the close/abort
-  // paths use it because a state flip can unblock either side.
-  void wake_all_fibers_locked();
-  // The exact counts behind blocked_readers()/blocked_writers(): the
-  // wake-elision counters above, but only while their wait condition holds.
-  std::size_t waiting_readers_locked() const;
-  std::size_t waiting_writers_locked() const;
+  // Wakes both sides: a close or abort can unblock either.
+  void wake_all_locked();
 };
 
 /// Read end of a Pipe as an InputStream.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -13,8 +12,7 @@
 
 #include "io/memory.hpp"
 #include "io/stream.hpp"
-#include "obs/flight.hpp"
-#include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -124,10 +122,10 @@ class TypedRingBase {
 /// (demote/grow/abort/close, and storage growth) must observe a quiescent
 /// ring: they set gate_ and spin until the in_push_/in_pop_ in-flight
 /// flags clear -- Dekker-style -- while fast-path entries that see gate_
-/// back off onto the mutex.  Empty/full parking uses the mutex + cv, or
-/// the scheduler's WaitQueue on an M:N fiber (same protocol as
-/// io::Pipe).  Both Dekker pairs (gate handshake, sleeper wake-up check)
-/// are symmetric: each side publishes its flag with a seq_cst exchange
+/// back off onto the mutex.  Empty/full parking uses the mutex and a
+/// sched::Waiters list per side (same protocol as io::Pipe).  Both
+/// Dekker pairs (gate handshake, sleeper wake-up check) are symmetric:
+/// each side publishes its flag with a seq_cst exchange
 /// (one locked instruction, cheaper here than store + fence), then loads
 /// the other side's flag seq_cst, so at least one of the two sees the
 /// other.  Storage is allocated on demand: it starts small and doubles,
@@ -188,11 +186,11 @@ class TypedRing final : public TypedRingBase {
       const std::uint64_t used = t - head_cache_;
       if (used <= mask_) {
         new (slot(t)) T(std::move(value));
-        // Sleeper handshake, our half (park_reader has the other).
+        // Sleeper handshake, our half (park has the other).
         tail_.exchange(t + 1, std::memory_order_seq_cst);
         in_push_.store(false, std::memory_order_release);
         if (sleeping_readers_.load(std::memory_order_seq_cst) != 0) {
-          wake_readers();
+          wake(readers_, sleeping_readers_);
         }
         return PushResult::kOk;
       }
@@ -202,7 +200,8 @@ class TypedRing final : public TypedRingBase {
       if (below_bound) {
         expand_storage();
       } else {
-        park_writer();
+        park(writers_, sleeping_writers_, &TypedRing::writer_must_wait,
+             sched::WaitTag::writing(flight_id_, buffered_bytes()));
       }
     }
   }
@@ -233,7 +232,7 @@ class TypedRing final : public TypedRingBase {
         head_.exchange(h + 1, std::memory_order_seq_cst);
         in_pop_.store(false, std::memory_order_release);
         if (sleeping_writers_.load(std::memory_order_seq_cst) != 0) {
-          wake_writers();
+          wake(writers_, sleeping_writers_);
         }
         return PopResult::kOk;
       }
@@ -248,7 +247,8 @@ class TypedRing final : public TypedRingBase {
       }
       if ((flags & kDemoted) != 0) return PopResult::kDemoted;
       if ((flags & kWriteClosed) != 0) return PopResult::kEof;
-      park_reader();
+      park(readers_, sleeping_readers_, &TypedRing::reader_must_wait,
+           sched::WaitTag::reading(flight_id_, 0));
     }
   }
 
@@ -267,21 +267,21 @@ class TypedRing final : public TypedRingBase {
     s.read_closed = (flags & kReadClosed) != 0;
     std::scoped_lock lock{mutex_};
     s.capacity = bound_;
-    s.blocked_readers = reader_must_wait() ? blocked_readers_ : 0;
-    s.blocked_writers = writer_must_wait() ? blocked_writers_ : 0;
+    s.blocked_readers = readers_.size();
+    s.blocked_writers = writers_.size();
     return s;
   }
 
-  /// Parked waiters whose wait condition still holds (as io::Pipe counts
-  /// them): a woken waiter that has not run yet is not blocked.
+  /// Parked waiters not yet woken (as io::Pipe counts them): a woken
+  /// waiter that has not run yet is not blocked.
   std::size_t blocked_readers() const override {
     std::scoped_lock lock{mutex_};
-    return reader_must_wait() ? blocked_readers_ : 0;
+    return readers_.size();
   }
 
   std::size_t blocked_writers() const override {
     std::scoped_lock lock{mutex_};
-    return writer_must_wait() ? blocked_writers_ : 0;
+    return writers_.size();
   }
 
   std::size_t capacity() const override {
@@ -463,18 +463,18 @@ class TypedRing final : public TypedRingBase {
     try {
       f();
     } catch (...) {
-      gate_.store(false, std::memory_order_release);
-      wake_all_locked();
-      lock.unlock();
-      readable_.notify_all();
-      writable_.notify_all();
+      reopen_locked();
       throw;
     }
+    reopen_locked();
+  }
+
+  /// Ends a transition: lowers the gate and wakes every waiter, which
+  /// must re-check the flags the transition may have set.
+  void reopen_locked() {
     gate_.store(false, std::memory_order_release);
-    wake_all_locked();
-    lock.unlock();
-    readable_.notify_all();
-    writable_.notify_all();
+    wake_locked(readers_, sleeping_readers_);
+    wake_locked(writers_, sleeping_writers_);
   }
 
   /// Park predicates; callers hold mutex_, which every transition holds
@@ -494,55 +494,24 @@ class TypedRing final : public TypedRingBase {
            !gate_.load(std::memory_order_relaxed);
   }
 
-  void park_reader() {
+  /// Parks a reader (or writer) whose fast path found the ring empty
+  /// (or full).  `sleeping` is the lock-free mirror of `side`'s count
+  /// that push (or pop) checks before taking the lock to wake.
+  void park(sched::Waiters& side, std::atomic<std::uint32_t>& sleeping,
+            bool (TypedRing::*must_wait)() const, const sched::WaitTag& tag) {
     std::unique_lock lock{mutex_};
-    // Re-check under the lock: a push, close or transition may have
+    // Re-check under the lock: a push, pop, close or transition may have
     // slipped in between the fast-path probe and this acquire.
-    if (!reader_must_wait()) return;
-    ++blocked_readers_;
-    // Our half of the sleeper handshake (push's is its tail_ exchange).
-    sleeping_readers_.exchange(static_cast<std::uint32_t>(blocked_readers_),
-                               std::memory_order_seq_cst);
-    if (reader_must_wait()) {
-      // Slow path only: a non-blocking pop records nothing.
-      obs::flight_record(obs::FlightKind::kChanBlockRead, flight_id_, 0);
-      if (sched::on_fiber()) {
-        sched::suspend_current(reader_fibers_, lock);
-        lock.lock();
-      } else {
-        readable_.wait(lock, [&] { return !reader_must_wait(); });
-      }
-      obs::flight_record(obs::FlightKind::kChanUnblockRead, flight_id_,
-                         buffered_bytes());
-    }
-    // else: the producer published between our probe and our
+    if (!(this->*must_wait)()) return;
+    // Our half of the sleeper handshake (the other side's is its index
+    // exchange): count ourselves before the last look at the indices.
+    sleeping.exchange(static_cast<std::uint32_t>(side.size() + 1),
+                      std::memory_order_seq_cst);
+    // Else the other side published between our probe and our
     // registration; its wake check may have missed us, so do not sleep.
-    --blocked_readers_;
-    sleeping_readers_.store(static_cast<std::uint32_t>(blocked_readers_),
-                            std::memory_order_relaxed);
-  }
-
-  void park_writer() {
-    std::unique_lock lock{mutex_};
-    if (!writer_must_wait()) return;
-    ++blocked_writers_;
-    sleeping_writers_.exchange(static_cast<std::uint32_t>(blocked_writers_),
-                               std::memory_order_seq_cst);
-    if (writer_must_wait()) {
-      obs::flight_record(obs::FlightKind::kChanBlockWrite, flight_id_,
-                         buffered_bytes());
-      if (sched::on_fiber()) {
-        sched::suspend_current(writer_fibers_, lock);
-        lock.lock();
-      } else {
-        writable_.wait(lock, [&] { return !writer_must_wait(); });
-      }
-      obs::flight_record(obs::FlightKind::kChanUnblockWrite, flight_id_,
-                         buffered_bytes());
-    }
-    --blocked_writers_;
-    sleeping_writers_.store(static_cast<std::uint32_t>(blocked_writers_),
-                            std::memory_order_relaxed);
+    if ((this->*must_wait)()) side.wait(lock, tag);
+    sleeping.store(static_cast<std::uint32_t>(side.size()),
+                   std::memory_order_relaxed);
   }
 
   /// Occupancy in wire bytes, the unit the pipe's flight events use.
@@ -552,29 +521,17 @@ class TypedRing final : public TypedRingBase {
            Codec::kWireSize;
   }
 
-  void wake_readers() {
+  void wake(sched::Waiters& side, std::atomic<std::uint32_t>& sleeping) {
     std::scoped_lock lock{mutex_};
-    while (sched::Fiber* fiber = reader_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    readable_.notify_all();
+    wake_locked(side, sleeping);
   }
 
-  void wake_writers() {
-    std::scoped_lock lock{mutex_};
-    while (sched::Fiber* fiber = writer_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    writable_.notify_all();
-  }
-
-  void wake_all_locked() {
-    while (sched::Fiber* fiber = reader_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    while (sched::Fiber* fiber = writer_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
+  // Every parked waiter leaves the list, so the sleeper count drops to
+  // zero with it: the next push or pop skips the lock again.
+  static void wake_locked(sched::Waiters& side,
+                          std::atomic<std::uint32_t>& sleeping) {
+    side.wake_all();
+    sleeping.store(0, std::memory_order_relaxed);
   }
 
   // Storage and bound: written only inside transitions (quiescent ring),
@@ -602,12 +559,8 @@ class TypedRing final : public TypedRingBase {
   std::atomic<std::uint32_t> sleeping_writers_{0};
 
   mutable std::mutex mutex_;
-  std::condition_variable readable_;
-  std::condition_variable writable_;
-  sched::WaitQueue reader_fibers_;
-  sched::WaitQueue writer_fibers_;
-  std::size_t blocked_readers_ = 0;
-  std::size_t blocked_writers_ = 0;
+  sched::Waiters readers_;
+  sched::Waiters writers_;
 };
 
 }  // namespace dpn::io

@@ -4,7 +4,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -21,10 +20,9 @@
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
-#include "support/sync.hpp"
 
 namespace dpn::net {
 namespace {
@@ -187,26 +185,13 @@ class MuxStream final : public Stream,
     bool eof = false;
   };
 
-  void wake_readers_locked() {
-    while (sched::Fiber* fiber = recv_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    recv_cv_.notify_all();
-  }
-  void wake_writers_locked() {
-    while (sched::Fiber* fiber = send_fibers_.pop()) {
-      sched::make_runnable(fiber);
-    }
-    send_cv_.notify_all();
-  }
-
   /// Removes the stream from the connection's table once both directions
   /// are finished (no lock held on entry).
   void maybe_retire();
 
-  /// Parks the caller on `fibers`/`cv` once, telling the observer.
+  /// Parks the caller on `waiters` once, telling the observer.
   void park_locked(std::unique_lock<std::mutex>& lock,
-                   sched::WaitQueue& fibers, std::condition_variable& cv);
+                   sched::Waiters& waiters, const sched::WaitTag& tag);
   /// Waits for inbound bytes; false at end-of-stream or after
   /// shutdown_read, NetError if the connection died before our FIN.
   bool await_inbound_locked(std::unique_lock<std::mutex>& lock);
@@ -224,10 +209,8 @@ class MuxStream final : public Stream,
   const std::size_t coalesce_;
 
   mutable std::mutex mutex_;
-  std::condition_variable recv_cv_;
-  std::condition_variable send_cv_;
-  sched::WaitQueue recv_fibers_;
-  sched::WaitQueue send_fibers_;
+  sched::Waiters readers_;  // inbound bytes, FIN or death
+  sched::Waiters writers_;  // send window, RST or death
 
   // Inbound (loop thread appends, reader consumes).
   std::deque<InSeg> inbound_;
@@ -353,18 +336,18 @@ class MuxListener final : public Listener,
 
   /// Arms the accept loop; must run after the listener is owned by a
   /// shared_ptr (the loop hands connections weak_from_this()).
-  void start() { started_.set(); }
+  void start();
 
  private:
   void accept_loop(const std::stop_token& stop);
 
   MuxTransport& transport_;
   ServerSocket server_;
-  Event started_;
 
   std::mutex mutex_;
-  std::condition_variable cv_;
+  sched::Waiters waiters_;  // accept() callers and the unstarted loop
   std::deque<std::shared_ptr<Stream>> pending_;
+  bool started_ = false;
   bool closed_ = false;
 
   std::jthread acceptor_;
@@ -452,18 +435,11 @@ MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
 MuxStream::~MuxStream() = default;
 
 void MuxStream::park_locked(std::unique_lock<std::mutex>& lock,
-                            sched::WaitQueue& fibers,
-                            std::condition_variable& cv) {
+                            sched::Waiters& waiters,
+                            const sched::WaitTag& tag) {
   WaitObserver* const observer = observer_;
   if (observer != nullptr) observer->on_park();
-  if (sched::on_fiber()) {
-    // Run-to-block: park the fiber, freeing the worker for other
-    // processes; the loop thread's wakeup re-injects it.
-    sched::suspend_current(fibers, lock);
-    lock.lock();
-  } else {
-    cv.wait(lock);
-  }
+  waiters.wait(lock, tag);
   if (observer != nullptr) observer->on_unpark();
 }
 
@@ -477,7 +453,13 @@ bool MuxStream::await_inbound_locked(std::unique_lock<std::mutex>& lock) {
       }
       return false;
     }
-    park_locked(lock, recv_fibers_, recv_cv_);
+    // A channel's reader names the channel, so a post-mortem shows a
+    // consumer hung on a remote producer like one hung on a local pipe.
+    const std::uint64_t channel =
+        observer_ != nullptr ? observer_->flight_id() : 0;
+    park_locked(lock, readers_,
+                channel != 0 ? sched::WaitTag::reading(channel, 0)
+                             : sched::WaitTag{});
   }
   if (inbound_.front().eof) {
     // A peer's FIN parks this marker with remote_fin_ set; a connection
@@ -561,7 +543,7 @@ void MuxStream::stall_locked(std::unique_lock<std::mutex>& lock) {
                      static_cast<std::uint64_t>(-send_window_));
   const auto stall_start = std::chrono::steady_clock::now();
   while (send_window_ <= 0 && !dead_ && !write_broken_ && !write_closed_) {
-    park_locked(lock, send_fibers_, send_cv_);
+    park_locked(lock, writers_, {});
   }
   const auto stall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -640,40 +622,16 @@ void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
 }
 
 bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
-  const auto ready = [this] {
-    return !inbound_.empty() || dead_ || read_shutdown_;
-  };
-  if (!sched::on_fiber()) {
-    std::unique_lock lock{mutex_};
-    return recv_cv_.wait_for(lock, timeout, ready);
-  }
-  // Run-to-block, like read_some: a cv wait here would pin an OS worker
-  // for the whole timeout (RMI clients poll with lease.patience), which
-  // starves the M:N pool.  Park on the scheduler WaitQueue instead and
-  // arm one loop timer that kicks the readers at the deadline.  The kick
-  // runs under mutex_, so either this fiber is already parked when it
-  // fires (the kick wakes it) or the fiber's next deadline check is
-  // ordered after the kick and observes the expiry -- no lost wakeup.
-  std::unique_lock lock{mutex_};
-  // Data already queued, or a zero-timeout probe: answer without arming
-  // a timer that would later wake this stream's readers for nothing.
-  if (ready()) return true;
-  if (timeout.count() <= 0) return false;
-  lock.unlock();
+  // RMI clients poll with lease.patience: on a fiber the deadline comes
+  // from the event loop's timers, so the worker stays free meanwhile.
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  conn_->loop().post([self = shared_from_this(), timeout] {
-    self->conn_->loop().add_timer(timeout, [self] {
-      std::scoped_lock guard{self->mutex_};
-      self->wake_readers_locked();
-    });
-  });
-  lock.lock();
-  for (;;) {
-    if (ready()) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    sched::suspend_current(recv_fibers_, lock);
-    lock.lock();
+  std::unique_lock lock{mutex_};
+  while (inbound_.empty() && !dead_ && !read_shutdown_) {
+    if (!readers_.wait_until(lock, deadline)) {
+      return !inbound_.empty() || dead_ || read_shutdown_;
+    }
   }
+  return true;
 }
 
 void MuxStream::shutdown_write() {
@@ -682,7 +640,7 @@ void MuxStream::shutdown_write() {
     std::unique_lock lock{mutex_};
     if (write_closed_) return;
     write_closed_ = true;
-    wake_writers_locked();  // a concurrently stalled writer must throw
+    writers_.wake_all();  // a concurrently stalled writer must throw
     if (!dead_) {
       pending_.emplace_back().fin = true;
       mark = !std::exchange(queued_, true);
@@ -701,7 +659,7 @@ void MuxStream::shutdown_read() {
     inbound_.clear();
     inbound_bytes_ = 0;
     unacked_ = 0;
-    wake_readers_locked();
+    readers_.wake_all();
     send_rst = !dead_ && !remote_fin_;
   }
   if (send_rst) conn_->enqueue_rst(id_);
@@ -723,13 +681,13 @@ void MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   }
   inbound_bytes_ += seg.bytes.size();
   inbound_.push_back(std::move(seg));
-  wake_readers_locked();
+  readers_.wake_all();
 }
 
 void MuxStream::on_credit(std::uint32_t bytes) {
   std::unique_lock lock{mutex_};
   send_window_ += bytes;
-  wake_writers_locked();
+  writers_.wake_all();
 }
 
 void MuxStream::on_fin() {
@@ -741,7 +699,7 @@ void MuxStream::on_fin() {
     InSeg eof;
     eof.eof = true;
     inbound_.push_back(std::move(eof));
-    wake_readers_locked();
+    readers_.wake_all();
   }
   maybe_retire();
 }
@@ -751,7 +709,7 @@ void MuxStream::on_rst() {
   obs::flight_record(obs::FlightKind::kNetRst, id_, pending_.size());
   write_broken_ = true;
   pending_.clear();  // the peer stopped reading; flushing more is waste
-  wake_writers_locked();
+  writers_.wake_all();
 }
 
 void MuxStream::on_connection_dead(const std::string& why) {
@@ -765,8 +723,8 @@ void MuxStream::on_connection_dead(const std::string& why) {
   InSeg eof;
   eof.eof = true;
   inbound_.push_back(std::move(eof));
-  wake_readers_locked();
-  wake_writers_locked();
+  readers_.wake_all();
+  writers_.wake_all();
 }
 
 bool MuxStream::take_chunk(Chunk& out, bool& more) {
@@ -1188,8 +1146,18 @@ MuxListener::MuxListener(MuxTransport& transport, std::uint16_t port)
       server_(port),
       acceptor_([this](const std::stop_token& stop) { accept_loop(stop); }) {}
 
+void MuxListener::start() {
+  std::scoped_lock lock{mutex_};
+  started_ = true;
+  waiters_.wake_all();
+}
+
 void MuxListener::accept_loop(const std::stop_token& stop) {
-  started_.wait();  // shared ownership established; weak_from_this works
+  {
+    // Shared ownership established; weak_from_this works.
+    std::unique_lock lock{mutex_};
+    while (!started_) waiters_.wait(lock);
+  }
   while (!stop.stop_requested()) {
     Socket raw;
     try {
@@ -1221,7 +1189,7 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
 
 std::shared_ptr<Stream> MuxListener::accept() {
   std::unique_lock lock{mutex_};
-  cv_.wait(lock, [&] { return closed_ || !pending_.empty(); });
+  while (!closed_ && pending_.empty()) waiters_.wait(lock);
   if (!pending_.empty()) {
     auto stream = std::move(pending_.front());
     pending_.pop_front();
@@ -1231,16 +1199,16 @@ std::shared_ptr<Stream> MuxListener::accept() {
 }
 
 void MuxListener::close() {
-  server_.close();   // unblocks the accept loop
-  started_.set();    // in case close() wins the race with start()
+  server_.close();  // unblocks the accept loop
   std::deque<std::shared_ptr<Stream>> drop;
   {
     std::scoped_lock lock{mutex_};
-    if (closed_) return;
-    closed_ = true;
+    started_ = true;  // in case close() wins the race with start()
+    const bool was_closed = std::exchange(closed_, true);
+    waiters_.wake_all();
+    if (was_closed) return;
     drop.swap(pending_);  // dropping the handles closes (RSTs) the streams
   }
-  cv_.notify_all();
   acceptor_.request_stop();
 }
 
@@ -1249,8 +1217,8 @@ void MuxListener::deliver(std::shared_ptr<Stream> stream) {
     std::scoped_lock lock{mutex_};
     if (closed_) return;  // handle drops; the stream closes itself
     pending_.push_back(std::move(stream));
+    waiters_.wake_all();
   }
-  cv_.notify_one();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <thread>
 
-#include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 #include "support/log.hpp"
 
 namespace dpn::net {
@@ -70,9 +69,9 @@ EventLoopPool& reactor() {
 namespace {
 
 /// One in-flight fd wait: registered with a loop as an epoll handler,
-/// woken by an edge (or a timer for bounded waits).  Heap-allocated and
-/// kept alive by the posted closures, so the loop's raw Handler* can
-/// never dangle -- the unregister post holds the last reference.
+/// woken by an edge.  Heap-allocated and kept alive by the posted
+/// closures, so the loop's raw Handler* can never dangle -- the
+/// unregister post holds the last reference.
 struct FdWaiter final : EventLoop::Handler {
   explicit FdWaiter(std::uint32_t want_mask) : want(want_mask) {}
 
@@ -80,44 +79,47 @@ struct FdWaiter final : EventLoop::Handler {
     // Error/hangup always count as ready: the caller's next non-blocking
     // probe is what surfaces the actual condition.
     if ((events & (want | EPOLLERR | EPOLLHUP)) == 0) return;
-    std::scoped_lock lock{mutex};
-    ready = true;
-    wake_locked();
+    set(ready);
   }
 
-  void force_ready() {
+  void set(bool& flag) {
     std::scoped_lock lock{mutex};
-    ready = true;
-    wake_locked();
-  }
-
-  void expire() {
-    std::scoped_lock lock{mutex};
-    expired = true;
-    wake_locked();
-  }
-
-  void wake_locked() {
-    while (sched::Fiber* fiber = fibers.pop()) {
-      sched::make_runnable(fiber);
-    }
-    cv.notify_all();
+    flag = true;
+    waiters.wake_all();
   }
 
   const std::uint32_t want;
 
   std::mutex mutex;
-  std::condition_variable cv;
-  sched::WaitQueue fibers;
+  sched::Waiters waiters;
   bool ready = false;
-  bool expired = false;
   bool unregistered = false;
 
   // Loop-thread-only state (written by the registration post, read by
   // the unregister post; the loop serializes them).
   bool registered = false;
-  EventLoop::TimerId timer = 0;
 };
+
+/// Serves sched::Waiters' fiber deadlines from the first reactor loop's
+/// timer wheel: the runtime's one timer mechanism.
+class ReactorDeadlines final : public sched::DeadlineTimer {
+ public:
+  void arm(std::chrono::steady_clock::time_point deadline,
+           std::function<void()> fire) override {
+    EventLoop& loop = reactor().at(0);
+    loop.post([&loop, deadline, fire = std::move(fire)] {
+      const auto delay = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      loop.add_timer(std::max(delay, std::chrono::milliseconds{0}), fire);
+    });
+  }
+};
+
+// Installed at load time and leaked, like reactor() itself.
+[[maybe_unused]] const bool g_deadlines_installed = [] {
+  sched::install_deadline_timer(new ReactorDeadlines);
+  return true;
+}();
 
 }  // namespace
 
@@ -128,7 +130,7 @@ bool wait_fd_ready(int fd, bool want_write,
       want_write ? static_cast<std::uint32_t>(EPOLLOUT)
                  : static_cast<std::uint32_t>(EPOLLIN | EPOLLRDHUP);
   auto waiter = std::make_shared<FdWaiter>(want);
-  loop.post([&loop, waiter, fd, want_write, timeout] {
+  loop.post([&loop, waiter, fd, want_write] {
     try {
       loop.add(fd, waiter.get());
       waiter->registered = true;
@@ -138,12 +140,8 @@ bool wait_fd_ready(int fd, bool want_write,
       // readiness: the caller re-probes and either proceeds or waits
       // again, so nothing hangs.
       log::debug("reactor: fd ", fd, " wait registration failed: ", e.what());
-      waiter->force_ready();
+      waiter->set(waiter->ready);
       return;
-    }
-    if (timeout) {
-      waiter->timer =
-          loop.add_timer(*timeout, [waiter] { waiter->expire(); });
     }
     // Readiness that predates the registration produces no further
     // edge; probe once now that the registration is in place (any later
@@ -151,41 +149,30 @@ bool wait_fd_ready(int fd, bool want_write,
     pollfd probe{};
     probe.fd = fd;
     probe.events = static_cast<short>(want_write ? POLLOUT : POLLIN);
-    if (::poll(&probe, 1, 0) != 0) waiter->force_ready();
+    if (::poll(&probe, 1, 0) != 0) waiter->set(waiter->ready);
   });
 
-  bool ready;
-  {
-    std::unique_lock lock{waiter->mutex};
-    while (!waiter->ready && !waiter->expired) {
-      if (sched::on_fiber()) {
-        sched::suspend_current(waiter->fibers, lock);
-        lock.lock();
-      } else {
-        waiter->cv.wait(lock);
-      }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        timeout.value_or(std::chrono::milliseconds{0});
+  std::unique_lock lock{waiter->mutex};
+  while (!waiter->ready) {
+    if (!timeout) {
+      waiter->waiters.wait(lock);
+    } else if (!waiter->waiters.wait_until(lock, deadline)) {
+      break;
     }
-    ready = waiter->ready;
   }
+  const bool ready = waiter->ready;
+  lock.unlock();
   // Wait for the unregistration too: the caller may close the fd as
   // soon as this returns, and a removal that reached epoll after the
   // close could hit a reused descriptor.
   loop.post([&loop, waiter, fd] {
-    if (waiter->timer != 0) loop.cancel_timer(waiter->timer);
     if (waiter->registered) loop.remove(fd);
-    std::scoped_lock lock{waiter->mutex};
-    waiter->unregistered = true;
-    waiter->wake_locked();
+    waiter->set(waiter->unregistered);
   });
-  std::unique_lock lock{waiter->mutex};
-  while (!waiter->unregistered) {
-    if (sched::on_fiber()) {
-      sched::suspend_current(waiter->fibers, lock);
-      lock.lock();
-    } else {
-      waiter->cv.wait(lock);
-    }
-  }
+  lock.lock();
+  while (!waiter->unregistered) waiter->waiters.wait(lock);
   return ready;
 }
 

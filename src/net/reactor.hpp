@@ -21,8 +21,8 @@
 ///
 ///   * fiber fd waits -- a fiber that would block in a *raw* socket
 ///     operation (the blocking transport's read_some/wait_readable/
-///     connect) registers the descriptor here and parks on the
-///     scheduler's WaitQueue instead of pinning its OS worker in
+///     connect) registers the descriptor here and parks on a
+///     sched::Waiters list instead of pinning its OS worker in
 ///     recv/poll.  The loop's edge notification makes the fiber
 ///     runnable again.  This is what lets an M:N graph keep executing
 ///     while some of its processes sit in blocking-transport socket
@@ -76,10 +76,11 @@ EventLoopPool& reactor();
 
 /// Blocks the caller until `fd` is ready (readable, or writable when
 /// `want_write`) or `timeout` elapses; nullopt means no timeout.
-/// Returns false only on timeout.  On a fiber this parks the fiber on a
-/// scheduler WaitQueue with the wakeup driven by reactor() -- the OS
-/// worker stays free; on a plain thread it falls back to a condition
-/// wait.  May report ready spuriously (e.g. when the descriptor could
+/// Returns false only on timeout.  The caller parks on a sched::Waiters
+/// list with the wakeup driven by reactor() -- on a fiber the OS worker
+/// stays free, and so does it while a timeout runs: fiber deadlines are
+/// served by the first reactor loop's timer wheel (install_deadline_timer
+/// in sched/waiters.hpp).  May report ready spuriously (e.g. when the descriptor could
 /// not be registered); callers must re-probe with a non-blocking
 /// operation and wait again, condition-variable style.
 bool wait_fd_ready(int fd, bool want_write,

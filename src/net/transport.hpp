@@ -45,6 +45,9 @@ class WaitObserver {
  public:
   virtual void on_park() = 0;
   virtual void on_unpark() = 0;
+  /// The flight-recorder id of the channel this stream carries (0: none);
+  /// the mux backend tags its receive parks with it.
+  virtual std::uint64_t flight_id() const { return 0; }
 
  protected:
   ~WaitObserver() = default;

@@ -1,6 +1,7 @@
 #include "obs/flight.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -332,8 +333,10 @@ std::uint64_t now_ns() {
 /// have already exited (and a signal handler must be able to walk the
 /// registry without taking any lock).
 struct FlightRing {
-  std::atomic<std::uint64_t> seq{0};      // events ever written
+  std::atomic<std::uint64_t> seq{0};      // next slot to write
   std::atomic<std::uint64_t> discard{0};  // events dropped by flight_reset
+  // Events ever written: seq, plus those flight_retract took back.
+  std::atomic<std::uint64_t> written{0};
   std::uint32_t tid = 0;
   std::uint32_t mask = 0;
   FlightEvent* slots = nullptr;
@@ -393,7 +396,14 @@ FlightRing* ring_for_thread() {
   ring->tid = thread_tag();
   const std::size_t cap = ring_capacity();
   ring->mask = static_cast<std::uint32_t>(cap - 1);
-  ring->slots = new FlightEvent[cap]();
+  // Fresh anonymous pages read as zeroed events and cost memory only once
+  // an event lands on them: a thread whose waits are all short (and so
+  // retracted, see flight_retract) keeps reusing its first page.
+  void* pages = ::mmap(nullptr, cap * sizeof(FlightEvent),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+  ring->slots = pages != MAP_FAILED ? static_cast<FlightEvent*>(pages)
+                                    : new FlightEvent[cap]();
   g_rings[index].store(ring, std::memory_order_release);
   t_ring = ring;
   return ring;
@@ -472,6 +482,29 @@ void flight_record_slow(FlightKind kind, std::string_view who,
     ev.who[len] = '\0';
   }
   ring->seq.store(s + 1, std::memory_order_release);
+  ring->written.store(ring->written.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+}
+
+bool flight_retract_slow(FlightKind kind, std::uint64_t a) {
+  FlightRing* ring = t_ring;
+  if (ring == nullptr) return false;
+  const std::uint64_t s = ring->seq.load(std::memory_order_relaxed);
+  // Only before the ring first wraps: afterwards the slot being given
+  // back would re-enter the window as its oldest event.
+  if (s == 0 || s > std::uint64_t{ring->mask} + 1 ||
+      s <= ring->discard.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  const FlightEvent& newest = ring->slots[(s - 1) & ring->mask];
+  // Same kind, subject and actor: on a scheduler worker the newest event
+  // may be another fiber's.
+  if (newest.kind != static_cast<std::uint8_t>(kind) || newest.a != a ||
+      std::memcmp(newest.who, t_actor, sizeof newest.who) != 0) {
+    return false;
+  }
+  ring->seq.store(s - 1, std::memory_order_release);
+  return true;
 }
 
 }  // namespace detail
@@ -506,7 +539,7 @@ FlightCounters flight_counters() {
     if (ring == nullptr) continue;
     const std::uint64_t seq = ring->seq.load(std::memory_order_acquire);
     const std::uint64_t cap = std::uint64_t{ring->mask} + 1;
-    counters.recorded += seq;
+    counters.recorded += ring->written.load(std::memory_order_relaxed);
     if (seq > cap) counters.dropped += seq - cap;
   }
   counters.dumps = g_dumps.load(std::memory_order_relaxed);

@@ -24,7 +24,7 @@
 ///     stores into a thread-local slot;
 ///  2. bounded memory: one fixed ring per recording thread (capacity
 ///     from DPN_FLIGHT_EVENTS, default 2048 events x 48 bytes), oldest
-///     events overwritten;
+///     events overwritten, its pages touched only as events land;
 ///  3. dumpable from anywhere, including a fatal signal handler: rings
 ///     live in a lock-free fixed registry of leaked allocations, so a
 ///     SIGSEGV handler can walk them with nothing but open/write/close;
@@ -47,9 +47,13 @@ enum class FlightKind : std::uint8_t {
   kSchedPark = 0,
   kSchedUnpark = 1,
   kSchedSteal = 2,
-  // Channels (a = channel id, b = buffered bytes at the edge; who = the
-  // blocked process).  Block/unblock pairs bracket an actual wait -- a
-  // non-blocking op records nothing.
+  // Channels (a = channel id; block: b = buffered bytes at the edge,
+  // unblock: b = nanoseconds parked; who = the blocked process).
+  // Block/unblock pairs bracket each park of a sched::Waiters wait that
+  // lasts 1 ms or more (a shorter one takes its block back; one still
+  // parked keeps it) -- a non-blocking op records nothing.  Local pipes
+  // and typed rings record them, and so does a remote consumer parked on
+  // its mux stream, tagged with its own host's id for the channel.
   kChanBlockRead = 3,
   kChanBlockWrite = 4,
   kChanUnblockRead = 5,
@@ -78,7 +82,7 @@ enum class FlightKind : std::uint8_t {
   kDeadlockAbort = 19,  // who = why
   kDump = 20,           // a dump was taken (who = reason)
   // A process parked until its channel's peer dials in to the rendezvous
-  // (a = token; resume: b = 1 fulfilled, 0 cancelled).  Who = the process.
+  // (a = token; resume: b = nanoseconds parked).  Who = the process.
   kRendezvousWait = 21,
   kRendezvousResume = 22,
 };
@@ -125,6 +129,7 @@ namespace detail {
 extern std::atomic<bool> g_flight_on;
 void flight_record_slow(FlightKind kind, std::string_view who,
                         std::uint64_t a, std::uint64_t b);
+bool flight_retract_slow(FlightKind kind, std::uint64_t a);
 }  // namespace detail
 
 inline bool flight_enabled() {
@@ -143,6 +148,14 @@ inline void flight_record_named(FlightKind kind, std::string_view who,
   if (flight_enabled()) detail::flight_record_slow(kind, who, a, b);
 }
 
+/// Takes back the calling thread's newest event if it is `kind` on `a`:
+/// the block event of a wait that turned out too short to be worth a
+/// slot.  It still counts as recorded.  Only while the thread's ring has
+/// not wrapped; returns whether the event was taken back.
+inline bool flight_retract(FlightKind kind, std::uint64_t a) {
+  return flight_enabled() && detail::flight_retract_slow(kind, a);
+}
+
 /// Sets the calling thread's ambient actor name (truncated to 15 chars):
 /// the process a scheduler worker is currently running, or the role of a
 /// service thread.  Events record it as `who` so a dump reads in terms
@@ -155,6 +168,7 @@ inline bool flight_enabled() { return false; }
 inline void flight_record(FlightKind, std::uint64_t = 0, std::uint64_t = 0) {}
 inline void flight_record_named(FlightKind, std::string_view,
                                 std::uint64_t = 0, std::uint64_t = 0) {}
+inline bool flight_retract(FlightKind, std::uint64_t) { return false; }
 inline void flight_set_actor(std::string_view) {}
 
 #endif  // DPN_FLIGHT

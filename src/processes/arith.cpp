@@ -17,7 +17,10 @@ void Add::step() {
   io::DataOutputStream out{*output(0)};
   const std::int64_t x = a.read_i64();
   const std::int64_t y = b.read_i64();
-  out.write_i64(x + y);
+  // Two's-complement wrap, spelled out: a long Fibonacci run overflows
+  // i64, and signed overflow is undefined.
+  out.write_i64(static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                          static_cast<std::uint64_t>(y)));
 }
 
 void Add::write_fields(serial::ObjectOutputStream& out) const {

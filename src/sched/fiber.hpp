@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 
 /// Stackful fibers: the execution contexts of the M:N scheduler.
@@ -16,8 +15,8 @@
 /// own (small, heap-allocated, lazily-paged) stack.  Worker threads switch
 /// into a fiber to run it and the fiber switches back out when it finishes
 /// or when a channel operation would block -- run-to-block execution.  The
-/// only suspension points are the ones the runtime itself creates
-/// (io::Pipe waits, sched::WaitGroup), so Kahn's blocking-read discipline
+/// only suspension points are the ones the runtime itself creates (its
+/// sched::Waiters lists), so Kahn's blocking-read discipline
 /// is preserved exactly: a process can never observe that it was
 /// descheduled.
 ///
@@ -27,13 +26,12 @@
 /// ~1 us, which would dominate a fine-grained relay graph -- while
 /// _setjmp is a pure register save (tens of nanoseconds).  Only the
 /// *first* entry onto a fresh fiber stack pays one swapcontext.  Under
-/// ThreadSanitizer the pure-ucontext path is kept (and every switch is
-/// annotated through the TSan fiber API so per-context shadow stacks
-/// stay coherent).
+/// ThreadSanitizer and AddressSanitizer the pure-ucontext path is kept
+/// (and every switch is annotated through the sanitizers' fiber APIs so
+/// per-context shadow stacks stay coherent).
 namespace dpn::sched {
 
 class Scheduler;
-class WaitQueue;
 struct Worker;
 class Fiber;
 
@@ -41,6 +39,8 @@ namespace detail {
 /// Switches the calling fiber out to its worker's scheduler loop
 /// (internal: the suspension half of the run-to-block protocol).
 void switch_out(Fiber* self);
+/// A fiber's first step after a switch lands it on its stack.
+void land(Fiber* self);
 }  // namespace detail
 
 /// Scheduler-driven lifecycle transitions surfaced to the owner of a
@@ -54,8 +54,8 @@ enum class FiberPhase : std::uint8_t {
 
 /// One schedulable execution context.  Created by Scheduler::spawn and
 /// owned by the runtime: after spawn the pointer is only valid for use
-/// with the wait/wake protocol below (the scheduler frees the fiber when
-/// its body returns).
+/// with the wait/wake protocol of sched::Waiters (the scheduler frees the
+/// fiber when its body returns).
 class Fiber {
  public:
   Fiber(const Fiber&) = delete;
@@ -66,10 +66,9 @@ class Fiber {
 
  private:
   friend class Scheduler;
-  friend class WaitQueue;
-  friend void suspend_current(WaitQueue&, std::unique_lock<std::mutex>&);
   friend void make_runnable(Fiber*);
   friend void detail::switch_out(Fiber*);
+  friend void detail::land(Fiber*);
 
   Fiber(std::function<void()> body, std::size_t stack_bytes,
         std::string name, std::function<void(FiberPhase)> on_phase);
@@ -93,6 +92,7 @@ class Fiber {
   jmp_buf jump_{};
   bool started_ = false;
   void* tsan_fiber_ = nullptr;
+  void* asan_fake_stack_ = nullptr;  // ASan's stack-use-after-return frames
 
   Scheduler* scheduler_ = nullptr;
   /// Steady-clock stamp of the last enqueue (runnable instant); consumed
@@ -110,8 +110,6 @@ class Fiber {
   /// all fiber state across worker migrations.
   std::atomic<bool> in_switch_{false};
   bool finished_ = false;
-  /// Intrusive link for WaitQueue.
-  Fiber* next_waiter_ = nullptr;
 };
 
 /// True when the calling thread is currently executing a fiber (i.e. we
@@ -122,43 +120,11 @@ bool on_fiber();
 /// The fiber the calling thread is executing, or nullptr.
 Fiber* current_fiber();
 
-/// FIFO list of suspended fibers, embedded in whatever object owns the
-/// wait condition (a pipe, a wait group).  Not internally synchronized:
-/// the owner's mutex must be held for every call, exactly like the
-/// condition_variable it sits next to.
-class WaitQueue {
- public:
-  WaitQueue() = default;
-  WaitQueue(const WaitQueue&) = delete;
-  WaitQueue& operator=(const WaitQueue&) = delete;
-
-  void push(Fiber* fiber);
-  /// Removes and returns the oldest waiter, or nullptr when empty.
-  Fiber* pop();
-  bool empty() const { return head_ == nullptr; }
-
- private:
-  Fiber* head_ = nullptr;
-  Fiber* tail_ = nullptr;
-};
-
-/// Suspends the calling fiber: atomically (under `guard`, which the
-/// caller holds) enqueues it on `queue`, releases `guard`, and switches
-/// to the worker's scheduler loop.  Returns once a waker has popped the
-/// fiber and a worker has dispatched it again -- possibly a *different*
-/// worker.  The caller must re-lock `guard` and re-check its predicate
-/// (wakeups are one-shot but deliberately spurious-tolerant, mirroring
-/// condition_variable semantics).
-///
-/// Must only be called on a fiber (on_fiber() == true) and never while
-/// holding any lock other than `guard`'s.
-void suspend_current(WaitQueue& queue, std::unique_lock<std::mutex>& guard);
-
-/// Hands a fiber popped from a WaitQueue back to its scheduler: pushed on
-/// the waking worker's own deque when the waker is a worker (the
-/// cache-warm choice -- the data it just produced is right here), else on
-/// the scheduler's inject queue.  Safe to call while holding the lock
-/// that guarded the WaitQueue.
+/// Hands a parked fiber back to its scheduler (sched::Waiters' wake
+/// half): pushed on the waking worker's own deque when the waker is a
+/// worker (the cache-warm choice -- the data it just produced is right
+/// here), else on the scheduler's inject queue.  Safe to call while
+/// holding the lock that guarded the wait.
 void make_runnable(Fiber* fiber);
 
 }  // namespace dpn::sched

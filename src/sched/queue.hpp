@@ -1,25 +1,21 @@
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
-#include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 
 /// Fiber-aware blocking queue.
 ///
-/// Moved here from support/sync.hpp when the M:N scheduler landed: a
-/// consumer that blocks inside a fiber must suspend the *fiber* (freeing
-/// the worker thread to run other processes), not park the OS thread on a
-/// condition variable.  A cv wait from fiber context wedges the whole
-/// worker -- with one worker that is an instant deadlock (the Turnstile
+/// A consumer that blocks inside a fiber must suspend the *fiber*
+/// (freeing the worker thread to run other processes), not park the OS
+/// thread.  With one worker that would be an instant deadlock (the Turnstile
 /// waiting for results that can only be produced by fibers its own wait
-/// is starving).  pop() therefore dispatches on sched::on_fiber() exactly
-/// like io::Pipe's blocking read/write does; producers may be plain
-/// threads (the Turnstile's forwarders are) or fibers, push never blocks.
+/// is starving).  pop() therefore parks on sched::Waiters, like every
+/// channel wait; producers may be plain threads (the Turnstile's
+/// forwarders are) or fibers, push never blocks.
 namespace dpn::sched {
 
 /// Unbounded multi-producer multi-consumer queue with close semantics.
@@ -30,42 +26,22 @@ class BlockingQueue {
  public:
   /// Returns false if the queue was already closed (item dropped).
   bool push(T item) {
-    Fiber* waiter = nullptr;
-    {
-      std::scoped_lock lock{mutex_};
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-      waiter = fiber_waiters_.pop();
-    }
-    // One new item wakes one consumer: a suspended fiber if any, else a
-    // cv waiter.  Resuming outside the lock keeps the scheduler's queues
-    // out of our critical section.
-    if (waiter != nullptr) {
-      make_runnable(waiter);
-    } else {
-      cv_.notify_one();
-    }
+    std::scoped_lock lock{mutex_};
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    waiters_.wake_one();  // one new item, one consumer
     return true;
   }
 
   /// Blocks for the next item; nullopt means closed-and-drained.  Callable
-  /// from a fiber (suspends it) or a plain thread (cv wait).
+  /// from a fiber (suspends it) or a plain thread.
   std::optional<T> pop() {
     std::unique_lock lock{mutex_};
-    for (;;) {
-      if (!items_.empty()) {
-        T item = std::move(items_.front());
-        items_.pop_front();
-        return item;
-      }
-      if (closed_) return std::nullopt;
-      if (on_fiber()) {
-        suspend_current(fiber_waiters_, lock);  // unlocks before switching
-        lock.lock();
-      } else {
-        cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-      }
-    }
+    while (items_.empty() && !closed_) waiters_.wait(lock);
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    return item;
   }
 
   /// Non-blocking pop.
@@ -78,30 +54,14 @@ class BlockingQueue {
   }
 
   void close() {
-    std::vector<Fiber*> waiters;
-    {
-      std::scoped_lock lock{mutex_};
-      closed_ = true;
-      while (Fiber* waiter = fiber_waiters_.pop()) waiters.push_back(waiter);
-    }
-    cv_.notify_all();
-    for (Fiber* waiter : waiters) make_runnable(waiter);
-  }
-
-  bool closed() const {
     std::scoped_lock lock{mutex_};
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::scoped_lock lock{mutex_};
-    return items_.size();
+    closed_ = true;
+    waiters_.wake_all();
   }
 
  private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  WaitQueue fiber_waiters_;
+  std::mutex mutex_;
+  Waiters waiters_;
   std::deque<T> items_;
   bool closed_ = false;
 };

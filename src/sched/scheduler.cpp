@@ -12,6 +12,15 @@
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+// Sanitizer builds switch with plain swapcontext: the sanitizers' fiber
+// hooks are proven on ucontext, not on _setjmp/_longjmp across stacks.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define DPN_UCONTEXT_SWITCH 1
+#endif
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -46,6 +55,24 @@ inline void tsan_switch(void* fiber) {
 inline void tsan_switch(void*) {}
 #endif
 
+// ASan keeps one stack range per thread; every switch announces the
+// stack it is about to run on (start) and confirms the landing (finish),
+// or ASan reports the fiber's frames as stack overflows and misses real
+// lifetime bugs on fiber stacks -- where Waiters' nodes live.
+#if defined(__SANITIZE_ADDRESS__)
+inline void asan_start_switch(void** fake_stack, const void* bottom,
+                              std::size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+inline void asan_finish_switch(void* fake_stack, const void** bottom_old,
+                               std::size_t* size_old) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+}
+#else
+inline void asan_start_switch(void**, const void*, std::size_t) {}
+inline void asan_finish_switch(void*, const void**, std::size_t*) {}
+#endif
+
 }  // namespace
 
 /// Per-worker state.  The worker's own thread context doubles as the
@@ -56,6 +83,11 @@ struct Worker {
   ucontext_t loop_context{};  // swapcontext target (TSan build only)
   jmp_buf loop_jump{};        // fast switch target: set per dispatch
   void* tsan_fiber = nullptr;  // the worker thread's own TSan fiber
+  // ASan: the worker thread's stack, learned when a fiber lands from it,
+  // and the worker's fake stack while a fiber runs.
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* asan_fake_stack = nullptr;
   WorkStealDeque deque;
   std::uint64_t rng = 0;  // xorshift state for victim selection
   std::jthread thread;    // last member: joins before the rest dies
@@ -83,20 +115,38 @@ namespace detail {
 ///
 /// Fast path: _setjmp records the suspension point (registers only, no
 /// sigprocmask syscall) and _longjmp re-enters the dispatching worker's
-/// run_fiber frame, which is still live underneath us.  The TSan build
-/// keeps full swapcontext so the sanitizer's shadow stacks track the
-/// switch through its proven ucontext hooks.
+/// run_fiber frame, which is still live underneath us.  Sanitizer
+/// builds keep full swapcontext so the shadow stacks track the switch
+/// through the sanitizers' proven ucontext hooks.
 [[gnu::noinline]] void switch_out(Fiber* self) {
   Worker* worker = current_worker_slow();
   tsan_switch(worker->tsan_fiber);
-#if defined(__SANITIZE_THREAD__)
+  // A finished fiber's stack is never entered again: no fake stack to keep.
+  asan_start_switch(self->finished_ ? nullptr : &self->asan_fake_stack_,
+                    worker->stack_bottom, worker->stack_size);
+#if defined(DPN_UCONTEXT_SWITCH)
   swapcontext(&self->context_, &worker->loop_context);
 #else
   if (_setjmp(self->jump_) == 0) _longjmp(worker->loop_jump, 1);
 #endif
   // Resumed -- possibly on a different worker.  Nothing thread-local may
   // be touched here; the caller re-derives everything it needs.
+  land(self);
 }
+
+/// The first thing a fiber does on arriving at its stack (entry or
+/// resume): confirms the switch to ASan and notes the stack of the worker
+/// it came from, which it returns to in switch_out.  Empty, and inlined
+/// away, in other builds.
+#if defined(__SANITIZE_ADDRESS__)
+[[gnu::noinline]] void land(Fiber* self) {
+  Worker* worker = current_worker_slow();
+  asan_finish_switch(self->asan_fake_stack_, &worker->stack_bottom,
+                     &worker->stack_size);
+}
+#else
+void land(Fiber*) {}
+#endif
 
 }  // namespace detail
 
@@ -135,6 +185,7 @@ Fiber::~Fiber() {
 void Fiber::entry() {
   // The dispatching worker stored us in t_current just before switching.
   Fiber* self = current_fiber_slow();
+  detail::land(self);
   try {
     self->body_();
   } catch (const std::exception& e) {
@@ -156,43 +207,6 @@ void Fiber::entry() {
 bool on_fiber() { return current_fiber_slow() != nullptr; }
 
 Fiber* current_fiber() { return current_fiber_slow(); }
-
-// --- WaitQueue --------------------------------------------------------------
-
-void WaitQueue::push(Fiber* fiber) {
-  fiber->next_waiter_ = nullptr;
-  if (tail_ == nullptr) {
-    head_ = tail_ = fiber;
-  } else {
-    tail_->next_waiter_ = fiber;
-    tail_ = fiber;
-  }
-}
-
-Fiber* WaitQueue::pop() {
-  Fiber* fiber = head_;
-  if (fiber == nullptr) return nullptr;
-  head_ = fiber->next_waiter_;
-  if (head_ == nullptr) tail_ = nullptr;
-  fiber->next_waiter_ = nullptr;
-  return fiber;
-}
-
-void suspend_current(WaitQueue& queue, std::unique_lock<std::mutex>& guard) {
-  Fiber* self = current_fiber_slow();
-  if (self == nullptr) {
-    throw UsageError{"sched::suspend_current called off a fiber"};
-  }
-  queue.push(self);
-  // Unlock before switching: the waker needs this mutex to pop us, and a
-  // mutex must never be held across a context switch (its owner is the
-  // OS thread, which is about to run a different fiber).  The window
-  // between unlock and the switch is covered by in_switch_: a waker that
-  // requeues us immediately simply makes the next worker spin until our
-  // switch-out completes.
-  guard.unlock();
-  switch_out(self);
-}
 
 void make_runnable(Fiber* fiber) { fiber->scheduler_->enqueue(fiber); }
 
@@ -473,7 +487,9 @@ void Scheduler::run_fiber(Worker& worker, Fiber* fiber) {
 
   t_current = fiber;
   tsan_switch(fiber->tsan_fiber_);
-#if defined(__SANITIZE_THREAD__)
+  asan_start_switch(&worker.asan_fake_stack, fiber->stack_.get(),
+                    fiber->stack_size_);
+#if defined(DPN_UCONTEXT_SWITCH)
   swapcontext(&worker.loop_context, &fiber->context_);
 #else
   // _setjmp marks the return point switch_out longjmps to.  First entry
@@ -493,6 +509,7 @@ void Scheduler::run_fiber(Worker& worker, Fiber* fiber) {
     }
   }
 #endif
+  asan_finish_switch(worker.asan_fake_stack, nullptr, nullptr);
   t_current = nullptr;
 
   // The fiber switched out: it either finished or parked on a wait
@@ -566,29 +583,14 @@ void WaitGroup::add(std::size_t n) {
 }
 
 void WaitGroup::done() {
-  // Collect fiber waiters under the lock; wake them after release so a
-  // woken fiber re-acquiring mutex_ never collides with us holding it.
-  std::vector<Fiber*> wake;
-  {
-    std::scoped_lock lock{mutex_};
-    if (count_ == 0) throw UsageError{"WaitGroup::done underflow"};
-    if (--count_ > 0) return;
-    while (Fiber* fiber = waiters_.pop()) wake.push_back(fiber);
-    cv_.notify_all();
-  }
-  for (Fiber* fiber : wake) make_runnable(fiber);
+  std::scoped_lock lock{mutex_};
+  if (count_ == 0) throw UsageError{"WaitGroup::done underflow"};
+  if (--count_ == 0) waiters_.wake_all();
 }
 
 void WaitGroup::wait() {
   std::unique_lock lock{mutex_};
-  while (count_ > 0) {
-    if (on_fiber()) {
-      suspend_current(waiters_, lock);
-      lock.lock();
-    } else {
-      cv_.wait(lock);
-    }
-  }
+  while (count_ > 0) waiters_.wait(lock);
 }
 
 }  // namespace dpn::sched

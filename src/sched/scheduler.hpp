@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sched/fiber.hpp"
+#include "sched/waiters.hpp"
 #include "support/histogram.hpp"
 
 /// The M:N work-stealing process scheduler.
@@ -155,7 +156,6 @@ class Scheduler {
 
  private:
   friend class Fiber;
-  friend void suspend_current(WaitQueue&, std::unique_lock<std::mutex>&);
   friend void make_runnable(Fiber*);
 
   void worker_main(Worker& worker);
@@ -211,8 +211,8 @@ bool spawn_detached(std::function<void()> body, std::string name = {});
 LatencyHistogram& runq_wait_histogram();
 
 /// Counting completion latch usable from fibers and plain threads alike:
-/// done() may be called anywhere; wait() suspends the calling fiber (or
-/// cv-waits a plain thread) until the count reaches zero.  This is how a
+/// done() may be called anywhere; wait() parks the calling fiber or
+/// thread until the count reaches zero.  This is how a
 /// composite waits for its component fibers and a Network's join waits
 /// for its graph without holding N joinable threads.
 class WaitGroup {
@@ -223,9 +223,8 @@ class WaitGroup {
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::size_t count_ = 0;
-  WaitQueue waiters_;
+  Waiters waiters_;
 };
 
 }  // namespace dpn::sched

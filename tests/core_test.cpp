@@ -312,6 +312,37 @@ TEST(PauseHandshake, PauseResumeCyclesKeepTheHistory) {
   }
 }
 
+// A paused process gives its worker back: on one M:N worker another fiber
+// runs while the process waits in pause_point for resume().
+TEST(PauseHandshake, PausedFiberLeavesTheWorkerToOthers) {
+  sched::SchedulerOptions one_worker;
+  one_worker.mode = sched::SchedMode::kWorkSteal;
+  one_worker.workers = 1;
+  Network network;
+  network.set_scheduler(one_worker);
+  auto channel = network.make_channel({.capacity = 64, .label = "paused"});
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  auto producer = std::make_shared<Sequence>(0, channel->output(), 100);
+  network.add(producer);
+  network.add(std::make_shared<Collect>(channel->input(), sink));
+  producer->request_pause();  // parks at its first boundary
+  network.start();
+  ASSERT_TRUE(producer->await_pause());
+  std::atomic<bool> ran{false};
+  network.scheduler()->spawn([&ran] { ran = true; }, "test.bystander");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  EXPECT_TRUE(ran.load()) << "the paused process pinned the only worker";
+  EXPECT_TRUE(producer->paused());
+  producer->resume();  // unpins the worker either way, so the run ends
+  network.join();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(sink->size(), 100u);
+}
+
 // --- CompositeProcess ---------------------------------------------------------
 
 TEST(Composite, RunsMembersConcurrently) {

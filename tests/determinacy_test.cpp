@@ -128,7 +128,9 @@ std::vector<std::int64_t> mixed_graph_oracle(std::size_t count) {
   std::vector<std::int64_t> fib;
   for (std::int64_t a = 1, b = 1; fib.size() < 4 * count;) {
     fib.push_back(a);
-    const std::int64_t next = a + b;
+    // Wraps like processes::Add does (defined, unlike signed overflow).
+    const auto next = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
     a = b;
     b = next;
   }

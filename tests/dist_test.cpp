@@ -166,6 +166,43 @@ TEST(Rendezvous, PromiseWaitNamesTheWaiterInTheFlightRecorder) {
             std::string::npos);
 }
 
+// A consumer shipped to another host and hung on its mux stream shows in
+// that host's wait-for analysis like a consumer hung on a local pipe: a
+// row that names the channel it is reading.
+TEST(Ship, HungRemoteConsumerIsNamedInTheWaitFor) {
+  if (net::network_options().transport != net::TransportKind::kMux) {
+    GTEST_SKIP() << "only the mux backend parks remote readers on a stream";
+  }
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  auto ch = std::make_shared<Channel>(256, "hung-edge");
+  auto downstream = std::make_shared<Channel>(256, "downstream");
+  auto relay = std::make_shared<Identity>(ch->input(), downstream->output());
+  const ByteVector shipment = ship_process(node_a, relay);
+  auto remote = receive_process(node_b, {shipment.data(), shipment.size()});
+  const std::uint64_t id = remote->channel_inputs().at(0)->state()->id;
+  const std::string row = "remote-sink blocked reading ch" +
+                          std::to_string(id) + " 'hung-edge'";
+  std::jthread host_b{[&] {
+    obs::flight_set_actor("remote-sink");
+    remote->run();
+    obs::flight_set_actor("");
+  }};
+  std::string report;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  do {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    report = obs::flight_wait_for(obs::flight_export().events);
+  } while (report.find(row) == std::string::npos &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_NE(report.find(row), std::string::npos) << report;
+  ch->output()->close();  // FIN: the relay reads end-of-stream and stops
+  host_b.join();
+  EXPECT_EQ(obs::flight_wait_for(obs::flight_export().events).find(row),
+            std::string::npos);
+}
+
 TEST(Rendezvous, TokensAreUnique) {
   auto node = NodeContext::create();
   std::set<std::uint64_t> tokens;

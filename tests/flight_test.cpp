@@ -170,6 +170,34 @@ TEST(FlightRing, RuntimeToggleStopsRecording) {
   EXPECT_EQ(obs::flight_counters().recorded, before.recorded + 1);
 }
 
+TEST(FlightRing, RetractTakesBackOnlyTheThreadsNewestMatchingEvent) {
+  std::vector<obs::FlightEvent> mine;
+  obs::FlightCounters before;
+  obs::FlightCounters after;
+  std::thread recorder{[&] {
+    obs::flight_set_actor("retracttest");
+    before = obs::flight_counters();
+    obs::flight_record(obs::FlightKind::kChanBlockRead, 41);
+    // Newest event, but another channel: stays.
+    EXPECT_FALSE(obs::flight_retract(obs::FlightKind::kChanBlockRead, 42));
+    EXPECT_TRUE(obs::flight_retract(obs::FlightKind::kChanBlockRead, 41));
+    obs::flight_record(obs::FlightKind::kChanBlockRead, 43);
+    obs::flight_record(obs::FlightKind::kChanUnblockRead, 43);
+    // Not the newest event any more: stays.
+    EXPECT_FALSE(obs::flight_retract(obs::FlightKind::kChanBlockRead, 43));
+    after = obs::flight_counters();
+  }};
+  recorder.join();
+  for (const obs::FlightEvent& event : obs::flight_export().events) {
+    if (who_of(event) == "retracttest") mine.push_back(event);
+  }
+  ASSERT_EQ(mine.size(), 2u);
+  EXPECT_EQ(mine[0].a, 43u);
+  EXPECT_EQ(mine[1].kind, raw(obs::FlightKind::kChanUnblockRead));
+  // A retracted event still counts as recorded.
+  EXPECT_EQ(after.recorded - before.recorded, 3u);
+}
+
 // --- Wait-for analysis ------------------------------------------------------
 
 TEST(FlightWaitFor, NamesExactCycle) {

@@ -1,6 +1,8 @@
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "processes/sieve.hpp"
 #include "sched/queue.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/waiters.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -278,6 +281,177 @@ TEST(WaitGroup, FiberAndThreadWaiters) {
 }
 
 // --- Network integration ----------------------------------------------------
+
+// --- Waiters: the one blocking wait ------------------------------------------
+
+using namespace std::chrono_literals;
+
+/// Polls `done` (under no lock of ours) until it holds or 10 s pass.
+template <typename F>
+bool eventually(F done) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A mutex plus a Waiters list, and the lock-taking probes the tests use.
+struct WaitSite {
+  std::mutex mutex;
+  sched::Waiters waiters;
+
+  std::size_t size() {
+    std::scoped_lock lock{mutex};
+    return waiters.size();
+  }
+  /// Wakes everyone left, so a failed assertion cannot hang the test.
+  ~WaitSite() {
+    std::scoped_lock lock{mutex};
+    waiters.wake_all();
+  }
+};
+
+TEST(Waiters, FifoAcrossFibersAndThreads) {
+  sched::Scheduler scheduler{mn_options(1)};
+  std::vector<std::jthread> threads;
+  WaitSite site;
+  std::vector<int> order;  // guarded by site.mutex
+  const auto park = [&](int id) {
+    std::unique_lock lock{site.mutex};
+    site.waiters.wait(lock);
+    order.push_back(id);
+  };
+  // Even ids are threads, odd ids fibers; each parks before the next.
+  constexpr int kWaiters = 6;
+  for (int id = 0; id < kWaiters; ++id) {
+    if (id % 2 == 0) {
+      threads.emplace_back([&park, id] { park(id); });
+    } else {
+      scheduler.spawn([&park, id] { park(id); }, "waiter");
+    }
+    ASSERT_TRUE(eventually([&] { return site.size() == std::size_t(id + 1); }));
+  }
+  for (int id = 0; id < kWaiters; ++id) {
+    {
+      std::scoped_lock lock{site.mutex};
+      ASSERT_TRUE(site.waiters.wake_one());
+    }
+    ASSERT_TRUE(eventually([&] {
+      std::scoped_lock lock{site.mutex};
+      return order.size() == std::size_t(id + 1);
+    }));
+  }
+  std::scoped_lock lock{site.mutex};
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(site.waiters.wake_one());
+}
+
+TEST(Waiters, SizeDropsAtWakeBeforeTheWaiterRuns) {
+  sched::Scheduler scheduler{mn_options(1)};
+  std::jthread thread;
+  WaitSite site;
+  std::atomic<int> resumed{0};
+  const auto park = [&] {
+    std::unique_lock lock{site.mutex};
+    site.waiters.wait(lock);
+    ++resumed;
+  };
+  thread = std::jthread{park};
+  ASSERT_TRUE(eventually([&] { return site.size() == 1; }));
+  scheduler.spawn(park, "waiter");
+  ASSERT_TRUE(eventually([&] { return site.size() == 2; }));
+  {
+    // Holding the lock, no woken waiter can have run: the count is the
+    // waiters still parked, not the ones still on their way out.
+    std::scoped_lock lock{site.mutex};
+    EXPECT_TRUE(site.waiters.wake_one());
+    EXPECT_EQ(site.waiters.size(), 1u);
+    EXPECT_TRUE(site.waiters.wake_one());
+    EXPECT_EQ(site.waiters.size(), 0u);
+    EXPECT_EQ(resumed.load(), 0);
+  }
+  EXPECT_TRUE(eventually([&] { return resumed.load() == 2; }));
+}
+
+TEST(Waiters, WaitUntilTimesOutOnThreadsAndFibers) {
+  WaitSite site;
+  {
+    std::unique_lock lock{site.mutex};
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(site.waiters.wait_until(lock, start + 20ms));
+    EXPECT_GE(std::chrono::steady_clock::now() - start, 20ms);
+    EXPECT_EQ(site.waiters.size(), 0u);
+    // A deadline already past answers at once, without parking.
+    EXPECT_FALSE(site.waiters.wait_until(lock, start));
+  }
+  // On one worker, a fiber's timed wait must give the worker back: the
+  // sibling queued behind it runs before the deadline passes.
+  sched::Scheduler scheduler{mn_options(1)};
+  std::atomic<bool> sibling_ran{false};
+  bool woken = true;
+  bool saw_sibling = false;
+  std::size_t left = 1;
+  std::chrono::steady_clock::duration waited{};
+  scheduler.spawn(
+      [&] {
+        scheduler.spawn([&] { sibling_ran = true; }, "sibling");
+        std::unique_lock lock{site.mutex};
+        const auto start = std::chrono::steady_clock::now();
+        woken = site.waiters.wait_until(lock, start + 50ms);
+        waited = std::chrono::steady_clock::now() - start;
+        left = site.waiters.size();
+        saw_sibling = sibling_ran.load();
+      },
+      "timed-waiter");
+  scheduler.wait_quiescent();
+  EXPECT_FALSE(woken);
+  EXPECT_GE(waited, 50ms);
+  EXPECT_EQ(left, 0u);
+  EXPECT_TRUE(saw_sibling) << "the timed wait pinned the only worker";
+}
+
+TEST(Waiters, WakeAllRacingDeadlinesLosesNoWaiterAndWakesNoneTwice) {
+  sched::Scheduler scheduler{mn_options(2)};
+  constexpr int kPerKind = 4;
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    WaitSite site;
+    std::atomic<int> woken{0};
+    std::atomic<int> timed_out{0};
+    std::atomic<int> finished{0};
+    const auto deadline = std::chrono::steady_clock::now() + 20ms;
+    const auto wait = [&] {
+      std::unique_lock lock{site.mutex};
+      if (site.waiters.wait_until(lock, deadline)) {
+        ++woken;
+      } else {
+        ++timed_out;
+      }
+      ++finished;
+    };
+    std::vector<std::jthread> threads;
+    for (int i = 0; i < kPerKind; ++i) {
+      threads.emplace_back(wait);
+      scheduler.spawn(wait, "timed-waiter");
+    }
+    // Sweep the wake across the deadline (fiber deadlines fire on a
+    // 10 ms timer tick, thread deadlines on the futex's own clock).
+    std::this_thread::sleep_until(deadline - 5ms + (round % 8) * 2ms);
+    std::size_t delivered = 0;
+    {
+      std::scoped_lock lock{site.mutex};
+      delivered = site.waiters.wake_all();
+      EXPECT_EQ(site.waiters.size(), 0u);
+    }
+    threads.clear();
+    ASSERT_TRUE(eventually([&] { return finished.load() == 2 * kPerKind; }));
+    EXPECT_EQ(static_cast<std::size_t>(woken.load()), delivered);
+    EXPECT_EQ(woken.load() + timed_out.load(), 2 * kPerKind);
+    EXPECT_EQ(site.size(), 0u);
+  }
+}
 
 TEST(SchedNetwork, SequenceToCollectUnderWorkSteal) {
   Network network;

@@ -6,7 +6,6 @@
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "sched/queue.hpp"
-#include "support/sync.hpp"
 
 namespace dpn {
 namespace {
@@ -98,20 +97,6 @@ TEST(Rng, UnitInHalfOpenInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
-}
-
-TEST(Event, SetReleasesWaiter) {
-  Event event;
-  std::jthread setter{[&] { event.set(); }};
-  event.wait();
-  EXPECT_TRUE(event.is_set());
-}
-
-TEST(Event, WaitForTimesOut) {
-  Event event;
-  EXPECT_FALSE(event.wait_for(std::chrono::milliseconds{10}));
-  event.set();
-  EXPECT_TRUE(event.wait_for(std::chrono::milliseconds{10}));
 }
 
 // The queue itself moved to sched/queue.hpp (pop suspends fibers under
