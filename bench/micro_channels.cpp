@@ -181,6 +181,33 @@ void BM_SequenceLayerOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SequenceLayerOverhead);
 
+void BM_SequenceLayer(benchmark::State& state) {
+  // The Sequence layer's row of the per-layer ledger: one i64 token
+  // written and read back on one thread, so no handoff is in it.  Arg 1:
+  // SequenceOutputStream -> Pipe -> SequenceInputStream.  Arg 0: the same
+  // Local streams bare; the difference is the layer pair's own cost.
+  // Time is ns per token.
+  auto pipe = std::make_shared<io::Pipe>(1 << 16);
+  std::shared_ptr<io::OutputStream> out =
+      std::make_shared<io::LocalOutputStream>(pipe);
+  std::shared_ptr<io::InputStream> in =
+      std::make_shared<io::LocalInputStream>(pipe);
+  if (state.range(0) == 1) {
+    out = std::make_shared<io::SequenceOutputStream>(std::move(out));
+    in = std::make_shared<io::SequenceInputStream>(std::move(in));
+  }
+  std::uint8_t token[8];
+  std::uint64_t value = 0;
+  for (auto _ : state) {
+    put_u64(token, value++);
+    out->write({token, sizeof token});
+    io::read_fully(*in, {token, sizeof token});
+    benchmark::DoNotOptimize(token);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SequenceLayer)->Arg(0)->Arg(1);
+
 void BM_SocketThroughput(benchmark::State& state) {
   // The remote-channel transport floor: raw TCP over loopback.
   const std::size_t chunk = static_cast<std::size_t>(state.range(0));

@@ -24,7 +24,10 @@
 /// The Sequence layer is what allows the transport underneath a live
 /// channel to be swapped -- pipe to socket when an endpoint is shipped to
 /// another server, upstream channel spliced in when a process removes
-/// itself -- while preserving FIFO order and losing no bytes.
+/// itself -- while preserving FIFO order and losing no bytes.  It takes a
+/// lock only at such a cut: with one reader and one writer per channel, a
+/// steady-state token crosses both Sequence layers without one (DESIGN.md
+/// section 6, item 7).
 ///
 /// Serializing an endpoint (that is, shipping the process that owns it)
 /// triggers automatic connection establishment; the hooks live in

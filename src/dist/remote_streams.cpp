@@ -293,8 +293,7 @@ FrameChannelOutput::FrameChannelOutput(std::shared_ptr<net::Stream> stream,
       window_override != 0 ? window_override
       : node_               ? node_->remote_window()
                             : (std::size_t{1} << 18));
-  std::scoped_lock lock{mutex_};
-  attach_locked(std::move(stream));
+  attach(std::move(stream));
 }
 
 FrameChannelOutput::FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
@@ -312,11 +311,10 @@ FrameChannelOutput::FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
 }
 
 FrameChannelOutput::~FrameChannelOutput() {
-  std::scoped_lock lock{mutex_};
   if (stream_) stream_->set_wait_observer(nullptr);
 }
 
-void FrameChannelOutput::attach_locked(std::shared_ptr<net::Stream> stream) {
+void FrameChannelOutput::attach(std::shared_ptr<net::Stream> stream) {
   stream_ = std::move(stream);
   stream_->set_wait_observer(this);
   if (node_) node_->register_remote_stream(stream_);
@@ -324,13 +322,13 @@ void FrameChannelOutput::attach_locked(std::shared_ptr<net::Stream> stream) {
   writer_.emplace(std::make_shared<net::StreamOutput>(stream_));
 }
 
-void FrameChannelOutput::ensure_connected_locked() {
+void FrameChannelOutput::ensure_connected() {
   if (writer_) return;
   auto stream = promise_->wait(
       stats_ != nullptr ? &stats_->blocked_remote_writers : nullptr);
   peer_ = promise_->dialer();
   promise_.reset();
-  attach_locked(std::move(stream));
+  attach(std::move(stream));
 }
 
 void FrameChannelOutput::on_park() {
@@ -344,9 +342,8 @@ void FrameChannelOutput::on_unpark() {
 }
 
 void FrameChannelOutput::write(ByteSpan data) {
-  std::scoped_lock lock{mutex_};
   if (closed_) throw IoError{"write to closed remote channel"};
-  ensure_connected_locked();
+  ensure_connected();
   // Bounded remote channel: send at most window_ bytes, then block for
   // consumer credits -- the cross-machine equivalent of a full pipe.
   std::size_t offset = 0;
@@ -356,7 +353,7 @@ void FrameChannelOutput::write(ByteSpan data) {
       // push more bytes at a receive queue nobody will drain.
       throw ChannelClosed{"remote reader closed the channel"};
     }
-    while (window_ <= 0) await_credit_locked();
+    while (window_ <= 0) await_credit();
     const std::size_t chunk = std::min<std::size_t>(
         static_cast<std::size_t>(window_), data.size() - offset);
     if (obs::trace_enabled()) {
@@ -391,12 +388,12 @@ void FrameChannelOutput::write(ByteSpan data) {
     since_drain_ += static_cast<std::int64_t>(chunk);
     if (since_drain_ >= kDrainEveryBytes) {
       since_drain_ = 0;
-      drain_credits_locked(/*block=*/false);
+      drain_credits(/*block=*/false);
     }
   }
 }
 
-void FrameChannelOutput::drain_credits_locked(bool block) {
+void FrameChannelOutput::drain_credits(bool block) {
   if (!credit_reader_) {
     credit_reader_.emplace(std::make_shared<net::StreamInput>(stream_));
   }
@@ -449,17 +446,16 @@ void FrameChannelOutput::drain_credits_locked(bool block) {
 }
 
 void FrameChannelOutput::close() {
-  std::scoped_lock lock{mutex_};
   if (closed_) return;
   closed_ = true;
   try {
     // Deliver FIN even if the consumer has not dialed in yet: the stream
     // contract promises the consumer an explicit end-of-stream.
-    ensure_connected_locked();
+    ensure_connected();
     // Clear any credit backlog first: unread grants sitting in our
     // receive buffer are exactly what keeps the FIN below from reaching
     // the consumer (see the drain in write()).
-    drain_credits_locked(/*block=*/false);
+    drain_credits(/*block=*/false);
     writer_->write_fin();
     if (stats_ != nullptr) stats_->ends_sent.fetch_add(1);
     stream_->shutdown_write();
@@ -475,10 +471,10 @@ void FrameChannelOutput::close() {
     // node teardown.  On the blocking backend abandon_read is a no-op
     // (NOT a SHUT_RD: a shut-down TCP receive side answers late credit
     // bytes with a connection-wide RST that would destroy our own
-    // undelivered tail and FIN); there the await_credit_locked
+    // undelivered tail and FIN); there the await_credit
     // drain-to-empty keeps the credit backlog from wedging anyone.
     stream_->abandon_read();
-    park_stream_locked();
+    park_stream();
   } catch (const IoError&) {
     // Consumer already gone; nothing to tell it.
   }
@@ -499,7 +495,7 @@ void PeerCloseSignal::fire() {
   if (stream) stream->shutdown_read();
 }
 
-void FrameChannelOutput::park_stream_locked() {
+void FrameChannelOutput::park_stream() {
   // Dropping the stream with unread data (late credit frames) inbound can
   // turn into a connection reset that destroys our own in-flight channel
   // data at the consumer (on the blocking backend a close with unread TCP
@@ -510,20 +506,9 @@ void FrameChannelOutput::park_stream_locked() {
   if (node_ && stream_) node_->park_stream(stream_);
 }
 
-void FrameChannelOutput::connect_now() {
-  std::scoped_lock lock{mutex_};
-  ensure_connected_locked();
-}
-
-bool FrameChannelOutput::connected() const {
-  std::scoped_lock lock{mutex_};
-  return writer_.has_value();
-}
-
 void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
-  std::scoped_lock lock{mutex_};
   if (closed_) throw IoError{"redirect on closed remote channel"};
-  ensure_connected_locked();
+  ensure_connected();
   net::RedirectInfo info;
   info.token = successor_token;
   if (obs::trace_enabled()) {
@@ -544,7 +529,7 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
   // Same as close(): this segment never reads credits again; where the
   // transport can say so safely (mux), unpark a consumer mid-grant.
   stream_->abandon_read();
-  park_stream_locked();
+  park_stream();
   closed_ = true;
 }
 

@@ -171,6 +171,11 @@ class PeerCloseSignal {
 /// tally once written; it counts as a blocked remote writer while a wait
 /// parks -- a stall on the mux window, the dist credit wait, or the wait
 /// for its consumer to dial in.
+///
+/// Not internally synchronized: it lives under a ChannelOutputStream's
+/// SequenceOutputStream, whose one writer calls write() and whose cuts
+/// (close, switch_to, cut) call the rest with no write in flight.  Only
+/// close_signal() is reached from another thread.
 class FrameChannelOutput final : public io::OutputStream,
                                  private net::WaitObserver {
  public:
@@ -198,28 +203,23 @@ class FrameChannelOutput final : public io::OutputStream,
   void flush() override {}
   void close() override;
 
-  /// Blocks until the segment has a live stream (no-op if it already
-  /// does).  Used before a redirect.
-  void connect_now();
-
-  bool connected() const;
-
   /// The consumer node's rendezvous address (valid once connected).
   const PeerAddress& peer() const { return peer_; }
 
   /// Tells the consumer the stream continues elsewhere (paper Figure 15),
-  /// then ends this segment with a FIN.  The endpoint is unusable after.
+  /// then ends this segment with a FIN; first waits for the consumer to
+  /// dial in if it has not yet.  The endpoint is unusable after.
   void redirect_and_finish(std::uint64_t successor_token);
 
   /// What the node's rendezvous fires when this segment's consumer sends
-  /// its out-of-band CLOSE: wakes a writer parked in await_credit_locked.
+  /// its out-of-band CLOSE: wakes a writer parked in await_credit.
   const std::shared_ptr<PeerCloseSignal>& close_signal() const {
     return close_signal_;
   }
 
  private:
-  void ensure_connected_locked();
-  void attach_locked(std::shared_ptr<net::Stream> stream);
+  void ensure_connected();
+  void attach(std::shared_ptr<net::Stream> stream);
 
   // WaitObserver: parks of this segment's stream.
   void on_park() override;
@@ -229,17 +229,16 @@ class FrameChannelOutput final : public io::OutputStream,
   /// least one grant (the window is exhausted); either way it then drains
   /// every frame already queued.  See write() for why the non-blocking
   /// drain must also run while the window still has room.
-  void drain_credits_locked(bool block);
-  void await_credit_locked() { drain_credits_locked(/*block=*/true); }
-  void park_stream_locked();
+  void drain_credits(bool block);
+  void await_credit() { drain_credits(/*block=*/true); }
+  void park_stream();
 
-  mutable std::mutex mutex_;
   std::shared_ptr<NodeContext> node_;
   TrafficStats* const stats_;
   TrafficStats::Tally sent_{stats_, TrafficStats::Tally::Direction::kSent};
   std::shared_ptr<net::Stream> stream_;
-  // Its own lock and its own stream handle: the wake must not contend
-  // for mutex_ (held across the parked credit read).
+  // Its own lock and its own stream handle: the wake reaches a writer
+  // parked in the credit read.
   const std::shared_ptr<PeerCloseSignal> close_signal_ =
       std::make_shared<PeerCloseSignal>();
   std::shared_ptr<StreamPromise> promise_;

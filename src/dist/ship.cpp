@@ -598,10 +598,11 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     // Already the producer side of a remote segment: redirect (Section
     // 4.3).  Tell the consumer in-band to expect a successor connection,
     // and send the reincarnated producer straight to the consumer's node.
-    remote->connect_now();
+    // Between cuts the segment belongs to the sequence's writer.
     const std::uint64_t successor_token = node.next_token();
+    endpoint->sequence().cut(
+        [&] { remote->redirect_and_finish(successor_token); });
     const PeerAddress peer = remote->peer();
-    remote->redirect_and_finish(successor_token);
 
     auto stub = std::make_shared<RemoteOutputStub>();
     stub->label = state->label;

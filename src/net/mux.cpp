@@ -42,6 +42,10 @@ constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 24;
 /// the timer wheel kills it -- half-open connections die by deadline,
 /// never hang (the PR 3 rule, enforced by the acceptor's EventLoop timer).
 constexpr std::chrono::milliseconds kHandshakeTimeout{10000};
+/// An orphaned connection (see MuxConnection::orphan) that has sent its
+/// last byte and half-closed waits this long for the peer to close its
+/// end, then closes anyway.
+constexpr std::chrono::milliseconds kFinishTimeout{10000};
 /// One flush gathers queued frames into a batch of about this many bytes
 /// and hands the whole batch to the socket in one write.
 constexpr std::size_t kFlushBatchBytes = 64 * 1024;
@@ -268,6 +272,12 @@ class MuxConnection final : public EventLoop::Handler,
   void enqueue_rst(std::uint32_t stream_id);
   void note_stream_closed(std::uint32_t stream_id);
 
+  /// The listener that accepted this connection closed, so no stream can
+  /// open on it again: once its last stream closes, it sends what is
+  /// queued, half-closes, and dies when the peer closes its end -- or
+  /// after kFinishTimeout.  Any thread.
+  void orphan();
+
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   const std::string& peer() const { return peer_; }
   EventLoop& loop() { return loop_; }
@@ -282,6 +292,7 @@ class MuxConnection final : public EventLoop::Handler,
   void parse_frames();     // loop thread
   void dispatch_frame(std::uint32_t stream_id, MuxFrame type, ByteSpan payload);
   void die(const std::string& why);  // loop thread
+  void finish_if_idle();             // loop thread
 
   void push_control(ByteVector frame);
 
@@ -296,6 +307,7 @@ class MuxConnection final : public EventLoop::Handler,
   std::unordered_map<std::uint32_t, std::shared_ptr<MuxStream>> streams_;
   std::uint32_t next_stream_id_ = 1;
   std::atomic<bool> dead_{false};
+  std::atomic<bool> orphaned_{false};
   /// Peer's preface default_window: the initial send window of every
   /// dialer-opened stream (meaningful on the dialer side only).
   std::size_t peer_default_window_ = 0;
@@ -314,7 +326,10 @@ class MuxConnection final : public EventLoop::Handler,
   bool can_write_ = true;
   ByteVector in_buf_;
   bool preface_done_ = false;
-  EventLoop::TimerId handshake_timer_ = 0;
+  bool finishing_ = false;  // orphaned and idle: half-close once flushed
+  bool write_shut_ = false;
+  /// The handshake's deadline, and later an orphan's finish deadline.
+  EventLoop::TimerId deadline_timer_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -347,6 +362,8 @@ class MuxListener final : public Listener,
   std::mutex mutex_;
   sched::Waiters waiters_;  // accept() callers and the unstarted loop
   std::deque<std::shared_ptr<Stream>> pending_;
+  // What close() orphans: no stream can open on these once it has run.
+  std::vector<std::weak_ptr<MuxConnection>> accepted_;
   bool started_ = false;
   bool closed_ = false;
 
@@ -767,8 +784,8 @@ void MuxConnection::start_acceptor() {
     self->register_with_loop();
     if (self->dead()) return;
     if (!self->preface_done_) {
-      self->handshake_timer_ = self->loop_.add_timer(kHandshakeTimeout, [self] {
-        self->handshake_timer_ = 0;
+      self->deadline_timer_ = self->loop_.add_timer(kHandshakeTimeout, [self] {
+        self->deadline_timer_ = 0;
         if (!self->preface_done_) self->die("mux preface timeout");
       });
     }
@@ -851,13 +868,38 @@ void MuxConnection::enqueue_rst(std::uint32_t stream_id) {
 
 void MuxConnection::note_stream_closed(std::uint32_t stream_id) {
   std::size_t erased = 0;
+  bool idle = false;
   {
     std::scoped_lock lock{table_mutex_};
     erased = streams_.erase(stream_id);
+    idle = streams_.empty();
   }
   if (erased > 0) {
     counters().streams_active.fetch_sub(1, std::memory_order_relaxed);
   }
+  if (idle && orphaned_.load(std::memory_order_acquire)) {
+    loop_.post([self = shared_from_this()] { self->finish_if_idle(); });
+  }
+}
+
+void MuxConnection::orphan() {
+  orphaned_.store(true, std::memory_order_release);
+  loop_.post([self = shared_from_this()] { self->finish_if_idle(); });
+}
+
+void MuxConnection::finish_if_idle() {
+  if (dead() || finishing_) return;
+  {
+    std::scoped_lock lock{table_mutex_};
+    if (!streams_.empty()) return;
+  }
+  finishing_ = true;
+  if (deadline_timer_ != 0) loop_.cancel_timer(deadline_timer_);
+  deadline_timer_ = loop_.add_timer(kFinishTimeout, [self = shared_from_this()] {
+    self->deadline_timer_ = 0;
+    self->die("orphaned mux connection: peer did not close");
+  });
+  flush();
 }
 
 void MuxConnection::request_flush() {
@@ -918,7 +960,14 @@ void MuxConnection::flush() {
     out_buf_.clear();
     out_pos_ = 0;
     fill_batch();
-    if (out_buf_.empty()) return;  // nothing left to send
+    if (out_buf_.empty()) {  // nothing left to send
+      if (finishing_ && !std::exchange(write_shut_, true)) {
+        // The peer reads everything sent, then end-of-file, and closes
+        // its end; reading that end-of-file ends this side (die).
+        socket_->shutdown_write();
+      }
+      return;
+    }
   }
 }
 
@@ -1015,9 +1064,9 @@ void MuxConnection::parse_frames() {
     // stream's real window arrives with its OPEN frame.
     preface_done_ = true;
     pos = kPrefaceSize;
-    if (handshake_timer_ != 0) {
-      loop_.cancel_timer(handshake_timer_);
-      handshake_timer_ = 0;
+    if (deadline_timer_ != 0) {
+      loop_.cancel_timer(deadline_timer_);
+      deadline_timer_ = 0;
     }
   }
   while (in_buf_.size() - pos >= kHeaderSize) {
@@ -1114,9 +1163,9 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
 void MuxConnection::die(const std::string& why) {
   if (dead_.exchange(true, std::memory_order_acq_rel)) return;
   log::debug("mux connection ", peer_, " down: ", why);
-  if (handshake_timer_ != 0) {
-    loop_.cancel_timer(handshake_timer_);
-    handshake_timer_ = 0;
+  if (deadline_timer_ != 0) {
+    loop_.cancel_timer(deadline_timer_);
+    deadline_timer_ = 0;
   }
   loop_.remove(socket_->fd());
   socket_->close();
@@ -1184,6 +1233,14 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
         /*dialer=*/false, std::move(peer), weak_from_this());
     transport_.adopt(conn);
     conn->start_acceptor();
+    bool orphan = false;
+    {
+      std::scoped_lock lock{mutex_};
+      std::erase_if(accepted_, [](const auto& weak) { return weak.expired(); });
+      accepted_.push_back(conn);
+      orphan = closed_;
+    }
+    if (orphan) conn->orphan();
   }
 }
 
@@ -1201,6 +1258,7 @@ std::shared_ptr<Stream> MuxListener::accept() {
 void MuxListener::close() {
   server_.close();  // unblocks the accept loop
   std::deque<std::shared_ptr<Stream>> drop;
+  std::vector<std::weak_ptr<MuxConnection>> accepted;
   {
     std::scoped_lock lock{mutex_};
     started_ = true;  // in case close() wins the race with start()
@@ -1208,8 +1266,13 @@ void MuxListener::close() {
     waiters_.wake_all();
     if (was_closed) return;
     drop.swap(pending_);  // dropping the handles closes (RSTs) the streams
+    accepted.swap(accepted_);
   }
   acceptor_.request_stop();
+  // They exist only for this listener: each ends once its last stream does.
+  for (const auto& weak : accepted) {
+    if (auto conn = weak.lock()) conn->orphan();
+  }
 }
 
 void MuxListener::deliver(std::shared_ptr<Stream> stream) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -114,29 +115,60 @@ class PrintF64 final : public IterativeProcess {
   std::FILE* sink_ = stdout;
 };
 
-/// Thread-safe result collector shared between a Collect process and the
-/// test or application that wants the values.
+/// Result collector shared between a Collect process, its one writer, and
+/// the test or application that wants the values, from any thread.
+/// push() takes no lock: it builds the value in storage no reader looks at
+/// yet, then publishes the new size.  It locks only to grow the storage,
+/// which readers copy under the same lock, so a reader always sees a
+/// prefix of the pushes.  Storage is allocated, not filled, ahead of the
+/// writer: its pages are touched only as values land.
 template <typename T>
 class CollectSink {
  public:
+  CollectSink() = default;
+  CollectSink(const CollectSink&) = delete;
+  CollectSink& operator=(const CollectSink&) = delete;
+
+  ~CollectSink() {
+    std::destroy_n(data_, size_.load(std::memory_order_relaxed));
+    if (data_ != nullptr) std::allocator<T>{}.deallocate(data_, capacity_);
+  }
+
+  /// One writer at a time (Kahn: the sink's one Collect process).
   void push(T value) {
-    std::scoped_lock lock{mutex_};
-    values_.push_back(value);
+    const std::size_t n = size_.load(std::memory_order_relaxed);
+    if (n == capacity_) grow(n);
+    std::construct_at(data_ + n, std::move(value));
+    size_.store(n + 1, std::memory_order_release);
   }
 
   std::vector<T> values() const {
     std::scoped_lock lock{mutex_};
-    return values_;
+    return std::vector<T>(data_,
+                          data_ + size_.load(std::memory_order_acquire));
   }
 
-  std::size_t size() const {
-    std::scoped_lock lock{mutex_};
-    return values_.size();
-  }
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
  private:
+  /// Moves the writer's `n` values to storage twice the size.
+  void grow(std::size_t n) {
+    std::allocator<T> alloc;
+    const std::size_t capacity = capacity_ == 0 ? 64 : 2 * capacity_;
+    T* data = alloc.allocate(capacity);
+    std::scoped_lock lock{mutex_};
+    std::uninitialized_move_n(data_, n, data);
+    std::destroy_n(data_, n);
+    if (data_ != nullptr) alloc.deallocate(data_, capacity_);
+    data_ = data;
+    capacity_ = capacity;
+  }
+
   mutable std::mutex mutex_;
-  std::vector<T> values_;
+  // Written by the writer, under mutex_; so read by readers under it.
+  T* data_ = nullptr;
+  std::size_t capacity_ = 0;  // the writer's alone
+  std::atomic<std::size_t> size_{0};
 };
 
 /// Collects i64 elements into a CollectSink.  Local-only (the sink lives

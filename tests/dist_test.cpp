@@ -8,6 +8,7 @@
 #include "dist/remote_streams.hpp"
 #include "dist/ship.hpp"
 #include "io/data.hpp"
+#include "net/mux.hpp"
 #include "obs/flight.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
@@ -560,6 +561,88 @@ TEST(Ship, DistributedFibonacciMatchesLocal) {
     y = next;
   }
   EXPECT_EQ(sink->values(), expected);
+}
+
+TEST(Ship, NodeTeardownEndsItsMuxConnections) {
+  // Each round dials a fresh pair of rendezvous ports, so every round's
+  // connections (the dialed one and the accepted one) exist only for its
+  // two nodes; destroying the nodes must end them.
+  if (net::network_options().transport != net::TransportKind::kMux) {
+    GTEST_SKIP() << "mux connections only";
+  }
+  const std::uint64_t before = net::mux_stats().connections;
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    auto node_a = NodeContext::create();
+    auto node_b = NodeContext::create();
+    auto ch = std::make_shared<Channel>(256, "ch");
+    auto sink = std::make_shared<CollectSink<std::int64_t>>();
+    auto source = std::make_shared<Sequence>(0, ch->output(), 50);
+    auto drain = std::make_shared<Collect>(ch->input(), sink);
+    const ByteVector shipment = ship_process(node_a, source);
+    auto remote = receive_process(node_b, {shipment.data(), shipment.size()});
+    std::jthread host_b{[&] { remote->run(); }};
+    drain->run();
+    host_b.join();
+    ASSERT_EQ(sink->size(), 50u);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (net::mux_stats().connections > before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_LE(net::mux_stats().connections, before);
+}
+
+TEST(Ship, MnProducersPastTheCreditWindowKeepPace) {
+  // Four shipped producers on one M:N network stream far past the remote
+  // credit window into four consumers on another.  These once crawled
+  // (4 x 100 000 tokens took about a minute); now they take well under a
+  // second, and 20 s is the bound.
+  constexpr std::size_t kChannels = 4;
+  constexpr long kTokens = 100000;
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  core::Network consumers;
+  core::Network producers;
+  const sched::SchedulerOptions mn{.mode = sched::SchedMode::kWorkSteal,
+                                   .workers = 4};
+  consumers.set_scheduler(mn);
+  producers.set_scheduler(mn);
+  std::vector<std::shared_ptr<CollectSink<std::int64_t>>> sinks;
+  for (std::size_t i = 0; i < kChannels; ++i) {
+    auto channel = consumers.make_channel();
+    sinks.push_back(std::make_shared<CollectSink<std::int64_t>>());
+    auto source = std::make_shared<Sequence>(
+        static_cast<std::int64_t>(i) << 40, channel->output(), kTokens);
+    consumers.add(std::make_shared<Collect>(channel->input(), sinks.back()));
+    const ByteVector shipment = ship_process(node_a, source);
+    producers.add(receive_process(node_b, {shipment.data(), shipment.size()}));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  auto done = std::async(std::launch::async, [&] {
+    producers.start();
+    consumers.start();
+    consumers.join();
+    producers.join();
+  });
+  if (done.wait_for(std::chrono::seconds{20}) != std::future_status::ready) {
+    consumers.abort();
+    producers.abort();
+    done.wait();
+    FAIL() << "4 x " << kTokens << " tokens did not finish within 20 s";
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{20});
+  for (std::size_t i = 0; i < kChannels; ++i) {
+    const std::vector<std::int64_t> values = sinks[i]->values();
+    ASSERT_EQ(values.size(), static_cast<std::size_t>(kTokens)) << i;
+    for (long k = 0; k < kTokens; ++k) {
+      ASSERT_EQ(values[static_cast<std::size_t>(k)],
+                (static_cast<std::int64_t>(i) << 40) + k)
+          << "channel " << i << " token " << k;
+    }
+  }
 }
 
 }  // namespace

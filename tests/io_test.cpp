@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <atomic>
+#include <future>
 #include <numeric>
 #include <thread>
 
@@ -8,6 +12,7 @@
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
+#include "sched/scheduler.hpp"
 #include "support/rng.hpp"
 
 namespace dpn::io {
@@ -358,6 +363,173 @@ TEST(SequenceOutput, SwitchWaitsForInFlightWrite) {
   // switch; nothing leaked into the new stream.
   EXPECT_EQ(pipe->size(), 64u);
   EXPECT_TRUE(target->data().empty());
+}
+
+// --- The endpoint contract: one reader, one writer, locks only at a cut ----
+
+/// CPU seconds this process has used so far, all threads.
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) *
+             1e-6;
+}
+
+TEST(SequenceOutput, SwitchRacingWriterKeepsExactByteOrder) {
+  // The writer never stops while the cut side switches the stream under
+  // it over and over: the segments, concatenated, are exactly the bytes
+  // written, each whole write inside one segment.
+  constexpr std::uint64_t kTokens = 200000;
+  constexpr int kSwitches = 300;
+  std::vector<std::shared_ptr<MemoryOutputStream>> segments{
+      std::make_shared<MemoryOutputStream>()};
+  auto seq = std::make_shared<SequenceOutputStream>(segments.front());
+  std::atomic<bool> writing{true};
+  std::jthread writer{[&] {
+    for (std::uint64_t i = 0; i < kTokens; ++i) {
+      std::uint8_t token[8];
+      put_u64(token, i);
+      seq->write({token, sizeof token});
+    }
+    writing.store(false);
+  }};
+  for (int i = 0; i < kSwitches && writing.load(); ++i) {
+    segments.push_back(std::make_shared<MemoryOutputStream>());
+    seq->switch_to(segments.back(), /*close_old=*/i % 2 == 0);
+  }
+  writer.join();
+  EXPECT_GT(segments.size(), 2u);
+  ByteVector all;
+  for (const auto& segment : segments) {
+    EXPECT_EQ(segment->data().size() % 8, 0u);
+    all.insert(all.end(), segment->data().begin(), segment->data().end());
+  }
+  ASSERT_EQ(all.size(), kTokens * 8);
+  for (std::uint64_t i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(get_u64(all.data() + 8 * i), i);
+  }
+}
+
+TEST(SequenceInput, CloseFromAnotherThreadWakesBlockedReader) {
+  // The reader is parked inside its current stream, which it reads
+  // without the sequence's lock; close() still reaches that stream.
+  auto pipe = std::make_shared<Pipe>(4);
+  auto seq = std::make_shared<SequenceInputStream>(
+      std::make_shared<LocalInputStream>(pipe));
+  std::promise<void> woke;
+  std::jthread reader{[&] {
+    try {
+      seq->read();
+    } catch (const IoError&) {
+    }
+    woke.set_value();
+  }};
+  while (pipe->blocked_readers() == 0) std::this_thread::yield();
+  seq->close();
+  ASSERT_EQ(woke.get_future().wait_for(std::chrono::seconds{5}),
+            std::future_status::ready);
+  EXPECT_TRUE(pipe->read_closed());
+  EXPECT_THROW(seq->read(), IoError);
+}
+
+TEST(SequenceInput, AppendRacingReaderLosesNothing) {
+  // Segment k+1 is spliced in before segment k ends (the reconfiguration
+  // ordering), while the reader drains and advances concurrently.
+  constexpr int kSegments = 2000;
+  SplitMix64 rng{7};
+  std::vector<ByteVector> chunks(kSegments);
+  ByteVector expected;
+  for (auto& chunk : chunks) {
+    chunk.resize(1 + rng.next() % 64);
+    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
+    expected.insert(expected.end(), chunk.begin(), chunk.end());
+  }
+  std::vector<std::shared_ptr<Pipe>> pipes;
+  for (int k = 0; k < kSegments; ++k) pipes.push_back(std::make_shared<Pipe>(32));
+  auto seq = std::make_shared<SequenceInputStream>(
+      std::make_shared<LocalInputStream>(pipes[0]));
+  std::jthread appender{[&] {
+    for (int k = 0; k < kSegments; ++k) {
+      if (k + 1 < kSegments) {
+        seq->append(std::make_shared<LocalInputStream>(pipes[k + 1]));
+      }
+      pipes[k]->write({chunks[k].data(), chunks[k].size()});
+      pipes[k]->close_write();
+    }
+  }};
+  ByteVector got;
+  ByteVector buffer(48);
+  while (const std::size_t n = seq->read_some({buffer.data(), buffer.size()})) {
+    got.insert(got.end(), buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_TRUE(seq->finished());
+  EXPECT_EQ(seq->pending(), 0u);
+}
+
+TEST(SequenceOutput, CutWaitingOnBlockedWriterUsesNoCpuOnThreads) {
+  auto pipe = std::make_shared<Pipe>(2);
+  auto seq = std::make_shared<SequenceOutputStream>(
+      std::make_shared<LocalOutputStream>(pipe));
+  std::jthread writer{[&] {
+    const ByteVector big(64, 5);
+    seq->write({big.data(), big.size()});  // blocks on the tiny pipe
+  }};
+  while (pipe->blocked_writers() == 0) std::this_thread::yield();
+  std::jthread unblocker{[&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{200});
+    pipe->set_unbounded();
+  }};
+  const double cpu_before = process_cpu_seconds();
+  const auto start = std::chrono::steady_clock::now();
+  seq->switch_to(std::make_shared<MemoryOutputStream>(), false);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  const double cpu = process_cpu_seconds() - cpu_before;
+  EXPECT_GE(wall, 0.15);
+  EXPECT_LT(cpu, 0.05) << "the cut spun while the write was blocked";
+  EXPECT_EQ(pipe->size(), 64u);
+}
+
+TEST(SequenceOutput, CutWaitingOnBlockedWriterFreesTheOnlyWorker) {
+  // One M:N worker runs both the writer and the cut.  The cut parks its
+  // fiber, so the worker is free to resume the writer once a thread
+  // unblocks the pipe; a cut that blocked or spun on the worker would
+  // hang or burn the 200 ms.
+  auto pipe = std::make_shared<Pipe>(2);
+  auto seq = std::make_shared<SequenceOutputStream>(
+      std::make_shared<LocalOutputStream>(pipe));
+  auto target = std::make_shared<MemoryOutputStream>();
+  sched::Scheduler scheduler{
+      {.mode = sched::SchedMode::kWorkSteal, .workers = 1}};
+  scheduler.spawn([&] {
+    const ByteVector big(64, 5);
+    seq->write({big.data(), big.size()});
+    seq->write({big.data(), 8});  // after the cut: into the target
+  });
+  while (pipe->blocked_writers() == 0) std::this_thread::yield();
+  const double cpu_before = process_cpu_seconds();
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<double> cut_done{0};
+  scheduler.spawn([&] {
+    seq->switch_to(target, false);
+    cut_done.store(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  });
+  std::jthread unblocker{[&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{200});
+    pipe->set_unbounded();
+  }};
+  scheduler.wait_quiescent();
+  const double cpu = process_cpu_seconds() - cpu_before;
+  EXPECT_GE(cut_done.load(), 0.15);
+  EXPECT_LT(cpu, 0.05) << "the cut spun while the write was blocked";
+  EXPECT_EQ(pipe->size(), 64u);
+  EXPECT_EQ(target->data().size(), 8u);
 }
 
 // --- Data streams -----------------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "io/memory.hpp"
 
@@ -546,6 +548,44 @@ TEST(Duplicate, ThreeCopies) {
   EXPECT_EQ(s1->values(), s2->values());
   EXPECT_EQ(s2->values(), s3->values());
   EXPECT_EQ(s1->size(), 10u);
+}
+
+TEST(CollectSinkContract, ReadersSeeAPrefixWhileTheWriterAppends) {
+  // push() takes no lock between storage growths; readers on other
+  // threads must still see exactly the first size() values, in order.
+  constexpr std::int64_t kValues = 1 << 20;
+  CollectSink<std::int64_t> sink;
+  std::atomic<bool> done{false};
+  std::atomic<int> checks{0};
+  std::atomic<int> ready{0};
+  std::vector<std::jthread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      ready.fetch_add(1);
+      std::size_t last = 0;
+      while (!done.load()) {
+        const std::size_t seen = sink.size();
+        const std::vector<std::int64_t> values = sink.values();
+        ASSERT_GE(seen, last);
+        ASSERT_GE(values.size(), seen);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          ASSERT_EQ(values[i], static_cast<std::int64_t>(i));
+        }
+        last = values.size();
+        checks.fetch_add(1);
+      }
+    });
+  }
+  while (ready.load() < 2) std::this_thread::yield();
+  for (std::int64_t i = 0; i < kValues; ++i) sink.push(i);
+  done.store(true);
+  readers.clear();
+  EXPECT_GT(checks.load(), 0);
+  const std::vector<std::int64_t> values = sink.values();
+  ASSERT_EQ(values.size(), static_cast<std::size_t>(kValues));
+  for (std::int64_t i = 0; i < kValues; ++i) {
+    ASSERT_EQ(values[static_cast<std::size_t>(i)], i);
+  }
 }
 
 }  // namespace
