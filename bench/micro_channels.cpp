@@ -16,7 +16,9 @@
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
+#include "net/frames.hpp"
 #include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "processes/basic.hpp"
 
 namespace {
@@ -207,6 +209,44 @@ void BM_SequenceLayer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SequenceLayer)->Arg(0)->Arg(1);
+
+void BM_MuxStreamToken(benchmark::State& state) {
+  // The mux stream's row of the per-layer ledger: one i64 token per
+  // 13-byte dist DATA frame through a loopback mux stream pair, the
+  // writer on its own thread, the reader parsing in place as a remote
+  // channel's input does.  Real time is ns per token.
+  auto listener = net::transport_for(net::TransportKind::kMux).listen(0);
+  auto client = net::transport_for(net::TransportKind::kMux)
+                    .dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  std::jthread writer{[client] {
+    net::FrameWriter frames{std::make_shared<net::StreamOutput>(client)};
+    std::uint8_t token[8];
+    try {
+      for (std::uint64_t value = 0;; ++value) {
+        put_u64(token, value);
+        frames.write_data({token, sizeof token});
+      }
+    } catch (const IoError&) {  // the reader shut down
+    }
+  }};
+  net::FrameParser parser;
+  std::uint8_t token[8];
+  for (auto _ : state) {
+    std::size_t got = 0;
+    while (got < sizeof token) {
+      server->read_in_place(
+          [&](ByteSpan in) {
+            return parser.feed(in, {token, sizeof token}, got);
+          },
+          /*wait=*/true);
+    }
+    benchmark::DoNotOptimize(token);
+  }
+  server->close();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MuxStreamToken)->UseRealTime();
 
 void BM_SocketThroughput(benchmark::State& state) {
   // The remote-channel transport floor: raw TCP over loopback.

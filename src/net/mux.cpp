@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -108,34 +110,183 @@ class MuxListener;
 class MuxTransport;
 
 // ---------------------------------------------------------------------------
+// ByteRing: the bytes in flight in one direction of a stream.
+
+/// Single producer, single consumer, no lock.  `tail` and `head` are
+/// monotonic byte positions; the producer publishes `tail`, the consumer
+/// `head`, and the owner may keep state bits above kPosMask in `tail`.
+/// Storage is a chain of blocks: the producer links a block when it
+/// needs one, sized by what the ring has carried (link()), and the
+/// consumer hands each block it has read past back as the producer's
+/// spare, so a steady stream cycles a few blocks and seldom allocates; a
+/// consumer that has caught up frees the spare.  Storage is allocated at
+/// the first byte and tracks the bytes in flight, which the stream
+/// windows bound (the receive window inbound, the send window outbound);
+/// the blocks left are freed with the ring.  A consumer reading a span
+/// reads bytes the producer never touches again.
+class ByteRing {
+  struct Block {
+    std::atomic<Block*> next{nullptr};
+    std::uint64_t base = 0;  // position of bytes()[0]
+    std::size_t size = 0;
+    std::uint8_t* bytes() { return reinterpret_cast<std::uint8_t*>(this + 1); }
+  };
+
+ public:
+  static constexpr std::uint64_t kPosMask = (std::uint64_t{1} << 61) - 1;
+
+  ByteRing() = default;
+  ByteRing(const ByteRing&) = delete;
+  ByteRing& operator=(const ByteRing&) = delete;
+  ~ByteRing() {
+    Block* block = head_block_ != nullptr
+                       ? head_block_
+                       : first_.load(std::memory_order_relaxed);
+    while (block != nullptr) {
+      Block* next = block->next.load(std::memory_order_relaxed);
+      free_block(block);
+      block = next;
+    }
+    free_block(spare_.load(std::memory_order_relaxed));
+  }
+
+  /// Producer: copies `data` in from position `at`, the end of what it
+  /// put before.  Publishing is the caller's.
+  void put(std::uint64_t at, ByteSpan data) {
+    while (!data.empty()) {
+      Block* block = tail_block_;
+      if (block == nullptr || at == block->base + block->size) {
+        block = link(at);
+      }
+      const auto offset = static_cast<std::size_t>(at - block->base);
+      const std::size_t n = std::min(data.size(), block->size - offset);
+      std::memcpy(block->bytes() + offset, data.data(), n);
+      data = data.subspan(n);
+      at += n;
+    }
+  }
+
+  /// Consumer: the contiguous bytes from position `at`, at most `limit`
+  /// (>= 1) of them.  The caller loaded a tail of at least at + limit,
+  /// so the producer has put them, and has linked every block before.
+  ByteSpan peek(std::uint64_t at, std::uint64_t limit) {
+    Block* block = head_block_;
+    if (block == nullptr) {
+      block = head_block_ = first_.load(std::memory_order_acquire);
+    }
+    while (at >= block->base + block->size) {
+      Block* next = block->next.load(std::memory_order_acquire);
+      if (Block* old = spare_.exchange(block, std::memory_order_acq_rel)) {
+        free_block(old);
+      }
+      block = head_block_ = next;
+    }
+    const auto offset = static_cast<std::size_t>(at - block->base);
+    return {block->bytes() + offset,
+            static_cast<std::size_t>(
+                std::min<std::uint64_t>(limit, block->size - offset))};
+  }
+
+  // One line per side.
+  alignas(64) std::atomic<std::uint64_t> tail{0};
+
+ private:
+  Block* tail_block_ = nullptr;  // producer
+
+ public:
+  alignas(64) std::atomic<std::uint64_t> head{0};
+
+  /// Consumer, having caught up with the producer: frees the spare, so
+  /// an idle ring keeps one block.
+  void drained() {
+    if (spare_.load(std::memory_order_relaxed) != nullptr) {
+      free_block(spare_.exchange(nullptr, std::memory_order_acquire));
+    }
+  }
+
+ private:
+  Block* head_block_ = nullptr;  // consumer
+  static constexpr std::size_t kFirstBlock = 256;
+  static constexpr std::size_t kSmallBlock = 1024;
+  static constexpr std::size_t kMaxBlock = 16 * 1024;
+
+  /// Producer: starts a block at position `at` (the spare, if it is
+  /// large enough) and links it after the current one.  Each block is
+  /// twice the last, up to 1 KiB, and beyond that up to a sixteenth of
+  /// what the ring has carried: a short stream keeps small blocks, a
+  /// long one gets large blocks and few links.
+  Block* link(std::uint64_t at) {
+    std::size_t limit = kSmallBlock;
+    while (limit < kMaxBlock && limit * 16 <= at) limit *= 2;
+    const std::size_t size = tail_block_ == nullptr
+                                 ? kFirstBlock
+                                 : std::min(limit, tail_block_->size * 2);
+    Block* block = spare_.exchange(nullptr, std::memory_order_acq_rel);
+    if (block != nullptr && block->size < size) {
+      free_block(block);
+      block = nullptr;
+    }
+    if (block == nullptr) {
+      block = new (::operator new(sizeof(Block) + size)) Block{};
+      block->size = size;
+    }
+    block->next.store(nullptr, std::memory_order_relaxed);
+    block->base = at;
+    if (tail_block_ != nullptr) {
+      tail_block_->next.store(block, std::memory_order_release);
+    } else {
+      first_.store(block, std::memory_order_release);
+    }
+    tail_block_ = block;
+    return block;
+  }
+
+  static void free_block(Block* block) {
+    if (block == nullptr) return;
+    block->~Block();
+    ::operator delete(block);
+  }
+
+  std::atomic<Block*> first_{nullptr};  // the first block ever linked
+  std::atomic<Block*> spare_{nullptr};  // consumer -> producer
+};
+
+// ---------------------------------------------------------------------------
 // MuxStream: one logical bidirectional stream over a shared connection.
 //
-// Lock discipline (deadlock-free by ordering):
-//   * user threads:   stream.mutex_  ->  connection.send_mutex_
-//   * loop dispatch:  connection.table_mutex_ released BEFORE stream.mutex_
-//   * loop flusher:   connection.send_mutex_ released BEFORE stream.mutex_
-// and no stream method calls into the connection while holding mutex_
-// when the call could re-enter a stream lock (mark_ready/enqueue_* are
-// called after unlocking).
+// A steady-state token takes no lock.  Each direction is a ByteRing with
+// one producer and one consumer: outbound, the stream's writer appends
+// and the connection's flusher (its loop thread) encodes DATA frames
+// straight from the ring; inbound, the loop thread appends DATA payloads
+// and the reader offers the ring's spans to its parser.  The callers keep
+// the Kahn rule of one reader and one writer per stream (the consumer of
+// a remote channel serializes its credit writes).  The state a token
+// needs rides in words it reads anyway:
+//   * out_.tail carries kOutClosed (FIN requested): a write publishes
+//     with a CAS, so a racing shutdown_write either follows the write's
+//     bytes or fails the write -- never a byte after the FIN;
+//   * in_.tail carries kReadShut, kRemoteFin and kDead, ordered after
+//     the data before them;
+//   * credit_ (granted send window) carries kStop (peer RST or death).
+// mutex_ is taken only to park, to wake a sleeper, for traced frames, and
+// at a cut (shutdown, RST, FIN, connection death).  Parking is the
+// symmetric seq_cst sleeper handshake of io::TypedRing::park: a parker
+// counts itself in sleeping_* and then re-checks; a publisher moves its
+// word and then reads sleeping_*.
 //
-// Ready ring: `queued_` (under mutex_) is set by the append that finds the
-// stream idle, which then marks it ready; take_chunk clears it when it
-// empties the send queue or finds it empty.  So a stream sits in the ring
-// at most once, and a write to an already-queued stream only appends.
+// Lock order (deadlock-free): user threads take stream.mutex_ and
+// connection.send_mutex_ never together; loop dispatch releases
+// connection.table_mutex_ before any stream call; the flusher releases
+// connection.send_mutex_ before flush_into, which takes only mutex_.
+//
+// Ready ring: `queued_` is set by whoever finds the stream idle after
+// publishing (a write, or shutdown_write), which then marks it ready;
+// flush_into clears it once the ring is drained and re-checks the tail,
+// so a stream sits in the ring at most once and is never stranded.
 
 class MuxStream final : public Stream,
                         public std::enable_shared_from_this<MuxStream> {
  public:
-  /// One outbound unit: bytes already approved against the send window,
-  /// waiting for the flusher.  `fin` chunks carry no bytes and serialize
-  /// as a FIN frame, which is how FIN stays ordered after the data.
-  struct Chunk {
-    ByteVector bytes;
-    obs::TraceContext ctx;
-    bool traced = false;
-    bool fin = false;
-  };
-
   MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
             std::size_t send_window, std::size_t recv_window,
             std::size_t coalesce);
@@ -154,7 +305,7 @@ class MuxStream final : public Stream,
   void shutdown_write() override;
   void shutdown_read() override;
   // A mux RST is scoped to this logical stream's receive direction: our
-  // queued outbound chunks and FIN still flush in order, so abandoning
+  // queued outbound bytes and FIN still flush in order, so abandoning
   // the read side is safe here (and unparks a peer stalled mid-grant on
   // this direction's credit window).
   void abandon_read() override { shutdown_read(); }
@@ -166,74 +317,117 @@ class MuxStream final : public Stream,
   std::string peer_description() const override;
 
   // Loop-side entry points (called by MuxConnection with no locks held).
-  void on_data(ByteSpan payload, const obs::TraceContext* ctx);
+  /// False when the payload overruns the receive window: the peer
+  /// ignored flow control and the connection must die.
+  bool on_data(ByteSpan payload, const obs::TraceContext* ctx);
   void on_credit(std::uint32_t bytes);
   void on_fin();
   void on_rst();
   void on_connection_dead(const std::string& why);
 
-  // Flusher side: pops the next approved chunk; `more` reports whether
-  // the stream should stay in the ready ring.
-  bool take_chunk(Chunk& out, bool& more);
+  /// Flusher: appends this stream's next DATA frame (at most coalesce_
+  /// bytes) to `out`, and its FIN once the data before it is out.
+  /// Returns the frames appended; `more` reports whether the stream
+  /// stays in the ready ring.
+  std::uint64_t flush_into(ByteVector& out, bool& more);
 
   std::uint32_t id() const { return id_; }
 
  private:
-  /// One inbound frame's payload, consumed front-to-back; `eof` marks the
-  /// peer's FIN (or connection death), ordered after all data.
-  struct InSeg {
-    ByteVector bytes;
-    std::size_t pos = 0;
+  static constexpr std::uint64_t kPosMask = ByteRing::kPosMask;
+  // out_.tail: FIN requested, no write may follow.
+  static constexpr std::uint64_t kOutClosed = std::uint64_t{1} << 63;
+  // in_.tail: the local reader shut down; the peer's FIN arrived; the
+  // connection died.  The last two are set by the loop after the data.
+  static constexpr std::uint64_t kReadShut = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kRemoteFin = std::uint64_t{1} << 62;
+  static constexpr std::uint64_t kDead = std::uint64_t{1} << 61;
+  // credit_: writes fail (peer RST or connection death).
+  static constexpr std::uint64_t kStop = std::uint64_t{1} << 63;
+
+  /// The trace context of a DATA_TRACED frame's bytes [begin, end).
+  struct TraceMark {
+    std::uint64_t begin;
+    std::uint64_t end;
     obs::TraceContext ctx;
-    bool traced = false;
-    bool eof = false;
   };
 
   /// Removes the stream from the connection's table once both directions
   /// are finished (no lock held on entry).
   void maybe_retire();
 
-  /// Parks the caller on `waiters` once, telling the observer.
-  void park_locked(std::unique_lock<std::mutex>& lock,
-                   sched::Waiters& waiters, const sched::WaitTag& tag);
-  /// Waits for inbound bytes; false at end-of-stream or after
-  /// shutdown_read, NetError if the connection died before our FIN.
-  bool await_inbound_locked(std::unique_lock<std::mutex>& lock);
-  /// Consumes `n` bytes of the front segment; returns the credit to grant.
-  std::size_t consume_front_locked(std::size_t n);
-  /// Waits out an exhausted send window (a credit stall).
-  void stall_locked(std::unique_lock<std::mutex>& lock);
-  /// Queues window-approved bytes, coalescing untraced writes; `open` is
-  /// the chunk this write is filling (null: none yet).
-  void append_locked(ByteSpan data, bool traced, Chunk*& open);
+  /// Reader slow path (ring empty, or read side shut).  Returns the tail
+  /// once bytes are pending; returns `head` when there is nothing to
+  /// read: at end-of-stream (`ended` set) or, with !wait, for now.
+  /// NetError if the connection died before the peer's FIN.
+  std::uint64_t await_inbound(std::uint64_t head, bool wait, bool& ended);
+  /// Parks the reader until in_.tail moves off `head`; false when
+  /// `deadline` (may be null) passed first.
+  bool park_reader(std::uint64_t head,
+                   const std::chrono::steady_clock::time_point* deadline);
+  /// Reader: publishes consumption of [from, to), adopts its trace
+  /// context, and grants credit once half the window is consumed.
+  void consume(std::uint64_t from, std::uint64_t to);
+  void adopt_trace(std::uint64_t from, std::uint64_t to);
+
+  /// Writer slow path (window exhausted, stopped or closed): throws, or
+  /// returns once a retry may make progress.
+  void await_credit();
+  /// Appends window-approved bytes and hands them to the flusher.
+  void publish(ByteSpan a, ByteSpan b, bool traced);
+  /// Whoever finds the stream idle after publishing queues it.
+  void ensure_queued();
+
+  /// Parks on `waiters` after counting itself in `sleeping`, unless
+  /// `must_wait` (re-checked after counting) is false; tells the observer.
+  template <class MustWait>
+  bool park(std::unique_lock<std::mutex>& lock, sched::Waiters& waiters,
+            std::atomic<std::uint32_t>& sleeping, MustWait must_wait,
+            const sched::WaitTag& tag,
+            const std::chrono::steady_clock::time_point* deadline);
+  /// Publisher side of the handshake: wakes the sleepers counted in
+  /// `sleeping` (mutex_ is taken only when there are some).
+  void wake(sched::Waiters& waiters, std::atomic<std::uint32_t>& sleeping);
+  static void wake_locked(sched::Waiters& waiters,
+                          std::atomic<std::uint32_t>& sleeping);
 
   std::shared_ptr<MuxConnection> conn_;
   const std::uint32_t id_;
   const std::size_t recv_window_;
   const std::size_t coalesce_;
 
+  // Slow path: parking, cuts and traced frames.
   mutable std::mutex mutex_;
-  sched::Waiters readers_;  // inbound bytes, FIN or death
-  sched::Waiters writers_;  // send window, RST or death
-
-  // Inbound (loop thread appends, reader consumes).
-  std::deque<InSeg> inbound_;
-  std::size_t inbound_bytes_ = 0;
-  /// Bytes consumed but not yet granted back to the peer.
-  std::size_t unacked_ = 0;
-  bool remote_fin_ = false;
-  bool read_shutdown_ = false;
+  sched::Waiters readers_;  // inbound bytes, FIN, shutdown or death
+  sched::Waiters writers_;  // send window, RST, shutdown or death
   WaitObserver* observer_ = nullptr;
-
-  // Outbound (writer appends under mutex_, flusher pops via take_chunk).
-  std::deque<Chunk> pending_;
-  bool queued_ = false;  // in the ready ring, or about to be marked
-  std::int64_t send_window_;
-  bool write_closed_ = false;  // FIN queued; further writes are a bug
-  bool write_broken_ = false;  // peer RST: writes throw ChannelClosed
-  bool dead_ = false;          // connection died under us
-  bool retired_ = false;
   std::string death_reason_;
+  bool retired_ = false;
+  std::deque<TraceMark> out_marks_;
+  std::deque<TraceMark> in_marks_;
+  std::atomic<std::size_t> out_traced_{0};  // out_marks_.size()
+  std::atomic<std::size_t> in_traced_{0};   // in_marks_.size()
+
+  // Inbound: the loop thread appends, the reader consumes.
+  ByteRing in_;
+  std::size_t unacked_ = 0;  // reader: consumed, not yet granted
+  // Read by the loop per DATA frame, written at a park or a grant.
+  alignas(64) std::atomic<std::uint32_t> sleeping_readers_{0};
+  /// CREDIT bytes granted back so far (reader writes, loop checks the
+  /// window against it).
+  std::atomic<std::uint64_t> credit_granted_{0};
+
+  // Outbound: the writer appends, the flusher consumes.
+  ByteRing out_;
+  std::uint64_t sent_ = 0;  // writer: bytes appended
+  /// Initial send window plus every CREDIT received (the loop adds), and
+  /// kStop.  The window is credit_ - sent_.  Read by every write.
+  alignas(64) std::atomic<std::uint64_t> credit_;
+  std::atomic<std::uint32_t> sleeping_writers_{0};
+  // In the ready ring, or about to be: written by the flusher per visit,
+  // read by every write.
+  alignas(64) std::atomic<bool> queued_{false};
+  bool fin_sent_ = false;  // flusher
 };
 
 // ---------------------------------------------------------------------------
@@ -444,124 +638,227 @@ MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
       id_(id),
       recv_window_(recv_window),
       coalesce_(coalesce == 0 ? 1 : coalesce),
-      send_window_(static_cast<std::int64_t>(send_window)) {
+      credit_(send_window) {
   counters().streams_total.fetch_add(1, std::memory_order_relaxed);
   counters().streams_active.fetch_add(1, std::memory_order_relaxed);
 }
 
 MuxStream::~MuxStream() = default;
 
-void MuxStream::park_locked(std::unique_lock<std::mutex>& lock,
-                            sched::Waiters& waiters,
-                            const sched::WaitTag& tag) {
-  WaitObserver* const observer = observer_;
-  if (observer != nullptr) observer->on_park();
-  waiters.wait(lock, tag);
-  if (observer != nullptr) observer->on_unpark();
+template <class MustWait>
+bool MuxStream::park(std::unique_lock<std::mutex>& lock,
+                     sched::Waiters& waiters,
+                     std::atomic<std::uint32_t>& sleeping, MustWait must_wait,
+                     const sched::WaitTag& tag,
+                     const std::chrono::steady_clock::time_point* deadline) {
+  // Re-check under the lock: a publish or a cut may have slipped in
+  // between the caller's probe and this acquire.
+  if (!must_wait()) return true;
+  // Our half of the sleeper handshake: count ourselves, then take the
+  // last look.  Else the publisher moved its word before we counted,
+  // and its check of `sleeping` may have missed us.
+  sleeping.exchange(static_cast<std::uint32_t>(waiters.size() + 1),
+                    std::memory_order_seq_cst);
+  bool woken = true;
+  if (must_wait()) {
+    if (deadline != nullptr) {
+      woken = waiters.wait_until(lock, *deadline, tag);
+    } else {
+      WaitObserver* const observer = observer_;
+      if (observer != nullptr) observer->on_park();
+      waiters.wait(lock, tag);
+      if (observer != nullptr) observer->on_unpark();
+    }
+  }
+  sleeping.store(static_cast<std::uint32_t>(waiters.size()),
+                 std::memory_order_relaxed);
+  return woken;
 }
 
-bool MuxStream::await_inbound_locked(std::unique_lock<std::mutex>& lock) {
+void MuxStream::wake(sched::Waiters& waiters,
+                     std::atomic<std::uint32_t>& sleeping) {
+  // Our half of the handshake: the caller moved its word seq_cst.
+  if (sleeping.load(std::memory_order_seq_cst) == 0) return;
+  std::scoped_lock lock{mutex_};
+  wake_locked(waiters, sleeping);
+}
+
+// Every parked waiter leaves the list, so the sleeper count drops to zero
+// with it: the next publish skips the lock again.
+void MuxStream::wake_locked(sched::Waiters& waiters,
+                            std::atomic<std::uint32_t>& sleeping) {
+  waiters.wake_all();
+  sleeping.store(0, std::memory_order_relaxed);
+}
+
+bool MuxStream::park_reader(
+    std::uint64_t head, const std::chrono::steady_clock::time_point* deadline) {
+  std::unique_lock lock{mutex_};
+  // A channel's reader names the channel, so a post-mortem shows a
+  // consumer hung on a remote producer like one hung on a local pipe.
+  const std::uint64_t channel =
+      observer_ != nullptr ? observer_->flight_id() : 0;
+  const sched::WaitTag tag = deadline == nullptr && channel != 0
+                                 ? sched::WaitTag::reading(channel, 0)
+                                 : sched::WaitTag{};
+  // The whole word equals `head` only with no byte pending and no state
+  // bit set.
+  return park(
+      lock, readers_, sleeping_readers_,
+      [&] { return in_.tail.load(std::memory_order_seq_cst) == head; }, tag,
+      deadline);
+}
+
+std::uint64_t MuxStream::await_inbound(std::uint64_t head, bool wait,
+                                       bool& ended) {
   for (;;) {
-    if (read_shutdown_) return false;
-    if (!inbound_.empty()) break;
-    if (dead_) {  // defensive: death always queues an eof marker
-      if (!remote_fin_) {
-        throw NetError{"mux connection lost: " + death_reason_};
-      }
-      return false;
+    // The loop sets kRemoteFin and kDead after publishing the data before
+    // them, in the same word: a word with either bit carries the final tail.
+    const std::uint64_t word = in_.tail.load(std::memory_order_acquire);
+    if ((word & kReadShut) != 0) {
+      ended = true;
+      return head;
     }
-    // A channel's reader names the channel, so a post-mortem shows a
-    // consumer hung on a remote producer like one hung on a local pipe.
-    const std::uint64_t channel =
-        observer_ != nullptr ? observer_->flight_id() : 0;
-    park_locked(lock, readers_,
-                channel != 0 ? sched::WaitTag::reading(channel, 0)
-                             : sched::WaitTag{});
-  }
-  if (inbound_.front().eof) {
-    // A peer's FIN parks this marker with remote_fin_ set; a connection
-    // that died under us parks one without.  The stream-level FIN frame
-    // is the *only* graceful end of a mux stream -- a connection that
-    // goes away first (RST, fault injection, protocol violation, or
-    // even a clean TCP close) took this stream's producer with it, so
-    // the loss must be loud, not a truncation dressed up as eof.
-    if (dead_ && !remote_fin_) {
+    if ((word & kPosMask) != head) return word & kPosMask;
+    if ((word & kRemoteFin) != 0) {
+      ended = true;
+      return head;
+    }
+    if ((word & kDead) != 0) {
+      // The stream-level FIN frame is the *only* graceful end of a mux
+      // stream -- a connection that goes away first (RST, fault
+      // injection, protocol violation, or even a clean TCP close) took
+      // this stream's producer with it, so the loss must be loud, not a
+      // truncation dressed up as eof.
+      std::scoped_lock lock{mutex_};
       throw NetError{"mux connection lost: " + death_reason_};
     }
-    return false;  // marker stays: every later read is also at eof
+    if (!wait) return head;
+    park_reader(head, nullptr);
   }
-  return true;
 }
 
-std::size_t MuxStream::consume_front_locked(std::size_t n) {
-  InSeg& front = inbound_.front();
-  if (front.traced && front.ctx.valid()) {
-    // Context propagation only: the consuming thread adopts the sender's
-    // ambient context.  Span events stay the channel layer's job -- a
-    // mux-level event pair here would double every flow arrow.
-    obs::current_trace_context() = front.ctx;
+void MuxStream::adopt_trace(std::uint64_t from, std::uint64_t to) {
+  // Context propagation only: the consuming thread adopts the sender's
+  // ambient context.  Span events stay the channel layer's job -- a
+  // mux-level event pair here would double every flow arrow.
+  std::optional<obs::TraceContext> adopted;
+  {
+    std::scoped_lock lock{mutex_};
+    while (!in_marks_.empty() && in_marks_.front().begin < to) {
+      const TraceMark& mark = in_marks_.front();
+      if (mark.end > from) adopted = mark.ctx;
+      if (mark.end > to) break;
+      in_marks_.pop_front();
+      in_traced_.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
-  front.pos += n;
-  if (front.pos == front.bytes.size()) inbound_.pop_front();
-  inbound_bytes_ -= n;
-  unacked_ += n;
+  if (adopted && adopted->valid()) obs::current_trace_context() = *adopted;
+}
+
+void MuxStream::consume(std::uint64_t from, std::uint64_t to) {
+  if (to == from) return;
+  in_.head.store(to, std::memory_order_release);
+  // The loop counts a traced frame's mark before publishing its bytes.
+  if (in_traced_.load(std::memory_order_acquire) != 0) adopt_trace(from, to);
+  unacked_ += static_cast<std::size_t>(to - from);
   // Grant credit at consumption, once half the window is consumed.  This
   // is live at any window, 1 byte included: a blocked sender has the
   // whole window outstanding, so once we have consumed it unacked_ equals
-  // the window and crosses the threshold.
-  if (dead_ || remote_fin_ ||
-      unacked_ < std::max<std::size_t>(1, recv_window_ / 2)) {
-    return 0;
+  // the window and crosses the threshold.  Nothing is granted once the
+  // peer's FIN arrived or the connection died.
+  if (unacked_ < std::max<std::size_t>(1, recv_window_ / 2) ||
+      (in_.tail.load(std::memory_order_relaxed) & (kRemoteFin | kDead)) != 0) {
+    return;
   }
-  return std::exchange(unacked_, 0);
+  const std::size_t grant = std::exchange(unacked_, 0);
+  // Before the CREDIT frame leaves: the loop checks the peer's DATA
+  // against this total (on_data).
+  credit_granted_.store(
+      credit_granted_.load(std::memory_order_relaxed) + grant,
+      std::memory_order_release);
+  conn_->enqueue_credit(id_, grant);
+}
+
+std::size_t MuxStream::read_in_place(ParseFn parse, bool wait) {
+  const std::uint64_t head = in_.head.load(std::memory_order_relaxed);
+  const std::uint64_t word = in_.tail.load(std::memory_order_acquire);
+  std::uint64_t tail = word & kPosMask;
+  if (tail == head || (word & kReadShut) != 0) {
+    bool ended = false;
+    tail = await_inbound(head, wait, ended);
+    if (tail == head) {
+      if (ended) parse({});
+      return 0;
+    }
+  }
+  std::uint64_t pos = head;
+  while (pos < tail) {
+    const ByteSpan span = in_.peek(pos, tail - pos);
+    const std::size_t n = parse(span);
+    consume(pos, pos + n);
+    pos += n;
+    if (n < span.size()) break;
+  }
+  if (pos == tail) in_.drained();
+  return static_cast<std::size_t>(pos - head);
 }
 
 std::size_t MuxStream::read_some(MutableByteSpan out) {
   if (out.empty()) return 0;
-  std::unique_lock lock{mutex_};
-  if (!await_inbound_locked(lock)) return 0;
-  const InSeg& front = inbound_.front();
-  const std::size_t n = std::min(out.size(), front.bytes.size() - front.pos);
-  std::memcpy(out.data(), front.bytes.data() + front.pos, n);
-  const std::size_t grant = consume_front_locked(n);
-  lock.unlock();
-  if (grant > 0) conn_->enqueue_credit(id_, grant);
-  return n;
+  std::size_t got = 0;
+  read_in_place(
+      [&](ByteSpan in) -> std::size_t {
+        const std::size_t n = std::min(in.size(), out.size() - got);
+        if (n > 0) std::memcpy(out.data() + got, in.data(), n);
+        got += n;
+        return n;
+      },
+      /*wait=*/true);
+  return got;
 }
 
-std::size_t MuxStream::read_in_place(ParseFn parse, bool wait) {
-  std::unique_lock lock{mutex_};
-  if (!wait && inbound_.empty() && !read_shutdown_ && !dead_) return 0;
-  if (!await_inbound_locked(lock)) {
-    parse({});
-    return 0;
+bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
+  // RMI clients poll with lease.patience: on a fiber the deadline comes
+  // from the event loop's timers, so the worker stays free meanwhile.
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const std::uint64_t head = in_.head.load(std::memory_order_relaxed);
+  while (in_.tail.load(std::memory_order_acquire) == head) {
+    if (!park_reader(head, &deadline)) {
+      return in_.tail.load(std::memory_order_acquire) != head;
+    }
   }
-  std::size_t taken = 0;
-  std::size_t grant = 0;
-  while (!inbound_.empty() && !inbound_.front().eof) {
-    const InSeg& front = inbound_.front();
-    const ByteSpan view{front.bytes.data() + front.pos,
-                        front.bytes.size() - front.pos};
-    const std::size_t n = parse(view);
-    if (n == 0) break;
-    taken += n;
-    grant += consume_front_locked(n);
-    if (n < view.size()) break;
-  }
-  lock.unlock();
-  if (grant > 0) conn_->enqueue_credit(id_, grant);
-  return taken;
+  return true;
 }
 
-void MuxStream::stall_locked(std::unique_lock<std::mutex>& lock) {
+void MuxStream::await_credit() {
+  const std::uint64_t credit = credit_.load(std::memory_order_acquire);
+  if ((credit & kStop) != 0) {
+    std::scoped_lock lock{mutex_};
+    if ((in_.tail.load(std::memory_order_relaxed) & kDead) != 0) {
+      throw ChannelClosed{"mux connection lost: " + death_reason_};
+    }
+    throw ChannelClosed{};
+  }
+  if ((out_.tail.load(std::memory_order_relaxed) & kOutClosed) != 0) {
+    throw IoError{"write on closed mux stream"};
+  }
+  if (credit != sent_) return;
   // Credit stall: the peer has not consumed what we already sent.
   counters().credit_stalls.fetch_add(1, std::memory_order_relaxed);
-  obs::flight_record(obs::FlightKind::kCreditStall, id_,
-                     static_cast<std::uint64_t>(-send_window_));
+  obs::flight_record(obs::FlightKind::kCreditStall, id_, 0);
   const auto stall_start = std::chrono::steady_clock::now();
-  while (send_window_ <= 0 && !dead_ && !write_broken_ && !write_closed_) {
-    park_locked(lock, writers_, {});
+  // The flusher already has everything we wrote (publish queued it), so
+  // the credit it earns will come.
+  const auto must_wait = [&] {
+    return credit_.load(std::memory_order_seq_cst) == sent_ &&
+           (out_.tail.load(std::memory_order_relaxed) & kOutClosed) == 0;
+  };
+  std::unique_lock lock{mutex_};
+  while (must_wait()) {
+    park(lock, writers_, sleeping_writers_, must_wait, {}, nullptr);
   }
+  lock.unlock();
   const auto stall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - stall_start)
@@ -570,114 +867,80 @@ void MuxStream::stall_locked(std::unique_lock<std::mutex>& lock) {
   counters().credit_stall_ns.fetch_add(stall_ns, std::memory_order_relaxed);
 }
 
-void MuxStream::append_locked(ByteSpan data, bool traced, Chunk*& open) {
-  while (!data.empty()) {
-    if (open == nullptr || open->bytes.size() >= coalesce_) {
-      Chunk* tail = pending_.empty() ? nullptr : &pending_.back();
-      if (!traced && tail != nullptr && !tail->fin && !tail->traced &&
-          tail->bytes.size() < coalesce_) {
-        // Coalesce small untraced writes: the window was already claimed,
-        // so merging buffers only reduces frame count.
-        open = tail;
-      } else {
-        open = &pending_.emplace_back();
-        if (traced) {
-          open->traced = true;
-          open->ctx = obs::current_trace_context();
-        }
-      }
-    }
-    const std::size_t n = std::min(data.size(), coalesce_ - open->bytes.size());
-    open->bytes.insert(open->bytes.end(), data.begin(),
-                       data.begin() + static_cast<std::ptrdiff_t>(n));
-    data = data.subspan(n);
+void MuxStream::ensure_queued() {
+  // Our half of the ready handshake (flush_into has the other): the
+  // caller moved out_.tail seq_cst, then we look at queued_.
+  if (queued_.load(std::memory_order_seq_cst) ||
+      queued_.exchange(true, std::memory_order_seq_cst)) {
+    return;
   }
+  conn_->mark_ready(shared_from_this());
+}
+
+void MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
+  const std::uint64_t tail = out_.tail.load(std::memory_order_relaxed);
+  if ((tail & kOutClosed) != 0) throw IoError{"write on closed mux stream"};
+  const std::uint64_t end = tail + a.size() + b.size();
+  out_.put(tail, a);
+  out_.put(tail + a.size(), b);
+  if (traced) {
+    std::scoped_lock lock{mutex_};
+    out_marks_.push_back({tail, end, obs::current_trace_context()});
+    out_traced_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The CAS fails only on a racing shutdown_write, whose FIN then
+  // precedes these bytes: they must not be sent.
+  std::uint64_t expected = tail;
+  if (!out_.tail.compare_exchange_strong(expected, end,
+                                         std::memory_order_seq_cst)) {
+    throw IoError{"write on closed mux stream"};
+  }
+  ensure_queued();
 }
 
 void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
   const bool traced =
       obs::trace_enabled() && obs::current_trace_context().valid();
-  Chunk* open = nullptr;
-  bool mark = false;  // this write found the stream idle and queued it
-  std::unique_lock lock{mutex_};
-  for (ByteSpan part : {a, b}) {
-    while (!part.empty()) {
-      if (send_window_ <= 0 || dead_ || write_broken_ || write_closed_) {
-        if (mark) {
-          // What we queued must reach the flusher before we stall on the
-          // credit it earns.  Outside mutex_: the flusher's take_chunk
-          // locks it.
-          mark = false;
-          open = nullptr;
-          lock.unlock();
-          conn_->mark_ready(shared_from_this());
-          lock.lock();
-          continue;
-        }
-        if (dead_) {
-          throw ChannelClosed{"mux connection lost: " + death_reason_};
-        }
-        if (write_broken_) throw ChannelClosed{};
-        if (write_closed_) throw IoError{"write on closed mux stream"};
-        stall_locked(lock);
-        open = nullptr;  // the flusher may have taken it meanwhile
-        continue;
-      }
-      const std::size_t take =
-          std::min(part.size(), static_cast<std::size_t>(send_window_));
-      send_window_ -= static_cast<std::int64_t>(take);
-      append_locked(part.first(take), traced, open);
-      part = part.subspan(take);
-      if (!queued_) {
-        queued_ = true;
-        mark = true;
-      }
+  while (!a.empty() || !b.empty()) {
+    const std::uint64_t credit = credit_.load(std::memory_order_acquire);
+    if ((credit & kStop) != 0 || credit == sent_) {
+      await_credit();
+      continue;
     }
+    // What the window allows of a, then b, published at once.
+    const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
+        a.size() + b.size(), credit - sent_));
+    const ByteSpan first = a.first(std::min(take, a.size()));
+    const ByteSpan second = b.first(take - first.size());
+    publish(first, second, traced);
+    sent_ += take;
+    a = a.subspan(first.size());
+    b = b.subspan(second.size());
   }
-  lock.unlock();
-  if (mark) conn_->mark_ready(shared_from_this());
-}
-
-bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
-  // RMI clients poll with lease.patience: on a fiber the deadline comes
-  // from the event loop's timers, so the worker stays free meanwhile.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::unique_lock lock{mutex_};
-  while (inbound_.empty() && !dead_ && !read_shutdown_) {
-    if (!readers_.wait_until(lock, deadline)) {
-      return !inbound_.empty() || dead_ || read_shutdown_;
-    }
-  }
-  return true;
 }
 
 void MuxStream::shutdown_write() {
-  bool mark = false;
-  {
-    std::unique_lock lock{mutex_};
-    if (write_closed_) return;
-    write_closed_ = true;
-    writers_.wake_all();  // a concurrently stalled writer must throw
-    if (!dead_) {
-      pending_.emplace_back().fin = true;
-      mark = !std::exchange(queued_, true);
-    }
+  if ((out_.tail.fetch_or(kOutClosed, std::memory_order_seq_cst) &
+       kOutClosed) != 0) {
+    return;
   }
-  if (mark) conn_->mark_ready(shared_from_this());
+  {
+    std::scoped_lock lock{mutex_};
+    wake_locked(writers_, sleeping_writers_);  // a stalled writer must throw
+  }
+  ensure_queued();  // the flusher sends the FIN after the data
   maybe_retire();
 }
 
 void MuxStream::shutdown_read() {
   bool send_rst = false;
   {
-    std::unique_lock lock{mutex_};
-    if (read_shutdown_) return;
-    read_shutdown_ = true;
-    inbound_.clear();
-    inbound_bytes_ = 0;
-    unacked_ = 0;
-    readers_.wake_all();
-    send_rst = !dead_ && !remote_fin_;
+    std::scoped_lock lock{mutex_};
+    const std::uint64_t word =
+        in_.tail.fetch_or(kReadShut, std::memory_order_seq_cst);
+    if ((word & kReadShut) != 0) return;
+    wake_locked(readers_, sleeping_readers_);
+    send_rst = (word & (kRemoteFin | kDead)) == 0;
   }
   if (send_rst) conn_->enqueue_rst(id_);
   maybe_retire();
@@ -687,82 +950,155 @@ std::string MuxStream::peer_description() const {
   return conn_->peer() + "/mux#" + std::to_string(id_);
 }
 
-void MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
-  std::unique_lock lock{mutex_};
-  if (read_shutdown_ || dead_) return;  // already RST'd; drop in-flight data
-  InSeg seg;
-  seg.bytes.assign(payload.begin(), payload.end());
-  if (ctx != nullptr) {
-    seg.traced = true;
-    seg.ctx = *ctx;
+bool MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
+  // The loop thread alone moves the position, so a plain load is current.
+  const std::uint64_t word = in_.tail.load(std::memory_order_relaxed);
+  // Already RST'd (in-flight data drops), or after the peer's FIN.
+  if ((word & (kReadShut | kRemoteFin | kDead)) != 0) return true;
+  const std::uint64_t tail = word & kPosMask;
+  // Every byte the peer may send is covered by the window or by a credit
+  // the reader granted before its CREDIT frame left: received - granted
+  // (inbound plus unacked) never exceeds the window.
+  if (tail + payload.size() -
+          credit_granted_.load(std::memory_order_acquire) >
+      recv_window_) {
+    return false;
   }
-  inbound_bytes_ += seg.bytes.size();
-  inbound_.push_back(std::move(seg));
-  readers_.wake_all();
+  if (payload.empty()) return true;
+  in_.put(tail, payload);
+  if (ctx != nullptr) {
+    std::scoped_lock lock{mutex_};
+    in_marks_.push_back({tail, tail + payload.size(), *ctx});
+    in_traced_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // An add, not a store: it keeps a racing shutdown_read's bit.
+  in_.tail.fetch_add(payload.size(), std::memory_order_seq_cst);
+  wake(readers_, sleeping_readers_);
+  return true;
 }
 
 void MuxStream::on_credit(std::uint32_t bytes) {
-  std::unique_lock lock{mutex_};
-  send_window_ += bytes;
-  writers_.wake_all();
+  credit_.fetch_add(bytes, std::memory_order_seq_cst);
+  wake(writers_, sleeping_writers_);
 }
 
 void MuxStream::on_fin() {
   {
-    std::unique_lock lock{mutex_};
-    if (remote_fin_ || dead_) return;
-    obs::flight_record(obs::FlightKind::kNetFin, id_, inbound_bytes_);
-    remote_fin_ = true;
-    InSeg eof;
-    eof.eof = true;
-    inbound_.push_back(std::move(eof));
-    readers_.wake_all();
+    std::scoped_lock lock{mutex_};
+    const std::uint64_t word = in_.tail.load(std::memory_order_relaxed);
+    if ((word & (kRemoteFin | kDead)) != 0) return;
+    obs::flight_record(
+        obs::FlightKind::kNetFin, id_,
+        (word & kPosMask) - in_.head.load(std::memory_order_relaxed));
+    in_.tail.fetch_or(kRemoteFin, std::memory_order_seq_cst);
+    wake_locked(readers_, sleeping_readers_);
   }
   maybe_retire();
 }
 
 void MuxStream::on_rst() {
-  std::unique_lock lock{mutex_};
-  obs::flight_record(obs::FlightKind::kNetRst, id_, pending_.size());
-  write_broken_ = true;
-  pending_.clear();  // the peer stopped reading; flushing more is waste
-  writers_.wake_all();
+  std::scoped_lock lock{mutex_};
+  obs::flight_record(obs::FlightKind::kNetRst, id_,
+                     (out_.tail.load(std::memory_order_relaxed) & kPosMask) -
+                         out_.head.load(std::memory_order_relaxed));
+  // The peer stopped reading: writes fail, and the flusher drops what is
+  // queued -- flushing more is waste.
+  credit_.fetch_or(kStop, std::memory_order_seq_cst);
+  wake_locked(writers_, sleeping_writers_);
 }
 
 void MuxStream::on_connection_dead(const std::string& why) {
-  std::unique_lock lock{mutex_};
-  if (dead_) return;
-  dead_ = true;
+  std::scoped_lock lock{mutex_};
+  if ((in_.tail.load(std::memory_order_relaxed) & kDead) != 0) return;
   death_reason_ = why;
-  pending_.clear();
   // Reads drain what already arrived; then a stream that never saw its
-  // FIN throws NetError from read_some (producer lost mid-stream).
-  InSeg eof;
-  eof.eof = true;
-  inbound_.push_back(std::move(eof));
-  readers_.wake_all();
-  writers_.wake_all();
+  // FIN throws NetError (producer lost mid-stream).
+  in_.tail.fetch_or(kDead, std::memory_order_seq_cst);
+  credit_.fetch_or(kStop, std::memory_order_seq_cst);
+  wake_locked(readers_, sleeping_readers_);
+  wake_locked(writers_, sleeping_writers_);
 }
 
-bool MuxStream::take_chunk(Chunk& out, bool& more) {
-  std::unique_lock lock{mutex_};
-  if (pending_.empty()) {
-    queued_ = false;
-    more = false;
-    return false;
+std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {
+  std::uint64_t frames = 0;
+  const std::uint64_t word = out_.tail.load(std::memory_order_acquire);
+  const std::uint64_t tail = word & kPosMask;
+  std::uint64_t head = out_.head.load(std::memory_order_relaxed);
+  if (head < tail && (credit_.load(std::memory_order_acquire) & kStop) != 0) {
+    head = tail;  // the peer RST the stream: drop what is queued
+    out_.head.store(head, std::memory_order_release);
+    if (out_traced_.load(std::memory_order_acquire) != 0) {
+      std::scoped_lock lock{mutex_};
+      out_marks_.clear();
+      out_traced_.store(0, std::memory_order_relaxed);
+    }
   }
-  out = std::move(pending_.front());
-  pending_.pop_front();
-  more = !pending_.empty();
-  queued_ = more;
-  return true;
+  if (head < tail) {
+    std::uint64_t n = std::min<std::uint64_t>(tail - head, coalesce_);
+    std::optional<obs::TraceContext> ctx;
+    // The writer counts a traced write's mark before publishing its bytes.
+    if (out_traced_.load(std::memory_order_acquire) != 0) {
+      std::scoped_lock lock{mutex_};
+      const TraceMark& mark = out_marks_.front();
+      if (mark.begin <= head) {
+        ctx = mark.ctx;
+        n = std::min(n, mark.end - head);
+        if (head + n == mark.end) {
+          out_marks_.pop_front();
+          out_traced_.fetch_sub(1, std::memory_order_relaxed);
+        }
+      } else {
+        n = std::min(n, mark.begin - head);
+      }
+    }
+    if (ctx) {
+      append_header(out, id_, MuxFrame::kDataTraced,
+                    static_cast<std::uint32_t>(n + obs::TraceContext::kWireSize));
+      std::uint8_t wire[obs::TraceContext::kWireSize];
+      ctx->encode(wire);
+      out.insert(out.end(), wire, wire + sizeof wire);
+    } else {
+      append_header(out, id_, MuxFrame::kData, static_cast<std::uint32_t>(n));
+    }
+    for (std::uint64_t at = head; at < head + n;) {
+      const ByteSpan span = out_.peek(at, head + n - at);
+      out.insert(out.end(), span.begin(), span.end());
+      at += span.size();
+    }
+    head += n;
+    out_.head.store(head, std::memory_order_release);
+    ++frames;
+  }
+  if (head == tail && (word & kOutClosed) != 0 && !fin_sent_) {
+    append_header(out, id_, MuxFrame::kFin, 0);
+    fin_sent_ = true;
+    ++frames;
+  }
+  more = head < tail;
+  if (!more) {
+    out_.drained();
+    // Our half of the ready handshake (ensure_queued has the other):
+    // leave the ring, then look again; bytes or a FIN published since
+    // keep the stream in it, unless their publisher queued it already.
+    queued_.store(false, std::memory_order_seq_cst);
+    const std::uint64_t again = out_.tail.load(std::memory_order_seq_cst);
+    const bool pending = (again & kPosMask) != head ||
+                         ((again & kOutClosed) != 0 && !fin_sent_);
+    if (pending && !queued_.exchange(true, std::memory_order_seq_cst)) {
+      more = true;
+    }
+  }
+  return frames;
 }
 
 void MuxStream::maybe_retire() {
   {
-    std::unique_lock lock{mutex_};
-    const bool read_done = read_shutdown_ || remote_fin_;
-    if (!read_done || !write_closed_ || retired_ || dead_) return;
+    std::scoped_lock lock{mutex_};
+    const std::uint64_t in = in_.tail.load(std::memory_order_relaxed);
+    const bool read_done = (in & (kReadShut | kRemoteFin)) != 0;
+    const bool write_closed =
+        (out_.tail.load(std::memory_order_relaxed) & kOutClosed) != 0;
+    if (!read_done || !write_closed || retired_ || (in & kDead) != 0) return;
     retired_ = true;
   }
   conn_->note_stream_closed(id_);
@@ -974,7 +1310,7 @@ void MuxConnection::flush() {
 void MuxConnection::fill_batch() {
   // Every turn first takes all queued control frames -- credits and RSTs
   // are tiny and latency sensitive, and a stream's OPEN must precede its
-  // first DATA -- then one chunk from the next ready stream: the
+  // first DATA -- then one frame from the next ready stream: the
   // round-robin quantum that keeps the shared connection fair.
   std::uint64_t frames = 0;
   std::uint64_t credit_frames = 0;
@@ -983,7 +1319,7 @@ void MuxConnection::fill_batch() {
     std::shared_ptr<MuxStream> stream;
     {
       std::scoped_lock lock{send_mutex_};
-      // Behind its siblings; take_chunk left it queued, so it is in the
+      // Behind its siblings; flush_into left it queued, so it is in the
       // ring nowhere else.
       if (requeue) ready_.push_back(std::move(requeue));
       for (const ByteVector& frame : control_) {
@@ -998,28 +1334,9 @@ void MuxConnection::fill_batch() {
       stream = std::move(ready_.front());
       ready_.pop_front();
     }
-    MuxStream::Chunk chunk;
     bool more = false;
-    const bool got = stream->take_chunk(chunk, more);
-    if (more) requeue = stream;
-    if (!got) continue;
-    ++frames;
-    if (chunk.fin) {
-      append_header(out_buf_, stream->id(), MuxFrame::kFin, 0);
-    } else if (chunk.traced) {
-      append_header(
-          out_buf_, stream->id(), MuxFrame::kDataTraced,
-          static_cast<std::uint32_t>(chunk.bytes.size() +
-                                     obs::TraceContext::kWireSize));
-      std::uint8_t ctx[obs::TraceContext::kWireSize];
-      chunk.ctx.encode(ctx);
-      out_buf_.insert(out_buf_.end(), ctx, ctx + sizeof ctx);
-      out_buf_.insert(out_buf_.end(), chunk.bytes.begin(), chunk.bytes.end());
-    } else {
-      append_header(out_buf_, stream->id(), MuxFrame::kData,
-                    static_cast<std::uint32_t>(chunk.bytes.size()));
-      out_buf_.insert(out_buf_.end(), chunk.bytes.begin(), chunk.bytes.end());
-    }
+    frames += stream->flush_into(out_buf_, more);
+    if (more) requeue = std::move(stream);
   }
   if (frames > 0) {
     counters().frames_sent.fetch_add(frames, std::memory_order_relaxed);
@@ -1129,7 +1446,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
   }
   switch (type) {
     case MuxFrame::kData:
-      stream->on_data(payload, nullptr);
+      if (!stream->on_data(payload, nullptr)) die("mux window overrun");
       return;
     case MuxFrame::kDataTraced: {
       if (payload.size() < obs::TraceContext::kWireSize) {
@@ -1138,7 +1455,10 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       }
       const obs::TraceContext ctx =
           obs::TraceContext::decode(payload.data());
-      stream->on_data(payload.subspan(obs::TraceContext::kWireSize), &ctx);
+      if (!stream->on_data(payload.subspan(obs::TraceContext::kWireSize),
+                           &ctx)) {
+        die("mux window overrun");
+      }
       return;
     }
     case MuxFrame::kCredit:

@@ -43,13 +43,17 @@
 /// so the reader always reaches the threshold, even at a 1-byte window.
 ///
 /// Fairness and batching: only the connection's loop thread writes the
-/// socket.  A stream joins its connection's ready ring once per pending
-/// batch: the write that finds its send queue empty marks it ready, and
-/// later writes only append until the flusher has drained the queue.  A
-/// flush gathers every queued control frame, then one chunk
-/// (<= NetworkOptions::coalesce_bytes) per ready stream per round-robin
-/// turn, up to about 64 KiB, and sends the batch with one write.  One
-/// hot stream cannot starve its siblings on the shared connection.
+/// socket.  Each stream direction is a lock-free byte ring with one
+/// producer and one consumer, bounded by its credit window.  A stream
+/// joins its connection's ready ring once per pending batch: the write
+/// that finds it idle marks it ready, and later writes only append to
+/// its send ring until the flusher has drained it.  A flush gathers
+/// every queued control frame, then one DATA frame
+/// (<= NetworkOptions::coalesce_bytes, encoded straight from the send
+/// ring) per ready stream per round-robin turn, up to about 64 KiB, and
+/// sends the batch with one write.  One hot stream cannot starve its
+/// siblings on the shared connection.  DATA past a stream's receive
+/// window kills the connection.
 namespace dpn::net {
 
 /// Aggregate counters of the mux backend (all zero when it is unused).

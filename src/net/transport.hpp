@@ -98,10 +98,10 @@ class Stream {
   /// takes less than a whole span (or sooner: a transport may offer just
   /// one span per call); what it takes is consumed.  At end-of-stream
   /// `parse` gets one empty span.  `parse` must take at least one byte of
-  /// the first span and must not call back into the stream (mux runs it
-  /// under the stream's lock).  Returns the bytes consumed: 0 only at
-  /// end-of-stream, or when `wait` is false and nothing is pending (then
-  /// `parse` is not called).
+  /// the first span and must not call back into the stream (mux offers
+  /// spans of its receive ring in place, mid-read).  Returns the bytes
+  /// consumed: 0 only at end-of-stream, or when `wait` is false and
+  /// nothing is pending (then `parse` is not called).
   virtual std::size_t read_in_place(ParseFn parse, bool wait) = 0;
 
   /// Installs (nullptr: removes) the observer of this stream's parks.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
 #include <latch>
 #include <memory>
@@ -101,8 +104,8 @@ class RawPeer {
         })) {}
 
   /// Dials a new stream of the process's mux transport to this peer.
-  std::shared_ptr<Stream> dial() {
-    auto stream = mux().dial("127.0.0.1", server_.port());
+  std::shared_ptr<Stream> dial(const DialOptions& options = {}) {
+    auto stream = mux().dial("127.0.0.1", server_.port(), options);
     if (accepted_.valid()) socket_ = accepted_.get();
     return stream;
   }
@@ -126,6 +129,28 @@ class RawPeer {
     put_u32(frame + 5, 4);
     put_u32(frame + 9, bytes);
     socket_.write_all({frame, sizeof frame});
+  }
+
+  /// Sends one frame of `type` on `stream`, as a peer that may ignore
+  /// the protocol's rules.
+  void send(std::uint32_t stream, std::uint8_t type, ByteSpan payload) {
+    std::uint8_t header[9];
+    put_u32(header, stream);
+    header[4] = type;
+    put_u32(header + 5, static_cast<std::uint32_t>(payload.size()));
+    socket_.write_all({header, sizeof header});
+    socket_.write_all(payload);
+  }
+
+  /// Closes the connection under the dialer's streams.
+  void close() { socket_.close(); }
+
+  /// The stream id of the next OPEN frame (CREDITs before it skipped).
+  std::uint32_t next_open() {
+    for (;;) {
+      Frame frame = next();
+      if (frame.type == kOpen) return frame.stream;
+    }
   }
 
   /// The next frame that is not a CREDIT or OPEN.
@@ -222,7 +247,8 @@ TEST_P(MuxWindow, RequestResponseCompletes) {
 INSTANTIATE_TEST_SUITE_P(
     Windows, MuxWindow,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{3}, std::size_t{7}),
+                                         std::size_t{3}, std::size_t{7},
+                                         std::size_t{1000}),
                        ::testing::Bool()),
     [](const auto& instance) {
       return "w" + std::to_string(std::get<0>(instance.param)) +
@@ -241,6 +267,49 @@ TEST(MuxCredit, NoCreditFramesBelowHalfWindow) {
   run_client(*client, 1000);
   server_thread.join();
   EXPECT_EQ(mux_stats().credit_frames_sent - before, 0u);
+}
+
+// A peer that ignores flow control cannot make the receiver buffer without
+// bound: DATA past the window it was granted kills the connection, and
+// the stream's reads fail after draining what arrived in bounds.
+TEST(MuxCredit, DataPastTheWindowKillsTheConnection) {
+  RawPeer peer{1u << 20};
+  constexpr std::size_t kWindow = 64;
+  DialOptions options;
+  options.stream_window = kWindow;
+  // A whole window in one frame is in bounds.
+  auto exact = peer.dial(options);
+  const std::uint32_t exact_id = peer.next_open();
+  const ByteVector full = pattern(kWindow, 1);
+  peer.send(exact_id, kData, {full.data(), full.size()});
+  peer.send(exact_id, kFin, {});
+  ByteVector got(kWindow);
+  read_exact(*exact, {got.data(), got.size()});
+  EXPECT_EQ(got, full);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(exact->read_some({&byte, 1}), 0u);
+
+  // Below half the window nothing is granted back, so two frames of
+  // window + 1 bytes in all overrun it however the reader keeps up.
+  auto overrun = peer.dial(options);
+  // Past a CREDIT the first stream may have granted.
+  const std::uint32_t overrun_id = peer.next_open();
+  const ByteVector first = pattern(kWindow / 2 - 1, 2);
+  const ByteVector second = pattern(kWindow / 2 + 2, 3);
+  peer.send(overrun_id, kData, {first.data(), first.size()});
+  peer.send(overrun_id, kData, {second.data(), second.size()});
+  ByteVector received;
+  EXPECT_THROW(
+      {
+        std::uint8_t buffer[256];
+        while (received.size() < first.size() + second.size()) {
+          const std::size_t n = overrun->read_some({buffer, sizeof buffer});
+          if (n == 0) break;
+          received.insert(received.end(), buffer, buffer + n);
+        }
+      },
+      NetError);
+  EXPECT_EQ(received, first);
 }
 
 // --- Flush batching --------------------------------------------------------
@@ -410,7 +479,9 @@ class MuxReadyRace
 TEST_P(MuxReadyRace, EveryByteArrivesInOrder) {
   const auto [window, on_fibers] = GetParam();
   const bool wide = window >= (1u << 20);
-  const int messages = wide ? 4000 : 300;
+  // From a window of 1000 bytes on, each stream's rings cycle through
+  // their blocks many times.
+  const int messages = window >= 1000 ? 4000 : 300;
   RawPeer peer{window};
   const std::uint64_t marks_before = mux_stats().ready_marks;
 
@@ -505,7 +576,7 @@ TEST_P(MuxReadyRace, EveryByteArrivesInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(
     Windows, MuxReadyRace,
-    ::testing::Combine(::testing::Values(1u, 2u, 7u, 1u << 20),
+    ::testing::Combine(::testing::Values(1u, 2u, 7u, 1000u, 1u << 20),
                        ::testing::Bool()),
     [](const auto& instance) {
       return "w" + std::to_string(std::get<0>(instance.param)) +
@@ -538,6 +609,183 @@ TEST(MuxReadyRing, HeldBatchMarksEachStreamOnce) {
     EXPECT_EQ(peer.next_data_or_fin().type, kData);
   }
 }
+
+// --- The stream's byte rings: their own races -----------------------------
+
+/// Counts a stream's parks, so a test can act once a caller is parked.
+class ParkCounter final : public WaitObserver {
+ public:
+  void on_park() override { parks_.fetch_add(1); }
+  void on_unpark() override { unparks_.fetch_add(1); }
+
+  /// Waits (up to 30 s) until `n` parks happened.
+  bool await_parks(int n) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{30};
+    while (parks_.load() < n) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+    return true;
+  }
+  int parks() const { return parks_.load(); }
+  int unparks() const { return unparks_.load(); }
+
+ private:
+  std::atomic<int> parks_{0};
+  std::atomic<int> unparks_{0};
+};
+
+/// Runs `body` on its own thread, or as the only fiber of a one-worker
+/// M:N scheduler, and waits for it.
+void run_on(bool on_fibers, const std::function<void()>& body) {
+  if (!on_fibers) {
+    std::jthread{body}.join();
+    return;
+  }
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = 1;
+  sched::Scheduler scheduler{options};
+  scheduler.spawn(body, "ring-test");
+  scheduler.shutdown();
+}
+
+class MuxRing : public ::testing::TestWithParam<bool> {};
+
+// The reader holds a span of the inbound ring while the loop thread keeps
+// appending far past its storage: the ring links new blocks (and recycles
+// read ones) under the span, which must stay readable, and every byte
+// arrives once, in order.
+TEST_P(MuxRing, StorageGrowsWhileTheReaderHoldsASpan) {
+  auto listener = mux().listen(0);
+  auto client = mux().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  constexpr std::size_t kBytes = 200000;  // below the default window
+  ASSERT_LT(kBytes, network_options().stream_window);
+  const ByteVector sent = pattern(kBytes, 9);
+  std::latch holding{1};
+  std::jthread writer{[&] {
+    client->write_all({sent.data(), 10});
+    holding.wait();
+    // Pieces of 1..301 bytes: the outbound ring wraps and grows too.
+    for (std::size_t at = 10, i = 0; at < kBytes; ++i) {
+      const std::size_t n = std::min(kBytes - at, 1 + (i * 37) % 301);
+      client->write_all({sent.data() + at, n});
+      at += n;
+    }
+  }};
+  ByteVector received;
+  run_on(GetParam(), [&] {
+    bool first = true;
+    while (received.size() < kBytes) {
+      server->read_in_place(
+          [&](ByteSpan span) -> std::size_t {
+            if (first) {
+              first = false;
+              holding.count_down();
+              // Let the loop append the rest meanwhile.
+              std::this_thread::sleep_for(std::chrono::milliseconds{100});
+            }
+            // Odd takes, so spans end anywhere in the storage.
+            const std::size_t n = std::min<std::size_t>(span.size(), 7);
+            received.insert(received.end(), span.begin(), span.begin() + n);
+            return n;
+          },
+          /*wait=*/true);
+    }
+  });
+  EXPECT_EQ(received, sent);
+}
+
+// close() from another thread wakes a reader parked on an empty stream;
+// the read ends (returns 0) instead of hanging.
+TEST_P(MuxRing, CloseFromAnotherThreadWakesAParkedReader) {
+  auto listener = mux().listen(0);
+  auto client = mux().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  ParkCounter parks;
+  server->set_wait_observer(&parks);
+  std::optional<std::size_t> got;
+  std::jthread closer{[&] {
+    if (parks.await_parks(1)) server->close();
+  }};
+  run_on(GetParam(), [&] {
+    std::uint8_t byte = 0;
+    got = server->read_some({&byte, 1});
+  });
+  closer.join();
+  server->set_wait_observer(nullptr);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 0u);
+  EXPECT_EQ(parks.parks(), parks.unparks());
+}
+
+// A writer parked on an exhausted send window throws ChannelClosed when
+// the peer's reader shuts down (its RST), instead of waiting for credit.
+TEST_P(MuxRing, WriterParkedOnTheWindowThrowsOnPeerRst) {
+  auto listener = mux().listen(0);
+  DialOptions options;
+  options.stream_window = 16;  // the server's send window
+  auto client = mux().dial("127.0.0.1", listener->port(), options);
+  auto server = listener->accept();
+  ParkCounter parks;
+  server->set_wait_observer(&parks);
+  std::jthread resetter{[&] {
+    if (parks.await_parks(1)) client->shutdown_read();
+  }};
+  bool closed = false;
+  run_on(GetParam(), [&] {
+    const ByteVector bytes = pattern(100, 4);
+    try {
+      server->write_all({bytes.data(), bytes.size()});
+    } catch (const ChannelClosed&) {
+      closed = true;
+    }
+  });
+  resetter.join();
+  server->set_wait_observer(nullptr);
+  EXPECT_TRUE(closed);
+  EXPECT_GE(parks.parks(), 1);
+}
+
+// A connection killed mid-stream: the reader drains every byte that
+// arrived before the end, in order, then gets NetError -- never a silent
+// end-of-stream.
+TEST_P(MuxRing, KilledConnectionDrainsThenFails) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next().stream;
+  constexpr std::size_t kBytes = 100000;  // below the default window
+  const ByteVector sent = pattern(kBytes, 5);
+  std::jthread killer{[&] {
+    for (std::size_t at = 0; at < kBytes; at += 1000) {
+      peer.send(id, kData, {sent.data() + at, std::min<std::size_t>(1000, kBytes - at)});
+    }
+    peer.close();
+  }};
+  ByteVector received;
+  bool lost = false;
+  run_on(GetParam(), [&] {
+    std::uint8_t buffer[333];
+    try {
+      for (;;) {
+        const std::size_t n = stream->read_some({buffer, sizeof buffer});
+        if (n == 0) break;
+        received.insert(received.end(), buffer, buffer + n);
+      }
+    } catch (const NetError&) {
+      lost = true;
+    }
+  });
+  EXPECT_TRUE(lost);
+  EXPECT_EQ(received, sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Callers, MuxRing, ::testing::Bool(),
+                         [](const auto& instance) {
+                           return instance.param ? "fibers" : "threads";
+                         });
 
 // --- wait_readable ---------------------------------------------------------
 
