@@ -365,36 +365,6 @@ ByteVector drain_unconsumed(const std::shared_ptr<core::ChannelState>& state) {
   return out;
 }
 
-/// Retires a channel's typed fast path at a ship cut (io/typed_ring.hpp):
-/// the ring's backlog is encoded into the byte plane -- in order, ahead of
-/// anything the producer writes after the demotion -- and both typed
-/// endpoints fall back to byte streams.  Normally the backlog lands in the
-/// pipe (unbounded first, so a full ring cannot wedge the cut) where the
-/// [read-ahead][pipe] unconsumed-history machinery picks it up; when the
-/// producer already closed, the pipe rejects writes, so the bytes are
-/// returned for the caller to append after the drained history instead (no
-/// racing writer exists then, so the order is still exact).  A demotion
-/// that throws mid-encode poisons the ring -- the consumer sees WorkerLost,
-/// never a silently truncated stream -- and fails the shipment.
-ByteVector demote_typed(const std::shared_ptr<core::ChannelState>& state) {
-  if (!state->typed || state->typed->demoted()) return {};
-  if (state->pipe->read_closed()) {
-    // Reader gone: the backlog would be discarded on arrival anyway.
-    io::MemoryOutputStream discard;
-    state->typed->demote_into(discard);
-    return {};
-  }
-  if (state->pipe->write_closed()) {
-    io::MemoryOutputStream sink;
-    state->typed->demote_into(sink);
-    return sink.take();
-  }
-  state->pipe->set_unbounded();
-  io::LocalOutputStream sink{state->pipe};
-  state->typed->demote_into(sink);
-  return {};
-}
-
 std::shared_ptr<serial::Serializable> make_pair_stub(
     SendContext& ctx, const std::shared_ptr<core::ChannelState>& state,
     std::uint8_t role) {
@@ -645,6 +615,25 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     serial::register_type<LocalPairStub>("dpn.LocalPairStub");
 
 }  // namespace
+
+ByteVector demote_typed(const std::shared_ptr<core::ChannelState>& state) {
+  if (!state->typed || state->typed->demoted()) return {};
+  if (state->pipe->read_closed()) {
+    // Reader gone: the backlog would be discarded on arrival anyway.
+    io::MemoryOutputStream discard;
+    state->typed->demote_into(discard);
+    return {};
+  }
+  if (state->pipe->write_closed()) {
+    io::MemoryOutputStream sink;
+    state->typed->demote_into(sink);
+    return sink.take();
+  }
+  state->pipe->set_unbounded();
+  io::LocalOutputStream sink{state->pipe};
+  state->typed->demote_into(sink);
+  return {};
+}
 
 void ensure_hooks_installed() {
   static std::once_flag flag;

@@ -57,6 +57,19 @@ struct ReceiveContext {
 /// Idempotent; called automatically by NodeContext::create.
 void ensure_hooks_installed();
 
+/// Retires a channel's typed fast path at a ship cut (io/typed_ring.hpp):
+/// the ring's backlog is encoded into the byte plane -- in order, ahead of
+/// anything the producer writes after the demotion -- and both typed
+/// endpoints fall back to byte streams.  Normally the backlog lands in the
+/// pipe (unbounded first, so a full ring cannot wedge the cut) where the
+/// [read-ahead][pipe] unconsumed-history machinery picks it up; when the
+/// producer already closed, the pipe rejects writes, so the bytes are
+/// returned for the caller to append after the drained history instead (no
+/// racing writer exists then, so the order is still exact).  A demotion
+/// that throws mid-encode poisons the ring -- the consumer sees WorkerLost,
+/// never a silently truncated stream -- and fails the shipment.
+ByteVector demote_typed(const std::shared_ptr<core::ChannelState>& state);
+
 /// Serializes `process` for execution elsewhere.  `node` is the local
 /// (sending) server, whose rendezvous will accept the dial-backs for
 /// channels cut by this shipment.

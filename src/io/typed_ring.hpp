@@ -58,6 +58,8 @@ class TypedRingBase {
     std::size_t capacity = 0;  // slots
     std::uint64_t pushed = 0;
     std::uint64_t popped = 0;
+    // Parked waiters not yet woken (as io::Pipe counts them): a woken
+    // waiter that has not run yet is not blocked.
     std::size_t blocked_readers = 0;
     std::size_t blocked_writers = 0;
     bool demoted = false;
@@ -68,8 +70,6 @@ class TypedRingBase {
   virtual ~TypedRingBase() = default;
 
   virtual Stats stats() const = 0;
-  virtual std::size_t blocked_readers() const = 0;
-  virtual std::size_t blocked_writers() const = 0;
   /// Capacity in slots (values, not bytes): the bound a writer parks at.
   virtual std::size_t capacity() const = 0;
   /// Wire bytes one value encodes to; the monitor uses it to compare ring
@@ -116,21 +116,40 @@ class TypedRingBase {
 /// and must write exactly the bytes the typed endpoint would have written
 /// on the byte path (core/typed.hpp's Codec<T> is the canonical one).
 ///
-/// Concurrency design: one producer, one consumer (Kahn discipline), both
-/// lock-free while the ring is neither empty nor full.  head_/tail_ are
-/// monotonic counters; a slot is counter & mask_.  The rare transitions
-/// (demote/grow/abort/close, and storage growth) must observe a quiescent
-/// ring: they set gate_ and spin until the in_push_/in_pop_ in-flight
-/// flags clear -- Dekker-style -- while fast-path entries that see gate_
-/// back off onto the mutex.  Empty/full parking uses the mutex and a
-/// sched::Waiters list per side (same protocol as io::Pipe).  Both
-/// Dekker pairs (gate handshake, sleeper wake-up check) are symmetric:
-/// each side publishes its flag with a seq_cst exchange
-/// (one locked instruction, cheaper here than store + fence), then loads
-/// the other side's flag seq_cst, so at least one of the two sees the
-/// other.  Storage is allocated on demand: it starts small and doubles,
-/// through a transition, up to the slot bound, so a ring that never
-/// fills never pays for its bound.
+/// Concurrency (one producer, one consumer: the Kahn discipline).  head_
+/// and tail_ count monotonically; a slot is counter & mask_.  A steady
+/// push or pop issues one locked instruction, the CAS publishing its
+/// index.  The rare transitions are *cuts* under mutex_ (demote, close,
+/// abort, storage growth): a cut raises kStop in the index word of each
+/// side it stops, kept up while a permanent flag concerns that side (any
+/// flag stops the producer; the consumer drains past kWriteClosed).
+///  * Publish: the producer writes slot(t), then CASes tail_ t -> t+1,
+///    which fails only if a cut raised kStop first; it then takes the
+///    value back.  No cut saw it: a cut acts on [head, tail) as read by
+///    its fetch_or on tail_, and a fetch_or after a publish reads from it.
+///  * Claim: the consumer CASes head_ h -> h+1, then reads storage_,
+///    moves slot(h) out and release-stores freed_ = h+1.  A push measures
+///    room against freed_, so it never overwrites a slot mid-move.  A cut
+///    stopping the consumer spins until freed_ reaches head_: no claim
+///    succeeds after its fetch_or, and the claim in flight has only a
+///    nothrow move, a destructor and a store left (no lock, no yield
+///    point), so the spin lasts one move at most.
+///  * Storage changes only while neither side can touch it.  Growth is
+///    the producer's own cut, stopping the consumer as above.  It is freed
+///    by close_read/demote_into once kWriteClosed is set (no unpublished
+///    slot remains), else by the producer's slow path on first seeing
+///    kReadClosed/kDemoted/kPoisoned, else by the destructor.  Endpoints
+///    are closed by their owners: a close_write racing a push from
+///    another thread would void the first case.
+///  * Sleepers (Dekker): a parker counts itself in sleeping_* with a
+///    seq_cst exchange, then re-reads the other index; a publisher's CAS
+///    precedes its read of sleeping_*, so one sees the other and no wake
+///    is lost.  A writer parks against head_ and retries against freed_,
+///    which trails it by the move in flight at most.
+///  * End of stream: close_write raises kStop on tail_, then sets
+///    kWriteClosed, under mutex_; a pop that reads both under mutex_ sees
+///    the final tail, so the last value before a close is never dropped.
+/// Storage starts at kMinSlots and doubles on demand up to the bound.
 template <typename T, typename Codec>
 class TypedRing final : public TypedRingBase {
   static_assert(std::is_nothrow_move_constructible_v<T>,
@@ -153,8 +172,8 @@ class TypedRing final : public TypedRingBase {
   TypedRing& operator=(const TypedRing&) = delete;
 
   ~TypedRing() override {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t h = index(head_.load(std::memory_order_relaxed));
+    const std::uint64_t t = index(tail_.load(std::memory_order_relaxed));
     for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
     release_storage();
   }
@@ -163,46 +182,31 @@ class TypedRing final : public TypedRingBase {
   /// Interrupted on abort.
   PushResult push(T&& value) {
     for (;;) {
-      // Gate handshake, our half (the transition's is in transition()).
-      in_push_.exchange(true, std::memory_order_seq_cst);
-      if (gate_.load(std::memory_order_seq_cst)) {
-        in_push_.store(false, std::memory_order_release);
-        wait_gate();
-        continue;
-      }
-      if (flags_.load(std::memory_order_acquire) != 0) {
-        in_push_.store(false, std::memory_order_release);
-        if (const auto r = push_edge()) return *r;
-        continue;
-      }
       const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      // head_cache_ is a stale lower bound of head_ (it only grows), so a
-      // pass on the cached value is always safe; reload only when the
-      // storage looks full.  This keeps the consumer's head_ line out of
-      // the producer's steady-state loop -- the classic SPSC anti-ping-pong.
-      if (t - head_cache_ > mask_) {
-        head_cache_ = head_.load(std::memory_order_acquire);
-      }
-      const std::uint64_t used = t - head_cache_;
-      if (used <= mask_) {
-        new (slot(t)) T(std::move(value));
-        // Sleeper handshake, our half (park has the other).
-        tail_.exchange(t + 1, std::memory_order_seq_cst);
-        in_push_.store(false, std::memory_order_release);
-        if (sleeping_readers_.load(std::memory_order_seq_cst) != 0) {
-          wake(readers_, sleeping_readers_);
+      if ((t & kStop) == 0) {
+        // A stale lower bound of freed_, so a pass on it is safe; reload
+        // only when the storage looks full (SPSC anti-ping-pong).
+        if (t - freed_cache_ > mask_) {
+          freed_cache_ = freed_.load(std::memory_order_acquire);
         }
-        return PushResult::kOk;
+        if (t - freed_cache_ <= mask_) {
+          T* s = slot(t);
+          new (s) T(std::move(value));
+          std::uint64_t expected = t;
+          if (tail_.compare_exchange_strong(expected, t + 1,
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
+            if (sleeping_readers_.load(std::memory_order_seq_cst) != 0) {
+              wake(readers_, sleeping_readers_);
+            }
+            return PushResult::kOk;
+          }
+          // A cut stopped us before the publish: take the value back.
+          value = std::move(*s);
+          s->~T();
+        }
       }
-      // Storage is full; below the bound it grows instead of parking.
-      const bool below_bound = used < bound_;
-      in_push_.store(false, std::memory_order_release);
-      if (below_bound) {
-        expand_storage();
-      } else {
-        park(writers_, sleeping_writers_, &TypedRing::writer_must_wait,
-             sched::WaitTag::writing(flight_id_, buffered_bytes()));
-      }
+      if (const auto r = push_edge()) return *r;
     }
   }
 
@@ -210,45 +214,27 @@ class TypedRing final : public TypedRingBase {
   /// demotion failed mid-encode (the stream has a hole, not an end).
   PopResult pop(T& out) {
     for (;;) {
-      in_pop_.exchange(true, std::memory_order_seq_cst);
-      if (gate_.load(std::memory_order_seq_cst)) {
-        in_pop_.store(false, std::memory_order_release);
-        wait_gate();
-        continue;
-      }
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      // Mirror of head_cache_: slots below a previously acquired tail_
-      // are already visible, so the cached bound needs no fresh acquire.
-      // Compare as a bound, not for equality -- a demotion can advance
-      // head_ past a stale cache, which must read as empty, never as a
-      // ring full of destroyed slots.
-      if (tail_cache_ <= h) {
-        tail_cache_ = tail_.load(std::memory_order_acquire);
-      }
-      if (tail_cache_ > h) {
-        T* s = slot(h);
-        out = std::move(*s);
-        s->~T();
-        head_.exchange(h + 1, std::memory_order_seq_cst);
-        in_pop_.store(false, std::memory_order_release);
-        if (sleeping_writers_.load(std::memory_order_seq_cst) != 0) {
-          wake(writers_, sleeping_writers_);
+      std::uint64_t h = head_.load(std::memory_order_relaxed);
+      if ((h & kStop) == 0) {
+        // Mirror of freed_cache_: slots below an acquired tail_ are
+        // visible.  Compare as a bound, not for equality.
+        if (tail_cache_ <= h) {
+          tail_cache_ = index(tail_.load(std::memory_order_acquire));
         }
-        return PopResult::kOk;
+        if (tail_cache_ > h &&
+            head_.compare_exchange_strong(h, h + 1, std::memory_order_seq_cst,
+                                          std::memory_order_relaxed)) {
+          T* s = slot(h);
+          out = std::move(*s);
+          s->~T();
+          freed_.store(h + 1, std::memory_order_release);
+          if (sleeping_writers_.load(std::memory_order_seq_cst) != 0) {
+            wake(writers_, sleeping_writers_);
+          }
+          return PopResult::kOk;
+        }
       }
-      in_pop_.store(false, std::memory_order_release);
-      const std::uint8_t flags = flags_.load(std::memory_order_acquire);
-      if ((flags & kPoisoned) != 0) {
-        throw WorkerLost{
-            "typed ring demotion failed; buffered values were lost"};
-      }
-      if ((flags & kAborted) != 0) {
-        throw Interrupted{"typed ring aborted during pop"};
-      }
-      if ((flags & kDemoted) != 0) return PopResult::kDemoted;
-      if ((flags & kWriteClosed) != 0) return PopResult::kEof;
-      park(readers_, sleeping_readers_, &TypedRing::reader_must_wait,
-           sched::WaitTag::reading(flight_id_, 0));
+      if (const auto r = pop_edge()) return *r;
     }
   }
 
@@ -256,8 +242,8 @@ class TypedRing final : public TypedRingBase {
 
   Stats stats() const override {
     Stats s;
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t h = index(head_.load(std::memory_order_relaxed));
+    const std::uint64_t t = index(tail_.load(std::memory_order_relaxed));
     s.size = static_cast<std::size_t>(t - h);
     s.pushed = t;
     s.popped = h;
@@ -272,18 +258,6 @@ class TypedRing final : public TypedRingBase {
     return s;
   }
 
-  /// Parked waiters not yet woken (as io::Pipe counts them): a woken
-  /// waiter that has not run yet is not blocked.
-  std::size_t blocked_readers() const override {
-    std::scoped_lock lock{mutex_};
-    return readers_.size();
-  }
-
-  std::size_t blocked_writers() const override {
-    std::scoped_lock lock{mutex_};
-    return writers_.size();
-  }
-
   std::size_t capacity() const override {
     std::scoped_lock lock{mutex_};
     return bound_;
@@ -291,15 +265,20 @@ class TypedRing final : public TypedRingBase {
 
   std::size_t value_bytes() const override { return Codec::kWireSize; }
 
-  /// Raises the bound only; storage follows on demand.
+  /// Raises the bound only; storage follows on demand.  No side needs
+  /// stopping: only the slow paths read bound_, under mutex_.
   void grow(std::size_t new_slots) override {
-    transition([&] {
+    cut([&] {
       while (bound_ < new_slots) bound_ *= 2;
     });
   }
 
   void abort() override {
-    transition([&] { set_flag(kAborted); });
+    cut([&] {
+      stop_producer();
+      head_.fetch_or(kStop, std::memory_order_seq_cst);
+      flags_.fetch_or(kAborted, std::memory_order_release);
+    });
   }
 
   bool demoted() const override {
@@ -312,13 +291,10 @@ class TypedRing final : public TypedRingBase {
   }
 
   void demote_into(OutputStream& sink) override {
-    transition([&] {
-      if ((flags_.load(std::memory_order_relaxed) &
-           (kDemoted | kPoisoned)) != 0) {
-        return;
-      }
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    cut([&] {
+      if (demoted()) return;
+      const std::uint64_t t = stop_producer();
+      const std::uint64_t h = stop_consumer();
       ByteVector staged;
       try {
         MemoryOutputStream scratch;
@@ -328,45 +304,41 @@ class TypedRing final : public TypedRingBase {
         // Defined state on a throwing encode: nothing partial reached the
         // sink (all staging), the values are gone, and the consumer sees
         // WorkerLost instead of a silently truncated history.
-        for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
-        head_.store(t, std::memory_order_release);
-        set_flag(kPoisoned);
-        release_storage();
+        discard(h, t);
+        flags_.fetch_or(kPoisoned, std::memory_order_release);
         throw;
       }
-      for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
-      head_.store(t, std::memory_order_release);
-      release_storage();
-      // Publish the bytes while the ring is still gated: once kDemoted is
-      // visible the producer may encode new values straight to the byte
-      // stream, and those must land *after* the ring's backlog.
+      discard(h, t);
+      // Publish the bytes before kDemoted: once it is visible the
+      // producer may encode new values straight to the byte stream, and
+      // those must land *after* the ring's backlog.
       if (!staged.empty()) sink.write({staged.data(), staged.size()});
-      set_flag(kDemoted);
+      flags_.fetch_or(kDemoted, std::memory_order_release);
     });
   }
 
   /// The consumer closed its endpoint: discard buffered values (the
   /// reader is gone) and fail the producer's next push with
-  /// ChannelClosed -- cascading termination, same as Pipe::close_read,
-  /// which likewise releases its storage.
+  /// ChannelClosed -- cascading termination, same as Pipe::close_read.
   void close_read() override {
-    transition([&] {
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
-      head_.store(t, std::memory_order_release);
-      release_storage();
-      set_flag(kReadClosed);
+    cut([&] {
+      const std::uint64_t t = stop_producer();
+      discard(stop_consumer(), t);
+      flags_.fetch_or(kReadClosed, std::memory_order_release);
     });
   }
 
   /// The producer closed: remaining values drain, then pops report kEof.
   void close_write() override {
-    transition([&] { set_flag(kWriteClosed); });
+    cut([&] {
+      stop_producer();
+      flags_.fetch_or(kWriteClosed, std::memory_order_release);
+    });
   }
 
  private:
   static constexpr std::size_t kMinSlots = 16;
+  static constexpr std::uint64_t kStop = std::uint64_t{1} << 63;
 
   static constexpr std::uint8_t kDemoted = 1;
   static constexpr std::uint8_t kPoisoned = 2;
@@ -374,22 +346,50 @@ class TypedRing final : public TypedRingBase {
   static constexpr std::uint8_t kReadClosed = 8;
   static constexpr std::uint8_t kAborted = 16;
 
+  static std::uint64_t index(std::uint64_t word) { return word & ~kStop; }
+
   T* slot(std::uint64_t i) {
     return storage_ + static_cast<std::size_t>(i & mask_);
   }
 
-  void set_flag(std::uint8_t flag) {
-    flags_.store(
-        static_cast<std::uint8_t>(flags_.load(std::memory_order_relaxed) |
-                                  flag),
-        std::memory_order_release);
+  /// Stops the producer: raises kStop on tail_ and returns the final
+  /// tail.  Every publish after this fails its CAS.
+  std::uint64_t stop_producer() {
+    return index(tail_.fetch_or(kStop, std::memory_order_seq_cst));
   }
 
-  /// Handles a push that found a state flag set.  Returns the result to
-  /// surface, or nullopt to retry the fast path (flag turned out to be
-  /// one that does not affect writers).
+  /// Stops the consumer: raises kStop on head_, then waits out the claim
+  /// in flight, if any (bounded: see the class comment).  Returns head.
+  std::uint64_t stop_consumer() {
+    const std::uint64_t h =
+        index(head_.fetch_or(kStop, std::memory_order_seq_cst));
+    while (freed_.load(std::memory_order_acquire) != h) {
+      std::this_thread::yield();
+    }
+    return h;
+  }
+
+  /// Ends the ring's life as a ring (demoted, poisoned or read-closed):
+  /// destroys the values in [h, t), leaves both sides stopped, and frees
+  /// the storage when the producer has closed.
+  void discard(std::uint64_t h, std::uint64_t t) {
+    for (std::uint64_t i = h; i != t; ++i) slot(i)->~T();
+    head_.store(t | kStop, std::memory_order_release);
+    freed_.store(t, std::memory_order_release);
+    if ((flags_.load(std::memory_order_relaxed) & kWriteClosed) != 0) {
+      release_storage();
+    }
+  }
+
+  /// A push found kStop, lost its publish CAS, or found the storage
+  /// full.  Returns the result to surface, or nullopt to retry the fast
+  /// path.  Holding mutex_ waits out any cut in progress.
   std::optional<PushResult> push_edge() {
-    const std::uint8_t flags = flags_.load(std::memory_order_acquire);
+    std::unique_lock lock{mutex_};
+    const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
+    if ((flags & (kReadClosed | kDemoted | kPoisoned)) != 0) {
+      release_storage();  // the consumer side is gone for good
+    }
     if ((flags & kAborted) != 0) {
       throw Interrupted{"typed ring aborted during push"};
     }
@@ -398,22 +398,56 @@ class TypedRing final : public TypedRingBase {
     if ((flags & kWriteClosed) != 0) {
       throw IoError{"push to closed typed ring"};
     }
+    const std::uint64_t t = index(tail_.load(std::memory_order_relaxed));
+    const std::uint64_t used = t - freed_.load(std::memory_order_acquire);
+    if (used <= mask_) return std::nullopt;  // the consumer made room
+    // Storage is full; below the bound it grows instead of parking.
+    if (mask_ + 1 < bound_) {
+      expand_storage(t);
+    } else {
+      park(lock, writers_, sleeping_writers_, &TypedRing::writer_must_wait,
+           sched::WaitTag::writing(flight_id_, used * Codec::kWireSize));
+    }
     return std::nullopt;
   }
 
-  /// The producer found the storage full below the bound: double it,
-  /// relinking the live values in FIFO order.  The consumer may have
-  /// drained meanwhile, in which case nothing happens and the push simply
-  /// retries.
-  void expand_storage() {
-    transition([&] {
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      const std::size_t slots = mask_ + 1;
-      if (t - h < slots || slots >= bound_ ||
-          flags_.load(std::memory_order_relaxed) != 0) {
-        return;
-      }
+  /// A pop found kStop, lost its claim CAS, or found the ring empty.
+  /// Returns the result to surface, or nullopt to retry the fast path.
+  std::optional<PopResult> pop_edge() {
+    std::unique_lock lock{mutex_};
+    const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
+    if ((flags & kPoisoned) != 0) {
+      throw WorkerLost{
+          "typed ring demotion failed; buffered values were lost"};
+    }
+    if ((flags & kAborted) != 0) {
+      throw Interrupted{"typed ring aborted during pop"};
+    }
+    if ((flags & kDemoted) != 0) return PopResult::kDemoted;
+    if ((flags & kReadClosed) != 0) {
+      throw IoError{"pop from closed typed ring"};
+    }
+    // Read after the flags, under mutex_: with kWriteClosed set this is
+    // the final tail, so a value published just before the close is
+    // popped, not dropped.
+    const std::uint64_t h = index(head_.load(std::memory_order_relaxed));
+    if (index(tail_.load(std::memory_order_acquire)) != h) {
+      return std::nullopt;
+    }
+    if ((flags & kWriteClosed) != 0) return PopResult::kEof;
+    park(lock, readers_, sleeping_readers_, &TypedRing::reader_must_wait,
+         sched::WaitTag::reading(flight_id_, 0));
+    return std::nullopt;
+  }
+
+  /// The producer's cut: doubles the storage, relinking the live values
+  /// in FIFO order.  Callers hold mutex_ and found the storage full at
+  /// tail `t`; the consumer may have drained meanwhile, in which case
+  /// nothing moves and the push simply retries.
+  void expand_storage(std::uint64_t t) {
+    const std::uint64_t h = stop_consumer();
+    const std::size_t slots = mask_ + 1;
+    if (t - h >= slots) {
       const std::size_t fresh_slots = slots * 2;  // both powers of two
       T* fresh = std::allocator<T>{}.allocate(fresh_slots);
       const std::size_t fresh_mask = fresh_slots - 1;
@@ -425,11 +459,12 @@ class TypedRing final : public TypedRingBase {
       std::allocator<T>{}.deallocate(storage_, slots);
       storage_ = fresh;
       mask_ = fresh_mask;
-    });
+    }
+    head_.store(h, std::memory_order_release);  // reopens the consumer
   }
 
-  /// Frees the slots of a ring that can never carry a value again (read
-  /// end closed, or demoted).  Callers hold the ring quiescent and have
+  /// Frees the slots of a ring that can never carry a value again.
+  /// Callers hold the storage rule of the class comment and have
   /// destroyed every live value; slot() must not be called afterwards.
   void release_storage() {
     if (storage_ == nullptr) return;
@@ -438,73 +473,44 @@ class TypedRing final : public TypedRingBase {
     mask_ = 0;
   }
 
-  /// A fast-path entry saw gate_: a transition is in progress.  Block on
-  /// the mutex until it finishes (the transition holds it throughout).
-  void wait_gate() {
-    std::scoped_lock lock{mutex_};
-  }
-
-  /// Runs f with the ring quiescent: mutex held (no parked waiter races,
-  /// no concurrent transition), gate up, and both in-flight flags drained.
-  /// Always lowers the gate and wakes every waiter, even when f throws --
+  /// Runs f under mutex_, then wakes every waiter, even when f throws:
   /// waiters must re-check the flags f just set.
   template <typename F>
-  void transition(F&& f) {
-    std::unique_lock lock{mutex_};
-    // Our half of the gate handshake: either an entering push/pop sees
-    // gate_ and backs off, or we see its in-flight flag and wait it out.
-    // The acquire half of these loads also pulls in the slot writes of
-    // any push we waited out.
-    gate_.exchange(true, std::memory_order_seq_cst);
-    while (in_push_.load(std::memory_order_seq_cst) ||
-           in_pop_.load(std::memory_order_seq_cst)) {
-      std::this_thread::yield();
-    }
+  void cut(F&& f) {
+    std::scoped_lock lock{mutex_};
     try {
       f();
     } catch (...) {
-      reopen_locked();
+      wake_locked(readers_, sleeping_readers_);
+      wake_locked(writers_, sleeping_writers_);
       throw;
     }
-    reopen_locked();
-  }
-
-  /// Ends a transition: lowers the gate and wakes every waiter, which
-  /// must re-check the flags the transition may have set.
-  void reopen_locked() {
-    gate_.store(false, std::memory_order_release);
     wake_locked(readers_, sleeping_readers_);
     wake_locked(writers_, sleeping_writers_);
   }
 
-  /// Park predicates; callers hold mutex_, which every transition holds
-  /// too, so only head_/tail_ can move underneath them.
+  /// Park predicates.  Callers hold mutex_ and found no flag set, and
+  /// every cut holds mutex_ too, so only the indices can move meanwhile.
   bool reader_must_wait() const {
-    return head_.load(std::memory_order_seq_cst) ==
-               tail_.load(std::memory_order_seq_cst) &&
-           flags_.load(std::memory_order_relaxed) == 0 &&
-           !gate_.load(std::memory_order_relaxed);
+    return index(head_.load(std::memory_order_seq_cst)) ==
+           index(tail_.load(std::memory_order_seq_cst));
   }
 
   bool writer_must_wait() const {
-    return tail_.load(std::memory_order_seq_cst) -
-                   head_.load(std::memory_order_seq_cst) >=
-               bound_ &&
-           flags_.load(std::memory_order_relaxed) == 0 &&
-           !gate_.load(std::memory_order_relaxed);
+    return index(tail_.load(std::memory_order_seq_cst)) -
+               index(head_.load(std::memory_order_seq_cst)) >=
+           bound_;
   }
 
   /// Parks a reader (or writer) whose fast path found the ring empty
-  /// (or full).  `sleeping` is the lock-free mirror of `side`'s count
-  /// that push (or pop) checks before taking the lock to wake.
-  void park(sched::Waiters& side, std::atomic<std::uint32_t>& sleeping,
+  /// (or full); the caller holds `lock` and checked under it.
+  /// `sleeping` is the lock-free mirror of `side`'s count that push (or
+  /// pop) checks before taking the lock to wake.
+  void park(std::unique_lock<std::mutex>& lock, sched::Waiters& side,
+            std::atomic<std::uint32_t>& sleeping,
             bool (TypedRing::*must_wait)() const, const sched::WaitTag& tag) {
-    std::unique_lock lock{mutex_};
-    // Re-check under the lock: a push, pop, close or transition may have
-    // slipped in between the fast-path probe and this acquire.
-    if (!(this->*must_wait)()) return;
     // Our half of the sleeper handshake (the other side's is its index
-    // exchange): count ourselves before the last look at the indices.
+    // CAS): count ourselves before the last look at the indices.
     sleeping.exchange(static_cast<std::uint32_t>(side.size() + 1),
                       std::memory_order_seq_cst);
     // Else the other side published between our probe and our
@@ -512,13 +518,6 @@ class TypedRing final : public TypedRingBase {
     if ((this->*must_wait)()) side.wait(lock, tag);
     sleeping.store(static_cast<std::uint32_t>(side.size()),
                    std::memory_order_relaxed);
-  }
-
-  /// Occupancy in wire bytes, the unit the pipe's flight events use.
-  std::uint64_t buffered_bytes() const {
-    return (tail_.load(std::memory_order_relaxed) -
-            head_.load(std::memory_order_relaxed)) *
-           Codec::kWireSize;
   }
 
   void wake(sched::Waiters& side, std::atomic<std::uint32_t>& sleeping) {
@@ -534,31 +533,26 @@ class TypedRing final : public TypedRingBase {
     sleeping.store(0, std::memory_order_relaxed);
   }
 
-  // Storage and bound: written only inside transitions (quiescent ring),
-  // so both sides read them plainly inside their in-flight window.
-  T* storage_ = nullptr;
-  std::size_t mask_ = 0;   // allocated slots - 1
-  std::size_t bound_ = 0;  // slots a writer may fill before it parks
-
-  // One line per side: the consumer writes head_, tail_cache_ and in_pop_;
-  // the producer writes tail_, head_cache_ and in_push_.  Each polls the
-  // other's index with acquire -- through its cached lower bound, so the
-  // steady-state loop touches the other side's line only at the
+  // One line per side: the consumer writes head_, freed_ and
+  // tail_cache_; the producer writes tail_ and freed_cache_.  Each polls
+  // the other's index with acquire -- through its cached lower bound, so
+  // the steady-state loop touches the other side's line only at the
   // empty/full boundary.
   alignas(64) std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> freed_{0};  // slots moved out: head_ or one less
   std::uint64_t tail_cache_ = 0;
-  std::atomic<bool> in_pop_{false};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t head_cache_ = 0;
-  std::atomic<bool> in_push_{false};
-  // Read on every operation by both sides, written only by transitions
-  // and parking.
-  alignas(64) std::atomic<bool> gate_{false};
-  std::atomic<std::uint8_t> flags_{0};
+  std::uint64_t freed_cache_ = 0;
+  // Read on every operation by both sides; written only by the storage
+  // rule's owners (storage_, mask_), by cuts (flags_) and by parking.
+  alignas(64) T* storage_ = nullptr;
+  std::size_t mask_ = 0;  // allocated slots - 1
   std::atomic<std::uint32_t> sleeping_readers_{0};
   std::atomic<std::uint32_t> sleeping_writers_{0};
+  std::atomic<std::uint8_t> flags_{0};
 
   mutable std::mutex mutex_;
+  std::size_t bound_ = 0;  // slots a writer may fill before it parks
   sched::Waiters readers_;
   sched::Waiters writers_;
 };

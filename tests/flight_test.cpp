@@ -253,7 +253,7 @@ TEST(FlightWaitFor, ConsumerParkedOnTypedChannelIsNamed) {
   }};
   // blocked_readers() takes the ring mutex, which the consumer releases
   // only once parked -- after recording the block event.
-  while (ch->state()->typed->blocked_readers() == 0) {
+  while (ch->state()->typed->stats().blocked_readers == 0) {
     std::this_thread::yield();
   }
   const std::string report =

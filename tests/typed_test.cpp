@@ -85,7 +85,7 @@ TEST(Typed, BoundedWriterBlocksUntilDrained) {
     }
     writer.close();
   }};
-  while (ch->state()->typed->blocked_writers() == 0) {
+  while (ch->state()->typed->stats().blocked_writers == 0) {
     std::this_thread::yield();
   }
   const int parked_at = pushed.load();
@@ -121,7 +121,7 @@ TEST(Typed, CloseReadWakesParkedProducer) {
       threw.store(true);
     }
   }};
-  while (ch->state()->typed->blocked_writers() == 0) {
+  while (ch->state()->typed->stats().blocked_writers == 0) {
     std::this_thread::yield();
   }
   ch->input()->close();
@@ -140,7 +140,7 @@ TEST(Typed, AbortWakesParkedReader) {
       interrupted.store(true);
     }
   }};
-  while (ch->state()->typed->blocked_readers() == 0) {
+  while (ch->state()->typed->stats().blocked_readers == 0) {
     std::this_thread::yield();
   }
   ch->state()->typed->abort();
@@ -158,7 +158,7 @@ TEST(Typed, GrowUnblocksParkedWriter) {
       pushed.fetch_add(1);
     }
   }};
-  while (ch->state()->typed->blocked_writers() == 0) {
+  while (ch->state()->typed->stats().blocked_writers == 0) {
     std::this_thread::yield();
   }
   ch->state()->typed->grow(256);  // Parks' rule: grow the full channel
@@ -198,6 +198,43 @@ TEST(Typed, StorageGrowsOnDemandKeepingFifoAcrossWrap) {
   while (next_out < next_in) {
     ASSERT_EQ(ring.pop(value), io::TypedRingBase::PopResult::kOk);
     EXPECT_EQ(value, next_out++);
+  }
+}
+
+TEST(Typed, PopAtCloseNeverDropsTheLastValue) {
+  // The producer's last push and its close can land while the consumer is
+  // between its empty probe and its look at the flags.  pop must still
+  // return that value before kEof: dropping it would silently truncate
+  // the history.  Many trials, the consumer racing on another thread.
+  using Ring = io::TypedRing<std::int64_t, Codec<std::int64_t>>;
+  for (int trial = 0; trial < 2000; ++trial) {
+    Ring ring{16};
+    const std::size_t count = static_cast<std::size_t>(trial % 3);
+    std::atomic<bool> popping{false};
+    std::vector<std::int64_t> got;
+    io::TypedRingBase::PopResult last = io::TypedRingBase::PopResult::kOk;
+    std::jthread consumer{[&] {
+      popping.store(true);
+      std::int64_t v = 0;
+      while ((last = ring.pop(v)) == io::TypedRingBase::PopResult::kOk) {
+        got.push_back(v);
+      }
+    }};
+    while (!popping.load()) std::this_thread::yield();
+    for (int spin = 0; spin < trial % 64; ++spin) {
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(ring.push(static_cast<std::int64_t>(i)),
+                io::TypedRingBase::PushResult::kOk);
+    }
+    ring.close_write();  // before any ASSERT: the consumer must end
+    consumer.join();
+    ASSERT_EQ(last, io::TypedRingBase::PopResult::kEof);
+    ASSERT_EQ(got.size(), count) << "trial " << trial;
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(got[i], static_cast<std::int64_t>(i));
+    }
   }
 }
 
@@ -260,7 +297,7 @@ TEST(Typed, ConsumerParkedInRingSurvivesDemotion) {
     TypedReader<std::int64_t> reader{ch->input()};
     while (const auto v = reader.get()) sink.push(*v);
   }};
-  while (ch->state()->typed->blocked_readers() == 0) {
+  while (ch->state()->typed->stats().blocked_readers == 0) {
     std::this_thread::yield();
   }
   ch->pipe()->set_unbounded();
@@ -602,6 +639,96 @@ TEST(TypedDeterminacy, MidRunShipMatchesLocalHistory) {
   drain_thread.join();
 
   EXPECT_EQ(sink->values(), local);
+}
+
+// --- cuts racing live traffic ---------------------------------------------
+
+/// Puts 0, 1, ... but holds `hold_at` back until `release` is set, so a
+/// cut aimed at mid-stream cannot find the producer already closed.
+class HeldSource final : public core::IterativeProcess {
+ public:
+  HeldSource(std::shared_ptr<core::ChannelOutputStream> out, long count,
+             std::int64_t hold_at, const std::atomic<bool>& release)
+      : IterativeProcess(count), hold_at_(hold_at), release_(release) {
+    track_output(std::move(out));
+  }
+
+  std::string type_name() const override { return "test.HeldSource"; }
+  void write_fields(serial::ObjectOutputStream&) const override {
+    throw SerializationError{"HeldSource is local-only"};
+  }
+
+ protected:
+  void step() override {
+    if (!writer_) writer_.emplace(output(0));
+    while (next_ == hold_at_ && !release_.load()) std::this_thread::yield();
+    writer_->put(next_++);
+  }
+
+ private:
+  std::optional<TypedWriter<std::int64_t>> writer_;
+  std::int64_t next_ = 0;
+  std::int64_t hold_at_;
+  const std::atomic<bool>& release_;
+};
+
+TEST(Typed, CutsRacingTrafficKeepExactHistory) {
+  // Every cut a live ring takes, against a producer and a consumer that
+  // keep running: storage growth (the ring starts at 16 slots of a
+  // 64-slot bound, so the producer doubles it while pops are live),
+  // grow() from a third thread, and one demotion mid-stream through the
+  // ship path.  The history across ring plus byte plane must be exact --
+  // no value lost, none duplicated -- on threads and on M:N.
+  constexpr std::size_t kCount = 60000;
+  sched::SchedulerOptions mn;
+  mn.mode = sched::SchedMode::kWorkSteal;
+  mn.workers = 2;
+  const std::vector<SchedConfig> configs = {{"threads", {}},
+                                            {"work-steal x2", mn}};
+  for (const auto& config : configs) {
+    for (int run = 0; run < 3; ++run) {
+      std::atomic<bool> release{false};  // outlives the network's processes
+      Network network;
+      network.set_scheduler(config.options);
+      auto ch = make_typed_channel<std::int64_t>({.capacity = 64 * 8});
+      network.watch(ch);
+      auto sink = std::make_shared<CollectSink<std::int64_t>>();
+      network.add(std::make_shared<HeldSource>(
+          ch->output(), static_cast<long>(kCount), kCount * 3 / 4, release));
+      network.add(std::make_shared<TypedCollect>(ch->input(), sink));
+      std::jthread cutter{[&] {
+        io::TypedRingBase& ring = *ch->state()->typed;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds{20};
+        for (int i = 0; sink->size() < kCount / 2; ++i) {
+          if (std::chrono::steady_clock::now() > deadline) break;
+          // Mostly no-op grows (a bare cut); every 64th doubles the
+          // bound, up to 1024 slots, so the producer still parks.
+          const std::size_t cap = ring.capacity();
+          ring.grow(i % 64 == 0 && cap < 1024 ? cap + 1 : cap);
+          std::this_thread::yield();
+        }
+        // The producer is held short of its close, so the backlog lands
+        // in the pipe ahead of its later byte-path writes.
+        EXPECT_TRUE(dist::demote_typed(ch->state()).empty());
+        release.store(true);
+      }};
+      network.run();
+      cutter.join();
+      const auto values = sink->values();
+      ASSERT_EQ(values.size(), kCount) << config.label << " run " << run;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(values[i], static_cast<std::int64_t>(i))
+            << config.label << " run " << run;
+      }
+      const auto stats = ch->state()->typed->stats();
+      EXPECT_TRUE(stats.demoted);
+      EXPECT_EQ(stats.blocked_readers, 0u);
+      EXPECT_EQ(stats.blocked_writers, 0u);
+      EXPECT_EQ(ch->pipe()->blocked_readers(), 0u);
+      EXPECT_EQ(ch->pipe()->blocked_writers(), 0u);
+    }
+  }
 }
 
 // --- observability ---------------------------------------------------------
