@@ -11,12 +11,13 @@
 #include "core/channel.hpp"
 #include "core/network.hpp"
 #include "core/process.hpp"
+#include "dist/node.hpp"
+#include "dist/ship.hpp"
 #include "io/blocking.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
-#include "net/frames.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "processes/basic.hpp"
@@ -211,35 +212,28 @@ void BM_SequenceLayer(benchmark::State& state) {
 BENCHMARK(BM_SequenceLayer)->Arg(0)->Arg(1);
 
 void BM_MuxStreamToken(benchmark::State& state) {
-  // The mux stream's row of the per-layer ledger: one i64 token per
-  // 13-byte dist DATA frame through a loopback mux stream pair, the
-  // writer on its own thread, the reader parsing in place as a remote
-  // channel's input does.  Real time is ns per token.
-  auto listener = net::transport_for(net::TransportKind::kMux).listen(0);
-  auto client = net::transport_for(net::TransportKind::kMux)
-                    .dial("127.0.0.1", listener->port());
+  // The mux stream's row of the per-layer ledger: one raw i64 token per
+  // write through a loopback mux stream pair -- what a remote channel
+  // segment carries -- the writer on its own thread.  Real time is ns per
+  // token.
+  auto listener = net::default_transport().listen(0);
+  auto client = net::default_transport().dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   std::jthread writer{[client] {
-    net::FrameWriter frames{std::make_shared<net::StreamOutput>(client)};
     std::uint8_t token[8];
     try {
       for (std::uint64_t value = 0;; ++value) {
         put_u64(token, value);
-        frames.write_data({token, sizeof token});
+        client->write_all({token, sizeof token});
       }
     } catch (const IoError&) {  // the reader shut down
     }
   }};
-  net::FrameParser parser;
   std::uint8_t token[8];
   for (auto _ : state) {
     std::size_t got = 0;
     while (got < sizeof token) {
-      server->read_in_place(
-          [&](ByteSpan in) {
-            return parser.feed(in, {token, sizeof token}, got);
-          },
-          /*wait=*/true);
+      got += server->read_some({token + got, sizeof token - got});
     }
     benchmark::DoNotOptimize(token);
   }
@@ -247,6 +241,31 @@ void BM_MuxStreamToken(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MuxStreamToken)->UseRealTime();
+
+void BM_RemoteChannelToken(benchmark::State& state) {
+  // A full shipped channel in steady state: a Sequence producer shipped
+  // to a second node writes i64 tokens through its channel endpoint
+  // (Sequence layer, remote segment, mux stream, loopback TCP), and this
+  // thread reads them through the consumer's endpoint (mux stream,
+  // remote segment, Sequence layer, Data codec).  Real time is ns per
+  // token.
+  auto node_a = dist::NodeContext::create();
+  auto node_b = dist::NodeContext::create();
+  auto channel = std::make_shared<core::Channel>(std::size_t{1} << 16);
+  auto source = std::make_shared<processes::Sequence>(0, channel->output());
+  const ByteVector shipment = dist::ship_process(node_a, source);
+  auto remote =
+      dist::receive_process(node_b, {shipment.data(), shipment.size()});
+  std::jthread producer{[remote] { remote->run(); }};
+  io::DataInputStream in{*channel->input()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(in.read_i64());
+  }
+  channel->input()->close();  // the producer's next write fails; it stops
+  producer.join();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RemoteChannelToken)->UseRealTime();
 
 void BM_SocketThroughput(benchmark::State& state) {
   // The remote-channel transport floor: raw TCP over loopback.

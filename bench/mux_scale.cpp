@@ -1,28 +1,20 @@
 // Scaling curve for the mux transport (DESIGN.md section 8): N logical
-// channels between one host pair, blocking vs mux backend, thread vs
-// M:N scheduler.
+// channels between one host pair, thread vs M:N scheduler.
 //
 // Each configuration ships N unbounded-side producers from node A to
-// node B (so B dials back over the selected transport) and streams a
+// node B (so B dials back over the shared connection) and streams a
 // fixed total volume of i64 values split evenly across the channels.
 // The timed phase covers data movement only -- shipping, dial-backs and
 // stream handshakes happen before the clock starts.
 //
-// What the table is expected to show (EXPERIMENTS.md):
-//   * blocking needs 2N file descriptors in-process (one TCP connection
-//     per channel), so rows above the RLIMIT_NOFILE budget are skipped
-//     -- that refusal is the point: mux runs the same row on ONE
-//     connection per host pair (the `conns` column prints the live mux
-//     connection count).
-//   * thread-per-process refuses rows above its thread cap; the M:N
-//     rows carry the 50k-channel sweep.
-//   * at moderate widths (~1k channels) mux throughput stays within
-//     ~20% of the blocking backend: the shared connection adds frame
-//     headers and one reactor hop, but removes per-channel syscall
-//     fan-out.
+// What the table is expected to show (EXPERIMENTS.md): every row runs on
+// ONE connection per host pair (the `conns` column prints the live
+// connection count), so the width is bounded by memory and the
+// scheduler, not by descriptors; thread-per-process refuses rows above
+// its thread cap, and the M:N rows carry the 50k-channel sweep.
 //
-// Runs in a forked child per configuration so fd exhaustion or a
-// refused scheduler cannot poison the next row.
+// Runs in a forked child per configuration so a refused scheduler cannot
+// poison the next row.
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -53,8 +45,7 @@ constexpr std::size_t kCapacity = 256;
 
 struct Outcome {
   bool completed = false;
-  bool refused = false;    // scheduler thread cap
-  bool skipped = false;    // fd budget (blocking backend)
+  bool refused = false;  // scheduler thread cap
   double seconds = 0.0;
   std::uint64_t connections = 0;  // mux: live shared connections
 };
@@ -65,10 +56,9 @@ long fd_limit() {
   return static_cast<long>(lim.rlim_cur);
 }
 
-/// Runs one configuration.  Called in a forked child: transport choice,
-/// node contexts and the mux event loop are all process-local.
-Outcome run_config(std::size_t channels, net::TransportKind transport,
-                   sched::SchedulerOptions sched) {
+/// Runs one configuration.  Called in a forked child: node contexts and
+/// the mux event loops are all process-local.
+Outcome run_config(std::size_t channels, sched::SchedulerOptions sched) {
   Outcome outcome;
   const long per_channel = std::max<long>(1, kTotalValues / channels);
 
@@ -77,13 +67,6 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
     outcome.refused = true;  // skip the 50k-thread build entirely
     return outcome;
   }
-  if (transport == net::TransportKind::kBlocking &&
-      static_cast<long>(channels) * 2 + 64 > fd_limit()) {
-    outcome.skipped = true;  // both TCP ends live in this process
-    return outcome;
-  }
-
-  net::network_options().transport = transport;
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
 
@@ -103,8 +86,7 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
     sinks.push_back(std::move(sink));
 
     // Shipping moves the output endpoint to node B, which dials back to
-    // node A over the selected transport (one TCP connection per channel
-    // on blocking; one logical stream on mux).
+    // node A: one logical stream on the shared connection.
     const ByteVector shipment = dist::ship_process(node_a, source);
     producers.add(
         dist::receive_process(node_b, {shipment.data(), shipment.size()}));
@@ -131,14 +113,13 @@ Outcome run_config(std::size_t channels, net::TransportKind transport,
   return outcome;
 }
 
-Outcome run_isolated(std::size_t channels, net::TransportKind transport,
-                     sched::SchedulerOptions sched) {
+Outcome run_isolated(std::size_t channels, sched::SchedulerOptions sched) {
   int fds[2];
   if (pipe(fds) != 0) throw IoError{"bench pipe failed"};
   const pid_t child = fork();
   if (child == 0) {
     close(fds[0]);
-    const Outcome outcome = run_config(channels, transport, sched);
+    const Outcome outcome = run_config(channels, sched);
     ssize_t ignored = write(fds[1], &outcome, sizeof outcome);
     (void)ignored;
     close(fds[1]);
@@ -156,13 +137,11 @@ Outcome run_isolated(std::size_t channels, net::TransportKind transport,
   return outcome;
 }
 
-void print_row(std::size_t channels, const char* transport,
-               const char* scheduler, const Outcome& outcome) {
-  std::printf("%8zu  %-9s  %-11s", channels, transport, scheduler);
+void print_row(std::size_t channels, const char* scheduler,
+               const Outcome& outcome) {
+  std::printf("%8zu  %-11s", channels, scheduler);
   if (outcome.refused) {
     std::printf("  %10s\n", "refused");
-  } else if (outcome.skipped) {
-    std::printf("  %10s\n", "fd-limit");
   } else if (!outcome.completed) {
     std::printf("  %10s\n", "FAILED");
   } else {
@@ -185,8 +164,7 @@ int main() {
   std::printf("mux_scale: %ld values split over N channels, one host pair "
               "(%u hardware threads, fd limit %ld)\n\n",
               kTotalValues, nproc, fd_limit());
-  std::printf("%8s  %-9s  %-11s  %10s\n", "channels", "transport",
-              "scheduler", "wall");
+  std::printf("%8s  %-11s  %10s\n", "channels", "scheduler", "wall");
 
   sched::SchedulerOptions threads;  // kThreadPerProcess default
   sched::SchedulerOptions fibers;
@@ -195,15 +173,8 @@ int main() {
   fibers.stack_kb = 32;
 
   for (const std::size_t channels : {100u, 1000u, 10000u, 50000u}) {
-    for (const auto transport :
-         {net::TransportKind::kBlocking, net::TransportKind::kMux}) {
-      const char* label =
-          transport == net::TransportKind::kMux ? "mux" : "blocking";
-      print_row(channels, label, "threads",
-                run_isolated(channels, transport, threads));
-      print_row(channels, label, "work-steal",
-                run_isolated(channels, transport, fibers));
-    }
+    print_row(channels, "threads", run_isolated(channels, threads));
+    print_row(channels, "work-steal", run_isolated(channels, fibers));
   }
   return 0;
 }

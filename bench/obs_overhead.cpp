@@ -20,7 +20,7 @@
 #include "core/network.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
-#include "net/frames.hpp"
+#include "net/transport.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
@@ -105,80 +105,61 @@ void BM_ObsReadThroughputTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsReadThroughputTraced)->Arg(0)->Arg(8192);
 
-/// Preallocated wrap-around sink: steady-state frame writes are a pure
-/// memcpy with zero allocation, so the A/B below measures the framing
-/// delta instead of vector-growth/allocator churn (a growable
-/// MemoryOutputStream made both variants ~5 us/frame of mmap page
-/// faults, drowning a ~20 ns effect).
-class RingSink final : public io::OutputStream {
- public:
-  explicit RingSink(std::size_t capacity) : buffer_(capacity) {}
-
-  void write(ByteSpan data) override { append(data); }
-
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    append(a);
-    append(b);
-  }
-
-  void close() override {}
-
- private:
-  void append(ByteSpan data) {
-    if (pos_ + data.size() > buffer_.size()) pos_ = 0;
-    std::memcpy(buffer_.data() + pos_, data.data(), data.size());
-    pos_ += data.size();
-  }
-
-  ByteVector buffer_;
-  std::size_t pos_ = 0;
-};
-
 /// The wire-path delta of causal context propagation: a plain DATA frame
-/// vs a DATA_TRACED frame (ambient context lookup + span mint + 17-byte
-/// TraceContext prefix) into a memory sink.  This is the entire per-chunk
-/// cost a remote channel pays when tracing is on; when tracing is off the
-/// traced path is never taken, and with DPN_TRACE=0 it compiles out.
-/// arg = payload bytes per frame; remote channels flush whole buffered
-/// chunks (KiB scale under credit batching), so the larger args are the
-/// representative ones and 256 B is the small-chunk worst case.
-void frame_write(benchmark::State& state, bool traced) {
+/// vs a DATA_TRACED frame (ambient context lookup + 17-byte TraceContext
+/// prefix, kept per write by the sender and adopted by the reader) on a
+/// loopback mux stream pair, drained by a reader thread.  This is the
+/// per-write cost a remote channel pays when tracing is on; when tracing
+/// is off the traced path is never taken, and with DPN_TRACE=0 it
+/// compiles out.  arg = payload bytes per write.  Real time is the
+/// writer's, so the drain keeps up only while the window has room.
+void stream_write(benchmark::State& state, bool traced) {
   if (traced) {
     obs::Tracer::instance().enable();
     auto& ambient = obs::current_trace_context();
     ambient.trace_id = obs::new_trace_id();
+    ambient.span_id = obs::next_span_id();
     ambient.flags = obs::TraceContext::kSampled;
   } else {
     obs::Tracer::instance().disable();
   }
+  auto listener = net::default_transport().listen(0);
+  auto client = net::default_transport().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  std::jthread drain{[server] {
+    ByteVector buffer(1 << 16);
+    try {
+      while (server->read_some({buffer.data(), buffer.size()}) > 0) {
+      }
+    } catch (const IoError&) {
+    }
+  }};
   const auto size = static_cast<std::size_t>(state.range(0));
   const ByteVector payload(size, 0x5A);
-  auto sink = std::make_shared<RingSink>(1 << 20);
-  net::FrameWriter writer{sink};
   for (auto _ : state) {
-    if (obs::trace_enabled()) {
-      obs::TraceContext ctx = obs::current_trace_context();
-      ctx.span_id = obs::next_span_id();
-      writer.write_data_traced(ctx, {payload.data(), payload.size()});
-    } else {
-      writer.write_data({payload.data(), payload.size()});
-    }
+    client->write_all({payload.data(), payload.size()});
   }
+  client->shutdown_write();  // the drain reads end-of-stream and stops
+  drain.join();
   obs::Tracer::instance().disable();
   obs::current_trace_context() = {};
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size));
 }
 
-void BM_ObsFrameWrite(benchmark::State& state) {
-  frame_write(state, /*traced=*/false);
+void BM_ObsStreamWrite(benchmark::State& state) {
+  stream_write(state, /*traced=*/false);
 }
-BENCHMARK(BM_ObsFrameWrite)->Arg(256)->Arg(1024)->Arg(4096)->Arg(8192);
+BENCHMARK(BM_ObsStreamWrite)->Arg(256)->Arg(1024)->Arg(4096)->Arg(8192);
 
-void BM_ObsFrameWriteWithContext(benchmark::State& state) {
-  frame_write(state, /*traced=*/true);
+void BM_ObsStreamWriteWithContext(benchmark::State& state) {
+  stream_write(state, /*traced=*/true);
 }
-BENCHMARK(BM_ObsFrameWriteWithContext)->Arg(256)->Arg(1024)->Arg(4096)->Arg(8192);
+BENCHMARK(BM_ObsStreamWriteWithContext)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(8192);
 
 /// One flight-recorder event: the cost paid at a park/block/dial site
 /// when recording is on (the default).  Not a fast-path cost -- those

@@ -55,18 +55,14 @@ struct ChannelOptions {
   /// Tuning applied if/when an endpoint of this channel is shipped to
   /// another server (ignored while the channel stays local):
   ///
-  ///   make_channel({.label = "bulk",
-  ///                 .remote = {.credit_window = 1 << 20,
-  ///                            .coalesce_bytes = 64 << 10}});
+  ///   make_channel({.label = "bulk", .remote = {.credit_window = 1 << 20}});
   ///
-  /// credit_window is the producer's flow-control window in bytes -- the
-  /// remote channel's "capacity" -- and, on the mux backend, the logical
-  /// stream's receive window.  coalesce_bytes is the consumer-side credit
-  /// batching threshold (grants below it ride along instead of costing a
-  /// frame each).  0 means the node / transport default.
+  /// credit_window is the remote channel's "capacity": the window in
+  /// bytes of the stream that carries it, so the producer blocks once it
+  /// is that far ahead of its consumer.  0 means the window of the
+  /// producer's node (dist::NodeContext::remote_window).
   struct RemoteTuning {
     std::size_t credit_window = 0;
-    std::size_t coalesce_bytes = 0;
   } remote;
 };
 

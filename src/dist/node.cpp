@@ -15,7 +15,6 @@ namespace dpn::dist {
 namespace {
 
 constexpr std::uint32_t kHelloMagic = 0x44504e43;  // "DPNC"
-constexpr std::uint32_t kCloseMagic = 0x44504e58;  // "DPNX"
 
 /// HELLO: magic, token, dialer rendezvous host + port.
 void write_hello(net::Stream& stream, std::uint64_t token,
@@ -49,7 +48,7 @@ class StreamReader final : public io::InputStream {
   std::size_t bytes_read_ = 0;
 };
 
-/// The accepted stream carries something other than a HELLO or CLOSE.
+/// The accepted stream carries something other than a HELLO.
 class BadHello final : public NetError {
  public:
   using NetError::NetError;
@@ -58,20 +57,12 @@ class BadHello final : public NetError {
 struct Hello {
   std::uint64_t token = 0;
   PeerAddress dialer;
-  bool close = false;  // a CLOSE notification, not a channel handshake
 };
 
 Hello read_hello(StreamReader& reader) {
   io::DataInputStream data{reader};
   const std::uint32_t magic = data.read_u32();
   Hello hello;
-  if (magic == kCloseMagic) {
-    // CLOSE: magic, token.  Out-of-band "the consumer bound to this token
-    // entered teardown" -- no dialer address, no stream handoff.
-    hello.token = data.read_u64();
-    hello.close = true;
-    return hello;
-  }
   if (magic != kHelloMagic) {
     throw BadHello{"rendezvous: bad HELLO magic"};
   }
@@ -116,17 +107,23 @@ std::shared_ptr<net::Stream> StreamPromise::wait(
     }
     if (blocked != nullptr) blocked->fetch_sub(1);
   }
-  if (cancelled_ && !fulfilled_) {
-    if (!failure_.empty()) throw WorkerLost{failure_};
-    throw NetError{"pending channel connection cancelled"};
-  }
-  return std::move(stream_);
+  if (!cancelled_) return std::move(stream_);
+  if (!failure_.empty()) throw WorkerLost{failure_};
+  throw NetError{"pending channel connection cancelled"};
 }
 
 void StreamPromise::cancel() {
-  std::scoped_lock lock{mutex_};
-  cancelled_ = true;
-  waiters_.wake_all();
+  std::shared_ptr<net::Stream> unclaimed;
+  {
+    std::scoped_lock lock{mutex_};
+    cancelled_ = true;
+    unclaimed = std::move(stream_);
+    waiters_.wake_all();
+  }
+  // A stream that arrived for an endpoint that closed before claiming it:
+  // closing it fails its peer's writes and ends its reads, instead of
+  // leaving the peer parked on it.
+  if (unclaimed) unclaimed->close();
 }
 
 bool StreamPromise::fulfilled() const {
@@ -193,19 +190,6 @@ std::shared_ptr<net::Stream> RendezvousService::dial(const std::string& host,
   return stream;
 }
 
-std::shared_ptr<net::Stream> RendezvousService::send_close(
-    const std::string& host, std::uint16_t port, std::uint64_t token) {
-  auto stream = net::default_transport().dial(host, port);
-  io::MemoryOutputStream sink;
-  io::DataOutputStream data{sink};
-  data.write_u32(kCloseMagic);
-  data.write_u64(token);
-  const ByteVector& bytes = sink.data();
-  stream->write_all({bytes.data(), bytes.size()});
-  stream->shutdown_write();
-  return stream;
-}
-
 void RendezvousService::fail_pending(const std::string& reason) {
   std::unordered_map<std::uint64_t, std::shared_ptr<StreamPromise>> pending;
   {
@@ -213,12 +197,6 @@ void RendezvousService::fail_pending(const std::string& reason) {
     pending.swap(pending_);
   }
   for (auto& [token, promise] : pending) promise->fail(reason);
-}
-
-void RendezvousService::set_close_handler(
-    std::function<void(std::uint64_t)> handler) {
-  std::scoped_lock lock{mutex_};
-  close_handler_ = std::move(handler);
 }
 
 void RendezvousService::accept_loop() {
@@ -254,15 +232,8 @@ void RendezvousService::accept_loop() {
       continue;
     }
     try {
-      if (hello.close) {
-        std::function<void(std::uint64_t)> handler;
-        {
-          std::scoped_lock lock{mutex_};
-          handler = close_handler_;
-        }
-        if (handler) handler(hello.token);
-        continue;  // notification only; the stream carries nothing else
-      }
+      // The HELLO's bytes leave the channel's window whole.
+      stream->return_window();
       std::shared_ptr<StreamPromise> promise;
       {
         std::scoped_lock lock{mutex_};
@@ -274,7 +245,7 @@ void RendezvousService::accept_loop() {
       }
       if (!promise) {
         // No one expects this token yet; a redirected producer can dial
-        // before the consumer's lazy frame reader sees the REDIRECT.
+        // before the consumer's lazy reader reaches the redirect.
         // Park the connection for the expect() that is on its way.
         std::scoped_lock lock{mutex_};
         parked_.emplace(hello.token,
@@ -335,30 +306,7 @@ std::uint64_t TrafficStats::Total::load() const {
 }
 
 NodeContext::NodeContext(std::string advertised_host)
-    : host_(std::move(advertised_host)), token_state_(random_seed()) {
-  // The handler captures only the shared registry, never `this`: the
-  // acceptor can still be dispatching a late CLOSE while the rest of this
-  // NodeContext is being destroyed.
-  rendezvous_.set_close_handler(
-      [registry = credit_waiters_](std::uint64_t token) {
-        std::shared_ptr<PeerCloseSignal> waiter;
-        {
-          std::scoped_lock lock{registry->mutex};
-          const auto it = registry->waiters.find(token);
-          if (it != registry->waiters.end()) {
-            waiter = it->second.lock();
-            registry->waiters.erase(it);
-          }
-        }
-        if (waiter) {
-          log::debug("rendezvous: CLOSE wakes credit waiter for token ",
-                     token);
-          waiter->fire();
-        } else {
-          log::debug("rendezvous: CLOSE for unknown token ", token);
-        }
-      });
-}
+    : host_(std::move(advertised_host)), token_state_(random_seed()) {}
 
 std::shared_ptr<NodeContext> NodeContext::create(std::string advertised_host) {
   // Installs the channel-endpoint serialization hooks on first use.
@@ -397,20 +345,6 @@ void NodeContext::abort_remote_channels() {
   }
 }
 
-void NodeContext::park_stream(std::shared_ptr<net::Stream> stream) {
-  std::scoped_lock lock{streams_mutex_};
-  parked_streams_.push_back(std::move(stream));
-}
-
-void NodeContext::register_credit_waiter(
-    std::uint64_t token, const std::shared_ptr<FrameChannelOutput>& output) {
-  std::scoped_lock lock{credit_waiters_->mutex};
-  std::erase_if(credit_waiters_->waiters, [](const auto& entry) {
-    return entry.second.expired();
-  });
-  credit_waiters_->waiters[token] = output->close_signal();
-}
-
 void NodeContext::register_remote_input(
     const std::shared_ptr<FrameChannelInput>& input) {
   std::scoped_lock lock{streams_mutex_};
@@ -429,8 +363,7 @@ void NodeContext::grant_remote_credits() {
       if (auto input = weak.lock()) inputs.push_back(std::move(input));
     }
   }
-  const auto bonus = static_cast<std::uint32_t>(
-      std::min<std::size_t>(remote_window(), ~std::uint32_t{0}));
+  const std::size_t bonus = remote_window();
   for (const auto& input : inputs) input->grant_bonus_credits(bonus);
 }
 

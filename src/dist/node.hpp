@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,10 +30,9 @@
 ///   * the rendezvous acceptor matches the token and hands the stream to
 ///     the waiting endpoint.
 ///
-/// All connections go through net::Transport (NetworkOptions::transport
-/// picks the backend), so on the mux backend every channel between a host
-/// pair shares one TCP connection and the rendezvous "dial" is just a new
-/// logical stream.
+/// All connections go through net::Transport, so every channel between a
+/// host pair shares one TCP connection and the rendezvous "dial" is just
+/// a new logical stream.
 ///
 /// Multiple NodeContexts may coexist in one OS process, which is how the
 /// tests and examples run "server A / B / C" topologies over real sockets
@@ -70,7 +68,8 @@ class StreamPromise {
   /// The dialer's rendezvous address; valid after wait() returns.
   const PeerAddress& dialer() const { return dialer_; }
 
-  /// Wakes any waiter with an error and refuses future fulfillment.
+  /// Wakes any waiter with an error and refuses future fulfillment; a
+  /// stream that arrived but was never claimed is closed.
   void cancel();
 
   /// cancel(), but the waiter throws WorkerLost{reason}: the dialer this
@@ -112,28 +111,13 @@ class RendezvousService {
 
   /// Dials a remote rendezvous and performs the HELLO handshake.
   /// `self` is this node's own rendezvous address, told to the peer.
-  /// `stream_window` tunes the mux backend's per-stream credit window
-  /// (0 = transport default; ignored by the blocking backend).
+  /// `stream_window` is the stream's window (0 = transport default): a
+  /// remote channel's bound.
   static std::shared_ptr<net::Stream> dial(const std::string& host,
                                            std::uint16_t port,
                                            std::uint64_t token,
                                            const PeerAddress& self,
                                            std::size_t stream_window = 0);
-
-  /// Dials a remote rendezvous and delivers a CLOSE notification for
-  /// `token`: "the consumer bound to this token has entered teardown".
-  /// Single attempt, no retry -- this is a courtesy wakeup, not data.
-  /// Returns the stream so the caller can park it (dropping it
-  /// immediately could reset the message out of existence on the mux
-  /// backend before the acceptor reads it).
-  static std::shared_ptr<net::Stream> send_close(const std::string& host,
-                                                 std::uint16_t port,
-                                                 std::uint64_t token);
-
-  /// Installs the handler the acceptor invokes for each CLOSE
-  /// notification (NodeContext routes it to the registered credit
-  /// waiter).  Call once, before any peer learns this node's port.
-  void set_close_handler(std::function<void(std::uint64_t)> handler);
 
  private:
   void accept_loop();
@@ -149,7 +133,6 @@ class RendezvousService {
   std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<StreamPromise>> pending_;
   std::unordered_map<std::uint64_t, Parked> parked_;
-  std::function<void(std::uint64_t)> close_handler_;
   std::jthread acceptor_;
   std::atomic<bool> shutting_down_{false};
 };
@@ -277,54 +260,27 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   /// deliberate, not a lost producer).
   bool aborting() const { return aborting_.load(std::memory_order_acquire); }
 
-  /// Flow-control window (bytes) that remote producers writing *from*
-  /// this node start with, and the bonus this node's consumers grant when
-  /// the distributed deadlock detector orders a window grow.  Remote
-  /// channels are bounded (Section 3.5 across machines); the default is
-  /// generous enough that healthy graphs never notice.
+  /// The window (bytes) of the remote channels whose producers write
+  /// *from* this node, unless the channel sets its own
+  /// (ChannelOptions::remote.credit_window); and the bonus this node's
+  /// consumers grant when the distributed deadlock detector orders a
+  /// window grow.  Remote channels are bounded (Section 3.5 across
+  /// machines); the default is generous enough that healthy graphs never
+  /// notice.
   std::size_t remote_window() const { return remote_window_.load(); }
   void set_remote_window(std::size_t bytes) { remote_window_.store(bytes); }
 
-  /// Keeps a half-closed producer-side stream alive until this node is
-  /// destroyed.  Closing it earlier could turn unread credit frames into
-  /// a TCP RST that destroys in-flight channel data at the consumer.
-  void park_stream(std::shared_ptr<net::Stream> stream);
-
-  /// Registers a consumer-side remote segment for credit bonuses.
+  /// Registers a consumer-side remote segment for window bonuses.
   void register_remote_input(const std::shared_ptr<class FrameChannelInput>&
                                  input);
 
-  /// Registers the close signal of a remote segment's producer side under
-  /// its rendezvous token so a consumer-side CLOSE notification (delivered
-  /// out-of-band through this node's rendezvous listener) can wake a
-  /// writer parked in its credit wait.  Entries are weak; dead ones are
-  /// pruned.
-  void register_credit_waiter(
-      std::uint64_t token,
-      const std::shared_ptr<class FrameChannelOutput>& output);
-
-  /// Grants one bonus window of credits on every live consumer-side
-  /// segment of this node -- the distributed equivalent of growing a full
-  /// channel's buffer (Parks' rule applied to a remote channel).
+  /// Grants one bonus window on every live consumer-side segment of this
+  /// node -- the distributed equivalent of growing a full channel's
+  /// buffer (Parks' rule applied to a remote channel).
   void grant_remote_credits();
 
  private:
   explicit NodeContext(std::string advertised_host);
-
-  /// token -> close signal of the producer endpoint awaiting that token's
-  /// consumer.  Lives in a shared_ptr because the rendezvous acceptor's
-  /// close handler captures it by value: the handler may still run while
-  /// the NodeContext's later members are being destroyed (the acceptor
-  /// joins only when rendezvous_ itself is destroyed).  It holds signals,
-  /// not endpoints, so the acceptor never owns anything that owns this
-  /// node (see PeerCloseSignal).
-  struct CreditWaiters {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, std::weak_ptr<class PeerCloseSignal>>
-        waiters;
-  };
-  std::shared_ptr<CreditWaiters> credit_waiters_ =
-      std::make_shared<CreditWaiters>();
 
   std::string host_;
   RendezvousService rendezvous_;
@@ -335,7 +291,6 @@ class NodeContext : public std::enable_shared_from_this<NodeContext> {
   std::atomic<bool> aborting_{false};
   std::mutex streams_mutex_;
   std::vector<std::weak_ptr<net::Stream>> remote_streams_;
-  std::vector<std::shared_ptr<net::Stream>> parked_streams_;
   std::vector<std::weak_ptr<class FrameChannelInput>> remote_inputs_;
 };
 

@@ -3,42 +3,54 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "dist/node.hpp"
 #include "io/sequence.hpp"
 #include "io/stream.hpp"
-#include "net/frames.hpp"
 #include "net/transport.hpp"
+#include "obs/trace.hpp"
 
 /// The transport-backed stream segments that sit underneath a distributed
 /// channel (the paper's RemoteInputStream / RemoteOutputStream /
 /// RedirectedInputStream, Sections 4.2-4.3).
 ///
-/// A remote channel segment is one net::Stream carrying frames in the
-/// producer->consumer direction:
-///   DATA     -- payload bytes;
-///   FIN      -- producer closed: consumer sees end-of-stream after drain;
-///   REDIRECT -- "the stream continues on a new connection; expect a
-///               rendezvous with this token" (sent when the producing
-///               endpoint is shipped onward to a third server, so traffic
-///               stops relaying through the middle man -- Figure 15).
-/// Consumer-side close shuts the stream down, which surfaces as
-/// ChannelClosed on the producer's next write: the cascade of Section 3.4
-/// crosses machine boundaries.  On the blocking backend a segment owns a
-/// TCP connection; on the mux backend it is one logical stream over the
-/// shared per-host connection -- the frame protocol is identical either
-/// way.
+/// A remote channel segment is one mux stream (net/mux.hpp) whose
+/// producer->consumer direction carries the channel's bytes as they are:
+///   * the stream's window is the channel's bound: a producer whose
+///     consumer does not read blocks once it is a window ahead (Section
+///     3.5 across machines), and the consumer's reads return window;
+///   * the producer's end of stream (mux FIN) is the channel's end: the
+///     consumer reads end-of-stream after the data;
+///   * an end of stream that carries a RedirectInfo says "the stream
+///     continues on a new connection; expect a rendezvous with this
+///     token" (the producing endpoint was shipped onward to a third
+///     server, so traffic stops relaying through the middle man --
+///     Figure 15);
+///   * the consumer's close resets the stream's data direction (mux
+///     RST): the producer's next write, or the one parked on the window,
+///     throws ChannelClosed -- the cascade of Section 3.4 crosses
+///     machine boundaries.
 namespace dpn::dist {
 
+/// The end message of a redirected segment: the stream continues under
+/// `token`, which the consumer registers at its own node's rendezvous and
+/// the producer's reincarnation dials there.
+struct RedirectInfo {
+  std::uint64_t token = 0;
+  /// Causal context of the redirect handshake; on the wire only when
+  /// valid.
+  obs::TraceContext trace;
+
+  ByteVector encode() const;
+  /// Throws IoError unless `message` is a token, optionally followed by a
+  /// trace context.
+  static RedirectInfo decode(ByteSpan message);
+};
+
 /// Consumer side of a remote channel segment.  Lives inside a
-/// ChannelInputStream's SequenceInputStream; when a REDIRECT arrives it
-/// appends the successor segment to that same sequence and lets the
-/// current segment run out.
-///
-/// Frames are parsed in place (net::FrameParser), out of the bytes the
-/// transport stream has already received (net::Stream::read_in_place):
-/// payload bytes go straight into the caller's buffer.
+/// ChannelInputStream's SequenceInputStream; when its end of stream
+/// carries a redirect it appends the successor segment to that same
+/// sequence and ends.
 ///
 /// Traffic accounting (TrafficStats): the segment counts the bytes it
 /// hands out in its own tally, which the node sums on demand; it counts
@@ -47,32 +59,21 @@ namespace dpn::dist {
 class FrameChannelInput final : public io::InputStream,
                                 private net::WaitObserver {
  public:
-  /// An established connection (this endpoint dialed the producer's node).
-  /// `credit_batch` overrides the consumption-credit coalescing threshold
-  /// (0 = default; see ChannelOptions::remote.coalesce_bytes), and
-  /// `credit_window` is the channel's window (0 = the node default); the
-  /// batch never exceeds half the window.
-  /// `producer` and `close_token` name the producer node's rendezvous and
-  /// the token this segment was dialed with, enabling the out-of-band
-  /// CLOSE notification on teardown (zero/empty disables it).
+  /// An established stream (this endpoint dialed the producer's node,
+  /// whose rendezvous is `producer`).
   FrameChannelInput(std::shared_ptr<net::Stream> stream,
                     std::shared_ptr<NodeContext> node,
-                    std::size_t credit_batch = 0,
-                    std::size_t credit_window = 0,
-                    PeerAddress producer = {},
-                    std::uint64_t close_token = 0);
+                    PeerAddress producer = {});
 
-  /// A connection that will arrive at this node's rendezvous (this
-  /// endpoint stayed put / was redirected to).  The first read blocks
-  /// until the producer dials in.
+  /// A stream that will arrive at this node's rendezvous (this endpoint
+  /// stayed put / was redirected to).  The first read blocks until the
+  /// producer dials in.
   FrameChannelInput(std::shared_ptr<StreamPromise> promise,
-                    std::uint64_t token, std::shared_ptr<NodeContext> node,
-                    std::size_t credit_batch = 0,
-                    std::size_t credit_window = 0);
+                    std::uint64_t token, std::shared_ptr<NodeContext> node);
 
   ~FrameChannelInput() override;
 
-  /// The sequence to splice successor segments into on REDIRECT.
+  /// The sequence to splice successor segments into on a redirect.
   void set_parent_sequence(std::weak_ptr<io::SequenceInputStream> parent) {
     parent_ = std::move(parent);
   }
@@ -84,21 +85,18 @@ class FrameChannelInput final : public io::InputStream,
   std::size_t read_some(MutableByteSpan out) override;
   void close() override;
 
-  /// Grants the producer extra window beyond normal consumption credits.
-  /// The distributed deadlock detector uses this as the remote analogue
-  /// of growing a full local channel.  Thread-safe; a no-op until the
-  /// segment has a live stream.
-  void grant_bonus_credits(std::uint32_t bytes);
+  /// Grants the producer `bytes` more window for good: the distributed
+  /// deadlock detector's remote analogue of growing a full local channel.
+  /// Thread-safe; a no-op until the segment has a live stream.
+  void grant_bonus_credits(std::size_t bytes);
 
  private:
   void ensure_connected();
   void attach(std::shared_ptr<net::Stream> stream);
-  /// Acts on the parser's completed control frame (FIN, REDIRECT, ...).
-  void handle_control_frame();
+  /// The stream ended: acts on its end message, and counts the end.
+  void end_of_segment();
   [[noreturn]] void producer_lost(const IoError& e);
-  void handle_redirect(const net::RedirectInfo& info);
-  void send_credit(std::uint32_t bytes);
-  void notify_producer_closed() noexcept;
+  void handle_redirect(const RedirectInfo& info);
 
   // WaitObserver: parks of this segment's stream.
   void on_park() override;
@@ -112,147 +110,77 @@ class FrameChannelInput final : public io::InputStream,
                                 TrafficStats::Tally::Direction::kReceived};
   std::weak_ptr<io::SequenceInputStream> parent_;
 
+  // stream_ is set once, by the reader; close() and bonus grants from
+  // other threads read it under stream_mutex_.
+  std::mutex stream_mutex_;
   std::shared_ptr<net::Stream> stream_;
   std::shared_ptr<StreamPromise> promise_;
   std::uint64_t pending_token_ = 0;
-
-  net::FrameParser parser_;
-
-  // Where an early close() sends the out-of-band CLOSE notification: the
-  // producer node's rendezvous + the token its credit waiter is
-  // registered under.  Learned from the stub (dialing side) or from the
-  // producer's HELLO (promise side).
+  // Named in a lost producer's flight event.
   PeerAddress producer_addr_;
-  std::uint64_t close_token_ = 0;
 
-  // Reverse-direction flow control (see net::FrameType::kCredit).
-  // Consumption credits below this size coalesce into one grant instead
-  // of costing a frame (header + syscall) each (default 4 KiB).  Capped
-  // at half the window: credit this consumer holds back while it blocks
-  // elsewhere can then never use up the producer's whole window.
-  const std::uint32_t credit_batch_;
-  std::mutex credit_mutex_;
-  std::optional<net::FrameWriter> credit_writer_;
-  bool credit_channel_dead_ = false;
-  std::uint32_t pending_credit_ = 0;
-
-  // Atomic: written by the reader, consulted by a close() from another
-  // thread to decide whether the producer still needs a CLOSE nudge.
   std::atomic<bool> eof_{false};
   std::atomic<bool> closed_{false};
 };
 
-/// The part of a producer segment that a consumer's out-of-band CLOSE
-/// (delivered by the node's rendezvous acceptor) reaches.  It holds the
-/// segment's stream and nothing that holds a node: releasing the last
-/// reference on the acceptor must never run ~RendezvousService, which
-/// joins the acceptor (a thread cannot join itself).
-class PeerCloseSignal {
- public:
-  /// The consumer will never read or grant again: shuts down the stream's
-  /// receive side, so a writer parked in its credit read sees
-  /// end-of-stream (ChannelClosed).  Takes no segment lock: the parked
-  /// writer holds it.  The RST hazard that keeps Stream::abandon_read a
-  /// no-op on the blocking backend does not apply: a SHUT_RD here can
-  /// only destroy bytes addressed to a consumer that stopped reading.
-  void fire();
-  bool fired() const { return fired_.load(std::memory_order_acquire); }
-  /// The stream to shut down; set once the segment connects.
-  void set_stream(std::shared_ptr<net::Stream> stream);
-
- private:
-  std::atomic<bool> fired_{false};
-  std::mutex mutex_;
-  std::shared_ptr<net::Stream> stream_;
-};
-
 /// Producer side of a remote channel segment.  Its traffic accounting
-/// mirrors FrameChannelInput's: each frame's payload goes into its own
-/// tally once written; it counts as a blocked remote writer while a wait
-/// parks -- a stall on the mux window, the dist credit wait, or the wait
-/// for its consumer to dial in.
+/// mirrors FrameChannelInput's: each write's bytes go into its own tally
+/// once written; it counts as a blocked remote writer while a wait parks
+/// -- a stall on the stream's window, or the wait for its consumer to
+/// dial in.
 ///
 /// Not internally synchronized: it lives under a ChannelOutputStream's
 /// SequenceOutputStream, whose one writer calls write() and whose cuts
-/// (close, switch_to, cut) call the rest with no write in flight.  Only
-/// close_signal() is reached from another thread.
+/// (close, switch_to, cut) call the rest with no write in flight.
 class FrameChannelOutput final : public io::OutputStream,
                                  private net::WaitObserver {
  public:
-  /// An established connection; `peer` is the consumer node's rendezvous
+  /// An established stream; `peer` is the consumer node's rendezvous
   /// address (kept so this endpoint can orchestrate a redirect if it is
   /// shipped again).  `node` attributes traffic to the hosting node's
-  /// counters (may be null in tests).  `window_override` replaces the
-  /// node's default flow-control window when nonzero
-  /// (ChannelOptions::remote.credit_window).
+  /// counters (may be null in tests).
   FrameChannelOutput(std::shared_ptr<net::Stream> stream, PeerAddress peer,
-                     std::shared_ptr<NodeContext> node = nullptr,
-                     std::size_t window_override = 0);
+                     std::shared_ptr<NodeContext> node = nullptr);
 
-  /// A connection that will arrive at this node's rendezvous (this
-  /// endpoint stayed put while its consumer shipped out).  The first
-  /// write blocks until the consumer dials in; the consumer's rendezvous
-  /// address is learned from its HELLO.
+  /// A stream that will arrive at this node's rendezvous (this endpoint
+  /// stayed put while its consumer shipped out).  The first write blocks
+  /// until the consumer dials in; the consumer's rendezvous address is
+  /// learned from its HELLO.
   FrameChannelOutput(std::shared_ptr<StreamPromise> promise,
-                     std::uint64_t token, std::shared_ptr<NodeContext> node,
-                     std::size_t window_override = 0);
+                     std::shared_ptr<NodeContext> node);
 
   ~FrameChannelOutput() override;
 
-  void write(ByteSpan data) override;
+  void write(ByteSpan data) override { write_vectored(data, {}); }
+  void write_vectored(ByteSpan a, ByteSpan b) override;
   void flush() override {}
   void close() override;
 
   /// The consumer node's rendezvous address (valid once connected).
   const PeerAddress& peer() const { return peer_; }
 
-  /// Tells the consumer the stream continues elsewhere (paper Figure 15),
-  /// then ends this segment with a FIN; first waits for the consumer to
-  /// dial in if it has not yet.  The endpoint is unusable after.
+  /// Ends this segment with a RedirectInfo for `successor_token`: the
+  /// consumer expects the stream to continue there (paper Figure 15).
+  /// First waits for the consumer to dial in if it has not yet.  The
+  /// endpoint is unusable after.
   void redirect_and_finish(std::uint64_t successor_token);
-
-  /// What the node's rendezvous fires when this segment's consumer sends
-  /// its out-of-band CLOSE: wakes a writer parked in await_credit.
-  const std::shared_ptr<PeerCloseSignal>& close_signal() const {
-    return close_signal_;
-  }
 
  private:
   void ensure_connected();
   void attach(std::shared_ptr<net::Stream> stream);
+  /// Sends the end of stream, carrying `end_message`; this side never
+  /// reads, so its receive direction closes too.
+  void finish(ByteSpan end_message);
 
   // WaitObserver: parks of this segment's stream.
   void on_park() override;
   void on_unpark() override;
 
-  /// Reads frames off the credit direction.  With block=true, waits for at
-  /// least one grant (the window is exhausted); either way it then drains
-  /// every frame already queued.  See write() for why the non-blocking
-  /// drain must also run while the window still has room.
-  void drain_credits(bool block);
-  void await_credit() { drain_credits(/*block=*/true); }
-  void park_stream();
-
   std::shared_ptr<NodeContext> node_;
   TrafficStats* const stats_;
   TrafficStats::Tally sent_{stats_, TrafficStats::Tally::Direction::kSent};
   std::shared_ptr<net::Stream> stream_;
-  // Its own lock and its own stream handle: the wake reaches a writer
-  // parked in the credit read.
-  const std::shared_ptr<PeerCloseSignal> close_signal_ =
-      std::make_shared<PeerCloseSignal>();
   std::shared_ptr<StreamPromise> promise_;
-  std::uint64_t pending_token_ = 0;
-  std::optional<net::FrameWriter> writer_;
-  // Flow-control window: payload bytes this producer may still send
-  // before it must block for consumer credits (bounded remote channels).
-  std::int64_t window_ = 0;
-  // Payload bytes sent since the credit direction was last drained; at
-  // kDrainEveryBytes the next write polls the queued grants off even
-  // though the window is not exhausted (teardown-gridlock fix).
-  std::int64_t since_drain_ = 0;
-  static constexpr std::int64_t kDrainEveryBytes = 32 << 10;
-  std::optional<net::FrameReader> credit_reader_;
   PeerAddress peer_;
   bool closed_ = false;
 };

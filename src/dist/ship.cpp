@@ -54,9 +54,9 @@ class RemoteInputStub final : public serial::Serializable {
   // channel's metrics survive migration.
   std::uint64_t bytes_read = 0;
   std::uint64_t tokens_read = 0;
-  // Remote tuning (ChannelOptions::RemoteTuning) travels too.
+  // The segment's window: the channel's credit_window, else the window
+  // of the producer's node.
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
 
   std::string type_name() const override { return "dpn.RemoteInputStub"; }
 
@@ -72,7 +72,6 @@ class RemoteInputStub final : public serial::Serializable {
     out.write_u64(bytes_read);
     out.write_u64(tokens_read);
     out.write_u64(credit_window);
-    out.write_u64(coalesce_bytes);
   }
 
   static std::shared_ptr<RemoteInputStub> read_object(
@@ -89,7 +88,6 @@ class RemoteInputStub final : public serial::Serializable {
     stub->bytes_read = in.read_u64();
     stub->tokens_read = in.read_u64();
     stub->credit_window = in.read_u64();
-    stub->coalesce_bytes = in.read_u64();
     return stub;
   }
 
@@ -108,7 +106,6 @@ class RemoteInputStub final : public serial::Serializable {
     state->read_buffer = static_cast<std::size_t>(read_buffer);
     state->output_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
-    state->remote.coalesce_bytes = static_cast<std::size_t>(coalesce_bytes);
     state->metrics->bytes_read.store(bytes_read, std::memory_order_relaxed);
     state->metrics->tokens_read.store(tokens_read, std::memory_order_relaxed);
 
@@ -120,17 +117,14 @@ class RemoteInputStub final : public serial::Serializable {
     if (live) {
       // Dial back to the node that kept the producer (the paper's
       // "establishes a network connection back to the waiting
-      // RemoteOutputStream").  The channel's credit window doubles as the
-      // mux stream's receive window: the transport never buffers more
-      // than the channel would accept.
+      // RemoteOutputStream").  The stream's window is the channel's
+      // bound: the producer stalls once it is that far ahead.
       auto stream = RendezvousService::dial(
           host, static_cast<std::uint16_t>(port), token,
           ctx->node->address(), static_cast<std::size_t>(credit_window));
       auto segment = std::make_shared<FrameChannelInput>(
           std::move(stream), ctx->node,
-          static_cast<std::size_t>(coalesce_bytes),
-          static_cast<std::size_t>(credit_window),
-          PeerAddress{host, static_cast<std::uint16_t>(port)}, token);
+          PeerAddress{host, static_cast<std::uint16_t>(port)});
       segment->set_parent_sequence(sequence);
       segment->set_flight_id(state->id);
       ctx->node->register_remote_input(segment);
@@ -156,9 +150,9 @@ class RemoteOutputStub final : public serial::Serializable {
   // Producer-side traffic counters; see RemoteInputStub.
   std::uint64_t bytes_written = 0;
   std::uint64_t tokens_written = 0;
-  // Remote tuning (ChannelOptions::RemoteTuning).
+  // The channel's credit_window (0: the window of the node the producer
+  // lands on).
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
 
   std::string type_name() const override { return "dpn.RemoteOutputStub"; }
 
@@ -173,7 +167,6 @@ class RemoteOutputStub final : public serial::Serializable {
     out.write_u64(bytes_written);
     out.write_u64(tokens_written);
     out.write_u64(credit_window);
-    out.write_u64(coalesce_bytes);
   }
 
   static std::shared_ptr<RemoteOutputStub> read_object(
@@ -189,7 +182,6 @@ class RemoteOutputStub final : public serial::Serializable {
     stub->bytes_written = in.read_u64();
     stub->tokens_written = in.read_u64();
     stub->credit_window = in.read_u64();
-    stub->coalesce_bytes = in.read_u64();
     return stub;
   }
 
@@ -203,7 +195,6 @@ class RemoteOutputStub final : public serial::Serializable {
     state->write_buffer = static_cast<std::size_t>(write_buffer);
     state->input_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
-    state->remote.coalesce_bytes = static_cast<std::size_t>(coalesce_bytes);
     state->metrics->bytes_written.store(bytes_written,
                                         std::memory_order_relaxed);
     state->metrics->tokens_written.store(tokens_written,
@@ -213,17 +204,15 @@ class RemoteOutputStub final : public serial::Serializable {
     if (dead) {
       sink = std::make_shared<DeadOutputStream>();
     } else {
+      const std::size_t window = credit_window != 0
+                                     ? static_cast<std::size_t>(credit_window)
+                                     : ctx->node->remote_window();
       auto stream = RendezvousService::dial(
           host, static_cast<std::uint16_t>(port), token,
-          ctx->node->address());
-      auto remote = std::make_shared<FrameChannelOutput>(
+          ctx->node->address(), window);
+      sink = std::make_shared<FrameChannelOutput>(
           std::move(stream),
-          PeerAddress{host, static_cast<std::uint16_t>(port)}, ctx->node,
-          static_cast<std::size_t>(credit_window));
-      // The consumer knows us by the token we just dialed with; its
-      // teardown CLOSE must find this endpoint's credit wait.
-      ctx->node->register_credit_waiter(token, remote);
-      sink = std::move(remote);
+          PeerAddress{host, static_cast<std::uint16_t>(port)}, ctx->node);
     }
     auto sequence =
         std::make_shared<io::SequenceOutputStream>(std::move(sink));
@@ -250,7 +239,6 @@ class LocalPairStub final : public serial::Serializable {
   std::uint64_t write_buffer = 0;
   std::uint64_t read_buffer = 0;
   std::uint64_t credit_window = 0;
-  std::uint64_t coalesce_bytes = 0;
   // Full traffic counters: the whole channel moves, so both directions'
   // metrics travel with the metadata stub.
   std::uint64_t bytes_written = 0;
@@ -273,7 +261,6 @@ class LocalPairStub final : public serial::Serializable {
       out.write_u64(write_buffer);
       out.write_u64(read_buffer);
       out.write_u64(credit_window);
-      out.write_u64(coalesce_bytes);
       out.write_u64(bytes_written);
       out.write_u64(tokens_written);
       out.write_u64(bytes_read);
@@ -296,7 +283,6 @@ class LocalPairStub final : public serial::Serializable {
       stub->write_buffer = in.read_u64();
       stub->read_buffer = in.read_u64();
       stub->credit_window = in.read_u64();
-      stub->coalesce_bytes = in.read_u64();
       stub->bytes_written = in.read_u64();
       stub->tokens_written = in.read_u64();
       stub->bytes_read = in.read_u64();
@@ -318,8 +304,7 @@ class LocalPairStub final : public serial::Serializable {
       channel = std::make_shared<core::Channel>(core::ChannelOptions{
           cap, label, static_cast<std::size_t>(write_buffer),
           static_cast<std::size_t>(read_buffer),
-          {static_cast<std::size_t>(credit_window),
-           static_cast<std::size_t>(coalesce_bytes)}});
+          {static_cast<std::size_t>(credit_window)}});
       if (!buffered.empty()) {
         channel->pipe()->write({buffered.data(), buffered.size()});
       }
@@ -386,7 +371,6 @@ std::shared_ptr<serial::Serializable> make_pair_stub(
     stub->write_buffer = state->write_buffer;
     stub->read_buffer = state->read_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =
@@ -439,8 +423,9 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
   stub->label = state->label;
   stub->capacity = state->capacity;
   stub->read_buffer = state->read_buffer;
-  stub->credit_window = state->remote.credit_window;
-  stub->coalesce_bytes = state->remote.coalesce_bytes;
+  stub->credit_window = state->remote.credit_window != 0
+                            ? state->remote.credit_window
+                            : ctx->node->remote_window();
   stub->bytes_read =
       state->metrics->bytes_read.load(std::memory_order_relaxed);
   stub->tokens_read =
@@ -470,9 +455,7 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
     // positions; writes after the switch coalesce towards the socket.
     const std::uint64_t token = node.next_token();
     auto promise = node.rendezvous().expect(token);
-    auto stream_out = std::make_shared<FrameChannelOutput>(
-        promise, token, ctx->node, state->remote.credit_window);
-    node.register_credit_waiter(token, stream_out);
+    auto stream_out = std::make_shared<FrameChannelOutput>(promise, ctx->node);
     state->pipe->set_unbounded();  // unwedge any in-flight producer write
     flush_producer(state);
     // Typed channel: flush the ring's backlog into the pipe before the
@@ -526,7 +509,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->capacity = state->capacity;
     stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =
@@ -547,9 +529,8 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     } else {
       const std::uint64_t token = node.next_token();
       auto promise = node.rendezvous().expect(token);
-      auto segment = std::make_shared<FrameChannelInput>(
-          promise, token, ctx->node, state->remote.coalesce_bytes,
-          state->remote.credit_window);
+      auto segment =
+          std::make_shared<FrameChannelInput>(promise, token, ctx->node);
       segment->set_parent_sequence(consumer->sequence_ptr());
       segment->set_flight_id(state->id);
       ctx->node->register_remote_input(segment);
@@ -579,7 +560,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->capacity = state->capacity;
     stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
-    stub->coalesce_bytes = state->remote.coalesce_bytes;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =

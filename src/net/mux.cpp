@@ -33,12 +33,12 @@ namespace {
 // Wire constants (docs/PROTOCOLS.md Section 8).
 
 constexpr std::uint32_t kMuxMagic = 0x44504E4D;  // 'DPNM'
-constexpr std::uint8_t kMuxVersion = 1;
-constexpr std::size_t kPrefaceSize = 9;  // magic:u32 version:u8 window:u32
+constexpr std::uint8_t kMuxVersion = 2;
+constexpr std::size_t kPrefaceSize = 5;  // magic:u32 version:u8
 constexpr std::size_t kHeaderSize = 9;   // stream:u32 type:u8 length:u32
 /// Upper bound on a peer's advertised frame length: anything larger is a
 /// corrupt or hostile stream, not flow control (chunks are cut at
-/// coalesce_bytes, far below this).
+/// the flush quantum, far below this).
 constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 24;
 /// An accepted connection must deliver its preface within this budget or
 /// the timer wheel kills it -- half-open connections die by deadline,
@@ -74,12 +74,11 @@ void append_header(ByteVector& out, std::uint32_t stream_id, MuxFrame type,
   append_u32(out, length);
 }
 
-ByteVector encode_preface(std::uint32_t default_window) {
+ByteVector encode_preface() {
   ByteVector out;
   out.reserve(kPrefaceSize);
   append_u32(out, kMuxMagic);
   out.push_back(kMuxVersion);
-  append_u32(out, default_window);
   return out;
 }
 
@@ -259,9 +258,8 @@ class ByteRing {
 // and the connection's flusher (its loop thread) encodes DATA frames
 // straight from the ring; inbound, the loop thread appends DATA payloads
 // and the reader offers the ring's spans to its parser.  The callers keep
-// the Kahn rule of one reader and one writer per stream (the consumer of
-// a remote channel serializes its credit writes).  The state a token
-// needs rides in words it reads anyway:
+// the Kahn rule of one reader and one writer per stream.  The state a
+// token needs rides in words it reads anyway:
 //   * out_.tail carries kOutClosed (FIN requested): a write publishes
 //     with a CAS, so a racing shutdown_write either follows the write's
 //     bytes or fails the write -- never a byte after the FIN;
@@ -269,10 +267,10 @@ class ByteRing {
 //     the data before them;
 //   * credit_ (granted send window) carries kStop (peer RST or death).
 // mutex_ is taken only to park, to wake a sleeper, for traced frames, and
-// at a cut (shutdown, RST, FIN, connection death).  Parking is the
-// symmetric seq_cst sleeper handshake of io::TypedRing::park: a parker
-// counts itself in sleeping_* and then re-checks; a publisher moves its
-// word and then reads sleeping_*.
+// at a cut (shutdown, RST, FIN and its end message, connection death).
+// Parking is the symmetric seq_cst sleeper handshake of
+// io::TypedRing::park: a parker counts itself in sleeping_* and then
+// re-checks; a publisher moves its word and then reads sleeping_*.
 //
 // Lock order (deadlock-free): user threads take stream.mutex_ and
 // connection.send_mutex_ never together; loop dispatch releases
@@ -287,9 +285,9 @@ class ByteRing {
 class MuxStream final : public Stream,
                         public std::enable_shared_from_this<MuxStream> {
  public:
+  /// `window` bounds both directions (the OPEN frame's window).
   MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-            std::size_t send_window, std::size_t recv_window,
-            std::size_t coalesce);
+            std::size_t window, std::size_t coalesce);
   ~MuxStream() override;
 
   // Stream interface -------------------------------------------------------
@@ -302,15 +300,15 @@ class MuxStream final : public Stream,
     observer_ = observer;
   }
   bool wait_readable(std::chrono::milliseconds timeout) override;
-  void shutdown_write() override;
-  void shutdown_read() override;
+  void shutdown_write() override { finish_with({}); }
+  void finish_with(ByteSpan message) override;
+  ByteVector end_message() const override;
   // A mux RST is scoped to this logical stream's receive direction: our
-  // queued outbound bytes and FIN still flush in order, so abandoning
-  // the read side is safe here (and unparks a peer stalled mid-grant on
-  // this direction's credit window).
-  void abandon_read() override { shutdown_read(); }
+  // queued outbound bytes and FIN still flush in order.
+  void shutdown_read() override;
+  void grant_window(std::size_t bytes) override;
+  void return_window() override;
   void close() override {
-    // Same shape as SocketStream::close: both half-closes, idempotent.
     shutdown_read();
     shutdown_write();
   }
@@ -321,7 +319,7 @@ class MuxStream final : public Stream,
   /// ignored flow control and the connection must die.
   bool on_data(ByteSpan payload, const obs::TraceContext* ctx);
   void on_credit(std::uint32_t bytes);
-  void on_fin();
+  void on_fin(ByteSpan message);
   void on_rst();
   void on_connection_dead(const std::string& why);
 
@@ -368,6 +366,8 @@ class MuxStream final : public Stream,
   /// Reader: publishes consumption of [from, to), adopts its trace
   /// context, and grants credit once half the window is consumed.
   void consume(std::uint64_t from, std::uint64_t to);
+  /// Reader: grants what it consumed since the last grant.
+  void grant_consumed();
   void adopt_trace(std::uint64_t from, std::uint64_t to);
 
   /// Writer slow path (window exhausted, stopped or closed): throws, or
@@ -393,15 +393,20 @@ class MuxStream final : public Stream,
 
   std::shared_ptr<MuxConnection> conn_;
   const std::uint32_t id_;
-  const std::size_t recv_window_;
   const std::size_t coalesce_;
+  /// The window plus every grant_window: what the peer may have sent
+  /// beyond what the reader granted back.  Raised before the grant's
+  /// CREDIT leaves; the loop checks DATA against it.
+  std::atomic<std::size_t> recv_window_;
 
-  // Slow path: parking, cuts and traced frames.
+  // Slow path: parking, cuts, traced frames and end messages.
   mutable std::mutex mutex_;
   sched::Waiters readers_;  // inbound bytes, FIN, shutdown or death
   sched::Waiters writers_;  // send window, RST, shutdown or death
   WaitObserver* observer_ = nullptr;
   std::string death_reason_;
+  ByteVector out_end_;  // written before kOutClosed, sent with the FIN
+  ByteVector in_end_;   // the peer's FIN message, before kRemoteFin
   bool retired_ = false;
   std::deque<TraceMark> out_marks_;
   std::deque<TraceMark> in_marks_;
@@ -446,16 +451,15 @@ class MuxConnection final : public EventLoop::Handler,
         peer_(std::move(peer)),
         listener_(std::move(listener)) {}
 
-  /// Dialer side: preface already exchanged synchronously; `peer_window`
-  /// is the acceptor's preface default_window.
-  void start_dialer(std::size_t peer_window);
+  /// Dialer side: preface already exchanged synchronously.
+  void start_dialer();
   /// Acceptor side: registers and arms the handshake deadline; the
   /// dialer's preface arrives through the loop.
   void start_acceptor();
 
   /// Dialer only: allocates a stream id, registers the stream and queues
-  /// its OPEN frame.  `open_window` is the credit granted to the peer.
-  std::shared_ptr<MuxStream> open_stream(std::size_t open_window,
+  /// its OPEN frame.  `window` is the stream's window in each direction.
+  std::shared_ptr<MuxStream> open_stream(std::size_t window,
                                          std::size_t coalesce);
 
   void on_io(std::uint32_t events) override;
@@ -483,7 +487,9 @@ class MuxConnection final : public EventLoop::Handler,
   void flush();            // loop thread
   void fill_batch();       // loop thread: refills out_buf_ from the queues
   void handle_readable();  // loop thread
-  void parse_frames();     // loop thread
+  /// Loop thread: dispatches the whole frames at the front of `in`;
+  /// returns the bytes they took.
+  std::size_t parse_frames(ByteSpan in);
   void dispatch_frame(std::uint32_t stream_id, MuxFrame type, ByteSpan payload);
   void die(const std::string& why);  // loop thread
   void finish_if_idle();             // loop thread
@@ -502,9 +508,6 @@ class MuxConnection final : public EventLoop::Handler,
   std::uint32_t next_stream_id_ = 1;
   std::atomic<bool> dead_{false};
   std::atomic<bool> orphaned_{false};
-  /// Peer's preface default_window: the initial send window of every
-  /// dialer-opened stream (meaningful on the dialer side only).
-  std::size_t peer_default_window_ = 0;
 
   // Send queue (send_mutex_): tiny control frames jump ahead of data; the
   // ready ring round-robins streams so one hot channel cannot starve its
@@ -518,7 +521,7 @@ class MuxConnection final : public EventLoop::Handler,
   ByteVector out_buf_;
   std::size_t out_pos_ = 0;
   bool can_write_ = true;
-  ByteVector in_buf_;
+  ByteVector in_buf_;  // a frame cut by the last receive, else empty
   bool preface_done_ = false;
   bool finishing_ = false;  // orphaned and idle: half-close once flushed
   bool write_shut_ = false;
@@ -576,9 +579,7 @@ class MuxTransport final : public Transport {
  public:
   MuxTransport()
       : stream_window_(network_options().stream_window),
-        coalesce_(network_options().coalesce_bytes) {}
-
-  TransportKind kind() const override { return TransportKind::kMux; }
+        coalesce_(network_options().flush_quantum) {}
 
   std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
                                const DialOptions& options) override;
@@ -586,7 +587,6 @@ class MuxTransport final : public Transport {
 
   /// The reactor loop the next established connection is pinned to.
   EventLoop& next_loop() { return reactor().next(); }
-  std::size_t stream_window() const { return stream_window_; }
   std::size_t coalesce() const { return coalesce_; }
 
   /// Keeps an accepted connection alive while it is registered with the
@@ -618,10 +618,9 @@ class MuxTransport final : public Transport {
   std::unordered_set<std::shared_ptr<MuxConnection>> all_;
 };
 
-/// Streams are handed out behind a close-on-last-ref wrapper, mirroring
-/// how the blocking backend's descriptor closes when the last
-/// shared_ptr<Socket> drops: a caller that forgets close() cannot leak a
-/// table entry forever.
+/// Streams are handed out behind a close-on-last-ref wrapper: a caller
+/// that forgets close() cannot leak a table entry forever, and what it
+/// queued still flushes (the connection holds the stream until then).
 std::shared_ptr<Stream> public_handle(std::shared_ptr<MuxStream> stream) {
   Stream* raw = stream.get();
   return std::shared_ptr<Stream>(
@@ -632,13 +631,12 @@ std::shared_ptr<Stream> public_handle(std::shared_ptr<MuxStream> stream) {
 // MuxStream implementation.
 
 MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-                     std::size_t send_window, std::size_t recv_window,
-                     std::size_t coalesce)
+                     std::size_t window, std::size_t coalesce)
     : conn_(std::move(conn)),
       id_(id),
-      recv_window_(recv_window),
       coalesce_(coalesce == 0 ? 1 : coalesce),
-      credit_(send_window) {
+      recv_window_(window),
+      credit_(window) {
   counters().streams_total.fetch_add(1, std::memory_order_relaxed);
   counters().streams_active.fetch_add(1, std::memory_order_relaxed);
 }
@@ -765,9 +763,18 @@ void MuxStream::consume(std::uint64_t from, std::uint64_t to) {
   // Grant credit at consumption, once half the window is consumed.  This
   // is live at any window, 1 byte included: a blocked sender has the
   // whole window outstanding, so once we have consumed it unacked_ equals
-  // the window and crosses the threshold.  Nothing is granted once the
-  // peer's FIN arrived or the connection died.
-  if (unacked_ < std::max<std::size_t>(1, recv_window_ / 2) ||
+  // the window and crosses the threshold.
+  if (unacked_ >= std::max<std::size_t>(
+                      1, recv_window_.load(std::memory_order_relaxed) / 2)) {
+    grant_consumed();
+  }
+}
+
+void MuxStream::return_window() { grant_consumed(); }
+
+void MuxStream::grant_consumed() {
+  // Nothing is granted once the peer's FIN arrived or the connection died.
+  if (unacked_ == 0 ||
       (in_.tail.load(std::memory_order_relaxed) & (kRemoteFin | kDead)) != 0) {
     return;
   }
@@ -919,17 +926,34 @@ void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
   }
 }
 
-void MuxStream::shutdown_write() {
-  if ((out_.tail.fetch_or(kOutClosed, std::memory_order_seq_cst) &
-       kOutClosed) != 0) {
-    return;
+void MuxStream::finish_with(ByteSpan message) {
+  if (message.size() > kMaxEndMessage) {
+    throw UsageError{"end message of " + std::to_string(message.size()) +
+                     " bytes exceeds the limit"};
   }
   {
     std::scoped_lock lock{mutex_};
+    // The message goes in before the bit that lets the flusher send it.
+    if ((out_.tail.load(std::memory_order_relaxed) & kOutClosed) != 0) return;
+    out_end_.assign(message.begin(), message.end());
+    out_.tail.fetch_or(kOutClosed, std::memory_order_seq_cst);
     wake_locked(writers_, sleeping_writers_);  // a stalled writer must throw
   }
   ensure_queued();  // the flusher sends the FIN after the data
   maybe_retire();
+}
+
+ByteVector MuxStream::end_message() const {
+  std::scoped_lock lock{mutex_};
+  return in_end_;
+}
+
+void MuxStream::grant_window(std::size_t bytes) {
+  if (bytes == 0) return;
+  // Before the CREDIT frame leaves: the loop checks the peer's DATA
+  // against this bound (on_data).
+  recv_window_.fetch_add(bytes, std::memory_order_acq_rel);
+  conn_->enqueue_credit(id_, bytes);
 }
 
 void MuxStream::shutdown_read() {
@@ -961,7 +985,7 @@ bool MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   // (inbound plus unacked) never exceeds the window.
   if (tail + payload.size() -
           credit_granted_.load(std::memory_order_acquire) >
-      recv_window_) {
+      recv_window_.load(std::memory_order_acquire)) {
     return false;
   }
   if (payload.empty()) return true;
@@ -982,11 +1006,12 @@ void MuxStream::on_credit(std::uint32_t bytes) {
   wake(writers_, sleeping_writers_);
 }
 
-void MuxStream::on_fin() {
+void MuxStream::on_fin(ByteSpan message) {
   {
     std::scoped_lock lock{mutex_};
     const std::uint64_t word = in_.tail.load(std::memory_order_relaxed);
     if ((word & (kRemoteFin | kDead)) != 0) return;
+    in_end_.assign(message.begin(), message.end());
     obs::flight_record(
         obs::FlightKind::kNetFin, id_,
         (word & kPosMask) - in_.head.load(std::memory_order_relaxed));
@@ -1070,7 +1095,10 @@ std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {
     ++frames;
   }
   if (head == tail && (word & kOutClosed) != 0 && !fin_sent_) {
-    append_header(out, id_, MuxFrame::kFin, 0);
+    std::scoped_lock lock{mutex_};
+    append_header(out, id_, MuxFrame::kFin,
+                  static_cast<std::uint32_t>(out_end_.size()));
+    out.insert(out.end(), out_end_.begin(), out_end_.end());
     fin_sent_ = true;
     ++frames;
   }
@@ -1107,8 +1135,7 @@ void MuxStream::maybe_retire() {
 // ---------------------------------------------------------------------------
 // MuxConnection implementation.
 
-void MuxConnection::start_dialer(std::size_t peer_window) {
-  peer_default_window_ = peer_window;
+void MuxConnection::start_dialer() {
   preface_done_ = true;  // exchanged synchronously by the dialing thread
   counters().connections.fetch_add(1, std::memory_order_relaxed);
   loop_.post([self = shared_from_this()] { self->register_with_loop(); });
@@ -1142,22 +1169,21 @@ void MuxConnection::register_with_loop() {
   if (!dead()) flush();
 }
 
-std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t open_window,
+std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t window,
                                                       std::size_t coalesce) {
+  window = std::clamp<std::size_t>(window, 1, UINT32_MAX);
   std::shared_ptr<MuxStream> stream;
   {
     std::scoped_lock lock{table_mutex_};
     if (dead()) throw NetError{"mux connection to " + peer_ + " is down"};
     const std::uint32_t id = next_stream_id_++;
-    stream = std::make_shared<MuxStream>(shared_from_this(), id,
-                                         peer_default_window_, open_window,
+    stream = std::make_shared<MuxStream>(shared_from_this(), id, window,
                                          coalesce);
     streams_.emplace(id, stream);
   }
   ByteVector frame;
   append_header(frame, stream->id(), MuxFrame::kOpen, 4);
-  append_u32(frame, static_cast<std::uint32_t>(
-                        std::min<std::size_t>(open_window, UINT32_MAX)));
+  append_u32(frame, static_cast<std::uint32_t>(window));
   push_control(std::move(frame));
   request_flush();
   return stream;
@@ -1363,22 +1389,32 @@ void MuxConnection::handle_readable() {
       die("peer closed mux connection");
       return;
     }
-    in_buf_.insert(in_buf_.end(), scratch.data(), scratch.data() + *n);
-    parse_frames();
-    if (dead()) return;
+    if (in_buf_.empty()) {
+      // The common case: whole frames parse straight from the receive,
+      // and only a frame the receive cut is kept for the next one.
+      const ByteSpan received{scratch.data(), *n};
+      const std::size_t used = parse_frames(received);
+      if (dead()) return;
+      in_buf_.assign(received.begin() + static_cast<std::ptrdiff_t>(used),
+                     received.end());
+    } else {
+      in_buf_.insert(in_buf_.end(), scratch.data(), scratch.data() + *n);
+      const std::size_t used = parse_frames({in_buf_.data(), in_buf_.size()});
+      if (dead()) return;
+      in_buf_.erase(in_buf_.begin(),
+                    in_buf_.begin() + static_cast<std::ptrdiff_t>(used));
+    }
   }
 }
 
-void MuxConnection::parse_frames() {
+std::size_t MuxConnection::parse_frames(ByteSpan in) {
   std::size_t pos = 0;
   if (!preface_done_) {
-    if (in_buf_.size() < kPrefaceSize) return;
-    if (get_u32(in_buf_.data()) != kMuxMagic || in_buf_[4] != kMuxVersion) {
+    if (in.size() < kPrefaceSize) return 0;
+    if (get_u32(in.data()) != kMuxMagic || in[4] != kMuxVersion) {
       die("bad mux preface");
-      return;
+      return 0;
     }
-    // The dialer's default_window is informational on this side: each
-    // stream's real window arrives with its OPEN frame.
     preface_done_ = true;
     pos = kPrefaceSize;
     if (deadline_timer_ != 0) {
@@ -1386,23 +1422,22 @@ void MuxConnection::parse_frames() {
       deadline_timer_ = 0;
     }
   }
-  while (in_buf_.size() - pos >= kHeaderSize) {
-    const std::uint8_t* header = in_buf_.data() + pos;
+  while (in.size() - pos >= kHeaderSize) {
+    const std::uint8_t* header = in.data() + pos;
     const std::uint32_t stream_id = get_u32(header);
     const std::uint8_t type = header[4];
     const std::size_t length = get_u32(header + 5);
     if (length > kMaxFrameBytes) {
       die("oversized mux frame");
-      return;
+      return pos;
     }
-    if (in_buf_.size() - pos < kHeaderSize + length) break;
+    if (in.size() - pos < kHeaderSize + length) break;
     dispatch_frame(stream_id, static_cast<MuxFrame>(type),
-                   {in_buf_.data() + pos + kHeaderSize, length});
-    if (dead()) return;
+                   in.subspan(pos + kHeaderSize, length));
+    if (dead()) return pos;
     pos += kHeaderSize + length;
   }
-  in_buf_.erase(in_buf_.begin(),
-                in_buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+  return pos;
 }
 
 void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
@@ -1412,8 +1447,12 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       die("unexpected OPEN frame");
       return;
     }
-    auto listener = listener_.lock();
     const std::size_t window = get_u32(payload.data());
+    if (window == 0) {
+      die("OPEN with a zero window");
+      return;
+    }
+    auto listener = listener_.lock();
     std::shared_ptr<MuxStream> stream;
     {
       std::scoped_lock lock{table_mutex_};
@@ -1422,8 +1461,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
         return;
       }
       stream = std::make_shared<MuxStream>(shared_from_this(), stream_id,
-                                           window, transport_.stream_window(),
-                                           transport_.coalesce());
+                                           window, transport_.coalesce());
       streams_.emplace(stream_id, stream);
     }
     if (listener) {
@@ -1469,7 +1507,11 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       stream->on_credit(get_u32(payload.data()));
       return;
     case MuxFrame::kFin:
-      stream->on_fin();
+      if (payload.size() > Stream::kMaxEndMessage) {
+        die("oversized FIN message");
+        return;
+      }
+      stream->on_fin(payload);
       return;
     case MuxFrame::kRst:
       stream->on_rst();
@@ -1535,12 +1577,9 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
       break;  // listener closed
     }
     try {
-      // Our preface goes out before the socket turns nonblocking: 9 bytes
+      // Our preface goes out before the socket turns nonblocking: 5 bytes
       // always fit the send buffer, and the dialer is waiting for them.
-      const ByteVector preface =
-          encode_preface(static_cast<std::uint32_t>(std::min<std::size_t>(
-              transport_.stream_window(), UINT32_MAX)));
-      raw.write_all(preface);
+      raw.write_all(encode_preface());
     } catch (const IoError& e) {
       log::debug("mux accept: preface write failed: ", e.what());
       continue;
@@ -1649,10 +1688,9 @@ std::shared_ptr<MuxConnection> MuxTransport::establish(
     const std::string& host, std::uint16_t port,
     std::chrono::milliseconds timeout) {
   Socket raw = Socket::connect(host, port, timeout);
-  raw.write_all(encode_preface(static_cast<std::uint32_t>(
-      std::min<std::size_t>(stream_window_, UINT32_MAX))));
-  // Read the acceptor's preface synchronously: the dialer must know its
-  // default send window before the first stream writes.
+  raw.write_all(encode_preface());
+  // Read the acceptor's preface synchronously: a peer that speaks
+  // something else fails the dial, not a later stream.
   std::uint8_t preface[kPrefaceSize];
   std::size_t got = 0;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -1672,16 +1710,14 @@ std::shared_ptr<MuxConnection> MuxTransport::establish(
   }
   if (get_u32(preface) != kMuxMagic || preface[4] != kMuxVersion) {
     throw NetError{"bad mux preface from " + host + ":" +
-                   std::to_string(port) +
-                   " (is the peer running the blocking transport?)"};
+                   std::to_string(port)};
   }
-  const std::size_t peer_window = get_u32(preface + 5);
   auto socket = std::make_shared<Socket>(std::move(raw));
   socket->set_nonblocking(true);
   auto conn = std::make_shared<MuxConnection>(
       *this, next_loop(), std::move(socket), /*dialer=*/true,
       host + ":" + std::to_string(port), std::weak_ptr<MuxListener>{});
-  conn->start_dialer(peer_window);
+  conn->start_dialer();
   return conn;
 }
 
@@ -1711,7 +1747,7 @@ void MuxTransport::forget(const std::shared_ptr<MuxConnection>& conn) {
 
 /// Registers mux_stats() as the snapshot transport-stats source.  Runs at
 /// static init of this translation unit, which the linker pulls in for
-/// every binary that touches a Transport (transport_for references
+/// every binary that touches a Transport (default_transport references
 /// mux_transport); binaries that never do report zeros, correctly.
 const bool g_snapshot_source_registered = [] {
   obs::set_transport_stats_source([]() -> obs::TransportStats {
@@ -1748,9 +1784,8 @@ MuxStats mux_stats() {
 }
 
 Transport& mux_transport() {
-  // Leaked on purpose (matches the blocking singleton and the reactor
-  // pool): loop threads must not be torn down by static destruction
-  // order.
+  // Leaked on purpose (matches the reactor pool): loop threads must not
+  // be torn down by static destruction order.
   static MuxTransport* transport = new MuxTransport;
   return *transport;
 }

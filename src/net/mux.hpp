@@ -4,8 +4,7 @@
 
 #include "net/transport.hpp"
 
-/// The multiplexed transport backend (TransportKind::kMux) -- the
-/// compiled-in default transport (DPN_TRANSPORT=blocking opts out).
+/// The transport: the one implementation of net::Transport.
 ///
 /// All logical streams between one pair of hosts share ONE TCP
 /// connection, driven by the per-core edge-triggered EventLoop pool
@@ -19,28 +18,30 @@
 /// Wire format (docs/PROTOCOLS.md Section 8).  Each side sends a preface
 /// immediately after connect:
 ///
-///   preface := magic:u32 'DPNM' version:u8 default_window:u32
+///   preface := magic:u32 'DPNM' version:u8 (= 2)
 ///
 /// then the connection carries frames:
 ///
 ///   frame := stream_id:u32 type:u8 length:u32 payload[length]
 ///
-///   OPEN(0)        payload = window:u32 -- dialer opens stream_id and
-///                  grants the acceptor `window` bytes of send credit
+///   OPEN(0)        payload = window:u32 -- dialer opens stream_id; each
+///                  side may send `window` bytes before the other grants
 ///   DATA(1)        payload = stream bytes (counted against the window)
 ///   DATA_TRACED(2) payload = TraceContext(17B) + stream bytes; the
 ///                  context bytes are NOT counted against the window
 ///   CREDIT(3)      payload = bytes:u32 -- receiver consumed, send more
-///   FIN(4)         sender finished writing (ordered after its data)
+///   FIN(4)         payload = end message (<= 1 KiB, may be empty):
+///                  sender finished writing (ordered after its data)
 ///   RST(5)         sender stopped reading; peer writes fail
 ///
 /// Stream ids are allocated by the dialer only, so the two directions of
-/// dialing between a host pair can never collide.  The dialer's initial
-/// send window comes from the acceptor's preface default_window; the
-/// acceptor's from the OPEN frame (DialOptions::stream_window).  Credit
-/// is granted by the consuming side as it reads, once half the window
-/// has been consumed: a blocked sender has the whole window outstanding,
-/// so the reader always reaches the threshold, even at a 1-byte window.
+/// dialing between a host pair can never collide.  The dialer picks the
+/// stream's window (DialOptions::stream_window) for both directions.
+/// Credit is granted by the consuming side as it reads, once half the
+/// window has been consumed: a blocked sender has the whole window
+/// outstanding, so the reader always reaches the threshold, even at a
+/// 1-byte window.  A receiver may also grant window beyond consumption
+/// (Stream::grant_window), raising its own bound first.
 ///
 /// Fairness and batching: only the connection's loop thread writes the
 /// socket.  Each stream direction is a lock-free byte ring with one
@@ -49,7 +50,7 @@
 /// that finds it idle marks it ready, and later writes only append to
 /// its send ring until the flusher has drained it.  A flush gathers
 /// every queued control frame, then one DATA frame
-/// (<= NetworkOptions::coalesce_bytes, encoded straight from the send
+/// (<= NetworkOptions::flush_quantum, encoded straight from the send
 /// ring) per ready stream per round-robin turn, up to about 64 KiB, and
 /// sends the batch with one write.  One hot stream cannot starve its
 /// siblings on the shared connection.  DATA past a stream's receive
@@ -84,7 +85,7 @@ struct MuxStats {
 MuxStats mux_stats();
 
 /// The process-wide mux Transport singleton (drives its connections on
-/// the per-core reactor() pool; prefer transport_for(TransportKind::kMux)).
+/// the per-core reactor() pool; default_transport() returns it).
 Transport& mux_transport();
 
 }  // namespace dpn::net

@@ -19,14 +19,12 @@
 ///     connection can no longer serialize every other connection's
 ///     frames behind its reactor callbacks.
 ///
-///   * fiber fd waits -- a fiber that would block in a *raw* socket
-///     operation (the blocking transport's read_some/wait_readable/
-///     connect) registers the descriptor here and parks on a
-///     sched::Waiters list instead of pinning its OS worker in
-///     recv/poll.  The loop's edge notification makes the fiber
-///     runnable again.  This is what lets an M:N graph keep executing
-///     while some of its processes sit in blocking-transport socket
-///     reads.
+///   * fiber fd waits -- a fiber that would block in a raw socket wait
+///     (Socket::connect's in-progress wait, Socket::wait_readable, both
+///     used when a fiber dials a new mux connection) registers the
+///     descriptor here and parks on a sched::Waiters list instead of
+///     pinning its OS worker in poll.  The loop's edge notification
+///     makes the fiber runnable again.
 ///
 /// Loops are created lazily: a process that never touches the network
 /// spawns no reactor threads, and one with a single connection spawns

@@ -156,23 +156,12 @@ Socket connect_with_retry(const std::string& host, std::uint16_t port,
   return socket;
 }
 
-std::optional<std::size_t> Socket::receive(MutableByteSpan out, bool wait) {
-  if (out.empty()) return std::size_t{0};
+std::size_t Socket::read_some(MutableByteSpan out) {
+  if (out.empty()) return 0;
   for (;;) {
-    // On a fiber the receive is non-blocking and a would-block parks the
-    // *fiber* on the reactor (run-to-block): a raw blocking recv would
-    // wedge the OS worker and starve every other process scheduled on
-    // it.  Plain threads keep the classic blocking recv.
-    const bool fiber = sched::on_fiber();
-    const ssize_t n = ::recv(fd_, out.data(), out.size(),
-                             fiber || !wait ? MSG_DONTWAIT : 0);
+    const ssize_t n = ::recv(fd_, out.data(), out.size(), 0);
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
-    if ((fiber || !wait) && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!wait) return std::nullopt;
-      wait_fd_ready(fd_, /*want_write=*/false, std::nullopt);
-      continue;
-    }
     if (errno == ECONNRESET || errno == EBADF || errno == ENOTCONN) {
       // Peer vanished or we shut down locally: treat as end-of-stream so
       // the cascading-termination path runs instead of a hard error.
@@ -182,27 +171,26 @@ std::optional<std::size_t> Socket::receive(MutableByteSpan out, bool wait) {
   }
 }
 
-void Socket::write_all(ByteSpan data) {
-  if (kill_after_ >= 0) return write_metered(data);
+namespace {
+
+/// Blocking sends of all of `data`: ChannelClosed once the peer is gone.
+void send_all(int fd, ByteSpan data) {
   while (!data.empty()) {
-    // Mirror of read_some: on a fiber the send is non-blocking and a full
-    // send buffer parks the *fiber* on the reactor's writable edge
-    // (run-to-block) -- a raw blocking send would pin the OS worker and
-    // starve every other process scheduled on it.
-    const bool fiber = sched::on_fiber();
-    const ssize_t n = ::send(fd_, data.data(), data.size(),
-                             MSG_NOSIGNAL | (fiber ? MSG_DONTWAIT : 0));
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (fiber && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_fd_ready(fd_, /*want_write=*/true, std::nullopt);
-        continue;
-      }
       if (errno == EPIPE || errno == ECONNRESET) throw ChannelClosed{};
       throw_errno("send");
     }
     data = data.subspan(static_cast<std::size_t>(n));
   }
+}
+
+}  // namespace
+
+void Socket::write_all(ByteSpan data) {
+  if (kill_after_ >= 0) return write_metered(data);
+  send_all(fd_, data);
 }
 
 /// Kill-after-bytes slow path: send up to the remaining budget, then
@@ -220,67 +208,9 @@ void Socket::write_metered(ByteSpan data) {
     }
     const std::size_t chunk = std::min<std::size_t>(
         data.size(), static_cast<std::size_t>(kill_after_));
-    ByteSpan head = data.subspan(0, chunk);
-    while (!head.empty()) {
-      const bool fiber = sched::on_fiber();
-      const ssize_t n = ::send(fd_, head.data(), head.size(),
-                               MSG_NOSIGNAL | (fiber ? MSG_DONTWAIT : 0));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (fiber && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          wait_fd_ready(fd_, /*want_write=*/true, std::nullopt);
-          continue;
-        }
-        if (errno == EPIPE || errno == ECONNRESET) throw ChannelClosed{};
-        throw_errno("send");
-      }
-      kill_after_ -= n;
-      head = head.subspan(static_cast<std::size_t>(n));
-    }
+    send_all(fd_, data.subspan(0, chunk));
+    kill_after_ -= static_cast<std::int64_t>(chunk);
     data = data.subspan(chunk);
-  }
-}
-
-void Socket::write_vectored(ByteSpan a, ByteSpan b) {
-  if (kill_after_ >= 0) {
-    write_metered(a);
-    write_metered(b);
-    return;
-  }
-  if (a.empty()) return write_all(b);
-  if (b.empty()) return write_all(a);
-  // Common case: the whole frame leaves in one ::writev.  A short write
-  // (send buffer full) falls back to advancing the iovecs.
-  iovec iov[2];
-  iov[0].iov_base = const_cast<std::uint8_t*>(a.data());
-  iov[0].iov_len = a.size();
-  iov[1].iov_base = const_cast<std::uint8_t*>(b.data());
-  iov[1].iov_len = b.size();
-  msghdr msg{};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  std::size_t skip = 0;  // bytes of `a` already sent
-  for (;;) {
-    const bool fiber = sched::on_fiber();
-    const ssize_t n =
-        ::sendmsg(fd_, &msg, MSG_NOSIGNAL | (fiber ? MSG_DONTWAIT : 0));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (fiber && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_fd_ready(fd_, /*want_write=*/true, std::nullopt);
-        continue;
-      }
-      if (errno == EPIPE || errno == ECONNRESET) throw ChannelClosed{};
-      throw_errno("sendmsg");
-    }
-    std::size_t sent = static_cast<std::size_t>(n);
-    if (skip + sent >= a.size() + b.size()) return;
-    skip += sent;
-    if (skip >= a.size()) {
-      return write_all(b.subspan(skip - a.size()));
-    }
-    iov[0].iov_base = const_cast<std::uint8_t*>(a.data() + skip);
-    iov[0].iov_len = a.size() - skip;
   }
 }
 
@@ -293,8 +223,7 @@ bool Socket::wait_readable(std::chrono::milliseconds timeout) const {
     pfd.fd = fd_;
     pfd.events = POLLIN;
     // Instantaneous probe before the deadline check, so a zero timeout
-    // means "already readable?" rather than an unconditional false (the
-    // credit-drain path in dist relies on that).
+    // means "already readable?" rather than an unconditional false.
     int n = ::poll(&pfd, 1, 0);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -12,9 +12,10 @@
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
-/// Thin RAII wrappers over BSD TCP sockets (IPv4).  These are the
-/// transport under remote channels (dpn::dist) and the compute-server /
-/// registry protocols (dpn::rmi).
+/// Thin RAII wrappers over BSD TCP sockets (IPv4).  The mux transport
+/// (net/mux.hpp) runs every connection over one, nonblocking, from its
+/// reactor loops; blocking use is left to plain threads (the mux
+/// handshake, the Prometheus exporter, tests).
 namespace dpn::net {
 
 /// A connected TCP socket.  Move-only; the descriptor closes on
@@ -51,26 +52,13 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
 
   /// Reads up to out.size() bytes; 0 means orderly shutdown by the peer.
-  /// Throws NetError on hard failure.  Fiber-aware: a read that would
-  /// block suspends the calling fiber on the reactor (freeing its OS
-  /// worker for other processes); plain threads block in recv as ever.
-  std::size_t read_some(MutableByteSpan out) {
-    return *receive(out, /*wait=*/true);
-  }
-
-  /// read_some that never waits: nullopt when nothing is pending.
-  std::optional<std::size_t> read_some_now(MutableByteSpan out) {
-    return receive(out, /*wait=*/false);
-  }
+  /// Throws NetError on hard failure.  Blocks the calling thread.
+  std::size_t read_some(MutableByteSpan out);
 
   /// Writes all bytes; throws ChannelClosed on EPIPE/ECONNRESET (the
   /// remote reader is gone -- maps onto channel close semantics), NetError
-  /// otherwise.
+  /// otherwise.  Blocks the calling thread.
   void write_all(ByteSpan data);
-
-  /// Writes `a` then `b` via ::writev -- normally one syscall for both
-  /// parts (frame header + payload).  Error mapping as write_all.
-  void write_vectored(ByteSpan a, ByteSpan b);
 
   /// Blocks until the socket is readable (data or EOF pending) or the
   /// timeout elapses; returns false on timeout.  The lease layer polls
@@ -117,8 +105,6 @@ class Socket {
   int fd() const { return fd_; }
 
  private:
-  /// nullopt only when `wait` is false and nothing is pending.
-  std::optional<std::size_t> receive(MutableByteSpan out, bool wait);
   void write_metered(ByteSpan data);
 
   int fd_ = -1;
@@ -184,10 +170,6 @@ class SocketOutputStream final : public io::OutputStream {
       : socket_(std::move(socket)) {}
 
   void write(ByteSpan data) override { socket_->write_all(data); }
-
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    socket_->write_vectored(a, b);
-  }
 
   void close() override { socket_->shutdown_write(); }
 

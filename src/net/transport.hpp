@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -12,41 +11,28 @@
 #include "net/socket.hpp"
 #include "support/bytes.hpp"
 
-/// The transport abstraction: every wire conversation in dpn -- remote
-/// channel segments, rendezvous handshakes, compute-server and registry
-/// requests -- runs over a `Stream` obtained from a `Transport`, never
-/// over a raw Socket.  Two backends implement the interface:
-///
-///   * kMux      -- the event-loop backend (net/mux.hpp) and the
-///     compiled-in DEFAULT: all streams to the same host:port share one
-///     TCP connection, multiplexed as stream-id-tagged frames with
-///     per-stream credit windows, driven by the per-core epoll reactor
-///     pool (net/reactor.hpp).  Connection count is O(hosts), so 50k
-///     logical channels do not need 50k descriptors.
-///
-///   * kBlocking -- the classic one-TCP-connection-per-stream backend
-///     (DPN_TRANSPORT=blocking opts back into it): dial() is
-///     Socket::connect, listen() wraps a ServerSocket, and every Stream
-///     owns its own descriptor.  Simple and debuggable; its raw socket
-///     waits are fiber-aware (they park on the reactor), so it composes
-///     with the M:N scheduler too -- it just spends O(channels) fds.
-///
-/// The backend is selected process-wide via NetworkOptions::transport
-/// (env: DPN_TRANSPORT=blocking|mux); both ends of a conversation must
-/// agree, exactly like they must agree on the frame protocol version.
+/// The transport seam: every wire conversation in dpn -- remote channel
+/// segments, rendezvous handshakes, compute-server and registry requests
+/// -- runs over a `Stream` obtained from the process's `Transport`, never
+/// over a raw Socket.  The one implementation is the mux backend
+/// (net/mux.hpp): all streams to the same host:port share one TCP
+/// connection, multiplexed as stream-id-tagged frames with per-stream
+/// credit windows, driven by the per-core epoll reactor pool
+/// (net/reactor.hpp).  Connection count is O(hosts), so 50k logical
+/// channels do not need 50k descriptors.  A stream's window is its only
+/// flow control: a remote channel is bounded by it (docs/PROTOCOLS.md
+/// Section 8).
 namespace dpn::net {
 
-/// Told about every wait in which a Stream parks its caller: on the mux
-/// backend the receive park and the credit-window stall; on the blocking
-/// backend, which has no stream window, a read that finds nothing
-/// pending.  Both calls run on the waiting thread (mux: under the
-/// stream's lock).
+/// Told about every wait in which a Stream parks its caller: the receive
+/// park and the credit-window stall.  Both calls run on the waiting
+/// thread, under the stream's lock.
 class WaitObserver {
  public:
   virtual void on_park() = 0;
   virtual void on_unpark() = 0;
   /// The flight-recorder id of the channel this stream carries (0: none);
-  /// the mux backend tags its receive parks with it.
+  /// receive parks are tagged with it.
   virtual std::uint64_t flight_id() const { return 0; }
 
  protected:
@@ -72,11 +58,10 @@ class ParseFn {
   std::size_t (*call_)(void*, ByteSpan);
 };
 
-/// A bidirectional byte stream between two endpoints.  The semantics
-/// mirror Socket (the blocking backend is a 1:1 wrapper): reads block for
-/// at least one byte and return 0 only at end-of-stream, writes block for
-/// flow control and throw ChannelClosed once the peer is gone, and the
-/// two directions shut down independently.
+/// A bidirectional byte stream between two endpoints: reads block for at
+/// least one byte and return 0 only at end-of-stream, writes block on the
+/// stream's window and throw ChannelClosed once the peer stopped reading,
+/// and the two directions shut down independently.
 class Stream {
  public:
   virtual ~Stream() = default;
@@ -88,19 +73,17 @@ class Stream {
   /// NetError on hard transport failure.
   virtual void write_all(ByteSpan data) = 0;
 
-  /// Writes `a` then `b` as one unit (frame header + payload) without
-  /// first copying them together.
+  /// Writes `a` then `b` as one unit without first copying them together.
   virtual void write_vectored(ByteSpan a, ByteSpan b) = 0;
 
-  /// Zero-copy receive for framing layers.  Blocks like read_some until
-  /// bytes or end-of-stream are pending, then offers `parse` the received
-  /// bytes in order, one contiguous span at a time, and stops once it
-  /// takes less than a whole span (or sooner: a transport may offer just
-  /// one span per call); what it takes is consumed.  At end-of-stream
+  /// Zero-copy receive.  Blocks like read_some until bytes or
+  /// end-of-stream are pending, then offers `parse` the received bytes in
+  /// order, one contiguous span at a time, and stops once it takes less
+  /// than a whole span; what it takes is consumed.  At end-of-stream
   /// `parse` gets one empty span.  `parse` must take at least one byte of
-  /// the first span and must not call back into the stream (mux offers
-  /// spans of its receive ring in place, mid-read).  Returns the bytes
-  /// consumed: 0 only at end-of-stream, or when `wait` is false and
+  /// the first span and must not call back into the stream (the spans
+  /// are the receive ring's storage, offered mid-read).  Returns the
+  /// bytes consumed: 0 only at end-of-stream, or when `wait` is false and
   /// nothing is pending (then `parse` is not called).
   virtual std::size_t read_in_place(ParseFn parse, bool wait) = 0;
 
@@ -115,87 +98,32 @@ class Stream {
   /// Half-close of the send direction: the peer reads EOF after the
   /// buffered bytes drain.
   virtual void shutdown_write() = 0;
-  /// Half-close of the receive direction: local reads end, the peer's
-  /// next write fails with ChannelClosed.
+  /// shutdown_write whose end of stream carries `message` (at most
+  /// kMaxEndMessage bytes), delivered after every byte written before it;
+  /// the peer reads it with end_message().
+  virtual void finish_with(ByteSpan message) = 0;
+  /// The message the peer's end of stream carried: empty until a read
+  /// returned end-of-stream, and when the peer sent none.
+  virtual ByteVector end_message() const = 0;
+  static constexpr std::size_t kMaxEndMessage = 1024;
+
+  /// Half-close of the receive direction: local reads end, and the peer's
+  /// writes fail with ChannelClosed (those parked on the window wake).
+  /// Our own queued bytes and end of stream still reach the peer.
   virtual void shutdown_read() = 0;
 
-  /// "I will never read again, but everything I wrote must still be
-  /// delivered."  Where the transport can fail the peer's future writes
-  /// in this direction without endangering our own outbound bytes, it
-  /// does (mux: a per-stream RST frame, which unparks a peer stalled on
-  /// this direction's credit window); where it cannot, this is a no-op.
-  /// The default no-op is correct for TCP-per-stream: a SHUT_RD socket
-  /// answers later-arriving bytes with a connection-wide RST, which
-  /// would destroy our undelivered tail and FIN along with the peer's
-  /// void bytes.
-  virtual void abandon_read() {}
+  /// Grants the peer `bytes` more window than consumption returns, for
+  /// good: the receive bound grows by as much before the grant leaves.
+  /// Any thread.
+  virtual void grant_window(std::size_t bytes) = 0;
+  /// Returns the window of every byte read so far to the peer now, rather
+  /// than once half the window is read.  The reader's call.
+  virtual void return_window() = 0;
 
   /// Full close (both directions).  Idempotent.
   virtual void close() = 0;
 
   virtual std::string peer_description() const = 0;
-};
-
-/// The blocking backend's Stream: one connected socket per stream.
-class SocketStream final : public Stream {
- public:
-  explicit SocketStream(std::shared_ptr<Socket> socket)
-      : socket_(std::move(socket)) {}
-  explicit SocketStream(Socket socket)
-      : socket_(std::make_shared<Socket>(std::move(socket))) {}
-
-  std::size_t read_some(MutableByteSpan out) override;
-  void write_all(ByteSpan data) override { socket_->write_all(data); }
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    socket_->write_vectored(a, b);
-  }
-  std::size_t read_in_place(ParseFn parse, bool wait) override;
-  void set_wait_observer(WaitObserver* observer) override {
-    observer_.store(observer, std::memory_order_release);
-  }
-  bool wait_readable(std::chrono::milliseconds timeout) override {
-    return spill_pos_ < spill_.size() || socket_->wait_readable(timeout);
-  }
-  void shutdown_write() override { socket_->shutdown_write(); }
-  void shutdown_read() override { socket_->shutdown_read(); }
-  void close() override {
-    // Shutdown, not descriptor close: a concurrently blocked read on
-    // another thread must wake instead of racing descriptor reuse.  The
-    // fd is released when the last reference drops.
-    socket_->shutdown_read();
-    socket_->shutdown_write();
-  }
-  std::string peer_description() const override {
-    return socket_->peer_description();
-  }
-
-  const std::shared_ptr<Socket>& socket() const { return socket_; }
-
- private:
-  /// Reports a read that found nothing pending to the observer as a park.
-  class ParkScope {
-   public:
-    explicit ParkScope(WaitObserver* observer) : observer_(observer) {
-      if (observer_ != nullptr) observer_->on_park();
-    }
-    ~ParkScope() {
-      if (observer_ != nullptr) observer_->on_unpark();
-    }
-    ParkScope(const ParkScope&) = delete;
-    ParkScope& operator=(const ParkScope&) = delete;
-
-   private:
-    WaitObserver* const observer_;
-  };
-
-  void drop_spill(std::size_t n);
-
-  std::shared_ptr<Socket> socket_;
-  std::atomic<WaitObserver*> observer_{nullptr};
-  // Bytes one receive brought in beyond what read_in_place's parser
-  // took, served before the socket; no allocation while drained.
-  ByteVector spill_;
-  std::size_t spill_pos_ = 0;
 };
 
 /// InputStream adapter over a shared Stream (the receive direction).
@@ -233,9 +161,8 @@ class StreamOutput final : public io::OutputStream {
   std::shared_ptr<Stream> stream_;
 };
 
-/// An accepting endpoint: one bound port yielding inbound Streams.  On
-/// the blocking backend every accept is a fresh TCP connection; on the
-/// mux backend it is a logical stream opened over a shared connection.
+/// An accepting endpoint: one bound port yielding inbound Streams, each a
+/// logical stream a peer opened over a shared connection.
 class Listener {
  public:
   virtual ~Listener() = default;
@@ -250,53 +177,37 @@ class Listener {
   virtual bool closed() const = 0;
 };
 
-enum class TransportKind : std::uint8_t {
-  kBlocking = 0,  // thread-per-connection, one socket per stream
-  kMux = 1,       // event loop, one connection per host pair
-};
-
-const char* to_string(TransportKind kind);
-
 /// Per-dial tuning (all optional; zero means "transport default").
 struct DialOptions {
   std::chrono::milliseconds timeout = Socket::kDefaultConnectTimeout;
-  /// Mux only: initial credit window granted to the *peer* for data it
-  /// sends back on this stream (a consumer dialing a producer sizes the
-  /// producer's window with this).  0 = NetworkOptions::stream_window.
+  /// The stream's window in each direction: the bytes either side may
+  /// send before the other's consumption grants more.  The dialer picks
+  /// it; it travels in the OPEN frame.  0 = NetworkOptions::stream_window.
   std::size_t stream_window = 0;
 };
 
-/// Process-wide network configuration, read once from the environment and
-/// adjustable in code before the first transport use.
+/// Process-wide network configuration, adjustable in code before the
+/// first transport use.
 struct NetworkOptions {
-  TransportKind transport = TransportKind::kMux;
-  /// Mux: default per-stream credit window (bytes a peer may send on one
-  /// logical stream before the receiver's consumption grants more).
+  /// Default per-stream window (see DialOptions::stream_window).
   std::size_t stream_window = std::size_t{1} << 18;
-  /// Mux: round-robin flush quantum -- bytes one stream may put on the
-  /// wire per turn while siblings wait (fairness granularity), and the
+  /// Round-robin flush quantum -- bytes one stream may put on the wire
+  /// per turn while siblings wait (fairness granularity), and the
   /// coalescing target for small writes.
-  std::size_t coalesce_bytes = std::size_t{16} << 10;
-
-  /// DPN_TRANSPORT=blocking|mux (unset or anything else: mux, the
-  /// default; unknown values log a warning).
-  static NetworkOptions from_env();
+  std::size_t flush_quantum = std::size_t{16} << 10;
 };
 
-/// The mutable process-wide options (initialized from from_env()).
-/// Mutate before creating listeners/nodes; a Transport already
-/// constructed keeps the settings it captured.
+/// The mutable process-wide options.  Mutate before creating
+/// listeners/nodes; the Transport captures them at first use.
 NetworkOptions& network_options();
 
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  virtual TransportKind kind() const = 0;
-
-  /// Opens a stream to host:port.  On the mux backend this reuses (or
-  /// establishes) the one shared connection to that host:port and opens a
-  /// logical stream over it.  Throws NetError on failure or timeout.
+  /// Opens a stream to host:port over the one shared connection to that
+  /// host:port (established on first use).  Throws NetError on failure or
+  /// timeout.
   virtual std::shared_ptr<Stream> dial(const std::string& host,
                                        std::uint16_t port,
                                        const DialOptions& options = {}) = 0;
@@ -305,17 +216,11 @@ class Transport {
   virtual std::shared_ptr<Listener> listen(std::uint16_t port = 0) = 0;
 };
 
-/// The process-wide Transport singleton of a given kind (constructed on
-/// first use; the mux kind owns the process's EventLoop).
-Transport& transport_for(TransportKind kind);
-
-/// transport_for(network_options().transport): what call sites use unless
-/// they have a reason to pin a backend.
+/// The process-wide Transport (the mux backend, constructed on first use).
 Transport& default_transport();
 
 /// Transport::dial wrapped in fault::with_retry, recording the whole
-/// retry loop into the connect-latency histogram -- the Stream-level
-/// successor of connect_with_retry.
+/// retry loop into the connect-latency histogram.
 std::shared_ptr<Stream> dial_with_retry(Transport& transport,
                                         const std::string& host,
                                         std::uint16_t port,

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,10 +15,12 @@
 #include "dist/ddm.hpp"
 #include "dist/ship.hpp"
 #include "io/data.hpp"
+#include "net/mux.hpp"
 #include "processes/arith.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
 #include "processes/merge.hpp"
+#include "sched/scheduler.hpp"
 
 /// Distributed deadlock management (paper Section 6.2, implemented): a
 /// coordinator aggregates per-node stall state and applies Parks' rule
@@ -502,6 +505,73 @@ TEST(Coordinator, StreamEndInFlightHoldsBackTheDeadlockVerdict) {
   EXPECT_EQ(coordinator.outcome(), DeadlockOutcome::kNone);
   EXPECT_EQ(sink->size(), 0u);
 }
+
+// --- The remote grow is a window grant --------------------------------------
+
+/// Waits (up to 10 s) until `traffic` shows a parked writer with at least
+/// `bytes` sent, then gives it 50 ms more; returns what it has sent by
+/// then.
+std::uint64_t parked_after(const TrafficStats& traffic, std::uint64_t bytes) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while ((traffic.bytes_sent.load() < bytes ||
+          traffic.blocked_remote_writers.load() == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  return traffic.bytes_sent.load();
+}
+
+class RemoteGrow : public ::testing::TestWithParam<bool> {};
+
+// What the coordinator's remote grow runs on a node (grant_remote_credits)
+// lets a producer parked on its channel's window go exactly one bonus
+// further, and leaves the stream whole: the consumer then reads the
+// history in order, well past the grant, with no connection lost.
+TEST_P(RemoteGrow, BonusUnblocksAWindowStalledProducer) {
+  constexpr std::size_t kWindow = 4096;
+  constexpr std::size_t kBonus = 1024;
+  auto node_a = NodeContext::create();  // the consumer's
+  auto node_b = NodeContext::create();  // the producer's
+  auto ch = std::make_shared<Channel>(
+      core::ChannelOptions{.capacity = 256,
+                           .label = "grown",
+                           .remote = {.credit_window = kWindow}});
+  std::shared_ptr<core::Process> producer =
+      std::make_shared<Sequence>(0, ch->output());
+  const ByteVector shipment = ship_process(node_a, producer);
+  producer = receive_process(node_b, {shipment.data(), shipment.size()});
+  Network producers;
+  if (GetParam()) {
+    producers.set_scheduler(sched::SchedulerOptions{
+        .mode = sched::SchedMode::kWorkSteal, .workers = 2});
+  }
+  producers.add(producer);
+  producers.start();
+
+  io::DataInputStream in{*ch->input()};
+  std::int64_t next = 0;
+  ASSERT_EQ(in.read_i64(), next++);  // the consumer's segment is live
+  const TrafficStats& traffic = *node_b->traffic();
+  // One token read is far below the half window a grant waits for.
+  EXPECT_EQ(parked_after(traffic, kWindow), kWindow);
+  const std::uint64_t connections_before = net::mux_stats().connections;
+
+  node_a->set_remote_window(kBonus);
+  node_a->grant_remote_credits();
+  EXPECT_EQ(parked_after(traffic, kWindow + kBonus), kWindow + kBonus);
+  EXPECT_EQ(net::mux_stats().connections, connections_before);
+
+  for (; next < 20000; ++next) ASSERT_EQ(in.read_i64(), next);
+  ch->input()->close();
+  producers.join();
+}
+
+INSTANTIATE_TEST_SUITE_P(Callers, RemoteGrow, ::testing::Bool(),
+                         [](const auto& instance) {
+                           return instance.param ? "fibers" : "threads";
+                         });
 
 }  // namespace
 }  // namespace dpn::dist

@@ -216,39 +216,25 @@ TEST(Determinacy, DistributedRunMatchesLocalRun) {
 // --- Transport x scheduler matrix -------------------------------------------
 //
 // Determinacy must also survive the transport substrate: the same
-// distributed pipeline run over the blocking transport (one TCP
-// connection per channel) and the mux transport (stream-id-tagged frames
-// over one connection per host pair), under both thread-per-process and
-// M:N work-stealing execution, must produce byte-identical histories.
+// distributed pipeline run over the mux transport (stream-id-tagged frames
+// over one connection per host pair) under both thread-per-process and
+// M:N work-stealing execution must produce byte-identical histories.
 
 struct TransportSchedConfig {
   std::string label;
-  net::TransportKind transport;
   sched::SchedulerOptions sched;
 };
 
 std::vector<TransportSchedConfig> transport_matrix() {
-  std::vector<TransportSchedConfig> matrix;
-  for (const net::TransportKind kind :
-       {net::TransportKind::kBlocking, net::TransportKind::kMux}) {
-    const std::string name =
-        kind == net::TransportKind::kMux ? "mux" : "blocking";
-    matrix.push_back({name + " / threads", kind, {}});
-    sched::SchedulerOptions mn;
-    mn.mode = sched::SchedMode::kWorkSteal;
-    mn.workers = 2;
-    matrix.push_back({name + " / work-steal x2", kind, mn});
-  }
-  return matrix;
+  sched::SchedulerOptions mn;
+  mn.mode = sched::SchedMode::kWorkSteal;
+  mn.workers = 2;
+  return {{"mux / threads", {}}, {"mux / work-steal x2", mn}};
 }
 
 TEST(TransportMatrix, DistributedHistoryByteIdentical) {
-  const net::TransportKind saved = net::network_options().transport;
   std::vector<std::int64_t> reference;
   for (const auto& config : transport_matrix()) {
-    net::network_options().transport = config.transport;
-    // Nodes are created after the transport switch so their rendezvous
-    // listeners (and every dial-back) use the row's backend.
     auto node_a = dist::NodeContext::create();
     auto node_b = dist::NodeContext::create();
 
@@ -288,7 +274,6 @@ TEST(TransportMatrix, DistributedHistoryByteIdentical) {
       EXPECT_EQ(values, reference) << config.label;
     }
   }
-  net::network_options().transport = saved;
 }
 
 // --- Scheduler matrix -------------------------------------------------------

@@ -171,9 +171,6 @@ TEST(Rendezvous, PromiseWaitNamesTheWaiterInTheFlightRecorder) {
 // that host's wait-for analysis like a consumer hung on a local pipe: a
 // row that names the channel it is reading.
 TEST(Ship, HungRemoteConsumerIsNamedInTheWaitFor) {
-  if (net::network_options().transport != net::TransportKind::kMux) {
-    GTEST_SKIP() << "only the mux backend parks remote readers on a stream";
-  }
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
   auto ch = std::make_shared<Channel>(256, "hung-edge");
@@ -202,6 +199,17 @@ TEST(Ship, HungRemoteConsumerIsNamedInTheWaitFor) {
   host_b.join();
   EXPECT_EQ(obs::flight_wait_for(obs::flight_export().events).find(row),
             std::string::npos);
+}
+
+TEST(Frames, RedirectInfoRoundTrip) {
+  RedirectInfo info;
+  info.token = 0xdeadbeefcafef00dULL;
+  const ByteVector message = info.encode();
+  const RedirectInfo decoded =
+      RedirectInfo::decode({message.data(), message.size()});
+  EXPECT_EQ(decoded.token, info.token);
+  EXPECT_FALSE(decoded.trace.valid());
+  EXPECT_THROW(RedirectInfo::decode({message.data(), 7}), IoError);
 }
 
 TEST(Rendezvous, TokensAreUnique) {
@@ -427,6 +435,63 @@ TEST(Ship, RedirectWithTrafficInFlight) {
   for (int i = 0; i < 300; ++i) EXPECT_EQ(values[i], i);
 }
 
+class RedirectUnderTraffic : public ::testing::TestWithParam<bool> {};
+
+// A producer streaming A <- B at full speed on threads or fibers is
+// paused mid-stream and shipped on to C: the consumer's segment ends in a
+// redirect, the successor dials A from C, and the consumer's history is
+// exactly the Sequence's, with nothing lost or repeated at the cut.
+TEST_P(RedirectUnderTraffic, KeepsTheExactHistory) {
+  constexpr long kTokens = 200000;
+  auto node_a = NodeContext::create();
+  auto node_b = NodeContext::create();
+  auto node_c = NodeContext::create();
+  sched::SchedulerOptions mode;
+  if (GetParam()) {
+    mode = {.mode = sched::SchedMode::kWorkSteal, .workers = 2};
+  }
+
+  auto ch = std::make_shared<Channel>(256, "redirected");
+  auto sink = std::make_shared<CollectSink<std::int64_t>>();
+  core::Network consumers;
+  consumers.set_scheduler(mode);
+  consumers.add(std::make_shared<Collect>(ch->input(), sink));
+  auto source = std::make_shared<Sequence>(0, ch->output(), kTokens);
+  const ByteVector to_b = ship_process(node_a, source);
+  auto at_b = std::dynamic_pointer_cast<core::IterativeProcess>(
+      receive_process(node_b, {to_b.data(), to_b.size()}));
+  ASSERT_TRUE(at_b);
+  core::Network hosted_b;
+  hosted_b.set_scheduler(mode);
+  hosted_b.add(at_b);
+  consumers.start();
+  hosted_b.start();
+  while (sink->size() < 1000) std::this_thread::yield();
+
+  at_b->request_pause();
+  ASSERT_TRUE(at_b->await_pause()) << "the producer finished first";
+  const ByteVector to_c = ship_process(node_b, at_b);
+  at_b->abandon();
+  hosted_b.join();
+  core::Network hosted_c;
+  hosted_c.set_scheduler(mode);
+  hosted_c.add(receive_process(node_c, {to_c.data(), to_c.size()}));
+  hosted_c.start();
+
+  consumers.join();
+  hosted_c.join();
+  const auto values = sink->values();
+  ASSERT_EQ(values.size(), static_cast<std::size_t>(kTokens));
+  for (long i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(values[static_cast<std::size_t>(i)], i) << "token " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Callers, RedirectUnderTraffic, ::testing::Bool(),
+                         [](const auto& instance) {
+                           return instance.param ? "fibers" : "threads";
+                         });
+
 TEST(Ship, DeadConsumerYieldsDeadEndpoint) {
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
@@ -567,9 +632,6 @@ TEST(Ship, NodeTeardownEndsItsMuxConnections) {
   // Each round dials a fresh pair of rendezvous ports, so every round's
   // connections (the dialed one and the accepted one) exist only for its
   // two nodes; destroying the nodes must end them.
-  if (net::network_options().transport != net::TransportKind::kMux) {
-    GTEST_SKIP() << "mux connections only";
-  }
   const std::uint64_t before = net::mux_stats().connections;
   constexpr int kRounds = 12;
   for (int round = 0; round < kRounds; ++round) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "core/network.hpp"
@@ -10,7 +11,6 @@
 #include "fault/fault.hpp"
 #include "io/memory.hpp"
 #include "image/codec.hpp"
-#include "net/frames.hpp"
 #include "net/transport.hpp"
 #include "obs/snapshot.hpp"
 #include "par/generic.hpp"
@@ -20,6 +20,9 @@
 #include "rmi/compute_server.hpp"
 #include "rmi/registry.hpp"
 #include "serial/serial.hpp"
+#include "support/rng.hpp"
+
+#include "mux_peer.hpp"
 
 /// Failure injection: sockets killed mid-stream, corrupt and truncated
 /// wire data, dead infrastructure, double closes, hostile inputs.  The
@@ -138,22 +141,170 @@ TEST(Failure, SerializerSurvivesBitFlips) {
   SUCCEED();
 }
 
+// --- Hostile bytes at the mux frame parser -----------------------------------
+
+/// How a mux stream fed hostile bytes ended.
+struct FedStream {
+  std::size_t bytes = 0;  // delivered before the end
+  bool failed = false;    // NetError: the connection died before a FIN
+  ByteVector end;         // the FIN's end message, if one arrived
+};
+
+/// Dials a stream with `window` to a raw peer, which sends what
+/// `make_wire(stream_id)` returns and closes the connection; reads the
+/// stream to its end.  A read still going after 10 s is a hang.
+template <class MakeWire>
+FedStream feed_mux(std::uint32_t window, MakeWire make_wire) {
+  net::test::RawPeer peer{window};
+  auto stream = peer.dial();
+  const ByteVector wire = make_wire(peer.next_open());
+  peer.send_raw({wire.data(), wire.size()});
+  peer.close();
+  auto reading = std::async(std::launch::async, [stream] {
+    FedStream fed;
+    std::uint8_t buffer[512];
+    try {
+      for (;;) {
+        const std::size_t n = stream->read_some({buffer, sizeof buffer});
+        if (n == 0) break;
+        fed.bytes += n;
+      }
+      fed.end = stream->end_message();
+    } catch (const NetError&) {
+      fed.failed = true;
+    }
+    return fed;
+  });
+  if (reading.wait_for(std::chrono::seconds{10}) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "mux stream read hung on hostile bytes";
+    stream->close();
+  }
+  return reading.get();
+}
+
 TEST(Failure, FrameReaderRejectsGarbage) {
   Xoshiro256 rng{404};
   for (int round = 0; round < 100; ++round) {
-    ByteVector junk(1 + rng.below(64));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
-    net::FrameReader reader{std::make_shared<io::MemoryInputStream>(junk)};
-    try {
-      for (;;) {
-        net::Frame frame = reader.read_frame();
-        if (frame.type == net::FrameType::kFin) break;
+    const FedStream fed = feed_mux(1024, [&](std::uint32_t) {
+      ByteVector junk(1 + rng.below(64));
+      for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
+      return junk;
+    });
+    EXPECT_LE(fed.bytes, 1024u) << "round " << round;
+    EXPECT_LE(fed.end.size(), net::Stream::kMaxEndMessage);
+  }
+}
+
+// Seeded mutations of a well-formed segment (DATA, DATA_TRACED, CREDIT,
+// and a FIN carrying a redirect): truncated, bit-flipped, with a length
+// field raised up to 2^32 - 1, or with junk appended.  Each ends in data
+// within the window followed by a clean end or NetError -- never a crash,
+// a hang, or a buffer past the window -- and the end message decodes or
+// throws IoError.
+TEST(Failure, MuxFramesSurviveMutation) {
+  constexpr std::uint32_t kWindow = 256;
+  Xoshiro256 rng{2207};
+  int clean_ends = 0;
+  int failures = 0;
+  for (int round = 0; round < 150; ++round) {
+    const FedStream fed = feed_mux(kWindow, [&](std::uint32_t id) {
+      const ByteVector data(1 + rng.below(100), 0x11);
+      const ByteVector traced(obs::TraceContext::kWireSize + 1 + rng.below(50),
+                              0x22);
+      std::uint8_t credit[4];
+      put_u32(credit, static_cast<std::uint32_t>(rng.next()));
+      dist::RedirectInfo redirect;
+      redirect.token = rng.next();
+      if (rng.below(2) == 0) {
+        redirect.trace.trace_id = 1;
+        redirect.trace.span_id = 2;
       }
+      const ByteVector end = redirect.encode();
+      ByteVector wire;
+      for (const ByteVector& frame :
+           {net::test::encode_frame(id, net::test::kData,
+                                    {data.data(), data.size()}),
+            net::test::encode_frame(id, net::test::kDataTraced,
+                                    {traced.data(), traced.size()}),
+            net::test::encode_frame(id, net::test::kCredit, {credit, 4}),
+            net::test::encode_frame(id, net::test::kFin,
+                                    {end.data(), end.size()})}) {
+        wire.insert(wire.end(), frame.begin(), frame.end());
+      }
+      switch (rng.below(4)) {
+        case 0:  // truncated
+          wire.resize(rng.below(wire.size()));
+          break;
+        case 1:  // bit flips
+          for (std::uint64_t f = 1 + rng.below(8); f > 0; --f) {
+            wire[rng.below(wire.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.below(8));
+          }
+          break;
+        case 2: {  // a frame's length raised
+          const std::size_t header = rng.below(4) == 0 ? 0 : 9 + data.size();
+          put_u32(wire.data() + header + 5,
+                  static_cast<std::uint32_t>(rng.next() | 0x100));
+          break;
+        }
+        default:  // junk after the FIN
+          for (std::uint64_t n = 1 + rng.below(32); n > 0; --n) {
+            wire.push_back(static_cast<std::uint8_t>(rng.next()));
+          }
+          break;
+      }
+      return wire;
+    });
+    EXPECT_LE(fed.bytes, kWindow) << "round " << round;
+    ASSERT_LE(fed.end.size(), net::Stream::kMaxEndMessage);
+    if (!fed.end.empty()) {
+      try {
+        (void)dist::RedirectInfo::decode({fed.end.data(), fed.end.size()});
+      } catch (const IoError&) {
+      }
+    }
+    (fed.failed ? failures : clean_ends) += 1;
+  }
+  // The mutations reach both ends: some leave the FIN intact, most not.
+  EXPECT_GT(clean_ends, 0);
+  EXPECT_GT(failures, 0);
+}
+
+// The redirect message alone, mutated in memory: it decodes or throws
+// IoError, whatever its length.
+TEST(Failure, RedirectMessageSurvivesMutation) {
+  Xoshiro256 rng{77};
+  for (int round = 0; round < 2000; ++round) {
+    dist::RedirectInfo info;
+    info.token = rng.next();
+    if (rng.below(2) == 0) {
+      info.trace.trace_id = rng.next() | 1;
+      info.trace.span_id = rng.next();
+    }
+    ByteVector message = info.encode();
+    switch (rng.below(3)) {
+      case 0:
+        message.resize(rng.below(message.size() + 1));
+        break;
+      case 1:
+        message[rng.below(message.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      default:
+        message.resize(message.size() + 1 + rng.below(64),
+                       static_cast<std::uint8_t>(rng.next()));
+        break;
+    }
+    try {
+      const dist::RedirectInfo got =
+          dist::RedirectInfo::decode({message.data(), message.size()});
+      EXPECT_TRUE(message.size() == 8 ||
+                  message.size() == 8 + obs::TraceContext::kWireSize);
+      (void)got;
     } catch (const IoError&) {
-      // Truncation / oversized-frame rejection: fine.
     }
   }
-  SUCCEED();
 }
 
 TEST(Failure, ComputeServerSurvivesGarbageConnection) {
@@ -407,13 +558,6 @@ TEST(Fault, MuxConnectionKilledSurfacesWorkerLostPerStream) {
   // node A.  Kill that shared connection after a byte budget: every
   // affected consumer must see WorkerLost promptly -- not a hang, and
   // not a silent truncation dressed up as a clean end-of-stream.
-  const net::TransportKind saved = net::network_options().transport;
-  net::network_options().transport = net::TransportKind::kMux;
-  struct RestoreTransport {
-    net::TransportKind saved;
-    ~RestoreTransport() { net::network_options().transport = saved; }
-  } restore{saved};
-
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
 

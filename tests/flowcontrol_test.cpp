@@ -4,10 +4,12 @@
 #include <thread>
 
 #include "core/channel.hpp"
+#include "core/network.hpp"
 #include "dist/node.hpp"
 #include "dist/ship.hpp"
 #include "io/data.hpp"
 #include "net/mux.hpp"
+#include "sched/scheduler.hpp"
 #include "support/rng.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
@@ -304,19 +306,14 @@ bool wait_until(Pred done) {
   return true;
 }
 
-// Blocked writers are counted where the wait happens.  With the dist
-// window far above the mux stream window, a producer whose consumer
-// stopped reading never exhausts its dist window: it parks in the mux
-// layer's credit stall, and that park alone makes it a blocked writer.
+// Blocked writers are counted where the wait happens: a producer whose
+// consumer stopped reading parks on the stream's window, and that park
+// makes it a blocked writer.
 TEST(FlowControl, MuxWindowStallCountsAsBlockedWriter) {
-  if (net::network_options().transport != net::TransportKind::kMux) {
-    GTEST_SKIP() << "the blocking transport has no stream window";
-  }
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
-  node_a->set_remote_window(std::size_t{64} << 20);  // dist window A->B
-  node_b->set_remote_window(64);  // the Identity's B->A: wedges at once
-  ASSERT_LT(net::network_options().stream_window, node_a->remote_window());
+  node_a->set_remote_window(4096);  // producer A->B: 512 elements
+  node_b->set_remote_window(64);    // the Identity's B->A: wedges at once
 
   CutChannel cut = make_cut(node_a, node_b);
   std::jthread host{[&] { cut.remote->run(); }};
@@ -343,9 +340,9 @@ TEST(FlowControl, MuxWindowStallCountsAsBlockedWriter) {
            traffic_a.blocked_remote_writers.load() > 0;
   }));
   EXPECT_GT(net::mux_stats().credit_stalls, stalls_before);
-  // Parked on the mux window, not the dist window: most of that is unused.
-  EXPECT_LT(static_cast<std::size_t>(written.load()) * 8,
-            node_a->remote_window() / 2);
+  // A window ahead of the Identity, which wedged a few elements in.
+  EXPECT_LE(static_cast<std::size_t>(written.load()) * 8,
+            node_a->remote_window() + 1024);
   // Published before the park: everything the producer wrote so far.
   EXPECT_EQ(traffic_a.bytes_sent.load(),
             static_cast<std::uint64_t>(written.load()) * 8);
@@ -460,6 +457,117 @@ TEST(FlowControl, ConsumerBlockedDownstreamStillReturnsWindow) {
   ASSERT_EQ(echoed.size(), static_cast<std::size_t>(kCount));
   for (long i = 0; i < kCount; ++i) EXPECT_EQ(echoed[i], i);
 }
+
+// --- The stream window is the channel's bound ------------------------------
+//
+// A remote channel is bounded by the window of the stream that carries it
+// and by nothing else, whichever side moved (so whichever side dialed)
+// and whether the producer runs on a thread or a fiber.
+
+struct WindowCase {
+  bool producer_moves;  // else the consumer moves
+  bool on_fibers;
+};
+
+/// A remote channel of window kWindow whose consumer never reads, and a
+/// Sequence producer running until it parks on the window.
+class StalledChannel {
+ public:
+  static constexpr std::size_t kWindow = 4096;  // 512 elements
+
+  explicit StalledChannel(const WindowCase& c)
+      : node_a_(NodeContext::create()), node_b_(NodeContext::create()) {
+    auto ch = std::make_shared<Channel>(
+        core::ChannelOptions{.capacity = 256,
+                             .label = "stalled",
+                             .remote = {.credit_window = kWindow}});
+    std::shared_ptr<core::Process> producer =
+        std::make_shared<Sequence>(0, ch->output());
+    if (c.producer_moves) {
+      const ByteVector shipment = ship_process(node_a_, producer);
+      producer = receive_process(node_b_, {shipment.data(), shipment.size()});
+      producer_node_ = node_b_;
+      consumer_ = ch->input();
+    } else {
+      std::shared_ptr<core::Process> consumer = std::make_shared<Identity>(
+          ch->input(), std::make_shared<Channel>(256)->output());
+      const ByteVector shipment = ship_process(node_a_, consumer);
+      // Received, so its endpoint dials in, but never run.
+      consumer_host_ =
+          receive_process(node_b_, {shipment.data(), shipment.size()});
+      consumer_ = consumer_host_->channel_inputs().at(0);
+      producer_node_ = node_a_;
+    }
+    if (c.on_fibers) {
+      producers_.set_scheduler(sched::SchedulerOptions{
+          .mode = sched::SchedMode::kWorkSteal, .workers = 2});
+    }
+    producers_.add(producer);
+    producers_.start();
+  }
+
+  ~StalledChannel() {
+    consumer_->close();
+    producers_.join();
+  }
+
+  /// Waits until the producer is parked with at least `bytes` sent, then
+  /// gives it 50 ms more; returns what it has sent by then.
+  std::uint64_t parked_after(std::uint64_t bytes) const {
+    const TrafficStats& traffic = *producer_node_->traffic();
+    wait_until([&] {
+      return traffic.bytes_sent.load() >= bytes &&
+             traffic.blocked_remote_writers.load() > 0;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    return traffic.bytes_sent.load();
+  }
+  core::ChannelInputStream& consumer() { return *consumer_; }
+  core::Network& producers() { return producers_; }
+
+ private:
+  std::shared_ptr<NodeContext> node_a_;
+  std::shared_ptr<NodeContext> node_b_;
+  std::shared_ptr<NodeContext> producer_node_;
+  std::shared_ptr<core::Process> consumer_host_;
+  std::shared_ptr<core::ChannelInputStream> consumer_;
+  core::Network producers_;
+};
+
+class RemoteWindow : public ::testing::TestWithParam<WindowCase> {};
+
+// The producer of a consumer that never reads gets exactly one window of
+// payload bytes ahead, then parks.
+TEST_P(RemoteWindow, ProducerGetsExactlyTheWindowAhead) {
+  StalledChannel channel{GetParam()};
+  EXPECT_EQ(channel.parked_after(StalledChannel::kWindow),
+            StalledChannel::kWindow);
+}
+
+// A consumer that closes while its producer is parked on the full window
+// makes that producer's write throw ChannelClosed: the producer stops
+// within a bounded time (the §3.4 cascade, consumer first).
+TEST_P(RemoteWindow, ConsumerCloseWakesTheParkedProducer) {
+  StalledChannel channel{GetParam()};
+  ASSERT_EQ(channel.parked_after(StalledChannel::kWindow),
+            StalledChannel::kWindow);
+  channel.consumer().close();
+  auto joined = std::async(std::launch::async,
+                           [&] { channel.producers().join(); });
+  EXPECT_EQ(joined.wait_for(std::chrono::seconds{10}),
+            std::future_status::ready)
+      << "producer still parked on the window";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, RemoteWindow,
+    ::testing::Values(WindowCase{false, false}, WindowCase{false, true},
+                      WindowCase{true, false}, WindowCase{true, true}),
+    [](const auto& instance) {
+      return std::string{instance.param.producer_moves ? "producer_moves"
+                                                       : "consumer_moves"} +
+             (instance.param.on_fibers ? "_fibers" : "_threads");
+    });
 
 }  // namespace
 }  // namespace dpn::dist

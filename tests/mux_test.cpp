@@ -18,7 +18,10 @@
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "sched/scheduler.hpp"
+#include "obs/trace.hpp"
 #include "support/bytes.hpp"
+
+#include "mux_peer.hpp"
 
 // The mux transport's flow control and flush batching, driven through
 // the Transport API (mux against mux) and against a hand-rolled peer
@@ -26,18 +29,9 @@
 namespace dpn::net {
 namespace {
 
-Transport& mux() { return transport_for(TransportKind::kMux); }
+using namespace test;
 
-/// Reads exactly out.size() bytes from a Stream or a raw Socket.
-template <class Source>
-void read_exact(Source& source, MutableByteSpan out) {
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const std::size_t n = source.read_some(out.subspan(got));
-    ASSERT_GT(n, 0u) << "early end of stream";
-    got += n;
-  }
-}
+Transport& mux() { return default_transport(); }
 
 /// Holds every reactor() loop inside a posted closure until destroyed:
 /// frames queued meanwhile can only leave in the flushes that follow.
@@ -74,98 +68,6 @@ std::size_t armed_timers_in_pool() {
   }
   return sum;
 }
-
-// Frame types of the mux wire format.
-constexpr std::uint8_t kOpen = 0;
-constexpr std::uint8_t kData = 1;
-constexpr std::uint8_t kCredit = 3;
-constexpr std::uint8_t kFin = 4;
-
-/// A mux acceptor written against the wire format: it answers a real
-/// dialer's preface, grants it `window` bytes per stream, and hands the
-/// dialer's frames back in wire order.
-class RawPeer {
- public:
-  struct Frame {
-    std::uint32_t stream = 0;
-    std::uint8_t type = 0;
-    ByteVector payload;
-  };
-
-  explicit RawPeer(std::uint32_t window)
-      : server_(0),
-        accepted_(std::async(std::launch::async, [this, window] {
-          Socket socket = server_.accept();
-          std::uint8_t preface[9];
-          read_exact(socket, {preface, sizeof preface});
-          put_u32(preface + 5, window);  // same magic and version back
-          socket.write_all({preface, sizeof preface});
-          return socket;
-        })) {}
-
-  /// Dials a new stream of the process's mux transport to this peer.
-  std::shared_ptr<Stream> dial(const DialOptions& options = {}) {
-    auto stream = mux().dial("127.0.0.1", server_.port(), options);
-    if (accepted_.valid()) socket_ = accepted_.get();
-    return stream;
-  }
-
-  Frame next() {
-    Frame frame;
-    std::uint8_t header[9];
-    read_exact(socket_, {header, sizeof header});
-    frame.stream = get_u32(header);
-    frame.type = header[4];
-    frame.payload.resize(get_u32(header + 5));
-    read_exact(socket_, {frame.payload.data(), frame.payload.size()});
-    return frame;
-  }
-
-  /// Grants the dialer `bytes` more send window on `stream`.
-  void grant(std::uint32_t stream, std::uint32_t bytes) {
-    std::uint8_t frame[13];
-    put_u32(frame, stream);
-    frame[4] = kCredit;
-    put_u32(frame + 5, 4);
-    put_u32(frame + 9, bytes);
-    socket_.write_all({frame, sizeof frame});
-  }
-
-  /// Sends one frame of `type` on `stream`, as a peer that may ignore
-  /// the protocol's rules.
-  void send(std::uint32_t stream, std::uint8_t type, ByteSpan payload) {
-    std::uint8_t header[9];
-    put_u32(header, stream);
-    header[4] = type;
-    put_u32(header + 5, static_cast<std::uint32_t>(payload.size()));
-    socket_.write_all({header, sizeof header});
-    socket_.write_all(payload);
-  }
-
-  /// Closes the connection under the dialer's streams.
-  void close() { socket_.close(); }
-
-  /// The stream id of the next OPEN frame (CREDITs before it skipped).
-  std::uint32_t next_open() {
-    for (;;) {
-      Frame frame = next();
-      if (frame.type == kOpen) return frame.stream;
-    }
-  }
-
-  /// The next frame that is not a CREDIT or OPEN.
-  Frame next_data_or_fin() {
-    for (;;) {
-      Frame frame = next();
-      if (frame.type != kCredit && frame.type != kOpen) return frame;
-    }
-  }
-
- private:
-  ServerSocket server_;
-  std::future<Socket> accepted_;
-  Socket socket_;
-};
 
 ByteVector pattern(std::size_t size, std::uint32_t seed) {
   ByteVector bytes(size);
@@ -380,7 +282,7 @@ TEST(MuxFlush, SmallStreamOvertakesSiblingBacklog) {
     ASSERT_EQ(frame.stream, big_id);
     big_before += frame.payload.size();
   }
-  EXPECT_LE(big_before, network_options().coalesce_bytes);
+  EXPECT_LE(big_before, network_options().flush_quantum);
   std::size_t big_total = big_before;
   while (big_total < backlog.size()) {
     RawPeer::Frame frame = peer.next_data_or_fin();
@@ -810,6 +712,186 @@ TEST(MuxWaitReadable, ZeroTimeoutProbeOnFiberArmsNoTimer) {
   scheduler.shutdown();
   EXPECT_EQ(readable, 0);
   EXPECT_EQ(armed_timers_in_pool(), timers_before);
+}
+
+// --- Frames: the mux frame codec, the only framing on the wire ------------
+
+/// Reads `stream` to its end: the bytes, then end-of-stream (0).
+std::string read_to_end(Stream& stream) {
+  std::string got;
+  std::uint8_t buffer[7];  // small reads split frames
+  for (;;) {
+    const std::size_t n = stream.read_some({buffer, sizeof buffer});
+    if (n == 0) return got;
+    got.append(reinterpret_cast<const char*>(buffer), n);
+  }
+}
+
+TEST(Frames, DataRoundTrip) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next_open();
+  peer.send(id, kData, as_bytes(std::string{"hello frames"}));
+  peer.send(id, kFin, {});
+  EXPECT_EQ(read_to_end(*stream), "hello frames");
+  EXPECT_TRUE(stream->end_message().empty());
+}
+
+// The receiver sees the same frames however TCP cuts the bytes: headers,
+// a traced frame's context and a FIN's end message may each arrive split
+// across receives, and whole frames parse straight from a receive.
+TEST(Frames, ParserHandlesAnySplit) {
+  obs::TraceContext ctx;
+  ctx.trace_id = 7;
+  ctx.span_id = 8;
+  ctx.flags = obs::TraceContext::kSampled;
+  const std::string first = "hello frames";
+  const std::string second = "traced bytes";
+  const std::string end = "redirect";
+  for (std::size_t piece : {1u, 2u, 3u, 5u, 9u, 200u}) {
+    RawPeer peer{1u << 20};
+    auto stream = peer.dial();
+    const std::uint32_t id = peer.next_open();
+    ByteVector wire = encode_frame(id, kData, as_bytes(first));
+    ByteVector traced(obs::TraceContext::kWireSize);
+    ctx.encode(traced.data());
+    traced.insert(traced.end(), second.begin(), second.end());
+    const ByteVector frame2 =
+        encode_frame(id, kDataTraced, {traced.data(), traced.size()});
+    const ByteVector frame3 = encode_frame(id, kFin, as_bytes(end));
+    wire.insert(wire.end(), frame2.begin(), frame2.end());
+    wire.insert(wire.end(), frame3.begin(), frame3.end());
+    std::jthread sender{[&] {
+      for (std::size_t at = 0; at < wire.size(); at += piece) {
+        peer.send_raw({wire.data() + at, std::min(piece, wire.size() - at)});
+        std::this_thread::sleep_for(std::chrono::microseconds{200});
+      }
+    }};
+    obs::current_trace_context() = {};
+    EXPECT_EQ(read_to_end(*stream), first + second) << "piece " << piece;
+    EXPECT_EQ(dpn::to_string({stream->end_message().data(),
+                              stream->end_message().size()}),
+              end)
+        << "piece " << piece;
+    EXPECT_EQ(obs::current_trace_context().span_id, ctx.span_id)
+        << "piece " << piece;
+  }
+  obs::current_trace_context() = {};
+}
+
+// One write is one DATA frame: its bytes are not cut or padded.
+TEST(Frames, DataFrameIsOneWriteOperation) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  peer.next_open();
+  const ByteVector payload{1, 2, 3, 4, 5};
+  stream->write_all({payload.data(), payload.size()});
+  const RawPeer::Frame frame = peer.next_data_or_fin();
+  EXPECT_EQ(frame.type, kData);
+  EXPECT_EQ(frame.payload, payload);
+}
+
+// An end of stream and its message are one FIN frame; a window grant is
+// one CREDIT frame.
+TEST(Frames, ControlFramesAreOneWriteOperation) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  peer.next_open();
+  stream->finish_with(as_bytes(std::string{"bye"}));
+  const RawPeer::Frame fin = peer.next_data_or_fin();
+  EXPECT_EQ(fin.type, kFin);
+  EXPECT_EQ(dpn::to_string({fin.payload.data(), fin.payload.size()}), "bye");
+  stream->grant_window(4096);
+  RawPeer::Frame credit = peer.next();
+  EXPECT_EQ(credit.type, kCredit);
+  ASSERT_EQ(credit.payload.size(), 4u);
+  EXPECT_EQ(get_u32(credit.payload.data()), 4096u);
+}
+
+TEST(Frames, EmptyDataFrameElided) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  peer.next_open();
+  stream->write_all({});
+  const std::uint8_t byte = 9;
+  stream->write_all({&byte, 1});
+  const RawPeer::Frame frame = peer.next_data_or_fin();
+  EXPECT_EQ(frame.type, kData);
+  EXPECT_EQ(frame.payload, ByteVector{9});
+}
+
+/// Reads `stream` until it throws NetError (true) or ends (false).
+bool read_fails(Stream& stream) {
+  try {
+    read_to_end(stream);
+  } catch (const NetError&) {
+    return true;
+  }
+  return false;
+}
+
+// A connection that ends inside a frame header took the stream's producer
+// with it: the read fails, it does not end quietly.
+TEST(Frames, TruncatedHeaderThrows) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next_open();
+  const ByteVector frame = encode_frame(id, kData, as_bytes(std::string{"x"}));
+  peer.send_raw({frame.data(), 3});
+  peer.close();
+  EXPECT_TRUE(read_fails(*stream));
+}
+
+TEST(Frames, TruncatedPayloadThrows) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next_open();
+  const ByteVector frame =
+      encode_frame(id, kData, as_bytes(std::string{"full payload"}));
+  peer.send_raw({frame.data(), frame.size() - 3});
+  peer.close();
+  EXPECT_TRUE(read_fails(*stream));
+}
+
+// A length past the frame bound kills the connection at the header, with
+// the peer still connected: nothing is buffered for it.
+TEST(Frames, OversizedFrameRejected) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next_open();
+  std::uint8_t header[9];
+  put_u32(header, id);
+  header[4] = kData;
+  put_u32(header + 5, 0xffffffffu);
+  peer.send_raw({header, sizeof header});
+  EXPECT_TRUE(read_fails(*stream));
+}
+
+TEST(Frames, ManyFramesInOrder) {
+  RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  const std::uint32_t id = peer.next_open();
+  std::string want;
+  for (int i = 0; i < 50; ++i) {
+    const std::string payload(static_cast<std::size_t>(i) + 1,
+                              static_cast<char>('a' + i % 26));
+    peer.send(id, kData, as_bytes(payload));
+    want += payload;
+  }
+  peer.send(id, kFin, {});
+  EXPECT_EQ(read_to_end(*stream), want);
+}
+
+TEST(Frames, OverSocketEndToEnd) {
+  auto listener = mux().listen(0);
+  auto client = mux().dial("127.0.0.1", listener->port());
+  auto server = listener->accept();
+  client->write_all(as_bytes(std::string{"one"}));
+  client->write_all(as_bytes(std::string{"two"}));
+  client->finish_with(as_bytes(std::string{"end"}));
+  EXPECT_EQ(read_to_end(*server), "onetwo");
+  const ByteVector end = server->end_message();
+  EXPECT_EQ(dpn::to_string({end.data(), end.size()}), "end");
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-
-#include <cstdlib>
 #include <future>
 #include <thread>
 
 #include "io/memory.hpp"
 #include "net/event_loop.hpp"
-#include "net/frames.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -190,192 +186,6 @@ TEST(EventLoopTimers, CancelledTimerNeverFires) {
   EXPECT_EQ(loop.armed_timers(), 0u);
 }
 
-// --- Frame codec -------------------------------------------------------------
-
-TEST(Frames, DataRoundTrip) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  const std::string payload = "hello frames";
-  writer.write_data(as_bytes(payload));
-  writer.write_fin();
-
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->take())};
-  Frame frame = reader.read_frame();
-  EXPECT_EQ(frame.type, FrameType::kData);
-  EXPECT_EQ(dpn::to_string(ByteSpan{frame.payload.data(), frame.payload.size()}), payload);
-  EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
-}
-
-// The in-place parser sees the same frames however the received bytes
-// are cut: headers, control payloads and a traced frame's context may
-// each be split across pieces, and a small output buffer splits DATA.
-TEST(Frames, ParserHandlesAnySplit) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  const std::string first = "hello frames";
-  const std::string second = "traced bytes";
-  RedirectInfo redirect;
-  redirect.host = "10.0.0.7";
-  redirect.port = 4242;
-  redirect.token = 99;
-  obs::TraceContext ctx;
-  ctx.trace_id = 7;
-  ctx.span_id = 8;
-  ctx.flags = obs::TraceContext::kSampled;
-  writer.write_data(as_bytes(first));
-  writer.write_redirect(redirect);
-  writer.write_data_traced(ctx, as_bytes(second));
-  writer.write_fin();
-  const ByteVector wire = sink->take();
-
-  for (std::size_t piece = 1; piece <= 9; ++piece) {
-    FrameParser parser;
-    std::string data;
-    std::vector<Frame> controls;
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const ByteSpan in{wire.data() + pos,
-                        std::min(piece, wire.size() - pos)};
-      std::uint8_t out[3];
-      std::size_t produced = 0;
-      pos += parser.feed(in, {out, sizeof out}, produced);
-      data.append(reinterpret_cast<const char*>(out), produced);
-      if (parser.control_ready()) controls.push_back(parser.take_control());
-    }
-    EXPECT_TRUE(parser.between_frames()) << "piece " << piece;
-    EXPECT_EQ(data, first + second) << "piece " << piece;
-    ASSERT_EQ(controls.size(), 2u) << "piece " << piece;
-    EXPECT_EQ(controls[0].type, FrameType::kRedirect);
-    const RedirectInfo got = RedirectInfo::decode(
-        {controls[0].payload.data(), controls[0].payload.size()});
-    EXPECT_EQ(got.host, redirect.host);
-    EXPECT_EQ(got.token, redirect.token);
-    EXPECT_EQ(controls[1].type, FrameType::kFin);
-    EXPECT_EQ(obs::current_trace_context().span_id, ctx.span_id);
-  }
-}
-
-/// Counts discrete write operations -- each stands for one syscall when
-/// the underlying stream is a socket.
-class CountingOutputStream final : public io::OutputStream {
- public:
-  void write(ByteSpan data) override {
-    ++ops;
-    bytes.insert(bytes.end(), data.begin(), data.end());
-  }
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    ++ops;
-    bytes.insert(bytes.end(), a.begin(), a.end());
-    bytes.insert(bytes.end(), b.begin(), b.end());
-  }
-  void close() override {}
-  int ops = 0;
-  ByteVector bytes;
-};
-
-TEST(Frames, DataFrameIsOneWriteOperation) {
-  // Header and payload travel as one gathered write: on a socket that is
-  // a single ::sendmsg, not a 5-byte header syscall plus a payload one.
-  auto sink = std::make_shared<CountingOutputStream>();
-  FrameWriter writer{sink};
-  const ByteVector payload{1, 2, 3, 4, 5};
-  writer.write_data({payload.data(), payload.size()});
-  EXPECT_EQ(sink->ops, 1);
-
-  // And the wire bytes are still a well-formed frame.
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->bytes)};
-  const Frame frame = reader.read_frame();
-  EXPECT_EQ(frame.type, FrameType::kData);
-  EXPECT_EQ(frame.payload, payload);
-}
-
-TEST(Frames, ControlFramesAreOneWriteOperation) {
-  auto sink = std::make_shared<CountingOutputStream>();
-  FrameWriter writer{sink};
-  writer.write_fin();
-  EXPECT_EQ(sink->ops, 1);
-  writer.write_credit(4096);
-  EXPECT_EQ(sink->ops, 2);
-
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->bytes)};
-  EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
-  const Frame credit = reader.read_frame();
-  EXPECT_EQ(credit.type, FrameType::kCredit);
-  ASSERT_EQ(credit.payload.size(), 4u);
-  EXPECT_EQ(get_u32(credit.payload.data()), 4096u);
-}
-
-TEST(Frames, EmptyDataFrameElided) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  writer.write_data({});
-  EXPECT_TRUE(sink->data().empty());
-}
-
-TEST(Frames, TransportEofSynthesizesFin) {
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(ByteVector{})};
-  EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
-}
-
-TEST(Frames, TruncatedHeaderThrows) {
-  ByteVector partial{0, 0, 0};  // half a header
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(partial)};
-  EXPECT_THROW(reader.read_frame(), EndOfStream);
-}
-
-TEST(Frames, TruncatedPayloadThrows) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  writer.write_data(as_bytes(std::string{"full payload"}));
-  ByteVector bytes = sink->take();
-  bytes.resize(bytes.size() - 3);
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(bytes)};
-  EXPECT_THROW(reader.read_frame(), EndOfStream);
-}
-
-TEST(Frames, OversizedFrameRejected) {
-  ByteVector header{0 /*kData*/, 0xff, 0xff, 0xff, 0xff};
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(header)};
-  EXPECT_THROW(reader.read_frame(), IoError);
-}
-
-TEST(Frames, RedirectInfoRoundTrip) {
-  RedirectInfo info;
-  info.host = "10.1.2.3";
-  info.port = 65000;
-  info.token = 0xdeadbeefcafef00dULL;
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  writer.write_redirect(info);
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->take())};
-  Frame frame = reader.read_frame();
-  ASSERT_EQ(frame.type, FrameType::kRedirect);
-  const RedirectInfo decoded =
-      RedirectInfo::decode({frame.payload.data(), frame.payload.size()});
-  EXPECT_EQ(decoded.host, info.host);
-  EXPECT_EQ(decoded.port, info.port);
-  EXPECT_EQ(decoded.token, info.token);
-}
-
-TEST(Frames, ManyFramesInOrder) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  FrameWriter writer{sink};
-  for (int i = 0; i < 50; ++i) {
-    ByteVector payload(static_cast<std::size_t>(i) + 1,
-                       static_cast<std::uint8_t>(i));
-    writer.write_data({payload.data(), payload.size()});
-  }
-  writer.write_fin();
-  FrameReader reader{std::make_shared<io::MemoryInputStream>(sink->take())};
-  for (int i = 0; i < 50; ++i) {
-    Frame frame = reader.read_frame();
-    ASSERT_EQ(frame.type, FrameType::kData);
-    EXPECT_EQ(frame.payload.size(), static_cast<std::size_t>(i) + 1);
-    EXPECT_EQ(frame.payload[0], static_cast<std::uint8_t>(i));
-  }
-  EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
-}
-
 // --- Per-core reactor pool ---------------------------------------------------
 
 TEST(Reactor, PoolIsLazyAndRoundRobin) {
@@ -409,10 +219,13 @@ TEST(Reactor, SocketWaitReadableProbesAndTimesOut) {
   EXPECT_TRUE(client.wait_readable(std::chrono::milliseconds{0}));
 }
 
+// A fiber's remote reads and writes run on the reactor's mux streams,
+// never in a blocking socket call: one parked in a stream read, or on a
+// stream's exhausted window, leaves its worker to the other fibers.
 TEST(Reactor, FiberParkedInSocketReadDoesNotStallWorker) {
-  ServerSocket server{0};
-  Socket client = Socket::connect("127.0.0.1", server.port());
-  Socket peer = server.accept();
+  auto listener = default_transport().listen(0);
+  auto client = default_transport().dial("127.0.0.1", listener->port());
+  auto peer = listener->accept();
 
   sched::SchedulerOptions options;
   options.mode = sched::SchedMode::kWorkSteal;
@@ -424,19 +237,18 @@ TEST(Reactor, FiberParkedInSocketReadDoesNotStallWorker) {
   scheduler.spawn(
       [&] {
         std::uint8_t b = 0;
-        read_result.set_value(client.read_some({&b, 1}));
+        read_result.set_value(client->read_some({&b, 1}));
       },
       "parked-reader");
   scheduler.spawn([&] { bystander_ran.set_value(); }, "bystander");
 
   // With a single worker the bystander only runs if the blocked read
-  // parks its fiber on the reactor instead of wedging the worker in
-  // recv() -- the fiber-blind-transport regression.
+  // parks its fiber instead of wedging the worker.
   auto ran = bystander_ran.get_future();
   ASSERT_EQ(ran.wait_for(std::chrono::seconds{5}), std::future_status::ready);
 
   const std::uint8_t token = 42;
-  peer.write_all({&token, 1});
+  peer->write_all({&token, 1});
   auto result = read_result.get_future();
   ASSERT_EQ(result.wait_for(std::chrono::seconds{5}),
             std::future_status::ready);
@@ -445,15 +257,11 @@ TEST(Reactor, FiberParkedInSocketReadDoesNotStallWorker) {
 }
 
 TEST(Reactor, FiberParkedInSocketWriteDoesNotStallWorker) {
-  ServerSocket server{0};
-  Socket client = Socket::connect("127.0.0.1", server.port());
-  Socket peer = server.accept();
-  // Shrink the send buffer so a modest burst fills it; the peer never
-  // reads, so write_all must park on writability.
-  const int sndbuf = 4096;
-  ASSERT_EQ(setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
-                       sizeof sndbuf),
-            0);
+  auto listener = default_transport().listen(0);
+  DialOptions dial;
+  dial.stream_window = 4096;  // a modest burst exhausts it
+  auto client = default_transport().dial("127.0.0.1", listener->port(), dial);
+  auto peer = listener->accept();
 
   sched::SchedulerOptions options;
   options.mode = sched::SchedMode::kWorkSteal;
@@ -465,16 +273,15 @@ TEST(Reactor, FiberParkedInSocketWriteDoesNotStallWorker) {
   const ByteVector burst(1u << 20, 0xAB);
   scheduler.spawn(
       [&] {
-        client.write_all({burst.data(), burst.size()});
+        client->write_all({burst.data(), burst.size()});
         write_done.set_value();
       },
       "parked-writer");
   scheduler.spawn([&] { bystander_ran.set_value(); }, "bystander");
 
   // The write-side twin of FiberParkedInSocketReadDoesNotStallWorker:
-  // with one worker the bystander only runs if the full send buffer
-  // parks the writing fiber on the reactor instead of wedging the worker
-  // in send().
+  // the bystander only runs if the exhausted window parks the writing
+  // fiber instead of wedging the worker.
   auto ran = bystander_ran.get_future();
   ASSERT_EQ(ran.wait_for(std::chrono::seconds{5}), std::future_status::ready);
 
@@ -482,7 +289,7 @@ TEST(Reactor, FiberParkedInSocketWriteDoesNotStallWorker) {
     ByteVector sink(1u << 16);
     std::size_t total = 0;
     while (total < burst.size()) {
-      const std::size_t n = peer.read_some({sink.data(), sink.size()});
+      const std::size_t n = peer->read_some({sink.data(), sink.size()});
       if (n == 0) break;
       total += n;
     }
@@ -520,39 +327,6 @@ TEST(Reactor, FiberWaitReadableTimesOutWithoutStallingWorker) {
             std::future_status::ready);
   EXPECT_FALSE(result.get());  // no data ever arrived: clean timeout
   scheduler.shutdown();
-}
-
-// --- Transport selection -----------------------------------------------------
-
-TEST(Transport, MuxIsTheDefaultWithBlockingOptOut) {
-  EXPECT_EQ(NetworkOptions{}.transport, TransportKind::kMux);
-
-  unsetenv("DPN_TRANSPORT");
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  setenv("DPN_TRANSPORT", "blocking", 1);
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kBlocking);
-  setenv("DPN_TRANSPORT", "mux", 1);
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  setenv("DPN_TRANSPORT", "warp-drive", 1);  // unknown: warn, keep mux
-  EXPECT_EQ(NetworkOptions::from_env().transport, TransportKind::kMux);
-  unsetenv("DPN_TRANSPORT");
-}
-
-TEST(Frames, OverSocketEndToEnd) {
-  ServerSocket server{0};
-  std::jthread producer{[&] {
-    auto peer = std::make_shared<Socket>(server.accept());
-    FrameWriter writer{std::make_shared<SocketOutputStream>(peer)};
-    writer.write_data(as_bytes(std::string{"one"}));
-    writer.write_data(as_bytes(std::string{"two"}));
-    writer.write_fin();
-  }};
-  auto client =
-      std::make_shared<Socket>(Socket::connect("127.0.0.1", server.port()));
-  FrameReader reader{std::make_shared<SocketInputStream>(client)};
-  EXPECT_EQ(dpn::to_string(ByteSpan{reader.read_frame().payload.data(), 3}), "one");
-  EXPECT_EQ(dpn::to_string(ByteSpan{reader.read_frame().payload.data(), 3}), "two");
-  EXPECT_EQ(reader.read_frame().type, FrameType::kFin);
 }
 
 }  // namespace

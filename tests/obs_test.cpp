@@ -9,10 +9,10 @@
 #include "core/channel.hpp"
 #include "core/network.hpp"
 #include "core/process.hpp"
+#include "dist/remote_streams.hpp"
 #include "factor/factor.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
-#include "net/frames.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +23,8 @@
 #include "rmi/compute_server.hpp"
 #include "rmi/telemetry.hpp"
 #include "support/histogram.hpp"
+
+#include "mux_peer.hpp"
 
 namespace dpn::obs {
 namespace {
@@ -687,20 +689,24 @@ TEST(TraceContext, WireRoundTrip) {
   EXPECT_FALSE(TraceContext{}.valid());
 }
 
+// A traced write leaves as one DATA_TRACED frame: the writer's context,
+// then the bytes.
 TEST(Frames, DataTracedCarriesContextPrefix) {
-  auto sink = std::make_shared<io::MemoryOutputStream>();
-  net::FrameWriter writer{sink};
-  TraceContext ctx;
-  ctx.trace_id = 7;
-  ctx.span_id = 9;
-  ctx.flags = TraceContext::kSampled;
+  net::test::RawPeer peer{1u << 20};
+  auto stream = peer.dial();
+  peer.next_open();
+  Tracer::instance().enable(1u << 10);
+  TraceContext& ambient = current_trace_context();
+  ambient.trace_id = 7;
+  ambient.span_id = 9;
+  ambient.flags = TraceContext::kSampled;
   const std::uint8_t payload[4] = {10, 20, 30, 40};
-  writer.write_data_traced(ctx, {payload, sizeof payload});
+  stream->write_all({payload, sizeof payload});
+  ambient = {};
+  Tracer::instance().disable();
 
-  net::FrameReader reader{
-      std::make_shared<io::MemoryInputStream>(sink->take())};
-  const net::Frame frame = reader.read_frame();
-  EXPECT_EQ(frame.type, net::FrameType::kDataTraced);
+  const net::test::RawPeer::Frame frame = peer.next_data_or_fin();
+  EXPECT_EQ(frame.type, net::test::kDataTraced);
   ASSERT_EQ(frame.payload.size(), TraceContext::kWireSize + sizeof payload);
   const TraceContext copy = TraceContext::decode(frame.payload.data());
   EXPECT_EQ(copy.trace_id, 7u);
@@ -710,33 +716,31 @@ TEST(Frames, DataTracedCarriesContextPrefix) {
 }
 
 TEST(Frames, RedirectContextIsOptionalOnTheWire) {
-  net::RedirectInfo info;
-  info.host = "10.0.0.1";
-  info.port = 4242;
+  dist::RedirectInfo info;
   info.token = 77;
   const ByteVector plain = info.encode();
-  const net::RedirectInfo plain_copy =
-      net::RedirectInfo::decode({plain.data(), plain.size()});
-  EXPECT_EQ(plain_copy.host, "10.0.0.1");
+  EXPECT_EQ(plain.size(), 8u);
+  const dist::RedirectInfo plain_copy =
+      dist::RedirectInfo::decode({plain.data(), plain.size()});
   EXPECT_EQ(plain_copy.token, 77u);
-  EXPECT_FALSE(plain_copy.trace.valid());  // old payload: no context
+  EXPECT_FALSE(plain_copy.trace.valid());  // no context sent
 
   info.trace.trace_id = 5;
   info.trace.span_id = 6;
   info.trace.flags = TraceContext::kSampled;
   const ByteVector traced = info.encode();
   EXPECT_EQ(traced.size(), plain.size() + TraceContext::kWireSize);
-  const net::RedirectInfo traced_copy =
-      net::RedirectInfo::decode({traced.data(), traced.size()});
+  const dist::RedirectInfo traced_copy =
+      dist::RedirectInfo::decode({traced.data(), traced.size()});
+  EXPECT_EQ(traced_copy.token, 77u);
   EXPECT_TRUE(traced_copy.trace.valid());
   EXPECT_EQ(traced_copy.trace.trace_id, 5u);
   EXPECT_EQ(traced_copy.trace.span_id, 6u);
-  // An old decoder sees the ctx bytes as trailing payload and ignores
-  // them -- which is exactly what decode() of the prefix does.
-  const net::RedirectInfo prefix_copy =
-      net::RedirectInfo::decode({traced.data(), plain.size()});
-  EXPECT_EQ(prefix_copy.host, "10.0.0.1");
+  // The token alone is still a whole message.
+  const dist::RedirectInfo prefix_copy =
+      dist::RedirectInfo::decode({traced.data(), plain.size()});
   EXPECT_EQ(prefix_copy.token, 77u);
+  EXPECT_FALSE(prefix_copy.trace.valid());
 }
 
 // --- Tracer drop accounting --------------------------------------------------

@@ -815,7 +815,7 @@ TEST(TypedObs, MonitorGrowsRingOnArtificialDeadlock) {
   EXPECT_GE(ch->state()->typed->capacity() * 8, 100u * 8u);
 }
 
-// --- teardown-gridlock regression (dist CLOSE frame) -----------------------
+// --- teardown-gridlock regression (consumer close on a full window) --------
 
 /// Serializable consumer that reads a fixed number of i64 tokens and
 /// returns, closing its endpoints -- the remote-consumer half of the
@@ -849,12 +849,9 @@ class DiscardN final : public core::IterativeProcess {
 
 TEST(TypedTeardown, CloseFrameWakesProducerParkedOnCredit) {
   // The seed-era gridlock: a remote consumer finishes and closes while
-  // the producer is parked in await_credit with an exhausted window.  The
-  // consumer's dist CLOSE frame must wake the producer into
-  // ChannelClosed; before the fix this combination hung forever (the FIN
-  // could be starved behind the unread credit backlog).  Runs under
-  // whichever transport DPN_TRANSPORT selects -- the tsan-typed preset
-  // covers both.
+  // the producer is parked on an exhausted window.  The consumer's close
+  // frame (the stream's RST) must wake the producer into ChannelClosed;
+  // this combination once hung forever.
   auto node_a = dist::NodeContext::create();
   auto node_b = dist::NodeContext::create();
   // Tiny credit window: the producer outruns it immediately and parks.
