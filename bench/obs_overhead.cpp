@@ -1,15 +1,15 @@
-// Overhead of the observability layer on the PR 1 channel fast-path
+// Overhead of the observability layer on the channel fast-path
 // microbenchmarks.  The per-channel metrics are always on (relaxed
-// atomics in the endpoint hot path); the tracer adds one relaxed load +
-// predictable branch per op when disabled and a ring-buffer store when
-// enabled.  The acceptance bar is <=3% on the write/read throughput and
-// round-trip numbers vs micro_channels before the obs layer existed --
-// compare against EXPERIMENTS.md.
+// atomics in the endpoint hot path); the flight recorder adds one relaxed
+// load + predictable branch per op at its default post-mortem level and
+// a store into the thread's ring at its token level.  The acceptance bar
+// is <=3% on the write/read throughput and round-trip numbers vs
+// micro_channels before the obs layer existed -- compare against
+// EXPERIMENTS.md.
 //
-// Each benchmark here exists twice: the plain name runs with tracing
-// disabled (the deployment default), the *Traced variant with the ring
-// buffer recording, which bounds the cost of leaving a trace on in
-// production.
+// Each benchmark here exists twice: the plain name runs at the default
+// post-mortem level, the *Traced variant at the token level, which
+// bounds the cost of recording every token in production.
 
 #include <benchmark/benchmark.h>
 
@@ -22,19 +22,16 @@
 #include "io/memory.hpp"
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
 using namespace dpn;
 
+using obs::FlightLevel;
+
 /// Per-element streaming write cost; arg = ChannelOptions::write_buffer.
-void write_throughput(benchmark::State& state, bool traced) {
-  if (traced) {
-    obs::Tracer::instance().enable();
-  } else {
-    obs::Tracer::instance().disable();
-  }
+void write_throughput(benchmark::State& state, FlightLevel level) {
+  obs::set_flight_level(level);
   core::ChannelOptions options;
   options.capacity = 1 << 16;
   options.write_buffer = static_cast<std::size_t>(state.range(0));
@@ -53,27 +50,23 @@ void write_throughput(benchmark::State& state, bool traced) {
     out.write_i64(value++);
   }
   channel.output()->close();
-  obs::Tracer::instance().disable();
+  obs::set_flight_level(FlightLevel::kPostMortem);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
 void BM_ObsWriteThroughput(benchmark::State& state) {
-  write_throughput(state, /*traced=*/false);
+  write_throughput(state, FlightLevel::kPostMortem);
 }
 BENCHMARK(BM_ObsWriteThroughput)->Arg(0)->Arg(8192);
 
 void BM_ObsWriteThroughputTraced(benchmark::State& state) {
-  write_throughput(state, /*traced=*/true);
+  write_throughput(state, FlightLevel::kTokens);
 }
 BENCHMARK(BM_ObsWriteThroughputTraced)->Arg(0)->Arg(8192);
 
 /// Per-element streaming read cost; arg = ChannelOptions::read_buffer.
-void read_throughput(benchmark::State& state, bool traced) {
-  if (traced) {
-    obs::Tracer::instance().enable();
-  } else {
-    obs::Tracer::instance().disable();
-  }
+void read_throughput(benchmark::State& state, FlightLevel level) {
+  obs::set_flight_level(level);
   core::ChannelOptions options;
   options.capacity = 1 << 16;
   options.write_buffer = 8192;
@@ -91,17 +84,17 @@ void read_throughput(benchmark::State& state, bool traced) {
     benchmark::DoNotOptimize(in.read_i64());
   }
   channel.input()->close();
-  obs::Tracer::instance().disable();
+  obs::set_flight_level(FlightLevel::kPostMortem);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
 void BM_ObsReadThroughput(benchmark::State& state) {
-  read_throughput(state, /*traced=*/false);
+  read_throughput(state, FlightLevel::kPostMortem);
 }
 BENCHMARK(BM_ObsReadThroughput)->Arg(0)->Arg(8192);
 
 void BM_ObsReadThroughputTraced(benchmark::State& state) {
-  read_throughput(state, /*traced=*/true);
+  read_throughput(state, FlightLevel::kTokens);
 }
 BENCHMARK(BM_ObsReadThroughputTraced)->Arg(0)->Arg(8192);
 
@@ -109,19 +102,18 @@ BENCHMARK(BM_ObsReadThroughputTraced)->Arg(0)->Arg(8192);
 /// vs a DATA_TRACED frame (ambient context lookup + 17-byte TraceContext
 /// prefix, kept per write by the sender and adopted by the reader) on a
 /// loopback mux stream pair, drained by a reader thread.  This is the
-/// per-write cost a remote channel pays when tracing is on; when tracing
-/// is off the traced path is never taken, and with DPN_TRACE=0 it
-/// compiles out.  arg = payload bytes per write.  Real time is the
-/// writer's, so the drain keeps up only while the window has room.
+/// per-write cost a remote channel pays at the token level; below it the
+/// traced path is never taken, and with DPN_FLIGHT=0 it compiles out.
+/// arg = payload bytes per write.  Real time is the writer's, so the
+/// drain keeps up only while the window has room.
 void stream_write(benchmark::State& state, bool traced) {
+  obs::set_flight_level(traced ? FlightLevel::kTokens
+                              : FlightLevel::kPostMortem);
   if (traced) {
-    obs::Tracer::instance().enable();
     auto& ambient = obs::current_trace_context();
     ambient.trace_id = obs::new_trace_id();
     ambient.span_id = obs::next_span_id();
     ambient.flags = obs::TraceContext::kSampled;
-  } else {
-    obs::Tracer::instance().disable();
   }
   auto listener = net::default_transport().listen(0);
   auto client = net::default_transport().dial("127.0.0.1", listener->port());
@@ -141,7 +133,7 @@ void stream_write(benchmark::State& state, bool traced) {
   }
   client->shutdown_write();  // the drain reads end-of-stream and stops
   drain.join();
-  obs::Tracer::instance().disable();
+  obs::set_flight_level(FlightLevel::kPostMortem);
   obs::current_trace_context() = {};
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size));
@@ -162,10 +154,10 @@ BENCHMARK(BM_ObsStreamWriteWithContext)
     ->Arg(8192);
 
 /// One flight-recorder event: the cost paid at a park/block/dial site
-/// when recording is on (the default).  Not a fast-path cost -- those
-/// sites already block -- but it bounds the recorder's worst case.
+/// at the default level.  Not a fast-path cost -- those sites already
+/// block -- but it is also what each token costs at the token level.
 void BM_FlightRecord(benchmark::State& state) {
-  obs::set_flight_enabled(true);
+  obs::set_flight_level(FlightLevel::kPostMortem);
   obs::flight_set_actor("bench");
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -176,34 +168,32 @@ void BM_FlightRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecord);
 
-/// The same site with recording toggled off at runtime: one relaxed
-/// load + predictable branch.  With DPN_FLIGHT=0 the call compiles to
-/// nothing (build -DDPN_FLIGHT_RECORDER=OFF to get that row).
+/// The same site with the level at kOff: one relaxed load + predictable
+/// branch.  With DPN_FLIGHT=0 the call compiles to nothing (build
+/// -DDPN_FLIGHT_RECORDER=OFF to get that row).
 void BM_FlightRecordDisabled(benchmark::State& state) {
-  obs::set_flight_enabled(false);
+  obs::set_flight_level(FlightLevel::kOff);
   std::uint64_t i = 0;
   for (auto _ : state) {
     obs::flight_record(obs::FlightKind::kSchedPark, i++, 0);
   }
-  obs::set_flight_enabled(true);
+  obs::set_flight_level(FlightLevel::kPostMortem);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FlightRecordDisabled);
 
-/// The acceptance A/B for the always-on recorder: the buffered channel
-/// fast path with the recorder on (deployment default) vs toggled off.
-/// The fast path records nothing -- events only happen at wait sites --
-/// so the delta must stay within noise (<=2%, EXPERIMENTS.md).
+/// The acceptance A/B for the always-on recorder: the channel fast path
+/// at the default level vs kOff.  Below the token level the fast path
+/// records nothing -- events only happen at wait sites -- so the delta
+/// must stay within noise (<=2%, EXPERIMENTS.md).
 void BM_ObsWriteThroughputFlightOff(benchmark::State& state) {
-  obs::set_flight_enabled(false);
-  write_throughput(state, /*traced=*/false);
-  obs::set_flight_enabled(true);
+  write_throughput(state, FlightLevel::kOff);
 }
 BENCHMARK(BM_ObsWriteThroughputFlightOff)->Arg(0)->Arg(8192);
 
 /// Single-element ping through full channel endpoints.
 void BM_ObsElementRoundTrip(benchmark::State& state) {
-  obs::Tracer::instance().disable();
+  obs::set_flight_level(FlightLevel::kPostMortem);
   core::Channel channel{4096};
   io::DataOutputStream out{*channel.output()};
   io::DataInputStream in{*channel.input()};

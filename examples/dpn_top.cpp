@@ -3,10 +3,16 @@
 // Subscribes to a ComputeServer's STATS_STREAM (docs/PROTOCOLS.md
 // Section 6) and redraws a top-style screen per pushed snapshot:
 // hosted processes, channel occupancy and wait-time percentiles, task
-// round-trip and connect latency, trace-ring accounting.
+// round-trip and connect latency, flight-recorder accounting.
 //
 //   ./dpn_top <host> <port> [--interval=ms] [--frames=N]
 //   ./dpn_top --demo [--interval=ms] [--frames=N]
+//   ./dpn_top --flight=FILE
+//
+// --flight renders a raw flight-recorder dump -- the
+// dpn-flight-crash-<pid>.bin a fatal or termination signal leaves in
+// DPN_FLIGHT_DIR -- as a post-mortem: the event timeline, then the
+// wait-for analysis.
 //
 // --demo spins up an in-process server hosting half of a small pipeline
 // (local Sequence -> remote Scale -> local sink over real sockets) so
@@ -17,13 +23,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/channel.hpp"
 #include "core/process.hpp"
 #include "dist/node.hpp"
+#include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "processes/arith.hpp"
 #include "processes/basic.hpp"
@@ -54,22 +64,17 @@ const char* state_name(dpn::obs::ProcessState state) {
 void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
   std::printf("\x1b[2J\x1b[H");  // clear screen, home cursor
   std::printf("dpn_top -- frame %u (snapshot v%u)\n", frame,
-              static_cast<unsigned>(snap.version));
+              static_cast<unsigned>(dpn::obs::NetworkSnapshot::kVersion));
   std::printf("live: %" PRIu64 "  remote tx/rx: %" PRIu64 "/%" PRIu64
               " B  growth: %" PRIu64 "\n",
               snap.live, snap.remote_bytes_sent, snap.remote_bytes_received,
               snap.growth_events);
-  std::printf("trace: recorded=%" PRIu64 " dropped=%" PRIu64
-              "  faults: retries=%" PRIu64 " lost=%" PRIu64 "\n",
-              snap.trace_recorded, snap.trace_dropped, snap.connect_retries,
-              snap.workers_lost);
-  if (snap.flight_recorded > 0 || snap.flight_dumps > 0) {
-    // Version-7 flight recorder: always-on ring accounting; any dumps
-    // means a post-mortem file exists on some host.
-    std::printf("flight: recorded=%" PRIu64 " dropped=%" PRIu64
-                " dumps=%" PRIu64 "\n",
-                snap.flight_recorded, snap.flight_dropped, snap.flight_dumps);
-  }
+  // Any dumps means a post-mortem file exists on some host.
+  std::printf("flight: recorded=%" PRIu64 " dropped=%" PRIu64
+              " dumps=%" PRIu64 "  faults: retries=%" PRIu64
+              " lost=%" PRIu64 "\n",
+              snap.flight_recorded, snap.flight_dropped, snap.flight_dumps,
+              snap.connect_retries, snap.workers_lost);
   if (!snap.sched_runq.empty()) {
     std::printf("runq wait p50/p95/p99: %" PRIu64 "/%" PRIu64 "/%" PRIu64
                 " us  (n=%" PRIu64 ")\n",
@@ -92,7 +97,7 @@ void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
                 snap.connect_latency.count);
   }
   if (snap.mux_connections > 0) {
-    // Version-5 transport plane: how many logical channels ride each TCP
+    // Transport plane: how many logical channels ride each TCP
     // connection, and how long writers sat waiting for credit.
     std::printf("mux: %" PRIu64 " conn  %" PRIu64 "/%" PRIu64
                 " streams (%.1f per conn)  credit stalls: %" PRIu64
@@ -115,7 +120,7 @@ void draw(const dpn::obs::NetworkSnapshot& snap, unsigned frame) {
     char occupancy[24];
     std::snprintf(occupancy, sizeof occupancy, "%" PRIu64 "/%" PRIu64,
                   channel.buffered, channel.capacity);
-    // Version-6 typed fast path: value counts, plus a bytes estimate from
+    // Typed fast path: value counts, plus a bytes estimate from
     // the byte-plane capacity the ring's occupancy was folded into
     // (capacity bytes / capacity values = the codec's wire size).
     char typed[32] = "-";
@@ -151,6 +156,22 @@ int watch(dpn::rmi::ServerHandle& handle, unsigned interval_ms,
   return frame > 0 ? 0 : 1;
 }
 
+int render_flight_dump(const char* path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    std::fprintf(stderr, "dpn_top: cannot open %s\n", path);
+    return 1;
+  }
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  const auto dump =
+      dpn::obs::FlightExport::decode({bytes.data(), bytes.size()});
+  std::printf("%s: %" PRIu64 " recorded, %" PRIu64 " dropped\n", path,
+              dump.recorded, dump.dropped);
+  std::fputs(dpn::obs::flight_report(dump.events, path).c_str(), stdout);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,7 +183,9 @@ int main(int argc, char** argv) {
   unsigned frames = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--demo") {
+    if (arg.rfind("--flight=", 0) == 0) {
+      return render_flight_dump(arg.c_str() + 9);
+    } else if (arg == "--demo") {
       demo = true;
     } else if (arg.rfind("--interval=", 0) == 0) {
       interval_ms = static_cast<unsigned>(std::atoi(arg.c_str() + 11));
@@ -177,8 +200,9 @@ int main(int argc, char** argv) {
   if (!demo && (host.empty() || port == 0)) {
     std::fprintf(stderr,
                  "usage: %s <host> <port> [--interval=ms] [--frames=N]\n"
-                 "       %s --demo [--interval=ms] [--frames=N]\n",
-                 argv[0], argv[0]);
+                 "       %s --demo [--interval=ms] [--frames=N]\n"
+                 "       %s --flight=FILE\n",
+                 argv[0], argv[0], argv[0]);
     return 2;
   }
 

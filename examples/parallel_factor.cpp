@@ -10,9 +10,10 @@
 //   ./parallel_factor [workers] [tasks] [prime_bits] [static|dynamic]
 //                     [--trace=out.json] [--chaos[=K]]
 //
-// With --trace=FILE the run records runtime events (channel ops, task
-// dispatch, monitor decisions) into the obs ring buffer and exports them
-// as Chrome trace_event JSON (load in chrome://tracing / ui.perfetto.dev).
+// With --trace=FILE the flight recorder runs at its token level (channel
+// ops, task dispatch, monitor decisions, next to the post-mortem events)
+// and the run's window is exported as Chrome trace_event JSON (load in
+// chrome://tracing / ui.perfetto.dev).
 // With --chaos one worker is killed mid-task after K completed batches
 // (default 2); the dynamic schema's recovery ledger re-issues its
 // in-flight work to the survivors and the run still factors N
@@ -29,7 +30,7 @@
 #include "cluster/cluster.hpp"
 #include "factor/factor.hpp"
 #include "fault/fault.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "par/schema.hpp"
 #include "support/stopwatch.hpp"
 
@@ -144,7 +145,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (trace_file != nullptr) obs::Tracer::instance().enable();
+  if (trace_file != nullptr) {
+    obs::flight_reset();  // the window holds this run only
+    obs::set_flight_level(obs::FlightLevel::kTokens);
+  }
 
   // Figure 1 built with the connect() builder: Producer -> tasks ->
   // schema -> results -> Consumer, all channels watched by the network.
@@ -177,14 +181,14 @@ int main(int argc, char** argv) {
   // used to leave a truncated/empty JSON behind.
   const auto write_trace = [&] {
     if (trace_file == nullptr) return;
-    auto& tracer = obs::Tracer::instance();
-    tracer.disable();
+    obs::set_flight_level(obs::FlightLevel::kPostMortem);
+    const obs::FlightExport window = obs::flight_export();
     std::ofstream out{trace_file};
-    out << tracer.chrome_trace_json();
+    out << obs::flight_chrome_json(window);
     out.close();
-    std::printf("trace: %llu events recorded, newest %zu written to %s\n",
-                static_cast<unsigned long long>(tracer.recorded()),
-                tracer.drain().size(), trace_file);
+    std::printf("trace: %zu events written to %s (%llu dropped)\n",
+                window.events.size(), trace_file,
+                static_cast<unsigned long long>(window.dropped));
   };
   try {
     network.run();

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace dpn::core {
 
@@ -81,7 +80,7 @@ std::size_t ChannelInputStream::read_some(MutableByteSpan out) {
   if (n > 0) {
     // A zero-byte return is the end-of-stream probe, not a token.
     metrics_->on_read(n);
-    DPN_TRACE_EVENT(obs::TraceKind::kChannelRead, state_->label, n);
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kChanRead, state_->label, state_->id, n);
   }
   return n;
 }
@@ -92,13 +91,13 @@ int ChannelInputStream::read() {
   const int b = source_->read();
   if (b >= 0) {
     metrics_->on_read(1);
-    DPN_TRACE_EVENT(obs::TraceKind::kChannelRead, state_->label, 1);
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kChanRead, state_->label, state_->id, 1);
   }
   return b;
 }
 
 void ChannelInputStream::close() {
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelClose, state_->label);
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanClose, state_->label, state_->id);
   // Cascading termination must reach a producer parked in the typed ring,
   // not just one parked in the byte pipe -- every teardown path (process
   // exit, kAbortProcess, Network::abort) funnels through this close.
@@ -111,7 +110,8 @@ void ChannelInputStream::read_fully(MutableByteSpan out) {
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
   io::read_fully(*source_, out);
   metrics_->on_read(out.size());
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelRead, state_->label, out.size());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanRead, state_->label, state_->id,
+                   out.size());
 }
 
 ByteVector ChannelInputStream::take_read_buffer() {
@@ -154,7 +154,8 @@ void ChannelOutputStream::write(ByteSpan data) {
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write(data);
   metrics_->on_write(data.size());
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelWrite, state_->label, data.size());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id,
+                   data.size());
 }
 
 void ChannelOutputStream::write_byte(std::uint8_t b) {
@@ -162,7 +163,7 @@ void ChannelOutputStream::write_byte(std::uint8_t b) {
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write_byte(b);
   metrics_->on_write(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelWrite, state_->label, 1);
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id, 1);
 }
 
 void ChannelOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
@@ -170,19 +171,19 @@ void ChannelOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
   sink_->write_vectored(a, b);
   metrics_->on_write(a.size() + b.size());
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelWrite, state_->label,
-                  a.size() + b.size());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id,
+                   a.size() + b.size());
 }
 
 void ChannelOutputStream::flush() {
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelFlush, state_->label,
-                  buffer_ ? buffer_->buffered() : 0);
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanFlush, state_->label, state_->id,
+                   buffer_ ? buffer_->buffered() : 0);
   sink_->flush();
 }
 
 void ChannelOutputStream::close() {
-  DPN_TRACE_EVENT(obs::TraceKind::kChannelClose, state_->label);
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanClose, state_->label, state_->id);
   // End-of-stream for a typed consumer: drain the ring, then kEof.
   if (state_->typed) state_->typed->close_write();
   sink_->close();

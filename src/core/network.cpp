@@ -4,7 +4,6 @@
 #include <set>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "support/log.hpp"
 
 namespace dpn::core {
@@ -101,12 +100,12 @@ void Network::start() {
   }
 
   live_.store(processes_.size());
-  // Process contexts inherit the starter's trace attribution (see
+  // Process contexts inherit the starter's node tag (see
   // CompositeProcess::run).
-  const std::uint32_t node_tag = obs::node_tag();
+  const std::uint16_t node_tag = obs::flight_node();
   if (sched_options_.mode == sched::SchedMode::kWorkSteal) {
     sched::SchedulerOptions options = sched_options_;
-    options.worker_init = [node_tag] { obs::set_node_tag(node_tag); };
+    options.worker_init = [node_tag] { obs::flight_set_node(node_tag); };
     scheduler_ = std::make_unique<sched::Scheduler>(options);
     graph_done_.add(processes_.size());
     for (const auto& process : processes_) {
@@ -146,7 +145,7 @@ void Network::start() {
     threads_.reserve(processes_.size());
     for (const auto& process : processes_) {
       threads_.emplace_back([this, process, node_tag] {
-        obs::set_node_tag(node_tag);
+        obs::flight_set_node(node_tag);
         obs::flight_set_actor(process->actor_name());
         try {
           process->run();
@@ -252,8 +251,8 @@ bool Network::grow_smallest_blocked(std::uint64_t capacity) {
     state->pipe->grow(capacity);
   }
   growth_events_.fetch_add(1);
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorGrow, victim->label,
-                  victim->capacity, capacity);
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kMonitorGrow, victim->label,
+                   victim->capacity, capacity);
   log::debug("network: grew channel '", victim->label, "' ",
              victim->capacity, " -> ", capacity, " bytes");
   return true;
@@ -346,7 +345,6 @@ void report_true_deadlock(const StallVerdict& verdict,
   } else {
     log::warn("true deadlock: every process is blocked reading");
   }
-  DPN_TRACE_EVENT(obs::TraceKind::kMonitorDeadlock, why, verdict.capacity);
   obs::flight_record_named(obs::FlightKind::kDeadlockAbort, why,
                            verdict.capacity);
   const std::string dump = obs::flight_dump(dump_reason);

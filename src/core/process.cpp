@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "support/log.hpp"
 
@@ -33,7 +32,7 @@ class StopGuard {
 
 void IterativeProcess::run() {
   stats()->set_state(obs::ProcessState::kRunning);
-  DPN_TRACE_EVENT(obs::TraceKind::kProcessStart, name());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kProcessStart, name());
   bool abandoned = false;
   StopGuard guard{[this, &abandoned] {
     // First, so that await_pause() returns even if cleanup blocks.
@@ -41,8 +40,8 @@ void IterativeProcess::run() {
     // Either way the local instance is done: a shipped process's successor
     // carries its own stats object.
     stats()->set_state(obs::ProcessState::kFinished);
-    DPN_TRACE_EVENT(obs::TraceKind::kProcessStop, name(),
-                    stats()->steps.load(std::memory_order_relaxed));
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kProcessStop, name(),
+                     stats()->steps.load(std::memory_order_relaxed));
     if (abandoned) return;  // endpoints belong to the migrated successor
     on_stop();
     close_all();
@@ -219,15 +218,15 @@ void CompositeProcess::add(std::shared_ptr<Process> process) {
 void CompositeProcess::run() {
   std::mutex failures_mutex;
   std::vector<std::exception_ptr> failures;
-  // Child contexts inherit the spawning host's trace attribution -- a
+  // Child contexts inherit the spawning host's node tag -- a
   // ComputeServer tags its handler thread, and the graph it hosts may
   // fan out arbitrarily deep.
-  const std::uint32_t node_tag = obs::node_tag();
+  const std::uint16_t node_tag = obs::flight_node();
   auto body_for = [&failures_mutex, &failures,
                    node_tag](std::shared_ptr<Process> process) {
     return
         [&failures_mutex, &failures, node_tag, process = std::move(process)] {
-          obs::set_node_tag(node_tag);
+          obs::flight_set_node(node_tag);
           // Raw Process implementations don't maintain their own stats;
           // bracket them here (IterativeProcess overwrites redundantly).
           process->stats()->set_state(obs::ProcessState::kRunning);

@@ -116,7 +116,7 @@ std::size_t FrameChannelInput::read_some(MutableByteSpan out) {
   if (closed_.load()) throw IoError{"read from closed remote channel"};
   if (eof_.load(std::memory_order_relaxed)) return 0;
   ensure_connected();
-  const bool traced = obs::trace_enabled();
+  const bool traced = obs::flight_tokens();
   const std::uint64_t span = traced ? obs::current_trace_context().span_id : 0;
   std::size_t n = 0;
   try {
@@ -135,7 +135,7 @@ std::size_t FrameChannelInput::read_some(MutableByteSpan out) {
     // producer's kNetSend into a flow arrow across the wire.
     const obs::TraceContext& ctx = obs::current_trace_context();
     if (ctx.valid() && ctx.span_id != span) {
-      DPN_TRACE_EVENT(obs::TraceKind::kNetRecv, "data", ctx.span_id, n);
+      DPN_FLIGHT_TOKEN(obs::FlightKind::kNetRecv, "data", ctx.span_id, n);
     }
   }
   return n;
@@ -171,8 +171,8 @@ void FrameChannelInput::handle_redirect(const RedirectInfo& info) {
   }
   if (info.trace.valid()) {
     obs::current_trace_context() = info.trace;
-    DPN_TRACE_EVENT(obs::TraceKind::kShipRecv, "redirect",
-                    info.trace.span_id, info.token);
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kShipRecv, "redirect",
+                     info.trace.span_id, info.token);
   }
   auto promise = node_->rendezvous().expect(info.token);
   auto successor =
@@ -253,7 +253,7 @@ void FrameChannelOutput::write_vectored(ByteSpan a, ByteSpan b) {
   if (closed_) throw IoError{"write to closed remote channel"};
   ensure_connected();
   const std::size_t n = a.size() + b.size();
-  if (!obs::trace_enabled()) {
+  if (!obs::flight_tokens()) {
     stream_->write_vectored(a, b);
   } else {
     // Stamp the bytes with a fresh span in this thread's ambient trace
@@ -273,7 +273,7 @@ void FrameChannelOutput::write_vectored(ByteSpan a, ByteSpan b) {
       ambient.span_id = span;
       throw;
     }
-    DPN_TRACE_EVENT(obs::TraceKind::kNetSend, "data", ambient.span_id, n);
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kNetSend, "data", ambient.span_id, n);
     ambient.span_id = span;
   }
   sent_.add(n);
@@ -304,7 +304,7 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
   ensure_connected();
   RedirectInfo info;
   info.token = successor_token;
-  if (obs::trace_enabled()) {
+  if (obs::flight_tokens()) {
     // The redirect handshake is part of a SHIP lifecycle: stamp it so
     // the consumer's acceptance (kShipRecv) links back to this span.
     info.trace.trace_id = obs::current_trace_context().valid()
@@ -312,8 +312,8 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
                               : obs::new_trace_id();
     info.trace.span_id = obs::next_span_id();
     info.trace.flags = obs::TraceContext::kSampled;
-    DPN_TRACE_EVENT(obs::TraceKind::kShipSend, "redirect",
-                    info.trace.span_id, successor_token);
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kShipSend, "redirect",
+                     info.trace.span_id, successor_token);
   }
   const ByteVector message = info.encode();
   finish({message.data(), message.size()});

@@ -8,7 +8,7 @@
 #include "io/sequence.hpp"
 #include "io/stream.hpp"
 #include "net/transport.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 
 /// The transport-backed stream segments that sit underneath a distributed
 /// channel (the paper's RemoteInputStream / RemoteOutputStream /

@@ -5,7 +5,6 @@
 #include "dist/remote_streams.hpp"
 #include "io/memory.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "support/log.hpp"
 
 namespace dpn::dist {
@@ -430,7 +429,6 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
       state->metrics->bytes_read.load(std::memory_order_relaxed);
   stub->tokens_read =
       state->metrics->tokens_read.load(std::memory_order_relaxed);
-  DPN_TRACE_EVENT(obs::TraceKind::kShip, state->label, stub->bytes_read);
   obs::flight_record_named(obs::FlightKind::kShip, state->label, state->id,
                            stub->bytes_read);
   NodeContext& node = *ctx->node;
@@ -513,8 +511,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
         state->metrics->bytes_written.load(std::memory_order_relaxed);
     stub->tokens_written =
         state->metrics->tokens_written.load(std::memory_order_relaxed);
-    DPN_TRACE_EVENT(obs::TraceKind::kShip, state->label,
-                    stub->bytes_written);
     obs::flight_record_named(obs::FlightKind::kShip, state->label, state->id,
                              stub->bytes_written);
     // Typed channel with the producer leaving: flush the ring backlog into
@@ -568,8 +564,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->port = peer.port;
     stub->token = successor_token;
     state->output_remote = true;
-    DPN_TRACE_EVENT(obs::TraceKind::kRedirect, state->label,
-                    successor_token);
     obs::flight_record_named(obs::FlightKind::kRedirect, state->label,
                              state->id, successor_token);
     return stub;

@@ -21,7 +21,6 @@
 #include "net/reactor.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "sched/waiters.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -907,7 +906,7 @@ void MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
 
 void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
   const bool traced =
-      obs::trace_enabled() && obs::current_trace_context().valid();
+      obs::flight_tokens() && obs::current_trace_context().valid();
   while (!a.empty() || !b.empty()) {
     const std::uint64_t credit = credit_.load(std::memory_order_acquire);
     if ((credit & kStop) != 0 || credit == sent_) {

@@ -98,7 +98,7 @@ struct ProcessStats {
 /// round-trips (recorded by the par router's ledger and by TaskFuture)
 /// and connect/retry wall time (recorded by net::connect_with_retry).
 /// Multi-writer, hence record_shared() at every site; mirrored into
-/// NetworkSnapshot v3 like fault::stats() is into v2.
+/// NetworkSnapshot like fault::stats().
 struct RuntimeHistograms {
   LatencyHistogram task_rtt;
   LatencyHistogram connect;

@@ -121,19 +121,7 @@ std::string render_prometheus(const NetworkSnapshot& snapshot) {
               "Faults injected by the test harness");
   append_line(out, "dpn_faults_injected_total", snapshot.faults_injected);
 
-  append_help(out, "dpn_trace_events_recorded_total", "counter",
-              "Trace events recorded since enable()");
-  append_line(out, "dpn_trace_events_recorded_total",
-              snapshot.trace_recorded);
-  append_help(out, "dpn_trace_events_dropped_total", "counter",
-              "Trace events lost to ring wraparound");
-  append_line(out, "dpn_trace_events_dropped_total", snapshot.trace_dropped);
-  append_help(out, "dpn_trace_events_lifetime_total", "counter",
-              "Trace events recorded across every enable() cycle");
-  append_line(out, "dpn_trace_events_lifetime_total",
-              snapshot.trace_total_recorded);
-
-  // Version-7 flight-recorder plane.
+  // Flight-recorder plane, at every level.
   append_help(out, "dpn_flight_events_recorded_total", "counter",
               "Flight-recorder events recorded since process start");
   append_line(out, "dpn_flight_events_recorded_total",
@@ -146,7 +134,7 @@ std::string render_prometheus(const NetworkSnapshot& snapshot) {
               "Post-mortem flight dumps written");
   append_line(out, "dpn_flight_dumps_total", snapshot.flight_dumps);
 
-  // Version-5 mux transport plane.
+  // Mux transport plane.
   append_help(out, "dpn_mux_connections_total", "counter",
               "Mux transport connections established");
   append_line(out, "dpn_mux_connections_total", snapshot.mux_connections);

@@ -8,7 +8,6 @@
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dpn::obs {
@@ -18,10 +17,6 @@ namespace {
 void write_histogram(io::DataOutputStream& out, const HistogramSnapshot& h) {
   out.write_varint(h.count);
   out.write_varint(h.sum_ns);
-  // Bucket count on the wire, so a future layout change (more buckets)
-  // stays decodable: a short reader folds the excess into its last
-  // bucket, a long reader leaves its tail zero.
-  out.write_varint(HistogramSnapshot::kBuckets);
   for (const std::uint64_t c : h.counts) out.write_varint(c);
 }
 
@@ -29,13 +24,7 @@ HistogramSnapshot read_histogram(io::DataInputStream& in) {
   HistogramSnapshot h;
   h.count = in.read_varint();
   h.sum_ns = in.read_varint();
-  const std::uint64_t buckets = in.read_varint();
-  for (std::uint64_t i = 0; i < buckets; ++i) {
-    const std::uint64_t c = in.read_varint();
-    const std::size_t slot = std::min<std::size_t>(
-        static_cast<std::size_t>(i), HistogramSnapshot::kBuckets - 1);
-    h.counts[slot] += c;
-  }
+  for (std::uint64_t& c : h.counts) c = in.read_varint();
   return h;
 }
 
@@ -62,10 +51,6 @@ void NetworkSnapshot::fill_fault_counters() {
 }
 
 void NetworkSnapshot::fill_runtime_counters() {
-  const Tracer& tracer = Tracer::instance();
-  trace_recorded = tracer.recorded();
-  trace_dropped = tracer.dropped();
-  trace_total_recorded = tracer.total_recorded();
   task_rtt = runtime_histograms().task_rtt.snapshot();
   connect_latency = runtime_histograms().connect.snapshot();
   const FlightCounters flight = flight_counters();
@@ -107,277 +92,140 @@ const ChannelSnapshot* NetworkSnapshot::smallest_write_blocked() const {
   return victim;
 }
 
-ByteVector NetworkSnapshot::encode() const { return encode_as(kVersion); }
+namespace {
 
-ByteVector NetworkSnapshot::encode_as(std::uint8_t want_version) const {
-  const std::uint8_t v = std::clamp<std::uint8_t>(want_version, 1, kVersion);
+// The wire layout as lists of members, so encode, decode and merge_from
+// cannot disagree on a field.
+using Snap = NetworkSnapshot;
+using Chan = ChannelSnapshot;
+
+/// Summed by merge_from.
+constexpr std::uint64_t Snap::*kCounters[] = {
+    &Snap::live, &Snap::growth_events, &Snap::remote_bytes_sent,
+    &Snap::remote_bytes_received, &Snap::connect_retries,
+    &Snap::connect_failures, &Snap::tasks_reissued, &Snap::workers_lost,
+    &Snap::lease_expiries, &Snap::registry_evictions, &Snap::faults_injected,
+    &Snap::sched_workers, &Snap::sched_spawned, &Snap::sched_completed,
+    &Snap::sched_steals, &Snap::sched_dispatches, &Snap::sched_parks,
+    &Snap::mux_connections, &Snap::mux_streams_active,
+    &Snap::mux_streams_total, &Snap::mux_credit_stalls,
+    &Snap::mux_credit_stall_ns, &Snap::flight_recorded,
+    &Snap::flight_dropped, &Snap::flight_dumps};
+/// Merged bucket-wise by merge_from.
+constexpr HistogramSnapshot Snap::*kHistograms[] = {
+    &Snap::task_rtt, &Snap::connect_latency, &Snap::sched_runq};
+
+constexpr bool Chan::*kChannelFlags[] = {
+    &Chan::has_pipe,     &Chan::input_remote, &Chan::output_remote,
+    &Chan::write_closed, &Chan::read_closed,  &Chan::has_typed,
+    &Chan::typed_demoted};
+constexpr std::uint64_t Chan::*kChannelCounters[] = {
+    &Chan::id,               &Chan::capacity,        &Chan::buffered,
+    &Chan::occupancy_hwm,    &Chan::bytes_written,   &Chan::tokens_written,
+    &Chan::bytes_read,       &Chan::tokens_read,     &Chan::blocked_read_ns,
+    &Chan::blocked_write_ns, &Chan::reader_wakeups,  &Chan::writer_wakeups,
+    &Chan::flushes,          &Chan::coalesced_writes, &Chan::write_buffered,
+    &Chan::read_buffered,    &Chan::typed_pushed,    &Chan::typed_popped,
+    &Chan::typed_buffered,   &Chan::typed_capacity};
+constexpr std::uint32_t Chan::*kChannelWaiters[] = {&Chan::blocked_readers,
+                                                    &Chan::blocked_writers};
+constexpr HistogramSnapshot Chan::*kChannelHistograms[] = {
+    &Chan::read_block, &Chan::write_block};
+
+}  // namespace
+
+ByteVector NetworkSnapshot::encode() const {
   io::MemoryOutputStream sink;
   io::DataOutputStream out{sink};
-  out.write_u8(v);
-  out.write_u64(live);
+  out.write_u8(kVersion);
   out.write_u8(outcome);
-  out.write_u64(growth_events);
-  out.write_u64(remote_bytes_sent);
-  out.write_u64(remote_bytes_received);
+  for (const auto field : kCounters) out.write_varint(this->*field);
+  for (const auto field : kHistograms) write_histogram(out, this->*field);
 
   out.write_varint(processes.size());
   for (const ProcessSnapshot& p : processes) {
     out.write_string(p.name);
     out.write_u8(static_cast<std::uint8_t>(p.state));
-    out.write_u64(p.steps);
+    out.write_varint(p.steps);
   }
 
   out.write_varint(channels.size());
   for (const ChannelSnapshot& c : channels) {
-    out.write_u64(c.id);
     out.write_string(c.label);
-    out.write_bool(c.has_pipe);
-    out.write_bool(c.input_remote);
-    out.write_bool(c.output_remote);
-    out.write_bool(c.write_closed);
-    out.write_bool(c.read_closed);
-    out.write_u64(c.capacity);
-    out.write_u64(c.buffered);
-    out.write_u64(c.occupancy_hwm);
-    out.write_u64(c.bytes_written);
-    out.write_u64(c.tokens_written);
-    out.write_u64(c.bytes_read);
-    out.write_u64(c.tokens_read);
-    out.write_u64(c.blocked_read_ns);
-    out.write_u64(c.blocked_write_ns);
-    out.write_u64(c.reader_wakeups);
-    out.write_u64(c.writer_wakeups);
-    out.write_u32(c.blocked_readers);
-    out.write_u32(c.blocked_writers);
-    out.write_u64(c.flushes);
-    out.write_u64(c.coalesced_writes);
-    out.write_u64(c.write_buffered);
-    out.write_u64(c.read_buffered);
-  }
-
-  // Version 2: fault counters, appended so version-1 decoders still parse
-  // their prefix of the payload.
-  if (v >= 2) {
-    out.write_u64(connect_retries);
-    out.write_u64(connect_failures);
-    out.write_u64(tasks_reissued);
-    out.write_u64(workers_lost);
-    out.write_u64(lease_expiries);
-    out.write_u64(registry_evictions);
-    out.write_u64(faults_injected);
-  }
-
-  // Version 3: trace accounting, process-wide histograms, then one
-  // read/write histogram pair per channel -- aligned by channel index,
-  // because splicing them into the per-channel records above would have
-  // broken version-1/2 prefix parsing.
-  if (v >= 3) {
-    out.write_u64(trace_recorded);
-    out.write_u64(trace_dropped);
-    write_histogram(out, task_rtt);
-    write_histogram(out, connect_latency);
-    for (const ChannelSnapshot& c : channels) {
-      write_histogram(out, c.read_block);
-      write_histogram(out, c.write_block);
-    }
-  }
-
-  // Version 4: M:N scheduler counters, appended like the rest.
-  if (v >= 4) {
-    out.write_u64(sched_workers);
-    out.write_u64(sched_spawned);
-    out.write_u64(sched_completed);
-    out.write_u64(sched_steals);
-    out.write_u64(sched_dispatches);
-    out.write_u64(sched_parks);
-  }
-
-  // Version 5: mux transport counters, appended like the rest.
-  if (v >= 5) {
-    out.write_u64(mux_connections);
-    out.write_u64(mux_streams_active);
-    out.write_u64(mux_streams_total);
-    out.write_u64(mux_credit_stalls);
-    out.write_u64(mux_credit_stall_ns);
-  }
-
-  // Version 6: per-channel typed fast-path records, aligned by channel
-  // index like the version-3 histograms.
-  if (v >= 6) {
-    for (const ChannelSnapshot& c : channels) {
-      out.write_bool(c.has_typed);
-      out.write_bool(c.typed_demoted);
-      out.write_varint(c.typed_pushed);
-      out.write_varint(c.typed_popped);
-      out.write_varint(c.typed_buffered);
-      out.write_varint(c.typed_capacity);
-    }
-  }
-
-  // Version 7: flight-recorder accounting and the run-queue wait
-  // histogram, appended like the rest.
-  if (v >= 7) {
-    out.write_u64(flight_recorded);
-    out.write_u64(flight_dropped);
-    out.write_u64(flight_dumps);
-    out.write_u64(trace_total_recorded);
-    write_histogram(out, sched_runq);
+    for (const auto field : kChannelFlags) out.write_bool(c.*field);
+    for (const auto field : kChannelCounters) out.write_varint(c.*field);
+    for (const auto field : kChannelWaiters) out.write_varint(c.*field);
+    for (const auto field : kChannelHistograms) write_histogram(out, c.*field);
   }
   return sink.take();
 }
 
 NetworkSnapshot NetworkSnapshot::decode(ByteSpan bytes) {
-  return decode_prefix(bytes, kVersion);
-}
-
-NetworkSnapshot NetworkSnapshot::decode_prefix(ByteSpan bytes,
-                                               std::uint8_t max_version) {
   io::MemoryInputStream source{ByteVector{bytes.begin(), bytes.end()}};
   io::DataInputStream in{source};
-  const std::uint8_t advertised = in.read_u8();
-  if (advertised == 0) {
-    throw SerializationError{"malformed NetworkSnapshot: version 0"};
-  }
-  // Every version is an append-only extension of the previous one, so the
-  // decodable part is whatever both sides know about; the rest of the
-  // payload is ignored (newer writer) or left default (older writer).
-  const std::uint8_t version = std::min(advertised, max_version);
+  // A count or length is at most the bytes left (every element takes at
+  // least one), checked before anything is allocated for it.
+  const auto read_count = [&](const char* what) {
+    const std::uint64_t n = in.read_varint();
+    if (n > source.remaining()) {
+      throw SerializationError{"malformed NetworkSnapshot: " +
+                               std::string{what} + " " + std::to_string(n) +
+                               " exceeds the " +
+                               std::to_string(source.remaining()) +
+                               " bytes left"};
+    }
+    return static_cast<std::size_t>(n);
+  };
+  const auto read_string = [&] {
+    std::string text(read_count("string length"), '\0');
+    in.read_fully({reinterpret_cast<std::uint8_t*>(text.data()), text.size()});
+    return text;
+  };
   NetworkSnapshot snapshot;
-  snapshot.version = version;
-  snapshot.live = in.read_u64();
-  snapshot.outcome = in.read_u8();
-  snapshot.growth_events = in.read_u64();
-  snapshot.remote_bytes_sent = in.read_u64();
-  snapshot.remote_bytes_received = in.read_u64();
-
-  const std::uint64_t n_processes = in.read_varint();
-  snapshot.processes.reserve(n_processes);
-  for (std::uint64_t i = 0; i < n_processes; ++i) {
-    ProcessSnapshot p;
-    p.name = in.read_string();
-    p.state = static_cast<ProcessState>(in.read_u8());
-    p.steps = in.read_u64();
-    snapshot.processes.push_back(std::move(p));
-  }
-
-  const std::uint64_t n_channels = in.read_varint();
-  snapshot.channels.reserve(n_channels);
-  for (std::uint64_t i = 0; i < n_channels; ++i) {
-    ChannelSnapshot c;
-    c.id = in.read_u64();
-    c.label = in.read_string();
-    c.has_pipe = in.read_bool();
-    c.input_remote = in.read_bool();
-    c.output_remote = in.read_bool();
-    c.write_closed = in.read_bool();
-    c.read_closed = in.read_bool();
-    c.capacity = in.read_u64();
-    c.buffered = in.read_u64();
-    c.occupancy_hwm = in.read_u64();
-    c.bytes_written = in.read_u64();
-    c.tokens_written = in.read_u64();
-    c.bytes_read = in.read_u64();
-    c.tokens_read = in.read_u64();
-    c.blocked_read_ns = in.read_u64();
-    c.blocked_write_ns = in.read_u64();
-    c.reader_wakeups = in.read_u64();
-    c.writer_wakeups = in.read_u64();
-    c.blocked_readers = in.read_u32();
-    c.blocked_writers = in.read_u32();
-    c.flushes = in.read_u64();
-    c.coalesced_writes = in.read_u64();
-    c.write_buffered = in.read_u64();
-    c.read_buffered = in.read_u64();
-    snapshot.channels.push_back(std::move(c));
-  }
-
-  if (version >= 2) {
-    snapshot.connect_retries = in.read_u64();
-    snapshot.connect_failures = in.read_u64();
-    snapshot.tasks_reissued = in.read_u64();
-    snapshot.workers_lost = in.read_u64();
-    snapshot.lease_expiries = in.read_u64();
-    snapshot.registry_evictions = in.read_u64();
-    snapshot.faults_injected = in.read_u64();
-  }
-  if (version >= 3) {
-    snapshot.trace_recorded = in.read_u64();
-    snapshot.trace_dropped = in.read_u64();
-    snapshot.task_rtt = read_histogram(in);
-    snapshot.connect_latency = read_histogram(in);
-    for (ChannelSnapshot& c : snapshot.channels) {
-      c.read_block = read_histogram(in);
-      c.write_block = read_histogram(in);
+  try {
+    const std::uint8_t version = in.read_u8();
+    if (version != kVersion) {
+      throw SerializationError{
+          "NetworkSnapshot version " + std::to_string(version) +
+          " rejected: this build reads version " + std::to_string(kVersion)};
     }
-  }
-  if (version >= 4) {
-    snapshot.sched_workers = in.read_u64();
-    snapshot.sched_spawned = in.read_u64();
-    snapshot.sched_completed = in.read_u64();
-    snapshot.sched_steals = in.read_u64();
-    snapshot.sched_dispatches = in.read_u64();
-    snapshot.sched_parks = in.read_u64();
-  }
-  if (version >= 5) {
-    snapshot.mux_connections = in.read_u64();
-    snapshot.mux_streams_active = in.read_u64();
-    snapshot.mux_streams_total = in.read_u64();
-    snapshot.mux_credit_stalls = in.read_u64();
-    snapshot.mux_credit_stall_ns = in.read_u64();
-  }
-  if (version >= 6) {
-    for (ChannelSnapshot& c : snapshot.channels) {
-      c.has_typed = in.read_bool();
-      c.typed_demoted = in.read_bool();
-      c.typed_pushed = in.read_varint();
-      c.typed_popped = in.read_varint();
-      c.typed_buffered = in.read_varint();
-      c.typed_capacity = in.read_varint();
+    snapshot.outcome = in.read_u8();
+    for (const auto field : kCounters) snapshot.*field = in.read_varint();
+    for (const auto field : kHistograms) {
+      snapshot.*field = read_histogram(in);
     }
-  }
-  if (version >= 7) {
-    snapshot.flight_recorded = in.read_u64();
-    snapshot.flight_dropped = in.read_u64();
-    snapshot.flight_dumps = in.read_u64();
-    snapshot.trace_total_recorded = in.read_u64();
-    snapshot.sched_runq = read_histogram(in);
+
+    // Grown as records parse, not reserved: a raised count costs no more
+    // memory than the bytes that are really there.
+    for (std::size_t n = read_count("process count"); n > 0; --n) {
+      ProcessSnapshot& p = snapshot.processes.emplace_back();
+      p.name = read_string();
+      p.state = static_cast<ProcessState>(in.read_u8());
+      p.steps = in.read_varint();
+    }
+
+    for (std::size_t n = read_count("channel count"); n > 0; --n) {
+      ChannelSnapshot& c = snapshot.channels.emplace_back();
+      c.label = read_string();
+      for (const auto field : kChannelFlags) c.*field = in.read_bool();
+      for (const auto field : kChannelCounters) c.*field = in.read_varint();
+      for (const auto field : kChannelWaiters) {
+        c.*field = static_cast<std::uint32_t>(in.read_varint());
+      }
+      for (const auto field : kChannelHistograms) {
+        c.*field = read_histogram(in);
+      }
+    }
+  } catch (const EndOfStream& e) {
+    throw SerializationError{std::string{"truncated NetworkSnapshot: "} +
+                             e.what()};
   }
   return snapshot;
 }
 
 void NetworkSnapshot::merge_from(NetworkSnapshot&& other) {
-  version = std::min(version, other.version);
-  live += other.live;
-  growth_events += other.growth_events;
-  remote_bytes_sent += other.remote_bytes_sent;
-  remote_bytes_received += other.remote_bytes_received;
-  connect_retries += other.connect_retries;
-  connect_failures += other.connect_failures;
-  tasks_reissued += other.tasks_reissued;
-  workers_lost += other.workers_lost;
-  lease_expiries += other.lease_expiries;
-  registry_evictions += other.registry_evictions;
-  faults_injected += other.faults_injected;
-  trace_recorded += other.trace_recorded;
-  trace_dropped += other.trace_dropped;
-  sched_workers += other.sched_workers;
-  sched_spawned += other.sched_spawned;
-  sched_completed += other.sched_completed;
-  sched_steals += other.sched_steals;
-  sched_dispatches += other.sched_dispatches;
-  sched_parks += other.sched_parks;
-  mux_connections += other.mux_connections;
-  mux_streams_active += other.mux_streams_active;
-  mux_streams_total += other.mux_streams_total;
-  mux_credit_stalls += other.mux_credit_stalls;
-  mux_credit_stall_ns += other.mux_credit_stall_ns;
-  flight_recorded += other.flight_recorded;
-  flight_dropped += other.flight_dropped;
-  flight_dumps += other.flight_dumps;
-  trace_total_recorded += other.trace_total_recorded;
-  task_rtt.merge(other.task_rtt);
-  connect_latency.merge(other.connect_latency);
-  sched_runq.merge(other.sched_runq);
+  for (const auto field : kCounters) this->*field += other.*field;
+  for (const auto field : kHistograms) (this->*field).merge(other.*field);
   for (auto& p : other.processes) processes.push_back(std::move(p));
   for (auto& c : other.channels) channels.push_back(std::move(c));
 }
@@ -396,11 +244,6 @@ std::string NetworkSnapshot::to_string() const {
            " lease_expiries=" + std::to_string(lease_expiries) +
            " evictions=" + std::to_string(registry_evictions) +
            " injected=" + std::to_string(faults_injected) + "\n";
-  }
-  if (trace_recorded > 0) {
-    out += "trace: recorded=" + std::to_string(trace_recorded) +
-           " dropped=" + std::to_string(trace_dropped) +
-           " lifetime=" + std::to_string(trace_total_recorded) + "\n";
   }
   if (flight_recorded > 0 || flight_dumps > 0) {
     out += "flight: recorded=" + std::to_string(flight_recorded) +

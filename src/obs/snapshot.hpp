@@ -18,9 +18,9 @@
 /// documents the schema, docs/PROTOCOLS.md the frame).
 ///
 /// The encoding is the project-standard Data-stream format (big-endian
-/// primitives, varint lengths) with a leading version byte, so STATS
-/// replies survive mixed-revision fleets: unknown newer fields are
-/// appended, old decoders stop at what they know.
+/// primitives, varint lengths) behind a leading version byte.  Both ends
+/// of a fleet link the same library, so there is one layout: a decoder
+/// rejects any other version with a SerializationError.
 namespace dpn::obs {
 
 /// One channel, merged from its ChannelMetrics, its local pipe (if any),
@@ -64,14 +64,12 @@ struct ChannelSnapshot {
   std::uint64_t write_buffered = 0;    // bytes pending in the write buffer
   std::uint64_t read_buffered = 0;     // unconsumed read-ahead bytes
 
-  // --- wait-time distributions (version >= 3; local pipe only) ---
-  // The scalar blocked_*_ns totals above stay for old readers; these
-  // log2 histograms add the shape, so p50/p95/p99 are reportable.
+  // --- wait-time distributions (local pipe only): the shape of the
+  // blocked_*_ns totals above, so p50/p95/p99 are reportable ---
   HistogramSnapshot read_block;
   HistogramSnapshot write_block;
 
-  // --- typed fast path (version >= 6; channels built with
-  // make_typed_channel only).  While the ring is live the byte pipe is
+  // --- typed fast path (channels built with make_typed_channel only).  While the ring is live the byte pipe is
   // empty, so occupancy/pressure above describe the ring (merged in by
   // snapshot_channel); these add the ring's own accounting.  After a
   // demotion typed_demoted flips and the byte-plane fields take over. ---
@@ -89,7 +87,7 @@ struct ProcessSnapshot {
   std::uint64_t steps = 0;
 };
 
-/// Transport-plane counters for the version-5 snapshot suffix.  The obs
+/// Transport-plane counters of a snapshot.  The obs
 /// library sits below net in the dependency order, so it cannot read
 /// net::mux_stats() directly; the net library registers a source with
 /// set_transport_stats_source() instead, and fill_transport_counters()
@@ -105,20 +103,9 @@ struct TransportStats {
 void set_transport_stats_source(TransportStats (*source)());
 
 struct NetworkSnapshot {
-  /// Current wire-format version.  v2 appended the fault counters, v3
-  /// appended the trace accounting, the runtime histograms and the
-  /// per-channel wait histograms, v4 appended the M:N scheduler counters,
-  /// v5 appended the mux transport counters, v6 appended the per-channel
-  /// typed fast-path records, v7 appends the flight-recorder accounting
-  /// and the scheduler run-queue wait histogram -- all at top level,
-  /// after everything the previous version wrote, so old readers
-  /// prefix-parse newer payloads.
-  static constexpr std::uint8_t kVersion = 7;
-
-  /// The version this snapshot was decoded from (kVersion for locally
-  /// built ones).  fleet_stats logs it per peer and merges the common
-  /// prefix instead of dropping mixed-version peers.
-  std::uint8_t version = kVersion;
+  /// The wire layout's version.  Version 8 is the first that rejects any
+  /// other: fields are never appended behind a reader's back.
+  static constexpr std::uint8_t kVersion = 8;
 
   /// Unfinished processes at snapshot time.
   std::uint64_t live = 0;
@@ -130,9 +117,9 @@ struct NetworkSnapshot {
   std::uint64_t remote_bytes_sent = 0;
   std::uint64_t remote_bytes_received = 0;
 
-  // --- fault counters (version >= 2; mirrors fault::FaultStats, filled
-  // from the producing process's fault::stats() so degradation shows up
-  // in fleet_stats) ---
+  // --- fault counters (mirrors fault::FaultStats, filled from the
+  // producing process's fault::stats() so degradation shows up in
+  // fleet_stats) ---
   std::uint64_t connect_retries = 0;
   std::uint64_t connect_failures = 0;
   std::uint64_t tasks_reissued = 0;
@@ -141,18 +128,13 @@ struct NetworkSnapshot {
   std::uint64_t registry_evictions = 0;
   std::uint64_t faults_injected = 0;
 
-  // --- trace + latency plane (version >= 3) ---
-  /// Tracer ring accounting of the producing host: total events recorded
-  /// and how many the ring overwrote (a wrapped ring is not a complete
-  /// record -- surfaced so nobody mistakes it for one).
-  std::uint64_t trace_recorded = 0;
-  std::uint64_t trace_dropped = 0;
-  /// Process-wide distributions (obs::runtime_histograms()).
+  // --- latency plane: process-wide distributions
+  // (obs::runtime_histograms()) ---
   HistogramSnapshot task_rtt;
   HistogramSnapshot connect_latency;
 
-  // --- M:N scheduler counters (version >= 4; zero in thread-per-process
-  // mode, filled from sched::Scheduler::counters() otherwise) ---
+  // --- M:N scheduler counters (zero in thread-per-process mode, filled
+  // from sched::Scheduler::counters() otherwise) ---
   std::uint64_t sched_workers = 0;
   std::uint64_t sched_spawned = 0;
   std::uint64_t sched_completed = 0;
@@ -160,26 +142,23 @@ struct NetworkSnapshot {
   std::uint64_t sched_dispatches = 0;
   std::uint64_t sched_parks = 0;
 
-  // --- mux transport counters (version >= 5; zero on the blocking
-  // transport, filled from net::mux_stats() through the registered
-  // transport-stats source otherwise) ---
+  // --- mux transport counters (filled from net::mux_stats() through the
+  // registered transport-stats source) ---
   std::uint64_t mux_connections = 0;
   std::uint64_t mux_streams_active = 0;
   std::uint64_t mux_streams_total = 0;
   std::uint64_t mux_credit_stalls = 0;
   std::uint64_t mux_credit_stall_ns = 0;
 
-  // --- flight-recorder plane (version >= 7) ---
-  /// Always-on flight recorder accounting (obs::flight_counters()):
-  /// events recorded since start, events the per-thread rings have
-  /// overwritten, and post-mortem dumps written.  All zero when the
-  /// recorder is compiled out (DPN_FLIGHT=0).
+  // --- flight-recorder plane ---
+  /// Flight recorder accounting (obs::flight_counters()), at every
+  /// level: events recorded since start, events the per-thread rings
+  /// have overwritten (a wrapped ring is not a complete record), and
+  /// post-mortem dumps written.  All zero when the recorder is compiled
+  /// out (DPN_FLIGHT=0).
   std::uint64_t flight_recorded = 0;
   std::uint64_t flight_dropped = 0;
   std::uint64_t flight_dumps = 0;
-  /// Tracer::total_recorded(): monotonic across enable()/disable()
-  /// cycles, unlike trace_recorded which resets per enable.
-  std::uint64_t trace_total_recorded = 0;
   /// Run-queue wait distribution (sched::runq_wait_histogram()): how long
   /// fibers sat runnable before a worker dispatched them.
   HistogramSnapshot sched_runq;
@@ -190,12 +169,12 @@ struct NetworkSnapshot {
   /// Copies the process-wide fault counters into this snapshot.
   void fill_fault_counters();
 
-  /// Copies the tracer accounting and the process-wide runtime
-  /// histograms into this snapshot (the version-3 fields).
+  /// Copies the flight accounting and the process-wide runtime
+  /// histograms into this snapshot.
   void fill_runtime_counters();
 
-  /// Copies the process-wide transport counters (the version-5 fields)
-  /// from the registered source; no-op when none is registered.
+  /// Copies the process-wide transport counters from the registered
+  /// source; no-op when none is registered.
   void fill_transport_counters();
 
   // --- derived queries (used by the monitor and tests) ---
@@ -207,22 +186,14 @@ struct NetworkSnapshot {
   const ChannelSnapshot* smallest_write_blocked() const;
 
   ByteVector encode() const;
-  /// Encodes the wire layout of an older version (clamped to
-  /// [1, kVersion]); the compat test matrix and mixed-fleet simulations
-  /// use it to produce genuine old-writer payloads.
-  ByteVector encode_as(std::uint8_t version) const;
+  /// Throws SerializationError on another version byte, on a truncated
+  /// payload, and on a count or length larger than the bytes left --
+  /// checked before anything is allocated for it.
   static NetworkSnapshot decode(ByteSpan bytes);
-  /// Decodes as a reader that only knows formats up to `max_version`
-  /// would: fields beyond it stay default, trailing bytes are ignored.
-  /// Payloads *newer* than the reader are handled the same way -- the
-  /// append-only guarantee makes the known prefix parseable -- so a
-  /// mixed-version fleet degrades to partial data, never to an error.
-  static NetworkSnapshot decode_prefix(ByteSpan bytes,
-                                       std::uint8_t max_version);
 
   /// Folds another node's snapshot into this one: counters summed,
-  /// histograms merged, processes/channels concatenated, version set to
-  /// the common (minimum) version.  fleet_stats is built on this.
+  /// histograms merged, processes/channels concatenated.  fleet_stats is
+  /// built on this.
   void merge_from(NetworkSnapshot&& other);
 
   /// Multi-line human-readable rendering (the successor of the old

@@ -1,6 +1,6 @@
 #include "par/generic.hpp"
 
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 
 namespace dpn::par {
 
@@ -32,7 +32,7 @@ Producer::Producer(std::shared_ptr<Task> task,
 void Producer::step() {
   auto next = task_->run();
   if (!next) throw EndOfStream{"producer task exhausted"};
-  DPN_TRACE_EVENT(obs::TraceKind::kTaskDispatch, next->type_name());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kTaskDispatch, next->type_name());
   io::DataOutputStream out{*output(0)};
   write_task(out, next);
 }
@@ -62,7 +62,7 @@ void Worker::step() {
   auto task = read_task(in);
   if (!task) throw SerializationError{"worker received a null task"};
   auto result = task->run();
-  DPN_TRACE_EVENT(obs::TraceKind::kTaskComplete, task->type_name());
+  DPN_FLIGHT_TOKEN(obs::FlightKind::kTaskComplete, task->type_name());
   io::DataOutputStream out{*output(0)};
   write_task(out, result);
 }

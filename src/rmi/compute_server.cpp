@@ -23,17 +23,18 @@ enum class Op : std::uint8_t {
   kAbortProcess = 6,   // close a hosted process's channel endpoints
   kStats = 7,          // obs::NetworkSnapshot of everything hosted
   kStatsStream = 8,    // periodic snapshot pushes (docs/PROTOCOLS.md §6)
-  kTrace = 9,          // this host's trace ring, for fleet_trace
+  // 9 is retired (see docs/PROTOCOLS.md); op numbers are not reused.
   kTimeSync = 10,      // steady-clock probe, for clock-offset estimation
   kSubmitTraced = 11,  // kSubmitProcess with a leading TraceContext
-  kFlightDump = 12,    // this host's flight-recorder window, for fleet_dump
+  kFlightDump = 12,    // this host's flight-recorder window (fleet merge)
 };
 
 /// Node tags for in-process "hosts": each ComputeServer takes the next
 /// one, tag 0 stays the client/local host.
-std::uint32_t next_trace_tag() {
-  static std::atomic<std::uint32_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+std::uint16_t next_trace_tag() {
+  static std::atomic<std::uint16_t> counter{0};
+  return static_cast<std::uint16_t>(
+      counter.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
 std::uint64_t steady_now_ns() {
@@ -211,9 +212,9 @@ void ComputeServer::accept_loop() {
 
 void ComputeServer::handle(std::shared_ptr<net::Stream> stream) {
   // Everything this thread does -- including running a hosted process,
-  // whose spawned threads inherit the tag -- records trace events under
+  // whose spawned threads inherit the tag -- records flight events under
   // this server's host tag.
-  obs::set_node_tag(trace_tag_);
+  obs::flight_set_node(trace_tag_);
   net::StreamInput source{stream};
   io::DataInputStream in{source};
   net::StreamOutput sink{stream};
@@ -231,7 +232,7 @@ void ComputeServer::handle(std::shared_ptr<net::Stream> stream) {
         const auto ctx = obs::TraceContext::decode(raw);
         if (ctx.valid()) {
           obs::current_trace_context() = ctx;
-          DPN_TRACE_EVENT(obs::TraceKind::kShipRecv, "submit", ctx.span_id);
+          DPN_FLIGHT_TOKEN(obs::FlightKind::kShipRecv, "submit", ctx.span_id);
         }
       }
       const ByteVector shipment = in.read_bytes();
@@ -417,20 +418,10 @@ void ComputeServer::handle(std::shared_ptr<net::Stream> stream) {
       }
       break;
     }
-    case Op::kTrace: {
-      // Only this host's events: in an in-process fleet every server
-      // shares the Tracer singleton, and fleet_trace must not receive the
-      // same event from every peer.
-      const ByteVector encoded =
-          obs::Tracer::instance().export_events(trace_tag_).encode();
-      out.write_bool(true);
-      out.write_bytes({encoded.data(), encoded.size()});
-      break;
-    }
     case Op::kFlightDump: {
-      // Like kTrace: only this host's events.  An in-process fleet shares
-      // the ring registry, and fleet_dump must not receive every event
-      // from every peer.
+      // Only this host's events: an in-process fleet shares the ring
+      // registry, and the fleet merge must not receive every event from
+      // every peer.
       const ByteVector encoded =
           obs::flight_export(static_cast<std::int64_t>(trace_tag_)).encode();
       out.write_bool(true);
@@ -566,7 +557,7 @@ ProcessHandle ServerHandle::submit(
   io::DataOutputStream out{sink};
   net::StreamInput source{socket};
   io::DataInputStream in{source};
-  if (obs::trace_enabled()) {
+  if (obs::flight_tokens()) {
     // Stamp the handshake so this SHIP and the server's matching receive
     // form a causally-linked span pair in the merged trace.
     auto& ambient = obs::current_trace_context();
@@ -580,8 +571,8 @@ ProcessHandle ServerHandle::submit(
     ctx.encode(raw);
     out.write_u8(static_cast<std::uint8_t>(Op::kSubmitTraced));
     out.write({raw, sizeof raw});
-    DPN_TRACE_EVENT(obs::TraceKind::kShipSend, "submit", ctx.span_id,
-                    shipment.size());
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kShipSend, "submit", ctx.span_id,
+                     shipment.size());
   } else {
     out.write_u8(static_cast<std::uint8_t>(Op::kSubmitProcess));
   }
@@ -646,18 +637,6 @@ StatsStream ServerHandle::stats_stream(std::chrono::milliseconds interval,
   return StatsStream{std::move(socket)};
 }
 
-obs::TraceExport ServerHandle::trace_export() {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
-  io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
-  io::DataInputStream in{source};
-  out.write_u8(static_cast<std::uint8_t>(Op::kTrace));
-  if (!in.read_bool()) throw IoError{"compute server trace failed"};
-  const ByteVector reply = in.read_bytes();
-  return obs::TraceExport::decode({reply.data(), reply.size()});
-}
-
 obs::FlightExport ServerHandle::flight_export() {
   auto socket = connect_();
   net::StreamOutput sink{socket};
@@ -700,45 +679,27 @@ void ServerHandle::ping() {
 
 obs::NetworkSnapshot fleet_stats(std::vector<ServerHandle>& servers) {
   obs::NetworkSnapshot fleet;
-  bool first = true;
-  for (ServerHandle& server : servers) {
-    obs::NetworkSnapshot snap = server.stats();
-    log::info("fleet_stats: peer ", server.endpoint().host, ":",
-              server.endpoint().port, " snapshot v",
-              static_cast<unsigned>(snap.version));
-    if (first) {
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    obs::NetworkSnapshot snap = servers[i].stats();
+    if (i == 0) {
       fleet = std::move(snap);
-      first = false;
     } else {
-      // Mixed-revision fleets merge on the common version prefix rather
-      // than dropping old peers; the result's version records the fleet's
-      // common denominator.
       fleet.merge_from(std::move(snap));
     }
   }
   return fleet;
 }
 
-std::string fleet_trace(std::vector<ServerHandle>& servers) {
-  // The local host's own events (node tag 0) anchor the timeline.
-  const obs::Tracer& tracer = obs::Tracer::instance();
-  obs::TraceExport local = tracer.export_events(0);
-  std::vector<obs::TraceEvent> merged;
-  std::uint64_t recorded = local.recorded;
-  std::uint64_t dropped = local.dropped;
-  // Work on one absolute (local steady-clock) timeline first; shifted to
-  // zero at the end so the JSON's microsecond timestamps stay small.
-  std::vector<std::pair<obs::TraceEvent, std::int64_t>> absolute;
-  for (const auto& event : local.events) {
-    absolute.emplace_back(event, static_cast<std::int64_t>(event.ts_ns) +
-                                     static_cast<std::int64_t>(local.epoch_ns));
-  }
+obs::FlightExport fleet_flight(std::vector<ServerHandle>& servers) {
+  // The local host's own window (node tag 0) anchors the timeline.
+  obs::FlightExport fleet = obs::flight_export(0);
   for (ServerHandle& server : servers) {
-    obs::TraceExport remote = server.trace_export();
-    // recorded/dropped are Tracer-wide; in-process fleets share one
-    // Tracer, so take the max rather than summing the same ring N times.
-    recorded = std::max(recorded, remote.recorded);
-    dropped = std::max(dropped, remote.dropped);
+    const obs::FlightExport remote = server.flight_export();
+    // The counters are process-wide, and an in-process fleet shares one
+    // ring registry: take the largest rather than summing it N times.
+    fleet.recorded = std::max(fleet.recorded, remote.recorded);
+    fleet.dropped = std::max(fleet.dropped, remote.dropped);
+    fleet.dumps = std::max(fleet.dumps, remote.dumps);
     // Cristian's algorithm: repeat the probe, keep the minimum-RTT
     // sample -- the tightest bound on the peer's clock offset.  (For an
     // in-process fleet the true offset is 0; the estimate's error is
@@ -752,56 +713,27 @@ std::string fleet_trace(std::vector<ServerHandle>& servers) {
         offset = sample;
       }
     }
-    for (const auto& event : remote.events) {
-      absolute.emplace_back(
-          event, static_cast<std::int64_t>(event.ts_ns) +
-                     static_cast<std::int64_t>(remote.epoch_ns) - offset);
-    }
-  }
-  if (absolute.empty()) return obs::chrome_trace_json({}, recorded, dropped);
-  std::int64_t origin = absolute.front().second;
-  for (const auto& [event, ts] : absolute) origin = std::min(origin, ts);
-  std::sort(absolute.begin(), absolute.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  merged.reserve(absolute.size());
-  for (auto& [event, ts] : absolute) {
-    event.ts_ns = static_cast<std::uint64_t>(ts - origin);
-    merged.push_back(event);
-  }
-  return obs::chrome_trace_json(merged, recorded, dropped);
-}
-
-std::string fleet_dump(std::vector<ServerHandle>& servers,
-                       std::string_view reason) {
-  // The local host's own window (node tag 0) anchors the timeline, same
-  // shape as fleet_trace: pull every peer's recent events, align each
-  // peer's steady clock with minimum-RTT TIME_SYNC probes, merge, sort,
-  // and hand the single timeline to the post-mortem renderer.
-  obs::FlightExport local = obs::flight_export(0);
-  std::vector<obs::FlightEvent> merged = std::move(local.events);
-  for (ServerHandle& server : servers) {
-    obs::FlightExport remote = server.flight_export();
-    std::int64_t offset = 0;
-    std::uint64_t best_rtt = ~std::uint64_t{0};
-    for (int i = 0; i < 5; ++i) {
-      const auto [sample, rtt] = server.probe_clock();
-      if (rtt < best_rtt) {
-        best_rtt = rtt;
-        offset = sample;
-      }
-    }
     for (obs::FlightEvent event : remote.events) {
       const std::int64_t aligned =
           static_cast<std::int64_t>(event.ts_ns) - offset;
       event.ts_ns = aligned > 0 ? static_cast<std::uint64_t>(aligned) : 0;
-      merged.push_back(event);
+      fleet.events.push_back(event);
     }
   }
-  std::stable_sort(merged.begin(), merged.end(),
+  std::stable_sort(fleet.events.begin(), fleet.events.end(),
                    [](const obs::FlightEvent& a, const obs::FlightEvent& b) {
                      return a.ts_ns < b.ts_ns;
                    });
-  return obs::flight_report(merged, reason);
+  return fleet;
+}
+
+std::string fleet_trace(std::vector<ServerHandle>& servers) {
+  return obs::flight_chrome_json(fleet_flight(servers));
+}
+
+std::string fleet_dump(std::vector<ServerHandle>& servers,
+                       std::string_view reason) {
+  return obs::flight_report(fleet_flight(servers).events, reason);
 }
 
 }  // namespace dpn::rmi

@@ -21,7 +21,6 @@
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "rmi/registry.hpp"
 
 /// The generic compute server of paper Section 4.1 and its client stub.
@@ -66,10 +65,10 @@ class ComputeServer {
   std::uint16_t port() const { return listener_->port(); }
   const std::shared_ptr<dist::NodeContext>& node() const { return node_; }
 
-  /// This server's trace node tag: every handler thread (and therefore
-  /// every hosted process it runs) records trace events under it, so
+  /// This server's node tag: every handler thread (and therefore every
+  /// hosted process it runs) records flight events under it, so
   /// in-process simulated hosts stay distinguishable in a merged trace.
-  std::uint32_t trace_tag() const { return trace_tag_; }
+  std::uint16_t trace_tag() const { return trace_tag_; }
 
   /// Registers this server's endpoint with a registry.
   void register_with(const std::string& registry_host,
@@ -105,7 +104,7 @@ class ComputeServer {
   std::shared_ptr<dist::NodeContext> node_;
   fault::LeaseOptions lease_;
   std::shared_ptr<net::Listener> listener_;
-  std::uint32_t trace_tag_ = 0;
+  std::uint16_t trace_tag_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> processes_hosted_{0};
   std::atomic<std::size_t> tasks_run_{0};
@@ -245,19 +244,14 @@ class ServerHandle {
   StatsStream stats_stream(std::chrono::milliseconds interval,
                            std::uint32_t count = 0);
 
-  /// Fetches the server's trace ring (only its own node tag's events)
-  /// plus the clock facts needed to merge it: fleet_trace's per-peer
-  /// ingredient.
-  obs::TraceExport trace_export();
-
   /// Fetches the server's flight-recorder window (only its own node
-  /// tag's events): fleet_dump's per-peer ingredient (FLIGHT_DUMP op).
+  /// tag's events): fleet_flight's per-peer ingredient (FLIGHT_DUMP op).
   obs::FlightExport flight_export();
 
   /// One clock probe (Cristian's algorithm): the estimated offset of the
   /// server's steady clock relative to ours (server_now minus the
   /// request's local midpoint, ns) paired with the probe's round-trip
-  /// time.  fleet_trace repeats this and keeps the minimum-RTT sample --
+  /// time.  fleet_flight repeats this and keeps the minimum-RTT sample --
   /// the tightest bound on the offset.
   std::pair<std::int64_t, std::uint64_t> probe_clock();
 
@@ -288,28 +282,27 @@ class ServerHandle {
 /// Merged snapshot across several servers: processes and channels are
 /// concatenated, counters summed, histograms merged.  The fleet-wide
 /// view of paper Section 6.2's global state, assembled from per-node
-/// STATS replies.  Mixed-revision fleets degrade gracefully: each
-/// peer's snapshot version is logged and its decodable prefix merged;
-/// the result's `version` is the fleet's common denominator.
+/// STATS replies.  A peer built from another snapshot version fails the
+/// call with SerializationError.
 obs::NetworkSnapshot fleet_stats(std::vector<ServerHandle>& servers);
 
-/// Merged causal trace across the local host (node tag 0) and several
-/// servers, as one Chrome trace_event JSON: per-host pid rows, flow
-/// arrows for spans that crossed hosts, and recorded/dropped accounting
-/// in the metadata block.  Per-peer clock offsets are estimated with
-/// repeated minimum-RTT probes (probe_clock) so the per-host ring
-/// buffers land on one timeline.  Call at quiescence (tracing disabled
-/// or the graph drained), like Tracer::drain.
+/// The fleet's flight-recorder windows on one timeline: the local host's
+/// (node tag 0) and every server's, pulled over the FLIGHT_DUMP op, each
+/// peer's steady clock aligned with repeated minimum-RTT probes
+/// (probe_clock), merged and sorted.  recorded/dropped/dumps are the
+/// largest any host reported: an in-process fleet shares one registry.
+/// Best called right after the fault or at quiescence: rings wrap, and
+/// the interesting window is the most recent one.
+obs::FlightExport fleet_flight(std::vector<ServerHandle>& servers);
+
+/// fleet_flight as one Chrome trace_event JSON (obs::flight_chrome_json):
+/// per-host pid rows, and flow arrows for the spans that crossed hosts
+/// when the run was recorded at FlightLevel::kTokens.
 std::string fleet_trace(std::vector<ServerHandle>& servers);
 
-/// Merged post-mortem across the local host (node tag 0) and several
-/// servers: every host's recent flight-recorder window pulled over the
-/// FLIGHT_DUMP op, aligned onto one timeline with the same minimum-RTT
-/// clock probes fleet_trace uses, and rendered by obs::flight_report --
-/// a causally ordered event timeline followed by the wait-for analysis
-/// (and, for deadlocks, the exact blocking cycle).  Best called right
-/// after the fault: rings wrap, and the interesting window is the most
-/// recent one.
+/// fleet_flight as a post-mortem (obs::flight_report): a causally
+/// ordered event timeline followed by the wait-for analysis (and, for
+/// deadlocks, the exact blocking cycle).
 std::string fleet_dump(std::vector<ServerHandle>& servers,
                        std::string_view reason = "fleet");
 

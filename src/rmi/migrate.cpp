@@ -1,6 +1,6 @@
 #include "rmi/migrate.hpp"
 
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "support/log.hpp"
 
 namespace dpn::rmi {
@@ -15,7 +15,7 @@ bool migrate(const std::shared_ptr<core::IterativeProcess>& process,
   }
   try {
     destination.submit(process);
-    DPN_TRACE_EVENT(obs::TraceKind::kMigrate, process->name());
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kMigrate, process->name());
   } catch (const NetError&) {
     // Could not reach the server: submit connects before it
     // serializes, so the graph is untouched and resuming in place is

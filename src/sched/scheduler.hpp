@@ -207,7 +207,7 @@ bool spawn_detached(std::function<void()> body, std::string name = {});
 /// fiber sat runnable (enqueue -> worker switch-in).  The scheduling
 /// analogue of the pipes' blocked-time histograms -- a growing tail here
 /// means the graph is ready to run but starved of workers.  Lands in
-/// NetworkSnapshot v7.
+/// NetworkSnapshot (`sched_runq`).
 LatencyHistogram& runq_wait_histogram();
 
 /// Counting completion latch usable from fibers and plain threads alike:

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <thread>
 
@@ -12,6 +13,7 @@
 #include "io/memory.hpp"
 #include "image/codec.hpp"
 #include "net/transport.hpp"
+#include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "par/generic.hpp"
 #include "par/schema.hpp"
@@ -303,6 +305,139 @@ TEST(Failure, RedirectMessageSurvivesMutation) {
                   message.size() == 8 + obs::TraceContext::kWireSize);
       (void)got;
     } catch (const IoError&) {
+    }
+  }
+}
+
+/// Appends `value` as a varint (the Data-stream count encoding).
+void put_varint(ByteVector& out, std::uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(value | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(value));
+}
+
+obs::NetworkSnapshot mutation_sample(Xoshiro256& rng) {
+  obs::NetworkSnapshot snap;
+  snap.live = rng.next();
+  snap.flight_recorded = rng.below(1000);
+  snap.task_rtt.counts[rng.below(HistogramSnapshot::kBuckets)] = 3;
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    snap.processes.push_back({"proc" + std::to_string(i),
+                              obs::ProcessState::kRunning, rng.next()});
+  }
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    obs::ChannelSnapshot c;
+    c.id = i;
+    c.label = std::string(rng.below(20), 'c');
+    c.bytes_written = rng.next();
+    c.has_typed = rng.below(2) == 0;
+    c.write_block.counts[2] = rng.below(100);
+    snap.channels.push_back(std::move(c));
+  }
+  return snap;
+}
+
+TEST(Failure, SnapshotRejectsAHugeCountBeforeAllocating) {
+  // A default snapshot ends in its process and channel counts (both 0).
+  // Raised to 2^40, the process count is rejected as larger than the
+  // bytes left, before anything is reserved for it.
+  ByteVector wire = obs::NetworkSnapshot{}.encode();
+  ASSERT_EQ(wire.back(), 0);
+  wire.resize(wire.size() - 2);
+  put_varint(wire, std::uint64_t{1} << 40);
+  wire.push_back(0);
+  EXPECT_THROW((void)obs::NetworkSnapshot::decode({wire.data(), wire.size()}),
+               SerializationError);
+}
+
+TEST(Failure, SnapshotAndFlightExportSurviveMutation) {
+  // Seeded mutations of both observability payloads that cross the wire
+  // (STATS and FLIGHT_DUMP): a clean decode or a SerializationError,
+  // never a crash, another exception, or an allocation the bytes do not
+  // pay for.
+  Xoshiro256 rng{2303};
+  int rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const obs::NetworkSnapshot sample = mutation_sample(rng);
+    ByteVector wire = sample.encode();
+    // The counts' offsets: the same snapshot without processes or
+    // channels ends in them.
+    obs::NetworkSnapshot header = sample;
+    header.processes.clear();
+    header.channels.clear();
+    const std::size_t counts_at = header.encode().size() - 2;
+    switch (rng.below(4)) {
+      case 0:  // truncated
+        wire.resize(rng.below(wire.size()));
+        break;
+      case 1:  // bit flips
+        for (std::uint64_t f = 1 + rng.below(8); f > 0; --f) {
+          wire[rng.below(wire.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      default: {  // the process count or a length after it raised
+        const std::size_t at =
+            counts_at + rng.below(std::min<std::size_t>(
+                            wire.size() - counts_at, 3));
+        ByteVector raised{wire.begin(),
+                          wire.begin() + static_cast<std::ptrdiff_t>(at)};
+        put_varint(raised, rng.next() >> rng.below(64));
+        raised.insert(raised.end(),
+                      wire.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                      wire.end());
+        wire = std::move(raised);
+        break;
+      }
+    }
+    try {
+      const obs::NetworkSnapshot got =
+          obs::NetworkSnapshot::decode({wire.data(), wire.size()});
+      EXPECT_LE(got.processes.size() + got.channels.size(), wire.size());
+      (void)got.to_string();
+    } catch (const SerializationError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+
+  for (int round = 0; round < 2000; ++round) {
+    obs::FlightExport exported;
+    exported.node = static_cast<std::uint32_t>(rng.below(4));
+    exported.recorded = rng.next();
+    for (std::uint64_t i = rng.below(6); i > 0; --i) {
+      obs::FlightEvent event;
+      event.ts_ns = rng.next();
+      event.a = rng.next();
+      event.kind = static_cast<std::uint8_t>(rng.below(40));
+      std::snprintf(event.who, sizeof event.who, "w%llu",
+                    static_cast<unsigned long long>(i));
+      exported.events.push_back(event);
+    }
+    ByteVector wire = exported.encode();
+    switch (rng.below(3)) {
+      case 0:
+        wire.resize(rng.below(wire.size() + 1));
+        break;
+      case 1:
+        for (std::uint64_t f = 1 + rng.below(16); f > 0; --f) {
+          wire[rng.below(wire.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      default:  // the event count raised
+        put_u32(wire.data() + 36, static_cast<std::uint32_t>(rng.next()));
+        break;
+    }
+    try {
+      const obs::FlightExport got =
+          obs::FlightExport::decode({wire.data(), wire.size()});
+      EXPECT_LE(got.events.size() * 48, wire.size());
+      (void)obs::flight_report(got.events, "mutated");
+      (void)obs::flight_chrome_json(got);
+    } catch (const SerializationError&) {
     }
   }
 }

@@ -18,7 +18,7 @@
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "sched/scheduler.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight.hpp"
 #include "support/bytes.hpp"
 
 #include "mux_peer.hpp"

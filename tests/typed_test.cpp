@@ -756,7 +756,7 @@ TEST(TypedObs, SnapshotCarriesRingStateThroughV6) {
     EXPECT_EQ(c.capacity, c.typed_capacity * 8);
   }
 
-  // v6 writer -> v6 reader: typed fields survive the wire.
+  // Typed fields survive the wire.
   const ByteVector wire = snap.encode();
   const auto decoded = obs::NetworkSnapshot::decode(wire);
   ASSERT_EQ(decoded.channels.size(), 1u);
@@ -764,22 +764,7 @@ TEST(TypedObs, SnapshotCarriesRingStateThroughV6) {
   EXPECT_EQ(decoded.channels[0].typed_pushed, 12u);
   EXPECT_EQ(decoded.channels[0].typed_popped, 5u);
   EXPECT_EQ(decoded.channels[0].typed_buffered, 7u);
-
-  // v6 writer -> v1 reader: the old reader prefix-parses and simply
-  // never sees the typed suffix.
-  const auto old_reader = obs::NetworkSnapshot::decode_prefix(wire, 1);
-  ASSERT_EQ(old_reader.channels.size(), 1u);
-  EXPECT_EQ(old_reader.version, 1);
-  EXPECT_FALSE(old_reader.channels[0].has_typed);
-  EXPECT_EQ(old_reader.channels[0].bytes_written, 96u);
-
-  // v1 writer -> v6 reader: typed fields stay default, nothing throws.
-  const ByteVector old_wire = snap.encode_as(1);
-  const auto from_old = obs::NetworkSnapshot::decode(old_wire);
-  ASSERT_EQ(from_old.channels.size(), 1u);
-  EXPECT_EQ(from_old.version, 1);
-  EXPECT_FALSE(from_old.channels[0].has_typed);
-  EXPECT_EQ(from_old.channels[0].bytes_written, 96u);
+  EXPECT_EQ(decoded.channels[0].bytes_written, 96u);
 }
 
 TEST(TypedObs, MonitorGrowsRingOnArtificialDeadlock) {
