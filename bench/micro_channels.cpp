@@ -67,39 +67,13 @@ void BM_ChannelElementRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelElementRoundTrip);
 
-void BM_ChannelElementRoundTripBuffered(benchmark::State& state) {
-  // Ping-style round trip through *buffered* endpoints.  The producer must
-  // flush at every rendezvous, so coalescing cannot help here -- this
-  // bounds the worst case of the fast path: the pure overhead of the
-  // extra buffer layer when its batching never pays off.
-  core::ChannelOptions options;
-  options.capacity = 4096;
-  options.write_buffer = 8192;
-  options.read_buffer = 8192;
-  core::Channel channel{options};
-  io::DataOutputStream out{*channel.output()};
-  io::DataInputStream in{*channel.input()};
-  std::int64_t value = 0;
-  for (auto _ : state) {
-    out.write_i64(value);
-    channel.output()->flush();
-    benchmark::DoNotOptimize(in.read_i64());
-    ++value;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ChannelElementRoundTripBuffered);
-
 void BM_ChannelWriteThroughput(benchmark::State& state) {
   // Per-element cost of the streaming write path: one i64 per iteration
-  // into a channel a background thread keeps drained.  Arg 0 is the
-  // write-through default (every element crosses the pipe mutex); larger
-  // args set ChannelOptions::write_buffer, so elements coalesce and cross
-  // once per buffer-full.
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = static_cast<std::size_t>(state.range(0));
-  core::Channel channel{options};
+  // into a channel a background thread keeps drained.  Every element is
+  // published to the pipe when its write returns.  (The arg is always 0:
+  // it keeps the row's name in the ledger from before the buffered
+  // endpoints were removed.)
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread drain{[in = channel.input()] {
     ByteVector buffer(1 << 16);
     try {
@@ -116,19 +90,13 @@ void BM_ChannelWriteThroughput(benchmark::State& state) {
   channel.output()->close();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ChannelWriteThroughput)->Arg(0)->Arg(512)->Arg(8192);
+BENCHMARK(BM_ChannelWriteThroughput)->Arg(0);
 
 void BM_ChannelReadThroughput(benchmark::State& state) {
   // Per-element cost of the streaming read path: a background producer
-  // keeps the channel full (through a large write buffer, so it is never
-  // the bottleneck); the measured thread reads one i64 per iteration.
-  // Arg 0 is the read-through default; larger args set
-  // ChannelOptions::read_buffer.
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = 8192;
-  options.read_buffer = static_cast<std::size_t>(state.range(0));
-  core::Channel channel{options};
+  // keeps the channel full, one i64 per write; the measured thread reads
+  // one i64 per iteration.  (Arg 0 as for BM_ChannelWriteThroughput.)
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread feed{[out = channel.output()] {
     io::DataOutputStream data{*out};
     try {
@@ -143,7 +111,7 @@ void BM_ChannelReadThroughput(benchmark::State& state) {
   channel.input()->close();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ChannelReadThroughput)->Arg(0)->Arg(8192);
+BENCHMARK(BM_ChannelReadThroughput)->Arg(0);
 
 void BM_DataStreamOverMemory(benchmark::State& state) {
   // The serialization layer alone, no synchronization.
@@ -210,6 +178,35 @@ void BM_SequenceLayer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SequenceLayer)->Arg(0)->Arg(1);
+
+void BM_PipeToken(benchmark::State& state) {
+  // The pipe's row of the per-layer ledger, the local twin of
+  // BM_MuxStreamToken: one raw i64 token per write through a bare
+  // io::Pipe of the default capacity, the writer on its own thread.  Real
+  // time is ns per token.
+  auto pipe = std::make_shared<io::Pipe>();
+  std::jthread writer{[pipe] {
+    std::uint8_t token[8];
+    try {
+      for (std::uint64_t value = 0;; ++value) {
+        put_u64(token, value);
+        pipe->write({token, sizeof token});
+      }
+    } catch (const IoError&) {  // the reader closed
+    }
+  }};
+  std::uint8_t token[8];
+  for (auto _ : state) {
+    std::size_t got = 0;
+    while (got < sizeof token) {
+      got += pipe->read_some({token + got, sizeof token - got});
+    }
+    benchmark::DoNotOptimize(token);
+  }
+  pipe->close_read();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PipeToken)->UseRealTime();
 
 void BM_MuxStreamToken(benchmark::State& state) {
   // The mux stream's row of the per-layer ledger: one raw i64 token per

@@ -29,13 +29,11 @@ using namespace dpn;
 
 using obs::FlightLevel;
 
-/// Per-element streaming write cost; arg = ChannelOptions::write_buffer.
+/// Per-element streaming write cost (arg 0 keeps the rows' names in the
+/// ledger from before the buffered endpoints were removed).
 void write_throughput(benchmark::State& state, FlightLevel level) {
   obs::set_flight_level(level);
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = static_cast<std::size_t>(state.range(0));
-  core::Channel channel{options};
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread drain{[in = channel.input()] {
     ByteVector buffer(1 << 16);
     try {
@@ -57,21 +55,17 @@ void write_throughput(benchmark::State& state, FlightLevel level) {
 void BM_ObsWriteThroughput(benchmark::State& state) {
   write_throughput(state, FlightLevel::kPostMortem);
 }
-BENCHMARK(BM_ObsWriteThroughput)->Arg(0)->Arg(8192);
+BENCHMARK(BM_ObsWriteThroughput)->Arg(0);
 
 void BM_ObsWriteThroughputTraced(benchmark::State& state) {
   write_throughput(state, FlightLevel::kTokens);
 }
-BENCHMARK(BM_ObsWriteThroughputTraced)->Arg(0)->Arg(8192);
+BENCHMARK(BM_ObsWriteThroughputTraced)->Arg(0);
 
-/// Per-element streaming read cost; arg = ChannelOptions::read_buffer.
+/// Per-element streaming read cost (arg 0 as for write_throughput).
 void read_throughput(benchmark::State& state, FlightLevel level) {
   obs::set_flight_level(level);
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = 8192;
-  options.read_buffer = static_cast<std::size_t>(state.range(0));
-  core::Channel channel{options};
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread feed{[out = channel.output()] {
     io::DataOutputStream data{*out};
     try {
@@ -91,12 +85,12 @@ void read_throughput(benchmark::State& state, FlightLevel level) {
 void BM_ObsReadThroughput(benchmark::State& state) {
   read_throughput(state, FlightLevel::kPostMortem);
 }
-BENCHMARK(BM_ObsReadThroughput)->Arg(0)->Arg(8192);
+BENCHMARK(BM_ObsReadThroughput)->Arg(0);
 
 void BM_ObsReadThroughputTraced(benchmark::State& state) {
   read_throughput(state, FlightLevel::kTokens);
 }
-BENCHMARK(BM_ObsReadThroughputTraced)->Arg(0)->Arg(8192);
+BENCHMARK(BM_ObsReadThroughputTraced)->Arg(0);
 
 /// The wire-path delta of causal context propagation: a plain DATA frame
 /// vs a DATA_TRACED frame (ambient context lookup + 17-byte TraceContext

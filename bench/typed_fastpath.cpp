@@ -1,9 +1,7 @@
 // Micro-benchmarks for the typed zero-copy fast path: T values moving
 // through the in-process ring (core/typed.hpp) against the same traffic
-// on the byte plane (encode -> buffered endpoint -> pipe -> decode).
-// EXPERIMENTS.md's typed-fastpath table is generated from this binary;
-// the acceptance bar is >= 3x per-token against the PR 1 buffered
-// byte-stream stack.
+// on the byte plane (encode -> channel endpoint -> pipe -> decode).
+// EXPERIMENTS.md's typed-fastpath table is generated from this binary.
 
 #include <benchmark/benchmark.h>
 
@@ -101,20 +99,15 @@ void BM_TypedRingReadThroughput(benchmark::State& state) {
 BENCHMARK(BM_TypedRingReadThroughput);
 
 void BM_ByteStreamRoundTripBaseline(benchmark::State& state) {
-  // The PR 1 baseline re-measured in this binary so the table's ratio
-  // comes from one run on one machine: buffered endpoints, flush at
-  // every rendezvous (identical to BM_ChannelElementRoundTripBuffered).
-  core::ChannelOptions options;
-  options.capacity = 4096;
-  options.write_buffer = 8192;
-  options.read_buffer = 8192;
-  core::Channel channel{options};
+  // The byte-plane baseline re-measured in this binary so the table's
+  // ratio comes from one run on one machine (identical to
+  // BM_ChannelElementRoundTrip).
+  core::Channel channel{4096};
   io::DataOutputStream out{*channel.output()};
   io::DataInputStream in{*channel.input()};
   std::int64_t value = 0;
   for (auto _ : state) {
     out.write_i64(value);
-    channel.output()->flush();
     benchmark::DoNotOptimize(in.read_i64());
     ++value;
   }
@@ -123,11 +116,8 @@ void BM_ByteStreamRoundTripBaseline(benchmark::State& state) {
 BENCHMARK(BM_ByteStreamRoundTripBaseline);
 
 void BM_ByteStreamWriteThroughputBaseline(benchmark::State& state) {
-  // Buffered streaming-write baseline (BM_ChannelWriteThroughput/8192).
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = 8192;
-  core::Channel channel{options};
+  // Byte-plane streaming-write baseline (BM_ChannelWriteThroughput/0).
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread drain{[in = channel.input()] {
     ByteVector buffer(1 << 16);
     try {
@@ -147,12 +137,8 @@ void BM_ByteStreamWriteThroughputBaseline(benchmark::State& state) {
 BENCHMARK(BM_ByteStreamWriteThroughputBaseline);
 
 void BM_ByteStreamReadThroughputBaseline(benchmark::State& state) {
-  // Buffered streaming-read baseline (BM_ChannelReadThroughput/8192).
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.write_buffer = 8192;
-  options.read_buffer = 8192;
-  core::Channel channel{options};
+  // Byte-plane streaming-read baseline (BM_ChannelReadThroughput/0).
+  core::Channel channel{std::size_t{1} << 16};
   std::jthread feed{[out = channel.output()] {
     io::DataOutputStream data{*out};
     try {

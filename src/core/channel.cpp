@@ -63,20 +63,12 @@ ChannelInputStream::ChannelInputStream(
     std::shared_ptr<io::SequenceInputStream> sequence)
     : state_(std::move(state)),
       sequence_(std::move(sequence)),
-      metrics_(state_->metrics.get()) {
-  if (state_->read_buffer > 0) {
-    buffer_ = std::make_shared<io::BufferedInputStream>(sequence_,
-                                                        state_->read_buffer);
-    source_ = buffer_.get();
-  } else {
-    source_ = sequence_.get();
-  }
-}
+      metrics_(state_->metrics.get()) {}
 
 std::size_t ChannelInputStream::read_some(MutableByteSpan out) {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
-  const std::size_t n = source_->read_some(out);
+  const std::size_t n = sequence_->read_some(out);
   if (n > 0) {
     // A zero-byte return is the end-of-stream probe, not a token.
     metrics_->on_read(n);
@@ -88,7 +80,7 @@ std::size_t ChannelInputStream::read_some(MutableByteSpan out) {
 int ChannelInputStream::read() {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
-  const int b = source_->read();
+  const int b = sequence_->read();
   if (b >= 0) {
     metrics_->on_read(1);
     DPN_FLIGHT_TOKEN(obs::FlightKind::kChanRead, state_->label, state_->id, 1);
@@ -102,20 +94,16 @@ void ChannelInputStream::close() {
   // not just one parked in the byte pipe -- every teardown path (process
   // exit, kAbortProcess, Network::abort) funnels through this close.
   if (state_->typed) state_->typed->close_read();
-  source_->close();
+  sequence_->close();
 }
 
 void ChannelInputStream::read_fully(MutableByteSpan out) {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedReading};
-  io::read_fully(*source_, out);
+  io::read_fully(*sequence_, out);
   metrics_->on_read(out.size());
   DPN_FLIGHT_TOKEN(obs::FlightKind::kChanRead, state_->label, state_->id,
                    out.size());
-}
-
-ByteVector ChannelInputStream::take_read_buffer() {
-  return buffer_ ? buffer_->take_buffered() : ByteVector{};
 }
 
 void ChannelInputStream::write_fields(serial::ObjectOutputStream&) const {
@@ -139,20 +127,12 @@ ChannelOutputStream::ChannelOutputStream(
     std::shared_ptr<io::SequenceOutputStream> sequence)
     : state_(std::move(state)),
       sequence_(std::move(sequence)),
-      metrics_(state_->metrics.get()) {
-  if (state_->write_buffer > 0) {
-    buffer_ = std::make_shared<io::BufferedOutputStream>(
-        sequence_, state_->write_buffer);
-    sink_ = buffer_.get();
-  } else {
-    sink_ = sequence_.get();
-  }
-}
+      metrics_(state_->metrics.get()) {}
 
 void ChannelOutputStream::write(ByteSpan data) {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
-  sink_->write(data);
+  sequence_->write(data);
   metrics_->on_write(data.size());
   DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id,
                    data.size());
@@ -161,7 +141,7 @@ void ChannelOutputStream::write(ByteSpan data) {
 void ChannelOutputStream::write_byte(std::uint8_t b) {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
-  sink_->write_byte(b);
+  sequence_->write_byte(b);
   metrics_->on_write(1);
   DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id, 1);
 }
@@ -169,24 +149,17 @@ void ChannelOutputStream::write_byte(std::uint8_t b) {
 void ChannelOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
   if (typed_ != nullptr) check_byte_plane(typed_);
   BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
-  sink_->write_vectored(a, b);
+  sequence_->write_vectored(a, b);
   metrics_->on_write(a.size() + b.size());
   DPN_FLIGHT_TOKEN(obs::FlightKind::kChanWrite, state_->label, state_->id,
                    a.size() + b.size());
-}
-
-void ChannelOutputStream::flush() {
-  BlockedScope scope{owner_.get(), obs::ProcessState::kBlockedWriting};
-  DPN_FLIGHT_TOKEN(obs::FlightKind::kChanFlush, state_->label, state_->id,
-                   buffer_ ? buffer_->buffered() : 0);
-  sink_->flush();
 }
 
 void ChannelOutputStream::close() {
   DPN_FLIGHT_TOKEN(obs::FlightKind::kChanClose, state_->label, state_->id);
   // End-of-stream for a typed consumer: drain the ring, then kEof.
   if (state_->typed) state_->typed->close_write();
-  sink_->close();
+  sequence_->close();
 }
 
 void ChannelOutputStream::write_fields(serial::ObjectOutputStream&) const {
@@ -260,23 +233,11 @@ obs::ChannelSnapshot snapshot_channel(const ChannelState& state) {
       c.read_closed = c.read_closed || t.read_closed;
     }
   }
-  if (const auto out = state.output.lock()) {
-    if (const auto& buffer = out->buffered_stream()) {
-      c.flushes = buffer->flush_count();
-      c.coalesced_writes = buffer->coalesced_writes();
-      c.write_buffered = buffer->buffered();
-    }
-  }
-  if (const auto in = state.input.lock()) {
-    if (const auto& buffer = in->buffered_stream()) {
-      c.read_buffered = buffer->buffered();
-    }
-  }
   return c;
 }
 
 Channel::Channel(std::size_t capacity, std::string label)
-    : Channel(ChannelOptions{capacity, std::move(label), 0, 0}) {}
+    : Channel(ChannelOptions{capacity, std::move(label)}) {}
 
 Channel::Channel(ChannelOptions options) {
   state_ = std::make_shared<ChannelState>();
@@ -292,8 +253,6 @@ Channel::Channel(ChannelOptions options) {
     obs::flight_record_named(obs::FlightKind::kChanLabel, state_->label,
                              state_->id);
   }
-  state_->write_buffer = options.write_buffer;
-  state_->read_buffer = options.read_buffer;
   state_->remote = options.remote;
 
   auto in_seq = std::make_shared<io::SequenceInputStream>(

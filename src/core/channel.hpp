@@ -4,7 +4,6 @@
 #include <string>
 
 #include "io/blocking.hpp"
-#include "io/buffered.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
 #include "io/typed_ring.hpp"
@@ -38,19 +37,13 @@ namespace dpn::core {
 class ChannelInputStream;
 class ChannelOutputStream;
 
-/// Construction knobs for a Channel.  write_buffer/read_buffer of 0 (the
-/// default) keep the endpoints write-through: every write crosses the pipe
-/// mutex immediately and every ChannelClosed/window interaction is
-/// observable per call.  Non-zero sizes interpose io::Buffered*Stream above
-/// the Sequence layer -- the batched fast path.  Buffered producers must
-/// flush() at rendezvous points their consumers wait on (or rely on
-/// flush-on-close); see DESIGN.md "Performance architecture" for why KPN
-/// determinacy is unaffected either way.
+/// Construction knobs for a Channel.  Endpoints are write-through: every
+/// write is visible to the consumer when it returns, and every
+/// ChannelClosed and window interaction is observable per call (the pipe
+/// takes no lock on a steady write, so there is nothing to batch away).
 struct ChannelOptions {
   std::size_t capacity = io::Pipe::kDefaultCapacity;
   std::string label;
-  std::size_t write_buffer = 0;
-  std::size_t read_buffer = 0;
 
   /// Tuning applied if/when an endpoint of this channel is shipped to
   /// another server (ignored while the channel stays local):
@@ -84,10 +77,6 @@ struct ChannelState {
   std::weak_ptr<ChannelOutputStream> output;
   std::size_t capacity = io::Pipe::kDefaultCapacity;
   std::string label;
-  /// Endpoint buffering config (0 = write-through).  Travels with shipped
-  /// endpoints so a migrated channel keeps its performance profile.
-  std::size_t write_buffer = 0;
-  std::size_t read_buffer = 0;
   /// Set by the distribution layer when an endpoint has been shipped to
   /// another server; the remaining local endpoint then knows its peer is
   /// no longer reachable in this address space (used e.g. by Cons to
@@ -95,7 +84,7 @@ struct ChannelState {
   bool input_remote = false;
   bool output_remote = false;
   /// Remote-segment tuning (see ChannelOptions::RemoteTuning).  Travels
-  /// with shipped endpoints like the buffering config above.
+  /// with shipped endpoints.
   ChannelOptions::RemoteTuning remote;
   /// Typed zero-copy fast path: while both endpoints are in-process,
   /// values move through this ring and the pipe stays empty.  Null for
@@ -120,8 +109,7 @@ class ChannelInputStream final
       public std::enable_shared_from_this<ChannelInputStream> {
  public:
   /// Used by Channel and by the distribution machinery; user code obtains
-  /// endpoints from Channel::input().  A non-zero state->read_buffer
-  /// interposes a BufferedInputStream above the sequence.
+  /// endpoints from Channel::input().
   ChannelInputStream(std::shared_ptr<ChannelState> state,
                      std::shared_ptr<io::SequenceInputStream> sequence);
 
@@ -135,12 +123,6 @@ class ChannelInputStream final
   /// read discipline used by all element-structured processes).
   void read_fully(MutableByteSpan out);
 
-  /// Unconsumed read-ahead bytes held above the sequence (empty for an
-  /// unbuffered endpoint).  The migration protocol ships these as the
-  /// oldest prefix of the channel's unconsumed history, ahead of
-  /// Pipe::steal_buffer's bytes.
-  ByteVector take_read_buffer();
-
   /// The splice point used by reconfiguration (Section 3.3) and by the
   /// remote machinery: streams appended here are drained after everything
   /// currently queued.
@@ -150,12 +132,6 @@ class ChannelInputStream final
   }
 
   const std::shared_ptr<ChannelState>& state() const { return state_; }
-
-  /// The read-ahead decorator, if this endpoint is buffered (else null).
-  /// Snapshots read its buffered() through this.
-  const std::shared_ptr<io::BufferedInputStream>& buffered_stream() const {
-    return buffer_;
-  }
 
   /// Installs the owning process's stats so blocking reads flip its
   /// observable state to blocked-reading.  Called by
@@ -180,10 +156,6 @@ class ChannelInputStream final
  private:
   std::shared_ptr<ChannelState> state_;
   std::shared_ptr<io::SequenceInputStream> sequence_;
-  /// Set iff state_->read_buffer > 0; wraps sequence_.
-  std::shared_ptr<io::BufferedInputStream> buffer_;
-  /// The stream reads actually go through: buffer_ or sequence_.
-  io::InputStream* source_ = nullptr;
   /// state_->metrics.get(), cached: the metrics object lives and dies
   /// with state_, and the extra pointer chase is measurable per-token.
   obs::ChannelMetrics* metrics_ = nullptr;
@@ -198,9 +170,6 @@ class ChannelOutputStream final
       public serial::Serializable,
       public std::enable_shared_from_this<ChannelOutputStream> {
  public:
-  /// A non-zero state->write_buffer interposes a BufferedOutputStream
-  /// above the sequence: token writes coalesce and cross the pipe mutex
-  /// (or socket) once per buffer-full, not once per call.
   ChannelOutputStream(std::shared_ptr<ChannelState> state,
                       std::shared_ptr<io::SequenceOutputStream> sequence);
 
@@ -210,10 +179,6 @@ class ChannelOutputStream final
   void write(ByteSpan data) override;
   void write_byte(std::uint8_t b) override;
   void write_vectored(ByteSpan a, ByteSpan b) override;
-  /// For a buffered endpoint: publishes coalesced bytes downstream.  The
-  /// migration cut points (ship/redirect/switch) call this so exact byte
-  /// positions exist where the protocols need them.
-  void flush() override;
   void close() override;
 
   io::SequenceOutputStream& sequence() { return *sequence_; }
@@ -222,12 +187,6 @@ class ChannelOutputStream final
   }
 
   const std::shared_ptr<ChannelState>& state() const { return state_; }
-
-  /// The coalescing decorator, if this endpoint is buffered (else null).
-  /// Snapshots read its buffered()/flush_count()/coalesced_writes().
-  const std::shared_ptr<io::BufferedOutputStream>& buffered_stream() const {
-    return buffer_;
-  }
 
   /// See ChannelInputStream::set_owner; flips blocked-writing instead.
   void set_owner(std::shared_ptr<obs::ProcessStats> owner) {
@@ -247,10 +206,6 @@ class ChannelOutputStream final
  private:
   std::shared_ptr<ChannelState> state_;
   std::shared_ptr<io::SequenceOutputStream> sequence_;
-  /// Set iff state_->write_buffer > 0; wraps sequence_.
-  std::shared_ptr<io::BufferedOutputStream> buffer_;
-  /// The stream writes actually go through: buffer_ or sequence_.
-  io::OutputStream* sink_ = nullptr;
   /// state_->metrics.get(), cached (see ChannelInputStream::metrics_).
   obs::ChannelMetrics* metrics_ = nullptr;
   io::TypedRingBase* typed_ = nullptr;
@@ -297,8 +252,8 @@ void set_distribution_hooks(DistributionHooks hooks);
 const DistributionHooks& distribution_hooks();
 
 /// Builds the observability row for one channel: traffic counters from the
-/// shared metrics, occupancy/pressure from the pipe (when local), batching
-/// counters from whichever endpoints are still reachable.  Used by
+/// shared metrics, occupancy/pressure from the pipe (when local) and the
+/// typed ring (when there is one).  Used by
 /// Network::snapshot() and by a ComputeServer answering STATS for its
 /// hosted processes.
 obs::ChannelSnapshot snapshot_channel(const ChannelState& state);

@@ -200,11 +200,11 @@ class Network {
 
   /// Structured view of the whole network at one instant: every process's
   /// observable state and step count, every watched channel's occupancy,
-  /// traffic, wait and batching counters.  This is what the deadlock
+  /// traffic and wait counters.  This is what the deadlock
   /// monitor consumes, what channel_report() renders, and what a
   /// ComputeServer returns for a STATS request (NetworkSnapshot::encode
   /// puts it on the wire).  Never blocks a channel operation: counters are
-  /// relaxed atomics plus per-pipe mutex reads.
+  /// relaxed atomics plus per-pipe mutex reads (a cut's moment at most).
   obs::NetworkSnapshot snapshot() const;
 
   /// Human-readable snapshot of every watched channel: label, fill,

@@ -153,7 +153,6 @@ class FrameChannelOutput final : public io::OutputStream,
 
   void write(ByteSpan data) override { write_vectored(data, {}); }
   void write_vectored(ByteSpan a, ByteSpan b) override;
-  void flush() override {}
   void close() override;
 
   /// The consumer node's rendezvous address (valid once connected).

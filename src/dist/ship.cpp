@@ -46,9 +46,6 @@ class RemoteInputStub final : public serial::Serializable {
   std::uint64_t token = 0;
   std::string label;
   std::uint64_t capacity = io::Pipe::kDefaultCapacity;
-  // Endpoint buffering config; the reconstructed endpoint keeps the
-  // channel's performance profile.
-  std::uint64_t read_buffer = 0;
   // Consumer-side traffic counters travel with the endpoint so a shipped
   // channel's metrics survive migration.
   std::uint64_t bytes_read = 0;
@@ -67,7 +64,6 @@ class RemoteInputStub final : public serial::Serializable {
     out.write_u64(token);
     out.write_string(label);
     out.write_u64(capacity);
-    out.write_u64(read_buffer);
     out.write_u64(bytes_read);
     out.write_u64(tokens_read);
     out.write_u64(credit_window);
@@ -83,7 +79,6 @@ class RemoteInputStub final : public serial::Serializable {
     stub->token = in.read_u64();
     stub->label = in.read_string();
     stub->capacity = in.read_u64();
-    stub->read_buffer = in.read_u64();
     stub->bytes_read = in.read_u64();
     stub->tokens_read = in.read_u64();
     stub->credit_window = in.read_u64();
@@ -102,7 +97,6 @@ class RemoteInputStub final : public serial::Serializable {
     if (!label.empty()) {
       obs::flight_record_named(obs::FlightKind::kChanLabel, label, state->id);
     }
-    state->read_buffer = static_cast<std::size_t>(read_buffer);
     state->output_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
     state->metrics->bytes_read.store(bytes_read, std::memory_order_relaxed);
@@ -145,7 +139,6 @@ class RemoteOutputStub final : public serial::Serializable {
   std::uint64_t token = 0;
   std::string label;
   std::uint64_t capacity = io::Pipe::kDefaultCapacity;
-  std::uint64_t write_buffer = 0;
   // Producer-side traffic counters; see RemoteInputStub.
   std::uint64_t bytes_written = 0;
   std::uint64_t tokens_written = 0;
@@ -162,7 +155,6 @@ class RemoteOutputStub final : public serial::Serializable {
     out.write_u64(token);
     out.write_string(label);
     out.write_u64(capacity);
-    out.write_u64(write_buffer);
     out.write_u64(bytes_written);
     out.write_u64(tokens_written);
     out.write_u64(credit_window);
@@ -177,7 +169,6 @@ class RemoteOutputStub final : public serial::Serializable {
     stub->token = in.read_u64();
     stub->label = in.read_string();
     stub->capacity = in.read_u64();
-    stub->write_buffer = in.read_u64();
     stub->bytes_written = in.read_u64();
     stub->tokens_written = in.read_u64();
     stub->credit_window = in.read_u64();
@@ -191,7 +182,6 @@ class RemoteOutputStub final : public serial::Serializable {
     state->pipe = nullptr;
     state->capacity = static_cast<std::size_t>(capacity);
     state->label = label;
-    state->write_buffer = static_cast<std::size_t>(write_buffer);
     state->input_remote = true;
     state->remote.credit_window = static_cast<std::size_t>(credit_window);
     state->metrics->bytes_written.store(bytes_written,
@@ -235,8 +225,6 @@ class LocalPairStub final : public serial::Serializable {
   ByteVector buffered;
   bool write_closed = false;
   bool read_closed = false;
-  std::uint64_t write_buffer = 0;
-  std::uint64_t read_buffer = 0;
   std::uint64_t credit_window = 0;
   // Full traffic counters: the whole channel moves, so both directions'
   // metrics travel with the metadata stub.
@@ -257,8 +245,6 @@ class LocalPairStub final : public serial::Serializable {
       out.write_bytes({buffered.data(), buffered.size()});
       out.write_bool(write_closed);
       out.write_bool(read_closed);
-      out.write_u64(write_buffer);
-      out.write_u64(read_buffer);
       out.write_u64(credit_window);
       out.write_u64(bytes_written);
       out.write_u64(tokens_written);
@@ -279,8 +265,6 @@ class LocalPairStub final : public serial::Serializable {
       stub->buffered = in.read_bytes();
       stub->write_closed = in.read_bool();
       stub->read_closed = in.read_bool();
-      stub->write_buffer = in.read_u64();
-      stub->read_buffer = in.read_u64();
       stub->credit_window = in.read_u64();
       stub->bytes_written = in.read_u64();
       stub->tokens_written = in.read_u64();
@@ -301,9 +285,7 @@ class LocalPairStub final : public serial::Serializable {
       const std::size_t cap = std::max<std::size_t>(
           static_cast<std::size_t>(capacity), buffered.size());
       channel = std::make_shared<core::Channel>(core::ChannelOptions{
-          cap, label, static_cast<std::size_t>(write_buffer),
-          static_cast<std::size_t>(read_buffer),
-          {static_cast<std::size_t>(credit_window)}});
+          cap, label, {static_cast<std::size_t>(credit_window)}});
       if (!buffered.empty()) {
         channel->pipe()->write({buffered.data(), buffered.size()});
       }
@@ -323,32 +305,6 @@ class LocalPairStub final : public serial::Serializable {
   }
 };
 
-/// Publishes a buffered producer's coalesced bytes into the pipe so the
-/// cut sees exact byte positions.  A dead reader means the bytes would be
-/// discarded anyway, so ChannelClosed is swallowed.
-void flush_producer(const std::shared_ptr<core::ChannelState>& state) {
-  auto producer = state->output.lock();
-  if (!producer) return;
-  try {
-    producer->flush();
-  } catch (const ChannelClosed&) {
-  }
-}
-
-/// The channel's unconsumed history at a cut: the consumer's read-ahead
-/// bytes (pulled from the pipe first, so the older prefix) followed by the
-/// bytes still in the pipe.  Any producer write buffer must have been
-/// flushed into the pipe beforehand.
-ByteVector drain_unconsumed(const std::shared_ptr<core::ChannelState>& state) {
-  ByteVector out;
-  if (auto consumer = state->input.lock()) {
-    out = consumer->take_read_buffer();
-  }
-  ByteVector piped = state->pipe->steal_buffer();
-  out.insert(out.end(), piped.begin(), piped.end());
-  return out;
-}
-
 std::shared_ptr<serial::Serializable> make_pair_stub(
     SendContext& ctx, const std::shared_ptr<core::ChannelState>& state,
     std::uint8_t role) {
@@ -367,8 +323,6 @@ std::shared_ptr<serial::Serializable> make_pair_stub(
     stub->has_meta = true;
     stub->capacity = state->capacity;
     stub->label = state->label;
-    stub->write_buffer = state->write_buffer;
-    stub->read_buffer = state->read_buffer;
     stub->credit_window = state->remote.credit_window;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
@@ -378,15 +332,11 @@ std::shared_ptr<serial::Serializable> make_pair_stub(
         state->metrics->bytes_read.load(std::memory_order_relaxed);
     stub->tokens_read =
         state->metrics->tokens_read.load(std::memory_order_relaxed);
-    // Both endpoints travel in this shipment and neither is running:
-    // flush the producer's coalesced bytes into the pipe, then collect
-    // [reader read-ahead][pipe contents] as the unconsumed history.
-    if (!state->pipe->read_closed()) {
-      state->pipe->set_unbounded();  // nobody is draining; don't block
-      flush_producer(state);
-    }
+    // Both endpoints travel in this shipment and neither is running: the
+    // pipe contents, then the typed ring's backlog, are the unconsumed
+    // history.
     const ByteVector typed_tail = demote_typed(state);
-    stub->buffered = drain_unconsumed(state);
+    stub->buffered = state->pipe->steal_buffer();
     stub->buffered.insert(stub->buffered.end(), typed_tail.begin(),
                           typed_tail.end());
     stub->write_closed = state->pipe->write_closed();
@@ -421,7 +371,6 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
   auto stub = std::make_shared<RemoteInputStub>();
   stub->label = state->label;
   stub->capacity = state->capacity;
-  stub->read_buffer = state->read_buffer;
   stub->credit_window = state->remote.credit_window != 0
                             ? state->remote.credit_window
                             : ctx->node->remote_window();
@@ -436,26 +385,20 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
   auto producer = state->output.lock();
   if (state->pipe->write_closed() || !producer) {
     // The producer already closed (or vanished): ship the remaining bytes
-    // only; the endpoint ends cleanly after draining them.  A buffered
-    // producer flushed on close, so the pipe already holds its bytes; the
-    // moving consumer's read-ahead is the older prefix.
+    // only; the endpoint ends cleanly after draining them.
     stub->live = false;
     const ByteVector typed_tail = demote_typed(state);
-    stub->buffered = drain_unconsumed(state);
+    stub->buffered = state->pipe->steal_buffer();
     stub->buffered.insert(stub->buffered.end(), typed_tail.begin(),
                           typed_tail.end());
   } else {
     // Live cut: the staying producer is switched onto a pending socket;
     // whatever is still in the pipe travels with the stub.  Order is
-    // preserved: consumer read-ahead first, pipe bytes after it (Memory
-    // segment), socket bytes last.  A buffered producer is flushed into
-    // the pipe before the switch so the pipe steal captures exact byte
-    // positions; writes after the switch coalesce towards the socket.
+    // preserved: pipe bytes first (Memory segment), socket bytes last.
     const std::uint64_t token = node.next_token();
     auto promise = node.rendezvous().expect(token);
     auto stream_out = std::make_shared<FrameChannelOutput>(promise, ctx->node);
     state->pipe->set_unbounded();  // unwedge any in-flight producer write
-    flush_producer(state);
     // Typed channel: flush the ring's backlog into the pipe before the
     // switch, so it travels with the stub ahead of any socket bytes; the
     // producer's next push sees kDemoted and encodes through the (now
@@ -463,7 +406,7 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
     demote_typed(state);
     producer->sequence().switch_to(std::move(stream_out),
                                    /*close_old=*/false);
-    stub->buffered = drain_unconsumed(state);
+    stub->buffered = state->pipe->steal_buffer();
     stub->live = true;
     stub->host = node.host();
     stub->port = node.rendezvous().port();
@@ -486,15 +429,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
         "channel output endpoint was already shipped away"};
   }
   NodeContext& node = *ctx->node;
-  // A buffered producer must publish its coalesced bytes into the current
-  // transport before the cut: the protocols below reason about exact byte
-  // positions (pipe contents when the write side closes, socket history
-  // ahead of the redirect marker).  A dead consumer surfaces as
-  // ChannelClosed; those bytes would have been discarded anyway.
-  try {
-    endpoint->flush();
-  } catch (const ChannelClosed&) {
-  }
   auto current = endpoint->sequence().current();
 
   if (std::dynamic_pointer_cast<io::LocalOutputStream>(current)) {
@@ -505,7 +439,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     auto stub = std::make_shared<RemoteOutputStub>();
     stub->label = state->label;
     stub->capacity = state->capacity;
-    stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
@@ -554,7 +487,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     auto stub = std::make_shared<RemoteOutputStub>();
     stub->label = state->label;
     stub->capacity = state->capacity;
-    stub->write_buffer = state->write_buffer;
     stub->credit_window = state->remote.credit_window;
     stub->bytes_written =
         state->metrics->bytes_written.load(std::memory_order_relaxed);
@@ -574,7 +506,6 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     stub->dead = true;
     stub->label = state->label;
     stub->capacity = state->capacity;
-    stub->write_buffer = state->write_buffer;
     state->output_remote = true;
     return stub;
   }

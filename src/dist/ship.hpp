@@ -62,7 +62,7 @@ void ensure_hooks_installed();
 /// anything the producer writes after the demotion -- and both typed
 /// endpoints fall back to byte streams.  Normally the backlog lands in the
 /// pipe (unbounded first, so a full ring cannot wedge the cut) where the
-/// [read-ahead][pipe] unconsumed-history machinery picks it up; when the
+/// cut's steal of the unconsumed history picks it up; when the
 /// producer already closed, the pipe rejects writes, so the bytes are
 /// returned for the caller to append after the drained history instead (no
 /// racing writer exists then, so the order is still exact).  A demotion

@@ -1,5 +1,7 @@
 #include "io/data.hpp"
 
+#include <algorithm>
+
 namespace dpn::io {
 
 void DataOutputStream::write_u16(std::uint16_t v) {
@@ -90,8 +92,17 @@ ByteVector DataInputStream::read_bytes() {
     throw SerializationError{"byte blob length " + std::to_string(len) +
                              " exceeds sanity limit"};
   }
-  ByteVector data(static_cast<std::size_t>(len));
-  if (len > 0) io::read_fully(*in_, {data.data(), data.size()});
+  // The length is the sender's claim: grow with the bytes that arrive, one
+  // bounded step at a time, so a short hostile blob cannot make us touch
+  // the whole limit.  A blob of one step keeps its single allocation.
+  constexpr std::size_t kStep = 64 * 1024;
+  const auto size = static_cast<std::size_t>(len);
+  ByteVector data;
+  while (data.size() < size) {
+    const std::size_t done = data.size();
+    data.resize(done + std::min(size - done, std::max(kStep, done)));
+    io::read_fully(*in_, {data.data() + done, data.size() - done});
+  }
   return data;
 }
 

@@ -30,7 +30,6 @@ class DataOutputStream final : public OutputStream {
   void write_vectored(ByteSpan a, ByteSpan b) override {
     out_->write_vectored(a, b);
   }
-  void flush() override { out_->flush(); }
   void close() override { out_->close(); }
 
   void write_u8(std::uint8_t v) { out_->write_byte(v); }

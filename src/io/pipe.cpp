@@ -1,105 +1,216 @@
 #include "io/pipe.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
+#include <thread>
 
 namespace dpn::io {
 
-// No storage yet: put_locked allocates on the first write and grows it
-// geometrically, so a pipe that never carries bytes (the idle byte plane
-// under a live typed ring) costs nothing.
+// No storage yet: the ring allocates at the first byte, so a pipe that
+// never carries bytes (the idle byte plane under a live typed ring) costs
+// nothing.
 Pipe::Pipe(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : bound_(std::max<std::size_t>(capacity, 1)),
+      capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 std::size_t Pipe::read_some(MutableByteSpan out) {
   if (out.empty()) return 0;
-  std::unique_lock lock{mutex_};
-  while (count_ == 0 && !write_closed_ && !read_closed_ && !aborted_) {
-    readers_.wait(lock, sched::WaitTag::reading(flight_id_, count_,
-                                                &read_block_hist_));
+  for (;;) {
+    std::uint64_t h = ring_.head.load(std::memory_order_relaxed);
+    if ((h & kStop) == 0) {
+      // A stale lower bound of tail, so reading below it is safe; reload
+      // only when it falls short of the request (SPSC anti-ping-pong).
+      std::uint64_t& t = ring_.tail_seen;
+      if (t < h + out.size()) {
+        t = index(ring_.tail.load(std::memory_order_acquire));
+      }
+      const std::uint64_t n = std::min<std::uint64_t>(out.size(), t - h);
+      if (n > 0 &&
+          ring_.head.compare_exchange_strong(h, h + n,
+                                             std::memory_order_seq_cst,
+                                             std::memory_order_relaxed)) {
+        ring_.copy_out(h, out.data(), n);
+        if (h + n == t) ring_.drained();
+        freed_.store(h + n, std::memory_order_release);
+        writers_.wake(mutex_);
+        return static_cast<std::size_t>(n);
+      }
+    }
+    if (!read_edge()) return 0;  // write end closed and drained
   }
-  if (aborted_) throw Interrupted{"pipe aborted during read"};
-  if (read_closed_) throw IoError{"read from closed pipe"};
-  if (count_ == 0) return 0;  // write end closed and drained
-  const std::size_t n = take_locked(out);
-  writers_.wake_all();
-  return n;
 }
 
 void Pipe::write(ByteSpan data) { write_vectored(data, {}); }
 
 void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
-  std::unique_lock lock{mutex_};
-  for (ByteSpan data : {a, b}) {
-    while (!data.empty()) {
-      if (aborted_) throw Interrupted{"pipe aborted during write"};
-      if (read_closed_) throw ChannelClosed{};
-      if (write_closed_) throw IoError{"write to closed pipe"};
-      // Room is computed once per loop pass; when the pipe is full we wait
-      // (the reader was already woken by the previous pass, so no extra
-      // wake is issued before sleeping) and re-enter the loop.
-      const std::size_t room = unbounded_ ? data.size() : capacity_ - count_;
-      if (room == 0) {
-        writers_.wait(lock, sched::WaitTag::writing(flight_id_, count_,
-                                                    &write_block_hist_));
-        continue;
+  while (!a.empty() || !b.empty()) {
+    const std::uint64_t t = ring_.tail.load(std::memory_order_relaxed);
+    if ((t & kStop) == 0) {
+      // Mirror of tail_seen: a stale head overstates what is in use, so
+      // it can only make this write look short of room or a new peak;
+      // reload it then.
+      const std::uint64_t bound = bound_.load(std::memory_order_relaxed);
+      const std::uint64_t peak = occupancy_hwm_.load(std::memory_order_relaxed);
+      std::uint64_t& h = ring_.head_seen;
+      if (t - h + a.size() + b.size() > std::min(bound, peak)) {
+        h = index(ring_.head.load(std::memory_order_acquire));
       }
-      const std::size_t n = std::min(room, data.size());
-      put_locked(data.first(n));
-      data = data.subspan(n);
-      readers_.wake_all();
+      const std::uint64_t used = t - h;
+      if (used < bound) {
+        // What the room allows of a, then b, published at once.
+        const auto take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(a.size() + b.size(), bound - used));
+        const ByteSpan first = a.first(std::min(take, a.size()));
+        const ByteSpan second = b.first(take - first.size());
+        ring_.put(t, first);
+        ring_.put(t + first.size(), second);
+        std::uint64_t expected = t;
+        if (ring_.tail.compare_exchange_strong(expected, t + take,
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_relaxed)) {
+          if (used + take > peak) {
+            occupancy_hwm_.store(used + take, std::memory_order_relaxed);
+          }
+          readers_.wake(mutex_);
+          a = a.subspan(first.size());
+          b = b.subspan(second.size());
+          continue;
+        }
+        // A cut stopped us before the publish; the edge says which.
+      }
     }
+    write_edge();
   }
 }
 
-void Pipe::close_write() {
+void Pipe::write_edge() {
+  std::unique_lock lock{mutex_};
+  const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
+  if ((flags & kReadClosed) != 0) {
+    ring_.release();  // the reader is gone for good, and so are we now
+  }
+  if ((flags & kAborted) != 0) throw Interrupted{"pipe aborted during write"};
+  if ((flags & kReadClosed) != 0) throw ChannelClosed{};
+  if ((flags & kWriteClosed) != 0) throw IoError{"write to closed pipe"};
+  const auto must_wait = [&] {
+    return index(ring_.tail.load(std::memory_order_seq_cst)) -
+               index(ring_.head.load(std::memory_order_seq_cst)) >=
+           bound_.load(std::memory_order_relaxed);
+  };
+  const std::uint64_t used =
+      index(ring_.tail.load(std::memory_order_relaxed)) -
+      index(ring_.head.load(std::memory_order_relaxed));
+  writers_.park(lock, must_wait,
+                sched::WaitTag::writing(flight_id_, used, &write_block_hist_));
+}
+
+bool Pipe::read_edge() {
+  std::unique_lock lock{mutex_};
+  const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
+  if ((flags & kAborted) != 0) throw Interrupted{"pipe aborted during read"};
+  if ((flags & kReadClosed) != 0) throw IoError{"read from closed pipe"};
+  // Read after the flags, under mutex_: with kWriteClosed set this is the
+  // final tail, so bytes published just before the close are read, not
+  // dropped.
+  const auto must_wait = [&] {
+    return index(ring_.tail.load(std::memory_order_seq_cst)) ==
+           index(ring_.head.load(std::memory_order_seq_cst));
+  };
+  if (!must_wait()) return true;
+  if ((flags & kWriteClosed) != 0) return false;
+  readers_.park(lock, must_wait,
+                sched::WaitTag::reading(flight_id_, 0, &read_block_hist_));
+  return true;
+}
+
+std::uint64_t Pipe::stop_writer() {
+  return index(ring_.tail.fetch_or(kStop, std::memory_order_seq_cst));
+}
+
+std::uint64_t Pipe::stop_reader() {
+  const std::uint64_t h =
+      index(ring_.head.fetch_or(kStop, std::memory_order_seq_cst));
+  while (freed_.load(std::memory_order_acquire) != h) {
+    std::this_thread::yield();
+  }
+  return h;
+}
+
+template <typename F>
+void Pipe::cut(F&& f) {
   std::scoped_lock lock{mutex_};
-  write_closed_ = true;
-  wake_all_locked();
+  try {
+    f();
+  } catch (...) {
+    readers_.wake_locked();
+    writers_.wake_locked();
+    throw;
+  }
+  readers_.wake_locked();
+  writers_.wake_locked();
+}
+
+void Pipe::close_write() {
+  cut([&] {
+    stop_writer();
+    flags_.fetch_or(kWriteClosed, std::memory_order_release);
+  });
 }
 
 void Pipe::close_read() {
-  std::scoped_lock lock{mutex_};
-  read_closed_ = true;
-  // Data still buffered is discarded: the reader is gone.  The storage is
-  // released too -- the pipe can never carry bytes again, and a shipped
-  // endpoint's steal_buffer must deterministically find it empty.
-  count_ = 0;
-  head_ = 0;
-  ByteVector{}.swap(buffer_);
-  wake_all_locked();
+  cut([&] {
+    const std::uint64_t t = stop_writer();
+    stop_reader();
+    // Data still buffered is discarded: the reader is gone.  The pipe can
+    // never carry bytes again, and a shipped endpoint's steal_buffer
+    // must deterministically find it empty.
+    ring_.head.store(t | kStop, std::memory_order_release);
+    freed_.store(t, std::memory_order_release);
+    const std::uint8_t flags =
+        flags_.fetch_or(kReadClosed, std::memory_order_release);
+    if ((flags & kWriteClosed) != 0) ring_.release();
+  });
 }
 
 void Pipe::abort() {
-  std::scoped_lock lock{mutex_};
-  aborted_ = true;
-  wake_all_locked();
-}
-
-void Pipe::wake_all_locked() {
-  readers_.wake_all();
-  writers_.wake_all();
+  cut([&] {
+    stop_writer();
+    ring_.head.fetch_or(kStop, std::memory_order_seq_cst);
+    flags_.fetch_or(kAborted, std::memory_order_release);
+  });
 }
 
 void Pipe::grow(std::size_t new_capacity) {
-  std::scoped_lock lock{mutex_};
-  if (new_capacity <= capacity_) return;
-  capacity_ = new_capacity;
-  writers_.wake_all();
+  cut([&] {
+    if (new_capacity <= capacity_) return;
+    capacity_ = new_capacity;
+    if (bound_.load(std::memory_order_relaxed) < new_capacity) {
+      bound_.store(new_capacity, std::memory_order_relaxed);
+    }
+  });
 }
 
 void Pipe::set_unbounded() {
-  std::scoped_lock lock{mutex_};
-  unbounded_ = true;
-  writers_.wake_all();
+  cut([&] {
+    bound_.store(std::numeric_limits<std::uint64_t>::max(),
+                 std::memory_order_relaxed);
+  });
 }
 
 ByteVector Pipe::steal_buffer() {
   ByteVector out;
-  std::scoped_lock lock{mutex_};
-  out.resize(count_);
-  take_locked({out.data(), out.size()});
-  writers_.wake_all();
+  cut([&] {
+    const std::uint64_t h = stop_reader();
+    const std::uint64_t t = index(ring_.tail.load(std::memory_order_acquire));
+    out.resize(static_cast<std::size_t>(t - h));
+    ring_.copy_out(h, out.data(), t - h);
+    if (t != h) ring_.drained();
+    freed_.store(t, std::memory_order_release);
+    // Reopens the reader, unless a flag stopped it for good.
+    const bool stopped = (flags_.load(std::memory_order_relaxed) &
+                          (kReadClosed | kAborted)) != 0;
+    ring_.head.store(stopped ? t | kStop : t, std::memory_order_release);
+  });
   return out;
 }
 
@@ -109,18 +220,17 @@ std::size_t Pipe::capacity() const {
 }
 
 std::size_t Pipe::size() const {
-  std::scoped_lock lock{mutex_};
-  return count_;
+  const std::uint64_t h = index(ring_.head.load(std::memory_order_acquire));
+  return static_cast<std::size_t>(
+      index(ring_.tail.load(std::memory_order_acquire)) - h);
 }
 
 bool Pipe::write_closed() const {
-  std::scoped_lock lock{mutex_};
-  return write_closed_;
+  return (flags_.load(std::memory_order_acquire) & kWriteClosed) != 0;
 }
 
 bool Pipe::read_closed() const {
-  std::scoped_lock lock{mutex_};
-  return read_closed_;
+  return (flags_.load(std::memory_order_acquire) & kReadClosed) != 0;
 }
 
 std::size_t Pipe::blocked_readers() const {
@@ -136,63 +246,17 @@ std::size_t Pipe::blocked_writers() const {
 Pipe::Stats Pipe::stats() const {
   std::scoped_lock lock{mutex_};
   Stats s;
-  s.size = count_;
+  s.size = size();
   s.capacity = capacity_;
-  s.occupancy_hwm = occupancy_hwm_;
+  s.occupancy_hwm =
+      static_cast<std::size_t>(occupancy_hwm_.load(std::memory_order_relaxed));
   s.read_block = read_block_hist_.snapshot();
   s.write_block = write_block_hist_.snapshot();
   s.blocked_readers = readers_.size();
   s.blocked_writers = writers_.size();
-  s.write_closed = write_closed_;
-  s.read_closed = read_closed_;
+  s.write_closed = write_closed();
+  s.read_closed = read_closed();
   return s;
-}
-
-std::size_t Pipe::take_locked(MutableByteSpan out) {
-  const std::size_t n = std::min(out.size(), count_);
-  if (n == 0) return 0;  // also guards % by zero once storage is released
-  // Bulk ring copy: at most two memcpys, split exactly at the wrap point.
-  const std::size_t cap = buffer_.size();
-  const std::size_t first = std::min(n, cap - head_);
-  std::memcpy(out.data(), buffer_.data() + head_, first);
-  if (n > first) std::memcpy(out.data() + first, buffer_.data(), n - first);
-  head_ = (head_ + n) % cap;
-  count_ -= n;
-  if (count_ == 0) head_ = 0;
-  return n;
-}
-
-void Pipe::put_locked(ByteSpan data) {
-  ensure_storage_locked(count_ + data.size());
-  // Bulk ring copy, mirror of take_locked: one memcpy up to the wrap point,
-  // one for the remainder at offset 0.
-  const std::size_t cap = buffer_.size();
-  const std::size_t tail = (head_ + count_) % cap;
-  const std::size_t first = std::min(data.size(), cap - tail);
-  std::memcpy(buffer_.data() + tail, data.data(), first);
-  if (data.size() > first) {
-    std::memcpy(buffer_.data(), data.data() + first, data.size() - first);
-  }
-  count_ += data.size();
-  if (count_ > occupancy_hwm_) occupancy_hwm_ = count_;
-}
-
-void Pipe::ensure_storage_locked(std::size_t needed) {
-  if (needed <= buffer_.size()) return;
-  std::size_t new_size = std::max<std::size_t>(buffer_.size() * 2, 16);
-  while (new_size < needed) new_size *= 2;
-  ByteVector fresh(new_size);
-  // Linearize existing contents at offset 0.
-  const std::size_t cap = buffer_.size();
-  if (count_ > 0) {
-    const std::size_t first = std::min(count_, cap - head_);
-    std::memcpy(fresh.data(), buffer_.data() + head_, first);
-    if (count_ > first) {
-      std::memcpy(fresh.data() + first, buffer_.data(), count_ - first);
-    }
-  }
-  buffer_ = std::move(fresh);
-  head_ = 0;
 }
 
 }  // namespace dpn::io

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 
+#include "io/byte_ring.hpp"
 #include "io/stream.hpp"
 #include "sched/waiters.hpp"
 #include "support/bytes.hpp"
@@ -14,15 +16,56 @@
 ///
 /// Semantics required by the paper:
 ///  * reads block while the buffer is empty (Kahn's blocking read);
-///  * writes block while the buffer is full (Section 3.5 — bounded
+///  * writes block while the buffer is full (Section 3.5 -- bounded
 ///    channels enforce fair scheduling);
 ///  * closing the write end delivers end-of-stream after the buffer
 ///    drains; closing the read end makes subsequent writes throw
-///    ChannelClosed (Section 3.4 — cascading termination);
+///    ChannelClosed (Section 3.4 -- cascading termination);
 ///  * capacity can be grown while blocked writers wait (the
 ///    deadlock-resolution rule of Parks' bounded scheduling), and the
 ///    buffer can be atomically stolen/made unbounded while a process
 ///    graph is being redistributed (Section 4.2).
+///
+/// Concurrency (one writer, one reader: the Kahn discipline).  The bytes
+/// live in an io::ByteRing whose tail and head words are monotonic byte
+/// positions.  A steady write or read takes no lock and issues one locked
+/// instruction, the CAS publishing its position.  The rare transitions
+/// are *cuts* under mutex_ (close_write, close_read, abort, steal_buffer):
+/// a cut raises kStop in the position word of each side it stops, and
+/// keeps it up for good while a flag concerns that side (every flag stops
+/// the writer; the reader drains past kWriteClosed).  grow and
+/// set_unbounded raise bound_ under mutex_ and stop no side.
+///  * Publish: the writer copies bytes in past tail t, then CASes tail
+///    t -> t+n, which fails only if a cut raised kStop first.  Every cut
+///    that stops the writer does so for good, so it never puts again; and
+///    no cut saw those bytes: a cut acts on [head, tail) as read by its
+///    fetch_or on tail, and a fetch_or after a publish reads from it.
+///  * Claim: the reader CASes head h -> h+n, copies [h, h+n) out, then
+///    release-stores freed_ = h+n.  A cut stopping the reader spins until
+///    freed_ reaches head: no claim succeeds after its fetch_or, and a
+///    claim in flight has only memcpys and a store left (no lock, no
+///    yield point), so the spin lasts one copy at most.  The writer
+///    measures room against head; the ring reuses a block only once the
+///    reader has read past it, so a claimed byte stays put until copied.
+///  * Storage changes only while neither side can touch it.  It is freed
+///    by close_read once kWriteClosed is set (no unpublished put remains),
+///    else by the writer's slow path on first seeing kReadClosed, else by
+///    the destructor.  Endpoints are closed by their owners: a close_write
+///    racing a write from another thread would void the first case.
+///  * Stale views: the writer keeps a copy of head (ring head_seen), the
+///    reader one of tail (tail_seen).  Positions only grow, so a copy
+///    only understates the room or the bytes ready, never overstates
+///    them; each side reloads it when it falls short of the request, and
+///    the writer also before it raises the occupancy high-water mark.
+///  * Sleepers (sched::Sleepers): a parked reader waits for tail to move,
+///    a parked writer for head; a publisher's CAS precedes its look at
+///    the other side's sleeper count, so one sees the other.
+///  * End of stream: close_write raises kStop on tail, then sets
+///    kWriteClosed, under mutex_; a read that found the ring empty reads
+///    both under mutex_, so it sees the final tail: the last bytes before
+///    a close are never dropped.
+///  * Waiter counts and wait histograms change only under mutex_ (in a
+///    park), so the deadlock monitor reads exact values.
 namespace dpn::io {
 
 class Pipe {
@@ -42,9 +85,8 @@ class Pipe {
   /// read end is closed, Interrupted if aborted while waiting.
   void write(ByteSpan data);
 
-  /// Writes `a` then `b` under a single mutex acquisition (one blocking
-  /// protocol pass instead of two); the gather path for length-prefixed
-  /// payloads and frame headers.
+  /// Writes `a` then `b` as one append (one publish when they fit); the
+  /// gather path for length-prefixed payloads and frame headers.
   void write_vectored(ByteSpan a, ByteSpan b);
 
   void close_write();
@@ -101,33 +143,44 @@ class Pipe {
   Stats stats() const;
 
  private:
-  mutable std::mutex mutex_;
-  // Blocked readers and writers, fibers and threads alike; their sizes
-  // are the exact blocked counts the deadlock monitor reads, and every
-  // change to a wait condition wakes the side it can unblock.
-  sched::Waiters readers_;
-  sched::Waiters writers_;
-  ByteVector buffer_;      // ring storage
-  std::size_t head_ = 0;   // index of first unread byte
-  std::size_t count_ = 0;  // bytes stored
-  std::size_t capacity_;
-  bool unbounded_ = false;
-  bool write_closed_ = false;
-  bool read_closed_ = false;
-  bool aborted_ = false;
-  std::size_t occupancy_hwm_ = 0;
+  static constexpr std::uint64_t kStop = std::uint64_t{1} << 63;
+  static constexpr std::uint8_t kWriteClosed = 1;
+  static constexpr std::uint8_t kReadClosed = 2;
+  static constexpr std::uint8_t kAborted = 4;
+
+  static std::uint64_t index(std::uint64_t word) { return word & ~kStop; }
+
+  /// A write found kStop, lost its publish CAS, or found the pipe full:
+  /// throws, or returns once a retry may make progress (after a park).
+  void write_edge();
+  /// A read found kStop or an empty pipe: false at end-of-stream, true
+  /// once a retry may make progress.  Throws on abort or close_read.
+  bool read_edge();
+  /// Stops the writer for good; returns the final tail.
+  std::uint64_t stop_writer();
+  /// Stops the reader, then waits out its claim in flight; returns head.
+  std::uint64_t stop_reader();
+  /// Runs f under mutex_, then wakes both sides, even when f throws:
+  /// waiters must re-check what f changed.
+  template <typename F>
+  void cut(F&& f);
+
+  ByteRing ring_;
+  // Read by every operation, written by cuts and parks.
+  alignas(64) std::atomic<std::uint64_t> bound_;  // capacity_, or no bound
+  std::atomic<std::uint64_t> occupancy_hwm_{0};   // raised by the writer
+  sched::Sleepers readers_;
+  sched::Sleepers writers_;
+  std::atomic<std::uint8_t> flags_{0};
   std::uint64_t flight_id_ = 0;
+  // Written by every read; read by the cuts that stop the reader.
+  alignas(64) std::atomic<std::uint64_t> freed_{0};
+  mutable std::mutex mutex_;
+  std::size_t capacity_;
   // Every wait's duration, recorded by the waiter under mutex_ (single
   // writer); the sums and counts are the blocked-ns and wakeup totals.
   LatencyHistogram read_block_hist_;
   LatencyHistogram write_block_hist_;
-
-  // All private helpers assume mutex_ is held.
-  std::size_t take_locked(MutableByteSpan out);
-  void put_locked(ByteSpan data);
-  void ensure_storage_locked(std::size_t needed);
-  // Wakes both sides: a close or abort can unblock either.
-  void wake_all_locked();
 };
 
 /// Read end of a Pipe as an InputStream.

@@ -153,12 +153,6 @@ void SequenceOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
   });
 }
 
-void SequenceOutputStream::flush() {
-  writing([&](OutputStream& out) {
-    if (!closed_) out.flush();
-  });
-}
-
 void SequenceOutputStream::close() {
   const Cut scope{*this};
   if (std::exchange(closed_, true)) return;
@@ -169,7 +163,6 @@ void SequenceOutputStream::switch_to(std::shared_ptr<OutputStream> next,
                                      bool close_old) {
   const Cut scope{*this};
   if (closed_) throw IoError{"switch_to on closed SequenceOutputStream"};
-  current_->flush();
   if (close_old) current_->close();
   std::shared_ptr<OutputStream> old;
   std::scoped_lock lock{mutex_};  // current() reads it from any thread

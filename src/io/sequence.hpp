@@ -75,11 +75,10 @@ class SequenceInputStream final : public InputStream {
 };
 
 /// Writes to a switchable underlying OutputStream.  switch_to() waits for
-/// any in-flight write to finish, flushes the old stream, and installs the
-/// new one, so the byte sequence observed downstream is a clean
-/// concatenation.
+/// any in-flight write to finish and installs the new stream, so the byte
+/// sequence observed downstream is a clean concatenation.
 ///
-/// One writer (a cut may flush from another thread).  A write enters and
+/// One writer; cuts come from other threads.  A write enters and
 /// leaves with one atomic read-modify-write each and takes no lock; a cut
 /// (switch_to, close, cut) raises a gate that sends a write arriving
 /// later to wait, and parks on a sched::Waiters list until the writes
@@ -93,7 +92,6 @@ class SequenceOutputStream final : public OutputStream {
   void write(ByteSpan data) override;
   void write_byte(std::uint8_t b) override;
   void write_vectored(ByteSpan a, ByteSpan b) override;
-  void flush() override;
   void close() override;
 
   /// Replaces the underlying stream.  Blocks until in-flight writes
@@ -116,7 +114,7 @@ class SequenceOutputStream final : public OutputStream {
   std::shared_ptr<OutputStream> current() const;
 
  private:
-  /// Enters a write (or flush): returns once no cut is in progress; no
+  /// Enters a write: returns once no cut is in progress; no
   /// cut starts until leave().
   OutputStream& enter();
   void leave() noexcept;

@@ -47,14 +47,10 @@ class OutputStream {
 
   /// Writes `a` immediately followed by `b` as one atomic write: the two
   /// parts cannot be torn apart by other writers on the same stream, and
-  /// leaf transports collapse them into a single operation (one pipe-mutex
-  /// crossing, one ::writev syscall).  The default implementation coalesces
+  /// leaf transports collapse them into a single operation (one pipe
+  /// publish, one ::writev syscall).  The default implementation coalesces
   /// into a temporary buffer; override where gathering is cheaper.
   virtual void write_vectored(ByteSpan a, ByteSpan b);
-
-  /// Pushes buffered bytes toward the reader.  Most dpn streams are
-  /// unbuffered; this is a hook for buffered decorators.
-  virtual void flush() {}
 
   /// Writer is done: end-of-stream is delivered to the reader once all
   /// buffered data has been drained.  Idempotent.

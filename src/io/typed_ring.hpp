@@ -141,10 +141,10 @@ class TypedRingBase {
 ///    kReadClosed/kDemoted/kPoisoned, else by the destructor.  Endpoints
 ///    are closed by their owners: a close_write racing a push from
 ///    another thread would void the first case.
-///  * Sleepers (Dekker): a parker counts itself in sleeping_* with a
-///    seq_cst exchange, then re-reads the other index; a publisher's CAS
-///    precedes its read of sleeping_*, so one sees the other and no wake
-///    is lost.  A writer parks against head_ and retries against freed_,
+///  * Sleepers (sched::Sleepers' Dekker handshake): a parker counts
+///    itself, then re-reads the other index; a publisher's CAS precedes
+///    its read of the count, so one sees the other and no wake is lost.
+///    A writer parks against head_ and retries against freed_,
 ///    which trails it by the move in flight at most.
 ///  * End of stream: close_write raises kStop on tail_, then sets
 ///    kWriteClosed, under mutex_; a pop that reads both under mutex_ sees
@@ -196,9 +196,7 @@ class TypedRing final : public TypedRingBase {
           if (tail_.compare_exchange_strong(expected, t + 1,
                                             std::memory_order_seq_cst,
                                             std::memory_order_relaxed)) {
-            if (sleeping_readers_.load(std::memory_order_seq_cst) != 0) {
-              wake(readers_, sleeping_readers_);
-            }
+            readers_.wake(mutex_);
             return PushResult::kOk;
           }
           // A cut stopped us before the publish: take the value back.
@@ -228,9 +226,7 @@ class TypedRing final : public TypedRingBase {
           out = std::move(*s);
           s->~T();
           freed_.store(h + 1, std::memory_order_release);
-          if (sleeping_writers_.load(std::memory_order_seq_cst) != 0) {
-            wake(writers_, sleeping_writers_);
-          }
+          writers_.wake(mutex_);
           return PopResult::kOk;
         }
       }
@@ -405,8 +401,9 @@ class TypedRing final : public TypedRingBase {
     if (mask_ + 1 < bound_) {
       expand_storage(t);
     } else {
-      park(lock, writers_, sleeping_writers_, &TypedRing::writer_must_wait,
-           sched::WaitTag::writing(flight_id_, used * Codec::kWireSize));
+      writers_.park(lock, [this] { return writer_must_wait(); },
+                    sched::WaitTag::writing(flight_id_,
+                                            used * Codec::kWireSize));
     }
     return std::nullopt;
   }
@@ -435,8 +432,8 @@ class TypedRing final : public TypedRingBase {
       return std::nullopt;
     }
     if ((flags & kWriteClosed) != 0) return PopResult::kEof;
-    park(lock, readers_, sleeping_readers_, &TypedRing::reader_must_wait,
-         sched::WaitTag::reading(flight_id_, 0));
+    readers_.park(lock, [this] { return reader_must_wait(); },
+                  sched::WaitTag::reading(flight_id_, 0));
     return std::nullopt;
   }
 
@@ -481,12 +478,12 @@ class TypedRing final : public TypedRingBase {
     try {
       f();
     } catch (...) {
-      wake_locked(readers_, sleeping_readers_);
-      wake_locked(writers_, sleeping_writers_);
+      readers_.wake_locked();
+      writers_.wake_locked();
       throw;
     }
-    wake_locked(readers_, sleeping_readers_);
-    wake_locked(writers_, sleeping_writers_);
+    readers_.wake_locked();
+    writers_.wake_locked();
   }
 
   /// Park predicates.  Callers hold mutex_ and found no flag set, and
@@ -500,37 +497,6 @@ class TypedRing final : public TypedRingBase {
     return index(tail_.load(std::memory_order_seq_cst)) -
                index(head_.load(std::memory_order_seq_cst)) >=
            bound_;
-  }
-
-  /// Parks a reader (or writer) whose fast path found the ring empty
-  /// (or full); the caller holds `lock` and checked under it.
-  /// `sleeping` is the lock-free mirror of `side`'s count that push (or
-  /// pop) checks before taking the lock to wake.
-  void park(std::unique_lock<std::mutex>& lock, sched::Waiters& side,
-            std::atomic<std::uint32_t>& sleeping,
-            bool (TypedRing::*must_wait)() const, const sched::WaitTag& tag) {
-    // Our half of the sleeper handshake (the other side's is its index
-    // CAS): count ourselves before the last look at the indices.
-    sleeping.exchange(static_cast<std::uint32_t>(side.size() + 1),
-                      std::memory_order_seq_cst);
-    // Else the other side published between our probe and our
-    // registration; its wake check may have missed us, so do not sleep.
-    if ((this->*must_wait)()) side.wait(lock, tag);
-    sleeping.store(static_cast<std::uint32_t>(side.size()),
-                   std::memory_order_relaxed);
-  }
-
-  void wake(sched::Waiters& side, std::atomic<std::uint32_t>& sleeping) {
-    std::scoped_lock lock{mutex_};
-    wake_locked(side, sleeping);
-  }
-
-  // Every parked waiter leaves the list, so the sleeper count drops to
-  // zero with it: the next push or pop skips the lock again.
-  static void wake_locked(sched::Waiters& side,
-                          std::atomic<std::uint32_t>& sleeping) {
-    side.wake_all();
-    sleeping.store(0, std::memory_order_relaxed);
   }
 
   // One line per side: the consumer writes head_, freed_ and
@@ -547,14 +513,12 @@ class TypedRing final : public TypedRingBase {
   // rule's owners (storage_, mask_), by cuts (flags_) and by parking.
   alignas(64) T* storage_ = nullptr;
   std::size_t mask_ = 0;  // allocated slots - 1
-  std::atomic<std::uint32_t> sleeping_readers_{0};
-  std::atomic<std::uint32_t> sleeping_writers_{0};
+  sched::Sleepers readers_;
+  sched::Sleepers writers_;
   std::atomic<std::uint8_t> flags_{0};
 
   mutable std::mutex mutex_;
   std::size_t bound_ = 0;  // slots a writer may fill before it parks
-  sched::Waiters readers_;
-  sched::Waiters writers_;
 };
 
 }  // namespace dpn::io

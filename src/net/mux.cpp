@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/byte_ring.hpp"
 #include "net/event_loop.hpp"
 #include "net/reactor.hpp"
 #include "obs/flight.hpp"
@@ -108,155 +109,14 @@ class MuxListener;
 class MuxTransport;
 
 // ---------------------------------------------------------------------------
-// ByteRing: the bytes in flight in one direction of a stream.
-
-/// Single producer, single consumer, no lock.  `tail` and `head` are
-/// monotonic byte positions; the producer publishes `tail`, the consumer
-/// `head`, and the owner may keep state bits above kPosMask in `tail`.
-/// Storage is a chain of blocks: the producer links a block when it
-/// needs one, sized by what the ring has carried (link()), and the
-/// consumer hands each block it has read past back as the producer's
-/// spare, so a steady stream cycles a few blocks and seldom allocates; a
-/// consumer that has caught up frees the spare.  Storage is allocated at
-/// the first byte and tracks the bytes in flight, which the stream
-/// windows bound (the receive window inbound, the send window outbound);
-/// the blocks left are freed with the ring.  A consumer reading a span
-/// reads bytes the producer never touches again.
-class ByteRing {
-  struct Block {
-    std::atomic<Block*> next{nullptr};
-    std::uint64_t base = 0;  // position of bytes()[0]
-    std::size_t size = 0;
-    std::uint8_t* bytes() { return reinterpret_cast<std::uint8_t*>(this + 1); }
-  };
-
- public:
-  static constexpr std::uint64_t kPosMask = (std::uint64_t{1} << 61) - 1;
-
-  ByteRing() = default;
-  ByteRing(const ByteRing&) = delete;
-  ByteRing& operator=(const ByteRing&) = delete;
-  ~ByteRing() {
-    Block* block = head_block_ != nullptr
-                       ? head_block_
-                       : first_.load(std::memory_order_relaxed);
-    while (block != nullptr) {
-      Block* next = block->next.load(std::memory_order_relaxed);
-      free_block(block);
-      block = next;
-    }
-    free_block(spare_.load(std::memory_order_relaxed));
-  }
-
-  /// Producer: copies `data` in from position `at`, the end of what it
-  /// put before.  Publishing is the caller's.
-  void put(std::uint64_t at, ByteSpan data) {
-    while (!data.empty()) {
-      Block* block = tail_block_;
-      if (block == nullptr || at == block->base + block->size) {
-        block = link(at);
-      }
-      const auto offset = static_cast<std::size_t>(at - block->base);
-      const std::size_t n = std::min(data.size(), block->size - offset);
-      std::memcpy(block->bytes() + offset, data.data(), n);
-      data = data.subspan(n);
-      at += n;
-    }
-  }
-
-  /// Consumer: the contiguous bytes from position `at`, at most `limit`
-  /// (>= 1) of them.  The caller loaded a tail of at least at + limit,
-  /// so the producer has put them, and has linked every block before.
-  ByteSpan peek(std::uint64_t at, std::uint64_t limit) {
-    Block* block = head_block_;
-    if (block == nullptr) {
-      block = head_block_ = first_.load(std::memory_order_acquire);
-    }
-    while (at >= block->base + block->size) {
-      Block* next = block->next.load(std::memory_order_acquire);
-      if (Block* old = spare_.exchange(block, std::memory_order_acq_rel)) {
-        free_block(old);
-      }
-      block = head_block_ = next;
-    }
-    const auto offset = static_cast<std::size_t>(at - block->base);
-    return {block->bytes() + offset,
-            static_cast<std::size_t>(
-                std::min<std::uint64_t>(limit, block->size - offset))};
-  }
-
-  // One line per side.
-  alignas(64) std::atomic<std::uint64_t> tail{0};
-
- private:
-  Block* tail_block_ = nullptr;  // producer
-
- public:
-  alignas(64) std::atomic<std::uint64_t> head{0};
-
-  /// Consumer, having caught up with the producer: frees the spare, so
-  /// an idle ring keeps one block.
-  void drained() {
-    if (spare_.load(std::memory_order_relaxed) != nullptr) {
-      free_block(spare_.exchange(nullptr, std::memory_order_acquire));
-    }
-  }
-
- private:
-  Block* head_block_ = nullptr;  // consumer
-  static constexpr std::size_t kFirstBlock = 256;
-  static constexpr std::size_t kSmallBlock = 1024;
-  static constexpr std::size_t kMaxBlock = 16 * 1024;
-
-  /// Producer: starts a block at position `at` (the spare, if it is
-  /// large enough) and links it after the current one.  Each block is
-  /// twice the last, up to 1 KiB, and beyond that up to a sixteenth of
-  /// what the ring has carried: a short stream keeps small blocks, a
-  /// long one gets large blocks and few links.
-  Block* link(std::uint64_t at) {
-    std::size_t limit = kSmallBlock;
-    while (limit < kMaxBlock && limit * 16 <= at) limit *= 2;
-    const std::size_t size = tail_block_ == nullptr
-                                 ? kFirstBlock
-                                 : std::min(limit, tail_block_->size * 2);
-    Block* block = spare_.exchange(nullptr, std::memory_order_acq_rel);
-    if (block != nullptr && block->size < size) {
-      free_block(block);
-      block = nullptr;
-    }
-    if (block == nullptr) {
-      block = new (::operator new(sizeof(Block) + size)) Block{};
-      block->size = size;
-    }
-    block->next.store(nullptr, std::memory_order_relaxed);
-    block->base = at;
-    if (tail_block_ != nullptr) {
-      tail_block_->next.store(block, std::memory_order_release);
-    } else {
-      first_.store(block, std::memory_order_release);
-    }
-    tail_block_ = block;
-    return block;
-  }
-
-  static void free_block(Block* block) {
-    if (block == nullptr) return;
-    block->~Block();
-    ::operator delete(block);
-  }
-
-  std::atomic<Block*> first_{nullptr};  // the first block ever linked
-  std::atomic<Block*> spare_{nullptr};  // consumer -> producer
-};
-
-// ---------------------------------------------------------------------------
 // MuxStream: one logical bidirectional stream over a shared connection.
 //
-// A steady-state token takes no lock.  Each direction is a ByteRing with
-// one producer and one consumer: outbound, the stream's writer appends
-// and the connection's flusher (its loop thread) encodes DATA frames
-// straight from the ring; inbound, the loop thread appends DATA payloads
-// and the reader offers the ring's spans to its parser.  The callers keep
+// A steady-state token takes no lock.  Each direction is an io::ByteRing
+// with one producer and one consumer, whose bytes in flight the stream
+// windows bound: outbound, the stream's writer appends and the
+// connection's flusher (its loop thread) encodes DATA frames straight
+// from the ring; inbound, the loop thread appends DATA payloads and the
+// reader offers the ring's spans to its parser.  The callers keep
 // the Kahn rule of one reader and one writer per stream.  The state a
 // token needs rides in words it reads anyway:
 //   * out_.tail carries kOutClosed (FIN requested): a write publishes
@@ -267,9 +127,9 @@ class ByteRing {
 //   * credit_ (granted send window) carries kStop (peer RST or death).
 // mutex_ is taken only to park, to wake a sleeper, for traced frames, and
 // at a cut (shutdown, RST, FIN and its end message, connection death).
-// Parking is the symmetric seq_cst sleeper handshake of
-// io::TypedRing::park: a parker counts itself in sleeping_* and then
-// re-checks; a publisher moves its word and then reads sleeping_*.
+// Parking is the sleeper handshake of sched::Sleepers, shared with
+// io::Pipe and io::TypedRing: a parker counts itself and then re-checks;
+// a publisher moves its word and then reads the count.
 //
 // Lock order (deadlock-free): user threads take stream.mutex_ and
 // connection.send_mutex_ never together; loop dispatch releases
@@ -331,7 +191,7 @@ class MuxStream final : public Stream,
   std::uint32_t id() const { return id_; }
 
  private:
-  static constexpr std::uint64_t kPosMask = ByteRing::kPosMask;
+  static constexpr std::uint64_t kPosMask = io::ByteRing::kPosMask;
   // out_.tail: FIN requested, no write may follow.
   static constexpr std::uint64_t kOutClosed = std::uint64_t{1} << 63;
   // in_.tail: the local reader shut down; the peer's FIN arrived; the
@@ -362,6 +222,9 @@ class MuxStream final : public Stream,
   /// `deadline` (may be null) passed first.
   bool park_reader(std::uint64_t head,
                    const std::chrono::steady_clock::time_point* deadline);
+  /// Waits on `waiters` with no deadline, telling the observer.
+  void wait_observed(std::unique_lock<std::mutex>& lock,
+                     sched::Waiters& waiters, const sched::WaitTag& tag);
   /// Reader: publishes consumption of [from, to), adopts its trace
   /// context, and grants credit once half the window is consumed.
   void consume(std::uint64_t from, std::uint64_t to);
@@ -377,19 +240,6 @@ class MuxStream final : public Stream,
   /// Whoever finds the stream idle after publishing queues it.
   void ensure_queued();
 
-  /// Parks on `waiters` after counting itself in `sleeping`, unless
-  /// `must_wait` (re-checked after counting) is false; tells the observer.
-  template <class MustWait>
-  bool park(std::unique_lock<std::mutex>& lock, sched::Waiters& waiters,
-            std::atomic<std::uint32_t>& sleeping, MustWait must_wait,
-            const sched::WaitTag& tag,
-            const std::chrono::steady_clock::time_point* deadline);
-  /// Publisher side of the handshake: wakes the sleepers counted in
-  /// `sleeping` (mutex_ is taken only when there are some).
-  void wake(sched::Waiters& waiters, std::atomic<std::uint32_t>& sleeping);
-  static void wake_locked(sched::Waiters& waiters,
-                          std::atomic<std::uint32_t>& sleeping);
-
   std::shared_ptr<MuxConnection> conn_;
   const std::uint32_t id_;
   const std::size_t coalesce_;
@@ -400,8 +250,6 @@ class MuxStream final : public Stream,
 
   // Slow path: parking, cuts, traced frames and end messages.
   mutable std::mutex mutex_;
-  sched::Waiters readers_;  // inbound bytes, FIN, shutdown or death
-  sched::Waiters writers_;  // send window, RST, shutdown or death
   WaitObserver* observer_ = nullptr;
   std::string death_reason_;
   ByteVector out_end_;  // written before kOutClosed, sent with the FIN
@@ -413,21 +261,22 @@ class MuxStream final : public Stream,
   std::atomic<std::size_t> in_traced_{0};   // in_marks_.size()
 
   // Inbound: the loop thread appends, the reader consumes.
-  ByteRing in_;
+  io::ByteRing in_;
   std::size_t unacked_ = 0;  // reader: consumed, not yet granted
-  // Read by the loop per DATA frame, written at a park or a grant.
-  alignas(64) std::atomic<std::uint32_t> sleeping_readers_{0};
+  // Inbound bytes, FIN, shutdown or death.  The count is read by the
+  // loop per DATA frame, written at a park or a wake.
+  alignas(64) sched::Sleepers readers_;
   /// CREDIT bytes granted back so far (reader writes, loop checks the
   /// window against it).
   std::atomic<std::uint64_t> credit_granted_{0};
 
   // Outbound: the writer appends, the flusher consumes.
-  ByteRing out_;
+  io::ByteRing out_;
   std::uint64_t sent_ = 0;  // writer: bytes appended
   /// Initial send window plus every CREDIT received (the loop adds), and
   /// kStop.  The window is credit_ - sent_.  Read by every write.
   alignas(64) std::atomic<std::uint64_t> credit_;
-  std::atomic<std::uint32_t> sleeping_writers_{0};
+  sched::Sleepers writers_;  // send window, RST, shutdown or death
   // In the ready ring, or about to be: written by the flusher per visit,
   // read by every write.
   alignas(64) std::atomic<bool> queued_{false};
@@ -642,52 +491,6 @@ MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
 
 MuxStream::~MuxStream() = default;
 
-template <class MustWait>
-bool MuxStream::park(std::unique_lock<std::mutex>& lock,
-                     sched::Waiters& waiters,
-                     std::atomic<std::uint32_t>& sleeping, MustWait must_wait,
-                     const sched::WaitTag& tag,
-                     const std::chrono::steady_clock::time_point* deadline) {
-  // Re-check under the lock: a publish or a cut may have slipped in
-  // between the caller's probe and this acquire.
-  if (!must_wait()) return true;
-  // Our half of the sleeper handshake: count ourselves, then take the
-  // last look.  Else the publisher moved its word before we counted,
-  // and its check of `sleeping` may have missed us.
-  sleeping.exchange(static_cast<std::uint32_t>(waiters.size() + 1),
-                    std::memory_order_seq_cst);
-  bool woken = true;
-  if (must_wait()) {
-    if (deadline != nullptr) {
-      woken = waiters.wait_until(lock, *deadline, tag);
-    } else {
-      WaitObserver* const observer = observer_;
-      if (observer != nullptr) observer->on_park();
-      waiters.wait(lock, tag);
-      if (observer != nullptr) observer->on_unpark();
-    }
-  }
-  sleeping.store(static_cast<std::uint32_t>(waiters.size()),
-                 std::memory_order_relaxed);
-  return woken;
-}
-
-void MuxStream::wake(sched::Waiters& waiters,
-                     std::atomic<std::uint32_t>& sleeping) {
-  // Our half of the handshake: the caller moved its word seq_cst.
-  if (sleeping.load(std::memory_order_seq_cst) == 0) return;
-  std::scoped_lock lock{mutex_};
-  wake_locked(waiters, sleeping);
-}
-
-// Every parked waiter leaves the list, so the sleeper count drops to zero
-// with it: the next publish skips the lock again.
-void MuxStream::wake_locked(sched::Waiters& waiters,
-                            std::atomic<std::uint32_t>& sleeping) {
-  waiters.wake_all();
-  sleeping.store(0, std::memory_order_relaxed);
-}
-
 bool MuxStream::park_reader(
     std::uint64_t head, const std::chrono::steady_clock::time_point* deadline) {
   std::unique_lock lock{mutex_};
@@ -700,10 +503,24 @@ bool MuxStream::park_reader(
                                  : sched::WaitTag{};
   // The whole word equals `head` only with no byte pending and no state
   // bit set.
-  return park(
-      lock, readers_, sleeping_readers_,
-      [&] { return in_.tail.load(std::memory_order_seq_cst) == head; }, tag,
-      deadline);
+  return readers_.park(
+      [&] { return in_.tail.load(std::memory_order_seq_cst) == head; },
+      [&](sched::Waiters& waiters) {
+        if (deadline != nullptr) {
+          return waiters.wait_until(lock, *deadline, tag);
+        }
+        wait_observed(lock, waiters, tag);
+        return true;
+      });
+}
+
+void MuxStream::wait_observed(std::unique_lock<std::mutex>& lock,
+                              sched::Waiters& waiters,
+                              const sched::WaitTag& tag) {
+  WaitObserver* const observer = observer_;
+  if (observer != nullptr) observer->on_park();
+  waiters.wait(lock, tag);
+  if (observer != nullptr) observer->on_unpark();
 }
 
 std::uint64_t MuxStream::await_inbound(std::uint64_t head, bool wait,
@@ -862,7 +679,10 @@ void MuxStream::await_credit() {
   };
   std::unique_lock lock{mutex_};
   while (must_wait()) {
-    park(lock, writers_, sleeping_writers_, must_wait, {}, nullptr);
+    writers_.park(must_wait, [&](sched::Waiters& waiters) {
+      wait_observed(lock, waiters, {});
+      return true;
+    });
   }
   lock.unlock();
   const auto stall_ns = static_cast<std::uint64_t>(
@@ -936,7 +756,7 @@ void MuxStream::finish_with(ByteSpan message) {
     if ((out_.tail.load(std::memory_order_relaxed) & kOutClosed) != 0) return;
     out_end_.assign(message.begin(), message.end());
     out_.tail.fetch_or(kOutClosed, std::memory_order_seq_cst);
-    wake_locked(writers_, sleeping_writers_);  // a stalled writer must throw
+    writers_.wake_locked();  // a stalled writer must throw
   }
   ensure_queued();  // the flusher sends the FIN after the data
   maybe_retire();
@@ -962,7 +782,7 @@ void MuxStream::shutdown_read() {
     const std::uint64_t word =
         in_.tail.fetch_or(kReadShut, std::memory_order_seq_cst);
     if ((word & kReadShut) != 0) return;
-    wake_locked(readers_, sleeping_readers_);
+    readers_.wake_locked();
     send_rst = (word & (kRemoteFin | kDead)) == 0;
   }
   if (send_rst) conn_->enqueue_rst(id_);
@@ -996,13 +816,13 @@ bool MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   }
   // An add, not a store: it keeps a racing shutdown_read's bit.
   in_.tail.fetch_add(payload.size(), std::memory_order_seq_cst);
-  wake(readers_, sleeping_readers_);
+  readers_.wake(mutex_);
   return true;
 }
 
 void MuxStream::on_credit(std::uint32_t bytes) {
   credit_.fetch_add(bytes, std::memory_order_seq_cst);
-  wake(writers_, sleeping_writers_);
+  writers_.wake(mutex_);
 }
 
 void MuxStream::on_fin(ByteSpan message) {
@@ -1015,7 +835,7 @@ void MuxStream::on_fin(ByteSpan message) {
         obs::FlightKind::kNetFin, id_,
         (word & kPosMask) - in_.head.load(std::memory_order_relaxed));
     in_.tail.fetch_or(kRemoteFin, std::memory_order_seq_cst);
-    wake_locked(readers_, sleeping_readers_);
+    readers_.wake_locked();
   }
   maybe_retire();
 }
@@ -1028,7 +848,7 @@ void MuxStream::on_rst() {
   // The peer stopped reading: writes fail, and the flusher drops what is
   // queued -- flushing more is waste.
   credit_.fetch_or(kStop, std::memory_order_seq_cst);
-  wake_locked(writers_, sleeping_writers_);
+  writers_.wake_locked();
 }
 
 void MuxStream::on_connection_dead(const std::string& why) {
@@ -1039,8 +859,8 @@ void MuxStream::on_connection_dead(const std::string& why) {
   // FIN throws NetError (producer lost mid-stream).
   in_.tail.fetch_or(kDead, std::memory_order_seq_cst);
   credit_.fetch_or(kStop, std::memory_order_seq_cst);
-  wake_locked(readers_, sleeping_readers_);
-  wake_locked(writers_, sleeping_writers_);
+  readers_.wake_locked();
+  writers_.wake_locked();
 }
 
 std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {

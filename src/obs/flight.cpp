@@ -102,7 +102,6 @@ bool is_channel_kind(FlightKind k) {
     case FlightKind::kRendezvousResume:
     case FlightKind::kChanWrite:
     case FlightKind::kChanRead:
-    case FlightKind::kChanFlush:
     case FlightKind::kChanClose:
       return true;
     default:
@@ -139,7 +138,6 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kRendezvousResume: return "dist.rendezvous.resume";
     case FlightKind::kChanWrite: return "channel.write";
     case FlightKind::kChanRead: return "channel.read";
-    case FlightKind::kChanFlush: return "channel.flush";
     case FlightKind::kChanClose: return "channel.close";
     case FlightKind::kProcessStart: return "process.start";
     case FlightKind::kProcessStop: return "process.stop";

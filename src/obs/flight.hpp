@@ -102,7 +102,7 @@ enum class FlightKind : std::uint8_t {
   // Channel operations (a = channel id, b = bytes; who = channel label).
   kChanWrite = 23,
   kChanRead = 24,
-  kChanFlush = 25,  // b = bytes published from the write buffer
+  // 25 was a buffered endpoint's flush; retired with the buffers.
   kChanClose = 26,
   // Process lifecycle (who = process name; stop: a = steps completed).
   kProcessStart = 27,

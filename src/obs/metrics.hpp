@@ -37,8 +37,7 @@ inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
 
 /// Per-channel counters, shared by the two endpoints of a channel (they
 /// live in core::ChannelState) and updated by whichever endpoints are
-/// local.  The blocked-time and wakeup numbers are fed from io::Pipe,
-/// flush/coalesce numbers from the buffered fast-path endpoints.
+/// local.  The blocked-time and wakeup numbers are fed from io::Pipe.
 struct ChannelMetrics {
   /// Payload bytes / endpoint write calls on the producing endpoint.
   /// The producer's and consumer's counters sit on separate cache lines:

@@ -124,9 +124,8 @@ constexpr std::uint64_t Chan::*kChannelCounters[] = {
     &Chan::occupancy_hwm,    &Chan::bytes_written,   &Chan::tokens_written,
     &Chan::bytes_read,       &Chan::tokens_read,     &Chan::blocked_read_ns,
     &Chan::blocked_write_ns, &Chan::reader_wakeups,  &Chan::writer_wakeups,
-    &Chan::flushes,          &Chan::coalesced_writes, &Chan::write_buffered,
-    &Chan::read_buffered,    &Chan::typed_pushed,    &Chan::typed_popped,
-    &Chan::typed_buffered,   &Chan::typed_capacity};
+    &Chan::typed_pushed,     &Chan::typed_popped,    &Chan::typed_buffered,
+    &Chan::typed_capacity};
 constexpr std::uint32_t Chan::*kChannelWaiters[] = {&Chan::blocked_readers,
                                                     &Chan::blocked_writers};
 constexpr HistogramSnapshot Chan::*kChannelHistograms[] = {
@@ -327,11 +326,6 @@ std::string NetworkSnapshot::to_string() const {
     if (c.blocked_writers > 0) {
       out += ", ";
       out += std::to_string(c.blocked_writers) + " blocked writer(s)";
-    }
-    if (c.flushes > 0 || c.coalesced_writes > 0) {
-      out += ", ";
-      out += std::to_string(c.flushes) + " flushes/" +
-             std::to_string(c.coalesced_writes) + " coalesced";
     }
     if (c.has_typed) {
       out += c.typed_demoted ? ", typed (demoted)" : ", typed";

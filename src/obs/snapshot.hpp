@@ -58,12 +58,6 @@ struct ChannelSnapshot {
   std::uint32_t blocked_readers = 0;  // blocked right now
   std::uint32_t blocked_writers = 0;
 
-  // --- fast path (buffered endpoints only) ---
-  std::uint64_t flushes = 0;           // buffer drains into the transport
-  std::uint64_t coalesced_writes = 0;  // writes absorbed without a drain
-  std::uint64_t write_buffered = 0;    // bytes pending in the write buffer
-  std::uint64_t read_buffered = 0;     // unconsumed read-ahead bytes
-
   // --- wait-time distributions (local pipe only): the shape of the
   // blocked_*_ns totals above, so p50/p95/p99 are reportable ---
   HistogramSnapshot read_block;
@@ -105,7 +99,7 @@ void set_transport_stats_source(TransportStats (*source)());
 struct NetworkSnapshot {
   /// The wire layout's version.  Version 8 is the first that rejects any
   /// other: fields are never appended behind a reader's back.
-  static constexpr std::uint8_t kVersion = 8;
+  static constexpr std::uint8_t kVersion = 9;
 
   /// Unfinished processes at snapshot time.
   std::uint64_t live = 0;

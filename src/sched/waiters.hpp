@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -112,6 +113,73 @@ class Waiters {
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
   std::size_t size_ = 0;
+};
+
+/// One side's sleepers of a lock-free single-producer single-consumer
+/// channel (io::Pipe, io::TypedRing, a mux stream's two directions): a
+/// Waiters list plus a lock-free mirror of its count, so that a steady
+/// stream, which never parks, never takes the owner's mutex to wake.
+///
+/// The handshake is Dekker's.  A publisher moves the index word a parker
+/// waits on with a seq_cst read-modify-write, then calls wake(), whose
+/// seq_cst load of the count takes the mutex only when someone sleeps.
+/// A parker, holding the mutex, counts itself with a seq_cst exchange and
+/// then re-checks its condition; it sleeps only if that still holds.  Of
+/// the two, at least one sees the other, so no wake is lost.  The owner
+/// must make every other change to a parker's condition (a cut: close,
+/// abort, growth) under the mutex and follow it with wake_locked().
+class Sleepers {
+ public:
+  Sleepers() = default;
+  Sleepers(const Sleepers&) = delete;
+  Sleepers& operator=(const Sleepers&) = delete;
+
+  /// Caller holds the owner's mutex.  Unless `must_wait()` is false,
+  /// checked before and again after counting the caller, runs
+  /// `sleep(waiters)` -- a wait on the list -- and returns its result
+  /// (false: a deadline passed first); else returns true at once.
+  template <class MustWait, class Sleep>
+  bool park(MustWait&& must_wait, Sleep&& sleep) {
+    if (!must_wait()) return true;
+    sleeping_.exchange(static_cast<std::uint32_t>(waiters_.size() + 1),
+                       std::memory_order_seq_cst);
+    const bool woken = !must_wait() || sleep(waiters_);
+    sleeping_.store(static_cast<std::uint32_t>(waiters_.size()),
+                    std::memory_order_relaxed);
+    return woken;
+  }
+
+  /// park() with a plain wait on the list.
+  template <class MustWait>
+  void park(std::unique_lock<std::mutex>& lock, MustWait&& must_wait,
+            const WaitTag& tag) {
+    park(must_wait, [&](Waiters& waiters) {
+      waiters.wait(lock, tag);
+      return true;
+    });
+  }
+
+  /// Publisher, after moving its word: wakes every sleeper, taking
+  /// `mutex` (the owner's) only when the count shows one.
+  void wake(std::mutex& mutex) {
+    if (sleeping_.load(std::memory_order_seq_cst) == 0) return;
+    std::scoped_lock lock{mutex};
+    wake_locked();
+  }
+
+  /// wake() for a caller holding the owner's mutex.  Every sleeper
+  /// leaves the list, so the count drops to zero with it.
+  void wake_locked() {
+    waiters_.wake_all();
+    sleeping_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Parked callers not yet woken (exact under the owner's mutex).
+  std::size_t size() const { return waiters_.size(); }
+
+ private:
+  Waiters waiters_;
+  std::atomic<std::uint32_t> sleeping_{0};
 };
 
 }  // namespace dpn::sched

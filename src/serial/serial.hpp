@@ -112,8 +112,6 @@ class ObjectOutputStream {
   void write_string(const std::string& s) { data_.write_string(s); }
   void write_bytes(ByteSpan b) { data_.write_bytes(b); }
 
-  void flush() { data_.flush(); }
-
   /// Per-stream context for serialization hooks (e.g. the dist module
   /// stashes the local node's advertised address here).
   void set_attachment(std::any attachment) {

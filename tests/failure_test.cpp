@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -10,6 +12,7 @@
 #include "dist/remote_streams.hpp"
 #include "dist/ship.hpp"
 #include "fault/fault.hpp"
+#include "io/data.hpp"
 #include "io/memory.hpp"
 #include "image/codec.hpp"
 #include "net/transport.hpp"
@@ -350,6 +353,25 @@ TEST(Failure, SnapshotRejectsAHugeCountBeforeAllocating) {
   wire.push_back(0);
   EXPECT_THROW((void)obs::NetworkSnapshot::decode({wire.data(), wire.size()}),
                SerializationError);
+}
+
+TEST(Failure, HugeBlobClaimAllocatesOnlyWhatArrives) {
+  // A blob's length is the sender's claim.  Claimed at the 2^31 sanity
+  // limit and followed by 1 KiB and end of stream, the read fails with
+  // IoError having touched memory for what arrived, not for the claim.
+  ByteVector wire;
+  put_varint(wire, std::uint64_t{1} << 31);
+  wire.resize(wire.size() + 1024, 0x5a);
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  io::MemoryInputStream source{std::move(wire)};
+  io::DataInputStream in{source};
+  EXPECT_THROW((void)in.read_bytes(), IoError);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)  // KiB
+      << "peak RSS rose by " << (after.ru_maxrss - before.ru_maxrss)
+      << " KiB";
 }
 
 TEST(Failure, SnapshotAndFlightExportSurviveMutation) {

@@ -176,61 +176,25 @@ TEST(FlowControl, BonusCreditsUnblockWriter) {
   for (long i = 0; i < 8; ++i) EXPECT_EQ(in.read_i64(), i);
 }
 
-TEST(FlowControl, BufferedChannelSurvivesLiveCut) {
-  // A channel whose producer writes through a coalescing buffer is cut
-  // mid-stream: some elements sit in the pipe, some still in the write
-  // buffer.  The migration flush points must make the shipped consumer's
-  // byte history identical to an unbuffered channel's.
-  auto node_a = NodeContext::create();
-  auto node_b = NodeContext::create();
-
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.label = "buffered.in";
-  options.write_buffer = 256;  // 32 elements per drain
-  auto in = std::make_shared<Channel>(options);
-  auto out = std::make_shared<Channel>(std::size_t{1} << 16, "plain.out");
-
-  io::DataOutputStream produce{*in->output()};
-  for (long i = 0; i < 100; ++i) produce.write_i64(i);
-  // 800 bytes written: 768 crossed into the pipe, 32 are still coalesced.
-  EXPECT_LT(in->pipe()->size(), 800u);
-
-  auto mover = std::make_shared<Identity>(in->input(), out->output());
-  const ByteVector shipment = ship_process(node_a, mover);
-  auto remote = receive_process(node_b, {shipment.data(), shipment.size()});
-  std::jthread host{[&] { remote->run(); }};
-
-  for (long i = 100; i < 200; ++i) produce.write_i64(i);
-  in->output()->close();  // flush-on-close delivers the post-cut tail
-
-  io::DataInputStream consume{*out->input()};
-  for (long i = 0; i < 200; ++i) ASSERT_EQ(consume.read_i64(), i);
-}
-
-TEST(FlowControl, BufferedProducerFlushedWhenConsumerStays) {
-  // The opposite cut: the *producer* endpoint of a buffered channel ships
-  // away while its consumer stays.  The coalesced bytes that never crossed
-  // the pipe must be flushed into it before the write side closes, and the
-  // reconstructed remote endpoint must keep the buffering profile.
+TEST(FlowControl, ProducerShipsWhileConsumerStays) {
+  // The *producer* endpoint ships away while its consumer stays and bytes
+  // it wrote still sit in the pipe: the consumer drains them, then the
+  // shipped producer's bytes over the socket, in order.
   auto node_a = NodeContext::create();
   auto node_b = NodeContext::create();
 
   auto in = std::make_shared<Channel>(std::size_t{1} << 16, "cut.in");
-  core::ChannelOptions options;
-  options.capacity = 1 << 16;
-  options.label = "cut.out";
-  options.write_buffer = 4096;
-  auto out = std::make_shared<Channel>(options);
+  auto out = std::make_shared<Channel>(std::size_t{1} << 16, "cut.out");
 
   io::DataOutputStream direct{*out->output()};
   for (long i = 1000; i < 1005; ++i) direct.write_i64(i);
-  EXPECT_EQ(out->pipe()->size(), 0u);  // all 40 bytes still coalesced
+  EXPECT_EQ(out->pipe()->size(), 40u);  // write-through: all in the pipe
 
   auto mover = std::make_shared<Identity>(in->input(), out->output());
   const ByteVector shipment = ship_process(node_a, mover);
   auto remote = receive_process(node_b, {shipment.data(), shipment.size()});
-  EXPECT_EQ(out->pipe()->size(), 40u);  // the cut flushed them
+  EXPECT_EQ(out->pipe()->size(), 40u);  // the cut left them for the reader
+  EXPECT_TRUE(out->pipe()->write_closed());
   std::jthread host{[&] { remote->run(); }};
 
   std::jthread feeder{[&] {

@@ -6,7 +6,6 @@
 #include "core/channel.hpp"
 #include "core/network.hpp"
 #include "io/blocking.hpp"
-#include "io/buffered.hpp"
 #include "io/memory.hpp"
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
@@ -120,119 +119,15 @@ TEST(BlockingEdge, UnderlyingAccessor) {
   EXPECT_EQ(blocking.underlying(), inner);
 }
 
-/// Counts the discrete write operations the underlying stream receives --
-/// each one stands for a pipe-mutex crossing or a syscall.
-class CountingOutput final : public OutputStream {
- public:
-  void write(ByteSpan data) override {
-    ++writes;
-    bytes.insert(bytes.end(), data.begin(), data.end());
-  }
-  void write_vectored(ByteSpan a, ByteSpan b) override {
-    ++writes;
-    bytes.insert(bytes.end(), a.begin(), a.end());
-    bytes.insert(bytes.end(), b.begin(), b.end());
-  }
-  void close() override { closed = true; }
-  int writes = 0;
-  bool closed = false;
-  ByteVector bytes;
-};
-
-TEST(Buffered, SmallWritesCoalesceIntoOne) {
-  auto counting = std::make_shared<CountingOutput>();
-  BufferedOutputStream out{counting, 256};
-  for (int i = 0; i < 64; ++i) out.write_byte(static_cast<std::uint8_t>(i));
-  EXPECT_EQ(counting->writes, 0);  // nothing has crossed yet
-  EXPECT_EQ(out.buffered(), 64u);
-  out.flush();
-  EXPECT_EQ(counting->writes, 1);  // 64 writes became one
-  ASSERT_EQ(counting->bytes.size(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(counting->bytes[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(out.underlying(), counting);
-  EXPECT_EQ(out.buffer_size(), 256u);
-}
-
-TEST(Buffered, FullBufferDrainsOncePerCapacity) {
-  auto counting = std::make_shared<CountingOutput>();
-  BufferedOutputStream out{counting, 8};
-  for (int i = 0; i < 20; ++i) out.write_byte(0x42);
-  EXPECT_EQ(counting->writes, 2);  // drained at 8 and at 16
-  EXPECT_EQ(out.buffered(), 4u);
-}
-
-TEST(Buffered, OversizedWritePassesThrough) {
-  auto counting = std::make_shared<CountingOutput>();
-  BufferedOutputStream out{counting, 8};
-  const ByteVector small{1, 2, 3};
-  const ByteVector big(100, 9);
-  out.write({small.data(), small.size()});
-  out.write({big.data(), big.size()});  // drains the 3, then passes through
-  EXPECT_EQ(counting->writes, 2);
-  ASSERT_EQ(counting->bytes.size(), 103u);
-  EXPECT_EQ(counting->bytes[2], 3);  // order preserved across the drain
-  EXPECT_EQ(counting->bytes[3], 9);
-}
-
-TEST(Buffered, VectoredWritesCoalesceToo) {
-  auto counting = std::make_shared<CountingOutput>();
-  BufferedOutputStream out{counting, 256};
-  const ByteVector a{1, 2}, b{3, 4, 5};
-  out.write_vectored({a.data(), a.size()}, {b.data(), b.size()});
-  out.write_vectored({a.data(), a.size()}, {b.data(), b.size()});
-  EXPECT_EQ(counting->writes, 0);
-  out.flush();
-  EXPECT_EQ(counting->writes, 1);
-  EXPECT_EQ(counting->bytes, (ByteVector{1, 2, 3, 4, 5, 1, 2, 3, 4, 5}));
-}
-
-TEST(Buffered, CloseFlushesThenClosesUnderlying) {
-  auto counting = std::make_shared<CountingOutput>();
-  auto out = std::make_shared<BufferedOutputStream>(counting, 64);
-  const ByteVector data{7, 8, 9};
-  out->write({data.data(), data.size()});
-  out->close();
-  EXPECT_EQ(counting->bytes, data);  // flush-on-close delivered the tail
-  EXPECT_TRUE(counting->closed);
-  EXPECT_THROW(out->write({data.data(), data.size()}), IoError);
-}
-
-TEST(Buffered, InputReadAheadAndTakeBuffered) {
-  auto source = std::make_shared<MemoryInputStream>(
-      ByteVector{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  BufferedInputStream in{source, 8};
-  EXPECT_EQ(in.read(), 0);       // refills 8 bytes
-  EXPECT_EQ(in.buffered(), 7u);  // 7 unconsumed in the read-ahead
-  // The migration protocol's view: the read-ahead is the oldest prefix of
-  // what this endpoint has not yet delivered.
-  EXPECT_EQ(in.take_buffered(), (ByteVector{1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(in.buffered(), 0u);
-  EXPECT_EQ(in.read(), 8);  // continues seamlessly from the source
-  EXPECT_EQ(in.read(), 9);
-  EXPECT_EQ(in.read(), -1);
-  EXPECT_EQ(in.underlying(), source);
-}
-
-TEST(Buffered, LargeReadBypassesBuffer) {
-  auto source =
-      std::make_shared<MemoryInputStream>(ByteVector(100, 0x5a));
-  BufferedInputStream in{source, 4};
-  ByteVector out(100);
-  EXPECT_EQ(in.read_some({out.data(), out.size()}), 100u);
-  EXPECT_EQ(in.buffered(), 0u);  // never staged through the small buffer
-}
-
-TEST(Buffered, LiveCutPreservesByteHistory) {
-  // A buffered producer races a migration cut (the exact sequence
-  // replace_input_endpoint performs: unwedge, flush, switch, steal).  The
+TEST(PipeEdge, LiveCutPreservesByteHistory) {
+  // A producer races a migration cut (the exact sequence
+  // replace_input_endpoint performs: unwedge, switch, steal).  The
   // pre-cut and post-cut transports concatenated must be the producer's
   // byte history, exactly.
   auto pipe = std::make_shared<Pipe>(64);
   auto seq = std::make_shared<SequenceOutputStream>(
       std::make_shared<LocalOutputStream>(pipe));
-  BufferedOutputStream writer{seq, 32};
+  SequenceOutputStream& writer = *seq;
 
   std::atomic<bool> go{false};
   std::atomic<bool> cut_done{false};
@@ -254,7 +149,6 @@ TEST(Buffered, LiveCutPreservesByteHistory) {
 
   auto after = std::make_shared<MemoryOutputStream>();
   pipe->set_unbounded();  // the producer may be wedged in a pipe write
-  writer.flush();
   seq->switch_to(after, /*close_old=*/false);
   ByteVector history = pipe->steal_buffer();
   cut_done.store(true);

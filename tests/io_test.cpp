@@ -3,6 +3,8 @@
 #include <sys/resource.h>
 
 #include <atomic>
+#include <exception>
+#include <functional>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -210,6 +212,218 @@ TEST_P(PipeRoundTrip, PreservesByteSequence) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, PipeRoundTrip,
                          ::testing::Values(1, 2, 3, 7, 16, 61, 256, 4096));
+
+// --- Pipe cuts racing traffic -----------------------------------------------
+
+/// Byte `pos` of the history every writer below writes.
+std::uint8_t history_byte(std::uint64_t pos) {
+  return static_cast<std::uint8_t>((pos * 2654435761u) >> 13);
+}
+
+/// One writer and one reader over a pipe, and what each saw.
+struct Traffic {
+  std::uint64_t written = 0;  // bytes of writes that returned
+  ByteVector read;
+  std::atomic<std::uint64_t> progress{0};  // read.size(), for the cutter
+  // At 0 or more, both sides first wait for each other, then each spins
+  // its delay, so the last write and the close race the reader's probes.
+  int delay = -1;
+  int reader_delay = 0;
+  std::atomic<int> arrived{0};
+
+  void start_together(int spins) {
+    if (delay < 0) return;
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    for (int spin = 0; spin < spins; ++spin) {
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    }
+  }
+  std::exception_ptr writer_error;
+  std::exception_ptr reader_error;
+  bool eof = false;
+
+  /// Writes history bytes [0, total) in writes of 1..37 bytes, plain and
+  /// vectored in turn, then closes the write end; stops at the first
+  /// exception.
+  void write(Pipe& pipe, std::uint64_t total) {
+    start_together(delay);
+    ByteVector chunk;
+    try {
+      for (std::uint64_t i = 0; written < total; ++i) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(total - written, 1 + i % 37));
+        chunk.resize(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          chunk[k] = history_byte(written + k);
+        }
+        const ByteSpan all{chunk.data(), n};
+        if (i % 2 == 0) {
+          pipe.write(all);
+        } else {
+          pipe.write_vectored(all.first(n / 2), all.subspan(n / 2));
+        }
+        written += n;
+      }
+      pipe.close_write();
+    } catch (...) {
+      writer_error = std::current_exception();
+    }
+  }
+
+  /// Reads in reads of 1..50 bytes until end-of-stream or an exception.
+  void read_all(Pipe& pipe) {
+    start_together(reader_delay);
+    ByteVector buffer(50);
+    try {
+      for (std::size_t i = 0;; ++i) {
+        const std::size_t n = pipe.read_some({buffer.data(), 1 + i % 50});
+        if (n == 0) {
+          eof = true;
+          return;
+        }
+        read.insert(read.end(), buffer.begin(),
+                    buffer.begin() + static_cast<std::ptrdiff_t>(n));
+        progress.store(read.size(), std::memory_order_relaxed);
+      }
+    } catch (...) {
+      reader_error = std::current_exception();
+    }
+  }
+
+  /// The bytes read are exactly the first read.size() of the history.
+  bool read_is_history_prefix() const {
+    for (std::size_t i = 0; i < read.size(); ++i) {
+      if (read[i] != history_byte(i)) return false;
+    }
+    return true;
+  }
+
+  /// Waits (bounded) until the reader has `bytes` or stopped.
+  void await_progress(std::uint64_t bytes) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{20};
+    while (progress.load(std::memory_order_relaxed) < bytes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+};
+
+template <class E>
+bool holds(const std::exception_ptr& error) {
+  if (!error) return false;
+  try {
+    std::rethrow_exception(error);
+  } catch (const E&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Runs the writer and the reader on threads of their own, or as fibers
+/// on one M:N worker, with `cutter` on a third thread meanwhile.
+void run_traffic(bool mn, Pipe& pipe, Traffic& traffic, std::uint64_t total,
+                 const std::function<void()>& cutter) {
+  std::jthread cut{cutter};
+  if (mn) {
+    sched::Scheduler scheduler{
+        {.mode = sched::SchedMode::kWorkSteal, .workers = 1}};
+    scheduler.spawn([&] { traffic.read_all(pipe); });
+    scheduler.spawn([&] { traffic.write(pipe, total); });
+    scheduler.wait_quiescent();
+  } else {
+    std::jthread reader{[&] { traffic.read_all(pipe); }};
+    std::jthread writer{[&] { traffic.write(pipe, total); }};
+  }
+}
+
+TEST(Pipe, CutsRacingTrafficKeepExactHistory) {
+  // Every cut a live pipe takes, against a writer and a reader that keep
+  // running, on threads and on one M:N worker.  The reader's history must
+  // be exact -- no byte lost, duplicated or reordered -- and no side may
+  // be left parked.
+  for (const bool mn : {false, true}) {
+    SCOPED_TRACE(mn ? "one M:N worker" : "threads");
+
+    {  // grow and set_unbounded from a third thread, both sides live.
+      constexpr std::uint64_t kTotal = 200000;
+      Pipe pipe{16};
+      Traffic traffic;
+      run_traffic(mn, pipe, traffic, kTotal, [&] {
+        // Mostly no-op grows (bare cuts); every 64th raises the bound.
+        for (int i = 0; traffic.progress.load() < kTotal / 2; ++i) {
+          pipe.grow(pipe.capacity() + (i % 64 == 0 ? 1 : 0));
+          std::this_thread::yield();
+        }
+        pipe.set_unbounded();
+      });
+      EXPECT_FALSE(traffic.writer_error);
+      EXPECT_FALSE(traffic.reader_error);
+      EXPECT_TRUE(traffic.eof);
+      ASSERT_EQ(traffic.read.size(), kTotal);
+      EXPECT_TRUE(traffic.read_is_history_prefix());
+      EXPECT_EQ(pipe.blocked_readers(), 0u);
+      EXPECT_EQ(pipe.blocked_writers(), 0u);
+    }
+
+    for (int trial = 0; trial < 2000; ++trial) {
+      // close_write right after the last write (the writer's own close),
+      // the reader racing: the last bytes are read before end-of-stream.
+      // (On one worker the reader parks first and no race is possible.)
+      const std::uint64_t total = static_cast<std::uint64_t>(trial % 40);
+      Pipe pipe{16};
+      Traffic traffic;
+      traffic.delay = mn ? -1 : trial % 64;
+      traffic.reader_delay = trial / 64 % 32 * 8;
+      run_traffic(mn, pipe, traffic, total, [] {});
+      ASSERT_FALSE(traffic.writer_error) << "trial " << trial;
+      ASSERT_TRUE(traffic.eof) << "trial " << trial;
+      ASSERT_EQ(traffic.read.size(), total) << "trial " << trial;
+      ASSERT_TRUE(traffic.read_is_history_prefix()) << "trial " << trial;
+    }
+
+    for (int trial = 0; trial < 40; ++trial) {
+      // close_read from a third thread while the writer keeps filling a
+      // small pipe (and so keeps parking): the writer gets ChannelClosed,
+      // the reader IoError, and what was read is an exact prefix.
+      Pipe pipe{16};
+      Traffic traffic;
+      run_traffic(mn, pipe, traffic, std::uint64_t{1} << 22, [&] {
+        traffic.await_progress(static_cast<std::uint64_t>(trial) * 97 % 3000);
+        pipe.close_read();
+      });
+      ASSERT_TRUE(holds<ChannelClosed>(traffic.writer_error))
+          << "trial " << trial;
+      ASSERT_TRUE(holds<IoError>(traffic.reader_error)) << "trial " << trial;
+      ASSERT_TRUE(traffic.read_is_history_prefix()) << "trial " << trial;
+      // The failed write may have been published in part (37 bytes max).
+      ASSERT_LE(traffic.read.size(), traffic.written + 37) << "trial " << trial;
+      ASSERT_EQ(pipe.size(), 0u);
+      ASSERT_EQ(pipe.blocked_readers(), 0u);
+      ASSERT_EQ(pipe.blocked_writers(), 0u);
+    }
+
+    for (int trial = 0; trial < 40; ++trial) {
+      // abort from a third thread, racing both sides: both see
+      // Interrupted, and what was read is an exact prefix.
+      Pipe pipe{16 + static_cast<std::size_t>(trial)};
+      Traffic traffic;
+      run_traffic(mn, pipe, traffic, std::uint64_t{1} << 22, [&] {
+        traffic.await_progress(static_cast<std::uint64_t>(trial) * 131 % 3000);
+        pipe.abort();
+      });
+      ASSERT_TRUE(holds<Interrupted>(traffic.writer_error))
+          << "trial " << trial;
+      ASSERT_TRUE(holds<Interrupted>(traffic.reader_error))
+          << "trial " << trial;
+      ASSERT_TRUE(traffic.read_is_history_prefix()) << "trial " << trial;
+      ASSERT_EQ(pipe.blocked_readers(), 0u);
+      ASSERT_EQ(pipe.blocked_writers(), 0u);
+    }
+  }
+}
 
 // --- Memory streams ---------------------------------------------------------
 

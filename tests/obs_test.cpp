@@ -55,11 +55,12 @@ TEST(Metrics, CountsBytesAndTokensPerEndpointCall) {
   EXPECT_EQ(snap.tokens_read, 3u);
 }
 
-TEST(Metrics, BufferedAndWriteThroughAgreeOnTotals) {
-  // The counters live *above* the endpoint buffering, so the observable
-  // traffic of the same token stream must not drift with the transport
-  // configuration (zero-drift: ops teams compare these numbers across
-  // differently tuned deployments).
+TEST(Metrics, TotalsDoNotDriftWithTheBound) {
+  // The counters live *above* the transport, so the observable traffic of
+  // the same token stream must not drift with the channel's bound
+  // (zero-drift: ops teams compare these numbers across differently tuned
+  // deployments).  A bound of one token makes every write wait for the
+  // reader; the endpoint totals do not see that.
   auto run_stream = [](ChannelOptions options) {
     Channel channel{std::move(options)};
     std::jthread producer{[&] {
@@ -73,20 +74,18 @@ TEST(Metrics, BufferedAndWriteThroughAgreeOnTotals) {
     return core::snapshot_channel(*channel.state());
   };
 
-  const ChannelSnapshot plain = run_stream({.capacity = 256});
-  const ChannelSnapshot buffered = run_stream(
-      {.capacity = 256, .write_buffer = 64, .read_buffer = 64});
+  const ChannelSnapshot plain = run_stream({.capacity = 1024});
+  const ChannelSnapshot narrow = run_stream({.capacity = 8});
 
   EXPECT_EQ(plain.bytes_written, 800u);
-  EXPECT_EQ(buffered.bytes_written, plain.bytes_written);
-  EXPECT_EQ(buffered.tokens_written, plain.tokens_written);
-  EXPECT_EQ(buffered.bytes_read, plain.bytes_read);
-  EXPECT_EQ(buffered.tokens_read, plain.tokens_read);
-  // Only the *transport* behaviour differs: the buffered endpoint drained
-  // in coalesced flushes.
-  EXPECT_GT(buffered.flushes, 0u);
-  EXPECT_GT(buffered.coalesced_writes, 0u);
-  EXPECT_EQ(plain.flushes, 0u);
+  EXPECT_EQ(plain.tokens_written, 100u);
+  EXPECT_EQ(narrow.bytes_written, plain.bytes_written);
+  EXPECT_EQ(narrow.tokens_written, plain.tokens_written);
+  EXPECT_EQ(narrow.bytes_read, plain.bytes_read);
+  EXPECT_EQ(narrow.tokens_read, plain.tokens_read);
+  // Only the *transport* behaviour differs: the narrow pipe never held
+  // more than its bound.
+  EXPECT_LE(narrow.occupancy_hwm, 8u);
 }
 
 TEST(Metrics, BlockedTimeAndHighWaterMarkUnderBackpressure) {
@@ -162,9 +161,6 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   c.blocked_read_ns = 1234567;
   c.reader_wakeups = 55;
   c.blocked_readers = 1;
-  c.flushes = 9;
-  c.coalesced_writes = 90;
-  c.write_buffered = 16;
   snap.channels.push_back(c);
 
   const ByteVector bytes = snap.encode();
@@ -198,9 +194,6 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(d.blocked_read_ns, 1234567u);
   EXPECT_EQ(d.reader_wakeups, 55u);
   EXPECT_EQ(d.blocked_readers, 1u);
-  EXPECT_EQ(d.flushes, 9u);
-  EXPECT_EQ(d.coalesced_writes, 90u);
-  EXPECT_EQ(d.write_buffered, 16u);
 }
 
 // --- grow_smallest_blocked: growth needs live evidence ----------------------
