@@ -225,18 +225,51 @@ FrameChannelOutput::~FrameChannelOutput() {
 }
 
 void FrameChannelOutput::attach(std::shared_ptr<net::Stream> stream) {
+  stream->set_wait_observer(this);
+  if (node_) node_->register_remote_stream(stream);
   stream_ = std::move(stream);
-  stream_->set_wait_observer(this);
-  if (node_) node_->register_remote_stream(stream_);
+  live_.store(stream_.get(), std::memory_order_release);
 }
 
-void FrameChannelOutput::ensure_connected() {
-  if (stream_) return;
-  auto stream = promise_->wait(
-      stats_ != nullptr ? &stats_->blocked_remote_writers : nullptr);
-  peer_ = promise_->dialer();
+void FrameChannelOutput::dial_in(
+    const std::shared_ptr<StreamPromise>& promise) {
+  std::shared_ptr<net::Stream> stream;
+  try {
+    stream = promise->wait(
+        stats_ != nullptr ? &stats_->blocked_remote_writers : nullptr);
+  } catch (...) {
+    std::scoped_lock lock{mutex_};
+    connecting_ = false;
+    attached_.wake_all();
+    throw;
+  }
+  std::scoped_lock lock{mutex_};
+  connecting_ = false;
+  peer_ = promise->dialer();
   promise_.reset();
   attach(std::move(stream));
+  attached_.wake_all();
+}
+
+net::Stream& FrameChannelOutput::connect() {
+  std::shared_ptr<StreamPromise> promise;
+  {
+    std::scoped_lock lock{mutex_};
+    if (ended_) throw io::WriteStopped{0, "write to closed remote channel"};
+    if (stream_) return *stream_;
+    connecting_ = true;
+    promise = promise_;
+  }
+  dial_in(promise);
+  std::scoped_lock lock{mutex_};
+  // A cut that came meanwhile waited for the stream, and ends it.
+  if (ended_) throw io::WriteStopped{0, "write to closed remote channel"};
+  return *stream_;
+}
+
+PeerAddress FrameChannelOutput::peer() const {
+  std::scoped_lock lock{mutex_};
+  return peer_;
 }
 
 void FrameChannelOutput::on_park() {
@@ -250,58 +283,67 @@ void FrameChannelOutput::on_unpark() {
 }
 
 void FrameChannelOutput::write_vectored(ByteSpan a, ByteSpan b) {
-  if (closed_) throw IoError{"write to closed remote channel"};
-  ensure_connected();
+  net::Stream* stream = live_.load(std::memory_order_acquire);
+  if (stream == nullptr) stream = &connect();
   const std::size_t n = a.size() + b.size();
-  if (!obs::flight_tokens()) {
-    stream_->write_vectored(a, b);
-  } else {
-    // Stamp the bytes with a fresh span in this thread's ambient trace
-    // (minting the trace lazily): the stream sends them with that
-    // context, and the consumer's kNetRecv of the same span id becomes
-    // the flow arrow across the wire.
-    obs::TraceContext& ambient = obs::current_trace_context();
-    if (!ambient.valid()) {
-      ambient.trace_id = obs::new_trace_id();
-      ambient.flags = obs::TraceContext::kSampled;
+  // Stamp the bytes with a fresh span in this thread's ambient trace
+  // (minting the trace lazily): the stream sends them with that context,
+  // and the consumer's kNetRecv of the same span id becomes the flow
+  // arrow across the wire.
+  obs::TraceContext* ambient = nullptr;
+  std::uint64_t span = 0;
+  if (obs::flight_tokens()) {
+    ambient = &obs::current_trace_context();
+    if (!ambient->valid()) {
+      ambient->trace_id = obs::new_trace_id();
+      ambient->flags = obs::TraceContext::kSampled;
     }
-    const std::uint64_t span =
-        std::exchange(ambient.span_id, obs::next_span_id());
-    try {
-      stream_->write_vectored(a, b);
-    } catch (...) {
-      ambient.span_id = span;
-      throw;
-    }
-    DPN_FLIGHT_TOKEN(obs::FlightKind::kNetSend, "data", ambient.span_id, n);
-    ambient.span_id = span;
+    span = std::exchange(ambient->span_id, obs::next_span_id());
+  }
+  try {
+    stream->write_vectored(a, b);
+  } catch (const io::WriteStopped& stop) {
+    sent_.add(stop.written);
+    if (ambient != nullptr) ambient->span_id = span;
+    throw;
+  } catch (...) {
+    if (ambient != nullptr) ambient->span_id = span;
+    throw;
+  }
+  if (ambient != nullptr) {
+    DPN_FLIGHT_TOKEN(obs::FlightKind::kNetSend, "data", ambient->span_id, n);
+    ambient->span_id = span;
   }
   sent_.add(n);
 }
 
-void FrameChannelOutput::finish(ByteSpan end_message) {
+bool FrameChannelOutput::end(ByteSpan end_message) {
+  std::shared_ptr<StreamPromise> promise;
+  {
+    std::unique_lock lock{mutex_};
+    if (std::exchange(ended_, true)) return false;
+    // The writer's dial-in brings the stream the end must travel on.
+    while (connecting_) attached_.wait(lock);
+    if (!stream_) promise = promise_;
+  }
+  if (promise) dial_in(promise);
   stream_->finish_with(end_message);
   if (stats_ != nullptr) stats_->ends_sent.fetch_add(1);
   stream_->shutdown_read();
-  closed_ = true;
+  return true;
 }
 
 void FrameChannelOutput::close() {
-  if (closed_) return;
-  closed_ = true;
   try {
     // Deliver the end even if the consumer has not dialed in yet: the
     // stream contract promises the consumer an explicit end-of-stream.
-    ensure_connected();
-    finish({});
+    end({});
   } catch (const IoError&) {
     // Consumer already gone; nothing to tell it.
   }
 }
 
 void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
-  if (closed_) throw IoError{"redirect on closed remote channel"};
-  ensure_connected();
   RedirectInfo info;
   info.token = successor_token;
   if (obs::flight_tokens()) {
@@ -316,7 +358,9 @@ void FrameChannelOutput::redirect_and_finish(std::uint64_t successor_token) {
                      info.trace.span_id, successor_token);
   }
   const ByteVector message = info.encode();
-  finish({message.data(), message.size()});
+  if (!end({message.data(), message.size()})) {
+    throw IoError{"redirect on closed remote channel"};
+  }
 }
 
 }  // namespace dpn::dist

@@ -9,6 +9,7 @@
 #include "io/stream.hpp"
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
+#include "sched/waiters.hpp"
 
 /// The transport-backed stream segments that sit underneath a distributed
 /// channel (the paper's RemoteInputStream / RemoteOutputStream /
@@ -129,9 +130,14 @@ class FrameChannelInput final : public io::InputStream,
 /// -- a stall on the stream's window, or the wait for its consumer to
 /// dial in.
 ///
-/// Not internally synchronized: it lives under a ChannelOutputStream's
-/// SequenceOutputStream, whose one writer calls write() and whose cuts
-/// (close, switch_to, cut) call the rest with no write in flight.
+/// One writer, as a segment of a ChannelOutputStream's
+/// SequenceOutputStream; close() and redirect_and_finish() -- the cuts --
+/// may come from another thread while a write is in flight.  A cut ends
+/// the mux stream with finish_with, which fails the write in flight
+/// with io::WriteStopped; a segment whose consumer has not dialed in yet
+/// is ended by the cut once it has, by the cut itself or, if the writer
+/// is already waiting for the dial-in, after the writer attached the
+/// stream.  The writer reaches a connected stream with no lock.
 class FrameChannelOutput final : public io::OutputStream,
                                  private net::WaitObserver {
  public:
@@ -156,7 +162,7 @@ class FrameChannelOutput final : public io::OutputStream,
   void close() override;
 
   /// The consumer node's rendezvous address (valid once connected).
-  const PeerAddress& peer() const { return peer_; }
+  PeerAddress peer() const;
 
   /// Ends this segment with a RedirectInfo for `successor_token`: the
   /// consumer expects the stream to continue there (paper Figure 15).
@@ -165,11 +171,17 @@ class FrameChannelOutput final : public io::OutputStream,
   void redirect_and_finish(std::uint64_t successor_token);
 
  private:
-  void ensure_connected();
+  /// The writer's slow path: waits for the consumer to dial in.  Throws
+  /// io::WriteStopped once a cut ended the segment.
+  net::Stream& connect();
+  /// Waits on `promise` and attaches the stream it brings.
+  void dial_in(const std::shared_ptr<StreamPromise>& promise);
+  /// Under mutex_ (or in a constructor).
   void attach(std::shared_ptr<net::Stream> stream);
-  /// Sends the end of stream, carrying `end_message`; this side never
-  /// reads, so its receive direction closes too.
-  void finish(ByteSpan end_message);
+  /// The cut: sends the end of stream, carrying `end_message`, once the
+  /// consumer has dialed in; this side never reads, so its receive
+  /// direction closes too.  False if the segment was already ended.
+  bool end(ByteSpan end_message);
 
   // WaitObserver: parks of this segment's stream.
   void on_park() override;
@@ -178,10 +190,16 @@ class FrameChannelOutput final : public io::OutputStream,
   std::shared_ptr<NodeContext> node_;
   TrafficStats* const stats_;
   TrafficStats::Tally sent_{stats_, TrafficStats::Tally::Direction::kSent};
-  std::shared_ptr<net::Stream> stream_;
+  // The writer's way to the stream, once connected.
+  std::atomic<net::Stream*> live_{nullptr};
+
+  mutable std::mutex mutex_;
+  sched::Waiters attached_;  // a cut waiting for the writer's dial-in
+  std::shared_ptr<net::Stream> stream_;  // set once, then live_
   std::shared_ptr<StreamPromise> promise_;
   PeerAddress peer_;
-  bool closed_ = false;
+  bool connecting_ = false;  // the writer waits on promise_
+  bool ended_ = false;
 };
 
 /// Output whose reader is already gone: every write throws ChannelClosed.

@@ -395,10 +395,11 @@ std::shared_ptr<serial::Serializable> replace_input_endpoint(
     // Live cut: the staying producer is switched onto a pending socket;
     // whatever is still in the pipe travels with the stub.  Order is
     // preserved: pipe bytes first (Memory segment), socket bytes last.
+    // The switch stops the pipe's writer without waiting: a write in
+    // flight, parked on a full pipe or not, resumes on the socket.
     const std::uint64_t token = node.next_token();
     auto promise = node.rendezvous().expect(token);
     auto stream_out = std::make_shared<FrameChannelOutput>(promise, ctx->node);
-    state->pipe->set_unbounded();  // unwedge any in-flight producer write
     // Typed channel: flush the ring's backlog into the pipe before the
     // switch, so it travels with the stub ahead of any socket bytes; the
     // producer's next push sees kDemoted and encodes through the (now
@@ -478,10 +479,10 @@ std::shared_ptr<serial::Serializable> replace_output_endpoint(
     // Already the producer side of a remote segment: redirect (Section
     // 4.3).  Tell the consumer in-band to expect a successor connection,
     // and send the reincarnated producer straight to the consumer's node.
-    // Between cuts the segment belongs to the sequence's writer.
+    // The redirect is the segment's own cut: a write in flight fails with
+    // WriteStopped, and the sequence has no successor for it.
     const std::uint64_t successor_token = node.next_token();
-    endpoint->sequence().cut(
-        [&] { remote->redirect_and_finish(successor_token); });
+    remote->redirect_and_finish(successor_token);
     const PeerAddress peer = remote->peer();
 
     auto stub = std::make_shared<RemoteOutputStub>();

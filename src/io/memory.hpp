@@ -32,16 +32,17 @@ class MemoryInputStream final : public InputStream {
   std::size_t pos_ = 0;
 };
 
-/// Appends to a growable byte buffer.
+/// Appends to a growable byte buffer.  One thread: close() must not race
+/// a write.
 class MemoryOutputStream final : public OutputStream {
  public:
   void write(ByteSpan data) override {
-    if (closed_) throw IoError{"write to closed MemoryOutputStream"};
+    if (closed_) throw WriteStopped{0, "write to closed MemoryOutputStream"};
     buffer_.insert(buffer_.end(), data.begin(), data.end());
   }
 
   void write_vectored(ByteSpan a, ByteSpan b) override {
-    if (closed_) throw IoError{"write to closed MemoryOutputStream"};
+    if (closed_) throw WriteStopped{0, "write to closed MemoryOutputStream"};
     // No exact-fit reserve here: pinning capacity to size+needed makes
     // every subsequent append reallocate and copy the whole buffer
     // (quadratic); insert's geometric growth amortizes to O(1).

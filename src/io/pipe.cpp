@@ -43,6 +43,7 @@ std::size_t Pipe::read_some(MutableByteSpan out) {
 void Pipe::write(ByteSpan data) { write_vectored(data, {}); }
 
 void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
+  std::size_t written = 0;  // published by this call
   while (!a.empty() || !b.empty()) {
     const std::uint64_t t = ring_.tail.load(std::memory_order_relaxed);
     if ((t & kStop) == 0) {
@@ -72,6 +73,7 @@ void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
             occupancy_hwm_.store(used + take, std::memory_order_relaxed);
           }
           readers_.wake(mutex_);
+          written += take;
           a = a.subspan(first.size());
           b = b.subspan(second.size());
           continue;
@@ -79,19 +81,23 @@ void Pipe::write_vectored(ByteSpan a, ByteSpan b) {
         // A cut stopped us before the publish; the edge says which.
       }
     }
-    write_edge();
+    write_edge(written);
   }
 }
 
-void Pipe::write_edge() {
+void Pipe::write_edge(std::size_t written) {
   std::unique_lock lock{mutex_};
   const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
   if ((flags & kReadClosed) != 0) {
     ring_.release();  // the reader is gone for good, and so are we now
   }
   if ((flags & kAborted) != 0) throw Interrupted{"pipe aborted during write"};
+  // Before kReadClosed: the reader of a stopped segment may close it
+  // after reading its end, and the writer must still learn of the stop.
+  if ((flags & (kWriteClosed | kWriteStopped)) != 0) {
+    throw WriteStopped{written, "write to closed pipe"};
+  }
   if ((flags & kReadClosed) != 0) throw ChannelClosed{};
-  if ((flags & kWriteClosed) != 0) throw IoError{"write to closed pipe"};
   const auto must_wait = [&] {
     return index(ring_.tail.load(std::memory_order_seq_cst)) -
                index(ring_.head.load(std::memory_order_seq_cst)) >=
@@ -157,6 +163,13 @@ void Pipe::close_write() {
   });
 }
 
+void Pipe::stop_write() {
+  cut([&] {
+    stop_writer();
+    flags_.fetch_or(kWriteStopped, std::memory_order_release);
+  });
+}
+
 void Pipe::close_read() {
   cut([&] {
     const std::uint64_t t = stop_writer();
@@ -166,9 +179,7 @@ void Pipe::close_read() {
     // must deterministically find it empty.
     ring_.head.store(t | kStop, std::memory_order_release);
     freed_.store(t, std::memory_order_release);
-    const std::uint8_t flags =
-        flags_.fetch_or(kReadClosed, std::memory_order_release);
-    if ((flags & kWriteClosed) != 0) ring_.release();
+    flags_.fetch_or(kReadClosed, std::memory_order_release);
   });
 }
 

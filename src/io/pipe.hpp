@@ -30,11 +30,14 @@
 /// live in an io::ByteRing whose tail and head words are monotonic byte
 /// positions.  A steady write or read takes no lock and issues one locked
 /// instruction, the CAS publishing its position.  The rare transitions
-/// are *cuts* under mutex_ (close_write, close_read, abort, steal_buffer):
-/// a cut raises kStop in the position word of each side it stops, and
-/// keeps it up for good while a flag concerns that side (every flag stops
-/// the writer; the reader drains past kWriteClosed).  grow and
-/// set_unbounded raise bound_ under mutex_ and stop no side.
+/// are *cuts* under mutex_ (close_write, stop_write, close_read, abort,
+/// steal_buffer): a cut raises kStop in the position word of each side
+/// it stops, and keeps it up for good while a flag concerns that side
+/// (every flag stops the writer; the reader drains past kWriteClosed and
+/// kWriteStopped).  grow and set_unbounded raise bound_ under mutex_ and
+/// stop no side.  A write a stop catches throws WriteStopped with the
+/// bytes it published, ahead of ChannelClosed: the Sequence layer above
+/// resumes it on the next segment.
 ///  * Publish: the writer copies bytes in past tail t, then CASes tail
 ///    t -> t+n, which fails only if a cut raised kStop first.  Every cut
 ///    that stops the writer does so for good, so it never puts again; and
@@ -48,10 +51,11 @@
 ///    measures room against head; the ring reuses a block only once the
 ///    reader has read past it, so a claimed byte stays put until copied.
 ///  * Storage changes only while neither side can touch it.  It is freed
-///    by close_read once kWriteClosed is set (no unpublished put remains),
-///    else by the writer's slow path on first seeing kReadClosed, else by
-///    the destructor.  Endpoints are closed by their owners: a close_write
-///    racing a write from another thread would void the first case.
+///    by the writer's slow path on first seeing kReadClosed, else by the
+///    destructor.  close_read cannot free it even once the writer is
+///    stopped: close_write and stop_write may come from another thread
+///    (a Sequence cut) while the writer is still copying a put that its
+///    CAS will then fail to publish.
 ///  * Stale views: the writer keeps a copy of head (ring head_seen), the
 ///    reader one of tail (tail_seen).  Positions only grow, so a copy
 ///    only understates the room or the bytes ready, never overstates
@@ -82,7 +86,9 @@ class Pipe {
   std::size_t read_some(MutableByteSpan out);
 
   /// Blocks while full (unless unbounded).  Throws ChannelClosed if the
-  /// read end is closed, Interrupted if aborted while waiting.
+  /// read end is closed, Interrupted if aborted while waiting, and
+  /// WriteStopped, with the bytes it published, once close_write or
+  /// stop_write stopped the writer (they may race the write).
   void write(ByteSpan data);
 
   /// Writes `a` then `b` as one append (one publish when they fit); the
@@ -90,6 +96,10 @@ class Pipe {
   void write_vectored(ByteSpan a, ByteSpan b);
 
   void close_write();
+  /// Stops the writer for good without end-of-stream: the reader sees
+  /// only the bytes published before, and whoever stopped the writer
+  /// takes them (steal_buffer) or ends the pipe.
+  void stop_write();
   void close_read();
 
   /// Wakes every waiter with Interrupted; used for abnormal shutdown.
@@ -147,12 +157,14 @@ class Pipe {
   static constexpr std::uint8_t kWriteClosed = 1;
   static constexpr std::uint8_t kReadClosed = 2;
   static constexpr std::uint8_t kAborted = 4;
+  static constexpr std::uint8_t kWriteStopped = 8;
 
   static std::uint64_t index(std::uint64_t word) { return word & ~kStop; }
 
-  /// A write found kStop, lost its publish CAS, or found the pipe full:
-  /// throws, or returns once a retry may make progress (after a park).
-  void write_edge();
+  /// A write found kStop, lost its publish CAS, or found the pipe full,
+  /// having published `written` bytes: throws, or returns once a retry
+  /// may make progress (after a park).
+  void write_edge(std::size_t written);
   /// A read found kStop or an empty pipe: false at end-of-stream, true
   /// once a retry may make progress.  Throws on abort or close_read.
   bool read_edge();
@@ -211,6 +223,7 @@ class LocalOutputStream final : public OutputStream {
     pipe_->write_vectored(a, b);
   }
   void close() override { pipe_->close_write(); }
+  void stop() override { pipe_->stop_write(); }
 
   const std::shared_ptr<Pipe>& pipe() const { return pipe_; }
 

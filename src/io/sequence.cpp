@@ -1,5 +1,6 @@
 #include "io/sequence.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace dpn::io {
@@ -76,97 +77,47 @@ bool SequenceInputStream::finished() const {
   return done_;
 }
 
-// The write gate.  state_ carries both halves of the handshake in one
-// word -- the gate bit and the count of writes in flight -- so every
-// enter, leave and raise is ordered against the others without a fence:
-// a write whose enter finds kGate backs off, and a cut whose raise finds
-// writes in flight waits for their leaves, which see kGate and wake it.
-
-OutputStream& SequenceOutputStream::enter() {
-  for (;;) {
-    if ((state_.fetch_add(kWriter, std::memory_order_acquire) & kGate) == 0) {
-      return *current_;
-    }
-    leave();
-    std::unique_lock lock{mutex_};
-    while ((state_.load(std::memory_order_relaxed) & kGate) != 0) {
-      writers_.wait(lock);
-    }
-  }
-}
-
-void SequenceOutputStream::leave() noexcept {
-  if ((state_.fetch_sub(kWriter, std::memory_order_release) & kGate) != 0) {
-    std::scoped_lock lock{mutex_};
-    cutters_.wake_all();
-  }
-}
-
-SequenceOutputStream::Cut::Cut(SequenceOutputStream& seq) : seq_(seq) {
-  std::unique_lock lock{seq_.mutex_};
-  while (seq_.cutting_) seq_.cutters_.wait(lock);
-  seq_.cutting_ = true;
-  seq_.state_.fetch_or(kGate, std::memory_order_acquire);
-  while (seq_.state_.load(std::memory_order_acquire) != kGate) {
-    seq_.cutters_.wait(lock);
-  }
-}
-
-SequenceOutputStream::Cut::~Cut() {
-  std::scoped_lock lock{seq_.mutex_};
-  seq_.cutting_ = false;
-  seq_.state_.fetch_and(~kGate, std::memory_order_release);
-  seq_.writers_.wake_all();
-  seq_.cutters_.wake_all();
-}
-
-template <typename F>
-void SequenceOutputStream::writing(F&& f) {
-  OutputStream& out = enter();
-  try {
-    f(out);
-  } catch (...) {
-    leave();
-    throw;
-  }
-  leave();
-}
-
-void SequenceOutputStream::write(ByteSpan data) {
-  writing([&](OutputStream& out) {
-    if (closed_) throw IoError{"write to closed SequenceOutputStream"};
-    out.write(data);
-  });
-}
-
-void SequenceOutputStream::write_byte(std::uint8_t b) {
-  writing([&](OutputStream& out) {
-    if (closed_) throw IoError{"write to closed SequenceOutputStream"};
-    out.write_byte(b);
-  });
-}
-
 void SequenceOutputStream::write_vectored(ByteSpan a, ByteSpan b) {
-  writing([&](OutputStream& out) {
-    if (closed_) throw IoError{"write to closed SequenceOutputStream"};
-    out.write_vectored(a, b);
-  });
+  for (;;) {
+    try {
+      segment_->write_vectored(a, b);
+      return;
+    } catch (const WriteStopped& stop) {
+      // The segment took the first stop.written bytes; the rest go on.
+      const std::size_t first = std::min(stop.written, a.size());
+      a = a.subspan(first);
+      b = b.subspan(stop.written - first);
+      std::scoped_lock lock{mutex_};
+      if (closed_) throw IoError{"write to closed SequenceOutputStream"};
+      if (current_ == segment_) throw;  // not a cut: the segment's own end
+      segment_ = current_;
+    }
+  }
 }
 
 void SequenceOutputStream::close() {
-  const Cut scope{*this};
-  if (std::exchange(closed_, true)) return;
-  current_->close();
+  std::shared_ptr<OutputStream> last;
+  {
+    std::scoped_lock lock{mutex_};
+    if (std::exchange(closed_, true)) return;
+    last = current_;
+  }
+  last->close();
 }
 
 void SequenceOutputStream::switch_to(std::shared_ptr<OutputStream> next,
                                      bool close_old) {
-  const Cut scope{*this};
-  if (closed_) throw IoError{"switch_to on closed SequenceOutputStream"};
-  if (close_old) current_->close();
   std::shared_ptr<OutputStream> old;
-  std::scoped_lock lock{mutex_};  // current() reads it from any thread
-  old = std::exchange(current_, std::move(next));
+  {
+    std::scoped_lock lock{mutex_};
+    if (closed_) throw IoError{"switch_to on closed SequenceOutputStream"};
+    old = std::exchange(current_, std::move(next));
+  }
+  if (close_old) {
+    old->close();
+  } else {
+    old->stop();
+  }
 }
 
 std::shared_ptr<OutputStream> SequenceOutputStream::current() const {

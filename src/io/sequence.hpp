@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "io/stream.hpp"
-#include "sched/waiters.hpp"
 
 /// Sequence streams: the layer that makes live reconfiguration and
 /// redistribution possible (paper Sections 3.1, 3.3, 4.2, 4.3).
@@ -23,6 +22,48 @@
 /// channel -- and take a lock only at a cut: a splice, a switch, a close,
 /// or the reader's step to the next queued stream.  A steady-state token
 /// passes through without one (DESIGN.md section 6).
+///
+/// The output side has no cut mechanism of its own: the writer owns the
+/// segment it writes and calls it with no lock and no atomic
+/// read-modify-write, so a steady byte write issues one locked
+/// instruction, the segment's publish CAS (io::Pipe, net's mux stream).
+/// A cut stops the writer through the segment.  Why that is exact:
+///  * Successor first.  A cut (switch_to, close) installs the successor
+///    in current_ under mutex_, or marks the sequence closed, releases
+///    mutex_, and only then stops the old segment with the segment's own
+///    cut: Pipe::close_write or stop_write raise the stop bit in the
+///    pipe's tail word; a mux stream's finish_with raises kOutClosed in
+///    its tail word (dist::FrameChannelOutput, whose consumer may not
+///    have dialed in yet, does so once the stream arrives).
+///  * No byte after a stop.  A segment puts a write's bytes past its
+///    tail, then publishes them with a CAS on the tail word; the CAS
+///    fails if a stop came first, and a stop is for good.  So the old
+///    segment holds a prefix of the history, and a write the stop
+///    catches learns that it published its first `written` bytes
+///    (io::WriteStopped) and not one more.
+///  * The writer finds the successor.  It saw the stop in the segment's
+///    tail word with acquire, or under the segment's mutex, and the stop
+///    was raised after the cut released mutex_; so taking mutex_ it
+///    reads the successor and writes the rest of the write there.  If
+///    current_ is still its segment, the segment stopped for a reason of
+///    its own and the write fails with it; if the sequence is closed,
+///    with IoError.
+///  * Nothing waits for a write.  A cut returns once the stop is raised.
+///    A writer between writes meets the stop at its next write, at no
+///    cost before; one parked inside the old segment (a full pipe, an
+///    exhausted mux window) is woken by the stop and resumes on the
+///    successor.  Errors a segment raises for its own reasons keep their
+///    types: ChannelClosed, Interrupted, NetError, WorkerLost.
+///
+/// Why a mux write publishes with a CAS and not a release store: the
+/// writer publishes its tail and then reads the stream's queued flag,
+/// while the flusher clears that flag and then re-reads the tail.  Each
+/// side orders a store before a load, and without an asymmetric barrier
+/// on the flusher's side (the kind of barrier this code base gave up as
+/// too hard to prove) only a locked instruction or a full fence gives the
+/// writer that StoreLoad order.  So a release store would save nothing,
+/// and the CAS is now also the gate: its failure is how a cut stops a
+/// write, which is what lets this layer go without a gate of its own.
 namespace dpn::io {
 
 /// Reads a succession of InputStreams as one continuous stream.  When the
@@ -74,80 +115,39 @@ class SequenceInputStream final : public InputStream {
   bool done_ = false;
 };
 
-/// Writes to a switchable underlying OutputStream.  switch_to() waits for
-/// any in-flight write to finish and installs the new stream, so the byte
-/// sequence observed downstream is a clean concatenation.
+/// Writes to a switchable underlying OutputStream: the concatenation of
+/// its segments is exactly the bytes written (see the proof above).
 ///
-/// One writer; cuts come from other threads.  A write enters and
-/// leaves with one atomic read-modify-write each and takes no lock; a cut
-/// (switch_to, close, cut) raises a gate that sends a write arriving
-/// later to wait, and parks on a sched::Waiters list until the writes
-/// already in flight leave, so a cut on a fiber frees its worker for the
-/// writer it waits on.
+/// One writer; switch_to(), close() and current() may be called from any
+/// thread.  A segment must let its close() and stop() come from another
+/// thread while a write is in flight, and then fail that write and every
+/// later one with io::WriteStopped (io::Pipe, dist::FrameChannelOutput;
+/// a MemoryOutputStream only from the writer's thread).
 class SequenceOutputStream final : public OutputStream {
  public:
   explicit SequenceOutputStream(std::shared_ptr<OutputStream> initial)
-      : current_(std::move(initial)) {}
+      : segment_(initial), current_(std::move(initial)) {}
 
-  void write(ByteSpan data) override;
-  void write_byte(std::uint8_t b) override;
+  void write(ByteSpan data) override { write_vectored(data, {}); }
+  void write_byte(std::uint8_t b) override { write_vectored({&b, 1}, {}); }
   void write_vectored(ByteSpan a, ByteSpan b) override;
   void close() override;
 
-  /// Replaces the underlying stream.  Blocks until in-flight writes
-  /// complete.  If the in-flight write could itself be blocked on a full
-  /// pipe, the caller must first unblock it (e.g. Pipe::set_unbounded) --
-  /// the distribution machinery in dpn::dist does exactly that.
+  /// Makes `next` the segment that later bytes go to, and stops the old
+  /// one: closes it (its reader reads end-of-stream after its bytes), or,
+  /// without `close_old`, stops it and leaves its bytes to the caller.
+  /// Returns without waiting for a write in flight.
   void switch_to(std::shared_ptr<OutputStream> next, bool close_old);
 
-  /// Runs `f` as a cut: no write is in flight and none can start until
-  /// `f` returns.  Throws IoError once closed.  The redirect of a remote
-  /// segment (dist/ship.cpp) runs this way.
-  template <typename F>
-  void cut(F&& f) {
-    const Cut scope{*this};
-    if (closed_) throw IoError{"cut on closed SequenceOutputStream"};
-    f();
-  }
-
-  /// The current underlying stream (for inspection/serialization).
+  /// The latest segment (for inspection/serialization).
   std::shared_ptr<OutputStream> current() const;
 
  private:
-  /// Enters a write: returns once no cut is in progress; no
-  /// cut starts until leave().
-  OutputStream& enter();
-  void leave() noexcept;
-  /// enter(), f(stream), leave() -- also when f throws.
-  template <typename F>
-  void writing(F&& f);
-
-  /// Holds the gate for its lifetime: raised, with no write in flight.
-  class Cut {
-   public:
-    explicit Cut(SequenceOutputStream& seq);
-    ~Cut();
-    Cut(const Cut&) = delete;
-    Cut& operator=(const Cut&) = delete;
-
-   private:
-    SequenceOutputStream& seq_;
-  };
-
-  /// A cut holds the gate (bit 0); writes in flight (count, in kWriter).
-  static constexpr std::uint32_t kGate = 1;
-  static constexpr std::uint32_t kWriter = 2;
-  std::atomic<std::uint32_t> state_{0};
+  // Writer-owned: the segment being written.
+  std::shared_ptr<OutputStream> segment_;
 
   mutable std::mutex mutex_;
-  sched::Waiters writers_;  // a writer waiting for the gate to drop
-  sched::Waiters cutters_;  // a cut waiting for a write or another cut
-  bool cutting_ = false;
-
-  // Written only by a cut, while no write is in flight (current_ also
-  // under mutex_, for current()); the writer reads them without a lock
-  // between enter() and leave().
-  std::shared_ptr<OutputStream> current_;
+  std::shared_ptr<OutputStream> current_;  // segment_, or its successor
   bool closed_ = false;
 };
 

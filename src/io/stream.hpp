@@ -55,6 +55,24 @@ class OutputStream {
   /// Writer is done: end-of-stream is delivered to the reader once all
   /// buffered data has been drained.  Idempotent.
   virtual void close() = 0;
+
+  /// Stops the writer for good, like close(), but leaves the reader's end
+  /// to the caller, who takes what the stream holds (a migration steals a
+  /// pipe's bytes).  A stream that cannot stop without ending closes.
+  virtual void stop() { close(); }
+};
+
+/// A write to a stream whose writer was stopped -- by close() or stop(),
+/// perhaps from another thread while this write was in flight.  The
+/// stream published the first `written` bytes of the write and none of
+/// the rest.  The Sequence layer resumes the rest on its next segment
+/// (io/sequence.hpp); anywhere else it is a write to a closed stream.
+class WriteStopped : public IoError {
+ public:
+  WriteStopped(std::size_t published, const std::string& what)
+      : IoError(what), written(published) {}
+
+  std::size_t written;
 };
 
 /// Reads exactly `out.size()` bytes or throws EndOfStream.  This is the

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "io/byte_ring.hpp"
+#include "io/stream.hpp"
 #include "net/event_loop.hpp"
 #include "net/reactor.hpp"
 #include "obs/flight.hpp"
@@ -120,8 +121,9 @@ class MuxTransport;
 // the Kahn rule of one reader and one writer per stream.  The state a
 // token needs rides in words it reads anyway:
 //   * out_.tail carries kOutClosed (FIN requested): a write publishes
-//     with a CAS, so a racing shutdown_write either follows the write's
-//     bytes or fails the write -- never a byte after the FIN;
+//     with a CAS, so a racing finish_with either follows the write's
+//     bytes or fails the write with io::WriteStopped, counting the bytes
+//     published before -- never a byte after the FIN;
 //   * in_.tail carries kReadShut, kRemoteFin and kDead, ordered after
 //     the data before them;
 //   * credit_ (granted send window) carries kStop (peer RST or death).
@@ -232,11 +234,13 @@ class MuxStream final : public Stream,
   void grant_consumed();
   void adopt_trace(std::uint64_t from, std::uint64_t to);
 
-  /// Writer slow path (window exhausted, stopped or closed): throws, or
-  /// returns once a retry may make progress.
-  void await_credit();
-  /// Appends window-approved bytes and hands them to the flusher.
-  void publish(ByteSpan a, ByteSpan b, bool traced);
+  /// Writer slow path (window exhausted, stopped or closed): false once
+  /// the write side is finished; throws on RST or connection death;
+  /// true once a retry may make progress.
+  bool await_credit();
+  /// Appends window-approved bytes and hands them to the flusher; false,
+  /// publishing nothing, once the write side is finished.
+  bool publish(ByteSpan a, ByteSpan b, bool traced);
   /// Whoever finds the stream idle after publishing queues it.
   void ensure_queued();
 
@@ -654,7 +658,12 @@ bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
   return true;
 }
 
-void MuxStream::await_credit() {
+bool MuxStream::await_credit() {
+  // A FIN first: the reader of a finished segment may reset it after
+  // reading its end, and the writer must still learn of the stop.
+  if ((out_.tail.load(std::memory_order_acquire) & kOutClosed) != 0) {
+    return false;
+  }
   const std::uint64_t credit = credit_.load(std::memory_order_acquire);
   if ((credit & kStop) != 0) {
     std::scoped_lock lock{mutex_};
@@ -663,10 +672,7 @@ void MuxStream::await_credit() {
     }
     throw ChannelClosed{};
   }
-  if ((out_.tail.load(std::memory_order_relaxed) & kOutClosed) != 0) {
-    throw IoError{"write on closed mux stream"};
-  }
-  if (credit != sent_) return;
+  if (credit != sent_) return true;
   // Credit stall: the peer has not consumed what we already sent.
   counters().credit_stalls.fetch_add(1, std::memory_order_relaxed);
   obs::flight_record(obs::FlightKind::kCreditStall, id_, 0);
@@ -691,6 +697,7 @@ void MuxStream::await_credit() {
           .count());
   obs::flight_record(obs::FlightKind::kCreditResume, id_, stall_ns);
   counters().credit_stall_ns.fetch_add(stall_ns, std::memory_order_relaxed);
+  return true;
 }
 
 void MuxStream::ensure_queued() {
@@ -703,9 +710,10 @@ void MuxStream::ensure_queued() {
   conn_->mark_ready(shared_from_this());
 }
 
-void MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
-  const std::uint64_t tail = out_.tail.load(std::memory_order_relaxed);
-  if ((tail & kOutClosed) != 0) throw IoError{"write on closed mux stream"};
+bool MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
+  // Acquire: a writer stopped here sees what its stopper did before.
+  const std::uint64_t tail = out_.tail.load(std::memory_order_acquire);
+  if ((tail & kOutClosed) != 0) return false;
   const std::uint64_t end = tail + a.size() + b.size();
   out_.put(tail, a);
   out_.put(tail + a.size(), b);
@@ -714,23 +722,25 @@ void MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
     out_marks_.push_back({tail, end, obs::current_trace_context()});
     out_traced_.fetch_add(1, std::memory_order_relaxed);
   }
-  // The CAS fails only on a racing shutdown_write, whose FIN then
-  // precedes these bytes: they must not be sent.
+  // The CAS fails only on a racing finish_with, whose FIN then precedes
+  // these bytes: they must not be sent.
   std::uint64_t expected = tail;
   if (!out_.tail.compare_exchange_strong(expected, end,
                                          std::memory_order_seq_cst)) {
-    throw IoError{"write on closed mux stream"};
+    return false;
   }
   ensure_queued();
+  return true;
 }
 
 void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
   const bool traced =
       obs::flight_tokens() && obs::current_trace_context().valid();
+  std::size_t written = 0;  // published by this call
   while (!a.empty() || !b.empty()) {
     const std::uint64_t credit = credit_.load(std::memory_order_acquire);
     if ((credit & kStop) != 0 || credit == sent_) {
-      await_credit();
+      if (!await_credit()) break;
       continue;
     }
     // What the window allows of a, then b, published at once.
@@ -738,10 +748,14 @@ void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
         a.size() + b.size(), credit - sent_));
     const ByteSpan first = a.first(std::min(take, a.size()));
     const ByteSpan second = b.first(take - first.size());
-    publish(first, second, traced);
+    if (!publish(first, second, traced)) break;
     sent_ += take;
+    written += take;
     a = a.subspan(first.size());
     b = b.subspan(second.size());
+  }
+  if (!a.empty() || !b.empty()) {
+    throw io::WriteStopped{written, "write on closed mux stream"};
   }
 }
 

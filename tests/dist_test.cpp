@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "core/network.hpp"
 #include "dist/node.hpp"
 #include "dist/remote_streams.hpp"
 #include "dist/ship.hpp"
+#include "io/sequence.hpp"
 #include "io/data.hpp"
 #include "net/mux.hpp"
 #include "obs/flight.hpp"
@@ -705,6 +711,161 @@ TEST(Ship, MnProducersPastTheCreditWindowKeepPace) {
           << "channel " << i << " token " << k;
     }
   }
+}
+
+// --- The Sequence layer over remote segments --------------------------------
+
+/// One remote channel segment: the producer's end (a FrameChannelOutput
+/// over a dialed mux stream) and the consumer's accepted stream.
+struct MuxSegment {
+  std::shared_ptr<FrameChannelOutput> out;
+  std::shared_ptr<net::Stream> in;
+};
+
+MuxSegment open_mux_segment(net::Listener& listener, std::size_t window) {
+  net::DialOptions options;
+  options.stream_window = window;
+  auto client = net::default_transport().dial("127.0.0.1", listener.port(),
+                                              options);
+  return {std::make_shared<FrameChannelOutput>(std::move(client),
+                                               PeerAddress{}),
+          listener.accept()};
+}
+
+/// Reads `stream` to its end.
+ByteVector drain(net::Stream& stream) {
+  ByteVector all;
+  ByteVector buffer(4096);  // whole tokens, as the window
+  while (const std::size_t n =
+             stream.read_some({buffer.data(), buffer.size()})) {
+    all.insert(all.end(), buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return all;
+}
+
+TEST(SequenceOverMux, SwitchRacingWriterKeepsExactByteOrder) {
+  // SequenceOutput.SwitchRacingWriterKeepsExactByteOrder on mux-stream
+  // segments.  Each switch ends the old stream with a FIN while the
+  // writer races it, often parked on the 4 KiB window; one reader drains
+  // the streams in order.  They concatenate to exactly the bytes written,
+  // and as the window and every read hold whole tokens, each 8-byte
+  // write is one publish and lands whole in one stream.  Halfway, the
+  // writer waits for the first switch, so the first stream must not hold
+  // the rest.
+  constexpr std::uint64_t kTokens = 100000;
+  constexpr int kSwitches = 100;
+  constexpr std::size_t kWindow = 4096;
+  auto listener = net::default_transport().listen(0);
+  std::vector<MuxSegment> segments{open_mux_segment(*listener, kWindow)};
+  auto seq = std::make_shared<io::SequenceOutputStream>(segments[0].out);
+
+  std::mutex mutex;
+  std::condition_variable opened;
+  std::vector<std::shared_ptr<net::Stream>> ins{segments[0].in};
+  bool all_opened = false;
+  std::vector<ByteVector> received;
+  std::jthread reader{[&] {
+    for (std::size_t k = 0;; ++k) {
+      std::shared_ptr<net::Stream> in;
+      {
+        std::unique_lock lock{mutex};
+        opened.wait(lock, [&] { return k < ins.size() || all_opened; });
+        if (k == ins.size()) return;
+        in = ins[k];
+      }
+      received.push_back(drain(*in));
+    }
+  }};
+  std::atomic<bool> writing{true};
+  std::atomic<int> switches{0};
+  std::jthread writer{[&] {
+    for (std::uint64_t i = 0; i < kTokens; ++i) {
+      if (i == kTokens / 2) {
+        while (switches.load() == 0) std::this_thread::yield();
+      }
+      std::uint8_t token[8];
+      put_u64(token, i);
+      seq->write({token, sizeof token});
+    }
+    writing.store(false);
+  }};
+  for (int i = 0; i < kSwitches && writing.load(); ++i) {
+    segments.push_back(open_mux_segment(*listener, kWindow));
+    {
+      std::scoped_lock lock{mutex};
+      ins.push_back(segments.back().in);
+    }
+    opened.notify_one();
+    seq->switch_to(segments.back().out, /*close_old=*/i % 2 == 0);
+    switches.fetch_add(1);
+  }
+  writer.join();
+  seq->close();
+  // Ends a segment a switch failed to end, so the reader cannot hang.
+  for (const MuxSegment& segment : segments) segment.out->close();
+  {
+    std::scoped_lock lock{mutex};
+    all_opened = true;
+  }
+  opened.notify_one();
+  reader.join();
+  EXPECT_GT(segments.size(), 2u);
+  EXPECT_LE(received.front().size(), kTokens / 2 * 8)
+      << "the first switch missed";
+  ByteVector all;
+  for (const ByteVector& bytes : received) {
+    EXPECT_EQ(bytes.size() % 8, 0u);
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  }
+  ASSERT_EQ(all.size(), kTokens * 8);
+  for (std::uint64_t i = 0; i < kTokens; ++i) {
+    ASSERT_EQ(get_u64(all.data() + 8 * i), i);
+  }
+}
+
+TEST(SequenceOverMux, CutStopsTheWriterParkedOnTheWindow) {
+  // The writer has spent the old stream's 16-byte window and parks on
+  // it; nothing reads that stream yet.  The switch returns without
+  // waiting; the FIN wakes the writer, which finishes on the successor.
+  // The old stream holds the window's 16 bytes, then its end.
+  auto listener = net::default_transport().listen(0);
+  MuxSegment old_segment = open_mux_segment(*listener, 16);
+  MuxSegment next_segment = open_mux_segment(*listener, 1024);
+  auto seq = std::make_shared<io::SequenceOutputStream>(old_segment.out);
+  ByteVector history(64);
+  std::iota(history.begin(), history.end(), std::uint8_t{0});
+  std::promise<void> wrote;
+  const std::uint64_t stalls = net::mux_stats().credit_stalls;
+  std::jthread writer{[&] {
+    try {
+      seq->write({history.data(), history.size()});
+      wrote.set_value();
+    } catch (...) {
+      wrote.set_exception(std::current_exception());
+    }
+  }};
+  // The window is spent: the writer stalls on it.
+  while (net::mux_stats().credit_stalls == stalls) std::this_thread::yield();
+  auto cut = std::async(std::launch::async, [&] {
+    seq->switch_to(next_segment.out, /*close_old=*/true);
+  });
+  if (cut.wait_for(std::chrono::seconds{5}) != std::future_status::ready) {
+    old_segment.in->close();  // unwedges the writer with an RST
+    FAIL() << "the cut waited for the write in flight";
+  }
+  auto done = wrote.get_future();
+  if (done.wait_for(std::chrono::seconds{5}) != std::future_status::ready) {
+    old_segment.in->close();
+    FAIL() << "the stopped writer did not resume";
+  }
+  done.get();
+  seq->close();
+  ByteVector got = drain(*old_segment.in);
+  EXPECT_EQ(got.size(), 16u);
+  const ByteVector rest = drain(*next_segment.in);
+  got.insert(got.end(), rest.begin(), rest.end());
+  EXPECT_EQ(got, history);
 }
 
 }  // namespace

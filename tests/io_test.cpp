@@ -3,11 +3,13 @@
 #include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <functional>
 #include <future>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "io/blocking.hpp"
 #include "io/data.hpp"
@@ -557,28 +559,6 @@ TEST(SequenceOutput, WriteAfterCloseThrows) {
       seq.switch_to(std::make_shared<MemoryOutputStream>(), false), IoError);
 }
 
-TEST(SequenceOutput, SwitchWaitsForInFlightWrite) {
-  // A writer blocked on a full pipe is unwedged by set_unbounded, after
-  // which switch_to can proceed -- the protocol used when shipping a
-  // consuming endpoint.
-  auto pipe = std::make_shared<Pipe>(2);
-  auto seq = std::make_shared<SequenceOutputStream>(
-      std::make_shared<LocalOutputStream>(pipe));
-  std::jthread writer{[&] {
-    const ByteVector big(64, 5);
-    seq->write({big.data(), big.size()});  // blocks on the tiny pipe
-  }};
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  pipe->set_unbounded();
-  auto target = std::make_shared<MemoryOutputStream>();
-  seq->switch_to(target, false);
-  writer.join();
-  // Everything the writer wrote landed in the pipe, in order, before the
-  // switch; nothing leaked into the new stream.
-  EXPECT_EQ(pipe->size(), 64u);
-  EXPECT_TRUE(target->data().empty());
-}
-
 // --- The endpoint contract: one reader, one writer, locks only at a cut ----
 
 /// CPU seconds this process has used so far, all threads.
@@ -590,18 +570,32 @@ double process_cpu_seconds() {
              1e-6;
 }
 
+/// An unbounded pipe: every write to it is one publish.
+std::shared_ptr<Pipe> unbounded_pipe() {
+  auto pipe = std::make_shared<Pipe>();
+  pipe->set_unbounded();
+  return pipe;
+}
+
 TEST(SequenceOutput, SwitchRacingWriterKeepsExactByteOrder) {
   // The writer never stops while the cut side switches the stream under
-  // it over and over: the segments, concatenated, are exactly the bytes
-  // written, each whole write inside one segment.
+  // it over and over, closing or only stopping the old pipe: the pipes,
+  // concatenated, are exactly the bytes written, and each 8-byte write --
+  // one publish -- lands whole in one of them.  Halfway, the writer waits
+  // for the first switch, so the first pipe must not hold the rest.
   constexpr std::uint64_t kTokens = 200000;
   constexpr int kSwitches = 300;
-  std::vector<std::shared_ptr<MemoryOutputStream>> segments{
-      std::make_shared<MemoryOutputStream>()};
-  auto seq = std::make_shared<SequenceOutputStream>(segments.front());
+  std::vector<std::shared_ptr<Pipe>> segments{unbounded_pipe()};
+  const std::shared_ptr<Pipe> first = segments.front();
+  auto seq = std::make_shared<SequenceOutputStream>(
+      std::make_shared<LocalOutputStream>(first));
   std::atomic<bool> writing{true};
+  std::atomic<int> switches{0};
   std::jthread writer{[&] {
     for (std::uint64_t i = 0; i < kTokens; ++i) {
+      if (i == kTokens / 2) {
+        while (switches.load() == 0) std::this_thread::yield();
+      }
       std::uint8_t token[8];
       put_u64(token, i);
       seq->write({token, sizeof token});
@@ -609,15 +603,19 @@ TEST(SequenceOutput, SwitchRacingWriterKeepsExactByteOrder) {
     writing.store(false);
   }};
   for (int i = 0; i < kSwitches && writing.load(); ++i) {
-    segments.push_back(std::make_shared<MemoryOutputStream>());
-    seq->switch_to(segments.back(), /*close_old=*/i % 2 == 0);
+    segments.push_back(unbounded_pipe());
+    seq->switch_to(std::make_shared<LocalOutputStream>(segments.back()),
+                   /*close_old=*/i % 2 == 0);
+    switches.fetch_add(1);
   }
   writer.join();
   EXPECT_GT(segments.size(), 2u);
+  EXPECT_LE(first->size(), kTokens / 2 * 8) << "the first switch missed";
   ByteVector all;
   for (const auto& segment : segments) {
-    EXPECT_EQ(segment->data().size() % 8, 0u);
-    all.insert(all.end(), segment->data().begin(), segment->data().end());
+    const ByteVector bytes = segment->steal_buffer();
+    EXPECT_EQ(bytes.size() % 8, 0u);
+    all.insert(all.end(), bytes.begin(), bytes.end());
   }
   ASSERT_EQ(all.size(), kTokens * 8);
   for (std::uint64_t i = 0; i < kTokens; ++i) {
@@ -683,67 +681,133 @@ TEST(SequenceInput, AppendRacingReaderLosesNothing) {
   EXPECT_EQ(seq->pending(), 0u);
 }
 
-TEST(SequenceOutput, CutWaitingOnBlockedWriterUsesNoCpuOnThreads) {
-  auto pipe = std::make_shared<Pipe>(2);
-  auto seq = std::make_shared<SequenceOutputStream>(
-      std::make_shared<LocalOutputStream>(pipe));
-  std::jthread writer{[&] {
-    const ByteVector big(64, 5);
-    seq->write({big.data(), big.size()});  // blocks on the tiny pipe
-  }};
-  while (pipe->blocked_writers() == 0) std::this_thread::yield();
-  std::jthread unblocker{[&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{200});
-    pipe->set_unbounded();
-  }};
-  const double cpu_before = process_cpu_seconds();
-  const auto start = std::chrono::steady_clock::now();
-  seq->switch_to(std::make_shared<MemoryOutputStream>(), false);
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  const double cpu = process_cpu_seconds() - cpu_before;
-  EXPECT_GE(wall, 0.15);
-  EXPECT_LT(cpu, 0.05) << "the cut spun while the write was blocked";
-  EXPECT_EQ(pipe->size(), 64u);
+/// Closes `pipe`'s read end unless `done` is set within 5 s: a writer a
+/// cut failed to stop, still parked on the pipe, then fails its write
+/// instead of hanging the test.
+void rescue_parked_writer(Pipe& pipe, const std::atomic<bool>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  if (!done.load()) pipe.close_read();
 }
 
-TEST(SequenceOutput, CutWaitingOnBlockedWriterFreesTheOnlyWorker) {
-  // One M:N worker runs both the writer and the cut.  The cut parks its
-  // fiber, so the worker is free to resume the writer once a thread
-  // unblocks the pipe; a cut that blocked or spun on the worker would
-  // hang or burn the 200 ms.
-  auto pipe = std::make_shared<Pipe>(2);
+ByteVector counting_bytes(std::size_t n) {
+  ByteVector bytes(n);
+  std::iota(bytes.begin(), bytes.end(), std::uint8_t{0});
+  return bytes;
+}
+
+TEST(SequenceOutput, CutStopsTheParkedWriterOnThreads) {
+  // The writer parks inside its segment, a 2-byte pipe that nothing
+  // drains, for 200 ms without spinning.  The switch returns without
+  // waiting for it: the stop wakes the writer, which finishes the write
+  // on the successor.  The two pipes hold exactly the history.
+  auto old_pipe = std::make_shared<Pipe>(2);
+  auto next_pipe = std::make_shared<Pipe>(1024);
   auto seq = std::make_shared<SequenceOutputStream>(
-      std::make_shared<LocalOutputStream>(pipe));
-  auto target = std::make_shared<MemoryOutputStream>();
+      std::make_shared<LocalOutputStream>(old_pipe));
+  const ByteVector history = counting_bytes(64);
+  std::atomic<bool> done{false};
+  std::jthread writer{[&] {
+    try {
+      seq->write({history.data(), history.size()});
+      done.store(true);
+    } catch (const IoError&) {
+    }
+  }};
+  std::jthread rescue{[&] { rescue_parked_writer(*old_pipe, done); }};
+  while (old_pipe->blocked_writers() == 0) std::this_thread::yield();
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds{200});
+  EXPECT_LT(process_cpu_seconds() - cpu_before, 0.05)
+      << "the parked writer spun";
+
+  auto cut = std::async(std::launch::async, [&] {
+    seq->switch_to(std::make_shared<LocalOutputStream>(next_pipe), false);
+  });
+  ASSERT_EQ(cut.wait_for(std::chrono::seconds{5}), std::future_status::ready)
+      << "the cut waited for the write in flight";
+  writer.join();
+  ASSERT_TRUE(done.load()) << "the stopped writer did not resume";
+  ByteVector got = old_pipe->steal_buffer();
+  EXPECT_EQ(got.size(), 2u);
+  const ByteVector rest = next_pipe->steal_buffer();
+  got.insert(got.end(), rest.begin(), rest.end());
+  EXPECT_EQ(got, history);
+}
+
+TEST(SequenceOutput, CutStopsTheParkedWriterOnTheOnlyWorker) {
+  // One M:N worker runs the writer, parked on a full pipe, and then the
+  // cut.  The cut neither waits nor spins: it stops the pipe and returns,
+  // and the worker resumes the writer, which finishes on the successor.
+  auto old_pipe = std::make_shared<Pipe>(2);
+  auto next_pipe = std::make_shared<Pipe>(1024);
+  auto seq = std::make_shared<SequenceOutputStream>(
+      std::make_shared<LocalOutputStream>(old_pipe));
+  const ByteVector history = counting_bytes(72);
+  std::atomic<bool> done{false};
   sched::Scheduler scheduler{
       {.mode = sched::SchedMode::kWorkSteal, .workers = 1}};
   scheduler.spawn([&] {
-    const ByteVector big(64, 5);
-    seq->write({big.data(), big.size()});
-    seq->write({big.data(), 8});  // after the cut: into the target
+    try {
+      seq->write({history.data(), 64});
+      seq->write({history.data() + 64, 8});  // on the successor from the start
+      done.store(true);
+    } catch (const IoError&) {
+    }
   });
-  while (pipe->blocked_writers() == 0) std::this_thread::yield();
+  std::jthread rescue{[&] { rescue_parked_writer(*old_pipe, done); }};
+  while (old_pipe->blocked_writers() == 0) std::this_thread::yield();
   const double cpu_before = process_cpu_seconds();
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<double> cut_done{0};
+  std::this_thread::sleep_for(std::chrono::milliseconds{200});
   scheduler.spawn([&] {
-    seq->switch_to(target, false);
-    cut_done.store(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count());
+    seq->switch_to(std::make_shared<LocalOutputStream>(next_pipe), false);
   });
-  std::jthread unblocker{[&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{200});
-    pipe->set_unbounded();
-  }};
   scheduler.wait_quiescent();
-  const double cpu = process_cpu_seconds() - cpu_before;
-  EXPECT_GE(cut_done.load(), 0.15);
-  EXPECT_LT(cpu, 0.05) << "the cut spun while the write was blocked";
-  EXPECT_EQ(pipe->size(), 64u);
-  EXPECT_EQ(target->data().size(), 8u);
+  EXPECT_LT(process_cpu_seconds() - cpu_before, 0.05)
+      << "the parked writer or the cut spun";
+  ASSERT_TRUE(done.load()) << "the stopped writer did not resume";
+  ByteVector got = old_pipe->steal_buffer();
+  EXPECT_EQ(got.size(), 2u);
+  const ByteVector rest = next_pipe->steal_buffer();
+  got.insert(got.end(), rest.begin(), rest.end());
+  EXPECT_EQ(got, history);
+}
+
+TEST(SequenceOutput, CloseStopsTheParkedWriter) {
+  // close() from another thread is a cut with no successor: the parked
+  // write fails with IoError, and the pipe ends after its bytes.
+  auto pipe = std::make_shared<Pipe>(2);
+  auto seq = std::make_shared<SequenceOutputStream>(
+      std::make_shared<LocalOutputStream>(pipe));
+  const ByteVector history = counting_bytes(64);
+  std::promise<bool> failed;
+  std::atomic<bool> done{false};
+  std::jthread writer{[&] {
+    try {
+      seq->write({history.data(), history.size()});
+      failed.set_value(false);
+    } catch (const WriteStopped&) {
+      failed.set_value(false);  // the sequence's own IoError, not this
+    } catch (const IoError&) {
+      failed.set_value(true);
+    }
+    done.store(true);
+  }};
+  std::jthread rescue{[&] { rescue_parked_writer(*pipe, done); }};
+  while (pipe->blocked_writers() == 0) std::this_thread::yield();
+  seq->close();
+  auto result = failed.get_future();
+  ASSERT_EQ(result.wait_for(std::chrono::seconds{5}),
+            std::future_status::ready);
+  EXPECT_TRUE(result.get());
+  EXPECT_TRUE(pipe->write_closed());
+  LocalInputStream reader{pipe};
+  ByteVector out(2);
+  EXPECT_EQ(reader.read_some({out.data(), 2}), 2u);
+  EXPECT_EQ(reader.read(), -1);
 }
 
 // --- Data streams -----------------------------------------------------------

@@ -12,13 +12,17 @@ Addresses are mapped to (object file, ELF address) through the maps and
 the file's PT_LOAD headers, then resolved in one `addr2line -a -f -i -C`
 call per object, so inlined frames count as frames of their own.  Return
 addresses are looked up one byte back, at the call instruction.  Where
-addr2line knows no name (a stripped library) the nearest exported symbol
-from `nm -D` names the frame.
+addr2line finds no line (a stripped library) its name is only the
+nearest symbol below the address, so the symbol from `nm -S` or
+`nm -D -S` whose extent holds the address names the frame instead; an
+address past every symbol's end (a static function) prints as
+`?? (<lib>)`.
 
 Prints three tables, each as a share of all samples:
-  * self by line: the innermost (inlined) frame outside library headers
-    under /usr/, so an inlined std::atomic operation counts on the line
-    that called it;
+  * self by line: the innermost (inlined) frame with a source line,
+    outside library headers under /usr/, so an inlined std::atomic
+    operation counts on the line that called it, and a stripped
+    library's frame on the caller's line;
   * self by function: the innermost function;
   * inclusive by function: samples with the function anywhere on the
     stack, counted once per sample.
@@ -88,15 +92,35 @@ def locate(addr, maps):
     return None
 
 
-def exported_symbols(path, cache={}):
+def sized_symbols(path, cache={}):
+    """Sorted starts, and (start, end, name), of the symbols with a size."""
     if path not in cache:
-        out = subprocess.run(["nm", "-D", "--defined-only", path],
-                             capture_output=True, text=True).stdout
-        syms = sorted((int(p[0], 16), p[2]) for p in
-                      (line.split() for line in out.splitlines())
-                      if len(p) == 3)
-        cache[path] = ([a for a, _ in syms], [n for _, n in syms])
+        syms = set()
+        for table in ([], ["-D"]):  # the symbol table, if not stripped
+            out = subprocess.run(["nm", *table, "-S", "--defined-only", path],
+                                 capture_output=True, text=True).stdout
+            syms.update((int(p[0], 16), int(p[0], 16) + int(p[1], 16), p[3])
+                        for p in (line.split() for line in out.splitlines())
+                        if len(p) == 4)
+        syms = sorted(syms)
+        cache[path] = ([start for start, _, _ in syms], syms)
     return cache[path]
+
+
+def symbol_name(path, addr):
+    """`symbol+offset` of the sized symbol holding `addr`, or None."""
+    starts, syms = sized_symbols(path)
+    k = bisect.bisect_right(starts, addr) - 1
+    # Symbols may nest or alias: look back a little for one that holds it.
+    for start, end, name in reversed(syms[max(0, k - 7):k + 1]):
+        if start <= addr < end:
+            return f"{name}+{addr - start:#x}"
+    return None
+
+
+def has_line(loc):
+    """True for an addr2line location with a line number in our code."""
+    return loc != "(system)" and not loc.endswith((":?", ":0"))
 
 
 def symbolize(path, addrs):
@@ -120,12 +144,10 @@ def symbolize(path, addrs):
             loc = "(system)"  # a library header's inline frame
         result[current].append((func, loc.rsplit("/", 1)[-1]))
         i += 2
-    starts, names = exported_symbols(path)
     base = path.rsplit("/", 1)[-1]
     for addr, frames in result.items():
-        if frames and frames[0][0] == "??":
-            k = bisect.bisect_right(starts, addr) - 1
-            name = f"{names[k]}+{addr - starts[k]:#x}" if k >= 0 else "??"
+        if all(loc.startswith("??") for _, loc in frames):
+            name = symbol_name(path, addr) or "??"
             result[addr] = [(f"{name} ({base})", f"{base}:?")]
     return result
 
@@ -172,7 +194,7 @@ def main():
         for key in frames:
             expanded.extend(names.get(key, [(f"?? ({key[0]})", "??:0")]))
         self_func[expanded[0][0]] += 1
-        own = next((f for f in expanded if f[1] != "(system)"), expanded[0])
+        own = next((f for f in expanded if has_line(f[1])), expanded[0])
         self_line[f"{own[1]} {own[0]}"] += 1
         for func in {f for f, _ in expanded}:
             inclusive[func] += 1
