@@ -130,8 +130,10 @@ class MuxTransport;
 // mutex_ is taken only to park, to wake a sleeper, for traced frames, and
 // at a cut (shutdown, RST, FIN and its end message, connection death).
 // Parking is the sleeper handshake of sched::Sleepers, shared with
-// io::Pipe and io::TypedRing: a parker counts itself and then re-checks;
-// a publisher moves its word and then reads the count.
+// io::RingCore (io::Pipe, io::TypedRing): a parker counts itself and then
+// re-checks; a publisher moves its word and then reads the count.  The
+// stream keeps its own words rather than a RingCore (DESIGN.md section 6
+// item 3 names the states that differ).
 //
 // Lock order (deadlock-free): user threads take stream.mutex_ and
 // connection.send_mutex_ never together; loop dispatch releases

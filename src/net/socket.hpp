@@ -8,7 +8,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "io/stream.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -143,40 +142,6 @@ class ServerSocket {
   /// loop thread reads the descriptor while the owner shuts it down.
   std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
-};
-
-/// InputStream over a shared connected socket (the receive direction).
-class SocketInputStream final : public io::InputStream {
- public:
-  explicit SocketInputStream(std::shared_ptr<Socket> socket)
-      : socket_(std::move(socket)) {}
-
-  std::size_t read_some(MutableByteSpan out) override {
-    return socket_->read_some(out);
-  }
-
-  void close() override { socket_->shutdown_read(); }
-
-  const std::shared_ptr<Socket>& socket() const { return socket_; }
-
- private:
-  std::shared_ptr<Socket> socket_;
-};
-
-/// OutputStream over a shared connected socket (the send direction).
-class SocketOutputStream final : public io::OutputStream {
- public:
-  explicit SocketOutputStream(std::shared_ptr<Socket> socket)
-      : socket_(std::move(socket)) {}
-
-  void write(ByteSpan data) override { socket_->write_all(data); }
-
-  void close() override { socket_->shutdown_write(); }
-
-  const std::shared_ptr<Socket>& socket() const { return socket_; }
-
- private:
-  std::shared_ptr<Socket> socket_;
 };
 
 }  // namespace dpn::net

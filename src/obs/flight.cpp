@@ -149,6 +149,8 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kNetRecv: return "net.recv";
     case FlightKind::kShipSend: return "ship.send";
     case FlightKind::kShipRecv: return "ship.recv";
+    case FlightKind::kQueueWait: return "sched.queue.wait";
+    case FlightKind::kQueueResume: return "sched.queue.resume";
   }
   return "unknown";
 }
@@ -236,9 +238,9 @@ FlightExport FlightExport::decode(ByteSpan bytes) {
 std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   struct Wait {
     bool writing = false;
-    std::uint64_t ch = 0;  // the rendezvous token when `rendezvous`
+    std::uint64_t ch = 0;  // the token or queue id off a channel
     std::uint64_t buffered = 0;
-    bool rendezvous = false;
+    const char* off_channel = nullptr;  // what a wait off a channel awaits
   };
   std::map<std::uint64_t, std::string> labels;
   std::map<std::uint64_t, std::set<std::string>> readers;
@@ -246,7 +248,6 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   std::map<std::string, Wait> blocked;
   for (const FlightEvent& ev : events) {
     const auto kind = static_cast<FlightKind>(ev.kind);
-    if (!is_channel_kind(kind)) continue;
     const std::string who = actor_of(ev);
     switch (kind) {
       case FlightKind::kChanLabel:
@@ -267,11 +268,16 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
         blocked[who] = Wait{true, ev.a, ev.b};
         break;
       case FlightKind::kRendezvousWait:
-        blocked[who] = Wait{false, ev.a, 0, true};
+        blocked[who] =
+            Wait{false, ev.a, 0, "awaiting its remote peer (rendezvous token "};
+        break;
+      case FlightKind::kQueueWait:
+        blocked[who] = Wait{false, ev.a, 0, "popping an empty queue (queue "};
         break;
       case FlightKind::kChanUnblockRead:
       case FlightKind::kChanUnblockWrite:
       case FlightKind::kRendezvousResume:
+      case FlightKind::kQueueResume:
         blocked.erase(who);
         break;
       default:
@@ -282,9 +288,8 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   const auto describe = [&](const std::string& who) {
     const Wait& w = blocked.at(who);
     std::string line = who;
-    if (w.rendezvous) {
-      return line + " blocked awaiting its remote peer (rendezvous token " +
-             std::to_string(w.ch) + ")";
+    if (w.off_channel != nullptr) {
+      return line + " blocked " + w.off_channel + std::to_string(w.ch) + ")";
     }
     line += w.writing ? " blocked writing ch" : " blocked reading ch";
     line += std::to_string(w.ch);
@@ -302,7 +307,7 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   }
   for (const auto& [who, wait] : blocked) {
     out += "  " + describe(who);
-    if (!wait.rendezvous) {
+    if (wait.off_channel == nullptr) {
       out += " (" + std::to_string(wait.buffered) + " bytes buffered)";
     }
     out += "\n";
@@ -314,7 +319,8 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
   const auto successors = [&](const std::string& who) {
     std::vector<std::string> next;
     const Wait& w = blocked.at(who);
-    if (w.rendezvous) return next;  // its peer is on another host
+    // A rendezvous peer is on another host; a queue has no named writer.
+    if (w.off_channel != nullptr) return next;
     const auto& peers = w.writing ? readers[w.ch] : writers[w.ch];
     for (const std::string& peer : peers) {
       if (peer != who && blocked.count(peer) != 0) next.push_back(peer);

@@ -121,6 +121,10 @@ enum class FlightKind : std::uint8_t {
   kNetRecv = 34,
   kShipSend = 35,
   kShipRecv = 36,
+  // A process parked in an empty sched::BlockingQueue's pop (a = queue
+  // id; resume: b = nanoseconds parked).  Who = the process.
+  kQueueWait = 37,
+  kQueueResume = 38,
 };
 
 const char* to_string(FlightKind kind);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -14,9 +16,16 @@
 /// thread.  With one worker that would be an instant deadlock (the Turnstile
 /// waiting for results that can only be produced by fibers its own wait
 /// is starving).  pop() therefore parks on sched::Waiters, like every
-/// channel wait; producers may be plain threads (the Turnstile's
-/// forwarders are) or fibers, push never blocks.
+/// channel wait, and names the queue to the flight recorder; producers
+/// may be plain threads (the Turnstile's forwarders are) or fibers, push
+/// never blocks.
 namespace dpn::sched {
+
+/// Numbers the queues 1, 2, ... in construction order, for flight events.
+inline std::uint64_t next_queue_id() {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 /// Unbounded multi-producer multi-consumer queue with close semantics.
 /// pop() blocks until an item is available or the queue is closed *and*
@@ -37,7 +46,9 @@ class BlockingQueue {
   /// from a fiber (suspends it) or a plain thread.
   std::optional<T> pop() {
     std::unique_lock lock{mutex_};
-    while (items_.empty() && !closed_) waiters_.wait(lock);
+    while (items_.empty() && !closed_) {
+      waiters_.wait(lock, WaitTag::popping(id_));
+    }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
@@ -60,6 +71,7 @@ class BlockingQueue {
   }
 
  private:
+  const std::uint64_t id_ = next_queue_id();
   std::mutex mutex_;
   Waiters waiters_;
   std::deque<T> items_;

@@ -42,6 +42,11 @@ struct WaitTag {
     return {true, obs::FlightKind::kRendezvousWait,
             obs::FlightKind::kRendezvousResume, token, 0, nullptr};
   }
+  /// Popping the empty sched::BlockingQueue numbered `queue`.
+  static WaitTag popping(std::uint64_t queue) {
+    return {true, obs::FlightKind::kQueueWait, obs::FlightKind::kQueueResume,
+            queue, 0, nullptr};
+  }
 
   /// Record `block` (a = id, b = detail) on parking and `unblock`
   /// (a = id, b = nanoseconds parked) on waking.
@@ -116,9 +121,10 @@ class Waiters {
 };
 
 /// One side's sleepers of a lock-free single-producer single-consumer
-/// channel (io::Pipe, io::TypedRing, a mux stream's two directions): a
-/// Waiters list plus a lock-free mirror of its count, so that a steady
-/// stream, which never parks, never takes the owner's mutex to wake.
+/// channel (io::RingCore under io::Pipe and io::TypedRing, a mux
+/// stream's two directions): a Waiters list plus a lock-free mirror of
+/// its count, so that a steady stream, which never parks, never takes the
+/// owner's mutex to wake.
 ///
 /// The handshake is Dekker's.  A publisher moves the index word a parker
 /// waits on with a seq_cst read-modify-write, then calls wake(), whose

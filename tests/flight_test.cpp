@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "rmi/compute_server.hpp"
+#include "sched/queue.hpp"
 #include "support/error.hpp"
 
 namespace dpn {
@@ -323,6 +325,38 @@ TEST(FlightWaitFor, ConsumerParkedOnTypedChannelIsNamed) {
             std::string::npos)
       << report;
   ch->output()->close();
+}
+
+TEST(FlightWaitFor, ProcessParkedOnBlockingQueueIsNamed) {
+  // A pop on an empty BlockingQueue (the Turnstile's arrivals) records a
+  // block event naming the process, so a post-mortem names a process
+  // stalled there.
+  obs::flight_reset();
+  sched::BlockingQueue<int> queue;
+  std::jthread consumer{[&] {
+    obs::flight_set_actor("turnstile");
+    (void)queue.pop();
+  }};
+  const auto parked = [] {
+    for (const obs::FlightEvent& ev : obs::flight_export().events) {
+      if (ev.kind == raw(obs::FlightKind::kQueueWait) &&
+          who_of(ev) == "turnstile") {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{20};
+  while (!parked() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const std::string report =
+      obs::flight_report(obs::flight_export().events, "queue wait");
+  EXPECT_NE(report.find("turnstile blocked popping an empty queue"),
+            std::string::npos)
+      << report;
+  queue.push(1);
 }
 
 // --- End-to-end: deadlock dump on disk --------------------------------------

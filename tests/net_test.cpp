@@ -3,7 +3,6 @@
 #include <future>
 #include <thread>
 
-#include "io/memory.hpp"
 #include "net/event_loop.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
@@ -91,26 +90,6 @@ TEST(Socket, LocalhostNameResolves) {
 TEST(Socket, EphemeralPortAssigned) {
   ServerSocket server{0};
   EXPECT_GT(server.port(), 0);
-}
-
-TEST(SocketStreams, StreamOverSocket) {
-  ServerSocket server{0};
-  std::jthread echo{[&] {
-    auto peer = std::make_shared<Socket>(server.accept());
-    SocketInputStream in{peer};
-    SocketOutputStream out{peer};
-    io::pump(in, out);
-  }};
-  auto client =
-      std::make_shared<Socket>(Socket::connect("127.0.0.1", server.port()));
-  SocketOutputStream out{client};
-  SocketInputStream in{client};
-  const std::string message = "through the stream stack";
-  out.write(as_bytes(message));
-  out.close();  // half-close ends the echo pump
-  ByteVector reply(message.size());
-  io::read_fully(in, {reply.data(), reply.size()});
-  EXPECT_EQ(dpn::to_string(ByteSpan{reply.data(), reply.size()}), message);
 }
 
 // --- Event-loop timer wheel --------------------------------------------------

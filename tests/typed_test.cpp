@@ -129,23 +129,35 @@ TEST(Typed, CloseReadWakesParkedProducer) {
   EXPECT_TRUE(threw.load());
 }
 
-TEST(Typed, AbortWakesParkedReader) {
-  auto ch = make_typed_channel<std::int64_t>({.capacity = 256});
-  std::atomic<bool> interrupted{false};
-  std::jthread consumer{[&] {
-    TypedReader<std::int64_t> reader{ch->input()};
-    try {
-      (void)reader.get();
-    } catch (const Interrupted&) {
-      interrupted.store(true);
-    }
-  }};
-  while (ch->state()->typed->stats().blocked_readers == 0) {
-    std::this_thread::yield();
+TEST(Typed, AbortWakesBothSides) {
+  // The reader parked on an empty ring, then the writer parked on a full
+  // one: abort wakes either with Interrupted.
+  for (const bool writer_side : {false, true}) {
+    SCOPED_TRACE(writer_side ? "parked writer" : "parked reader");
+    auto ch = make_typed_channel<std::int64_t>({.capacity = 64});
+    std::atomic<bool> interrupted{false};
+    std::jthread side{[&] {
+      try {
+        if (writer_side) {
+          TypedWriter<std::int64_t> writer{ch->output()};
+          for (std::int64_t i = 0; i < 1000; ++i) writer.put(i);
+        } else {
+          TypedReader<std::int64_t> reader{ch->input()};
+          (void)reader.get();
+        }
+      } catch (const Interrupted&) {
+        interrupted.store(true);
+      }
+    }};
+    const auto parked = [&] {
+      const auto stats = ch->state()->typed->stats();
+      return writer_side ? stats.blocked_writers : stats.blocked_readers;
+    };
+    while (parked() == 0) std::this_thread::yield();
+    ch->state()->typed->abort();
+    side.join();
+    EXPECT_TRUE(interrupted.load());
   }
-  ch->state()->typed->abort();
-  consumer.join();
-  EXPECT_TRUE(interrupted.load());
 }
 
 TEST(Typed, GrowUnblocksParkedWriter) {
