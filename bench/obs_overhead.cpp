@@ -13,11 +13,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "core/channel.hpp"
 #include "core/network.hpp"
+#include "core/process.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "net/transport.hpp"
@@ -219,6 +225,58 @@ void BM_NetworkSnapshot(benchmark::State& state) {
                           static_cast<std::int64_t>(n_channels));
 }
 BENCHMARK(BM_NetworkSnapshot)->Arg(16)->Arg(256);
+
+class EmptyStep final : public core::IterativeProcess {
+ public:
+  explicit EmptyStep(long iterations) : IterativeProcess(iterations) {}
+  std::string type_name() const override { return "bench.EmptyStep"; }
+  void write_fields(serial::ObjectOutputStream&) const override {}
+
+ protected:
+  void step() override {}
+};
+
+/// The per-step words of processes created one after another: 4
+/// EmptyStep processes, each running empty steps on its own thread.  As
+/// in micro_channels' BM_IterativeStepLoop the process objects live on
+/// this thread's stack, side by side, and their stats (obs::ProcessStats)
+/// are the only allocations, so the allocator places those side by side
+/// too.  Each step bumps its own process's step counter and budget, so a
+/// word that shares a cache line with a neighbour's pays a coherence miss
+/// per step.  ns_per_step is the wall time per step of one process, to
+/// compare with BM_IterativeStepLoop/0 (one process, no neighbour).
+void BM_ObsStepLoopNeighbours(benchmark::State& state) {
+  constexpr int kProcesses = 4;
+  constexpr long kSteps = 1 << 18;
+  double ns = 0;
+  for (auto _ : state) {
+    std::array<std::optional<EmptyStep>, kProcesses> processes;
+    for (auto& process : processes) process.emplace(kSteps);
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::jthread> threads;
+    for (auto& process : processes) {
+      threads.emplace_back([&ready, &go, &process] {
+        ready.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        process->run();
+      });
+    }
+    while (ready.load() < kProcesses) std::this_thread::yield();
+    const auto start = std::chrono::steady_clock::now();
+    go.store(true);
+    threads.clear();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  }
+  const auto steps = static_cast<double>(state.iterations()) * kSteps;
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps) * kProcesses);
+  state.counters["ns_per_step"] = ns / steps;
+}
+BENCHMARK(BM_ObsStepLoopNeighbours)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -169,5 +169,7 @@ class ByteRing {
   std::atomic<Block*> first_{nullptr};  // the first block ever linked
   std::atomic<Block*> spare_{nullptr};  // consumer -> producer
 };
+static_assert(alignof(ByteRing) == 64 && sizeof(ByteRing) == 128,
+              "each side's words fill one line of their own");
 
 }  // namespace dpn::io

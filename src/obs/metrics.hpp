@@ -24,8 +24,13 @@
 /// belong to its own thread), so increments use the single-writer idiom
 /// `store(load(relaxed) + n, relaxed)`, which compiles to a plain add --
 /// no lock-prefixed RMW.  Concurrent readers (monitor, snapshot, STATS)
-/// just see a slightly stale value.  Measured in bench/obs_overhead.cpp
-/// and held under the 3% budget.
+/// just see a slightly stale value.  A plain add is cheap only on a line
+/// no other thread writes: a counter that shares its cache line with
+/// another process's per-token counter pays a coherence miss per token,
+/// which is why the per-token structs here are line-aligned (DESIGN.md
+/// §6 item 9).  bench/obs_overhead.cpp measures both: the channel rows
+/// against the 3% budget, and BM_ObsStepLoopNeighbours for processes
+/// created one after another.
 namespace dpn::obs {
 
 /// Single-writer relaxed increment: a plain add on the owning thread,
@@ -57,6 +62,8 @@ struct ChannelMetrics {
     bump(tokens_read, 1);
   }
 };
+static_assert(alignof(ChannelMetrics) == 64 && sizeof(ChannelMetrics) == 128,
+              "each endpoint's per-token counters sit on a line of their own");
 
 /// What a process is doing right now.  "Blocked" here means "inside a
 /// channel operation": Kahn processes either compute or wait on a channel,
@@ -77,7 +84,12 @@ const char* to_string(ProcessState state);
 /// Per-process observable state.  Owned (shared_ptr) by the Process; the
 /// channel endpoints the process registers also hold a reference so they
 /// can flip the blocked states around their blocking calls.
-struct ProcessStats {
+///
+/// `state` and `steps` are written per token by the process's own thread,
+/// and processes are made one after another, each allocating its stats,
+/// so the object fills a cache line of its own (DESIGN.md §6 item 9):
+/// packed, neighbouring processes' per-token writes would share a line.
+struct alignas(64) ProcessStats {
   std::atomic<ProcessState> state{ProcessState::kIdle};
   /// Completed IterativeProcess::step() calls.
   std::atomic<std::uint64_t> steps{0};
@@ -92,6 +104,8 @@ struct ProcessStats {
     return state.load(std::memory_order_relaxed);
   }
 };
+static_assert(alignof(ProcessStats) == 64 && sizeof(ProcessStats) == 64,
+              "a process's per-token words fill one line of their own");
 
 /// Process-wide latency histograms that are not per-channel: task
 /// round-trips (recorded by the par router's ledger and by TaskFuture)

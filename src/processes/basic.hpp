@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -118,58 +119,96 @@ class PrintF64 final : public IterativeProcess {
 /// Result collector shared between a Collect process, its one writer, and
 /// the test or application that wants the values, from any thread.
 /// push() takes no lock: it builds the value in storage no reader looks at
-/// yet, then publishes the new size.  It locks only to grow the storage,
-/// which readers copy under the same lock, so a reader always sees a
-/// prefix of the pushes.  Storage is allocated, not filled, ahead of the
-/// writer: its pages are touched only as values land.
+/// yet, then publishes the new size.  Values live in chunks of 64, 64, 128,
+/// 256, ... up to kMaxChunk values, so the total capacity doubles as a
+/// vector's would but growing copies nothing: grow() only allocates the
+/// next chunk and appends it, under the lock, to the list readers walk
+/// under the same lock, so a reader always sees a prefix of the pushes.
+/// Chunks are allocated, not filled, ahead of the writer: their pages are
+/// touched only as values land.  The writer's words sit on their own cache
+/// line (DESIGN.md §6 item 9): sinks are allocated one after another, and
+/// each writer stores its size every token.
 template <typename T>
-class CollectSink {
+class alignas(64) CollectSink {
  public:
+  /// The largest chunk, in values; every chunk after it has this size.
+  static constexpr std::size_t kMaxChunk = std::size_t{1} << 16;
+
   CollectSink() = default;
   CollectSink(const CollectSink&) = delete;
   CollectSink& operator=(const CollectSink&) = delete;
 
   ~CollectSink() {
-    std::destroy_n(data_, size_.load(std::memory_order_relaxed));
-    if (data_ != nullptr) std::allocator<T>{}.deallocate(data_, capacity_);
+    std::size_t left = size_.load(std::memory_order_relaxed);
+    for (const Chunk& chunk : chunks_) {
+      const std::size_t n = std::min(left, chunk.capacity);
+      std::destroy_n(chunk.data, n);
+      left -= n;
+      std::allocator<T>{}.deallocate(chunk.data, chunk.capacity);
+    }
   }
 
   /// One writer at a time (Kahn: the sink's one Collect process).
   void push(T value) {
-    const std::size_t n = size_.load(std::memory_order_relaxed);
-    if (n == capacity_) grow(n);
-    std::construct_at(data_ + n, std::move(value));
-    size_.store(n + 1, std::memory_order_release);
+    if (next_ == limit_) grow();
+    std::construct_at(next_, std::move(value));
+    ++next_;
+    size_.store(size_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
   }
 
   std::vector<T> values() const {
     std::scoped_lock lock{mutex_};
-    return std::vector<T>(data_,
-                          data_ + size_.load(std::memory_order_acquire));
+    std::size_t left = size_.load(std::memory_order_acquire);
+    std::vector<T> out;
+    out.reserve(left);
+    for (auto chunk = chunks_.begin(); left > 0; ++chunk) {
+      const std::size_t n = std::min(left, chunk->capacity);
+      out.insert(out.end(), chunk->data, chunk->data + n);
+      left -= n;
+    }
+    return out;
   }
 
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
  private:
-  /// Moves the writer's `n` values to storage twice the size.
-  void grow(std::size_t n) {
-    std::allocator<T> alloc;
-    const std::size_t capacity = capacity_ == 0 ? 64 : 2 * capacity_;
-    T* data = alloc.allocate(capacity);
-    std::scoped_lock lock{mutex_};
-    std::uninitialized_move_n(data_, n, data);
-    std::destroy_n(data_, n);
-    if (data_ != nullptr) alloc.deallocate(data_, capacity_);
-    data_ = data;
-    capacity_ = capacity;
+  struct Chunk {
+    T* data;
+    std::size_t capacity;
+  };
+
+  /// Appends the next chunk: as large as all before it, up to kMaxChunk.
+  void grow() {
+    const std::size_t capacity =
+        total_ == 0 ? 64 : std::min(total_, kMaxChunk);
+    T* data = std::allocator<T>{}.allocate(capacity);
+    try {
+      std::scoped_lock lock{mutex_};
+      chunks_.push_back({data, capacity});
+    } catch (...) {
+      std::allocator<T>{}.deallocate(data, capacity);
+      throw;
+    }
+    total_ += capacity;
+    next_ = data;
+    limit_ = data + capacity;
   }
 
-  mutable std::mutex mutex_;
-  // Written by the writer, under mutex_; so read by readers under it.
-  T* data_ = nullptr;
-  std::size_t capacity_ = 0;  // the writer's alone
+  // The writer's line: written every push, and read by size().
   std::atomic<std::size_t> size_{0};
+  T* next_ = nullptr;   // where the next value goes
+  T* limit_ = nullptr;  // the end of the last chunk
+  std::size_t total_ = 0;  // the chunks' capacities summed
+
+  // Readers' line: the writer appends to chunks_ under mutex_, readers
+  // walk it under mutex_.
+  alignas(64) mutable std::mutex mutex_;
+  std::vector<Chunk> chunks_;
 };
+static_assert(alignof(CollectSink<std::int64_t>) == 64 &&
+                  sizeof(CollectSink<std::int64_t>) == 128,
+              "a sink's writer words fill a line no reader or peer writes");
 
 /// Collects i64 elements into a CollectSink.  Local-only (the sink lives
 /// in this address space), so it refuses to be shipped.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -501,12 +505,38 @@ TEST(Failure, RendezvousSurvivesGarbageConnection) {
 
 // --- Dead infrastructure ----------------------------------------------------------
 
+/// A loopback port bound but never listened on: every connect to it is
+/// refused, and no other socket can bind it while this one holds it (the
+/// socket is bound without SO_REUSEADDR).
+class RefusingPort {
+ public:
+  RefusingPort() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) throw NetError{"socket() failed"};
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), len) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ::close(fd_);
+      throw NetError{"bind() failed"};
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  ~RefusingPort() { ::close(fd_); }
+  RefusingPort(const RefusingPort&) = delete;
+  RefusingPort& operator=(const RefusingPort&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_;
+  std::uint16_t port_ = 0;
+};
+
 TEST(Failure, RegistryGoneThrowsCleanly) {
-  std::uint16_t dead_port = 0;
-  {
-    rmi::Registry registry{0};
-    dead_port = registry.port();
-  }  // registry stopped
+  const RefusingPort dead;
+  const std::uint16_t dead_port = dead.port();
   rmi::RegistryClient client{"127.0.0.1", dead_port};
   EXPECT_THROW(client.lookup("anything"), NetError);
   EXPECT_THROW(

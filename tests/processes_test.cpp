@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "io/memory.hpp"
 
@@ -586,6 +588,126 @@ TEST(CollectSinkContract, ReadersSeeAPrefixWhileTheWriterAppends) {
   for (std::int64_t i = 0; i < kValues; ++i) {
     ASSERT_EQ(values[static_cast<std::size_t>(i)], i);
   }
+}
+
+std::vector<std::int64_t> iota_values(std::size_t n) {
+  std::vector<std::int64_t> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = static_cast<std::int64_t>(i);
+  }
+  return values;
+}
+
+TEST(CollectSinkContract, ValuesAtChunkBoundaries) {
+  // Chunks hold 64, 64, 128, 256, ... values: a size on either side of a
+  // chunk's end, and one past the first capped chunk, reads back whole.
+  static_assert(CollectSink<std::int64_t>::kMaxChunk == std::size_t{1} << 16);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{128}, std::size_t{129},
+                              (std::size_t{1} << 17) + 3}) {
+    SCOPED_TRACE(n);
+    CollectSink<std::int64_t> sink;
+    for (std::size_t i = 0; i < n; ++i) {
+      sink.push(static_cast<std::int64_t>(i));
+    }
+    EXPECT_EQ(sink.size(), n);
+    EXPECT_EQ(sink.values(), iota_values(n));
+  }
+}
+
+TEST(CollectSinkContract, ValuesRacePushesAcrossChunkBoundaries) {
+  // The writer runs on its own thread and, at the end of each chunk,
+  // waits until the reader is in the middle of its checks, so the next
+  // push's grow() races a values() on every boundary up to the capped
+  // chunks.
+  constexpr std::size_t kValues = 3 * CollectSink<std::int64_t>::kMaxChunk + 5;
+  CollectSink<std::int64_t> sink;
+  std::atomic<bool> done{false};
+  std::atomic<int> checks{0};
+  // A failed assertion below leaves the loop; the writer then stops too.
+  std::jthread writer{[&](const std::stop_token& stop) {
+    std::size_t boundary = 64;
+    for (std::size_t i = 0; i < kValues && !stop.stop_requested(); ++i) {
+      if (i == boundary) {
+        const int seen = checks.load();
+        while (checks.load() < seen + 2 && !stop.stop_requested()) {
+          std::this_thread::yield();
+        }
+        boundary += std::min(boundary, CollectSink<std::int64_t>::kMaxChunk);
+      }
+      sink.push(static_cast<std::int64_t>(i));
+    }
+    done.store(true);
+  }};
+  std::size_t last = 0;
+  for (;;) {
+    const bool finished = done.load();
+    const std::vector<std::int64_t> values = sink.values();
+    ASSERT_GE(values.size(), last);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(values[i], static_cast<std::int64_t>(i));
+    }
+    last = values.size();
+    checks.fetch_add(1);
+    if (finished) break;
+  }
+  EXPECT_EQ(last, kValues);
+  EXPECT_EQ(sink.size(), kValues);
+}
+
+/// Counts its own destruction in `destroyed[id]`; a moved-from or copied
+/// value counts nothing.  The string is long enough to live on the heap,
+/// so a leak or a double destroy is also a sanitizer finding.
+class Tracked {
+ public:
+  Tracked(std::vector<int>& destroyed, int id)
+      : destroyed_(&destroyed), id_(id), text_(text_for(id)) {}
+  Tracked(Tracked&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)),
+        id_(other.id_),
+        text_(std::move(other.text_)) {}
+  Tracked(const Tracked& other) : id_(other.id_), text_(other.text_) {}
+  Tracked& operator=(const Tracked& other) {
+    id_ = other.id_;
+    text_ = other.text_;
+    return *this;
+  }
+  ~Tracked() {
+    if (destroyed_ != nullptr) ++(*destroyed_)[static_cast<std::size_t>(id_)];
+  }
+
+  int id() const { return id_; }
+  const std::string& text() const { return text_; }
+
+  static std::string text_for(int id) {
+    return "a value too long for the small-string buffer #" +
+           std::to_string(id);
+  }
+
+ private:
+  std::vector<int>* destroyed_ = nullptr;
+  int id_;
+  std::string text_;
+};
+
+TEST(CollectSinkContract, DestroysEveryValueExactlyOnce) {
+  // 200 values: three full chunks and part of a fourth.
+  constexpr int kValues = 200;
+  std::vector<int> destroyed(kValues, 0);
+  {
+    CollectSink<Tracked> sink;
+    for (int i = 0; i < kValues; ++i) sink.push(Tracked{destroyed, i});
+    const std::vector<Tracked> values = sink.values();
+    ASSERT_EQ(values.size(), static_cast<std::size_t>(kValues));
+    for (int i = 0; i < kValues; ++i) {
+      EXPECT_EQ(values[static_cast<std::size_t>(i)].id(), i);
+      EXPECT_EQ(values[static_cast<std::size_t>(i)].text(),
+                Tracked::text_for(i));
+    }
+    EXPECT_EQ(destroyed, std::vector<int>(kValues, 0));
+  }
+  EXPECT_EQ(destroyed, std::vector<int>(kValues, 1));
 }
 
 }  // namespace

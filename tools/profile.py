@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolizes the stack samples written by tools/sampler.c.
 
-    python3 tools/profile.py [--top 25] [--match TEXT] FILE [FILE ...]
+    python3 tools/profile.py [--top 25] [--match TEXT] [--callers TEXT]
+                             FILE [FILE ...]
 
 Each FILE is one process's output ($DPN_SAMPLER_OUT.<pid>): one
 "sample <pc> <return address>..." line per sample, then "maps" and the
@@ -27,11 +28,21 @@ Prints three tables, each as a share of all samples:
   * inclusive by function: samples with the function anywhere on the
     stack, counted once per sample.
 `--match TEXT` prints only rows whose name contains TEXT.
+
+`--callers TEXT` adds a fourth table: for every sample with a frame whose
+name matches the regular expression TEXT (say `malloc@|free@|_Znwm`,
+`mutex`, or `^\?\? \(libc` for stripped libc code such as memmove), the
+innermost frame with a source line outside the innermost matching frame,
+that is, the code that called into it, counted once per sample.  A
+sample whose matching frame has no such caller (a thread's entry frames)
+is not counted.  A stripped library frame otherwise counts only as its
+own `?? (lib)` self row, whoever called it.
 """
 
 import argparse
 import bisect
 import collections
+import re
 import struct
 import subprocess
 import sys
@@ -157,6 +168,7 @@ def main():
     parser.add_argument("files", nargs="+")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--match", default="")
+    parser.add_argument("--callers", type=re.compile, default=None)
     args = parser.parse_args()
 
     stacks = []  # per sample: [(object, elf address)]
@@ -189,6 +201,7 @@ def main():
     self_line = collections.Counter()
     self_func = collections.Counter()
     inclusive = collections.Counter()
+    callers = collections.Counter()
     for frames in stacks:
         expanded = []
         for key in frames:
@@ -198,12 +211,24 @@ def main():
         self_line[f"{own[1]} {own[0]}"] += 1
         for func in {f for f, _ in expanded}:
             inclusive[func] += 1
+        if args.callers is not None:
+            hit = next((i for i, (f, _) in enumerate(expanded)
+                        if args.callers.search(f)), None)
+            caller = None if hit is None else next(
+                (f for f in expanded[hit + 1:] if has_line(f[1])), None)
+            if caller is not None:  # not a thread's own entry frame
+                callers[f"{caller[1]} {caller[0]}"] += 1
 
     total = len(stacks)
     print(f"{total} samples from {len(args.files)} file(s)")
-    for title, counter in (("self by line", self_line),
-                           ("self by function", self_func),
-                           ("inclusive by function", inclusive)):
+    tables = [("self by line", self_line), ("self by function", self_func),
+              ("inclusive by function", inclusive)]
+    if args.callers is not None:
+        matched = sum(callers.values())
+        tables.append((f"callers of /{args.callers.pattern}/ "
+                       f"({100.0 * matched / total:.2f}% of samples)",
+                       callers))
+    for title, counter in tables:
         print(f"\n{title}:")
         rows = [(n, c) for n, c in counter.most_common()
                 if args.match in n][:args.top]
