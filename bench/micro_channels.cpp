@@ -19,7 +19,7 @@
 #include "io/pipe.hpp"
 #include "io/sequence.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "processes/basic.hpp"
 
 namespace {
@@ -213,8 +213,8 @@ void BM_MuxStreamToken(benchmark::State& state) {
   // write through a loopback mux stream pair -- what a remote channel
   // segment carries -- the writer on its own thread.  Real time is ns per
   // token.
-  auto listener = net::default_transport().listen(0);
-  auto client = net::default_transport().dial("127.0.0.1", listener->port());
+  auto listener = net::listen(0);
+  auto client = net::dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   std::jthread writer{[client] {
     std::uint8_t token[8];

@@ -29,7 +29,6 @@
 #include "dist/node.hpp"
 #include "dist/ship.hpp"
 #include "net/mux.hpp"
-#include "net/transport.hpp"
 #include "processes/basic.hpp"
 #include "processes/copy.hpp"
 #include "sched/scheduler.hpp"

@@ -26,7 +26,7 @@
 #include "core/process.hpp"
 #include "io/data.hpp"
 #include "io/memory.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "obs/flight.hpp"
 
 namespace {
@@ -115,8 +115,8 @@ void stream_write(benchmark::State& state, bool traced) {
     ambient.span_id = obs::next_span_id();
     ambient.flags = obs::TraceContext::kSampled;
   }
-  auto listener = net::default_transport().listen(0);
-  auto client = net::default_transport().dial("127.0.0.1", listener->port());
+  auto listener = net::listen(0);
+  auto client = net::dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   std::jthread drain{[server] {
     ByteVector buffer(1 << 16);

@@ -55,7 +55,7 @@ struct DeadlockCoordinator::Agent {
 };
 
 DeadlockCoordinator::DeadlockCoordinator(core::MonitorOptions options)
-    : options_(options), listener_(net::default_transport().listen(0)) {
+    : options_(options), listener_(net::listen(0)) {
   acceptor_ = std::jthread{[this] { accept_loop(); }};
   poller_ = std::jthread{[this] { poll_loop(); }};
 }
@@ -178,8 +178,7 @@ MonitorAgent::MonitorAgent(std::string name, core::Network& network,
                            const std::string& coordinator_host,
                            std::uint16_t coordinator_port)
     : name_(std::move(name)), network_(network), node_(std::move(node)) {
-  stream_ = net::dial_with_retry(net::default_transport(), coordinator_host,
-                                 coordinator_port, {});
+  stream_ = net::dial_with_retry(coordinator_host, coordinator_port, {});
   net::StreamOutput sink{stream_};
   io::DataOutputStream out{sink};
   out.write_string(name_);

@@ -11,7 +11,7 @@
 
 #include "core/network.hpp"
 #include "dist/node.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 
 /// Distributed deadlock management -- the paper's Section 6.2 future work
 /// ("we plan to apply those ideas [Parks' bounded scheduling] to our

@@ -132,7 +132,7 @@ bool StreamPromise::fulfilled() const {
 }
 
 RendezvousService::RendezvousService()
-    : listener_(net::default_transport().listen(0)) {
+    : listener_(net::listen(0)) {
   acceptor_ = std::jthread{[this] { accept_loop(); }};
 }
 
@@ -184,8 +184,7 @@ std::shared_ptr<net::Stream> RendezvousService::dial(const std::string& host,
   // shipment before every cut channel has reconnected), so a refused or
   // slow connect here retries with backoff instead of failing the whole
   // re-establishment.
-  auto stream = net::dial_with_retry(net::default_transport(), host, port,
-                                     {}, stream_window);
+  auto stream = net::dial_with_retry(host, port, {}, stream_window);
   write_hello(*stream, token, self);
   return stream;
 }

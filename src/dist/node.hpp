@@ -8,7 +8,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "sched/waiters.hpp"
 
 /// Per-server infrastructure for distributed channels.
@@ -30,9 +30,9 @@
 ///   * the rendezvous acceptor matches the token and hands the stream to
 ///     the waiting endpoint.
 ///
-/// All connections go through net::Transport, so every channel between a
-/// host pair shares one TCP connection and the rendezvous "dial" is just
-/// a new logical stream.
+/// Every connection is a mux stream (net::dial, net/mux.hpp), so every
+/// channel between a host pair shares one TCP connection and the
+/// rendezvous "dial" is just a new logical stream.
 ///
 /// Multiple NodeContexts may coexist in one OS process, which is how the
 /// tests and examples run "server A / B / C" topologies over real sockets
@@ -111,7 +111,7 @@ class RendezvousService {
 
   /// Dials a remote rendezvous and performs the HELLO handshake.
   /// `self` is this node's own rendezvous address, told to the peer.
-  /// `stream_window` is the stream's window (0 = transport default): a
+  /// `stream_window` is the stream's window (0 = net::kStreamWindow): a
   /// remote channel's bound.
   static std::shared_ptr<net::Stream> dial(const std::string& host,
                                            std::uint16_t port,

@@ -7,7 +7,7 @@
 #include "dist/node.hpp"
 #include "io/sequence.hpp"
 #include "io/stream.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "obs/flight.hpp"
 #include "sched/waiters.hpp"
 

@@ -22,6 +22,7 @@
 #include "net/event_loop.hpp"
 #include "net/reactor.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sched/waiters.hpp"
 #include "support/error.hpp"
@@ -105,201 +106,21 @@ MuxCounters& counters() {
   return c;
 }
 
-class MuxConnection;
-class MuxListener;
-class MuxTransport;
-
-// ---------------------------------------------------------------------------
-// MuxStream: one logical bidirectional stream over a shared connection.
-//
-// A steady-state token takes no lock.  Each direction is an io::ByteRing
-// with one producer and one consumer, whose bytes in flight the stream
-// windows bound: outbound, the stream's writer appends and the
-// connection's flusher (its loop thread) encodes DATA frames straight
-// from the ring; inbound, the loop thread appends DATA payloads and the
-// reader offers the ring's spans to its parser.  The callers keep
-// the Kahn rule of one reader and one writer per stream.  The state a
-// token needs rides in words it reads anyway:
-//   * out_.tail carries kOutClosed (FIN requested): a write publishes
-//     with a CAS, so a racing finish_with either follows the write's
-//     bytes or fails the write with io::WriteStopped, counting the bytes
-//     published before -- never a byte after the FIN;
-//   * in_.tail carries kReadShut, kRemoteFin and kDead, ordered after
-//     the data before them;
-//   * credit_ (granted send window) carries kStop (peer RST or death).
-// mutex_ is taken only to park, to wake a sleeper, for traced frames, and
-// at a cut (shutdown, RST, FIN and its end message, connection death).
-// Parking is the sleeper handshake of sched::Sleepers, shared with
-// io::RingCore (io::Pipe, io::TypedRing): a parker counts itself and then
-// re-checks; a publisher moves its word and then reads the count.  The
-// stream keeps its own words rather than a RingCore (DESIGN.md section 6
-// item 3 names the states that differ).
-//
-// Lock order (deadlock-free): user threads take stream.mutex_ and
-// connection.send_mutex_ never together; loop dispatch releases
-// connection.table_mutex_ before any stream call; the flusher releases
-// connection.send_mutex_ before flush_into, which takes only mutex_.
-//
-// Ready ring: `queued_` is set by whoever finds the stream idle after
-// publishing (a write, or shutdown_write), which then marks it ready;
-// flush_into clears it once the ring is drained and re-checks the tail,
-// so a stream sits in the ring at most once and is never stranded.
-
-class MuxStream final : public Stream,
-                        public std::enable_shared_from_this<MuxStream> {
- public:
-  /// `window` bounds both directions (the OPEN frame's window).
-  MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-            std::size_t window, std::size_t coalesce);
-  ~MuxStream() override;
-
-  // Stream interface -------------------------------------------------------
-  std::size_t read_some(MutableByteSpan out) override;
-  std::size_t read_in_place(ParseFn parse, bool wait) override;
-  void write_all(ByteSpan data) override { write_vectored(data, {}); }
-  void write_vectored(ByteSpan a, ByteSpan b) override;
-  void set_wait_observer(WaitObserver* observer) override {
-    std::scoped_lock lock{mutex_};
-    observer_ = observer;
-  }
-  bool wait_readable(std::chrono::milliseconds timeout) override;
-  void shutdown_write() override { finish_with({}); }
-  void finish_with(ByteSpan message) override;
-  ByteVector end_message() const override;
-  // A mux RST is scoped to this logical stream's receive direction: our
-  // queued outbound bytes and FIN still flush in order.
-  void shutdown_read() override;
-  void grant_window(std::size_t bytes) override;
-  void return_window() override;
-  void close() override {
-    shutdown_read();
-    shutdown_write();
-  }
-  std::string peer_description() const override;
-
-  // Loop-side entry points (called by MuxConnection with no locks held).
-  /// False when the payload overruns the receive window: the peer
-  /// ignored flow control and the connection must die.
-  bool on_data(ByteSpan payload, const obs::TraceContext* ctx);
-  void on_credit(std::uint32_t bytes);
-  void on_fin(ByteSpan message);
-  void on_rst();
-  void on_connection_dead(const std::string& why);
-
-  /// Flusher: appends this stream's next DATA frame (at most coalesce_
-  /// bytes) to `out`, and its FIN once the data before it is out.
-  /// Returns the frames appended; `more` reports whether the stream
-  /// stays in the ready ring.
-  std::uint64_t flush_into(ByteVector& out, bool& more);
-
-  std::uint32_t id() const { return id_; }
-
- private:
-  static constexpr std::uint64_t kPosMask = io::ByteRing::kPosMask;
-  // out_.tail: FIN requested, no write may follow.
-  static constexpr std::uint64_t kOutClosed = std::uint64_t{1} << 63;
-  // in_.tail: the local reader shut down; the peer's FIN arrived; the
-  // connection died.  The last two are set by the loop after the data.
-  static constexpr std::uint64_t kReadShut = std::uint64_t{1} << 63;
-  static constexpr std::uint64_t kRemoteFin = std::uint64_t{1} << 62;
-  static constexpr std::uint64_t kDead = std::uint64_t{1} << 61;
-  // credit_: writes fail (peer RST or connection death).
-  static constexpr std::uint64_t kStop = std::uint64_t{1} << 63;
-
-  /// The trace context of a DATA_TRACED frame's bytes [begin, end).
-  struct TraceMark {
-    std::uint64_t begin;
-    std::uint64_t end;
-    obs::TraceContext ctx;
-  };
-
-  /// Removes the stream from the connection's table once both directions
-  /// are finished (no lock held on entry).
-  void maybe_retire();
-
-  /// Reader slow path (ring empty, or read side shut).  Returns the tail
-  /// once bytes are pending; returns `head` when there is nothing to
-  /// read: at end-of-stream (`ended` set) or, with !wait, for now.
-  /// NetError if the connection died before the peer's FIN.
-  std::uint64_t await_inbound(std::uint64_t head, bool wait, bool& ended);
-  /// Parks the reader until in_.tail moves off `head`; false when
-  /// `deadline` (may be null) passed first.
-  bool park_reader(std::uint64_t head,
-                   const std::chrono::steady_clock::time_point* deadline);
-  /// Waits on `waiters` with no deadline, telling the observer.
-  void wait_observed(std::unique_lock<std::mutex>& lock,
-                     sched::Waiters& waiters, const sched::WaitTag& tag);
-  /// Reader: publishes consumption of [from, to), adopts its trace
-  /// context, and grants credit once half the window is consumed.
-  void consume(std::uint64_t from, std::uint64_t to);
-  /// Reader: grants what it consumed since the last grant.
-  void grant_consumed();
-  void adopt_trace(std::uint64_t from, std::uint64_t to);
-
-  /// Writer slow path (window exhausted, stopped or closed): false once
-  /// the write side is finished; throws on RST or connection death;
-  /// true once a retry may make progress.
-  bool await_credit();
-  /// Appends window-approved bytes and hands them to the flusher; false,
-  /// publishing nothing, once the write side is finished.
-  bool publish(ByteSpan a, ByteSpan b, bool traced);
-  /// Whoever finds the stream idle after publishing queues it.
-  void ensure_queued();
-
-  std::shared_ptr<MuxConnection> conn_;
-  const std::uint32_t id_;
-  const std::size_t coalesce_;
-  /// The window plus every grant_window: what the peer may have sent
-  /// beyond what the reader granted back.  Raised before the grant's
-  /// CREDIT leaves; the loop checks DATA against it.
-  std::atomic<std::size_t> recv_window_;
-
-  // Slow path: parking, cuts, traced frames and end messages.
-  mutable std::mutex mutex_;
-  WaitObserver* observer_ = nullptr;
-  std::string death_reason_;
-  ByteVector out_end_;  // written before kOutClosed, sent with the FIN
-  ByteVector in_end_;   // the peer's FIN message, before kRemoteFin
-  bool retired_ = false;
-  std::deque<TraceMark> out_marks_;
-  std::deque<TraceMark> in_marks_;
-  std::atomic<std::size_t> out_traced_{0};  // out_marks_.size()
-  std::atomic<std::size_t> in_traced_{0};   // in_marks_.size()
-
-  // Inbound: the loop thread appends, the reader consumes.
-  io::ByteRing in_;
-  std::size_t unacked_ = 0;  // reader: consumed, not yet granted
-  // Inbound bytes, FIN, shutdown or death.  The count is read by the
-  // loop per DATA frame, written at a park or a wake.
-  alignas(64) sched::Sleepers readers_;
-  /// CREDIT bytes granted back so far (reader writes, loop checks the
-  /// window against it).
-  std::atomic<std::uint64_t> credit_granted_{0};
-
-  // Outbound: the writer appends, the flusher consumes.
-  io::ByteRing out_;
-  std::uint64_t sent_ = 0;  // writer: bytes appended
-  /// Initial send window plus every CREDIT received (the loop adds), and
-  /// kStop.  The window is credit_ - sent_.  Read by every write.
-  alignas(64) std::atomic<std::uint64_t> credit_;
-  sched::Sleepers writers_;  // send window, RST, shutdown or death
-  // In the ready ring, or about to be: written by the flusher per visit,
-  // read by every write.
-  alignas(64) std::atomic<bool> queued_{false};
-  bool fin_sent_ = false;  // flusher
-};
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // MuxConnection: one shared TCP connection, registered with the EventLoop.
+// Connections are driven by the process-wide per-core reactor() pool: each
+// is assigned one loop round-robin at establishment and keeps it for life,
+// so one hot connection cannot serialize every other connection's reactor
+// work.
 
 class MuxConnection final : public EventLoop::Handler,
                             public std::enable_shared_from_this<MuxConnection> {
  public:
-  MuxConnection(MuxTransport& transport, EventLoop& loop,
-                std::shared_ptr<Socket> socket, bool dialer, std::string peer,
-                std::weak_ptr<MuxListener> listener)
-      : transport_(transport),
-        loop_(loop),
+  MuxConnection(std::shared_ptr<Socket> socket, bool dialer, std::string peer,
+                std::weak_ptr<Listener> listener)
+      : loop_(reactor().next()),
         socket_(std::move(socket)),
         dialer_(dialer),
         peer_(std::move(peer)),
@@ -313,13 +134,12 @@ class MuxConnection final : public EventLoop::Handler,
 
   /// Dialer only: allocates a stream id, registers the stream and queues
   /// its OPEN frame.  `window` is the stream's window in each direction.
-  std::shared_ptr<MuxStream> open_stream(std::size_t window,
-                                         std::size_t coalesce);
+  std::shared_ptr<Stream> open_stream(std::size_t window);
 
   void on_io(std::uint32_t events) override;
 
   // Stream-side entry points (no stream lock may be held by the caller).
-  void mark_ready(std::shared_ptr<MuxStream> stream);
+  void mark_ready(std::shared_ptr<Stream> stream);
   void enqueue_credit(std::uint32_t stream_id, std::size_t bytes);
   void enqueue_rst(std::uint32_t stream_id);
   void note_stream_closed(std::uint32_t stream_id);
@@ -331,8 +151,6 @@ class MuxConnection final : public EventLoop::Handler,
   void orphan();
 
   bool dead() const { return dead_.load(std::memory_order_acquire); }
-  const std::string& peer() const { return peer_; }
-  EventLoop& loop() { return loop_; }
 
  private:
   void register_with_loop();
@@ -350,15 +168,14 @@ class MuxConnection final : public EventLoop::Handler,
 
   void push_control(ByteVector frame);
 
-  MuxTransport& transport_;
   EventLoop& loop_;
   std::shared_ptr<Socket> socket_;
   const bool dialer_;
   const std::string peer_;
-  std::weak_ptr<MuxListener> listener_;
+  std::weak_ptr<Listener> listener_;
 
   std::mutex table_mutex_;
-  std::unordered_map<std::uint32_t, std::shared_ptr<MuxStream>> streams_;
+  std::unordered_map<std::uint32_t, std::shared_ptr<Stream>> streams_;
   std::uint32_t next_stream_id_ = 1;
   std::atomic<bool> dead_{false};
   std::atomic<bool> orphaned_{false};
@@ -368,7 +185,7 @@ class MuxConnection final : public EventLoop::Handler,
   // siblings on the shared connection.
   std::mutex send_mutex_;
   std::deque<ByteVector> control_;
-  std::deque<std::shared_ptr<MuxStream>> ready_;
+  std::deque<std::shared_ptr<Stream>> ready_;
   bool flush_scheduled_ = false;
 
   // Loop-thread-only I/O state.
@@ -383,66 +200,18 @@ class MuxConnection final : public EventLoop::Handler,
   EventLoop::TimerId deadline_timer_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// MuxListener: blocking accept loop feeding the loop-side handshakes.
-
-class MuxListener final : public Listener,
-                          public std::enable_shared_from_this<MuxListener> {
- public:
-  MuxListener(MuxTransport& transport, std::uint16_t port);
-  ~MuxListener() override { close(); }
-
-  std::shared_ptr<Stream> accept() override;
-  std::uint16_t port() const override { return server_.port(); }
-  void close() override;
-  bool closed() const override { return server_.closed(); }
-
-  /// Called by connection dispatch when the peer OPENs a stream.
-  void deliver(std::shared_ptr<Stream> stream);
-
-  /// Arms the accept loop; must run after the listener is owned by a
-  /// shared_ptr (the loop hands connections weak_from_this()).
-  void start();
-
- private:
-  void accept_loop(const std::stop_token& stop);
-
-  MuxTransport& transport_;
-  ServerSocket server_;
-
-  std::mutex mutex_;
-  sched::Waiters waiters_;  // accept() callers and the unstarted loop
-  std::deque<std::shared_ptr<Stream>> pending_;
-  // What close() orphans: no stream can open on these once it has run.
-  std::vector<std::weak_ptr<MuxConnection>> accepted_;
-  bool started_ = false;
-  bool closed_ = false;
-
-  std::jthread acceptor_;
-};
+namespace {
 
 // ---------------------------------------------------------------------------
-// MuxTransport: the backend singleton -- owns the dial cache (one
-// connection per dialed host:port) and the keep-alive registry for
-// accepted connections.  Connections are driven by the process-wide
-// per-core reactor() pool: each connection is assigned one loop
-// round-robin at establishment and keeps it for life, so one hot
-// connection cannot serialize every other connection's reactor work.
+// The process's connections: the dial cache (one connection per dialed
+// host:port) and the keep-alive registry for accepted connections.
 
-class MuxTransport final : public Transport {
+class Connections {
  public:
-  MuxTransport()
-      : stream_window_(network_options().stream_window),
-        coalesce_(network_options().flush_quantum) {}
-
-  std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
-                               const DialOptions& options) override;
-  std::shared_ptr<Listener> listen(std::uint16_t port) override;
-
-  /// The reactor loop the next established connection is pinned to.
-  EventLoop& next_loop() { return reactor().next(); }
-  std::size_t coalesce() const { return coalesce_; }
-
+  /// The live connection to host:port, established on first use.
+  std::shared_ptr<MuxConnection> dialed(const std::string& host,
+                                        std::uint16_t port,
+                                        std::chrono::milliseconds timeout);
   /// Keeps an accepted connection alive while it is registered with the
   /// loop (the loop holds only a raw Handler*).
   void adopt(std::shared_ptr<MuxConnection> conn);
@@ -451,13 +220,6 @@ class MuxTransport final : public Transport {
   void forget(const std::shared_ptr<MuxConnection>& conn);
 
  private:
-  std::shared_ptr<MuxConnection> establish(const std::string& host,
-                                           std::uint16_t port,
-                                           std::chrono::milliseconds timeout);
-
-  const std::size_t stream_window_;
-  const std::size_t coalesce_;
-
   /// Guards dial_locks_ only -- never held across I/O.
   std::mutex dial_mutex_;
   /// One establishment lock per host:port, so a slow or unreachable host
@@ -472,32 +234,52 @@ class MuxTransport final : public Transport {
   std::unordered_set<std::shared_ptr<MuxConnection>> all_;
 };
 
+Connections& connections() {
+  // Leaked on purpose (matches the reactor pool): loop threads must not
+  // be torn down by static destruction order.
+  static Connections* conns = new Connections;
+  return *conns;
+}
+
 /// Streams are handed out behind a close-on-last-ref wrapper: a caller
 /// that forgets close() cannot leak a table entry forever, and what it
 /// queued still flushes (the connection holds the stream until then).
-std::shared_ptr<Stream> public_handle(std::shared_ptr<MuxStream> stream) {
+std::shared_ptr<Stream> public_handle(std::shared_ptr<Stream> stream) {
   Stream* raw = stream.get();
   return std::shared_ptr<Stream>(
       raw, [owned = std::move(stream)](Stream*) mutable { owned->close(); });
 }
 
-// ---------------------------------------------------------------------------
-// MuxStream implementation.
+}  // namespace
 
-MuxStream::MuxStream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
-                     std::size_t window, std::size_t coalesce)
+// ---------------------------------------------------------------------------
+// Stream implementation.  Only mux.cpp calls the private members of Stream
+// and MuxConnection, so they are defined `inline`: as in a file-local
+// class, a member called from one place can then fold into its caller
+// (publish into write_vectored, consume into read_in_place), which the
+// external linkage of a class named in the header would otherwise stop.
+// Without `inline`, BM_MuxStreamToken read about 20% slower.  The three
+// members the inliner would now leave out of line are forced in, as the
+// file-local class had them.
+
+Stream::Stream(std::shared_ptr<MuxConnection> conn, std::uint32_t id,
+               std::size_t window)
     : conn_(std::move(conn)),
       id_(id),
-      coalesce_(coalesce == 0 ? 1 : coalesce),
       recv_window_(window),
       credit_(window) {
   counters().streams_total.fetch_add(1, std::memory_order_relaxed);
   counters().streams_active.fetch_add(1, std::memory_order_relaxed);
 }
 
-MuxStream::~MuxStream() = default;
+Stream::~Stream() = default;
 
-bool MuxStream::park_reader(
+void Stream::set_wait_observer(WaitObserver* observer) {
+  std::scoped_lock lock{mutex_};
+  observer_ = observer;
+}
+
+inline bool Stream::park_reader(
     std::uint64_t head, const std::chrono::steady_clock::time_point* deadline) {
   std::unique_lock lock{mutex_};
   // A channel's reader names the channel, so a post-mortem shows a
@@ -520,17 +302,17 @@ bool MuxStream::park_reader(
       });
 }
 
-void MuxStream::wait_observed(std::unique_lock<std::mutex>& lock,
-                              sched::Waiters& waiters,
-                              const sched::WaitTag& tag) {
+inline void Stream::wait_observed(std::unique_lock<std::mutex>& lock,
+                                  sched::Waiters& waiters,
+                                  const sched::WaitTag& tag) {
   WaitObserver* const observer = observer_;
   if (observer != nullptr) observer->on_park();
   waiters.wait(lock, tag);
   if (observer != nullptr) observer->on_unpark();
 }
 
-std::uint64_t MuxStream::await_inbound(std::uint64_t head, bool wait,
-                                       bool& ended) {
+inline std::uint64_t Stream::await_inbound(std::uint64_t head, bool wait,
+                                           bool& ended) {
   for (;;) {
     // The loop sets kRemoteFin and kDead after publishing the data before
     // them, in the same word: a word with either bit carries the final tail.
@@ -558,7 +340,7 @@ std::uint64_t MuxStream::await_inbound(std::uint64_t head, bool wait,
   }
 }
 
-void MuxStream::adopt_trace(std::uint64_t from, std::uint64_t to) {
+inline void Stream::adopt_trace(std::uint64_t from, std::uint64_t to) {
   // Context propagation only: the consuming thread adopts the sender's
   // ambient context.  Span events stay the channel layer's job -- a
   // mux-level event pair here would double every flow arrow.
@@ -576,7 +358,7 @@ void MuxStream::adopt_trace(std::uint64_t from, std::uint64_t to) {
   if (adopted && adopted->valid()) obs::current_trace_context() = *adopted;
 }
 
-void MuxStream::consume(std::uint64_t from, std::uint64_t to) {
+inline void Stream::consume(std::uint64_t from, std::uint64_t to) {
   if (to == from) return;
   in_.head.store(to, std::memory_order_release);
   // The loop counts a traced frame's mark before publishing its bytes.
@@ -592,9 +374,9 @@ void MuxStream::consume(std::uint64_t from, std::uint64_t to) {
   }
 }
 
-void MuxStream::return_window() { grant_consumed(); }
+void Stream::return_window() { grant_consumed(); }
 
-void MuxStream::grant_consumed() {
+inline void Stream::grant_consumed() {
   // Nothing is granted once the peer's FIN arrived or the connection died.
   if (unacked_ == 0 ||
       (in_.tail.load(std::memory_order_relaxed) & (kRemoteFin | kDead)) != 0) {
@@ -609,7 +391,7 @@ void MuxStream::grant_consumed() {
   conn_->enqueue_credit(id_, grant);
 }
 
-std::size_t MuxStream::read_in_place(ParseFn parse, bool wait) {
+std::size_t Stream::read_in_place(ParseFn parse, bool wait) {
   const std::uint64_t head = in_.head.load(std::memory_order_relaxed);
   const std::uint64_t word = in_.tail.load(std::memory_order_acquire);
   std::uint64_t tail = word & kPosMask;
@@ -633,7 +415,7 @@ std::size_t MuxStream::read_in_place(ParseFn parse, bool wait) {
   return static_cast<std::size_t>(pos - head);
 }
 
-std::size_t MuxStream::read_some(MutableByteSpan out) {
+std::size_t Stream::read_some(MutableByteSpan out) {
   if (out.empty()) return 0;
   std::size_t got = 0;
   read_in_place(
@@ -647,7 +429,7 @@ std::size_t MuxStream::read_some(MutableByteSpan out) {
   return got;
 }
 
-bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
+bool Stream::wait_readable(std::chrono::milliseconds timeout) {
   // RMI clients poll with lease.patience: on a fiber the deadline comes
   // from the event loop's timers, so the worker stays free meanwhile.
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -660,7 +442,7 @@ bool MuxStream::wait_readable(std::chrono::milliseconds timeout) {
   return true;
 }
 
-bool MuxStream::await_credit() {
+[[gnu::always_inline]] inline bool Stream::await_credit() {
   // A FIN first: the reader of a finished segment may reset it after
   // reading its end, and the writer must still learn of the stop.
   if ((out_.tail.load(std::memory_order_acquire) & kOutClosed) != 0) {
@@ -702,7 +484,7 @@ bool MuxStream::await_credit() {
   return true;
 }
 
-void MuxStream::ensure_queued() {
+inline void Stream::ensure_queued() {
   // Our half of the ready handshake (flush_into has the other): the
   // caller moved out_.tail seq_cst, then we look at queued_.
   if (queued_.load(std::memory_order_seq_cst) ||
@@ -712,7 +494,7 @@ void MuxStream::ensure_queued() {
   conn_->mark_ready(shared_from_this());
 }
 
-bool MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
+inline bool Stream::publish(ByteSpan a, ByteSpan b, bool traced) {
   // Acquire: a writer stopped here sees what its stopper did before.
   const std::uint64_t tail = out_.tail.load(std::memory_order_acquire);
   if ((tail & kOutClosed) != 0) return false;
@@ -735,7 +517,7 @@ bool MuxStream::publish(ByteSpan a, ByteSpan b, bool traced) {
   return true;
 }
 
-void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
+void Stream::write_vectored(ByteSpan a, ByteSpan b) {
   const bool traced =
       obs::flight_tokens() && obs::current_trace_context().valid();
   std::size_t written = 0;  // published by this call
@@ -761,7 +543,7 @@ void MuxStream::write_vectored(ByteSpan a, ByteSpan b) {
   }
 }
 
-void MuxStream::finish_with(ByteSpan message) {
+void Stream::finish_with(ByteSpan message) {
   if (message.size() > kMaxEndMessage) {
     throw UsageError{"end message of " + std::to_string(message.size()) +
                      " bytes exceeds the limit"};
@@ -778,12 +560,12 @@ void MuxStream::finish_with(ByteSpan message) {
   maybe_retire();
 }
 
-ByteVector MuxStream::end_message() const {
+ByteVector Stream::end_message() const {
   std::scoped_lock lock{mutex_};
   return in_end_;
 }
 
-void MuxStream::grant_window(std::size_t bytes) {
+void Stream::grant_window(std::size_t bytes) {
   if (bytes == 0) return;
   // Before the CREDIT frame leaves: the loop checks the peer's DATA
   // against this bound (on_data).
@@ -791,7 +573,7 @@ void MuxStream::grant_window(std::size_t bytes) {
   conn_->enqueue_credit(id_, bytes);
 }
 
-void MuxStream::shutdown_read() {
+void Stream::shutdown_read() {
   bool send_rst = false;
   {
     std::scoped_lock lock{mutex_};
@@ -805,11 +587,7 @@ void MuxStream::shutdown_read() {
   maybe_retire();
 }
 
-std::string MuxStream::peer_description() const {
-  return conn_->peer() + "/mux#" + std::to_string(id_);
-}
-
-bool MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
+inline bool Stream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   // The loop thread alone moves the position, so a plain load is current.
   const std::uint64_t word = in_.tail.load(std::memory_order_relaxed);
   // Already RST'd (in-flight data drops), or after the peer's FIN.
@@ -836,12 +614,12 @@ bool MuxStream::on_data(ByteSpan payload, const obs::TraceContext* ctx) {
   return true;
 }
 
-void MuxStream::on_credit(std::uint32_t bytes) {
+inline void Stream::on_credit(std::uint32_t bytes) {
   credit_.fetch_add(bytes, std::memory_order_seq_cst);
   writers_.wake(mutex_);
 }
 
-void MuxStream::on_fin(ByteSpan message) {
+inline void Stream::on_fin(ByteSpan message) {
   {
     std::scoped_lock lock{mutex_};
     const std::uint64_t word = in_.tail.load(std::memory_order_relaxed);
@@ -856,7 +634,7 @@ void MuxStream::on_fin(ByteSpan message) {
   maybe_retire();
 }
 
-void MuxStream::on_rst() {
+inline void Stream::on_rst() {
   std::scoped_lock lock{mutex_};
   obs::flight_record(obs::FlightKind::kNetRst, id_,
                      (out_.tail.load(std::memory_order_relaxed) & kPosMask) -
@@ -867,7 +645,7 @@ void MuxStream::on_rst() {
   writers_.wake_locked();
 }
 
-void MuxStream::on_connection_dead(const std::string& why) {
+inline void Stream::on_connection_dead(const std::string& why) {
   std::scoped_lock lock{mutex_};
   if ((in_.tail.load(std::memory_order_relaxed) & kDead) != 0) return;
   death_reason_ = why;
@@ -879,7 +657,8 @@ void MuxStream::on_connection_dead(const std::string& why) {
   writers_.wake_locked();
 }
 
-std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {
+[[gnu::always_inline]] inline std::uint64_t Stream::flush_into(
+    ByteVector& out, bool& more) {
   std::uint64_t frames = 0;
   const std::uint64_t word = out_.tail.load(std::memory_order_acquire);
   const std::uint64_t tail = word & kPosMask;
@@ -894,7 +673,7 @@ std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {
     }
   }
   if (head < tail) {
-    std::uint64_t n = std::min<std::uint64_t>(tail - head, coalesce_);
+    std::uint64_t n = std::min<std::uint64_t>(tail - head, kFlushQuantum);
     std::optional<obs::TraceContext> ctx;
     // The writer counts a traced write's mark before publishing its bytes.
     if (out_traced_.load(std::memory_order_acquire) != 0) {
@@ -954,7 +733,7 @@ std::uint64_t MuxStream::flush_into(ByteVector& out, bool& more) {
   return frames;
 }
 
-void MuxStream::maybe_retire() {
+inline void Stream::maybe_retire() {
   {
     std::scoped_lock lock{mutex_};
     const std::uint64_t in = in_.tail.load(std::memory_order_relaxed);
@@ -970,13 +749,13 @@ void MuxStream::maybe_retire() {
 // ---------------------------------------------------------------------------
 // MuxConnection implementation.
 
-void MuxConnection::start_dialer() {
+inline void MuxConnection::start_dialer() {
   preface_done_ = true;  // exchanged synchronously by the dialing thread
   counters().connections.fetch_add(1, std::memory_order_relaxed);
   loop_.post([self = shared_from_this()] { self->register_with_loop(); });
 }
 
-void MuxConnection::start_acceptor() {
+inline void MuxConnection::start_acceptor() {
   counters().connections.fetch_add(1, std::memory_order_relaxed);
   loop_.post([self = shared_from_this()] {
     self->register_with_loop();
@@ -990,7 +769,7 @@ void MuxConnection::start_acceptor() {
   });
 }
 
-void MuxConnection::register_with_loop() {
+inline void MuxConnection::register_with_loop() {
   if (dead()) return;
   try {
     loop_.add(socket_->fd(), this);
@@ -1004,16 +783,14 @@ void MuxConnection::register_with_loop() {
   if (!dead()) flush();
 }
 
-std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t window,
-                                                      std::size_t coalesce) {
+inline std::shared_ptr<Stream> MuxConnection::open_stream(std::size_t window) {
   window = std::clamp<std::size_t>(window, 1, UINT32_MAX);
-  std::shared_ptr<MuxStream> stream;
+  std::shared_ptr<Stream> stream;
   {
     std::scoped_lock lock{table_mutex_};
     if (dead()) throw NetError{"mux connection to " + peer_ + " is down"};
     const std::uint32_t id = next_stream_id_++;
-    stream = std::make_shared<MuxStream>(shared_from_this(), id, window,
-                                         coalesce);
+    stream = std::make_shared<Stream>(shared_from_this(), id, window);
     streams_.emplace(id, stream);
   }
   ByteVector frame;
@@ -1024,7 +801,7 @@ std::shared_ptr<MuxStream> MuxConnection::open_stream(std::size_t window,
   return stream;
 }
 
-void MuxConnection::mark_ready(std::shared_ptr<MuxStream> stream) {
+inline void MuxConnection::mark_ready(std::shared_ptr<Stream> stream) {
   bool post = false;
   {
     std::scoped_lock lock{send_mutex_};
@@ -1038,12 +815,13 @@ void MuxConnection::mark_ready(std::shared_ptr<MuxStream> stream) {
   if (post) post_flush();
 }
 
-void MuxConnection::push_control(ByteVector frame) {
+inline void MuxConnection::push_control(ByteVector frame) {
   std::scoped_lock lock{send_mutex_};
   control_.push_back(std::move(frame));
 }
 
-void MuxConnection::enqueue_credit(std::uint32_t stream_id, std::size_t bytes) {
+inline void MuxConnection::enqueue_credit(std::uint32_t stream_id,
+                                          std::size_t bytes) {
   while (bytes > 0) {
     const std::uint32_t grant =
         static_cast<std::uint32_t>(std::min<std::size_t>(bytes, UINT32_MAX));
@@ -1056,14 +834,14 @@ void MuxConnection::enqueue_credit(std::uint32_t stream_id, std::size_t bytes) {
   request_flush();
 }
 
-void MuxConnection::enqueue_rst(std::uint32_t stream_id) {
+inline void MuxConnection::enqueue_rst(std::uint32_t stream_id) {
   ByteVector frame;
   append_header(frame, stream_id, MuxFrame::kRst, 0);
   push_control(std::move(frame));
   request_flush();
 }
 
-void MuxConnection::note_stream_closed(std::uint32_t stream_id) {
+inline void MuxConnection::note_stream_closed(std::uint32_t stream_id) {
   std::size_t erased = 0;
   bool idle = false;
   {
@@ -1079,12 +857,12 @@ void MuxConnection::note_stream_closed(std::uint32_t stream_id) {
   }
 }
 
-void MuxConnection::orphan() {
+inline void MuxConnection::orphan() {
   orphaned_.store(true, std::memory_order_release);
   loop_.post([self = shared_from_this()] { self->finish_if_idle(); });
 }
 
-void MuxConnection::finish_if_idle() {
+inline void MuxConnection::finish_if_idle() {
   if (dead() || finishing_) return;
   {
     std::scoped_lock lock{table_mutex_};
@@ -1099,7 +877,7 @@ void MuxConnection::finish_if_idle() {
   flush();
 }
 
-void MuxConnection::request_flush() {
+inline void MuxConnection::request_flush() {
   bool post = false;
   {
     std::scoped_lock lock{send_mutex_};
@@ -1108,7 +886,7 @@ void MuxConnection::request_flush() {
   if (post) post_flush();
 }
 
-void MuxConnection::post_flush() {
+inline void MuxConnection::post_flush() {
   loop_.post([self = shared_from_this()] {
     {
       std::scoped_lock lock{self->send_mutex_};
@@ -1133,7 +911,7 @@ void MuxConnection::on_io(std::uint32_t events) {
   }
 }
 
-void MuxConnection::flush() {
+inline void MuxConnection::flush() {
   if (dead()) return;
   for (;;) {
     if (out_pos_ < out_buf_.size()) {
@@ -1168,16 +946,16 @@ void MuxConnection::flush() {
   }
 }
 
-void MuxConnection::fill_batch() {
+[[gnu::always_inline]] inline void MuxConnection::fill_batch() {
   // Every turn first takes all queued control frames -- credits and RSTs
   // are tiny and latency sensitive, and a stream's OPEN must precede its
   // first DATA -- then one frame from the next ready stream: the
   // round-robin quantum that keeps the shared connection fair.
   std::uint64_t frames = 0;
   std::uint64_t credit_frames = 0;
-  std::shared_ptr<MuxStream> requeue;
+  std::shared_ptr<Stream> requeue;
   for (;;) {
-    std::shared_ptr<MuxStream> stream;
+    std::shared_ptr<Stream> stream;
     {
       std::scoped_lock lock{send_mutex_};
       // Behind its siblings; flush_into left it queued, so it is in the
@@ -1208,7 +986,7 @@ void MuxConnection::fill_batch() {
   }
 }
 
-void MuxConnection::handle_readable() {
+inline void MuxConnection::handle_readable() {
   if (dead()) return;
   std::array<std::uint8_t, 64 * 1024> scratch;
   for (;;) {
@@ -1242,7 +1020,7 @@ void MuxConnection::handle_readable() {
   }
 }
 
-std::size_t MuxConnection::parse_frames(ByteSpan in) {
+inline std::size_t MuxConnection::parse_frames(ByteSpan in) {
   std::size_t pos = 0;
   if (!preface_done_) {
     if (in.size() < kPrefaceSize) return 0;
@@ -1275,8 +1053,8 @@ std::size_t MuxConnection::parse_frames(ByteSpan in) {
   return pos;
 }
 
-void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
-                                   ByteSpan payload) {
+inline void MuxConnection::dispatch_frame(std::uint32_t stream_id,
+                                          MuxFrame type, ByteSpan payload) {
   if (type == MuxFrame::kOpen) {
     if (dialer_ || payload.size() != 4) {
       die("unexpected OPEN frame");
@@ -1288,15 +1066,14 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
       return;
     }
     auto listener = listener_.lock();
-    std::shared_ptr<MuxStream> stream;
+    std::shared_ptr<Stream> stream;
     {
       std::scoped_lock lock{table_mutex_};
       if (streams_.count(stream_id) != 0) {
         die("duplicate mux stream id");
         return;
       }
-      stream = std::make_shared<MuxStream>(shared_from_this(), stream_id,
-                                           window, transport_.coalesce());
+      stream = std::make_shared<Stream>(shared_from_this(), stream_id, window);
       streams_.emplace(stream_id, stream);
     }
     if (listener) {
@@ -1308,7 +1085,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
     }
     return;
   }
-  std::shared_ptr<MuxStream> stream;
+  std::shared_ptr<Stream> stream;
   {
     std::scoped_lock lock{table_mutex_};
     const auto it = streams_.find(stream_id);
@@ -1357,7 +1134,7 @@ void MuxConnection::dispatch_frame(std::uint32_t stream_id, MuxFrame type,
   die("unknown mux frame type");
 }
 
-void MuxConnection::die(const std::string& why) {
+inline void MuxConnection::die(const std::string& why) {
   if (dead_.exchange(true, std::memory_order_acq_rel)) return;
   log::debug("mux connection ", peer_, " down: ", why);
   if (deadline_timer_ != 0) {
@@ -1366,7 +1143,7 @@ void MuxConnection::die(const std::string& why) {
   }
   loop_.remove(socket_->fd());
   socket_->close();
-  std::unordered_map<std::uint32_t, std::shared_ptr<MuxStream>> orphans;
+  std::unordered_map<std::uint32_t, std::shared_ptr<Stream>> orphans;
   {
     std::scoped_lock lock{table_mutex_};
     orphans.swap(streams_);
@@ -1381,29 +1158,25 @@ void MuxConnection::die(const std::string& why) {
     ready_.clear();
   }
   counters().connections.fetch_sub(1, std::memory_order_relaxed);
-  transport_.forget(shared_from_this());
+  connections().forget(shared_from_this());
 }
 
 // ---------------------------------------------------------------------------
-// MuxListener implementation.
+// Listener implementation: a blocking accept loop feeding the loop-side
+// handshakes.
 
-MuxListener::MuxListener(MuxTransport& transport, std::uint16_t port)
-    : transport_(transport),
-      server_(port),
-      acceptor_([this](const std::stop_token& stop) { accept_loop(stop); }) {}
-
-void MuxListener::start() {
-  std::scoped_lock lock{mutex_};
-  started_ = true;
-  waiters_.wake_all();
+std::shared_ptr<Listener> listen(std::uint16_t port) {
+  std::shared_ptr<Listener> listener{new Listener(port)};
+  // Started once shared ownership exists: the loop hands connections
+  // weak_from_this().
+  listener->acceptor_ = std::jthread{[raw = listener.get()](
+                                         const std::stop_token& stop) {
+    raw->accept_loop(stop);
+  }};
+  return listener;
 }
 
-void MuxListener::accept_loop(const std::stop_token& stop) {
-  {
-    // Shared ownership established; weak_from_this works.
-    std::unique_lock lock{mutex_};
-    while (!started_) waiters_.wait(lock);
-  }
+void Listener::accept_loop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
     Socket raw;
     try {
@@ -1423,9 +1196,8 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
     socket->set_nonblocking(true);
     std::string peer = socket->peer_description();
     auto conn = std::make_shared<MuxConnection>(
-        transport_, transport_.next_loop(), std::move(socket),
-        /*dialer=*/false, std::move(peer), weak_from_this());
-    transport_.adopt(conn);
+        std::move(socket), /*dialer=*/false, std::move(peer), weak_from_this());
+    connections().adopt(conn);
     conn->start_acceptor();
     bool orphan = false;
     {
@@ -1438,7 +1210,7 @@ void MuxListener::accept_loop(const std::stop_token& stop) {
   }
 }
 
-std::shared_ptr<Stream> MuxListener::accept() {
+std::shared_ptr<Stream> Listener::accept() {
   std::unique_lock lock{mutex_};
   while (!closed_ && pending_.empty()) waiters_.wait(lock);
   if (!pending_.empty()) {
@@ -1449,13 +1221,12 @@ std::shared_ptr<Stream> MuxListener::accept() {
   throw NetError{"mux listener closed"};
 }
 
-void MuxListener::close() {
+void Listener::close() {
   server_.close();  // unblocks the accept loop
   std::deque<std::shared_ptr<Stream>> drop;
   std::vector<std::weak_ptr<MuxConnection>> accepted;
   {
     std::scoped_lock lock{mutex_};
-    started_ = true;  // in case close() wins the race with start()
     const bool was_closed = std::exchange(closed_, true);
     waiters_.wake_all();
     if (was_closed) return;
@@ -1469,59 +1240,21 @@ void MuxListener::close() {
   }
 }
 
-void MuxListener::deliver(std::shared_ptr<Stream> stream) {
-  {
-    std::scoped_lock lock{mutex_};
-    if (closed_) return;  // handle drops; the stream closes itself
-    pending_.push_back(std::move(stream));
-    waiters_.wake_all();
-  }
+void Listener::deliver(std::shared_ptr<Stream> stream) {
+  std::scoped_lock lock{mutex_};
+  if (closed_) return;  // handle drops; the stream closes itself
+  pending_.push_back(std::move(stream));
+  waiters_.wake_all();
 }
 
 // ---------------------------------------------------------------------------
-// MuxTransport implementation.
+// Dialing.
 
-std::shared_ptr<Stream> MuxTransport::dial(const std::string& host,
-                                           std::uint16_t port,
-                                           const DialOptions& options) {
-  const auto key = std::make_pair(host, port);
-  // Establishment is serialized *per host:port*: two threads dialing the
-  // same host must not race a duplicate connection into the epoll handler
-  // table, but establish() blocks for up to the connect timeout, so dials
-  // to different hosts must not queue behind one unreachable peer.
-  // forget() takes neither dial lock, so a dying connection cannot
-  // deadlock against a dial in flight.
-  std::shared_ptr<std::mutex> key_mutex;
-  {
-    std::scoped_lock lock{dial_mutex_};
-    auto& slot = dial_locks_[key];
-    if (!slot) slot = std::make_shared<std::mutex>();
-    key_mutex = slot;
-  }
-  std::shared_ptr<MuxConnection> conn;
-  {
-    std::scoped_lock dial_lock{*key_mutex};
-    {
-      std::scoped_lock lock{conns_mutex_};
-      const auto it = dialed_.find(key);
-      if (it != dialed_.end() && !it->second->dead()) conn = it->second;
-    }
-    if (!conn) {
-      conn = establish(host, port, options.timeout);
-      obs::flight_record_named(obs::FlightKind::kNetDial, host, port);
-      std::scoped_lock lock{conns_mutex_};
-      dialed_[key] = conn;
-      all_.insert(conn);
-    }
-  }
-  const std::size_t window =
-      options.stream_window != 0 ? options.stream_window : stream_window_;
-  return public_handle(conn->open_stream(window, coalesce_));
-}
+namespace {
 
-std::shared_ptr<MuxConnection> MuxTransport::establish(
-    const std::string& host, std::uint16_t port,
-    std::chrono::milliseconds timeout) {
+std::shared_ptr<MuxConnection> establish(const std::string& host,
+                                         std::uint16_t port,
+                                         std::chrono::milliseconds timeout) {
   Socket raw = Socket::connect(host, port, timeout);
   raw.write_all(encode_preface());
   // Read the acceptor's preface synchronously: a peer that speaks
@@ -1550,24 +1283,49 @@ std::shared_ptr<MuxConnection> MuxTransport::establish(
   auto socket = std::make_shared<Socket>(std::move(raw));
   socket->set_nonblocking(true);
   auto conn = std::make_shared<MuxConnection>(
-      *this, next_loop(), std::move(socket), /*dialer=*/true,
-      host + ":" + std::to_string(port), std::weak_ptr<MuxListener>{});
+      std::move(socket), /*dialer=*/true, host + ":" + std::to_string(port),
+      std::weak_ptr<Listener>{});
   conn->start_dialer();
   return conn;
 }
 
-std::shared_ptr<Listener> MuxTransport::listen(std::uint16_t port) {
-  auto listener = std::make_shared<MuxListener>(*this, port);
-  listener->start();
-  return listener;
+std::shared_ptr<MuxConnection> Connections::dialed(
+    const std::string& host, std::uint16_t port,
+    std::chrono::milliseconds timeout) {
+  const auto key = std::make_pair(host, port);
+  // Establishment is serialized *per host:port*: two threads dialing the
+  // same host must not race a duplicate connection into the epoll handler
+  // table, but establish() blocks for up to the connect timeout, so dials
+  // to different hosts must not queue behind one unreachable peer.
+  // forget() takes neither dial lock, so a dying connection cannot
+  // deadlock against a dial in flight.
+  std::shared_ptr<std::mutex> key_mutex;
+  {
+    std::scoped_lock lock{dial_mutex_};
+    auto& slot = dial_locks_[key];
+    if (!slot) slot = std::make_shared<std::mutex>();
+    key_mutex = slot;
+  }
+  std::scoped_lock dial_lock{*key_mutex};
+  {
+    std::scoped_lock lock{conns_mutex_};
+    const auto it = dialed_.find(key);
+    if (it != dialed_.end() && !it->second->dead()) return it->second;
+  }
+  auto conn = establish(host, port, timeout);
+  obs::flight_record_named(obs::FlightKind::kNetDial, host, port);
+  std::scoped_lock lock{conns_mutex_};
+  dialed_[key] = conn;
+  all_.insert(conn);
+  return conn;
 }
 
-void MuxTransport::adopt(std::shared_ptr<MuxConnection> conn) {
+void Connections::adopt(std::shared_ptr<MuxConnection> conn) {
   std::scoped_lock lock{conns_mutex_};
   all_.insert(std::move(conn));
 }
 
-void MuxTransport::forget(const std::shared_ptr<MuxConnection>& conn) {
+void Connections::forget(const std::shared_ptr<MuxConnection>& conn) {
   std::scoped_lock lock{conns_mutex_};
   all_.erase(conn);
   for (auto it = dialed_.begin(); it != dialed_.end(); ++it) {
@@ -1580,10 +1338,37 @@ void MuxTransport::forget(const std::shared_ptr<MuxConnection>& conn) {
 
 }  // namespace
 
+std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
+                             const DialOptions& options) {
+  const auto conn = connections().dialed(host, port, options.timeout);
+  return public_handle(conn->open_stream(
+      options.stream_window != 0 ? options.stream_window : kStreamWindow));
+}
+
+std::shared_ptr<Stream> dial_with_retry(const std::string& host,
+                                        std::uint16_t port,
+                                        const fault::RetryPolicy& policy,
+                                        std::size_t stream_window) {
+  // The whole retry loop is one histogram sample: what the caller
+  // experienced, backoff included (same accounting as connect_with_retry).
+  const auto start = std::chrono::steady_clock::now();
+  DialOptions options;
+  options.timeout = policy.connect_timeout;
+  options.stream_window = stream_window;
+  auto stream = fault::with_retry(
+      policy, "dial " + host + ":" + std::to_string(port),
+      [&] { return dial(host, port, options); });
+  obs::runtime_histograms().connect.record_shared(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return stream;
+}
+
 /// Registers mux_stats() as the snapshot transport-stats source.  Runs at
 /// static init of this translation unit, which the linker pulls in for
-/// every binary that touches a Transport (default_transport references
-/// mux_transport); binaries that never do report zeros, correctly.
+/// every binary that dials or listens; binaries that never do report
+/// zeros, correctly.
 const bool g_snapshot_source_registered = [] {
   obs::set_transport_stats_source([]() -> obs::TransportStats {
     const MuxStats stats = mux_stats();
@@ -1616,13 +1401,6 @@ MuxStats mux_stats() {
       counters().socket_writes.load(std::memory_order_relaxed);
   stats.ready_marks = counters().ready_marks.load(std::memory_order_relaxed);
   return stats;
-}
-
-Transport& mux_transport() {
-  // Leaked on purpose (matches the reactor pool): loop threads must not
-  // be torn down by static destruction order.
-  static MuxTransport* transport = new MuxTransport;
-  return *transport;
 }
 
 }  // namespace dpn::net

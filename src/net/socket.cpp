@@ -409,8 +409,4 @@ void ServerSocket::close() {
   }
 }
 
-bool ServerSocket::closed() const {
-  return fd_.load(std::memory_order_acquire) < 0;
-}
-
 }  // namespace dpn::net

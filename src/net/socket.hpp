@@ -135,7 +135,6 @@ class ServerSocket {
   std::uint16_t port() const { return port_; }
 
   void close();
-  bool closed() const;
 
  private:
   /// Atomic because close() races with a blocked accept(): the accept

@@ -82,7 +82,7 @@ ComputeServer::ComputeServer(std::string name,
     : name_(std::move(name)),
       node_(node ? std::move(node) : dist::NodeContext::create()),
       lease_(lease),
-      listener_(net::default_transport().listen(0)),
+      listener_(net::listen(0)),
       trace_tag_(next_trace_tag()) {
   // A server host must be dumpable after a crash too, whether or not it
   // ever starts a Network of its own.
@@ -102,7 +102,13 @@ void ComputeServer::register_with(const std::string& registry_host,
 
 void ComputeServer::stop() {
   if (stopping_.exchange(true)) return;
-  hosted_cv_.notify_all();  // wake stats streamers so stop() can join them
+  {
+    // Wake stats streamers so stop() can join them.  Taking their lock
+    // first: one between its check of stopping_ and its wait would miss
+    // a bare notify and sleep out its whole interval.
+    std::scoped_lock lock{hosted_mutex_};
+  }
+  hosted_cv_.notify_all();
   listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
   std::vector<std::jthread> workers;
@@ -445,13 +451,13 @@ void ComputeServer::handle(std::shared_ptr<net::Stream> stream) {
 
 std::shared_ptr<core::Task> TaskFuture::get() {
   if (!stream_) throw UsageError{"TaskFuture::get on an invalid future"};
-  auto socket = std::move(stream_);
-  await_reply(*socket, lease_, "compute server task");
+  auto stream = std::move(stream_);
+  await_reply(*stream, lease_, "compute server task");
   obs::runtime_histograms().task_rtt.record_shared(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - submitted_)
           .count()));
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   if (!in.read_bool()) {
     throw IoError{"compute server task failed: " + in.read_string()};
@@ -468,14 +474,13 @@ std::shared_ptr<core::Task> TaskFuture::get() {
 
 void ProcessHandle::join() {
   if (!valid()) throw UsageError{"ProcessHandle::join on an invalid handle"};
-  auto socket = net::dial_with_retry(net::default_transport(), endpoint_.host,
-                                     endpoint_.port, {});
-  net::StreamOutput sink{socket};
+  auto stream = net::dial_with_retry(endpoint_.host, endpoint_.port, {});
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kJoinProcess));
   out.write_u64(id_);
-  await_reply(*socket, lease_, "hosted process join");
-  net::StreamInput source{socket};
+  await_reply(*stream, lease_, "hosted process join");
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   if (!in.read_bool()) {
     throw IoError{"hosted process failed: " + in.read_string()};
@@ -485,11 +490,10 @@ void ProcessHandle::join() {
 
 void ProcessHandle::abort() {
   if (!valid()) throw UsageError{"ProcessHandle::abort on an invalid handle"};
-  auto socket = net::dial_with_retry(net::default_transport(), endpoint_.host,
-                                     endpoint_.port, {});
-  net::StreamOutput sink{socket};
+  auto stream = net::dial_with_retry(endpoint_.host, endpoint_.port, {});
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kAbortProcess));
   out.write_u64(id_);
@@ -529,8 +533,7 @@ ServerHandle ServerHandle::lookup(const std::string& registry_host,
 
 std::shared_ptr<net::Stream> ServerHandle::connect_() {
   try {
-    return net::dial_with_retry(net::default_transport(), endpoint_.host,
-                                endpoint_.port, retry_);
+    return net::dial_with_retry(endpoint_.host, endpoint_.port, retry_);
   } catch (const NetError&) {
     if (provenance_) {
       // NACK the registry entry so repeated failures evict it; best
@@ -549,13 +552,13 @@ std::shared_ptr<net::Stream> ServerHandle::connect_() {
 ProcessHandle ServerHandle::submit(
     const std::shared_ptr<core::Process>& process) {
   // Connect before serializing: shipping has side effects on the live
-  // graph (endpoints are switched onto pending sockets), so an
+  // graph (endpoints are switched onto pending streams), so an
   // unreachable server must fail before any of that happens.
-  auto socket = connect_();
+  auto stream = connect_();
   const ByteVector shipment = dist::ship_process(local_, process);
-  net::StreamOutput sink{socket};
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   if (obs::flight_tokens()) {
     // Stamp the handshake so this SHIP and the server's matching receive
@@ -588,19 +591,19 @@ ProcessHandle ServerHandle::submit(
 
 TaskFuture ServerHandle::submit(const std::shared_ptr<core::Task>& task) {
   const ByteVector shipment = dist::ship_object(local_, task);
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kRunTask));
   out.write_bytes({shipment.data(), shipment.size()});
-  return TaskFuture{socket, local_, lease_};
+  return TaskFuture{stream, local_, lease_};
 }
 
 obs::NetworkSnapshot ServerHandle::stats() {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kStats));
   if (!in.read_bool()) throw IoError{"compute server stats failed"};
@@ -627,21 +630,21 @@ std::optional<obs::NetworkSnapshot> StatsStream::next() {
 
 StatsStream ServerHandle::stats_stream(std::chrono::milliseconds interval,
                                        std::uint32_t count) {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kStatsStream));
   out.write_u32(static_cast<std::uint32_t>(
       std::max<std::chrono::milliseconds::rep>(interval.count(), 1)));
   out.write_u32(count);
-  return StatsStream{std::move(socket)};
+  return StatsStream{std::move(stream)};
 }
 
 obs::FlightExport ServerHandle::flight_export() {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kFlightDump));
   if (!in.read_bool()) throw IoError{"compute server flight dump failed"};
@@ -650,10 +653,10 @@ obs::FlightExport ServerHandle::flight_export() {
 }
 
 std::pair<std::int64_t, std::uint64_t> ServerHandle::probe_clock() {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   const std::uint64_t t0 = steady_now_ns();
   out.write_u8(static_cast<std::uint8_t>(Op::kTimeSync));
@@ -667,10 +670,10 @@ std::pair<std::int64_t, std::uint64_t> ServerHandle::probe_clock() {
 }
 
 void ServerHandle::ping() {
-  auto socket = connect_();
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamOutput sink{stream};
   io::DataOutputStream out{sink};
-  net::StreamInput source{socket};
+  net::StreamInput source{stream};
   io::DataInputStream in{source};
   out.write_u8(static_cast<std::uint8_t>(Op::kPing));
   if (!in.read_bool()) throw NetError{"ping failed"};

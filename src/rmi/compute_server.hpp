@@ -18,7 +18,7 @@
 #include "core/task.hpp"
 #include "dist/node.hpp"
 #include "fault/fault.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "rmi/registry.hpp"
@@ -179,7 +179,7 @@ class StatsStream {
 
 /// Handle to a process hosted by a remote ComputeServer, returned by
 /// ServerHandle::submit(Process).  Cheap to copy; all operations open a
-/// fresh connection, so a handle can outlive the submitting socket.
+/// fresh stream, so a handle can outlive the submitting one.
 class ProcessHandle {
  public:
   ProcessHandle() = default;

@@ -19,7 +19,7 @@ enum class Op : std::uint8_t {
 }  // namespace
 
 Registry::Registry(std::uint16_t port)
-    : listener_(net::default_transport().listen(port)) {
+    : listener_(net::listen(port)) {
   acceptor_ = std::jthread{[this] { accept_loop(); }};
 }
 
@@ -147,14 +147,14 @@ void Registry::handle(std::shared_ptr<net::Stream> stream) {
 }
 
 std::shared_ptr<net::Stream> RegistryClient::connect_() {
-  return net::dial_with_retry(net::default_transport(), host_, port_, retry_);
+  return net::dial_with_retry(host_, port_, retry_);
 }
 
 void RegistryClient::register_name(const std::string& name,
                                    const Endpoint& endpoint) {
-  auto socket = connect_();
-  net::StreamInput source{socket};
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
   io::DataInputStream in{source};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kRegister));
@@ -165,9 +165,9 @@ void RegistryClient::register_name(const std::string& name,
 }
 
 void RegistryClient::unregister_name(const std::string& name) {
-  auto socket = connect_();
-  net::StreamInput source{socket};
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
   io::DataInputStream in{source};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kUnregister));
@@ -176,9 +176,9 @@ void RegistryClient::unregister_name(const std::string& name) {
 }
 
 std::optional<Endpoint> RegistryClient::lookup(const std::string& name) {
-  auto socket = connect_();
-  net::StreamInput source{socket};
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
   io::DataInputStream in{source};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kLookup));
@@ -191,9 +191,9 @@ std::optional<Endpoint> RegistryClient::lookup(const std::string& name) {
 }
 
 std::vector<std::string> RegistryClient::list() {
-  auto socket = connect_();
-  net::StreamInput source{socket};
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
   io::DataInputStream in{source};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kList));
@@ -206,9 +206,9 @@ std::vector<std::string> RegistryClient::list() {
 
 bool RegistryClient::report_unreachable(const std::string& name,
                                         const Endpoint& endpoint) {
-  auto socket = connect_();
-  net::StreamInput source{socket};
-  net::StreamOutput sink{socket};
+  auto stream = connect_();
+  net::StreamInput source{stream};
+  net::StreamOutput sink{stream};
   io::DataInputStream in{source};
   io::DataOutputStream out{sink};
   out.write_u8(static_cast<std::uint8_t>(Op::kReport));

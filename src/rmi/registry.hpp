@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 
 /// A small name service standing in for the RMI registry (paper
 /// Section 4.1): compute servers register themselves by name, and client

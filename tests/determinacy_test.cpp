@@ -6,7 +6,7 @@
 
 #include "core/network.hpp"
 #include "dist/ship.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "factor/factor.hpp"
 #include "par/schema.hpp"
 #include "processes/arith.hpp"

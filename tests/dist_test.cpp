@@ -85,10 +85,9 @@ TEST(Rendezvous, ForgetCancelsWaiter) {
 TEST(Rendezvous, DialLostInsideHelloFailsPendingWaiters) {
   auto node = NodeContext::create();
   auto waiting = node->rendezvous().expect(21);
-  auto& transport = net::default_transport();
   const std::uint16_t port = node->rendezvous().port();
 
-  auto probe = transport.dial("127.0.0.1", port);
+  auto probe = net::dial("127.0.0.1", port);
   probe->shutdown_write();
   // The acceptor takes streams in order: once this HELLO is through, the
   // probe has been handled.
@@ -97,7 +96,7 @@ TEST(Rendezvous, DialLostInsideHelloFailsPendingWaiters) {
   ASSERT_TRUE(other->wait());
   EXPECT_FALSE(waiting->fulfilled());
 
-  auto cut = transport.dial("127.0.0.1", port);
+  auto cut = net::dial("127.0.0.1", port);
   const std::uint8_t half_magic[2] = {0x44, 0x50};
   cut->write_all({half_magic, sizeof half_magic});
   cut->shutdown_write();
@@ -725,8 +724,7 @@ struct MuxSegment {
 MuxSegment open_mux_segment(net::Listener& listener, std::size_t window) {
   net::DialOptions options;
   options.stream_window = window;
-  auto client = net::default_transport().dial("127.0.0.1", listener.port(),
-                                              options);
+  auto client = net::dial("127.0.0.1", listener.port(), options);
   return {std::make_shared<FrameChannelOutput>(std::move(client),
                                                PeerAddress{}),
           listener.accept()};
@@ -756,7 +754,7 @@ TEST(SequenceOverMux, SwitchRacingWriterKeepsExactByteOrder) {
   constexpr std::uint64_t kTokens = 100000;
   constexpr int kSwitches = 100;
   constexpr std::size_t kWindow = 4096;
-  auto listener = net::default_transport().listen(0);
+  auto listener = net::listen(0);
   std::vector<MuxSegment> segments{open_mux_segment(*listener, kWindow)};
   auto seq = std::make_shared<io::SequenceOutputStream>(segments[0].out);
 
@@ -829,7 +827,7 @@ TEST(SequenceOverMux, CutStopsTheWriterParkedOnTheWindow) {
   // it; nothing reads that stream yet.  The switch returns without
   // waiting; the FIN wakes the writer, which finishes on the successor.
   // The old stream holds the window's 16 bytes, then its end.
-  auto listener = net::default_transport().listen(0);
+  auto listener = net::listen(0);
   MuxSegment old_segment = open_mux_segment(*listener, 16);
   MuxSegment next_segment = open_mux_segment(*listener, 1024);
   auto seq = std::make_shared<io::SequenceOutputStream>(old_segment.out);

@@ -19,7 +19,7 @@
 #include "io/data.hpp"
 #include "io/memory.hpp"
 #include "image/codec.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
 #include "par/generic.hpp"
@@ -486,6 +486,178 @@ TEST(Failure, ComputeServerSurvivesGarbageConnection) {
   server.stop();
 }
 
+// --- Seeded mutations of the rmi request parsers --------------------------------
+
+constexpr std::chrono::milliseconds kRequestPatience{10000};
+
+/// One request on a fresh stream, as a client that may break the
+/// protocol: what the server sent back, and whether it ended the stream
+/// (a reset counts: it is a refusal) within the patience.
+struct RoundTrip {
+  ByteVector reply;
+  bool ended = false;
+};
+
+RoundTrip round_trip(std::uint16_t port, ByteSpan request,
+                     std::chrono::milliseconds patience) {
+  RoundTrip result;
+  auto stream = net::dial("127.0.0.1", port);
+  const auto deadline = std::chrono::steady_clock::now() + patience;
+  try {
+    stream->write_all(request);
+    stream->shutdown_write();
+    std::uint8_t buf[4096];
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0 || !stream->wait_readable(left)) return result;
+      const std::size_t n = stream->read_some({buf, sizeof buf});
+      if (n == 0) break;
+      result.reply.insert(result.reply.end(), buf, buf + n);
+    }
+  } catch (const IoError&) {
+  }
+  result.ended = true;
+  return result;
+}
+
+template <class Write>
+ByteVector encode_request(Write write) {
+  io::MemoryOutputStream sink;
+  io::DataOutputStream out{sink};
+  write(out);
+  return sink.take();
+}
+
+/// A seeded truncation, or one to eight bit flips.
+ByteVector mutate(ByteVector request, Xoshiro256& rng) {
+  if (rng.below(2) == 0) {
+    request.resize(rng.below(request.size()));
+  } else {
+    for (std::uint64_t f = 1 + rng.below(8); f > 0; --f) {
+      request[rng.below(request.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.below(8));
+    }
+  }
+  return request;
+}
+
+// Every registry op (docs/PROTOCOLS.md section 4), truncated or
+// bit-flipped.  Each gets a reply or an ended stream in time -- never a
+// crash, a hang, or an allocation the bytes do not back (a blob grows
+// with what arrives: Failure.HugeBlobClaimAllocatesOnlyWhatArrives) --
+// and after each the registry still answers a clean lookup in time.  No
+// eight flips turn the names below into "anchor".
+TEST(Failure, RegistryRequestsSurviveMutation) {
+  rmi::Registry registry{0};
+  rmi::RegistryClient{"127.0.0.1", registry.port()}.register_name(
+      "anchor", {"10.0.0.1", 4242});
+  const std::vector<ByteVector> requests{
+      encode_request([](io::DataOutputStream& out) {
+        out.write_u8(1);  // REGISTER
+        out.write_string("ghost-a");
+        out.write_string("10.0.0.2");
+        out.write_u16(7);
+      }),
+      encode_request([](io::DataOutputStream& out) {
+        out.write_u8(2);  // LOOKUP
+        out.write_string("ghost-a");
+      }),
+      encode_request([](io::DataOutputStream& out) { out.write_u8(3); }),
+      encode_request([](io::DataOutputStream& out) {
+        out.write_u8(4);  // UNREGISTER
+        out.write_string("ghost-b");
+      }),
+      encode_request([](io::DataOutputStream& out) {
+        out.write_u8(5);  // REPORT
+        out.write_string("ghost-a");
+        out.write_string("10.0.0.2");
+        out.write_u16(7);
+      }),
+  };
+  const ByteVector lookup = encode_request([](io::DataOutputStream& out) {
+    out.write_u8(2);
+    out.write_string("anchor");
+  });
+  Xoshiro256 rng{2803};
+  int replies = 0;
+  for (int round = 0; round < 250; ++round) {
+    const ByteVector wire = mutate(requests[round % requests.size()], rng);
+    const RoundTrip mutated = round_trip(
+        registry.port(), {wire.data(), wire.size()}, kRequestPatience);
+    EXPECT_TRUE(mutated.ended) << "round " << round;
+    if (!mutated.reply.empty()) ++replies;
+
+    const RoundTrip clean = round_trip(
+        registry.port(), {lookup.data(), lookup.size()}, kRequestPatience);
+    ASSERT_TRUE(clean.ended) << "round " << round;
+    io::MemoryInputStream source{clean.reply};
+    io::DataInputStream in{source};
+    ASSERT_TRUE(in.read_bool()) << "round " << round;
+    EXPECT_EQ(in.read_string(), "10.0.0.1");
+    EXPECT_EQ(in.read_u16(), 4242);
+  }
+  // Some mutations leave a request the registry answers.
+  EXPECT_GT(replies, 0);
+}
+
+// The compute server's small-payload ops (docs/PROTOCOLS.md section 5),
+// truncated or bit-flipped; shipments are Failure.SerializerSurvivesBitFlips'
+// ground.  Each gets a reply or an ended stream in time, and after each
+// the server still answers a clean ping in time.
+TEST(Failure, ComputeServerRequestsSurviveMutation) {
+  constexpr std::uint8_t kStatsStream = 8;
+  rmi::ComputeServer server{"mutation-target"};
+  const auto op = [](std::uint8_t code) {
+    return encode_request(
+        [&](io::DataOutputStream& out) { out.write_u8(code); });
+  };
+  const auto op_id = [](std::uint8_t code) {
+    return encode_request([&](io::DataOutputStream& out) {
+      out.write_u8(code);
+      out.write_u64(12345);  // no such hosted process
+    });
+  };
+  const std::vector<ByteVector> requests{
+      op(3),     // PING
+      op_id(5),  // JOIN
+      op_id(6),  // ABORT
+      op(7),     // STATS
+      encode_request([&](io::DataOutputStream& out) {
+        out.write_u8(kStatsStream);
+        out.write_u32(1);  // interval_ms
+        out.write_u32(1);  // count
+      }),
+      op(10),  // TIME_SYNC
+      op(12),  // FLIGHT_DUMP
+  };
+  const ByteVector ping = op(3);
+  Xoshiro256 rng{2804};
+  int replies = 0;
+  for (int round = 0; round < 250; ++round) {
+    const ByteVector wire = mutate(requests[round % requests.size()], rng);
+    // A STATS_STREAM whose count a mutation zeroed, or whose interval it
+    // raised, pushes until the subscriber hangs up: the one request that
+    // may outlive the patience.
+    const bool may_stream = !wire.empty() && wire[0] == kStatsStream;
+    const RoundTrip mutated = round_trip(
+        server.port(), {wire.data(), wire.size()},
+        may_stream ? std::chrono::milliseconds{200} : kRequestPatience);
+    EXPECT_TRUE(mutated.ended || may_stream) << "round " << round;
+    if (!mutated.reply.empty()) ++replies;
+
+    const RoundTrip clean = round_trip(
+        server.port(), {ping.data(), ping.size()}, kRequestPatience);
+    ASSERT_TRUE(clean.ended) << "round " << round;
+    io::MemoryInputStream source{clean.reply};
+    io::DataInputStream in{source};
+    ASSERT_TRUE(in.read_bool()) << "round " << round;
+    EXPECT_EQ(in.read_string(), "mutation-target");
+  }
+  EXPECT_GT(replies, 0);
+  server.stop();
+}
+
 TEST(Failure, RendezvousSurvivesGarbageConnection) {
   auto node = dist::NodeContext::create();
   {
@@ -832,7 +1004,7 @@ TEST(Fault, LeaseExpiryFailsFastOnSilentServer) {
   // transport (rather than a raw ServerSocket) keeps the dial handshake
   // working under both backends -- a mux client completes its preface
   // against a transport listener, then waits on a reply that never comes.
-  auto silent = net::default_transport().listen(0);
+  auto silent = net::listen(0);
   std::vector<std::shared_ptr<net::Stream>> held;
   std::jthread acceptor{[&] {
     try {

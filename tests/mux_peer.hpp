@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "net/socket.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "support/bytes.hpp"
 
 namespace dpn::net::test {
@@ -71,8 +71,7 @@ class RawPeer {
   /// Dials a new stream of the process's transport to this peer.
   std::shared_ptr<Stream> dial(DialOptions options = {}) {
     if (options.stream_window == 0) options.stream_window = window_;
-    auto stream =
-        default_transport().dial("127.0.0.1", server_.port(), options);
+    auto stream = net::dial("127.0.0.1", server_.port(), options);
     if (accepted_.valid()) socket_ = accepted_.get();
     return stream;
   }

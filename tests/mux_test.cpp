@@ -16,7 +16,6 @@
 #include "net/mux.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
 #include "sched/scheduler.hpp"
 #include "obs/flight.hpp"
 #include "support/bytes.hpp"
@@ -24,14 +23,12 @@
 #include "mux_peer.hpp"
 
 // The mux transport's flow control and flush batching, driven through
-// the Transport API (mux against mux) and against a hand-rolled peer
+// the public mux API (mux against mux) and against a hand-rolled peer
 // that reads the wire format of docs/PROTOCOLS.md Section 8 directly.
 namespace dpn::net {
 namespace {
 
 using namespace test;
-
-Transport& mux() { return default_transport(); }
 
 /// Holds every reactor() loop inside a posted closure until destroyed:
 /// frames queued meanwhile can only leave in the flushes that follow.
@@ -118,10 +115,10 @@ class MuxWindow
 // reader is sitting on.
 TEST_P(MuxWindow, RequestResponseCompletes) {
   const auto [window, on_fibers] = GetParam();
-  auto listener = mux().listen(0);
+  auto listener = listen(0);
   DialOptions options;
   options.stream_window = window;
-  auto client = mux().dial("127.0.0.1", listener->port(), options);
+  auto client = dial("127.0.0.1", listener->port(), options);
   auto server = listener->accept();
 
   if (on_fibers) {
@@ -158,12 +155,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MuxCredit, NoCreditFramesBelowHalfWindow) {
-  auto listener = mux().listen(0);
-  auto client = mux().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   // 1 000 messages of 1..11 bytes each way: far below half the default
   // window, so no reader ever owes a grant.
-  ASSERT_LT(std::size_t{11} * 1000, network_options().stream_window / 2);
+  ASSERT_LT(std::size_t{11} * 1000, kStreamWindow / 2);
   const std::uint64_t before = mux_stats().credit_frames_sent;
   std::jthread server_thread{[&] { run_server(*server, 1000); }};
   run_client(*client, 1000);
@@ -282,7 +279,7 @@ TEST(MuxFlush, SmallStreamOvertakesSiblingBacklog) {
     ASSERT_EQ(frame.stream, big_id);
     big_before += frame.payload.size();
   }
-  EXPECT_LE(big_before, network_options().flush_quantum);
+  EXPECT_LE(big_before, kFlushQuantum);
   std::size_t big_total = big_before;
   while (big_total < backlog.size()) {
     RawPeer::Frame frame = peer.next_data_or_fin();
@@ -560,11 +557,11 @@ class MuxRing : public ::testing::TestWithParam<bool> {};
 // read ones) under the span, which must stay readable, and every byte
 // arrives once, in order.
 TEST_P(MuxRing, StorageGrowsWhileTheReaderHoldsASpan) {
-  auto listener = mux().listen(0);
-  auto client = mux().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   constexpr std::size_t kBytes = 200000;  // below the default window
-  ASSERT_LT(kBytes, network_options().stream_window);
+  ASSERT_LT(kBytes, kStreamWindow);
   const ByteVector sent = pattern(kBytes, 9);
   std::latch holding{1};
   std::jthread writer{[&] {
@@ -603,8 +600,8 @@ TEST_P(MuxRing, StorageGrowsWhileTheReaderHoldsASpan) {
 // close() from another thread wakes a reader parked on an empty stream;
 // the read ends (returns 0) instead of hanging.
 TEST_P(MuxRing, CloseFromAnotherThreadWakesAParkedReader) {
-  auto listener = mux().listen(0);
-  auto client = mux().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   ParkCounter parks;
   server->set_wait_observer(&parks);
@@ -626,10 +623,10 @@ TEST_P(MuxRing, CloseFromAnotherThreadWakesAParkedReader) {
 // A writer parked on an exhausted send window throws ChannelClosed when
 // the peer's reader shuts down (its RST), instead of waiting for credit.
 TEST_P(MuxRing, WriterParkedOnTheWindowThrowsOnPeerRst) {
-  auto listener = mux().listen(0);
+  auto listener = listen(0);
   DialOptions options;
   options.stream_window = 16;  // the server's send window
-  auto client = mux().dial("127.0.0.1", listener->port(), options);
+  auto client = dial("127.0.0.1", listener->port(), options);
   auto server = listener->accept();
   ParkCounter parks;
   server->set_wait_observer(&parks);
@@ -692,8 +689,8 @@ INSTANTIATE_TEST_SUITE_P(Callers, MuxRing, ::testing::Bool(),
 // --- wait_readable ---------------------------------------------------------
 
 TEST(MuxWaitReadable, ZeroTimeoutProbeOnFiberArmsNoTimer) {
-  auto listener = mux().listen(0);
-  auto client = mux().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto server = listener->accept();
 
   sched::SchedulerOptions options;
@@ -883,8 +880,8 @@ TEST(Frames, ManyFramesInOrder) {
 }
 
 TEST(Frames, OverSocketEndToEnd) {
-  auto listener = mux().listen(0);
-  auto client = mux().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto server = listener->accept();
   client->write_all(as_bytes(std::string{"one"}));
   client->write_all(as_bytes(std::string{"two"}));

@@ -6,7 +6,7 @@
 #include "net/event_loop.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
+#include "net/mux.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dpn::net {
@@ -202,8 +202,8 @@ TEST(Reactor, SocketWaitReadableProbesAndTimesOut) {
 // never in a blocking socket call: one parked in a stream read, or on a
 // stream's exhausted window, leaves its worker to the other fibers.
 TEST(Reactor, FiberParkedInSocketReadDoesNotStallWorker) {
-  auto listener = default_transport().listen(0);
-  auto client = default_transport().dial("127.0.0.1", listener->port());
+  auto listener = listen(0);
+  auto client = dial("127.0.0.1", listener->port());
   auto peer = listener->accept();
 
   sched::SchedulerOptions options;
@@ -236,10 +236,10 @@ TEST(Reactor, FiberParkedInSocketReadDoesNotStallWorker) {
 }
 
 TEST(Reactor, FiberParkedInSocketWriteDoesNotStallWorker) {
-  auto listener = default_transport().listen(0);
-  DialOptions dial;
-  dial.stream_window = 4096;  // a modest burst exhausts it
-  auto client = default_transport().dial("127.0.0.1", listener->port(), dial);
+  auto listener = listen(0);
+  DialOptions small;
+  small.stream_window = 4096;  // a modest burst exhausts it
+  auto client = dial("127.0.0.1", listener->port(), small);
   auto peer = listener->accept();
 
   sched::SchedulerOptions options;

@@ -224,7 +224,7 @@ TEST(ComputeServer, RunAsyncHostsProcessGraph) {
 
 TEST(ComputeServer, RejectsCorruptShipment) {
   ComputeServer server{"corrupt"};
-  auto stream = net::default_transport().dial("127.0.0.1", server.port(), {});
+  auto stream = net::dial("127.0.0.1", server.port(), {});
   net::StreamOutput sink{stream};
   net::StreamInput source{stream};
   io::DataOutputStream out{sink};
