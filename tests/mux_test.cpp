@@ -891,5 +891,149 @@ TEST(Frames, OverSocketEndToEnd) {
   EXPECT_EQ(dpn::to_string({end.data(), end.size()}), "end");
 }
 
+// --- Handshake: the connection preface of docs/PROTOCOLS.md Section 8 -----
+
+/// A TCP peer that accepts one connection and writes `reply` (may be
+/// empty: a silent peer), then holds the socket until destroyed.
+class RawAcceptor {
+ public:
+  explicit RawAcceptor(ByteVector reply = {})
+      : accepted_(std::async(std::launch::async,
+                             [this, reply = std::move(reply)] {
+                               Socket socket = server_.accept();
+                               if (!reply.empty()) {
+                                 socket.write_all({reply.data(), reply.size()});
+                               }
+                               return socket;
+                             })) {}
+  ~RawAcceptor() {
+    server_.close();  // ends an accept that never got its connection
+    try {
+      accepted_.get();
+    } catch (const NetError&) {
+    }
+  }
+
+  RawAcceptor(const RawAcceptor&) = delete;
+  RawAcceptor& operator=(const RawAcceptor&) = delete;
+
+  std::uint16_t port() const { return server_.port(); }
+
+ private:
+  ServerSocket server_{0};
+  std::future<Socket> accepted_;
+};
+
+TEST(MuxHandshake, DialToSilentAcceptorFailsWithinItsTimeout) {
+  RawAcceptor silent;
+  DialOptions options;
+  options.timeout = std::chrono::milliseconds{300};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(dial("127.0.0.1", silent.port(), options), NetError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
+}
+
+TEST(MuxHandshake, BadPrefaceFailsTheDial) {
+  const std::string reply = "HTTP/1.1 400 Bad Request\r\n";
+  RawAcceptor http{ByteVector{reply.begin(), reply.end()}};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(dial("127.0.0.1", http.port()), NetError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
+}
+
+TEST(MuxHandshake, FiberDialingASilentPeerLeavesTheWorkerFree) {
+  RawAcceptor silent;
+  sched::SchedulerOptions options;
+  options.mode = sched::SchedMode::kWorkSteal;
+  options.workers = 1;
+  sched::Scheduler scheduler{options};
+
+  std::atomic<bool> dialing{false};
+  std::atomic<bool> dial_ended{false};
+  std::promise<bool> dial_failed;
+  scheduler.spawn(
+      [&] {
+        DialOptions dial_options;
+        dial_options.timeout = std::chrono::milliseconds{1000};
+        dialing.store(true);
+        bool failed = false;
+        try {
+          dial("127.0.0.1", silent.port(), dial_options);
+        } catch (const NetError&) {
+          failed = true;
+        }
+        dial_ended.store(true);
+        dial_failed.set_value(failed);
+      },
+      "dialer");
+  while (!dialing.load()) std::this_thread::yield();
+  // The only worker runs the dialer now: the bystander runs before the
+  // dial fails only if the dial parks its fiber.
+  std::promise<bool> bystander;
+  scheduler.spawn([&] { bystander.set_value(dial_ended.load()); },
+                  "bystander");
+  auto ran = bystander.get_future();
+  ASSERT_EQ(ran.wait_for(std::chrono::seconds{5}), std::future_status::ready);
+  EXPECT_FALSE(ran.get());
+  auto failed = dial_failed.get_future();
+  ASSERT_EQ(failed.wait_for(std::chrono::seconds{5}),
+            std::future_status::ready);
+  EXPECT_TRUE(failed.get());
+  scheduler.shutdown();
+}
+
+TEST(MuxHandshake, ConcurrentDialsShareOneConnection) {
+  auto listener = listen(0);
+  const std::uint64_t before = mux_stats().connections;
+  constexpr int kDialers = 8;
+  std::latch go{kDialers};
+  std::vector<std::shared_ptr<Stream>> streams(kDialers);
+  {
+    std::vector<std::jthread> dialers;
+    for (int i = 0; i < kDialers; ++i) {
+      dialers.emplace_back([&, i] {
+        go.arrive_and_wait();
+        streams[static_cast<std::size_t>(i)] =
+            dial("127.0.0.1", listener->port());
+      });
+    }
+  }
+  // Every stream's OPEN arrived, so the accepted side has started too.
+  std::vector<std::shared_ptr<Stream>> accepted;
+  for (int i = 0; i < kDialers; ++i) accepted.push_back(listener->accept());
+  for (const auto& stream : streams) ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(mux_stats().connections, before + 2);
+}
+
+TEST(MuxHandshake, UnreachableHostDoesNotBlockAHealthyDial) {
+  std::uint16_t unreachable = 0;
+  {
+    ServerSocket closed{0};  // a port nothing listens on once it closes
+    unreachable = closed.port();
+  }
+  auto plan = std::make_shared<fault::Plan>();
+  plan->delay_connect("127.0.0.1", unreachable, std::chrono::seconds{2});
+  fault::ScopedPlan scoped{std::move(plan)};
+  auto listener = listen(0);
+
+  std::atomic<bool> held{false};
+  std::jthread stuck{[&] {
+    DialOptions options;
+    options.timeout = std::chrono::seconds{5};
+    held.store(true);
+    try {
+      dial("127.0.0.1", unreachable, options);
+    } catch (const NetError&) {
+    }
+  }};
+  while (!held.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  const auto start = std::chrono::steady_clock::now();
+  auto stream = dial("127.0.0.1", listener->port());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{500});
+  ASSERT_NE(stream, nullptr);
+}
+
 }  // namespace
 }  // namespace dpn::net
