@@ -429,6 +429,8 @@ class Listener : public std::enable_shared_from_this<Listener> {
 
 /// Per-dial tuning (all optional; zero means the default).
 struct DialOptions {
+  /// Bounds the connect and the preface exchange of a new connection,
+  /// and a wait for one another dial is making.
   std::chrono::milliseconds timeout = Socket::kDefaultConnectTimeout;
   /// The stream's window in each direction: the bytes either side may
   /// send before the other's consumption grants more.  The dialer picks
@@ -437,8 +439,10 @@ struct DialOptions {
 };
 
 /// Opens a stream to host:port over the one shared connection to that
-/// host:port (established on first use).  Throws NetError on failure or
-/// timeout.
+/// host:port (established on first use; concurrent dials share it).
+/// Throws NetError on failure, on a bad or missing preface, or on
+/// timeout.  The caller parks while the connection's loop does the
+/// handshake: a fiber leaves its worker to others.
 std::shared_ptr<Stream> dial(const std::string& host, std::uint16_t port,
                              const DialOptions& options = {});
 

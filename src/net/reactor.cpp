@@ -1,11 +1,7 @@
 #include "net/reactor.hpp"
 
-#include <poll.h>
-#include <sys/epoll.h>
-
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <thread>
 
 #include "sched/waiters.hpp"
@@ -39,10 +35,6 @@ EventLoop& EventLoopPool::next() {
   return at(cursor_.fetch_add(1, std::memory_order_relaxed));
 }
 
-EventLoop& EventLoopPool::loop_for(int fd) {
-  return at(static_cast<std::size_t>(fd < 0 ? 0 : fd));
-}
-
 std::size_t EventLoopPool::live_loops() const {
   std::size_t live = 0;
   for (const auto& slot : slots_) {
@@ -68,38 +60,6 @@ EventLoopPool& reactor() {
 
 namespace {
 
-/// One in-flight fd wait: registered with a loop as an epoll handler,
-/// woken by an edge.  Heap-allocated and kept alive by the posted
-/// closures, so the loop's raw Handler* can never dangle -- the
-/// unregister post holds the last reference.
-struct FdWaiter final : EventLoop::Handler {
-  explicit FdWaiter(std::uint32_t want_mask) : want(want_mask) {}
-
-  void on_io(std::uint32_t events) override {  // loop thread
-    // Error/hangup always count as ready: the caller's next non-blocking
-    // probe is what surfaces the actual condition.
-    if ((events & (want | EPOLLERR | EPOLLHUP)) == 0) return;
-    set(ready);
-  }
-
-  void set(bool& flag) {
-    std::scoped_lock lock{mutex};
-    flag = true;
-    waiters.wake_all();
-  }
-
-  const std::uint32_t want;
-
-  std::mutex mutex;
-  sched::Waiters waiters;
-  bool ready = false;
-  bool unregistered = false;
-
-  // Loop-thread-only state (written by the registration post, read by
-  // the unregister post; the loop serializes them).
-  bool registered = false;
-};
-
 /// Serves sched::Waiters' fiber deadlines from the first reactor loop's
 /// timer wheel: the runtime's one timer mechanism.
 class ReactorDeadlines final : public sched::DeadlineTimer {
@@ -122,58 +82,4 @@ class ReactorDeadlines final : public sched::DeadlineTimer {
 }();
 
 }  // namespace
-
-bool wait_fd_ready(int fd, bool want_write,
-                   std::optional<std::chrono::milliseconds> timeout) {
-  EventLoop& loop = reactor().loop_for(fd);
-  const std::uint32_t want =
-      want_write ? static_cast<std::uint32_t>(EPOLLOUT)
-                 : static_cast<std::uint32_t>(EPOLLIN | EPOLLRDHUP);
-  auto waiter = std::make_shared<FdWaiter>(want);
-  loop.post([&loop, waiter, fd, want_write] {
-    try {
-      loop.add(fd, waiter.get());
-      waiter->registered = true;
-    } catch (const std::exception& e) {
-      // Could not register (most likely the fd is already in this
-      // loop's epoll set from a concurrent wait).  Report spurious
-      // readiness: the caller re-probes and either proceeds or waits
-      // again, so nothing hangs.
-      log::debug("reactor: fd ", fd, " wait registration failed: ", e.what());
-      waiter->set(waiter->ready);
-      return;
-    }
-    // Readiness that predates the registration produces no further
-    // edge; probe once now that the registration is in place (any later
-    // arrival is covered by epoll).
-    pollfd probe{};
-    probe.fd = fd;
-    probe.events = static_cast<short>(want_write ? POLLOUT : POLLIN);
-    if (::poll(&probe, 1, 0) != 0) waiter->set(waiter->ready);
-  });
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        timeout.value_or(std::chrono::milliseconds{0});
-  std::unique_lock lock{waiter->mutex};
-  while (!waiter->ready) {
-    if (!timeout) {
-      waiter->waiters.wait(lock);
-    } else if (!waiter->waiters.wait_until(lock, deadline)) {
-      break;
-    }
-  }
-  const bool ready = waiter->ready;
-  lock.unlock();
-  // Wait for the unregistration too: the caller may close the fd as
-  // soon as this returns, and a removal that reached epoll after the
-  // close could hit a reused descriptor.
-  loop.post([&loop, waiter, fd] {
-    if (waiter->registered) loop.remove(fd);
-    waiter->set(waiter->unregistered);
-  });
-  lock.lock();
-  while (!waiter->unregistered) waiter->waiters.wait(lock);
-  return ready;
-}
-
 }  // namespace dpn::net

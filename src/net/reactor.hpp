@@ -1,30 +1,19 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "net/event_loop.hpp"
 
 /// The process-wide reactor: a pool of EventLoops, one per core (the
-/// ponyc-asio shape), replacing the single loop the mux transport used
-/// to own.  Two kinds of work ride on it:
-///
-///   * mux connections -- each accepted/dialed shared connection is
-///     assigned one loop round-robin at establishment and keeps it for
-///     life (its timers and posts stay loop-local), so one hot
-///     connection can no longer serialize every other connection's
-///     frames behind its reactor callbacks.
-///
-///   * fiber fd waits -- a fiber that would block in a raw socket wait
-///     (Socket::connect's in-progress wait, Socket::wait_readable, both
-///     used when a fiber dials a new mux connection) registers the
-///     descriptor here and parks on a sched::Waiters list instead of
-///     pinning its OS worker in poll.  The loop's edge notification
-///     makes the fiber runnable again.
+/// ponyc-asio shape).  Each mux connection, dialed or accepted, is
+/// assigned one loop round-robin when it starts and keeps it for life
+/// (its timers and posts stay loop-local), so one hot connection cannot
+/// serialize every other connection's frames behind its reactor
+/// callbacks.  Every mux socket operation runs on a loop thread.  The
+/// first loop's timer wheel also serves fiber deadlines
+/// (sched::install_deadline_timer).
 ///
 /// Loops are created lazily: a process that never touches the network
 /// spawns no reactor threads, and one with a single connection spawns
@@ -50,10 +39,6 @@ class EventLoopPool {
   /// Round-robin assignment: what mux connections use at establishment.
   EventLoop& next();
 
-  /// Stable per-descriptor choice: what fiber fd waits use, so repeated
-  /// waits on one socket keep hitting the same epoll instance.
-  EventLoop& loop_for(int fd);
-
   /// Loops actually constructed so far (tests/introspection).
   std::size_t live_loops() const;
 
@@ -71,17 +56,5 @@ std::size_t default_reactor_loops();
 /// on purpose: loop threads must not be torn down by static destruction
 /// order (same rule as the transport singletons).
 EventLoopPool& reactor();
-
-/// Blocks the caller until `fd` is ready (readable, or writable when
-/// `want_write`) or `timeout` elapses; nullopt means no timeout.
-/// Returns false only on timeout.  The caller parks on a sched::Waiters
-/// list with the wakeup driven by reactor() -- on a fiber the OS worker
-/// stays free, and so does it while a timeout runs: fiber deadlines are
-/// served by the first reactor loop's timer wheel (install_deadline_timer
-/// in sched/waiters.hpp).  May report ready spuriously (e.g. when the descriptor could
-/// not be registered); callers must re-probe with a non-blocking
-/// operation and wait again, condition-variable style.
-bool wait_fd_ready(int fd, bool want_write,
-                   std::optional<std::chrono::milliseconds> timeout);
 
 }  // namespace dpn::net

@@ -13,10 +13,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "net/reactor.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "sched/fiber.hpp"
 
 namespace dpn::net {
 namespace {
@@ -56,88 +54,66 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-Socket Socket::connect(const std::string& host, std::uint16_t port,
-                       std::chrono::milliseconds timeout) {
+Socket Socket::start_connect(const std::string& host, std::uint16_t port,
+                             std::chrono::milliseconds timeout) {
   const auto plan = fault::Plan::current();
   if (plan) plan->apply_connect(host, port, timeout);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");
   Socket sock{fd};
   const sockaddr_in addr = make_address(host, port);
-  const std::string where = host + ":" + std::to_string(port);
-
-  // Non-blocking connect + poll: a blackholed address (SYN never answered)
-  // otherwise blocks for the kernel's minutes-long SYN retry cycle.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) throw_errno("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    throw_errno("fcntl(F_SETFL)");
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    if (errno != EINPROGRESS) {
-      throw NetError{"connect to " + where + ": " + std::strerror(errno)};
-    }
-    for (;;) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        throw NetError{"connect to " + where + " timed out after " +
-                       std::to_string(timeout.count()) + "ms"};
-      }
-      if (sched::on_fiber()) {
-        // Run-to-block: a fiber must not pin its OS worker in poll() for
-        // up to the connect timeout (a blackholed peer would starve every
-        // sibling process on this worker).  Probe non-blocking, then park
-        // on the reactor until the descriptor turns writable.  The wait
-        // may report ready spuriously, so the probe re-runs on wake.
-        pollfd probe{};
-        probe.fd = fd;
-        probe.events = POLLOUT;
-        const int n = ::poll(&probe, 1, 0);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          throw_errno("poll");
-        }
-        if (n > 0) break;
-        wait_fd_ready(fd, /*want_write=*/true, remaining);
-        continue;
-      }
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      const int n = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll");
-      }
-      if (n == 0) {
-        throw NetError{"connect to " + where + " timed out after " +
-                       std::to_string(timeout.count()) + "ms"};
-      }
-      break;
-    }
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      throw_errno("getsockopt(SO_ERROR)");
-    }
-    if (err != 0) {
-      throw NetError{"connect to " + where + ": " + std::strerror(err)};
-    }
-  }
-  if (::fcntl(fd, F_SETFL, flags) != 0) throw_errno("fcntl(F_SETFL)");
-
+  // Non-blocking connect: a blackholed address (SYN never answered) must
+  // not hold the caller for the kernel's minutes-long SYN retry cycle.
+  sock.set_nonblocking(true);
   sock.set_no_delay(true);
-  obs::flight_record_named(obs::FlightKind::kNetDial, host, port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+          0 &&
+      errno != EINPROGRESS) {
+    throw NetError{"connect to " + host + ":" + std::to_string(port) + ": " +
+                   std::strerror(errno)};
+  }
   if (plan) {
     if (const auto budget = plan->take_kill_budget(host, port)) {
       sock.kill_after_ = static_cast<std::int64_t>(*budget);
     }
   }
+  return sock;
+}
+
+Socket Socket::connect(const std::string& host, std::uint16_t port,
+                       std::chrono::milliseconds timeout) {
+  Socket sock = start_connect(host, port, timeout);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const std::string where = host + ":" + std::to_string(port);
+  for (;;) {
+    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{};
+    pfd.fd = sock.fd_;
+    pfd.events = POLLOUT;
+    const int n = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(
+                                      remaining.count(), 0)));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("poll");
+    }
+    if (n == 0) {
+      throw NetError{"connect to " + where + " timed out after " +
+                     std::to_string(timeout.count()) + "ms"};
+    }
+    break;
+  }
+  int err = 0;
+  socklen_t len = sizeof err;
+  if (::getsockopt(sock.fd_, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    throw_errno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    throw NetError{"connect to " + where + ": " + std::strerror(err)};
+  }
+  sock.set_nonblocking(false);
+  obs::flight_record_named(obs::FlightKind::kNetDial, host, port);
   return sock;
 }
 
@@ -211,38 +187,6 @@ void Socket::write_metered(ByteSpan data) {
     send_all(fd_, data.subspan(0, chunk));
     kill_after_ -= static_cast<std::int64_t>(chunk);
     data = data.subspan(chunk);
-  }
-}
-
-bool Socket::wait_readable(std::chrono::milliseconds timeout) const {
-  if (fd_ < 0) return true;  // a read will fail immediately; don't block
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  const bool fiber = sched::on_fiber();
-  for (;;) {
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    // Instantaneous probe before the deadline check, so a zero timeout
-    // means "already readable?" rather than an unconditional false.
-    int n = ::poll(&pfd, 1, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return true;  // let the read surface the error
-    }
-    if (n > 0) return true;  // readable, EOF, or error -- all "readable"
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) return false;
-    if (fiber) {
-      // Fibers park on the reactor for the wait (the RMI lease layer
-      // polls with patience-scale timeouts -- pinning a worker in poll()
-      // for seconds would starve the M:N pool).
-      wait_fd_ready(fd_, /*want_write=*/false, remaining);
-      continue;  // re-probe: the reactor wakeup may be spurious
-    }
-    n = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (n < 0 && errno != EINTR) return true;
   }
 }
 

@@ -13,8 +13,8 @@
 
 /// Thin RAII wrappers over BSD TCP sockets (IPv4).  The mux transport
 /// (net/mux.hpp) runs every connection over one, nonblocking, from its
-/// reactor loops; blocking use is left to plain threads (the mux
-/// handshake, the Prometheus exporter, tests).
+/// reactor loops; blocking use is left to plain threads (the Prometheus
+/// exporter, tests).
 namespace dpn::net {
 
 /// A connected TCP socket.  Move-only; the descriptor closes on
@@ -39,14 +39,21 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  /// Connects to host:port within `timeout` (non-blocking connect + poll);
-  /// throws NetError on failure or deadline expiry.  Consults the
-  /// installed fault::Plan (drop/delay rules, kill-after-bytes arming).
-  /// Fiber-aware: from a fiber the in-progress wait parks on the reactor
-  /// instead of pinning the OS worker in poll().
+  /// Connects to host:port within `timeout` (start_connect + poll);
+  /// throws NetError on failure or deadline expiry.  Blocks the calling
+  /// thread.
   static Socket connect(const std::string& host, std::uint16_t port,
                         std::chrono::milliseconds timeout =
                             kDefaultConnectTimeout);
+
+  /// Starts a connect to host:port and returns at once: the socket is
+  /// nonblocking and may still be connecting, so its first writable edge
+  /// (or error) tells the outcome.  Throws NetError when the connect
+  /// cannot start.  Consults the installed fault::Plan: its drop and delay
+  /// rules (a delay of `timeout` or more is a connect timeout) and its
+  /// kill-after-bytes arming.
+  static Socket start_connect(const std::string& host, std::uint16_t port,
+                              std::chrono::milliseconds timeout);
 
   bool valid() const { return fd_ >= 0; }
 
@@ -58,12 +65,6 @@ class Socket {
   /// remote reader is gone -- maps onto channel close semantics), NetError
   /// otherwise.  Blocks the calling thread.
   void write_all(ByteSpan data);
-
-  /// Blocks until the socket is readable (data or EOF pending) or the
-  /// timeout elapses; returns false on timeout.  The lease layer polls
-  /// this between heartbeats.  Fiber-aware: fibers park on the reactor
-  /// for the timeout instead of occupying a worker in poll().
-  bool wait_readable(std::chrono::milliseconds timeout) const;
 
   /// Half-close of the send direction (delivers EOF to the peer).
   void shutdown_write();

@@ -151,6 +151,8 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kShipRecv: return "ship.recv";
     case FlightKind::kQueueWait: return "sched.queue.wait";
     case FlightKind::kQueueResume: return "sched.queue.resume";
+    case FlightKind::kNetDialWait: return "net.dial.wait";
+    case FlightKind::kNetDialResume: return "net.dial.resume";
   }
   return "unknown";
 }
@@ -274,10 +276,15 @@ std::string flight_wait_for(const std::vector<FlightEvent>& events) {
       case FlightKind::kQueueWait:
         blocked[who] = Wait{false, ev.a, 0, "popping an empty queue (queue "};
         break;
+      case FlightKind::kNetDialWait:
+        blocked[who] =
+            Wait{false, ev.a, 0, "dialing a mux connection (port "};
+        break;
       case FlightKind::kChanUnblockRead:
       case FlightKind::kChanUnblockWrite:
       case FlightKind::kRendezvousResume:
       case FlightKind::kQueueResume:
+      case FlightKind::kNetDialResume:
         blocked.erase(who);
         break;
       default:

@@ -125,6 +125,10 @@ enum class FlightKind : std::uint8_t {
   // id; resume: b = nanoseconds parked).  Who = the process.
   kQueueWait = 37,
   kQueueResume = 38,
+  // A process parked until the mux connection it dials has the peer's
+  // preface (a = port; resume: b = nanoseconds parked).  Who = the process.
+  kNetDialWait = 39,
+  kNetDialResume = 40,
 };
 
 const char* to_string(FlightKind kind);

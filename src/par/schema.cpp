@@ -108,11 +108,9 @@ std::shared_ptr<core::CompositeProcess> meta_dynamic(
 
   // Worker-failure recovery: the ledger is shared by Direct, Turnstile
   // and Select, and Supervised keeps a crashing worker from tearing down
-  // the composite (its closed result channel is the failure signal).
-  std::shared_ptr<processes::WorkerLedger> ledger;
-  if (options.fault_tolerant) {
-    ledger = std::make_shared<processes::WorkerLedger>(n_workers);
-  }
+  // the composite (its closed result channel is the failure signal).  The
+  // ledger is shared local state, so the composite cannot be shipped.
+  const auto ledger = std::make_shared<processes::WorkerLedger>(n_workers);
 
   // Workers and their channels.
   std::vector<std::shared_ptr<core::ChannelOutputStream>> task_outs;
@@ -121,9 +119,8 @@ std::shared_ptr<core::CompositeProcess> meta_dynamic(
     auto tasks = make_channel(options, "dynamic.task." + std::to_string(i));
     auto results =
         make_channel(options, "dynamic.result." + std::to_string(i));
-    auto worker = make_worker(factory, i, tasks->input(), results->output());
-    if (ledger) worker = std::make_shared<Supervised>(std::move(worker));
-    composite->add(std::move(worker));
+    composite->add(std::make_shared<Supervised>(
+        make_worker(factory, i, tasks->input(), results->output())));
     task_outs.push_back(tasks->output());
     result_ins.push_back(results->input());
   }
@@ -135,7 +132,7 @@ std::shared_ptr<core::CompositeProcess> meta_dynamic(
   auto tags = make_channel(options, "dynamic.tags");
   auto turnstile = std::make_shared<processes::Turnstile>(
       std::move(result_ins), merged->output(), tags->output());
-  if (ledger) turnstile->set_ledger(ledger);
+  turnstile->set_ledger(ledger);
   composite->add(std::move(turnstile));
 
   // The "(n)" of Figure 18: an initial 0..N-1 prefix spliced ahead of the
@@ -150,15 +147,13 @@ std::shared_ptr<core::CompositeProcess> meta_dynamic(
 
   auto direct = std::make_shared<processes::Direct>(
       std::move(in), index->input(), std::move(task_outs));
-  if (ledger) direct->set_ledger(ledger);
+  direct->set_ledger(ledger);
   composite->add(std::move(direct));
-  // The Select reconstructs the same index sequence internally from the
-  // pair stream, so the two sides stay in lock-step without sharing a
-  // duplicated channel.  (With a ledger it re-orders by recorded task
-  // position instead, which survives re-issue.)
+  // The Select re-orders the pair stream by the task positions the ledger
+  // recorded, which survives re-issue.
   auto select = std::make_shared<processes::Select>(merged->input(),
                                                     std::move(out), n_workers);
-  if (ledger) select->set_ledger(ledger);
+  select->set_ledger(ledger);
   composite->add(std::move(select));
   return composite;
 }

@@ -41,13 +41,6 @@ struct SchemaOptions {
   /// If set, every channel created inside the schema is registered with
   /// this network's deadlock monitor.
   core::Network* watch = nullptr;
-  /// meta_dynamic only: attach a shared WorkerLedger to the Direct /
-  /// Turnstile / Select trio and wrap each worker in Supervised, so a
-  /// worker crash is contained and its in-flight tasks are re-issued to
-  /// the survivors with the output unchanged (docs/FAULTS.md).  The
-  /// resulting composite cannot be shipped remotely (the ledger is shared
-  /// local state); disable for a shippable schema.
-  bool fault_tolerant = true;
 };
 
 /// Containment wrapper for schema workers: an unexpected exception (not

@@ -111,13 +111,13 @@ void ComputeServer::stop() {
   hosted_cv_.notify_all();
   listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::jthread> workers;
+  std::vector<Worker> workers;
   {
     std::scoped_lock lock{workers_mutex_};
     workers.swap(workers_);
   }
   for (auto& worker : workers) {
-    if (worker.joinable()) worker.join();
+    if (worker.thread.joinable()) worker.thread.join();
   }
 }
 
@@ -204,15 +204,26 @@ void ComputeServer::accept_loop() {
     }
     // Each request gets its own thread: run(Task) is synchronous and may
     // be long, and deserializing a process graph dials back for channels,
-    // which must not block unrelated requests.
+    // which must not block unrelated requests.  Threads whose request is
+    // done are joined here, so a long-lived server keeps only the stacks
+    // of requests still running.
+    auto done = std::make_shared<std::atomic<bool>>(false);
     std::scoped_lock lock{workers_mutex_};
-    workers_.emplace_back([this, stream = std::move(stream)] {
-      try {
-        handle(stream);
-      } catch (const std::exception& e) {
-        log::warn("compute server '", name_, "': request failed: ", e.what());
-      }
+    std::erase_if(workers_, [](Worker& worker) {
+      if (!worker.done->load(std::memory_order_acquire)) return false;
+      worker.thread.join();
+      return true;
     });
+    workers_.push_back({std::jthread{[this, stream = std::move(stream), done] {
+                          try {
+                            handle(stream);
+                          } catch (const std::exception& e) {
+                            log::warn("compute server '", name_,
+                                      "': request failed: ", e.what());
+                          }
+                          done->store(true, std::memory_order_release);
+                        }},
+                        done});
   }
 }
 

@@ -114,8 +114,14 @@ class ComputeServer {
   std::unordered_map<std::uint64_t, std::shared_ptr<Hosted>> hosted_;
   std::uint64_t next_process_id_ = 1;
 
+  /// One request's thread; `done` is set as its handler returns.
+  struct Worker {
+    std::jthread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
   std::mutex workers_mutex_;
-  std::vector<std::jthread> workers_;
+  std::vector<Worker> workers_;
   std::jthread acceptor_;
 };
 

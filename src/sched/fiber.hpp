@@ -112,11 +112,6 @@ class Fiber {
   bool finished_ = false;
 };
 
-/// True when the calling thread is currently executing a fiber (i.e. we
-/// are on a scheduler worker, inside some process's run()).  Blocking
-/// primitives use this to choose fiber suspension over thread parking.
-bool on_fiber();
-
 /// The fiber the calling thread is executing, or nullptr.
 Fiber* current_fiber();
 

@@ -204,8 +204,6 @@ void Fiber::entry() {
   std::abort();
 }
 
-bool on_fiber() { return current_fiber_slow() != nullptr; }
-
 Fiber* current_fiber() { return current_fiber_slow(); }
 
 void make_runnable(Fiber* fiber) { fiber->scheduler_->enqueue(fiber); }

@@ -42,6 +42,11 @@ struct WaitTag {
     return {true, obs::FlightKind::kRendezvousWait,
             obs::FlightKind::kRendezvousResume, token, 0, nullptr};
   }
+  /// Awaiting the preface of the mux connection it dials to `port`.
+  static WaitTag dialing(std::uint64_t port) {
+    return {true, obs::FlightKind::kNetDialWait,
+            obs::FlightKind::kNetDialResume, port, 0, nullptr};
+  }
   /// Popping the empty sched::BlockingQueue numbered `queue`.
   static WaitTag popping(std::uint64_t queue) {
     return {true, obs::FlightKind::kQueueWait, obs::FlightKind::kQueueResume,

@@ -486,6 +486,33 @@ TEST(Failure, ComputeServerSurvivesGarbageConnection) {
   server.stop();
 }
 
+/// The process's virtual size in bytes (VmSize of /proc/self/status).
+std::uint64_t vm_size_bytes() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  char line[256];
+  std::uint64_t kib = 0;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "VmSize: %lu kB", &kib) == 1) break;
+  }
+  std::fclose(status);
+  return kib * 1024;
+}
+
+TEST(Failure, ComputeServerKeepsNoFinishedRequestThreads) {
+  // Each request runs on its own thread; a finished one must give its
+  // stack back, or a long-lived server grows by a stack per request.
+  rmi::ComputeServer server{"thread-reaper"};
+  rmi::ServerHandle handle{rmi::Endpoint{"127.0.0.1", server.port()},
+                           nullptr};
+  handle.ping();
+  const std::uint64_t before = vm_size_bytes();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 500; ++i) handle.ping();
+  EXPECT_LT(vm_size_bytes(), before + (std::uint64_t{256} << 20));
+  server.stop();
+}
+
 // --- Seeded mutations of the rmi request parsers --------------------------------
 
 constexpr std::chrono::milliseconds kRequestPatience{10000};

@@ -26,6 +26,7 @@
 #include "dist/node.hpp"
 #include "fault/fault.hpp"
 #include "io/data.hpp"
+#include "net/mux.hpp"
 #include "net/socket.hpp"
 #include "obs/flight.hpp"
 #include "obs/snapshot.hpp"
@@ -357,6 +358,40 @@ TEST(FlightWaitFor, ProcessParkedOnBlockingQueueIsNamed) {
             std::string::npos)
       << report;
   queue.push(1);
+}
+
+TEST(FlightWaitFor, ProcessParkedDialingIsNamed) {
+  // A dial parks its caller until the peer's mux preface arrives; a peer
+  // that accepts and never speaks leaves the process named as dialing.
+  obs::flight_reset();
+  net::ServerSocket silent{0};
+  std::jthread dialer{[&] {
+    obs::flight_set_actor("dialer");
+    net::DialOptions options;
+    options.timeout = std::chrono::seconds{20};
+    EXPECT_THROW(net::dial("127.0.0.1", silent.port(), options), NetError);
+  }};
+  const auto parked = [] {
+    for (const obs::FlightEvent& ev : obs::flight_export().events) {
+      if (ev.kind == raw(obs::FlightKind::kNetDialWait) &&
+          who_of(ev) == "dialer") {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{20};
+  while (!parked() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const std::string report =
+      obs::flight_report(obs::flight_export().events, "dial wait");
+  EXPECT_NE(report.find("dialer blocked dialing a mux connection (port " +
+                        std::to_string(silent.port()) + ")"),
+            std::string::npos)
+      << report;
+  silent.close();  // resets the pending connection: the dial fails
 }
 
 // --- End-to-end: deadlock dump on disk --------------------------------------

@@ -177,27 +177,6 @@ TEST(Reactor, PoolIsLazyAndRoundRobin) {
   EXPECT_EQ(pool.live_loops(), 2u);
 }
 
-TEST(Reactor, LoopForFdIsStable) {
-  EventLoopPool pool{4};
-  EventLoop& first = pool.loop_for(7);
-  // Same fd, same loop: concurrent waits on one fd share one epoll set.
-  EXPECT_EQ(&pool.loop_for(7), &first);
-}
-
-TEST(Reactor, SocketWaitReadableProbesAndTimesOut) {
-  ServerSocket server{0};
-  Socket client = Socket::connect("127.0.0.1", server.port());
-  Socket peer = server.accept();
-
-  // Zero timeout is an instantaneous probe, not an unconditional false.
-  EXPECT_FALSE(client.wait_readable(std::chrono::milliseconds{0}));
-  EXPECT_FALSE(client.wait_readable(std::chrono::milliseconds{30}));
-  const std::uint8_t token = 7;
-  peer.write_all({&token, 1});
-  EXPECT_TRUE(client.wait_readable(std::chrono::seconds{5}));
-  EXPECT_TRUE(client.wait_readable(std::chrono::milliseconds{0}));
-}
-
 // A fiber's remote reads and writes run on the reactor's mux streams,
 // never in a blocking socket call: one parked in a stream read, or on a
 // stream's exhausted window, leaves its worker to the other fibers.
@@ -276,35 +255,6 @@ TEST(Reactor, FiberParkedInSocketWriteDoesNotStallWorker) {
   auto done = write_done.get_future();
   ASSERT_EQ(done.wait_for(std::chrono::seconds{10}),
             std::future_status::ready);
-  scheduler.shutdown();
-}
-
-TEST(Reactor, FiberWaitReadableTimesOutWithoutStallingWorker) {
-  ServerSocket server{0};
-  Socket client = Socket::connect("127.0.0.1", server.port());
-  Socket peer = server.accept();
-
-  sched::SchedulerOptions options;
-  options.mode = sched::SchedMode::kWorkSteal;
-  options.workers = 1;
-  sched::Scheduler scheduler{options};
-
-  std::promise<bool> wait_result;
-  std::promise<void> bystander_ran;
-  scheduler.spawn(
-      [&] {
-        wait_result.set_value(
-            client.wait_readable(std::chrono::milliseconds{200}));
-      },
-      "waiter");
-  scheduler.spawn([&] { bystander_ran.set_value(); }, "bystander");
-
-  auto ran = bystander_ran.get_future();
-  ASSERT_EQ(ran.wait_for(std::chrono::seconds{5}), std::future_status::ready);
-  auto result = wait_result.get_future();
-  ASSERT_EQ(result.wait_for(std::chrono::seconds{5}),
-            std::future_status::ready);
-  EXPECT_FALSE(result.get());  // no data ever arrived: clean timeout
   scheduler.shutdown();
 }
 

@@ -107,13 +107,14 @@ TEST(Scheduler, RunsFibersToCompletionAndQuiesces) {
 }
 
 TEST(Scheduler, OnFiberOnlyOnWorkers) {
-  EXPECT_FALSE(sched::on_fiber());
+  EXPECT_EQ(sched::current_fiber(), nullptr);
   EXPECT_EQ(sched::Scheduler::current(), nullptr);
   EXPECT_FALSE(sched::spawn_detached([] {}));  // off-worker: caller falls back
 
   sched::Scheduler scheduler{mn_options(1)};
   std::atomic<bool> was_on_fiber{false};
-  scheduler.spawn([&was_on_fiber] { was_on_fiber = sched::on_fiber(); });
+  scheduler.spawn(
+      [&was_on_fiber] { was_on_fiber = sched::current_fiber() != nullptr; });
   scheduler.wait_quiescent();
   EXPECT_TRUE(was_on_fiber.load());
 }

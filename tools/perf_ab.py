@@ -6,6 +6,9 @@
         [--claim workload:metric ...] [--out runs.json]
     python3 tools/perf_ab.py --load runs.json [--claim workload:metric ...]
 
+Before the first pair it prints the line count of the .cpp and .hpp files
+under src/ in both trees and their difference (the change's net line delta).
+
 Each pair runs `python3 perfbench/run.py --trace 0` once in each tree, on
 one fresh seed shared by both sides, and swaps which tree runs first from
 one pair to the next.  Within a pair every workload runs, so drift of the
@@ -49,6 +52,13 @@ def run_once(tree, workload, seed, seconds, size="full"):
         sys.stderr.write(proc.stderr[-2000:])
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     return result
+
+
+def src_lines(tree):
+    """Lines of the .cpp and .hpp files under tree/src."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in Path(tree, "src").rglob("*")
+               if path.suffix in (".cpp", ".hpp"))
 
 
 def collect(args, spec):
@@ -174,6 +184,10 @@ def main():
             parser.error("--parent and --change are required unless --load")
         spec = json.loads(
             (Path(args.change) / "BENCHMARK.json").read_text())
+        lines = {side: src_lines(getattr(args, side)) for side in SIDES}
+        print(f"src .cpp/.hpp lines: parent {lines['parent']}, change "
+              f"{lines['change']}, change - parent "
+              f"{lines['change'] - lines['parent']:+d}", flush=True)
         print(f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}",
               file=sys.stderr, flush=True)
         runs = collect(args, spec)
